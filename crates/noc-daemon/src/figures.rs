@@ -2,16 +2,18 @@
 //!
 //! Every paper figure is a fixed point set (its preset spec expanded under
 //! the daemon's default cache namespace). The registry tracks, per figure,
-//! whether any job completion has touched that point set since the last
-//! render; `GET /figures/<name>` re-renders lazily and only when dirty.
+//! which of those points the memoized render found in the cache; a job
+//! completion dirties a figure only by adding a point that render lacked
+//! (entries are content-addressed, so a covered key cannot change the text).
+//! `GET /figures/<name>` re-renders lazily and only when dirty.
 //! Rendering never simulates — it reads whatever subset of the figure's
 //! points the cache already holds and reports the coverage, so a daemon
 //! that has only run `fig05` serves a complete fig05 table and a
 //! 0-coverage stub for the SPLASH figure.
 
 use noc_campaign::{render_table, Aggregate, PointOutcome, PointSpec, PointStatus, ResultCache};
-use std::collections::HashSet;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 /// Figures the daemon serves (preset names from `bench::specs`).
 pub const FIGURES: [&str; 9] = [
@@ -28,17 +30,27 @@ pub const FIGURES: [&str; 9] = [
 
 struct FigureEntry {
     name: &'static str,
-    /// Expanded points, in spec order (drives aggregate ordering).
-    points: Vec<PointSpec>,
-    /// Cache keys of the points, for dirty intersection.
-    keyset: HashSet<String>,
-    dirty: bool,
+    /// Expanded points with their cache keys, in spec order (drives
+    /// aggregate ordering). Shared, so a render reads them with the
+    /// registry unlocked.
+    points: Arc<Vec<(PointSpec, String)>>,
+    /// Every key of the point set, and whether the memoized render found it
+    /// in the cache.
+    covered: HashMap<String, bool>,
+    /// Counts the completions that dirtied this figure. A render that ends
+    /// on another count than it started on may have missed one.
+    epoch: u64,
+    /// The memoized text; `None` is what "dirty" means.
     rendered: Option<String>,
 }
 
 /// All figures plus their dirty state. One registry per daemon, bound to
 /// one cache namespace (the daemon's default verify choice) — jobs run in
 /// the other namespace simply never dirty a figure.
+///
+/// The mutex is a leaf: it is held for set operations only, never across
+/// cache I/O, so the scheduler may take it while holding the daemon's queue
+/// lock.
 pub struct FigureRegistry {
     salt: String,
     entries: Mutex<Vec<FigureEntry>>,
@@ -51,13 +63,19 @@ impl FigureRegistry {
             .iter()
             .map(|&name| {
                 let spec = bench::specs::preset(name).expect("known preset");
-                let points = spec.points();
-                let keyset = points.iter().map(|p| p.cache_key(&salt)).collect();
+                let points: Vec<(PointSpec, String)> = spec
+                    .points()
+                    .into_iter()
+                    .map(|p| {
+                        let key = p.cache_key(&salt);
+                        (p, key)
+                    })
+                    .collect();
                 FigureEntry {
                     name,
-                    points,
-                    keyset,
-                    dirty: true,
+                    covered: points.iter().map(|(_, k)| (k.clone(), false)).collect(),
+                    points: Arc::new(points),
+                    epoch: 0,
                     rendered: None,
                 }
             })
@@ -72,13 +90,17 @@ impl FigureRegistry {
         &self.salt
     }
 
-    /// A job finished and stored these keys: mark every figure whose point
-    /// set intersects the delta for re-render.
+    /// A job finished with these keys in the cache (stored by it, or by a
+    /// sibling and adopted as hits): mark for re-render every figure that
+    /// has one of them in its point set and not in its memoized render.
     pub fn note_completed(&self, completed_keys: &HashSet<String>) {
         let mut entries = self.entries.lock().unwrap();
         for e in entries.iter_mut() {
-            if !e.dirty && !e.keyset.is_disjoint(completed_keys) {
-                e.dirty = true;
+            if completed_keys
+                .iter()
+                .any(|k| e.covered.get(k) == Some(&false))
+            {
+                e.epoch += 1;
                 e.rendered = None;
             }
         }
@@ -93,7 +115,7 @@ impl FigureRegistry {
                 (
                     e.name.to_string(),
                     e.points.len(),
-                    e.dirty,
+                    e.rendered.is_none(),
                     e.rendered.is_some(),
                 )
             })
@@ -103,20 +125,21 @@ impl FigureRegistry {
     /// Render one figure from the cache (lazily; a clean figure returns
     /// the memoized text). `None` for unknown figure names.
     pub fn render(&self, name: &str, cache: &ResultCache) -> Option<String> {
-        let mut entries = self.entries.lock().unwrap();
-        let e = entries.iter_mut().find(|e| e.name == name)?;
-        if !e.dirty {
+        let (index, points, epoch) = {
+            let entries = self.entries.lock().unwrap();
+            let index = entries.iter().position(|e| e.name == name)?;
+            let e = &entries[index];
             if let Some(text) = &e.rendered {
                 return Some(text.clone());
             }
-        }
+            (index, e.points.clone(), e.epoch)
+        };
         let mut outcomes: Vec<PointOutcome> = Vec::new();
-        for p in &e.points {
-            let key = p.cache_key(&self.salt);
+        for (p, key) in points.iter() {
             if let Some(result) = cache.load(p) {
                 outcomes.push(PointOutcome {
                     point: p.clone(),
-                    key,
+                    key: key.clone(),
                     status: PointStatus::Done(result),
                     cache_hit: true,
                     deduped: false,
@@ -128,9 +151,9 @@ impl FigureRegistry {
         }
         let mut text = format!(
             "# figure {} — coverage {}/{} cached points (namespace {})\n",
-            e.name,
+            name,
             outcomes.len(),
-            e.points.len(),
+            points.len(),
             self.salt,
         );
         if outcomes.is_empty() {
@@ -138,8 +161,17 @@ impl FigureRegistry {
         } else {
             text.push_str(&render_table(&Aggregate::collect(&outcomes)));
         }
-        e.rendered = Some(text.clone());
-        e.dirty = false;
+        let mut entries = self.entries.lock().unwrap();
+        let e = &mut entries[index];
+        for found in e.covered.values_mut() {
+            *found = false;
+        }
+        for o in &outcomes {
+            e.covered.insert(o.key.clone(), true);
+        }
+        // A key that completed while the cache was being read may have been
+        // stored after its point was probed: stay dirty and render again.
+        e.rendered = (e.epoch == epoch).then(|| text.clone());
         Some(text)
     }
 }

@@ -18,10 +18,10 @@
 
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Largest accepted request head (request line + headers).
@@ -51,24 +51,67 @@ impl Default for ServeOptions {
     }
 }
 
+/// The connection is waiting for the first byte of a next request.
+const IDLE: u8 = 0;
+/// A request is being read, handled or answered.
+const BUSY: u8 = 1;
+/// The accept loop shut the read side down while the connection was idle.
+const CLOSED: u8 = 2;
+
+/// What a connection's worker shares with the accept loop, so that stopping
+/// can close the connections that are only waiting for a next request.
+struct Conn {
+    /// A dup of the connection socket: timeouts and `shutdown` apply to the
+    /// shared underlying socket, not the handle.
+    sock: TcpStream,
+    /// `IDLE` / `BUSY` / `CLOSED`. The first byte of a request claims the
+    /// connection (`IDLE` to `BUSY`) and `close_if_idle` claims it the other
+    /// way (`IDLE` to `CLOSED`); compare-and-swap lets exactly one win.
+    phase: AtomicU8,
+}
+
+impl Conn {
+    /// Wake a worker parked between requests with an end-of-stream. A
+    /// connection with a request in flight is left alone: its worker sees
+    /// the stop flag once the response is out.
+    fn close_if_idle(&self) {
+        if self
+            .phase
+            .compare_exchange(IDLE, CLOSED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            let _ = self.sock.shutdown(Shutdown::Read);
+        }
+    }
+}
+
 /// Per-request wall-clock deadline. Armed by the first byte of a request;
 /// between requests the socket sits on the (longer) idle timeout.
 struct RequestClock {
-    /// A dup of the connection socket, used only to adjust timeouts (they
-    /// apply to the shared underlying socket, not the handle).
-    sock: TcpStream,
+    conn: Arc<Conn>,
     limit: Duration,
     started: Option<Instant>,
 }
 
 impl RequestClock {
-    /// Note request activity: the first byte arms the deadline and tightens
-    /// the per-read socket timeout to it.
-    fn mark_byte(&mut self) {
+    /// Note request activity: the first byte arms the deadline, tightens
+    /// the per-read socket timeout to it and claims the connection. `false`
+    /// means the accept loop closed the connection first; the byte belongs
+    /// to a request that is not served.
+    fn mark_byte(&mut self) -> bool {
         if self.started.is_none() {
+            if self
+                .conn
+                .phase
+                .compare_exchange(IDLE, BUSY, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                return false;
+            }
             self.started = Some(Instant::now());
-            let _ = self.sock.set_read_timeout(Some(self.limit));
+            let _ = self.conn.sock.set_read_timeout(Some(self.limit));
         }
+        true
     }
 
     fn armed(&self) -> bool {
@@ -82,7 +125,8 @@ impl RequestClock {
     /// Back to between-requests idling.
     fn reset_idle(&mut self, idle: Duration) {
         self.started = None;
-        let _ = self.sock.set_read_timeout(Some(idle));
+        let _ = self.conn.sock.set_read_timeout(Some(idle));
+        self.conn.phase.store(IDLE, Ordering::SeqCst);
     }
 }
 
@@ -163,8 +207,11 @@ impl Response {
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        // One write: a body sent on its own waits behind the peer's delayed
+        // ACK of the head.
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -202,7 +249,9 @@ fn read_line_limited(
                 }
             }
             Ok(_) => {
-                clock.mark_byte();
+                if !clock.mark_byte() {
+                    return Err(ParseEnd::Eof);
+                }
                 if *budget == 0 {
                     return Err(ParseEnd::Bad(Response::error(
                         413,
@@ -342,14 +391,17 @@ fn parse_request(
 /// The route handler type: pure request → response.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-fn handle_connection(stream: TcpStream, handler: Handler, opts: &ServeOptions) {
+fn handle_connection(
+    stream: TcpStream,
+    conn: Arc<Conn>,
+    handler: Handler,
+    opts: &ServeOptions,
+    stop: &AtomicBool,
+) {
     // A peer that stops reading cannot pin the worker in write_all either.
     let _ = stream.set_write_timeout(Some(opts.request_timeout));
-    let Ok(clock_sock) = stream.try_clone() else {
-        return;
-    };
     let mut clock = RequestClock {
-        sock: clock_sock,
+        conn,
         limit: opts.request_timeout,
         started: None,
     };
@@ -362,6 +414,12 @@ fn handle_connection(stream: TcpStream, handler: Handler, opts: &ServeOptions) {
         // Bound how long an idle keep-alive connection can pin its thread;
         // the first byte of the next request arms the request deadline.
         clock.reset_idle(opts.idle_timeout);
+        // Idle is published before the flag is read, and the flag is raised
+        // before `serve` looks for idle connections (all SeqCst), so a
+        // stopping server never leaves this worker parked in `read`.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
         match parse_request(&mut reader, opts.max_body, &mut clock) {
             ParseEnd::Ok(req) => {
                 let resp = match catch_unwind(AssertUnwindSafe(|| handler(&req))) {
@@ -381,32 +439,67 @@ fn handle_connection(stream: TcpStream, handler: Handler, opts: &ServeOptions) {
     }
 }
 
-/// Accept loop: serves until `stop` turns true. The listener is polled
-/// non-blocking so shutdown is honoured within ~50 ms without platform
-/// magic. Each connection gets its own thread (control-plane traffic is
-/// low-rate; simulation work lives on the scheduler's worker threads).
+/// Accept loop: serves until [`stop_serving`] is called. The loop blocks in
+/// `accept`, so an arriving connection is picked up at once. Each connection
+/// gets its own thread (simulation work lives on the scheduler's worker
+/// threads). On the way out, connections waiting between requests are
+/// closed and requests in flight are answered before `serve` returns.
 pub fn serve(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>, opts: ServeOptions) {
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    // Weak: the socket closes when its worker ends, not when this list is
+    // next pruned.
+    let mut conns: Vec<(std::thread::JoinHandle<()>, Weak<Conn>)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _addr)) => {
-                let _ = stream.set_nonblocking(false);
-                let h = handler.clone();
-                let o = opts.clone();
-                conns.push(std::thread::spawn(move || handle_connection(stream, h, &o)));
-                conns.retain(|c| !c.is_finished());
+                // Responses are single writes; Nagle would only delay them.
+                let _ = stream.set_nodelay(true);
+                let Ok(sock) = stream.try_clone() else {
+                    continue;
+                };
+                let conn = Arc::new(Conn {
+                    sock,
+                    phase: AtomicU8::new(IDLE),
+                });
+                let weak = Arc::downgrade(&conn);
+                let (h, o, s) = (handler.clone(), opts.clone(), stop.clone());
+                let worker = std::thread::spawn(move || handle_connection(stream, conn, h, &o, &s));
+                conns.retain(|(worker, _)| !worker.is_finished());
+                conns.push((worker, weak));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            // A peer that reset while in the backlog, or no descriptor left
+            // until a connection ends: either way the next `accept` is the
+            // retry, after the connection workers have had the core.
+            Err(_) => std::thread::yield_now(),
         }
     }
-    // Drain: let in-flight request handlers finish writing their responses.
-    for c in conns {
-        let _ = c.join();
+    for (_, conn) in &conns {
+        if let Some(conn) = conn.upgrade() {
+            conn.close_if_idle();
+        }
+    }
+    for (worker, _) in conns {
+        let _ = worker.join();
+    }
+}
+
+/// Stop a running [`serve`] loop on `addr`: raise its stop flag, then wake
+/// the blocked `accept` with a throw-away loopback connection.
+pub fn stop_serving(addr: SocketAddr, stop: &AtomicBool) {
+    stop.store(true, Ordering::SeqCst);
+    let mut addr = addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect(addr) {
+        eprintln!(
+            "[daemon] cannot wake the accept loop on {addr} ({e}); it stops at the next connection"
+        );
     }
 }

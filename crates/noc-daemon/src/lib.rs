@@ -20,8 +20,8 @@
 //!   in-flight points and persists the queue, and a restarted daemon
 //!   resumes unfinished jobs, re-using every already-cached point;
 //! * figure text ([`figures`]) is regenerated incrementally — a finished
-//!   job marks exactly the figures whose point sets its cache delta
-//!   touches.
+//!   job marks exactly the figures to whose memoized render it added a
+//!   point.
 //!
 //! A spec-drop directory is watched as a second ingestion path: drop a
 //! `*.json` campaign spec into it and the daemon queues it as a job.
@@ -34,7 +34,7 @@ pub mod scheduler;
 pub mod signals;
 
 use crate::figures::FigureRegistry;
-use crate::queue::{Job, JobId, JobState, Journal, Priority};
+use crate::queue::{Job, JobId, JobState, Journal, Priority, Snapshot};
 use dxbar_noc::noc_verify::cache_namespace;
 use noc_campaign::io::IoPolicy;
 use noc_campaign::{no_faults, CacheLocks, CampaignSpec, ResultCache, CODE_VERSION};
@@ -101,7 +101,10 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Mutable daemon state behind the one mutex.
+/// Mutable daemon state behind the one mutex. Every request and every
+/// worker goes through it, so nothing that can block is done under it: no
+/// file, socket or log I/O. The figure registry's leaf mutex is the only
+/// lock taken while it is held.
 pub(crate) struct Inner {
     pub jobs: Vec<Job>,
     pub next_id: JobId,
@@ -198,9 +201,11 @@ impl DaemonState {
         self.cv.notify_all();
     }
 
-    pub(crate) fn persist_locked(&self, inner: &Inner) {
+    /// Serialize the queue for the journal. The caller releases `inner`
+    /// and then hands the snapshot to [`Journal::commit`].
+    pub(crate) fn snapshot_locked(&self, inner: &Inner) -> Snapshot {
         self.journal
-            .store(&inner.jobs, inner.next_id, inner.seq, &inner.drop_seen);
+            .snapshot(&inner.jobs, inner.next_id, inner.seq, &inner.drop_seen)
     }
 
     /// Queue a new job. Returns the acceptance record served as the `202`
@@ -243,7 +248,7 @@ impl DaemonState {
             ("points".into(), Value::U64(job.points.len() as u64)),
             ("unique_points".into(), Value::U64(job.unique as u64)),
         ]);
-        eprintln!(
+        let queued = format!(
             "[daemon] job {} ({}) queued: {} points ({} unique), {}, verify={}, from {}",
             job.id,
             job.name,
@@ -254,9 +259,13 @@ impl DaemonState {
             job.source,
         );
         inner.jobs.push(job);
-        self.persist_locked(&inner);
+        let snapshot = self.snapshot_locked(&inner);
         drop(inner);
+        // The workers start on the job while the journal is written; the
+        // submitter hears back only once the job is on disk.
         self.cv.notify_all();
+        eprintln!("{queued}");
+        self.journal.commit(snapshot);
         Ok(accepted)
     }
 
@@ -274,15 +283,18 @@ impl DaemonState {
         job.ready.clear();
         job.deferred.clear();
         let v = job_to_value(job);
-        self.persist_locked(&inner);
+        let snapshot = self.snapshot_locked(&inner);
         drop(inner);
         self.cv.notify_all();
+        self.journal.commit(snapshot);
         Ok(v)
     }
 
     // ---- status views (the GET endpoints' bodies) ----
 
     pub fn health_value(&self) -> Value {
+        // Counted before the lock: this reads the cache directory.
+        let cached_results = self.cache_plain.len();
         let inner = self.inner.lock().unwrap();
         let active = inner.jobs.iter().filter(|j| !j.state.is_terminal()).count();
         Value::Object(vec![
@@ -301,10 +313,7 @@ impl DaemonState {
                 "cache_dir".into(),
                 Value::Str(self.cfg.cache_dir.display().to_string()),
             ),
-            (
-                "cached_results".into(),
-                Value::U64(self.cache_plain.len() as u64),
-            ),
+            ("cached_results".into(), Value::U64(cached_results as u64)),
             ("pid".into(), Value::U64(std::process::id() as u64)),
         ])
     }
@@ -442,7 +451,11 @@ fn job_to_value(j: &Job) -> Value {
         ("eta_ms".into(), j.eta_ms().map_or(Value::Null, Value::U64)),
         (
             "cache_hits_so_far".into(),
-            Value::U64(j.outcomes.iter().flatten().filter(|o| o.cache_hit).count() as u64),
+            Value::U64(if j.outcomes.is_empty() {
+                j.summary.cache_hits as u64
+            } else {
+                j.outcomes.iter().flatten().filter(|o| o.cache_hit).count() as u64
+            }),
         ),
         (
             "results_available".into(),
@@ -481,11 +494,12 @@ impl DaemonHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        {
+        let snapshot = {
             let inner = self.state.inner.lock().unwrap();
-            self.state.persist_locked(&inner);
-        }
-        self.http_stop.store(true, Ordering::Release);
+            self.state.snapshot_locked(&inner)
+        };
+        self.state.journal.commit(snapshot);
+        http::stop_serving(self.addr, &self.http_stop);
         if let Some(h) = self.http.take() {
             let _ = h.join();
         }

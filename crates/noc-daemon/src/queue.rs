@@ -16,7 +16,8 @@ use noc_campaign::{CampaignSpec, PointFailure, PointOutcome, PointSpec};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 pub type JobId = u64;
@@ -130,7 +131,8 @@ pub struct Job {
     /// Cache salt of this job (per-job verify namespacing).
     pub salt: String,
 
-    // -- expansion (empty for terminal jobs restored from the journal) --
+    // -- expansion (empty once the job is done or failed, finished here or
+    // restored from the journal) --
     pub points: Vec<PointSpec>,
     pub keys: Vec<String>,
     /// In-run dedup: duplicate point index -> index of its original.
@@ -148,6 +150,7 @@ pub struct Job {
     pub resolved: usize,
 
     // -- results --
+    /// Per-point outcomes while the job runs; released with the expansion.
     pub outcomes: Vec<Option<PointOutcome>>,
     pub started: Option<Instant>,
     pub submitted_unix_ms: u64,
@@ -156,6 +159,10 @@ pub struct Job {
     pub results_text: Option<String>,
     /// Full provenance manifest JSON (terminal jobs only; not journaled).
     pub manifest_json: Option<String>,
+    /// This job's journal record, kept from the first snapshot taken after
+    /// the job turned terminal: from then on none of the journaled fields
+    /// change, and every later snapshot would serialize them again.
+    journal_record: OnceLock<Arc<str>>,
 }
 
 fn unix_ms() -> u64 {
@@ -226,6 +233,7 @@ impl Job {
             summary: JobSummary::default(),
             results_text: None,
             manifest_json: None,
+            journal_record: OnceLock::new(),
         })
     }
 
@@ -262,12 +270,85 @@ impl Job {
         let rate = self.resolved as f64 / elapsed.max(1.0);
         Some(((self.unique - self.resolved) as f64 / rate) as u64)
     }
+
+    /// This job as an element of the journal's `jobs` array: pretty JSON at
+    /// the element's nesting depth. (Strings escape their newlines, so every
+    /// newline in the text is one the printer indented.)
+    fn journal_record(&self) -> Arc<str> {
+        let mut fields = vec![
+            ("id".into(), Value::U64(self.id)),
+            ("name".into(), Value::Str(self.name.clone())),
+            ("priority".into(), Value::Str(self.priority.name().into())),
+            ("verify".into(), Value::Bool(self.verify)),
+            ("source".into(), Value::Str(self.source.clone())),
+            ("state".into(), Value::Str(self.state.name().into())),
+            (
+                "submitted_unix_ms".into(),
+                Value::U64(self.submitted_unix_ms),
+            ),
+            ("spec".into(), self.spec.to_value()),
+        ];
+        if self.state.is_terminal() {
+            fields.push(("summary".into(), self.summary.to_value()));
+            if let Some(t) = &self.results_text {
+                fields.push(("results_text".into(), Value::Str(t.clone())));
+            }
+        }
+        Value::Object(fields)
+            .to_json_pretty()
+            .replace('\n', "\n    ")
+            .into()
+    }
 }
 
 /// The serializable journal: queue + terminal-job records.
+///
+/// Writing is split in two so that no file I/O happens under the daemon's
+/// queue lock: [`Journal::snapshot`] serializes under the lock and numbers
+/// the result, [`Journal::commit`] writes it after the lock is released.
 pub struct Journal {
     path: PathBuf,
     policy: Arc<dyn IoPolicy>,
+    /// Generation of the next snapshot.
+    next_generation: AtomicU64,
+    /// Journal-order guard: the generation on disk. Held across the file
+    /// write and never together with the queue lock.
+    written: Mutex<u64>,
+}
+
+/// One serialized state of the queue, numbered in the order the states
+/// were reached. The journal is the pretty JSON of `{version, next_id, seq,
+/// drop_seen, jobs: [...]}`; a snapshot holds the head's text and one text
+/// per job, so that a terminal job's is shared, not copied, while the queue
+/// lock is held.
+pub struct Snapshot {
+    generation: u64,
+    head: String,
+    jobs: Vec<Arc<str>>,
+}
+
+impl Snapshot {
+    /// The journal file's content.
+    fn text(&self) -> String {
+        let head = self
+            .head
+            .strip_suffix("\n}")
+            .expect("a pretty object ends in a closing line");
+        let jobs: usize = self.jobs.iter().map(|j| j.len() + 6).sum();
+        let mut text = String::with_capacity(head.len() + jobs + 24);
+        text.push_str(head);
+        text.push_str(",\n  \"jobs\": [");
+        for (i, job) in self.jobs.iter().enumerate() {
+            text.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            text.push_str(job);
+        }
+        text.push_str(if self.jobs.is_empty() {
+            "]\n}"
+        } else {
+            "\n  ]\n}"
+        });
+        text
+    }
 }
 
 impl Journal {
@@ -280,6 +361,8 @@ impl Journal {
         Journal {
             path: state_dir.join("journal.json"),
             policy,
+            next_generation: AtomicU64::new(1),
+            written: Mutex::new(0),
         }
     }
 
@@ -287,33 +370,19 @@ impl Journal {
         &self.path
     }
 
-    /// Persist the queue. Terminal jobs keep their summary and rendered
+    /// Serialize the queue. Terminal jobs keep their summary and rendered
     /// results; live jobs keep their spec so a restart re-expands and
-    /// resumes them (completed points return as cache hits).
-    pub fn store(&self, jobs: &[Job], next_id: JobId, seq: u64, drop_seen: &[String]) {
-        let jobs_v: Vec<Value> = jobs
-            .iter()
-            .map(|j| {
-                let mut fields = vec![
-                    ("id".into(), Value::U64(j.id)),
-                    ("name".into(), Value::Str(j.name.clone())),
-                    ("priority".into(), Value::Str(j.priority.name().into())),
-                    ("verify".into(), Value::Bool(j.verify)),
-                    ("source".into(), Value::Str(j.source.clone())),
-                    ("state".into(), Value::Str(j.state.name().into())),
-                    ("submitted_unix_ms".into(), Value::U64(j.submitted_unix_ms)),
-                    ("spec".into(), j.spec.to_value()),
-                ];
-                if j.state.is_terminal() {
-                    fields.push(("summary".into(), j.summary.to_value()));
-                    if let Some(t) = &j.results_text {
-                        fields.push(("results_text".into(), Value::Str(t.clone())));
-                    }
-                }
-                Value::Object(fields)
-            })
-            .collect();
-        let root = Value::Object(vec![
+    /// resumes them (completed points return as cache hits). Call with the
+    /// queue lock held, so that generations number the states in the order
+    /// they were reached.
+    pub fn snapshot(
+        &self,
+        jobs: &[Job],
+        next_id: JobId,
+        seq: u64,
+        drop_seen: &[String],
+    ) -> Snapshot {
+        let head = Value::Object(vec![
             ("version".into(), Value::U64(1)),
             ("next_id".into(), Value::U64(next_id)),
             ("seq".into(), Value::U64(seq)),
@@ -321,8 +390,34 @@ impl Journal {
                 "drop_seen".into(),
                 Value::Array(drop_seen.iter().cloned().map(Value::Str).collect()),
             ),
-            ("jobs".into(), Value::Array(jobs_v)),
-        ]);
+        ])
+        .to_json_pretty();
+        let jobs = jobs
+            .iter()
+            .map(|j| {
+                if j.state.is_terminal() {
+                    j.journal_record.get_or_init(|| j.journal_record()).clone()
+                } else {
+                    j.journal_record()
+                }
+            })
+            .collect();
+        Snapshot {
+            // Relaxed: the queue lock orders the callers.
+            generation: self.next_generation.fetch_add(1, Ordering::Relaxed),
+            head,
+            jobs,
+        }
+    }
+
+    /// Persist a snapshot, unless a later one already is: of two writers
+    /// that left the queue lock in one order and reached the file in the
+    /// other, the older must not win. Call without the queue lock.
+    pub fn commit(&self, snapshot: Snapshot) {
+        let mut written = self.written.lock().expect("journal writer panicked");
+        if snapshot.generation <= *written {
+            return;
+        }
         let tmp = self
             .path
             .with_extension(format!("tmp.{}", std::process::id()));
@@ -330,17 +425,18 @@ impl Journal {
         // retried with capped backoff; a store that still fails is reported
         // and the previous journal generation stays in place (atomic
         // rename), so the queue is never left half-written.
-        if let Err(e) = store_atomic(
+        match store_atomic(
             self.policy.as_ref(),
             IoOp::JournalStore,
             &tmp,
             &self.path,
-            root.to_json_pretty().as_bytes(),
+            snapshot.text().as_bytes(),
         ) {
-            eprintln!(
+            Ok(_) => *written = snapshot.generation,
+            Err(e) => eprintln!(
                 "[daemon] warning: failed to persist journal {} after retries: {e}",
                 self.path.display()
-            );
+            ),
         }
     }
 
@@ -446,6 +542,7 @@ impl Journal {
                 summary,
                 results_text,
                 manifest_json: None,
+                journal_record: OnceLock::new(),
             });
         }
         // Live job: re-expand and resume from the cache.
@@ -558,4 +655,58 @@ fn scan_string_array(text: &str, quoted_key: &str) -> Vec<String> {
         }
     }
     Vec::new()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The journal text is put together from per-job texts; it must be what
+    /// the pretty printer gives for the whole tree, whatever the job count
+    /// and whether a record is fresh or reused.
+    #[test]
+    fn assembled_journal_is_the_pretty_printed_tree() {
+        let dir = std::env::temp_dir().join(format!("noc-journal-unit-{}", std::process::id()));
+        let journal = Journal::new(&dir);
+        let spec = || bench::specs::preset("smoke").expect("known preset");
+        let job = |id, state| {
+            let mut j = Job::new(
+                id,
+                id,
+                "j\n1".into(),
+                spec(),
+                None,
+                false,
+                "t".into(),
+                "salt",
+            )
+            .expect("valid spec");
+            j.state = state;
+            j.results_text = Some("a\tb\n  c\n".into());
+            j
+        };
+        let mut jobs = Vec::new();
+        let text = journal.snapshot(&jobs, 7, 3, &["x.json".into()]).text();
+        let tree = serde_json::parse(&text).expect("journal parses");
+        assert_eq!(tree.to_json_pretty(), text, "no jobs");
+        assert_eq!(tree.field("jobs").as_array().map(<[Value]>::len), Some(0));
+        jobs.push(job(1, JobState::Done));
+        jobs.push(job(2, JobState::Queued));
+        jobs.push(job(3, JobState::Cancelled));
+        // The second round reuses the terminal jobs' records.
+        for round in 0..2 {
+            let text = journal.snapshot(&jobs, 7, 3, &[]).text();
+            let tree = serde_json::parse(&text).expect("journal parses");
+            assert_eq!(tree.to_json_pretty(), text, "round {round}");
+            let states: Vec<_> = tree
+                .field("jobs")
+                .as_array()
+                .expect("jobs array")
+                .iter()
+                .map(|j| j.field("state").as_str().map(String::from))
+                .collect();
+            assert_eq!(states.len(), 3);
+            assert_eq!(states[1].as_deref(), Some("queued"));
+        }
+    }
 }

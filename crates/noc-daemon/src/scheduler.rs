@@ -25,6 +25,7 @@ use noc_campaign::{
     PointSpec,
 };
 use std::collections::HashSet;
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// How long a Busy (sibling-claimed) point waits before being re-polled.
@@ -161,26 +162,37 @@ impl DaemonState {
                 }
             }
         }
-        if active && job.is_drained() {
-            self.finalize_job(&mut inner, ji);
-            self.persist_locked(&inner);
-        }
+        let finished = (active && job.is_drained()).then(|| {
+            let log = self.finalize_job(&mut inner, ji);
+            (log, self.snapshot_locked(&inner))
+        });
         drop(inner);
         self.cv.notify_all();
+        if let Some((log, snapshot)) = finished {
+            eprint!("{log}");
+            self.journal.commit(snapshot);
+        }
     }
 
     /// A job's last unique point resolved: fill deduplicated siblings,
     /// build the report, render results, record the summary, and mark the
-    /// figures whose point sets the completed keys touch.
-    fn finalize_job(&self, inner: &mut crate::Inner, ji: usize) {
+    /// figures the completed keys add a point to. What the status, results
+    /// and manifest routes serve is kept; the expansion and the per-point
+    /// outcomes are released, which leaves the job in the shape the journal
+    /// restores a terminal job in. Returns the log lines, for the caller to
+    /// print once `inner` is released.
+    fn finalize_job(&self, inner: &mut crate::Inner, ji: usize) -> String {
         let job = &mut inner.jobs[ji];
-        let n = job.points.len();
-        for i in 0..n {
-            if let Some(orig) = job.share_from[i] {
-                let source = job.outcomes[orig].clone().expect("original resolved");
-                job.outcomes[i] = Some(PointOutcome {
-                    point: job.points[i].clone(),
-                    key: job.keys[i].clone(),
+        let points = std::mem::take(&mut job.points);
+        let keys = std::mem::take(&mut job.keys);
+        let share_from = std::mem::take(&mut job.share_from);
+        let mut slots = std::mem::take(&mut job.outcomes);
+        for (i, orig) in share_from.into_iter().enumerate() {
+            if let Some(orig) = orig {
+                let source = slots[orig].clone().expect("original resolved");
+                slots[i] = Some(PointOutcome {
+                    point: points[i].clone(),
+                    key: keys[i].clone(),
                     status: source.status,
                     cache_hit: source.cache_hit,
                     deduped: true,
@@ -190,10 +202,8 @@ impl DaemonState {
                 });
             }
         }
-        let outcomes: Vec<PointOutcome> = job
-            .outcomes
-            .iter()
-            .cloned()
+        let outcomes: Vec<PointOutcome> = slots
+            .into_iter()
             .map(|o| o.expect("all points resolved"))
             .collect();
         let wall_ms = job
@@ -236,8 +246,10 @@ impl DaemonState {
         // Terminally-failed points are quarantined, not silently dropped:
         // name each one with its repro handle so operators (and the chaos
         // harness) can account for every loss.
+        let mut log = String::new();
         for q in report.quarantined() {
-            eprintln!(
+            let _ = writeln!(
+                log,
                 "[daemon] job {}: quarantined point {} ({}) after {} attempt(s): {}",
                 job.id, q.key, q.repro, q.attempts, q.reason
             );
@@ -250,7 +262,8 @@ impl DaemonState {
             .filter(|o| !o.is_failed())
             .map(|o| o.key.clone())
             .collect();
-        eprintln!(
+        let _ = writeln!(
+            log,
             "[daemon] job {} ({}) {}: {}/{} points, {} cache hits, {} simulated, {} failed, {:.1}s",
             job.id,
             job.name,
@@ -263,5 +276,6 @@ impl DaemonState {
             wall_ms as f64 / 1000.0,
         );
         self.figures.note_completed(&completed);
+        log
     }
 }

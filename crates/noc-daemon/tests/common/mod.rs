@@ -9,7 +9,7 @@
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::{Design, SimConfig};
 use noc_campaign::{CampaignSpec, PointGroup, WorkloadAxis};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,6 +81,69 @@ pub fn request_auth(
     );
     let resp = send_raw(addr, raw.as_bytes());
     parse_response(&resp)
+}
+
+/// One keep-alive connection: requests go out one at a time and each
+/// response is read by its `Content-Length`.
+pub struct KeepAlive {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl KeepAlive {
+    pub fn open(addr: SocketAddr) -> KeepAlive {
+        let stream = TcpStream::connect(addr).expect("connect to daemon");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.set_nodelay(true).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        KeepAlive { stream, reader }
+    }
+
+    pub fn request(&mut self, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
+        let body = body.unwrap_or("");
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len(),
+        );
+        self.stream
+            .write_all(raw.as_bytes())
+            .expect("write request");
+        let mut head = String::new();
+        let mut length = 0usize;
+        loop {
+            let mut line = String::new();
+            let n = self
+                .reader
+                .read_line(&mut line)
+                .expect("read response head");
+            assert!(n > 0, "connection closed inside a response head: {head:?}");
+            if line == "\r\n" {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    length = value.trim().parse().expect("Content-Length");
+                }
+            }
+            head.push_str(&line);
+        }
+        let mut payload = vec![0u8; length];
+        self.reader
+            .read_exact(&mut payload)
+            .expect("read response body");
+        (
+            status_of(&head),
+            String::from_utf8_lossy(&payload).into_owned(),
+        )
+    }
+
+    /// Whether the server has closed the connection (end of stream, no
+    /// unread response).
+    pub fn is_closed_by_peer(&mut self) -> bool {
+        matches!(self.reader.read(&mut [0u8; 1]), Ok(0))
+    }
 }
 
 /// Write raw bytes to the daemon and read until EOF.

@@ -5,11 +5,13 @@
 
 mod common;
 
-use common::{request, tiny_spec, wait_for_job};
-use noc_campaign::{render_table, run_campaign, ExecOptions};
+use common::{request, tiny_spec, wait_for_job, KeepAlive};
+use dxbar_noc::Design;
+use noc_campaign::{render_table, run_campaign, CampaignSpec, ExecOptions, WorkloadAxis};
 use noc_daemon::{Daemon, DaemonConfig};
+use std::net::SocketAddr;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SALT: &str = "daemon-e2e-test-v1";
 
@@ -99,6 +101,7 @@ fn job_lifecycle_matches_batch_executor_and_survives_restart() {
     assert_eq!(s2.field("simulated").as_u64(), Some(0));
     let (_, table2) = request(addr, "GET", &format!("/jobs/{id2}/results"), None);
     assert_eq!(table2, expected_table);
+    assert_eq!(v2.field("cache_hits_so_far").as_u64(), Some(4));
 
     // Graceful drain over HTTP, then restart on the same state dir: the
     // journal restores both finished jobs with their results intact.
@@ -117,6 +120,18 @@ fn job_lifecycle_matches_batch_executor_and_survives_restart() {
     let (status, table_after) = request(addr2, "GET", &format!("/jobs/{id}/results"), None);
     assert_eq!(status, 200, "results survive a restart: {table_after}");
     assert_eq!(table_after, expected_table);
+    // A job reads the same whether it finished in this process or the last.
+    let (_, view) = request(addr2, "GET", &format!("/jobs/{id2}"), None);
+    let restored = serde_json::parse(&view).unwrap();
+    for field in ["cache_hits_so_far", "total_points", "summary"] {
+        assert_eq!(
+            restored.field(field).to_json(),
+            v2.field(field).to_json(),
+            "{field} changed across the restart"
+        );
+    }
+    let (_, table2_after) = request(addr2, "GET", &format!("/jobs/{id2}/results"), None);
+    assert_eq!(table2_after, table2);
     handle2.begin_drain();
     handle2.wait();
 
@@ -300,6 +315,209 @@ fn spec_drop_directory_queues_jobs() {
     handle.begin_drain();
     handle.wait();
     for d in [&state, &cache, &drop_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// Submit a spec and wait for the job to finish; returns its status view.
+fn run_job(addr: SocketAddr, spec: &CampaignSpec) -> serde::Value {
+    let body = format!("{{\"spec\": {}}}", spec.to_json());
+    let (status, resp) = request(addr, "POST", "/jobs", Some(&body));
+    assert_eq!(status, 202, "{resp}");
+    let id = serde_json::parse(&resp)
+        .unwrap()
+        .field("job")
+        .as_u64()
+        .unwrap();
+    let v = wait_for_job(addr, id, Duration::from_secs(300));
+    assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
+    v
+}
+
+/// The `fig05` row of `GET /figures`: (dirty, rendered).
+fn fig05_flags(addr: SocketAddr) -> (bool, bool) {
+    let (status, body) = request(addr, "GET", "/figures", None);
+    assert_eq!(status, 200);
+    let rows = serde_json::parse(&body).unwrap();
+    let row = rows
+        .as_array()
+        .unwrap()
+        .iter()
+        .find(|r| r.field("name").as_str() == Some("fig05"))
+        .expect("fig05 is a served figure");
+    (
+        row.field("dirty").as_bool().unwrap(),
+        row.field("rendered").as_bool().unwrap(),
+    )
+}
+
+/// `GET /figures/fig05`: the text and the covered-point count in its header.
+fn fig05_text(addr: SocketAddr) -> (String, usize) {
+    let (status, text) = request(addr, "GET", "/figures/fig05", None);
+    assert_eq!(status, 200, "{text}");
+    let covered = text
+        .split_once("coverage ")
+        .and_then(|(_, rest)| rest.split_once('/'))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("no coverage header: {text}"));
+    (text, covered)
+}
+
+#[test]
+fn figure_turns_dirty_only_for_a_point_its_render_lacks() {
+    // The figure registry expands the presets under the environment's
+    // windows; quick ones keep the points simulated here short.
+    std::env::set_var("DXBAR_QUICK", "1");
+    let state = common::scratch("memo-state");
+    let cache = common::scratch("memo-cache");
+    // The first `loads` points of fig05's DXbar-DOR curve.
+    let slice = |loads: usize| {
+        let mut spec = bench::specs::fig05();
+        let group = &mut spec.groups[0];
+        group.designs = vec![Design::DXbarDor];
+        match &mut group.workload {
+            WorkloadAxis::Synthetic { loads: all, .. } => all.truncate(loads),
+            _ => panic!("fig05 sweeps synthetic loads"),
+        }
+        assert_eq!(spec.points().len(), loads);
+        spec
+    };
+    // A sibling executor on the shared cache.
+    let sibling = |spec: &CampaignSpec| {
+        let report = run_campaign(
+            spec,
+            &ExecOptions {
+                cache_dir: Some(cache.clone()),
+                jobs: Some(2),
+                code_salt: SALT.into(),
+                progress: false,
+                verify: false,
+                cooperative: false,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(report.failed_count(), 0);
+    };
+
+    sibling(&slice(2));
+    let handle = Daemon::start(cfg(&state, &cache)).expect("daemon starts");
+    let addr = handle.addr;
+    assert_eq!(fig05_flags(addr), (true, false));
+    let (text, covered) = fig05_text(addr);
+    assert_eq!(covered, 2);
+    assert_eq!(fig05_flags(addr), (false, true));
+
+    // A warm slice the render already covers: nothing to redo.
+    let v = run_job(addr, &slice(2));
+    assert_eq!(v.field("summary").field("cache_hits").as_u64(), Some(2));
+    assert_eq!(fig05_flags(addr), (false, true));
+    assert_eq!(fig05_text(addr), (text, 2));
+
+    // One point more, simulated here.
+    let v = run_job(addr, &slice(3));
+    assert_eq!(v.field("summary").field("simulated").as_u64(), Some(1));
+    assert_eq!(fig05_flags(addr), (true, false));
+    assert_eq!(fig05_text(addr).1, 3);
+    assert_eq!(fig05_flags(addr), (false, true));
+
+    // One point more, stored by the sibling: this daemon learns of it when
+    // a job of its own completes the key as a cache hit.
+    sibling(&slice(4));
+    assert_eq!(fig05_flags(addr), (false, true));
+    let v = run_job(addr, &slice(4));
+    assert_eq!(v.field("summary").field("simulated").as_u64(), Some(0));
+    assert_eq!(fig05_flags(addr), (true, false));
+    assert_eq!(fig05_text(addr).1, 4);
+
+    handle.begin_drain();
+    handle.wait();
+    for d in [&state, &cache] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn finished_jobs_stay_served_and_the_journal_keeps_the_last_state() {
+    const JOBS: usize = 200;
+    let state = common::scratch("retain-state");
+    let cache = common::scratch("retain-cache");
+    // Five points: one design over five loads.
+    let mut spec = tiny_spec();
+    spec.groups[0].designs = vec![Design::DXbarDor];
+    spec.groups[0].workload = WorkloadAxis::Synthetic {
+        patterns: vec![dxbar_noc::noc_traffic::patterns::Pattern::UniformRandom],
+        loads: vec![0.1, 0.15, 0.2, 0.25, 0.3],
+    };
+    let handle = Daemon::start(cfg(&state, &cache)).expect("daemon starts");
+    let addr = handle.addr;
+    run_job(addr, &spec); // fills the cache
+
+    let mut conn = KeepAlive::open(addr);
+    let body = format!("{{\"spec\": {}}}", spec.to_json());
+    let submit = |conn: &mut KeepAlive| {
+        let (status, resp) = conn.request("POST", "/jobs", Some(&body));
+        assert_eq!(status, 202, "{resp}");
+        serde_json::parse(&resp)
+            .unwrap()
+            .field("job")
+            .as_u64()
+            .unwrap()
+    };
+    let served = |conn: &mut KeepAlive, id: u64| {
+        ["", "/results", "/manifest"].map(|route| {
+            let (status, body) = conn.request("GET", &format!("/jobs/{id}{route}"), None);
+            assert_eq!(status, 200, "/jobs/{id}{route}: {body}");
+            body
+        })
+    };
+
+    let first = submit(&mut conn);
+    wait_for_job(addr, first, Duration::from_secs(60));
+    let first_served = served(&mut conn, first);
+    let mut last = first;
+    for _ in 1..JOBS {
+        last = submit(&mut conn);
+    }
+    let deadline = Instant::now() + Duration::from_secs(300);
+    loop {
+        let (_, jobs) = conn.request("GET", "/jobs", None);
+        let rows = serde_json::parse(&jobs).unwrap();
+        let rows = rows.as_array().unwrap();
+        assert_eq!(rows.len(), JOBS + 1);
+        if rows
+            .iter()
+            .all(|r| r.field("state").as_str() == Some("done"))
+        {
+            break;
+        }
+        assert!(Instant::now() < deadline, "jobs did not finish: {jobs}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // What a finished job serves does not depend on how long ago it
+    // finished, nor on how many finished after it.
+    assert_eq!(served(&mut conn, first), first_served);
+    let last_served = served(&mut conn, last);
+    assert_eq!(served(&mut conn, last), last_served);
+    assert_eq!(last_served[1], first_served[1], "same spec, same table");
+    let view = serde_json::parse(&last_served[0]).unwrap();
+    assert_eq!(view.field("total_points").as_u64(), Some(5));
+    assert_eq!(view.field("cache_hits_so_far").as_u64(), Some(5));
+
+    // Journal writes happen outside the queue lock; the file must still end
+    // on the last state, with every job done.
+    handle.begin_drain();
+    handle.wait();
+    let text = std::fs::read_to_string(state.join("journal.json")).expect("journal exists");
+    let journal = serde_json::parse(&text).expect("journal parses");
+    let jobs = journal.field("jobs").as_array().unwrap();
+    assert_eq!(jobs.len(), JOBS + 1);
+    assert!(jobs
+        .iter()
+        .all(|j| j.field("state").as_str() == Some("done")));
+
+    for d in [&state, &cache] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

@@ -4,9 +4,13 @@
 
 mod common;
 
-use common::{request, request_auth, send_raw, status_of, wait_for_job};
+use common::{request, request_auth, send_raw, status_of, wait_for_job, KeepAlive};
+use noc_daemon::http::{self, Response, ServeOptions};
 use noc_daemon::{Daemon, DaemonConfig};
-use std::time::Duration;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::AtomicBool;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 #[test]
 fn protocol_edges_return_clean_statuses_and_never_kill_the_daemon() {
@@ -298,6 +302,136 @@ fn responses_carry_json_errors_not_panics() {
         rows.as_array().unwrap().len(),
         noc_daemon::figures::FIGURES.len()
     );
+
+    handle.begin_drain();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A connection parked between requests holds its worker in `read` for the
+/// idle timeout (30 s); drain must close such connections, not wait them
+/// out.
+#[test]
+fn drain_does_not_wait_out_idle_keep_alive_peers() {
+    let state_dir = common::scratch("idle-drain");
+    let handle = Daemon::start(DaemonConfig {
+        addr: "127.0.0.1:0".into(),
+        state_dir: state_dir.clone(),
+        cache_dir: state_dir.join("cache"),
+        workers: 1,
+        code_salt: "daemon-idle-drain-test-v1".into(),
+        ..DaemonConfig::default()
+    })
+    .expect("daemon starts");
+
+    // One peer idles after a served request, one never sent a byte.
+    let mut served = KeepAlive::open(handle.addr);
+    assert_eq!(served.request("GET", "/healthz", None).0, 200);
+    let mut silent = TcpStream::connect(handle.addr).unwrap();
+    // Connections are accepted in order: once a later one has been served,
+    // the silent one has its worker too.
+    assert_eq!(request(handle.addr, "GET", "/healthz", None).0, 200);
+
+    let t0 = Instant::now();
+    handle.begin_drain();
+    handle.wait();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "drain with idle peers took {took:?}"
+    );
+    assert!(served.is_closed_by_peer());
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert!(matches!(
+        std::io::Read::read(&mut silent, &mut [0u8; 1]),
+        Ok(0)
+    ));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// Stopping the accept loop answers the request a handler is working on
+/// and closes the connection that is only waiting for a next request.
+#[test]
+fn stop_answers_the_request_in_flight() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let handler: http::Handler = Arc::new(move |req| {
+        if req.path == "/slow" {
+            entered_tx.send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+        }
+        Response::text(200, "served")
+    });
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = {
+        let stop = stop.clone();
+        std::thread::spawn(move || http::serve(listener, handler, stop, ServeOptions::default()))
+    };
+
+    let mut idle = KeepAlive::open(addr);
+    assert_eq!(idle.request("GET", "/fast", None).0, 200);
+    let in_flight = std::thread::spawn(move || KeepAlive::open(addr).request("GET", "/slow", None));
+    entered_rx.recv().unwrap();
+
+    // The handler is inside the request now. The server stops, and cannot
+    // return before that request is released and answered.
+    http::stop_serving(addr, &stop);
+    assert!(idle.is_closed_by_peer());
+    assert!(!server.is_finished());
+    release_tx.send(()).unwrap();
+    assert_eq!(in_flight.join().unwrap(), (200, "served".to_string()));
+    server.join().unwrap();
+}
+
+/// The request path has no timer in it: a health check costs what the
+/// handler and one loopback round trip cost. The parent's accept poll and
+/// Nagle stall put the medians at 50 and 44 ms; the bound is loose enough
+/// for a busy CI host.
+#[test]
+fn health_checks_are_not_timer_bound() {
+    let state_dir = common::scratch("latency");
+    let handle = Daemon::start(DaemonConfig {
+        addr: "127.0.0.1:0".into(),
+        state_dir: state_dir.clone(),
+        cache_dir: state_dir.join("cache"),
+        workers: 1,
+        code_salt: "daemon-latency-test-v1".into(),
+        ..DaemonConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = handle.addr;
+
+    let median = |mut xs: Vec<Duration>| {
+        xs.sort();
+        xs[xs.len() / 2]
+    };
+    let mut conn = KeepAlive::open(addr);
+    let keep_alive = median(
+        (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert_eq!(conn.request("GET", "/healthz", None).0, 200);
+                t0.elapsed()
+            })
+            .collect(),
+    );
+    let fresh = median(
+        (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert_eq!(request(addr, "GET", "/healthz", None).0, 200);
+                t0.elapsed()
+            })
+            .collect(),
+    );
+    let limit = Duration::from_millis(10);
+    assert!(keep_alive < limit, "keep-alive median {keep_alive:?}");
+    assert!(fresh < limit, "fresh-connection median {fresh:?}");
 
     handle.begin_drain();
     handle.wait();
