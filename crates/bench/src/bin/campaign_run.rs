@@ -15,8 +15,9 @@
 //!   --cache DIR           result-cache directory (default: $DXBAR_CACHE)
 //!   --jobs N              worker threads (default: $DXBAR_JOBS, then all
 //!                         cores)
-//!   --tile-threads N      tile-parallel stepping workers inside each
-//!                         simulation (0 = sequential engine; results are
+//!   --tile-threads N      tiles each simulation is stepped in (0 and 1:
+//!                         one tile, inline; N: N tile workers, also for
+//!                         verified and resilient points; results are
 //!                         bit-identical; also via $DXBAR_TILE_THREADS).
 //!                         The campaign executor divides the --jobs budget
 //!                         by this count so jobs x tile-threads stays

@@ -26,11 +26,11 @@
 //!   (default 0);
 //! * `--stride N`     — cycles between time-series samples (default 1);
 //! * `--top N`        — slowest-packet table length (default 10);
-//! * `--tile-threads N` — tile-parallel stepping workers (also via
-//!   `DXBAR_TILE_THREADS`); accepted and validated for CLI parity with
-//!   `dxbar-sim`/`campaign_run`, but traced runs always use the
-//!   sequential engine — the per-flit event stream is an observer the
-//!   tiled sweep does not drive (results are bit-identical either way).
+//! * `--tile-threads N` — tiles the simulation is stepped in (also via
+//!   `DXBAR_TILE_THREADS`): 0 and 1 step one tile inline, N > 1 steps N
+//!   tiles on N workers — traced and `--verify` runs included. The event
+//!   stream, the summary and the check counts are byte-identical at any
+//!   setting.
 //!
 //! `DXBAR_QUICK=1` shrinks the simulated windows as for the figure bins.
 

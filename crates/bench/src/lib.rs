@@ -24,7 +24,8 @@
 //!   Expect roughly 1.5-2x wall time per simulated point (see DESIGN.md's
 //!   "Verified invariants" section for measured overhead).
 
-pub mod perf;
+#![forbid(unsafe_code)]
+
 pub mod specs;
 pub mod svg;
 

@@ -24,6 +24,8 @@
 //! tolerance is built into [`router::DXbarRouter`] (Section II-C: 2x2
 //! bypass switches, 5-cycle BIST detection).
 
+#![forbid(unsafe_code)]
+
 pub mod allocator;
 pub mod conflict_free;
 pub mod crossbar;

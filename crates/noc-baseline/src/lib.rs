@@ -16,6 +16,8 @@
 //! the paper's reference \[9\]), which the conclusion calls complementary to
 //! DXbar.
 
+#![forbid(unsafe_code)]
+
 pub mod afc;
 pub mod bless;
 pub mod buffered;

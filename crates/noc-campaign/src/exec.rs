@@ -647,7 +647,9 @@ fn run_campaign_inner(
 /// fan-out (campaign workers x tile workers per simulation) stays within the
 /// machine budget. A daemon on an 8-core box with `DXBAR_JOBS=8
 /// DXBAR_TILE_THREADS=4` therefore runs 2 points at a time, each stepped by
-/// 4 tile workers, rather than oversubscribing 32 threads.
+/// 4 tile workers, rather than oversubscribing 32 threads. Every point
+/// steps on that many workers — verified and resilient points included —
+/// so the division never gives away budget a point then leaves idle.
 fn resolve_jobs(explicit: Option<usize>, work: usize) -> usize {
     let cap = explicit.or_else(jobs_from_env).unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -659,7 +661,7 @@ fn resolve_jobs(explicit: Option<usize>, work: usize) -> usize {
 }
 
 /// Tile-parallel workers each simulation will spin up (`Network` reads the
-/// same variable through the `rayon` shim); 0 when unset or sequential.
+/// same variable through the `rayon` shim); 0 when unset (one inline tile).
 fn tile_threads_from_env() -> usize {
     std::env::var("DXBAR_TILE_THREADS")
         .ok()

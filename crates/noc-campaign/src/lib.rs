@@ -56,6 +56,8 @@
 //! assert_eq!(aggs[0].n(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod cache;
 pub mod coop;

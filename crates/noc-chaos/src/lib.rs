@@ -21,6 +21,8 @@
 //! identity checks, corruption-is-a-miss) and `noc_daemon` (journal
 //! salvage, HTTP request deadlines); see `DESIGN.md` §16.
 
+#![forbid(unsafe_code)]
+
 pub mod plan;
 pub mod soak;
 

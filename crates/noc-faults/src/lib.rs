@@ -15,6 +15,8 @@
 //!
 //! Fault *detection* hardware (BIST) is not modelled, matching the paper.
 
+#![forbid(unsafe_code)]
+
 use noc_core::types::{Cycle, NodeId};
 use noc_core::Rng;
 use noc_topology::Mesh;

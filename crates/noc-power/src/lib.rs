@@ -18,6 +18,8 @@
 //! The simulator records *events* ([`noc_core::EventCounts`]); this crate
 //! converts counts into energy, and summarizes per-design area.
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod energy;
 pub mod table;

@@ -27,6 +27,8 @@
 //! the conservation semantics are attested by `noc-verify`'s extended ledger
 //! and taint oracle.
 
+#![forbid(unsafe_code)]
+
 pub mod arq;
 pub mod plan;
 pub mod transient;

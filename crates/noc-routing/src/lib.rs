@@ -10,6 +10,8 @@
 //! (or a full preference ranking for deflection routing). Routers own the
 //! arbitration; this crate owns legality and minimality.
 
+#![forbid(unsafe_code)]
+
 pub mod deflection;
 pub mod dor;
 pub mod westfirst;

@@ -22,6 +22,8 @@
 //! them first-class campaign axes: the name plus the offered load is the
 //! entire cache identity of a scenario workload.
 
+#![forbid(unsafe_code)]
+
 pub mod run;
 pub mod spec;
 pub mod traffic;

@@ -21,6 +21,8 @@
 //! Router micro-architectures live in `noc-baseline` and `dxbar`; they
 //! implement [`router::RouterModel`].
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod diagnostics;
 pub mod network;
 pub mod reassembly;

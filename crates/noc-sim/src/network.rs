@@ -5,42 +5,47 @@
 //!
 //! Every flit parked inside the engine — waiting in a source queue or
 //! flying on a link delay line — lives in a slab [`FlitPool`] (one per
-//! tile shard; a single pool when running sequentially); the queues and
-//! channels themselves move only 4-byte [`FlitId`] handles. Together with
-//! the persistent [`StepCtx`] and the scratch buffers below, a warmed-up
-//! sequential run with tracing, verification and resilience disabled
-//! performs **zero heap allocations per cycle** (pinned by
-//! `tests/zero_alloc.rs` and the root crate's allocation-regression
-//! test).
+//! tile shard); the queues and channels themselves move only 4-byte
+//! [`FlitId`] handles. Together with the per-shard [`StepCtx`] and the
+//! scratch buffers below, a warmed-up run with tracing, verification and
+//! resilience disabled performs **zero heap allocations per cycle** at
+//! any tile count (pinned by `tests/zero_alloc.rs` and the root crate's
+//! allocation-regression test).
 //!
-//! # Tile-parallel stepping
+//! # One stepping engine
 //!
-//! [`Network::set_tile_threads`] (or the `DXBAR_TILE_THREADS` environment
-//! variable, read at construction) shards the node sweep into rectangular
-//! tiles stepped by a persistent worker pool, with a deterministic commit
-//! phase that keeps every observable result **bit-identical** to the
-//! sequential engine — same `RunResult` bytes, same golden replay hashes,
-//! same verifier oracle outcomes — at any tile count. See [`crate::tiles`]
-//! for the worker half and the race-freedom argument; diagnosed runs
-//! (tracing, verification, resilience) always take the sequential path.
+//! A cycle is a sequential prologue (retransmissions, traffic poll,
+//! resilience timers), a sweep of [`step_tile`] over every tile of the
+//! mesh, and a sequential commit that lands everything the sweep buffered
+//! — seam sends, statistics, trace events, observer records, ACKs,
+//! completions, drops — in ascending node order. [`Network::set_tile_threads`]
+//! (or the `DXBAR_TILE_THREADS` environment variable, read at
+//! construction) picks the number of tiles: one tile is stepped inline on
+//! the caller's thread and *is* the sequential sweep; N tiles are stepped
+//! by a persistent worker pool. Every observable result — `RunResult`
+//! bytes, golden replay hashes, trace event streams, verifier check
+//! counts, resilience accounting — is **bit-identical** at any tile
+//! count. See [`crate::tiles`] for the worker half and the race-freedom
+//! argument.
 
 use crate::reassembly::Reassembler;
-use crate::resilience::{AckMsg, ResilienceState};
-use crate::router::{RouterModel, StepCtx};
-use crate::tiles::{step_tile, SharedGrid, SharedShards, TileEngine};
-use crate::verify::{NullVerifier, RunObserver, StepInputs};
+use crate::resilience::ResilienceState;
+use crate::router::RouterModel;
+use crate::tiles::{step_tile, ObsSub, SharedGrid, SharedShards, TileEngine};
+use crate::verify::{NullVerifier, RunObserver};
 use crate::{CREDIT_LATENCY, LINK_LATENCY};
 use noc_core::flit::{Flit, PacketDesc};
 use noc_core::pool::{FlitId, FlitPool};
 use noc_core::stats::{EventCounts, NetStats};
 use noc_core::types::{Cycle, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_core::SimConfig;
-use noc_resilience::{ResiliencePlan, TimeoutAction, TransientEffect};
+use noc_resilience::{ResiliencePlan, TimeoutAction};
 use noc_topology::link::TimedChannel;
 use noc_topology::{DelayLine, Mesh};
-use noc_trace::{CycleSample, NullSink, TraceEvent, TraceSink};
+use noc_trace::{CycleSample, NullSink, TraceSink};
 use noc_traffic::generator::{DeliveredPacket, TrafficModel};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A complete simulated network of one router design.
 ///
@@ -58,13 +63,10 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// coordinate round-trip with one indexed load.
     neighbors: Vec<[Option<NodeId>; NUM_LINK_PORTS]>,
     /// Slab arenas for every flit parked in the engine-side queues below,
-    /// one per tile shard (exactly one when running sequentially). The
-    /// invariant: a flit parked at node `i` — source queue, in-flight
-    /// link — lives in `pools[shard_of[i]]`, so sends allocate into the
-    /// *receiver's* pool.
+    /// one per tile shard. The invariant: a flit parked at node `i` —
+    /// source queue, in-flight link — lives in the pool of the tile that
+    /// owns `i`, so sends allocate into the *receiver's* pool.
     pools: Vec<FlitPool>,
-    /// Owning tile shard per node (all zeros when untiled).
-    shard_of: Vec<u16>,
     /// `in_links[node][d]`: flits arriving at `node` on input port `d`
     /// (fed by the neighbour in direction `d`). `None` at mesh edges.
     in_links: Vec<[Option<DelayLine<FlitId>>; NUM_LINK_PORTS]>,
@@ -97,18 +99,15 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// Resilience layer (fault injection + CRC/ARQ recovery). `None` keeps
     /// the engine byte-identical to a fault-free build.
     resilience: Option<ResilienceState>,
-    /// Tile-parallel stepping engine (worker pool + per-shard state).
-    /// `None` runs the classic sequential sweep.
-    tiles: Option<TileEngine>,
+    /// The stepping engine: tile partition, worker slots, per-shard
+    /// step contexts and outboxes.
+    tiles: TileEngine,
     /// `DXBAR_TILE_CANARY`: deliberately release seam credits one cycle
-    /// stale during the tiled commit phase — the classic double-buffer
-    /// flush bug, seeded so the sequential-vs-parallel equivalence suite
-    /// can prove it catches real cross-seam regressions. Sequential runs
-    /// are unaffected (the bug lives in the commit phase only).
+    /// stale during the commit phase — the classic double-buffer flush
+    /// bug, seeded so the worker-count equivalence suite can prove it
+    /// catches real cross-seam regressions. One-tile runs have no seams
+    /// and are unaffected.
     canary: bool,
-    /// Persistent per-step context, cleared in place each router step so
-    /// its buffers (ejected/dropped/trace/probe) are allocated once.
-    ctx: StepCtx,
     /// Scratch for `TrafficModel::poll_into` (one use per cycle).
     poll_scratch: Vec<PacketDesc>,
     /// Scratch for draining the retransmission channel.
@@ -150,12 +149,12 @@ impl<R: RouterModel> Network<R> {
             neighbors.push(nbrs);
         }
         let mut net = Network {
+            tiles: TileEngine::new(mesh.width(), mesh.height(), 1),
             mesh,
             cfg: cfg.clone(),
             routers,
             neighbors,
             pools: vec![FlitPool::new()],
-            shard_of: vec![0; n],
             in_links,
             in_credits,
             // Reserve the cap up front: queue growth never shows up as a
@@ -171,9 +170,7 @@ impl<R: RouterModel> Network<R> {
             sink: Box::new(NullSink),
             observer: Box::new(NullVerifier),
             resilience: None,
-            tiles: None,
             canary: std::env::var("DXBAR_TILE_CANARY").is_ok_and(|v| v.trim() == "1"),
-            ctx: StepCtx::default(),
             poll_scratch: Vec::new(),
             retx_scratch: Vec::new(),
             occ_scratch: Vec::new(),
@@ -181,18 +178,17 @@ impl<R: RouterModel> Network<R> {
             action_scratch: Vec::new(),
         };
         let tile_req = rayon::tile_threads();
-        if tile_req >= 1 {
+        if tile_req > 1 {
             net.set_tile_threads(tile_req);
         }
         net
     }
 
-    /// Configure the tile-parallel stepping engine: shard the mesh into
-    /// (up to) `threads` rectangular tiles stepped by a persistent worker
-    /// pool. `0` restores the sequential sweep; `1` runs the tiled code
-    /// path single-threaded (useful for pinning its equivalence). Results
-    /// are bit-identical at every setting, so this is a throughput knob
-    /// only — it deliberately stays out of `SimConfig` and any result
+    /// Shard the mesh into (up to) `threads` rectangular tiles, one per
+    /// worker of a persistent pool. `0` and `1` both mean one tile stepped
+    /// inline on the caller's thread — the sequential sweep, no pool.
+    /// Results are bit-identical at every setting, so this is a throughput
+    /// knob only — it deliberately stays out of `SimConfig` and any result
     /// cache identity.
     ///
     /// Must be called before the first [`step`](Self::step): flit storage
@@ -203,27 +199,17 @@ impl<R: RouterModel> Network<R> {
             "tile threads must be configured before the first step"
         );
         debug_assert!(self.pools.iter().all(|p| p.is_empty()));
-        let n = self.mesh.num_nodes();
-        if threads == 0 {
-            self.tiles = None;
-            self.pools = vec![FlitPool::new()];
-            self.reassemblers = vec![Reassembler::new()];
-            self.shard_of = vec![0; n];
-            return;
-        }
-        let engine = TileEngine::new(self.mesh.width(), self.mesh.height(), threads);
-        let nt = engine.partition.num_tiles();
+        self.tiles = TileEngine::new(self.mesh.width(), self.mesh.height(), threads);
+        let nt = self.tiles.partition.num_tiles();
         self.pools = (0..nt).map(|_| FlitPool::new()).collect();
         self.reassemblers = (0..nt).map(|_| Reassembler::new()).collect();
-        self.shard_of = engine.partition.shard_of().to_vec();
-        self.tiles = Some(engine);
     }
 
-    /// Number of tile shards the parallel engine runs (0 = sequential).
+    /// Number of tiles the engine steps (1 = the inline sequential sweep).
     /// May be less than requested when the mesh cannot be cut that many
     /// ways.
     pub fn tile_threads(&self) -> usize {
-        self.tiles.as_ref().map_or(0, |e| e.partition.num_tiles())
+        self.tiles.partition.num_tiles()
     }
 
     /// Attach a resilience plan: link faults, transient strikes and the NI
@@ -306,14 +292,10 @@ impl<R: RouterModel> Network<R> {
         self.routers.iter().all(|r| r.design_name() == first)
     }
 
-    fn created_in_window(&self, created: Cycle) -> bool {
+    /// The measurement window, in cycles.
+    fn window(&self) -> Range<Cycle> {
         let lo = self.cfg.warmup_cycles;
-        let hi = lo + self.cfg.measure_cycles;
-        (lo..hi).contains(&created)
-    }
-
-    fn now_in_window(&self) -> bool {
-        self.created_in_window(self.cycle)
+        lo..lo + self.cfg.measure_cycles
     }
 
     /// Advance the network by one cycle, pulling new packets from `model`.
@@ -327,16 +309,12 @@ impl<R: RouterModel> Network<R> {
 
         // 1. Retransmissions due this cycle rejoin their source queue at the
         //    head (SCARAB's source retransmit buffer has priority).
-        let mut retx = std::mem::take(&mut self.retx_scratch);
-        retx.clear();
-        self.retransmits.recv_due_into(t, &mut retx);
-        for &flit in &retx {
-            let src = flit.src.index();
-            let sh = self.shard_of[src] as usize;
-            self.source_queues[src].push_front(self.pools[sh].alloc(flit));
+        self.retx_scratch.clear();
+        self.retransmits.recv_due_into(t, &mut self.retx_scratch);
+        for &flit in &self.retx_scratch {
+            let sh = self.tiles.partition.tile_of(flit.src);
+            self.source_queues[flit.src.index()].push_front(self.pools[sh].alloc(flit));
         }
-        retx.clear();
-        self.retx_scratch = retx;
 
         // 2. New packets from the traffic model. Open-loop models tolerate
         //    source-side loss beyond the queue cap (the surplus still counts
@@ -348,34 +326,27 @@ impl<R: RouterModel> Network<R> {
         //    generator is cut off at the end of the measurement window so
         //    the drain only serves in-flight packets; closed-loop runs use
         //    drain_cycles = 0 and poll throughout.
-        let offered_now = self.now_in_window();
-        let generating =
-            self.cfg.drain_cycles == 0 || t < self.cfg.warmup_cycles + self.cfg.measure_cycles;
-        if !generating {
-            self.cycle_routers(t, model);
-            self.cycle += 1;
-            return;
-        }
-        let lossless = model.lossless();
-        let mut polled = std::mem::take(&mut self.poll_scratch);
-        polled.clear();
-        model.poll_into(t, &mut polled);
-        for desc in &polled {
-            let sh = self.shard_of[desc.src.index()] as usize;
-            let q = &mut self.source_queues[desc.src.index()];
-            for flit in desc.flits() {
-                self.stats.record_offered(offered_now);
-                if !lossless && q.len() >= self.cfg.source_queue_cap {
-                    self.source_overflow += 1;
-                } else {
-                    q.push_back(self.pools[sh].alloc(flit));
+        let window = self.window();
+        if self.cfg.drain_cycles == 0 || t < window.end {
+            let offered_now = window.contains(&t);
+            let lossless = model.lossless();
+            self.poll_scratch.clear();
+            model.poll_into(t, &mut self.poll_scratch);
+            for desc in &self.poll_scratch {
+                let sh = self.tiles.partition.tile_of(desc.src);
+                let q = &mut self.source_queues[desc.src.index()];
+                for flit in desc.flits() {
+                    self.stats.record_offered(offered_now);
+                    if !lossless && q.len() >= self.cfg.source_queue_cap {
+                        self.source_overflow += 1;
+                    } else {
+                        q.push_back(self.pools[sh].alloc(flit));
+                    }
                 }
             }
         }
-        polled.clear();
-        self.poll_scratch = polled;
 
-        self.cycle_routers(t, model);
+        self.cycle_tiles(t, model);
         self.cycle += 1;
     }
 
@@ -419,7 +390,7 @@ impl<R: RouterModel> Network<R> {
                         self.observer.on_retransmit_queued(&flit);
                     }
                     // The retransmit buffer has priority over fresh traffic.
-                    let sh = self.shard_of[flit.src.index()] as usize;
+                    let sh = self.tiles.partition.tile_of(flit.src);
                     self.source_queues[flit.src.index()].push_front(self.pools[sh].alloc(flit));
                 }
                 TimeoutAction::GiveUp(flit) => {
@@ -432,310 +403,181 @@ impl<R: RouterModel> Network<R> {
         }
     }
 
-    /// Router phase + link phase, one node at a time. Routers only read
-    /// their own delay-line endpoints, so a fixed iteration order is
-    /// deterministic and race-free.
-    ///
-    /// With a tiled engine attached and no diagnostics active, dispatches
-    /// to the bit-identical parallel sweep instead. Tracing, verification
-    /// and resilience pin the sequential path: their hooks observe
-    /// mid-sweep state in node order, which the commit-phase replay
-    /// deliberately does not reconstruct.
-    fn cycle_routers(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
+    /// Router phase + link phase of one cycle: workers step disjoint tiles
+    /// behind a barrier (one tile: the caller steps it inline), then a
+    /// sequential commit phase lands every buffered effect in the order a
+    /// single ascending-node sweep would have produced it. See
+    /// [`crate::tiles`] for why the result does not depend on the tiling.
+    fn cycle_tiles(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
         let tracing = self.sink.is_recording();
         let verifying = self.observer.is_active();
-        if self.tiles.is_some() && !tracing && !verifying && self.resilience.is_none() {
-            return self.cycle_routers_tiled(t, model);
-        }
         if verifying {
             self.observer.on_cycle_start(t);
         }
         self.resilience_begin_cycle(t, verifying);
         let traversals_before = self.stats.events.link_traversals;
-        // The persistent context is moved out for the loop (it borrows
-        // mutably alongside routers/links/pool) and restored at the end;
-        // its buffers keep their capacity across cycles.
-        let mut ctx = std::mem::take(&mut self.ctx);
-        for i in 0..self.routers.len() {
-            let node = NodeId(i as u16);
-            let sh = self.shard_of[i] as usize;
-            ctx.reset(t);
-            ctx.trace.set_enabled(tracing);
-            ctx.probe.set_enabled(verifying);
+        let window = self.window();
+        let engine = &mut self.tiles;
 
-            for d in LINK_DIRECTIONS {
-                if let Some(line) = self.in_links[i][d.index()].as_mut() {
-                    if let Some(id) = line.recv(t) {
-                        ctx.arrivals[d.index()] = Some(self.pools[sh].take(id));
-                    }
-                }
-                if let Some(line) = self.in_credits[i][d.index()].as_mut() {
-                    if let Some(c) = line.recv(t) {
-                        ctx.credits_in[d.index()] = c;
-                    }
-                }
-            }
-            // Sequence the queue head in place before copying it into the
-            // offer, so the sequence number survives the eventual pop (a
-            // no-op for already-sequenced retransmissions).
-            if let Some(res) = self.resilience.as_mut() {
-                if let Some(&front) = self.source_queues[i].front() {
-                    res.senders[i].sequence(self.pools[sh].get_mut(front));
-                }
-            }
-            ctx.injection = self.source_queues[i].front().map(|&id| {
-                let mut f = *self.pools[sh].get(id);
-                f.injected = t;
-                f
-            });
-
-            // Routers may consume (take) their arrivals, so snapshot inputs
-            // before stepping.
-            let inputs = if verifying {
-                Some(StepInputs {
-                    arrivals: ctx.arrivals,
-                    injection: ctx.injection,
-                })
+        // Parallel phase: one worker slot per tile (the caller steps tile
+        // 0), synchronised by the broadcast barrier.
+        let grid = SharedGrid {
+            routers: self.routers.as_mut_ptr(),
+            in_links: self.in_links.as_mut_ptr(),
+            in_credits: self.in_credits.as_mut_ptr(),
+            queues: self.source_queues.as_mut_ptr(),
+            pools: self.pools.as_mut_ptr(),
+            reassemblers: self.reassemblers.as_mut_ptr(),
+            neighbors: &self.neighbors,
+            shard_of: engine.partition.shard_of(),
+            mesh: self.mesh,
+            tracing,
+            verifying,
+            res: self.resilience.as_mut().map(|r| r.tile_view()),
+        };
+        let partition = &engine.partition;
+        let shards = SharedShards(engine.shards.as_mut_ptr());
+        engine.workers.broadcast(&|w: usize| {
+            // SAFETY: the pool runs one slot per shard, so `w` is in bounds
+            // and slot `w` is the only borrower of shard `w`; step_tile
+            // touches only tile-`w`-owned grid elements (see SharedGrid),
+            // and `broadcast` returns only after every slot finished, so
+            // the raw views never outlive `self`.
+            let shard = unsafe { shards.shard(w) };
+            if tracing || verifying || grid.res.is_some() {
+                step_tile::<R, true>(&grid, partition.nodes(w), shard, w as u16, t);
             } else {
-                None
-            };
-            // Conservation inputs feed only the debug assert below and the
-            // verification observer; skip the occupancy scans on the
-            // unobserved release fast path.
-            let conserving = verifying || cfg!(debug_assertions);
-            let arrivals_offered = if conserving {
-                ctx.arrivals.iter().flatten().count()
-            } else {
-                0
-            };
-            let occ_before = if conserving {
-                self.routers[i].occupancy()
-            } else {
-                0
-            };
-            self.routers[i].step(&mut ctx);
-            let occ_after = if conserving {
-                self.routers[i].occupancy()
-            } else {
-                0
-            };
-            // With an active observer attached, conservation violations are
-            // its to report (structured, non-fatal); the hard assert guards
-            // unobserved runs only.
-            debug_assert!(
-                verifying
-                    || occ_before + arrivals_offered + usize::from(ctx.injected)
-                        == occ_after + ctx.flits_out(),
-                "flit conservation violated at {node} cycle {t}"
-            );
-            if let Some(inputs) = &inputs {
-                // Observe before the engine consumes the outputs below.
-                self.observer
-                    .on_router_step(node, inputs, &ctx, occ_before, occ_after);
+                step_tile::<R, false>(&grid, partition.nodes(w), shard, w as u16, t);
             }
+        });
 
-            // Outgoing flits onto the links.
-            for d in LINK_DIRECTIONS {
-                if let Some(mut flit) = ctx.out_links[d.index()].take() {
-                    let nbr = self.neighbors[i][d.index()]
-                        .unwrap_or_else(|| panic!("{node} routed {flit:?} off-mesh via {d}"));
-                    // Resilience link phase: a dead link swallows the flit,
-                    // a transient strike corrupts or drops it. Flits already
-                    // on the wire when a link dies still arrive (the onset
-                    // kills future sends, not in-flight data).
-                    if let Some(res) = self.resilience.as_mut() {
-                        if res.link_dead(node, d) {
-                            ctx.events.transit_losses += 1;
-                            if verifying {
-                                self.observer.on_transit_loss(node, d, &flit);
-                            }
-                            continue;
-                        }
-                        match res.take_strike(node, d) {
-                            Some(TransientEffect::Drop) => {
-                                ctx.events.transit_losses += 1;
-                                if verifying {
-                                    self.observer.on_transit_loss(node, d, &flit);
-                                }
-                                continue;
-                            }
-                            Some(TransientEffect::Corrupt(mask)) => {
-                                flit.corrupt_payload(mask);
-                                ctx.events.transit_corruptions += 1;
-                                if verifying {
-                                    self.observer.on_transit_corrupt(node, d, &flit);
-                                }
-                            }
-                            None => {}
-                        }
-                    }
-                    flit.hops += 1;
-                    ctx.events.link_traversals += 1;
-                    ctx.trace.emit(|| TraceEvent::Hop {
-                        cycle: t,
-                        node,
-                        packet: flit.packet,
-                        flit_index: flit.flit_index as u16,
-                        dir: d,
-                    });
-                    // Allocate in the receiver's shard pool — the flit is
-                    // about to be parked on its inbound wire.
-                    let shn = self.shard_of[nbr.index()] as usize;
-                    let id = self.pools[shn].alloc(flit);
-                    self.in_links[nbr.index()][d.opposite().index()]
-                        .as_mut()
-                        .expect("reverse link exists")
-                        .send(t, id);
-                }
+        // Commit phase, sequential. Seam sends first: every delay line has
+        // exactly one writer per cycle and a send at `t` lands in a slot no
+        // `recv(t)` read, so flushing after the sweep leaves the channels
+        // in the state an unseamed sweep would.
+        let ejected_in_window = window.contains(&t);
+        for shard in engine.shards.iter_mut() {
+            for s in shard.seam_flits.drain(..) {
+                let id = self.pools[engine.partition.tile_of(s.dst)].alloc(s.flit);
+                self.in_links[s.dst.index()][s.dir.index()]
+                    .as_mut()
+                    .expect("reverse link exists")
+                    .send(t, id);
             }
-
-            // Credits upstream.
-            for d in LINK_DIRECTIONS {
-                let c = ctx.credits_out[d.index()];
-                if c > 0 {
-                    if let Some(upstream) = self.neighbors[i][d.index()] {
-                        self.in_credits[upstream.index()][d.opposite().index()]
-                            .as_mut()
-                            .expect("reverse credit wire exists")
-                            .send(t, c);
-                    }
-                }
+            // Canary: flush the credits withheld last cycle and withhold
+            // this cycle's — one cycle stale. Each wire carries at most one
+            // credit per cycle, so shifting every seam credit by a cycle
+            // keeps the one-send-per-wire-per-cycle invariant (no DelayLine
+            // overrun) while skewing upstream flow control: the seeded
+            // double-buffer flush bug the equivalence suite must catch.
+            if self.canary {
+                std::mem::swap(&mut shard.seam_credits, &mut shard.canary_held);
             }
-
-            // Injection accepted?
-            if ctx.injected {
-                let popped = self.source_queues[i].pop_front();
-                debug_assert!(popped.is_some(), "router injected a phantom flit");
-                ctx.events.injections += 1;
-                if let Some(id) = popped {
-                    let flit = self.pools[sh].take(id);
-                    // Arm (or re-arm, for a retransmission) the ARQ timer at
-                    // the actual network entry, so source queueing never
-                    // burns the retry budget.
-                    if let Some(res) = self.resilience.as_mut() {
-                        res.senders[i].on_injected(flit.seq, t);
-                    }
-                    ctx.trace.emit(|| TraceEvent::Inject {
-                        cycle: t,
-                        node,
-                        packet: flit.packet,
-                        flit_index: flit.flit_index as u16,
-                    });
-                }
+            for c in shard.seam_credits.drain(..) {
+                self.in_credits[c.dst.index()][c.dir.index()]
+                    .as_mut()
+                    .expect("reverse credit wire exists")
+                    .send(t, c.credits);
             }
-
-            // Ejections -> CRC check/ACK (resilient runs) -> reassembly ->
-            // traffic-model callback.
-            let ejected_in_window = self.now_in_window();
-            let win_lo = self.cfg.warmup_cycles;
-            let win_hi = win_lo + self.cfg.measure_cycles;
-            for flit in ctx.ejected.drain(..) {
-                debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
-                ctx.events.ejections += 1;
-                if flit.seq != 0 {
-                    if let Some(res) = self.resilience.as_mut() {
-                        let back_hops = self.mesh.hop_distance(node, flit.src).max(1) as u64;
-                        ctx.events.ack_hops += back_hops;
-                        if !flit.crc_ok() {
-                            // Detected corruption: bounce it, NACK the
-                            // source NI, and wait for the retransmission.
-                            ctx.events.crc_rejects += 1;
-                            res.acks.send(
-                                t,
-                                back_hops,
-                                AckMsg {
-                                    to: flit.src,
-                                    seq: flit.seq,
-                                    nack: true,
-                                },
-                            );
-                            if verifying {
-                                self.observer.on_crc_reject(node, &flit);
-                            }
-                            continue;
-                        }
-                        res.acks.send(
-                            t,
-                            back_hops,
-                            AckMsg {
-                                to: flit.src,
-                                seq: flit.seq,
-                                nack: false,
-                            },
-                        );
-                        if !res.record_delivery(flit.src, flit.seq) {
-                            // A spurious-timeout retransmission of a flit
-                            // that already arrived: re-ACK and suppress.
-                            ctx.events.duplicates_suppressed += 1;
-                            continue;
-                        }
-                        if flit.retransmits > 0 {
-                            // Delivery needed recovery: record creation ->
-                            // final-delivery latency.
-                            let created_in_window = (win_lo..win_hi).contains(&flit.created);
-                            self.stats
-                                .record_recovery(flit.created, t, created_in_window);
-                        }
-                    }
-                }
-                ctx.trace.emit(|| TraceEvent::Eject {
-                    cycle: t,
-                    node,
-                    packet: flit.packet,
-                    flit_index: flit.flit_index as u16,
-                    latency: t.saturating_sub(flit.created),
-                });
-                let created_in_window = self.created_in_window(flit.created);
+            // Event counters, ejection statistics and recovery latencies
+            // are sums, min/max and bucket increments — commutative, so
+            // shard-major replay is bitwise-equal to node order.
+            for events in [&mut shard.events, &mut shard.ctx.events] {
+                self.stats.events.merge(events);
+                *events = EventCounts::default();
+            }
+            for e in shard.ejects.drain(..) {
                 self.stats.record_flit_ejected(
-                    flit.created,
-                    flit.hops,
+                    e.created,
+                    e.hops,
                     t,
                     ejected_in_window,
-                    created_in_window,
+                    window.contains(&e.created),
                 );
-                if let Some(done) = self.reassemblers[sh].accept(&flit, t) {
-                    self.stats
-                        .record_packet_done(done.src, done.created, t, created_in_window);
-                    model.on_delivered(&DeliveredPacket {
-                        id: done.id,
-                        src: done.src,
-                        dst: done.dst,
-                        kind: done.kind,
-                        created: done.created,
-                        delivered: t,
-                    });
-                }
             }
-
-            // Drops -> NACK to source -> retransmission (SCARAB).
-            for mut flit in ctx.dropped.drain(..) {
-                ctx.events.drops += 1;
-                ctx.trace.emit(|| TraceEvent::Drop {
-                    cycle: t,
-                    node,
-                    packet: flit.packet,
-                    flit_index: flit.flit_index as u16,
-                });
-                let nack_hops = self.mesh.hop_distance(node, flit.src).max(1) as u64;
-                ctx.events.nack_hops += nack_hops;
-                ctx.events.retransmissions += 1;
-                flit.retransmits += 1;
-                self.retransmits.send(t, nack_hops, flit);
+            for created in shard.recoveries.drain(..) {
+                self.stats
+                    .record_recovery(created, t, window.contains(&created));
             }
-
-            if verifying {
-                // The observer consumed this node's per-step event deltas;
-                // harvest them now so the next router starts from zero.
-                self.stats.events.merge(&ctx.events);
-                ctx.events = EventCounts::default();
-            }
-            ctx.trace.drain_into(self.sink.as_mut());
         }
-        // Unobserved runs let the counters accumulate across the whole node
-        // sweep; one harvest per cycle instead of one per router.
-        self.stats.events.merge(&ctx.events);
-        ctx.events = EventCounts::default();
-        self.ctx = ctx;
+
+        // Everything else is order-sensitive — the observer's ledger and
+        // first-violation report, the trace sink's event stream, the
+        // FIFO-sequenced ACK and retransmission channels, `on_delivered`
+        // into closed-loop traffic models — and replays in ascending node
+        // order through the one k-way merge. The invariant: every
+        // per-shard list is node-sorted, and one node's records sit in one
+        // list, so the merge reproduces single-sweep order exactly.
+        let stats = &mut self.stats;
+        if verifying {
+            let observer = self.observer.as_mut();
+            engine.replay(
+                |s| &mut s.steps,
+                |r| r.node,
+                |r| {
+                    observer.on_router_step(
+                        r.node,
+                        &r.obs.inputs,
+                        &r.ctx,
+                        r.obs.occ_before,
+                        r.obs.occ_after,
+                    );
+                    for sub in &r.obs.subs {
+                        match sub {
+                            ObsSub::TransitLoss(d, f) => observer.on_transit_loss(r.node, *d, f),
+                            ObsSub::TransitCorrupt(d, f) => {
+                                observer.on_transit_corrupt(r.node, *d, f)
+                            }
+                            ObsSub::CrcReject(f) => observer.on_crc_reject(r.node, f),
+                        }
+                    }
+                    // The worker left the outputs in place for the observer;
+                    // hand the context back drained, as `reset` expects.
+                    r.ctx.out_links = [None; NUM_LINK_PORTS];
+                    stats.events.merge(&r.ctx.events);
+                    r.ctx.events = EventCounts::default();
+                },
+            );
+        }
+        if tracing {
+            let sink = self.sink.as_mut();
+            engine.replay(|s| &mut s.trace, |ev| ev.node(), |ev| sink.record(ev));
+        }
+        if let Some(res) = self.resilience.as_mut() {
+            engine.replay(
+                |s| &mut s.acks,
+                |a| a.node,
+                |a| res.acks.send(t, a.back_hops, a.msg),
+            );
+        }
+        engine.replay(
+            |s| &mut s.dones,
+            |r| r.node,
+            |r| {
+                let in_window = window.contains(&r.flit_created);
+                stats.record_packet_done(r.done.src, r.done.created, t, in_window);
+                model.on_delivered(&DeliveredPacket {
+                    id: r.done.id,
+                    src: r.done.src,
+                    dst: r.done.dst,
+                    kind: r.done.kind,
+                    created: r.done.created,
+                    delivered: t,
+                });
+            },
+        );
+        let retransmits = &mut self.retransmits;
+        engine.replay(
+            |s| &mut s.drops,
+            |r| r.node,
+            |r| retransmits.send(t, r.nack_hops, r.flit),
+        );
+        for shard in engine.shards.iter_mut() {
+            shard.trace.clear();
+            shard.acks.clear();
+            shard.dones.clear();
+            shard.drops.clear();
+        }
 
         if verifying {
             let in_flight = self.flits_in_flight();
@@ -758,161 +600,6 @@ impl<R: RouterModel> Network<R> {
                 per_router_occupancy: &self.occ_scratch,
             });
         }
-    }
-
-    /// The tile-parallel router sweep: workers step disjoint tiles behind
-    /// a barrier, then a sequential commit phase replays every cross-tile
-    /// effect in the exact order the sequential sweep would have produced
-    /// it. See [`crate::tiles`] for why the result is bit-identical.
-    fn cycle_routers_tiled(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
-        let mut engine = self.tiles.take().expect("tiled dispatch without engine");
-
-        // Parallel phase: one worker slot per tile (the caller steps tile
-        // 0), synchronised by the broadcast barrier.
-        {
-            let grid = SharedGrid {
-                routers: self.routers.as_mut_ptr(),
-                in_links: self.in_links.as_mut_ptr(),
-                in_credits: self.in_credits.as_mut_ptr(),
-                queues: self.source_queues.as_mut_ptr(),
-                pools: self.pools.as_mut_ptr(),
-                reassemblers: self.reassemblers.as_mut_ptr(),
-                neighbors: self.neighbors.as_ptr(),
-                shard_of: self.shard_of.as_ptr(),
-                mesh: self.mesh,
-            };
-            let partition = &engine.partition;
-            let shards = SharedShards(engine.shards.as_mut_ptr());
-            let body = |w: usize| {
-                // Safety: slot w dereferences only shard w, and step_tile
-                // touches only tile-w-owned grid elements (see SharedGrid).
-                let shard = unsafe { shards.shard(w) };
-                step_tile(&grid, partition.nodes(w), shard, w as u16, t);
-            };
-            match engine.workers.as_ref() {
-                Some(pool) => pool.broadcast(&body),
-                None => body(0),
-            }
-        }
-
-        // Commit phase, sequential. Seam sends first: every delay line has
-        // exactly one writer per cycle and a send at `t` lands in a slot no
-        // `recv(t)` read, so flushing after the sweep reconstructs the
-        // sequential engine's post-cycle channel state exactly.
-        let ejected_in_window = self.now_in_window();
-        // Canary: release the seam credits withheld from the *previous*
-        // cycle's flush — one cycle stale. Each wire carries at most one
-        // credit per cycle, so shifting every seam credit by a cycle keeps
-        // the one-send-per-wire-per-cycle invariant (no DelayLine overrun)
-        // while skewing upstream flow control: the seeded double-buffer
-        // flush bug the equivalence suite must catch.
-        if self.canary {
-            for c in engine.canary_held.drain(..) {
-                self.in_credits[c.dst.index()][c.dir.index()]
-                    .as_mut()
-                    .expect("reverse credit wire exists")
-                    .send(t, c.credits);
-            }
-        }
-        for w in 0..engine.shards.len() {
-            let shard = &mut engine.shards[w];
-            for s in shard.seam_flits.drain(..) {
-                let sh = self.shard_of[s.dst.index()] as usize;
-                let id = self.pools[sh].alloc(s.flit);
-                self.in_links[s.dst.index()][s.dir.index()]
-                    .as_mut()
-                    .expect("reverse link exists")
-                    .send(t, id);
-            }
-            if self.canary {
-                engine.canary_held.append(&mut shard.seam_credits);
-            } else {
-                for c in shard.seam_credits.drain(..) {
-                    self.in_credits[c.dst.index()][c.dir.index()]
-                        .as_mut()
-                        .expect("reverse credit wire exists")
-                        .send(t, c.credits);
-                }
-            }
-            // Event counters and ejection statistics are sums, min/max and
-            // bucket increments — commutative, so shard-major replay is
-            // already bitwise-equal to the sequential interleaving.
-            self.stats.events.merge(&shard.ctx.events);
-            shard.ctx.events = EventCounts::default();
-            for e in shard.ejects.drain(..) {
-                let created_in_window = self.created_in_window(e.created);
-                self.stats.record_flit_ejected(
-                    e.created,
-                    e.hops,
-                    t,
-                    ejected_in_window,
-                    created_in_window,
-                );
-            }
-        }
-
-        // Packet completions drive closed-loop traffic models, and drops
-        // feed the FIFO-sequenced retransmission channel: both replay in
-        // ascending node order — the sequential sweep order — via a k-way
-        // merge of the per-shard (node-sorted) lists. (Today every sink is
-        // order-insensitive: stats are commutative sums, and same-cycle
-        // drops of one source always sit at distinct hop distances, so
-        // their retransmits land on distinct due cycles. The merge is
-        // defensive — it keeps the contract independent of what future
-        // traffic models or observers do with delivery order.)
-        let ns = engine.shards.len();
-        engine.cursors.iter_mut().for_each(|c| *c = 0);
-        loop {
-            let mut pick: Option<usize> = None;
-            for w in 0..ns {
-                let Some(rec) = engine.shards[w].dones.get(engine.cursors[w]) else {
-                    continue;
-                };
-                let better = pick
-                    .is_none_or(|p| rec.node < engine.shards[p].dones[engine.cursors[p]].node);
-                if better {
-                    pick = Some(w);
-                }
-            }
-            let Some(w) = pick else { break };
-            let rec = engine.shards[w].dones[engine.cursors[w]];
-            engine.cursors[w] += 1;
-            let created_in_window = self.created_in_window(rec.flit_created);
-            self.stats
-                .record_packet_done(rec.done.src, rec.done.created, t, created_in_window);
-            model.on_delivered(&DeliveredPacket {
-                id: rec.done.id,
-                src: rec.done.src,
-                dst: rec.done.dst,
-                kind: rec.done.kind,
-                created: rec.done.created,
-                delivered: t,
-            });
-        }
-        engine.cursors.iter_mut().for_each(|c| *c = 0);
-        loop {
-            let mut pick: Option<usize> = None;
-            for w in 0..ns {
-                let Some(rec) = engine.shards[w].drops.get(engine.cursors[w]) else {
-                    continue;
-                };
-                let better = pick
-                    .is_none_or(|p| rec.node < engine.shards[p].drops[engine.cursors[p]].node);
-                if better {
-                    pick = Some(w);
-                }
-            }
-            let Some(w) = pick else { break };
-            let rec = engine.shards[w].drops[engine.cursors[w]];
-            engine.cursors[w] += 1;
-            self.retransmits.send(t, rec.nack_hops, rec.flit);
-        }
-        for shard in engine.shards.iter_mut() {
-            shard.dones.clear();
-            shard.drops.clear();
-        }
-
-        self.tiles = Some(engine);
     }
 
     /// Run `n` cycles.

@@ -10,11 +10,19 @@
 //! The [`Network`](crate::Network) owns an `Option<ResilienceState>`; `None`
 //! keeps every hot-path site at one branch and the simulation bit-identical
 //! to a build without this module.
+//!
+//! The state splits along the engine's two phases. The sequential cycle
+//! prologue writes what is global: link-fault onsets, this cycle's armed
+//! strikes, ACK/NACK delivery and retransmission timeouts. During the
+//! tile sweep that global part is read-only, and what a node's step
+//! mutates is owned by that node — its source NI and its receiver dedup
+//! set (a `(source, sequence)` pair only ever ejects at its one
+//! destination) — so tiles never share a write. ACK/NACK *sends* buffer
+//! per tile and reach [`ResilienceState::acks`] in the commit phase.
 
+use crate::tiles::ResGrid;
 use noc_core::types::{Cycle, Direction, NodeId, NUM_LINK_PORTS};
-use noc_resilience::{
-    LinkFault, ResiliencePlan, SenderNi, TransientEffect, TransientEngine, TransientEvent,
-};
+use noc_resilience::{LinkFault, ResiliencePlan, SenderNi, TransientEngine, TransientEvent};
 use noc_topology::link::TimedChannel;
 use noc_topology::Mesh;
 use std::collections::HashSet;
@@ -38,11 +46,12 @@ pub struct ResilienceState {
     transients: Option<TransientEngine>,
     /// Per-node source NIs (sequence numbers + retransmit buffers).
     pub senders: Vec<SenderNi>,
-    /// `(src, seq)` pairs already delivered to a PE — receiver-side dedup.
-    delivered: HashSet<(u16, u32)>,
+    /// `delivered[dst]`: the `(src, seq)` pairs already delivered to the PE
+    /// at `dst` — receiver-side dedup, kept where the flit ejects.
+    delivered: Vec<HashSet<(u16, u32)>>,
     /// In-flight ACK/NACK messages.
     pub acks: TimedChannel<AckMsg>,
-    /// Strikes armed for the current cycle, consumed by the link phase.
+    /// Strikes armed for the current cycle, looked up by the link phase.
     strikes: Vec<TransientEvent>,
     /// Per-node dead *output* ports, grown as link-fault onsets pass.
     pub link_down: Vec<[bool; NUM_LINK_PORTS]>,
@@ -62,7 +71,7 @@ impl ResilienceState {
         ResilienceState {
             senders: vec![SenderNi::new(plan.retransmit); mesh.num_nodes()],
             transients,
-            delivered: HashSet::new(),
+            delivered: vec![HashSet::new(); mesh.num_nodes()],
             acks: TimedChannel::new(),
             strikes: Vec::new(),
             link_down: vec![[false; NUM_LINK_PORTS]; mesh.num_nodes()],
@@ -89,7 +98,8 @@ impl ResilienceState {
     }
 
     /// Sample the transient process for cycle `t`; strikes stay armed until
-    /// consumed by [`ResilienceState::take_strike`] or the next call.
+    /// the next call. A strike hits at most one flit (one flit traverses a
+    /// link per cycle); strikes on idle links dissipate harmlessly.
     pub fn arm_strikes(&mut self, t: Cycle) {
         self.strikes.clear();
         if let Some(e) = self.transients.as_mut() {
@@ -97,26 +107,21 @@ impl ResilienceState {
         }
     }
 
-    /// Consume the strike armed on the directed link `(node, dir)` this
-    /// cycle, if any. A strike hits at most one flit (one flit traverses a
-    /// link per cycle); strikes on idle links dissipate harmlessly.
-    pub fn take_strike(&mut self, node: NodeId, dir: Direction) -> Option<TransientEffect> {
-        let i = self
-            .strikes
-            .iter()
-            .position(|s| s.node == node && s.dir == dir)?;
-        Some(self.strikes.swap_remove(i).effect)
-    }
-
     /// Whether the output link of `node` in direction `dir` is dead.
     pub fn link_dead(&self, node: NodeId, dir: Direction) -> bool {
         self.link_down[node.index()][dir.index()]
     }
 
-    /// Record a delivery at the receiver; returns `false` for a duplicate
-    /// (an earlier attempt already delivered this `(src, seq)`).
-    pub fn record_delivery(&mut self, src: NodeId, seq: u32) -> bool {
-        self.delivered.insert((src.0, seq))
+    /// The tile sweep's view: per-node NIs and dedup sets as raw bases
+    /// (each worker touches only its own tile's nodes), everything else
+    /// as shared borrows.
+    pub(crate) fn tile_view(&mut self) -> ResGrid<'_> {
+        ResGrid {
+            senders: self.senders.as_mut_ptr(),
+            delivered: self.delivered.as_mut_ptr(),
+            link_down: &self.link_down,
+            strikes: &self.strikes,
+        }
     }
 
     /// Whether the resilience layer itself has drained: no ACK/NACK in
@@ -175,36 +180,24 @@ mod tests {
     }
 
     #[test]
-    fn strikes_are_consumed_once() {
+    fn strikes_are_rearmed_every_cycle() {
         let m = mesh();
         let plan = ResiliencePlan::none().with_transients(TransientSpec::new(0.05, 7));
         let mut st = ResilienceState::new(&m, plan);
         let mut hit = 0;
         for t in 0..200 {
             st.arm_strikes(t);
-            // Drain every armed strike; each take consumes exactly one, so
-            // the drain terminates and a re-arm for the same cycle is what
-            // restocks, not repeated takes.
-            for n in m.nodes() {
-                for d in m.link_dirs(n) {
-                    while st.take_strike(n, d).is_some() {
-                        hit += 1;
-                        assert!(hit < 10_000, "take_strike failed to consume");
-                    }
-                }
-            }
+            hit += st.strikes.len();
+            assert!(st
+                .strikes
+                .iter()
+                .all(|s| m.neighbor(s.node, s.dir).is_some()));
+            // Arming replaces, never accumulates: a cycle's strikes are
+            // gone once the next cycle is armed.
+            st.arm_strikes(t);
+            assert!(st.strikes.is_empty(), "cycle {t} armed twice");
         }
         assert!(hit > 0, "expected some strikes at this rate");
-    }
-
-    #[test]
-    fn delivery_dedup_is_per_source_and_seq() {
-        let m = mesh();
-        let mut st = ResilienceState::new(&m, ResiliencePlan::none());
-        assert!(st.record_delivery(NodeId(1), 7));
-        assert!(!st.record_delivery(NodeId(1), 7), "duplicate suppressed");
-        assert!(st.record_delivery(NodeId(2), 7), "other source, same seq");
-        assert!(st.record_delivery(NodeId(1), 8));
     }
 
     #[test]

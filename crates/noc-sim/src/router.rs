@@ -64,14 +64,16 @@ impl StepCtx {
 
     /// Clear the context in place for the next router step, keeping the
     /// capacity of every buffer. The engine holds one persistent `StepCtx`
-    /// and resets it per router, so the per-cycle path allocates nothing.
+    /// per tile (per node on verified runs) and resets it per router, so
+    /// the per-cycle path allocates nothing.
     pub fn reset(&mut self, cycle: Cycle) {
         self.cycle = cycle;
         // `arrivals` and `out_links` are already all-`None` here: the router
         // contract requires every arrival to be consumed (switched or
         // buffered — flit conservation would fail otherwise) and the engine
-        // drains every output after each step. Skipping the ~600-byte
-        // rewrite of `Option<Flit>` arrays is a measurable win at 64+ nodes;
+        // drains every output before it reuses the context. Skipping the
+        // ~600-byte rewrite of `Option<Flit>` arrays is a measurable win at
+        // 64+ nodes;
         // the debug build still clears them and asserts the contract.
         debug_assert!(
             self.arrivals.iter().all(|a| a.is_none()),
@@ -93,9 +95,9 @@ impl StepCtx {
         self.injected = false;
         self.dropped.clear();
         // `events` is NOT cleared here: the counters are pure accumulators
-        // (routers and engine only ever add), so the engine lets them run
-        // across a whole node sweep and harvests them once per cycle —
-        // or per router step when an observer needs per-node deltas.
+        // (routers only ever add), so the engine lets them run across a
+        // whole tile sweep and harvests them once per cycle — per node
+        // when an observer needs per-node deltas.
         // trace/probe are cleared by the engine's set_enabled calls, which
         // immediately follow every reset.
     }

@@ -1,31 +1,41 @@
-//! Tile-sharded parallel stepping: the worker-side half of the engine.
+//! The stepping engine's per-node body and its per-tile buffers.
 //!
 //! The synchronous two-phase update makes the router sweep embarrassingly
-//! parallel *except* for five cross-node effects: link sends, credit
-//! returns, global statistics, packet completions and SCARAB drops. The
-//! tiled engine partitions the node sweep into rectangular tiles (one per
-//! worker, see [`TilePartition`]) and splits every cross-node effect into
-//! a race-free worker half (this module) and a deterministic sequential
-//! commit half (`Network::cycle_routers_tiled`):
+//! parallel *except* for the effects one node's step has outside itself.
+//! The engine partitions the node sweep into rectangular tiles (one per
+//! worker, see [`TilePartition`]) and splits every such effect into a
+//! race-free worker half ([`step_tile`], the only per-node body there is)
+//! and a deterministic sequential commit half (`Network::cycle_tiles`).
+//! One tile stepped inline on the caller's thread *is* the sequential
+//! sweep: no seams, no threads, a one-way merge.
 //!
 //! * **Intra-tile** link/credit sends go straight onto the delay lines —
 //!   both endpoints belong to the worker's tile, and a send at cycle `t`
 //!   lands in a ring slot (`t + latency`, latency >= 1) that no `recv(t)`
-//!   reads, so sweep order within the cycle is immaterial (the same
-//!   argument that makes the sequential fused sweep race-free).
+//!   reads, so sweep order within the cycle is immaterial.
 //! * **Seam** sends — receiver owned by another tile — are double-buffered
 //!   in the worker's outbox ([`SeamFlit`]/[`SeamCredit`]) and flushed by
 //!   the commit phase. Each `in_links[node][port]` delay line has exactly
 //!   one writer (the upstream neighbour), so a channel is either
 //!   worker-written or commit-written, never both; and because the flush
-//!   still happens at cycle `t`, the post-cycle channel state is
-//!   bit-identical to the sequential engine's.
-//! * **Statistics, completions and drops** are buffered as plain records
-//!   ([`EjectRec`]/[`DoneRec`]/[`DropRec`]) and replayed by the commit
-//!   phase — commutative counters in shard order, order-sensitive effects
-//!   (`on_delivered` into closed-loop traffic models, retransmission
-//!   sequencing) in ascending node order, i.e. exactly the sequential
-//!   sweep order.
+//!   still happens at cycle `t`, the post-cycle channel state does not
+//!   depend on where the seams are.
+//! * **Everything that lands in network-global state** is buffered as
+//!   plain records in the [`TileShard`] and replayed by the commit phase:
+//!   statistics ([`EjectRec`], recovery latencies, event counters), packet
+//!   completions ([`DoneRec`]), SCARAB drops ([`DropRec`]), ACK/NACK sends
+//!   ([`AckRec`]), trace events, and one [`StepRec`] per node for the
+//!   verification observer. Commutative counters replay in shard order;
+//!   everything order-sensitive replays in ascending node order through
+//!   [`TileEngine::replay`], the one k-way merge.
+//!
+//! **Why replay order equals sweep order.** A worker visits its tile's
+//! nodes in ascending id order and appends to its buffers as it goes, so
+//! every per-shard list is node-sorted and one node's records are
+//! contiguous in exactly one list. Merging the lists by smallest head node
+//! therefore yields the records in ascending node order with each node's
+//! records in emission order — exactly what a single sweep over all nodes
+//! would have produced, whatever the tile grid.
 //!
 //! Flit storage shards with the tiles: `pools[s]` holds every flit parked
 //! at a node of tile `s` (source queues, in-flight links), so workers
@@ -33,32 +43,37 @@
 //! opaque handles that never leak into results, which is why re-sharding
 //! the arena cannot perturb a single observable bit.
 //!
-//! Diagnostics (tracing, verification, resilience) force the sequential
-//! path in `Network::cycle_routers`; this module therefore omits those
-//! hooks entirely rather than carrying dead branches in the hot loop.
+//! Diagnostics (tracing, verification, resilience) sit behind the same
+//! "is anyone listening" gates the hot path always had. The body is
+//! written once and compiled twice (`step_tile::<R, DIAG>`): with nobody
+//! listening the gates are constants and fold away, which is worth ~4 %
+//! of `kernel_8x8`; with a sink, an observer or a resilience plan
+//! attached each gate is one branch.
 
 use crate::reassembly::{CompletedPacket, Reassembler};
+use crate::resilience::AckMsg;
 use crate::router::{RouterModel, StepCtx};
+use crate::verify::StepInputs;
 use noc_core::flit::Flit;
 use noc_core::pool::{FlitId, FlitPool};
+use noc_core::stats::EventCounts;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
+use noc_resilience::{SenderNi, TransientEffect, TransientEvent};
 use noc_topology::{DelayLine, Mesh, TilePartition};
+use noc_trace::TraceEvent;
 use rayon::WorkerPool;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
-/// The tiled engine attached to a `Network` by `set_tile_threads`.
+/// The stepping engine every `Network` owns: the tile partition, one
+/// worker slot and one [`TileShard`] per tile.
 pub(crate) struct TileEngine {
     pub(crate) partition: TilePartition,
-    /// `None` for a single tile: the caller steps it inline, which keeps
-    /// the 1-tile configuration on the exact same code path as N tiles
-    /// (the determinism matrix leans on this).
-    pub(crate) workers: Option<WorkerPool>,
+    /// One slot per tile, the caller being slot 0 — so a one-tile engine
+    /// spawns no thread and `broadcast` is a plain call.
+    pub(crate) workers: WorkerPool,
     pub(crate) shards: Vec<TileShard>,
-    /// Per-shard cursors for the commit phase's k-way node-order merge.
-    pub(crate) cursors: Vec<usize>,
-    /// `DXBAR_TILE_CANARY` only: seam credits withheld from this cycle's
-    /// flush and released one cycle stale. Empty in healthy runs.
-    pub(crate) canary_held: Vec<SeamCredit>,
+    /// Per-shard cursors of [`replay`](Self::replay).
+    cursors: Vec<usize>,
 }
 
 impl TileEngine {
@@ -67,10 +82,37 @@ impl TileEngine {
         let nt = partition.num_tiles();
         TileEngine {
             partition,
-            workers: (nt > 1).then(|| WorkerPool::new(nt)),
+            workers: WorkerPool::new(nt),
             shards: (0..nt).map(|_| TileShard::default()).collect(),
             cursors: vec![0; nt],
-            canary_held: Vec::new(),
+        }
+    }
+
+    /// The k-way merge: visit the records of every shard's `list` in
+    /// ascending node order (see the module docs for why that is the
+    /// order one sweep over all nodes emits them in). Each list must be
+    /// node-sorted, which [`step_tile`] guarantees; lists are left intact
+    /// for the caller to clear or reuse.
+    pub(crate) fn replay<T>(
+        &mut self,
+        list: impl Fn(&mut TileShard) -> &mut Vec<T>,
+        node_of: impl Fn(&T) -> NodeId,
+        mut visit: impl FnMut(&mut T),
+    ) {
+        self.cursors.iter_mut().for_each(|c| *c = 0);
+        loop {
+            let mut pick: Option<(NodeId, usize)> = None;
+            for (w, shard) in self.shards.iter_mut().enumerate() {
+                if let Some(rec) = list(shard).get(self.cursors[w]) {
+                    let node = node_of(rec);
+                    if pick.is_none_or(|(best, _)| node < best) {
+                        pick = Some((node, w));
+                    }
+                }
+            }
+            let Some((_, w)) = pick else { break };
+            visit(&mut list(&mut self.shards[w])[self.cursors[w]]);
+            self.cursors[w] += 1;
         }
     }
 }
@@ -79,12 +121,30 @@ impl TileEngine {
 /// commit phase drains. All buffers keep their capacity across cycles.
 #[derive(Default)]
 pub(crate) struct TileShard {
+    /// Step context shared by every node of the tile (unverified runs).
     pub(crate) ctx: StepCtx,
+    /// Counters the engine half of the body adds (link traversals,
+    /// injections, ...). Kept apart from `ctx.events` so a verified run's
+    /// per-node context holds exactly the router's own delta.
+    pub(crate) events: EventCounts,
     pub(crate) seam_flits: Vec<SeamFlit>,
     pub(crate) seam_credits: Vec<SeamCredit>,
+    /// `DXBAR_TILE_CANARY` only: seam credits withheld from the last
+    /// flush, released one cycle stale. Empty in healthy runs.
+    pub(crate) canary_held: Vec<SeamCredit>,
     pub(crate) ejects: Vec<EjectRec>,
     pub(crate) dones: Vec<DoneRec>,
     pub(crate) drops: Vec<DropRec>,
+    /// Trace events of the whole tile sweep (filled only when tracing).
+    pub(crate) trace: Vec<TraceEvent>,
+    /// One record per node of the tile, in tile order (filled only when
+    /// verifying; the records and their buffers are reused every cycle).
+    pub(crate) steps: Vec<StepRec>,
+    /// ACK/NACK sends (resilient runs).
+    pub(crate) acks: Vec<AckRec>,
+    /// Creation cycles of deliveries that needed a retransmission,
+    /// replayed into `NetStats::record_recovery` (resilient runs).
+    pub(crate) recoveries: Vec<Cycle>,
 }
 
 /// A flit crossing a tile seam: deliver to `dst`'s input port `dir`.
@@ -112,8 +172,8 @@ pub(crate) struct EjectRec {
 
 /// A completed packet, replayed in node order (`record_packet_done` +
 /// `TrafficModel::on_delivered`). `flit_created` is the completing flit's
-/// creation cycle — the sequential engine derives the measurement-window
-/// flag from the flit, not the packet head.
+/// creation cycle — the measurement-window flag derives from the flit,
+/// not the packet head.
 #[derive(Clone, Copy)]
 pub(crate) struct DoneRec {
     pub(crate) node: NodeId,
@@ -130,6 +190,45 @@ pub(crate) struct DropRec {
     pub(crate) flit: Flit,
 }
 
+/// An ACK or NACK leaving the ejection port of `node`, replayed in node
+/// order into the (FIFO-sequenced) control channel.
+#[derive(Clone, Copy)]
+pub(crate) struct AckRec {
+    pub(crate) node: NodeId,
+    pub(crate) back_hops: u64,
+    pub(crate) msg: AckMsg,
+}
+
+/// What the verification observer is told about one node's step. The
+/// router steps *in* `ctx`, so after the step it is the view
+/// `RunObserver::on_router_step` reads: outputs still in place (the engine
+/// half copies them instead of taking them), probes staged, `events` the
+/// router's own delta.
+pub(crate) struct StepRec {
+    pub(crate) node: NodeId,
+    pub(crate) ctx: StepCtx,
+    pub(crate) obs: StepObs,
+}
+
+/// The part of a [`StepRec`] the engine half writes next to the context.
+#[derive(Default)]
+pub(crate) struct StepObs {
+    pub(crate) inputs: StepInputs,
+    pub(crate) occ_before: usize,
+    pub(crate) occ_after: usize,
+    /// This node's link-phase and ejection-port reports, in the order
+    /// they happened (after `on_router_step`).
+    pub(crate) subs: Vec<ObsSub>,
+}
+
+/// One `RunObserver::on_transit_*` / `on_crc_reject` call.
+#[derive(Clone, Copy)]
+pub(crate) enum ObsSub {
+    TransitLoss(Direction, Flit),
+    TransitCorrupt(Direction, Flit),
+    CrcReject(Flit),
+}
+
 /// Raw views of the network's per-node arrays, shared across workers for
 /// the duration of one parallel phase.
 ///
@@ -139,70 +238,151 @@ pub(crate) struct DropRec {
 /// `queues[i]` and `pools`/`reassemblers` at the worker's own shard index
 /// for `i` in the tile, plus `in_links[j]`/`in_credits[j]` for intra-tile
 /// sends where `shard_of[j]` is the worker's tile. Tiles partition the
-/// nodes, so element accesses from different workers never alias;
-/// `neighbors`/`shard_of` are read-only.
-pub(crate) struct SharedGrid<R> {
+/// nodes, so element accesses from different workers never alias.
+///
+/// The resilience view ([`ResGrid`]) follows the same rule: `senders[i]`
+/// (the source NI of node `i`) and `delivered[i]` (the receiver dedup set
+/// of node `i` — a `(src, seq)` pair only ever ejects at its one
+/// destination) are dereferenced for `i` in the worker's tile only, and
+/// `link_down`/`strikes` are shared borrows nobody writes while the
+/// parallel phase runs (onsets and strike arming happen in the sequential
+/// cycle prologue).
+pub(crate) struct SharedGrid<'a, R> {
     pub(crate) routers: *mut R,
     pub(crate) in_links: *mut [Option<DelayLine<FlitId>>; NUM_LINK_PORTS],
     pub(crate) in_credits: *mut [Option<DelayLine<u32>>; NUM_LINK_PORTS],
     pub(crate) queues: *mut VecDeque<FlitId>,
     pub(crate) pools: *mut FlitPool,
     pub(crate) reassemblers: *mut Reassembler,
-    pub(crate) neighbors: *const [Option<NodeId>; NUM_LINK_PORTS],
-    pub(crate) shard_of: *const u16,
+    pub(crate) neighbors: &'a [[Option<NodeId>; NUM_LINK_PORTS]],
+    pub(crate) shard_of: &'a [u16],
     pub(crate) mesh: Mesh,
+    /// A recording trace sink is attached: stage and buffer trace events.
+    pub(crate) tracing: bool,
+    /// An active observer is attached: step each node in its own
+    /// [`StepRec`] and buffer the observer's sub-events.
+    pub(crate) verifying: bool,
+    /// The resilience layer, when a plan is attached.
+    pub(crate) res: Option<ResGrid<'a>>,
 }
 
-// Safety: per the contract above, concurrent access through the pointers
-// is to disjoint elements only; `R: Send` makes moving that access across
-// threads sound.
-unsafe impl<R: Send> Sync for SharedGrid<R> {}
+/// The parallel phase's view of `ResilienceState`; see the
+/// [`SharedGrid`] safety contract.
+pub(crate) struct ResGrid<'a> {
+    pub(crate) senders: *mut SenderNi,
+    pub(crate) delivered: *mut HashSet<(u16, u32)>,
+    pub(crate) link_down: &'a [[bool; NUM_LINK_PORTS]],
+    pub(crate) strikes: &'a [TransientEvent],
+}
+
+// SAFETY: per the contract above, concurrent access through the raw
+// pointers is to disjoint elements only, and everything behind the shared
+// borrows (`neighbors`, `shard_of`, `link_down`, `strikes`) is plain data
+// nobody writes during the parallel phase. `R: Send` makes
+// handing each router to whichever thread steps its tile sound; the other
+// pointees (delay lines, queues, pools, reassemblers, NIs, dedup sets) own
+// plain data and are `Send` unconditionally.
+unsafe impl<R: Send> Sync for SharedGrid<'_, R> {}
 
 /// Base pointer of the shard array; each broadcast slot dereferences only
 /// its own index.
 pub(crate) struct SharedShards(pub(crate) *mut TileShard);
+
+// SAFETY: slot `w` of a broadcast only ever touches shard `w` (see
+// `shard`), so no two threads share a `TileShard`; a shard holds plain
+// data and is `Send`.
 unsafe impl Sync for SharedShards {}
 
 impl SharedShards {
-    /// Safety: callers pass distinct in-bounds `w` per concurrent borrow.
+    /// # Safety
+    ///
+    /// `w` must be in bounds of the shard array, and no other reference
+    /// to shard `w` may be live: callers pass a distinct `w` per
+    /// concurrent borrow.
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn shard(&self, w: usize) -> &mut TileShard {
+        // SAFETY: in bounds and unaliased by the caller's contract.
         unsafe { &mut *self.0.add(w) }
     }
 }
 
-/// One worker's router phase over its tile: the sequential per-node body
-/// minus tracing/verification/resilience (all force the sequential path),
-/// with cross-node effects split per the module docs. `nodes` is in
-/// ascending id order, so every outbox comes out node-sorted.
-pub(crate) fn step_tile<R: RouterModel>(
-    grid: &SharedGrid<R>,
+/// One worker's router phase over its tile — the per-node body of a
+/// cycle, with every effect outside the tile split off per the module
+/// docs. `nodes` is in ascending id order, so every outbox comes out
+/// node-sorted. `DIAG = false` promises that `grid` has no tracing, no
+/// verifying and no `res`, and compiles their gates out.
+pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
+    grid: &SharedGrid<'_, R>,
     nodes: &[NodeId],
     shard: &mut TileShard,
     me: u16,
     t: Cycle,
 ) {
     let TileShard {
-        ctx,
+        ctx: tile_ctx,
+        events,
         seam_flits,
         seam_credits,
+        canary_held: _,
         ejects,
         dones,
         drops,
+        trace,
+        steps,
+        acks,
+        recoveries,
     } = shard;
-    // Safety (this and every dereference below): tile `me` owns `nodes`,
-    // see the SharedGrid contract.
-    let pool = unsafe { &mut *grid.pools.add(me as usize) };
-    let reassembler = unsafe { &mut *grid.reassemblers.add(me as usize) };
-    for &node in nodes {
+    let verifying = DIAG && grid.verifying;
+    let tracing = DIAG && grid.tracing;
+    if verifying && steps.len() != nodes.len() {
+        steps.clear();
+        steps.extend(nodes.iter().map(|&node| StepRec {
+            node,
+            ctx: StepCtx::default(),
+            obs: StepObs::default(),
+        }));
+    }
+    // SAFETY: `pools[me]` and `reassemblers[me]` belong to this worker's
+    // shard (SharedGrid contract).
+    let (pool, reassembler) = unsafe {
+        (
+            &mut *grid.pools.add(me as usize),
+            &mut *grid.reassemblers.add(me as usize),
+        )
+    };
+    for (k, &node) in nodes.iter().enumerate() {
         let i = node.index();
-        debug_assert_eq!(unsafe { *grid.shard_of.add(i) }, me, "node outside tile");
+        debug_assert_eq!(grid.shard_of[i], me, "node outside tile");
+        let (ctx, mut obs) = if verifying {
+            let StepRec { ctx, obs, .. } = &mut steps[k];
+            obs.subs.clear();
+            (ctx, Some(obs))
+        } else {
+            (&mut *tile_ctx, None)
+        };
         ctx.reset(t);
-        ctx.trace.set_enabled(false);
-        ctx.probe.set_enabled(false);
+        ctx.trace.set_enabled(tracing);
+        ctx.probe.set_enabled(verifying);
 
-        let in_links = unsafe { &mut *grid.in_links.add(i) };
-        let in_credits = unsafe { &mut *grid.in_credits.add(i) };
+        // SAFETY: node `i` is in this worker's tile, which owns
+        // `in_links[i]`, `in_credits[i]`, `queues[i]` and `routers[i]`
+        // (SharedGrid contract).
+        let (in_links, in_credits, queue, router) = unsafe {
+            (
+                &mut *grid.in_links.add(i),
+                &mut *grid.in_credits.add(i),
+                &mut *grid.queues.add(i),
+                &mut *grid.routers.add(i),
+            )
+        };
+        let neighbors = &grid.neighbors[i];
+        let mut res = grid.res.as_ref().filter(|_| DIAG).map(|r| {
+            // SAFETY: the source NI and the dedup set of node `i`, which
+            // this worker's tile owns (SharedGrid contract).
+            let (ni, seen) = unsafe { (&mut *r.senders.add(i), &mut *r.delivered.add(i)) };
+            (r, ni, seen)
+        });
+
         for d in LINK_DIRECTIONS {
             if let Some(line) = in_links[d.index()].as_mut() {
                 if let Some(id) = line.recv(t) {
@@ -215,49 +395,110 @@ pub(crate) fn step_tile<R: RouterModel>(
                 }
             }
         }
-        let queue = unsafe { &mut *grid.queues.add(i) };
+        // Sequence the queue head in place before copying it into the
+        // offer, so the sequence number survives the eventual pop (a
+        // no-op for already-sequenced retransmissions).
+        if let (Some((_, ni, _)), Some(&front)) = (res.as_mut(), queue.front()) {
+            ni.sequence(pool.get_mut(front));
+        }
         ctx.injection = queue.front().map(|&id| {
             let mut f = *pool.get(id);
             f.injected = t;
             f
         });
 
-        let router = unsafe { &mut *grid.routers.add(i) };
-        #[cfg(debug_assertions)]
-        let (arrivals_offered, occ_before) =
-            (ctx.arrivals.iter().flatten().count(), router.occupancy());
+        // Routers may consume (take) their arrivals, so snapshot inputs
+        // before stepping. Conservation inputs feed only the debug assert
+        // below and the observer; skip the occupancy scans on the
+        // unobserved release fast path.
+        if let Some(obs) = obs.as_deref_mut() {
+            obs.inputs = StepInputs {
+                arrivals: ctx.arrivals,
+                injection: ctx.injection,
+            };
+        }
+        let conserving = verifying || cfg!(debug_assertions);
+        let arrivals_offered = if conserving {
+            ctx.arrivals.iter().flatten().count()
+        } else {
+            0
+        };
+        let occ_before = if conserving { router.occupancy() } else { 0 };
         router.step(ctx);
-        #[cfg(debug_assertions)]
+        let occ_after = if conserving { router.occupancy() } else { 0 };
+        // With an active observer attached, conservation violations are
+        // its to report (structured, non-fatal); the hard assert guards
+        // unobserved runs only.
         debug_assert!(
-            occ_before + arrivals_offered + usize::from(ctx.injected)
-                == router.occupancy() + ctx.flits_out(),
+            verifying
+                || occ_before + arrivals_offered + usize::from(ctx.injected)
+                    == occ_after + ctx.flits_out(),
             "flit conservation violated at {node} cycle {t}"
         );
-
-        let neighbors = unsafe { &*grid.neighbors.add(i) };
+        if let Some(obs) = obs.as_deref_mut() {
+            obs.occ_before = occ_before;
+            obs.occ_after = occ_after;
+        }
 
         // Outgoing flits: intra-tile straight onto the wire, seam-crossing
-        // into the outbox.
+        // into the outbox. A verified run leaves the outputs in `ctx` for
+        // the observer; the commit phase clears them after replaying.
         for d in LINK_DIRECTIONS {
-            if let Some(mut flit) = ctx.out_links[d.index()].take() {
-                let nbr = neighbors[d.index()]
-                    .unwrap_or_else(|| panic!("{node} routed {flit:?} off-mesh via {d}"));
-                flit.hops += 1;
-                ctx.events.link_traversals += 1;
-                if unsafe { *grid.shard_of.add(nbr.index()) } == me {
-                    let id = pool.alloc(flit);
-                    let lines = unsafe { &mut *grid.in_links.add(nbr.index()) };
-                    lines[d.opposite().index()]
-                        .as_mut()
-                        .expect("reverse link exists")
-                        .send(t, id);
-                } else {
-                    seam_flits.push(SeamFlit {
-                        dst: nbr,
-                        dir: d.opposite(),
-                        flit,
-                    });
+            let out = &mut ctx.out_links[d.index()];
+            let Some(mut flit) = (if verifying { *out } else { out.take() }) else {
+                continue;
+            };
+            let nbr = neighbors[d.index()]
+                .unwrap_or_else(|| panic!("{node} routed {flit:?} off-mesh via {d}"));
+            // Resilience link phase: a dead link swallows the flit, a
+            // transient strike corrupts or drops it. Flits already on the
+            // wire when a link dies still arrive (the onset kills future
+            // sends, not in-flight data). One flit leaves per link per
+            // cycle, so the first strike armed on this link is the one
+            // that hits; any other dissipates.
+            if let Some((r, ..)) = res.as_ref() {
+                let armed = r.strikes.iter().find(|s| s.node == node && s.dir == d);
+                let strike = armed.map(|s| s.effect);
+                if r.link_down[i][d.index()] || strike == Some(TransientEffect::Drop) {
+                    events.transit_losses += 1;
+                    if let Some(obs) = obs.as_deref_mut() {
+                        obs.subs.push(ObsSub::TransitLoss(d, flit));
+                    }
+                    continue;
                 }
+                if let Some(TransientEffect::Corrupt(mask)) = strike {
+                    flit.corrupt_payload(mask);
+                    events.transit_corruptions += 1;
+                    if let Some(obs) = obs.as_deref_mut() {
+                        obs.subs.push(ObsSub::TransitCorrupt(d, flit));
+                    }
+                }
+            }
+            flit.hops += 1;
+            events.link_traversals += 1;
+            ctx.trace.emit(|| TraceEvent::Hop {
+                cycle: t,
+                node,
+                packet: flit.packet,
+                flit_index: flit.flit_index as u16,
+                dir: d,
+            });
+            if grid.shard_of[nbr.index()] == me {
+                // The flit is about to be parked on the receiver's inbound
+                // wire, and the receiver is in this tile: same pool.
+                let id = pool.alloc(flit);
+                // SAFETY: `nbr` is in this worker's tile (checked above).
+                let lines = unsafe { &mut *grid.in_links.add(nbr.index()) };
+                lines[d.opposite().index()]
+                    .as_mut()
+                    .expect("reverse link exists")
+                    .send(t, id);
+            } else {
+                seam_flits.push(SeamFlit {
+                    dst: nbr,
+                    dir: d.opposite(),
+                    flit,
+                });
             }
         }
 
@@ -266,7 +507,8 @@ pub(crate) fn step_tile<R: RouterModel>(
             let c = ctx.credits_out[d.index()];
             if c > 0 {
                 if let Some(upstream) = neighbors[d.index()] {
-                    if unsafe { *grid.shard_of.add(upstream.index()) } == me {
+                    if grid.shard_of[upstream.index()] == me {
+                        // SAFETY: `upstream` is in this worker's tile.
                         let wires = unsafe { &mut *grid.in_credits.add(upstream.index()) };
                         wires[d.opposite().index()]
                             .as_mut()
@@ -287,17 +529,72 @@ pub(crate) fn step_tile<R: RouterModel>(
         if ctx.injected {
             let popped = queue.pop_front();
             debug_assert!(popped.is_some(), "router injected a phantom flit");
-            ctx.events.injections += 1;
+            events.injections += 1;
             if let Some(id) = popped {
-                let _ = pool.take(id);
+                let flit = pool.take(id);
+                // Arm (or re-arm, for a retransmission) the ARQ timer at
+                // the actual network entry, so source queueing never burns
+                // the retry budget.
+                if let Some((_, ni, _)) = res.as_mut() {
+                    ni.on_injected(flit.seq, t);
+                }
+                ctx.trace.emit(|| TraceEvent::Inject {
+                    cycle: t,
+                    node,
+                    packet: flit.packet,
+                    flit_index: flit.flit_index as u16,
+                });
             }
         }
 
-        // Ejections -> reassembly (sharded by destination, so tile-local);
-        // stats and completions buffer for the commit phase.
-        for flit in ctx.ejected.drain(..) {
+        // Ejections -> CRC check/ACK (resilient runs) -> reassembly
+        // (sharded by destination, so tile-local); stats, ACKs and
+        // completions buffer for the commit phase. `reset` clears the
+        // list, so it is read in place.
+        for &flit in &ctx.ejected {
             debug_assert_eq!(flit.dst, node, "flit ejected at wrong node");
-            ctx.events.ejections += 1;
+            events.ejections += 1;
+            if let (Some((_, _, seen)), true) = (res.as_mut(), flit.seq != 0) {
+                let back_hops = grid.mesh.hop_distance(node, flit.src).max(1) as u64;
+                events.ack_hops += back_hops;
+                // Detected corruption: bounce it, NACK the source NI, and
+                // wait for the retransmission.
+                let nack = !flit.crc_ok();
+                acks.push(AckRec {
+                    node,
+                    back_hops,
+                    msg: AckMsg {
+                        to: flit.src,
+                        seq: flit.seq,
+                        nack,
+                    },
+                });
+                if nack {
+                    events.crc_rejects += 1;
+                    if let Some(obs) = obs.as_deref_mut() {
+                        obs.subs.push(ObsSub::CrcReject(flit));
+                    }
+                    continue;
+                }
+                if !seen.insert((flit.src.0, flit.seq)) {
+                    // A spurious-timeout retransmission of a flit that
+                    // already arrived: re-ACK and suppress.
+                    events.duplicates_suppressed += 1;
+                    continue;
+                }
+                if flit.retransmits > 0 {
+                    // Delivery needed recovery: record creation ->
+                    // final-delivery latency.
+                    recoveries.push(flit.created);
+                }
+            }
+            ctx.trace.emit(|| TraceEvent::Eject {
+                cycle: t,
+                node,
+                packet: flit.packet,
+                flit_index: flit.flit_index as u16,
+                latency: t.saturating_sub(flit.created),
+            });
             ejects.push(EjectRec {
                 created: flit.created,
                 hops: flit.hops,
@@ -311,19 +608,30 @@ pub(crate) fn step_tile<R: RouterModel>(
             }
         }
 
-        // Drops buffer whole flits: the retransmission channel is global
-        // and FIFO-sequenced, so sends happen at commit in node order.
-        for mut flit in ctx.dropped.drain(..) {
-            ctx.events.drops += 1;
+        // Drops -> NACK to source -> retransmission (SCARAB). Whole flits
+        // buffer: the retransmission channel is global and FIFO-sequenced,
+        // so sends happen at commit in node order.
+        for mut flit in ctx.dropped.iter().copied() {
+            events.drops += 1;
+            ctx.trace.emit(|| TraceEvent::Drop {
+                cycle: t,
+                node,
+                packet: flit.packet,
+                flit_index: flit.flit_index as u16,
+            });
             let nack_hops = grid.mesh.hop_distance(node, flit.src).max(1) as u64;
-            ctx.events.nack_hops += nack_hops;
-            ctx.events.retransmissions += 1;
+            events.nack_hops += nack_hops;
+            events.retransmissions += 1;
             flit.retransmits += 1;
             drops.push(DropRec {
                 node,
                 nack_hops,
                 flit,
             });
+        }
+
+        if tracing {
+            trace.append(&mut ctx.trace.events);
         }
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Mirrors the trace-sink wiring: the [`Network`](crate::Network) owns a
 //! `Box<dyn RunObserver>` that defaults to the no-op [`NullVerifier`], and
-//! calls the hooks below from its per-node cycle loop. A real verifier (the
-//! `noc-verify` crate) replaces it for verified runs; the default costs one
-//! branch per router step.
+//! calls the hooks below from the sequential parts of a cycle — the
+//! per-node ones from the commit phase, node by node in ascending order,
+//! whatever the tile-worker count. A real verifier (the `noc-verify`
+//! crate) replaces it for verified runs; the default costs one branch per
+//! router step.
 //!
 //! Routers expose allocator-internal state (grants, FIFO depths, fairness
 //! flips) through the [`ProbeBuf`] on [`StepCtx`](crate::router::StepCtx):
@@ -100,9 +102,10 @@ pub trait RunObserver: Send {
     /// Called once per network cycle before any router steps.
     fn on_cycle_start(&mut self, _cycle: Cycle) {}
 
-    /// Called after one router's `step`, before the engine consumes the
-    /// outputs: `ctx.out_links` / `ctx.ejected` / `ctx.dropped` still hold
-    /// this cycle's results and `ctx.probe` holds the router's probes.
+    /// Called once per router per cycle, in ascending node order, with
+    /// the context as the router's `step` left it: `ctx.out_links` /
+    /// `ctx.ejected` / `ctx.dropped` still hold this cycle's results,
+    /// `ctx.probe` the router's probes and `ctx.events` its own counts.
     fn on_router_step(
         &mut self,
         _node: NodeId,
@@ -119,7 +122,8 @@ pub trait RunObserver: Send {
 
     /// A transient strike corrupted `flit` while it traversed the link
     /// leaving `node` through port `dir` (payload already flipped; the CRC
-    /// no longer matches). Called from the engine's link phase.
+    /// no longer matches). Called after `on_router_step` of the same node
+    /// and cycle.
     fn on_transit_corrupt(&mut self, _node: NodeId, _dir: Direction, _flit: &Flit) {}
 
     /// `flit` vanished on the link leaving `node` through `dir` — a

@@ -116,6 +116,14 @@ impl TrafficModel for Silent {
 
 #[test]
 fn flit_sent_east_arrives_on_west_input_after_two_cycles() {
+    // Same wiring however the mesh is tiled: 0 and 1 are one inline tile,
+    // 4 cuts the 3x3 mesh 2x2 and puts the 3 -> 4 link on a seam.
+    for (threads, tiles) in [(0, 1), (1, 1), (4, 4)] {
+        east_send_arrives_west(threads, tiles);
+    }
+}
+
+fn east_send_arrives_west(threads: usize, tiles: usize) {
     // Node 3 (0,1) sends East at cycle 5 -> node 4 (1,1) West input, t=7.
     let logs: Vec<Arc<Mutex<Log>>> = (0..9)
         .map(|_| Arc::new(Mutex::new(Log::default())))
@@ -137,6 +145,8 @@ fn flit_sent_east_arrives_on_west_input_after_two_cycles() {
             held,
         }) as Box<dyn RouterModel>
     });
+    net.set_tile_threads(threads);
+    assert_eq!(net.tile_threads(), tiles, "{threads} requested");
     net.run_cycles(&mut Silent, 10);
     let log4 = logs[4].lock().unwrap();
     assert_eq!(log4.arrivals.len(), 1);

@@ -5,6 +5,8 @@
 //! fixed-latency delay lines used for flit, credit, look-ahead and NACK
 //! channels (all 1-cycle in the paper, but the latency is a parameter).
 
+#![forbid(unsafe_code)]
+
 pub mod link;
 pub mod mesh;
 pub mod tile;

@@ -3,8 +3,8 @@
 //! The parallel stepping engine shards the mesh into rectangular tiles,
 //! one per worker. A [`TilePartition`] picks the tile grid, assigns every
 //! node to exactly one tile, and exposes the per-tile node lists in
-//! ascending node-id order (the order the sequential engine sweeps them,
-//! which the deterministic commit phase relies on).
+//! ascending node-id order (the order a one-tile sweep visits them, which
+//! the deterministic commit phase relies on).
 //!
 //! The partition is pure index arithmetic on the `width x height` router
 //! grid, so it is topology-agnostic: torus wraparound and concentrated
@@ -115,7 +115,7 @@ fn band_of(c: u16, len: u16, bands: u16) -> u16 {
 fn best_grid(width: u16, height: u16, want: usize) -> Option<(u16, u16)> {
     let mut best: Option<(u16, u16, usize)> = None;
     for tx in 1..=want {
-        if want % tx != 0 {
+        if !want.is_multiple_of(tx) {
             continue;
         }
         let ty = want / tx;
@@ -188,10 +188,7 @@ mod tests {
         let p = check_partition(10, 6, 4);
         assert_eq!(p.num_tiles(), 4);
         let sizes: Vec<usize> = (0..4).map(|t| p.nodes(t).len()).collect();
-        let (min, max) = (
-            *sizes.iter().min().unwrap(),
-            *sizes.iter().max().unwrap(),
-        );
+        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
         // Near-equal tiles: no tile more than a row/column larger.
         assert!(max - min <= 10, "unbalanced tiles: {sizes:?}");
     }

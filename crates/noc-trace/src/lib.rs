@@ -11,6 +11,8 @@
 //! [`TraceBuf`], which is disabled unless a recording sink is attached, so
 //! the untraced hot path costs one branch per emission site.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod jsonl;

@@ -11,6 +11,8 @@
 //!   (the substitution for the paper's Simics/GEMS traces, see DESIGN.md);
 //! * [`trace`] — recording and replaying packet traces.
 
+#![forbid(unsafe_code)]
+
 pub mod bursty;
 pub mod generator;
 pub mod patterns;

@@ -24,6 +24,8 @@
 //! Violations carry structured context ([`violation::Violation`]: cycle,
 //! router, flit ids) and surface as `Err` from the verified runner.
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod ledger;
 pub mod oracle;

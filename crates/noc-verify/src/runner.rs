@@ -47,8 +47,6 @@ pub fn run_verified<R: RouterModel>(
     run_verified_with(net, model, mode, energy, VerifyOptions::default())
 }
 
-/// [`run_verified`] with explicit [`VerifyOptions`] (watchdog horizon,
-/// violation recording cap).
 /// Execute a run with both the oracle suite and a recording trace sink
 /// attached (the two are independent network attachments). Unlike
 /// [`run_verified`], the report comes back unconditionally — callers that
@@ -73,6 +71,8 @@ pub fn run_traced_verified<R: RouterModel>(
     (result, sink, report)
 }
 
+/// [`run_verified`] with explicit [`VerifyOptions`] (watchdog horizon,
+/// violation recording cap).
 pub fn run_verified_with<R: RouterModel>(
     net: &mut Network<R>,
     model: &mut dyn TrafficModel,

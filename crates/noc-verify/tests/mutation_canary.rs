@@ -14,7 +14,7 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_verified, ViolationKind};
+use noc_verify::{run_verified, Violation, ViolationKind};
 
 /// Which deliberate bug the rogue router injects (once per router).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +177,27 @@ fn run_with_bug(bug: Bug) -> Result<(), Vec<ViolationKind>> {
     run_on(bug, noc_topology::Topology::Mesh)
 }
 
+/// Run under the oracles at 1, 2 and 4 tile workers (the 4x4 mesh cuts
+/// into halves and into a 2x2 tile grid). The worker count must be
+/// invisible to the oracles: the same violations, the first one included,
+/// at every setting.
 fn run_on(bug: Bug, topology: noc_topology::Topology) -> Result<(), Vec<ViolationKind>> {
+    let reference = run_tiled(bug, topology, 1);
+    for workers in [2, 4] {
+        assert_eq!(
+            run_tiled(bug, topology, workers),
+            reference,
+            "{bug:?}: oracle outcome differs at {workers} tile workers"
+        );
+    }
+    reference.map_err(|violations| violations.iter().map(|v| v.kind).collect())
+}
+
+fn run_tiled(
+    bug: Bug,
+    topology: noc_topology::Topology,
+    workers: usize,
+) -> Result<(), Vec<Violation>> {
     let cfg = SimConfig { topology, ..cfg() };
     let mesh = Mesh::for_config(&cfg);
     let mut net = Network::new(&cfg, &move |node| {
@@ -189,6 +209,7 @@ fn run_on(bug: Bug, topology: noc_topology::Topology) -> Result<(), Vec<Violatio
             fired: false,
         }) as Box<dyn RouterModel>
     });
+    net.set_tile_threads(workers);
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
     match run_verified(
         &mut net,
@@ -197,7 +218,7 @@ fn run_on(bug: Bug, topology: noc_topology::Topology) -> Result<(), Vec<Violatio
         &EnergyModel::default(),
     ) {
         Ok(_) => Ok(()),
-        Err(e) => Err(e.report.violations.iter().map(|v| v.kind).collect()),
+        Err(e) => Err(e.report.violations),
     }
 }
 

@@ -17,7 +17,7 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_verified, ViolationKind};
+use noc_verify::{run_verified, Violation, ViolationKind};
 
 /// Age-priority DOR router with unlimited loser buffering (the engine-test
 /// vehicle shape). With `vanish_one` set it swallows exactly one in-transit
@@ -102,7 +102,22 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// Run at 1, 2 and 4 tile workers; the oracle outcome — clean, or the
+/// same violations with the same first one — must not depend on the
+/// worker count even with strikes, NACKs and retransmissions in play.
 fn run_resilient(vanish_one: bool) -> Result<(), Vec<ViolationKind>> {
+    let reference = run_tiled(vanish_one, 1);
+    for workers in [2, 4] {
+        assert_eq!(
+            run_tiled(vanish_one, workers),
+            reference,
+            "oracle outcome differs at {workers} tile workers"
+        );
+    }
+    reference.map_err(|violations| violations.iter().map(|v| v.kind).collect())
+}
+
+fn run_tiled(vanish_one: bool, workers: usize) -> Result<(), Vec<Violation>> {
     let cfg = cfg();
     let mesh = Mesh::new(cfg.width, cfg.height);
     let mut net = Network::new(&cfg, &move |node| {
@@ -114,6 +129,7 @@ fn run_resilient(vanish_one: bool) -> Result<(), Vec<ViolationKind>> {
             fired: false,
         }) as Box<dyn RouterModel>
     });
+    net.set_tile_threads(workers);
     net.set_resilience(ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23)));
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
     match run_verified(
@@ -130,7 +146,7 @@ fn run_resilient(vanish_one: bool) -> Result<(), Vec<ViolationKind>> {
             );
             Ok(())
         }
-        Err(e) => Err(e.report.violations.iter().map(|v| v.kind).collect()),
+        Err(e) => Err(e.report.violations),
     }
 }
 

@@ -16,6 +16,8 @@
 //! Both implement [`noc_sim::RouterModel`] and plug into the same engine,
 //! accounting, tracing and verification harness as the paper designs.
 
+#![forbid(unsafe_code)]
+
 pub mod damq;
 pub mod minbd;
 pub mod slab;

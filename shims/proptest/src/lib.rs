@@ -16,6 +16,8 @@
 //!   cases here are small enough to debug unshrunk.
 //! * `PROPTEST_CASES` overrides the per-test case count globally.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod option;
 pub mod prelude;

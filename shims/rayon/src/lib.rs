@@ -23,12 +23,15 @@
 //! `DXBAR_TILE_THREADS` requests within-simulation tile workers, and
 //! point-level consumers divide one by the other.** [`max_threads`]
 //! returns the `DXBAR_JOBS` cap (or the core count); [`tile_threads`]
-//! returns the tile-worker request (0 = the sequential engine). The
+//! returns the tile-worker request (0 and 1 both mean one tile stepped
+//! inline, whatever observers the run carries). The
 //! campaign executor resolves its point-level worker count as
 //! `max(1, max_threads() / max(tile_threads(), 1))`, so a daemon running
 //! campaigns over tiled simulations never oversubscribes: the product of
 //! campaign workers and tile workers stays within the `DXBAR_JOBS`
 //! budget.
+
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -45,9 +48,10 @@ pub fn max_threads() -> usize {
 }
 
 /// Tile workers requested per simulation: `DXBAR_TILE_THREADS` if set to
-/// an integer, otherwise 0 (sequential engine). Unparsable values read as
-/// 0 — binaries validate the flag/variable and exit with a usage error
-/// before it gets this far.
+/// an integer, otherwise 0. 0 and 1 both mean one tile stepped inline on
+/// the caller's thread; N > 1 means N tile workers — for traced, verified
+/// and resilient runs too. Unparsable values read as 0 — binaries validate
+/// the flag/variable and exit with a usage error before it gets this far.
 pub fn tile_threads() -> usize {
     std::env::var("DXBAR_TILE_THREADS")
         .ok()
@@ -72,8 +76,10 @@ struct Job {
     data: *const (),
     call: unsafe fn(*const (), usize),
 }
-// The pointer is only dereferenced while `broadcast` blocks on the
-// completion barrier, so the pointee outlives every use.
+// SAFETY: `data` points at the `F: Sync` closure `broadcast` borrows, so
+// calling it from another thread is allowed; it is only dereferenced
+// while `broadcast` blocks on the completion barrier, so the pointee
+// outlives every use.
 unsafe impl Send for Job {}
 
 struct PoolState {
@@ -150,7 +156,11 @@ impl WorkerPool {
         if self.workers == 1 {
             return f(0);
         }
+        /// # Safety
+        ///
+        /// `data` must point at a live `F`.
         unsafe fn trampoline<F: Fn(usize) + Sync>(data: *const (), slot: usize) {
+            // SAFETY: the caller passes the `&F` that `broadcast` erased.
             unsafe { (*(data as *const F))(slot) }
         }
         {
@@ -213,6 +223,10 @@ fn worker_loop(shared: &PoolShared, slot: usize) {
                 st = shared.work_cv.wait(st).unwrap();
             }
         };
+        // SAFETY: `job` pairs a closure pointer with the trampoline
+        // monomorphised for its type, and `broadcast` keeps the closure
+        // borrowed until `remaining` reaches zero — which this worker
+        // only signals after the call returns.
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, slot) }));
         let mut st = shared.state.lock().unwrap();
         if result.is_err() {
@@ -291,11 +305,17 @@ pub struct ParMap<'a, T, F> {
 /// Output-slot base pointer shared across workers; each slot writes a
 /// disjoint index range.
 struct SlotWriter<R>(*mut Option<R>);
+// SAFETY: workers only move `R` values into slots no other worker touches
+// (the `write` contract), which `R: Send` permits.
 unsafe impl<R: Send> Sync for SlotWriter<R> {}
 
 impl<R> SlotWriter<R> {
-    /// Safety: callers write disjoint indices within bounds.
+    /// # Safety
+    ///
+    /// `i` must be in bounds of the slot array and written by no other
+    /// thread.
     unsafe fn write(&self, i: usize, value: R) {
+        // SAFETY: in bounds and unaliased by the caller's contract.
         unsafe { *self.0.add(i) = Some(value) }
     }
 }
@@ -329,10 +349,11 @@ where
                 IN_GLOBAL_BROADCAST.with(|b| b.set(true));
                 let lo = (slot * chunk).min(n);
                 let hi = ((slot + 1) * chunk).min(n);
-                for i in lo..hi {
-                    // Each slot owns [lo, hi): ranges are disjoint by
-                    // construction, so the writes never alias.
-                    unsafe { out.write(i, f(&items[i])) };
+                for (i, item) in items[lo..hi].iter().enumerate() {
+                    // SAFETY: each slot owns [lo, hi) of the `n` slots:
+                    // in bounds, and disjoint by construction, so the
+                    // writes never alias.
+                    unsafe { out.write(lo + i, f(item)) };
                 }
                 IN_GLOBAL_BROADCAST.with(|b| b.set(false));
             };
@@ -400,15 +421,21 @@ mod tests {
         // The whole point of the scoped design: workers mutate disjoint
         // parts of a stack-local buffer through raw-pointer partitioning.
         struct Cells(*mut u64);
+        // SAFETY: each slot writes only its own cell.
         unsafe impl Sync for Cells {}
         impl Cells {
+            /// # Safety
+            ///
+            /// `i` in bounds, one writer per cell.
             unsafe fn set(&self, i: usize, v: u64) {
+                // SAFETY: the caller's contract.
                 unsafe { *self.0.add(i) = v }
             }
         }
         let pool = WorkerPool::new(3);
         let mut out = [0u64; 3];
         let cells = Cells(out.as_mut_ptr());
+        // SAFETY: three slots, three cells, slot `i` writes cell `i`.
         pool.broadcast(&|slot| unsafe { cells.set(slot, slot as u64 + 7) });
         assert_eq!(out, [7, 8, 9]);
     }
@@ -416,6 +443,7 @@ mod tests {
     #[test]
     fn single_slot_pool_runs_inline() {
         let pool = WorkerPool::new(1);
+        assert!(pool.handles.is_empty(), "one slot spawns no thread");
         let count = AtomicUsize::new(0);
         pool.broadcast(&|slot| {
             assert_eq!(slot, 0);

@@ -13,6 +13,8 @@
 //! writes, that is plenty — and the object model preserves field order, so
 //! output is byte-deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod value;
 
 pub use value::{Error, Value};

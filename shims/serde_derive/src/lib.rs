@@ -14,6 +14,8 @@
 //! Anything else (generics, payload-carrying variants) produces a
 //! `compile_error!` pointing here; hand-write the impl instead.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]

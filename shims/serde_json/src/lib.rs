@@ -2,6 +2,8 @@
 //! model: `to_string`, `to_string_pretty`, `from_str`, `from_slice`, and a
 //! recursive-descent JSON parser.
 
+#![forbid(unsafe_code)]
+
 pub use serde::value::{Error, Value};
 
 /// Render any serializable value as compact JSON.

@@ -40,9 +40,10 @@ OPTIONS:
     --seed <N>          PRNG seed (default: paper seed)
     --faults <PERCENT>  fraction of routers with one broken crossbar
                         (DXbar designs only; default: 0)
-    --tile-threads <N>  tile-parallel stepping workers inside the simulation
-                        (0 = sequential engine; results are bit-identical at
-                        any setting; also via DXBAR_TILE_THREADS)
+    --tile-threads <N>  tiles the simulation is stepped in (0 and 1: one tile,
+                        inline; N: N tile workers, --verify runs included;
+                        results are bit-identical at any setting; also via
+                        DXBAR_TILE_THREADS)
     --json              print the full RunResult as JSON
     --verify            attach the runtime-oracle suite (flit conservation,
                         crossbar exclusivity, route legality, FIFO bounds,

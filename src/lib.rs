@@ -27,6 +27,8 @@
 //! See `examples/` for larger scenarios and `crates/bench` for the
 //! regenerators of every table and figure in the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod designs;
 pub mod kind;
 

@@ -1,22 +1,24 @@
-//! Mutation canary for the tile-equivalence test suite.
+//! Mutation canary for the worker-count equivalence suite.
 //!
-//! `DXBAR_TILE_CANARY=1` makes the tiled engine's commit phase flush seam
+//! `DXBAR_TILE_CANARY=1` makes the engine's commit phase flush seam
 //! *credits* one cycle late — the classic double-buffer bug (draining the
 //! outbox after the swap instead of before it). The per-tile work is
 //! still correct and no data is lost; only cross-seam flow-control timing
-//! skews, which is precisely the kind of regression a tile-parallel
-//! engine could silently introduce. If the equivalence tests could not
-//! catch that bug, byte-identical results would be a vacuous guarantee.
-//! This test proves they can: on a credit-flow-controlled design (dxbar
-//! DOR) under load, stale seam credits stall upstream routers a cycle
-//! longer and the run must produce a *different* result.
+//! skews, which is precisely the kind of regression a tiled engine could
+//! silently introduce. If the equivalence tests could not catch that bug,
+//! byte-identical results would be a vacuous guarantee. This test proves
+//! they can: on a credit-flow-controlled design (dxbar DOR) under load,
+//! stale seam credits stall upstream routers a cycle longer and the run
+//! must produce a *different* result. One tile has no seams, so there the
+//! mutant must be inert — which is what makes one tile the reference.
 //!
-//! Why not seed a commit-*ordering* bug instead? Because commit order is
-//! provably unobservable today: every order-sensitive-looking sink is
-//! commutative (stats are sums/min/max/buckets), and same-cycle drops of
-//! one source always sit at distinct hop distances, so their retransmits
-//! never share a due cycle and the retransmit FIFO's tie-break never
-//! fires. A canary must seed a bug that *can* change the output.
+//! Why not seed a commit-*ordering* bug instead? Because a `RunResult`
+//! cannot see commit order: its statistics are sums/min/max/buckets, and
+//! same-cycle drops of one source always sit at distinct hop distances,
+//! so their retransmits never share a due cycle and the retransmit FIFO's
+//! tie-break never fires. (The traced and verified matrices of
+//! `tile_determinism.rs` are what pin order.) A canary must seed a bug
+//! that *can* change the output it is compared on.
 //!
 //! Lives in its own integration-test binary because the canary is a
 //! process-wide environment variable.
@@ -46,24 +48,24 @@ fn dxbar_json(tiles: usize, canary: bool) -> String {
 
 #[test]
 fn seeded_seam_flush_bug_is_caught_by_equivalence_check() {
-    let sequential = dxbar_json(0, false);
+    let one_tile = dxbar_json(1, false);
     let healthy = dxbar_json(4, false);
     assert_eq!(
-        healthy, sequential,
-        "sanity: the healthy tiled engine must match sequential"
+        healthy, one_tile,
+        "sanity: the healthy engine must not see the worker count"
     );
 
-    // The canary only corrupts the tiled commit path; sequential runs are
-    // untouched even with the variable set.
-    let sequential_canary = dxbar_json(0, true);
+    // The canary only corrupts seam flushes; a one-tile run has none and
+    // is untouched even with the variable set.
+    let one_tile_canary = dxbar_json(1, true);
     assert_eq!(
-        sequential_canary, sequential,
-        "canary must not affect the sequential engine"
+        one_tile_canary, one_tile,
+        "canary must be inert on one tile"
     );
 
     let broken = dxbar_json(4, true);
     assert_ne!(
-        broken, sequential,
+        broken, one_tile,
         "the seeded stale-seam-credit bug went undetected — the \
          equivalence suite would miss a real commit-phase regression"
     );

@@ -1,67 +1,99 @@
-//! Tile-parallel stepping must be invisible in the results: for every
-//! router design and every worker count, the tiled engine's `RunResult`
-//! must be **byte-identical** (same serialized JSON) to the sequential
-//! engine's. This is the contract that lets sweeps enable
-//! `DXBAR_TILE_THREADS` freely — it is a throughput knob, never a model
-//! change, and deliberately not part of the campaign cache key.
+//! Worker count is invisible: for every router design and every kind of
+//! run — plain, traced, verified, resilient — stepping the mesh in N tiles
+//! on N workers must be **byte-identical** to stepping it in one tile
+//! inline: same serialized `RunResult`, same trace event stream and
+//! time-series samples, same oracle check counts. This is the contract
+//! that lets sweeps enable `DXBAR_TILE_THREADS` freely — it is a
+//! throughput knob, never a model change, and deliberately not part of the
+//! campaign cache key.
 //!
-//! The whole matrix lives in one `#[test]` because worker counts are
-//! selected through the process-wide `DXBAR_TILE_THREADS` variable
-//! (mirroring how users select them); parallel test functions in this
-//! binary would race on it.
+//! The reference is one worker: one tile has no seams, no threads and a
+//! one-way merge, and its bytes are pinned independently by the golden
+//! hashes and `results/`. `DXBAR_TILE_THREADS=0` is an alias of 1 and is
+//! pinned as such once. Four workers cut the meshes below into a 2x2 tile
+//! grid, where shard order differs from node order — a commit phase that
+//! replayed shard-major instead of node-major cannot hide there.
+//!
+//! Worker counts are selected through the process-wide
+//! `DXBAR_TILE_THREADS` variable (mirroring how users select them), so
+//! every run holds `ENV_LOCK` for its duration.
 
 use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_power::energy::EnergyModel;
+use dxbar_noc::noc_resilience::ResiliencePlan;
+use dxbar_noc::noc_sim::noc_trace::{to_jsonl, RecordingSink};
 use dxbar_noc::noc_sim::runner::{run, RunMode};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
-use dxbar_noc::{run_synthetic, Design, RunResult, SimConfig};
+use dxbar_noc::{
+    run_synthetic, run_synthetic_resilient, run_synthetic_resilient_verified, run_synthetic_traced,
+    run_synthetic_verified, Design, RunResult, SimConfig,
+};
+use std::sync::Mutex;
+
+static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run with `DXBAR_TILE_THREADS` pinned to `tiles` for the duration.
 fn with_tiles<R>(tiles: usize, f: impl FnOnce() -> R) -> R {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
     let r = f();
     std::env::remove_var("DXBAR_TILE_THREADS");
     r
 }
 
+/// `run()` at one worker, then at each of `workers`; every output must
+/// equal the one-worker output.
+fn assert_worker_count_invisible<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    workers: &[usize],
+    run: impl Fn() -> T,
+) {
+    let reference = with_tiles(1, &run);
+    for &w in workers {
+        let tiled = with_tiles(w, &run);
+        assert!(
+            tiled == reference,
+            "{what}: {w} tile workers diverged from one"
+        );
+    }
+}
+
 fn json(r: &RunResult) -> String {
     serde_json::to_string(r).expect("serialize RunResult")
 }
 
+/// 6x6 (two 3x6 halves at 2 workers, a 2x2 grid at 4, 8 clamps to the
+/// feasible grid) and the paper's 8x8; short enough for debug-profile CI.
+fn meshes() -> [SimConfig; 2] {
+    [6u16, 8].map(|edge| SimConfig {
+        width: edge,
+        height: edge,
+        warmup_cycles: 100,
+        measure_cycles: 400,
+        drain_cycles: 200,
+        seed: 7,
+        ..SimConfig::default()
+    })
+}
+
 #[test]
 fn every_design_every_worker_count_matches_sequential() {
-    // 6x6 so every grid in the matrix has real seams (2 tiles split 6x6
-    // into two 3x6 halves; 8 requested workers clamp to the feasible
-    // grid), while staying fast enough for debug-profile CI.
     let cfg = SimConfig {
-        width: 6,
-        height: 6,
         warmup_cycles: 200,
         measure_cycles: 600,
         drain_cycles: 300,
-        seed: 7,
-        ..SimConfig::default()
+        ..meshes()[0].clone()
     };
+    let cfg = &cfg;
     for design in Design::ALL {
         // Moderate load: enough traffic for deflections, drops and
         // buffering on every design without saturating the slow ones.
-        let load = 0.3;
-        let baseline = with_tiles(0, || {
-            json(&run_synthetic(design, &cfg, Pattern::MatrixTranspose, load))
+        // The 0 pins "0 is an alias of 1".
+        assert_worker_count_invisible(design.name(), &[0, 2, 4, 8], || {
+            json(&run_synthetic(design, cfg, Pattern::MatrixTranspose, 0.3))
         });
-        for workers in [1usize, 2, 4, 8] {
-            let tiled = with_tiles(workers, || {
-                json(&run_synthetic(design, &cfg, Pattern::MatrixTranspose, load))
-            });
-            assert_eq!(
-                tiled,
-                baseline,
-                "{} with {workers} tile workers diverged from sequential",
-                design.name()
-            );
-        }
     }
 }
 
@@ -79,7 +111,7 @@ fn scarab_under_heavy_drops_matches_sequential() {
         seed: 99,
         ..SimConfig::default()
     };
-    let baseline = with_tiles(0, || {
+    assert_worker_count_invisible("scarab at 0.6", &[2, 4], || {
         json(&run_synthetic(
             Design::Scarab,
             &cfg,
@@ -87,17 +119,6 @@ fn scarab_under_heavy_drops_matches_sequential() {
             0.6,
         ))
     });
-    for workers in [2usize, 4] {
-        let tiled = with_tiles(workers, || {
-            json(&run_synthetic(
-                Design::Scarab,
-                &cfg,
-                Pattern::UniformRandom,
-                0.6,
-            ))
-        });
-        assert_eq!(tiled, baseline, "scarab diverged at {workers} workers");
-    }
 }
 
 #[test]
@@ -119,29 +140,108 @@ fn closed_loop_splash_matches_sequential() {
         txns_per_core: 30,
         burst_len: 4,
     };
-    let splash = |design: Design| {
-        let mesh = Mesh::new(cfg.width, cfg.height);
-        let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
-        let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
-        json(&run(
-            &mut net,
-            &mut model,
-            RunMode::ClosedLoop {
-                max_cycles: 2_000_000,
-            },
-            &EnergyModel::default(),
-        ))
-    };
     for design in [Design::DXbarDor, Design::Scarab] {
-        let baseline = with_tiles(0, || splash(design));
-        for workers in [2usize, 4] {
-            let tiled = with_tiles(workers, || splash(design));
-            assert_eq!(
-                tiled,
-                baseline,
-                "splash fft on {} diverged at {workers} workers",
-                design.name()
-            );
+        assert_worker_count_invisible(design.name(), &[2, 4], || {
+            let mesh = Mesh::new(cfg.width, cfg.height);
+            let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
+            let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
+            json(&run(
+                &mut net,
+                &mut model,
+                RunMode::ClosedLoop {
+                    max_cycles: 2_000_000,
+                },
+                &EnergyModel::default(),
+            ))
+        });
+    }
+}
+
+#[test]
+fn traced_runs_match_at_every_worker_count() {
+    // The event stream is the most order-sensitive output there is: one
+    // line per flit event, in node order within a cycle. SCARAB adds drop
+    // events, MinBD deflections and side-buffer traffic.
+    for cfg in &meshes() {
+        for design in [Design::DXbarDor, Design::Scarab, Design::MinBd] {
+            let what = format!("traced {} {}x{}", design.name(), cfg.width, cfg.height);
+            assert_worker_count_invisible(&what, &[2, 4, 8], || {
+                let (result, sink) = run_synthetic_traced(
+                    design,
+                    cfg,
+                    Pattern::UniformRandom,
+                    0.3,
+                    RecordingSink::new(0, 1),
+                );
+                assert!(!sink.recorder.is_empty());
+                (
+                    to_jsonl(sink.recorder.iter()),
+                    serde_json::to_string(&sink.series).expect("serialize samples"),
+                    json(&result),
+                )
+            });
+        }
+    }
+}
+
+#[test]
+fn verified_runs_match_at_every_worker_count() {
+    // The oracles see every router step; their check counts are a
+    // fingerprint of what they were shown, and in what quantity.
+    for cfg in &meshes() {
+        let faults = FaultPlan::none(&Mesh::for_config(cfg));
+        for design in Design::ALL {
+            let what = format!("verified {} {}x{}", design.name(), cfg.width, cfg.height);
+            assert_worker_count_invisible(&what, &[2, 4, 8], || {
+                let (result, report) =
+                    run_synthetic_verified(design, cfg, Pattern::MatrixTranspose, 0.3, &faults)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                (json(&result), report.checks, report.total_violations)
+            });
+        }
+    }
+}
+
+#[test]
+fn resilient_runs_match_at_every_worker_count() {
+    // Transient strikes plus one dead channel: CRC rejects, NACKs, ARQ
+    // timeouts, duplicate suppression and loss accounting all fire, and
+    // the ACK channel's FIFO tie-break makes send order observable.
+    for cfg in &meshes() {
+        let cfg = SimConfig {
+            drain_cycles: 1_500,
+            ..cfg.clone()
+        };
+        let plan = ResiliencePlan::generate(&Mesh::for_config(&cfg), 0.0, 1, 1e-3, 50, 100, 7);
+        for design in [Design::DXbarWf, Design::Buffered8, Design::FlitBless] {
+            let what = format!("resilient {} {}x{}", design.name(), cfg.width, cfg.height);
+            assert_worker_count_invisible(&what, &[2, 4, 8], || {
+                let (plain, _) =
+                    run_synthetic_resilient(design, &cfg, Pattern::UniformRandom, 0.1, &plan);
+                let (verified, _, report) = run_synthetic_resilient_verified(
+                    design,
+                    &cfg,
+                    Pattern::UniformRandom,
+                    0.1,
+                    &plan,
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(json(&plain), json(&verified), "{what}: observer perturbed");
+                let e = &plain.stats.events;
+                assert!(e.crc_rejects + e.ni_retransmits > 0, "{what}: no recovery");
+                (
+                    json(&plain),
+                    (plain.lost_flits, plain.crc_rejects, plain.ni_retransmits),
+                    plain.avg_recovery_latency.to_bits(),
+                    // Both sides of the accounting identity that
+                    // tests/resilience.rs asserts at quiescence.
+                    (
+                        e.injections - e.ni_retransmits - e.retransmissions,
+                        e.ejections - e.crc_rejects - e.duplicates_suppressed + e.flits_lost,
+                    ),
+                    (report.checks, report.recovery_counts),
+                )
+            });
         }
     }
 }
