@@ -552,9 +552,12 @@ fn run_campaign_inner(
         let mut local: Vec<(usize, PointOutcome)> = Vec::new();
         loop {
             let Some(idx) = ({ queue.lock().unwrap().pop_front() }) else {
-                // Nothing dispatchable; other workers may still resolve
-                // points (or re-queue busy ones). Done when all resolved.
-                if outstanding.load(Ordering::Acquire) == 0 {
+                // Nothing dispatchable. Only a claim held by a sibling
+                // executor (cooperative mode) ever re-queues a point, so
+                // without `locks` an empty queue stays empty and this
+                // worker is done; with them, it is done when every point
+                // is resolved.
+                if locks.is_none() || outstanding.load(Ordering::Acquire) == 0 {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(2));

@@ -1,21 +1,21 @@
-//! Slab arena for flits parked inside the engine.
+//! Slab arena for flits waiting in the engine's source queues.
 //!
-//! The simulation engine holds flits in three kinds of storage outside the
-//! routers: per-node source queues, link delay lines, and the SCARAB/ARQ
-//! retransmission channels. Before the arena, each of those carried whole
-//! [`Flit`] values (~80 bytes) and the queues grew on the general heap.
-//! [`FlitPool`] gives them a single contiguous slab instead: a parked flit
-//! occupies one stable slot addressed by a 4-byte [`FlitId`] handle, the
-//! queues move only handles, and freed slots are recycled through a LIFO
-//! free-list so a warmed-up simulation stops allocating entirely — the
-//! slab's high-water mark is reached during warmup and every subsequent
-//! alloc pops the free-list.
+//! A flit that has been generated but not yet injected waits in its
+//! node's source queue, possibly for a long time and in large numbers.
+//! [`FlitPool`] gives those flits one contiguous slab instead of whole
+//! [`Flit`] values (56 bytes) in queues that grow on the general heap: a
+//! queued flit occupies one stable slot addressed by a 4-byte [`FlitId`]
+//! handle, the queues move only handles, and freed slots are recycled
+//! through a LIFO free-list so a warmed-up simulation stops allocating
+//! entirely — the slab's high-water mark is reached during warmup and
+//! every subsequent alloc pops the free-list. (Flits *in* the network are
+//! not here: links carry them by value, see `noc_topology::DelayLine`; the
+//! DAMQ router's shared buffer keeps a pool of its own.)
 //!
 //! Slot reuse is deterministic (LIFO), so pool-managed runs are exactly as
 //! reproducible as value-carrying ones. Handles are engine-internal:
-//! routers still receive and return full `Flit` values, and a flit's slot
-//! is freed the moment it is handed to a router or ejected, so no handle
-//! outlives its flit.
+//! routers receive and return full `Flit` values, and a flit's slot is
+//! freed the moment it is injected, so no handle outlives its flit.
 
 use crate::flit::Flit;
 

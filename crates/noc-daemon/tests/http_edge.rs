@@ -296,6 +296,13 @@ fn responses_carry_json_errors_not_panics() {
     let v = serde_json::parse(&body).expect("error body is JSON");
     assert!(v.field("error").as_str().is_some());
 
+    // A body of nothing but open brackets, well inside the default 1 MiB
+    // `max_body`: the parser's nesting cap turns it into a 400 (it used
+    // to overflow the handler's stack and abort the process).
+    let (status, body) = request(addr, "POST", "/jobs", Some(&"[".repeat(100_000)));
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(request(addr, "GET", "/healthz", None).0, 200);
+
     let (_, figures) = request(addr, "GET", "/figures", None);
     let rows = serde_json::parse(&figures).unwrap();
     assert_eq!(

@@ -3,14 +3,19 @@
 //!
 //! # Hot-path storage
 //!
-//! Every flit parked inside the engine — waiting in a source queue or
-//! flying on a link delay line — lives in a slab [`FlitPool`] (one per
-//! tile shard); the queues and channels themselves move only 4-byte
-//! [`FlitId`] handles. Together with the per-shard [`StepCtx`] and the
-//! scratch buffers below, a warmed-up run with tracing, verification and
-//! resilience disabled performs **zero heap allocations per cycle** at
-//! any tile count (pinned by `tests/zero_alloc.rs` and the root crate's
-//! allocation-regression test).
+//! Wires carry flits: a link is a [`DelayLine<Flit>`] ring inside the
+//! receiving node's own `in_links` element, written by the upstream
+//! neighbour and read in sweep order, so a hop touches no shared store.
+//! Only flits *waiting to enter* the network — the source queues — live in
+//! a slab [`FlitPool`] (one per tile shard), the queues holding 4-byte
+//! [`FlitId`] handles; and the one queued flit a router looks at every
+//! cycle, the queue head, is mirrored by value in the dense `heads` array
+//! so building the injection offer never chases a handle into the slab.
+//! Together with the per-shard [`StepCtx`] and the scratch buffers below,
+//! a warmed-up run with tracing, verification and resilience disabled
+//! performs **zero heap allocations per cycle** at any tile count (pinned
+//! by `tests/zero_alloc.rs` and the root crate's allocation-regression
+//! test).
 //!
 //! # One stepping engine
 //!
@@ -62,19 +67,29 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// loops look this up per flit-hop, and the table replaces a
     /// coordinate round-trip with one indexed load.
     neighbors: Vec<[Option<NodeId>; NUM_LINK_PORTS]>,
-    /// Slab arenas for every flit parked in the engine-side queues below,
-    /// one per tile shard. The invariant: a flit parked at node `i` —
-    /// source queue, in-flight link — lives in the pool of the tile that
-    /// owns `i`, so sends allocate into the *receiver's* pool.
+    /// Slab arenas behind the source queues, one per tile shard: a flit
+    /// queued at node `i` lives in the pool of the tile that owns `i`.
     pools: Vec<FlitPool>,
     /// `in_links[node][d]`: flits arriving at `node` on input port `d`
-    /// (fed by the neighbour in direction `d`). `None` at mesh edges.
-    in_links: Vec<[Option<DelayLine<FlitId>>; NUM_LINK_PORTS]>,
+    /// (fed by the neighbour in direction `d`), by value. `None` at mesh
+    /// edges.
+    in_links: Vec<[Option<DelayLine<Flit>>; NUM_LINK_PORTS]>,
     /// `in_credits[node][d]`: credits returning to `node` for its *output*
     /// link in direction `d`.
     in_credits: Vec<[Option<DelayLine<u32>>; NUM_LINK_PORTS]>,
     /// Per-node injection queues (source side of the PE).
     source_queues: Vec<VecDeque<FlitId>>,
+    /// `heads[node]`: a copy of the flit at the front of `node`'s source
+    /// queue — what the router is offered each cycle. Kept equal to
+    /// `source_queues[node].front()` by every place the front changes
+    /// (the push onto an empty queue in [`step`](Self::step),
+    /// [`requeue_front`](Self::requeue_front), and the NI reseal and the
+    /// pop in `step_tile`).
+    heads: Vec<Option<Flit>>,
+    /// Flits taken off a link so far. Every flit put on a link counted one
+    /// `events.link_traversals`, so the difference is what is on the wires
+    /// now ([`flits_on_wire`](Self::flits_on_wire)).
+    link_arrivals: u64,
     /// Reassembly state, sharded like the pools (ejections happen at the
     /// flit's destination, so each shard's reassembler is tile-local).
     reassemblers: Vec<Reassembler>,
@@ -134,7 +149,7 @@ impl<R: RouterModel> Network<R> {
         let mut in_credits = Vec::with_capacity(n);
         let mut neighbors = Vec::with_capacity(n);
         for node in mesh.nodes() {
-            let mut links: [Option<DelayLine<FlitId>>; NUM_LINK_PORTS] = [None, None, None, None];
+            let mut links: [Option<DelayLine<Flit>>; NUM_LINK_PORTS] = [None, None, None, None];
             let mut credits: [Option<DelayLine<u32>>; NUM_LINK_PORTS] = [None, None, None, None];
             let mut nbrs: [Option<NodeId>; NUM_LINK_PORTS] = [None; NUM_LINK_PORTS];
             for d in LINK_DIRECTIONS {
@@ -162,6 +177,8 @@ impl<R: RouterModel> Network<R> {
             source_queues: (0..n)
                 .map(|_| VecDeque::with_capacity(cfg.source_queue_cap))
                 .collect(),
+            heads: vec![None; n],
+            link_arrivals: 0,
             reassemblers: vec![Reassembler::new()],
             retransmits: TimedChannel::new(),
             stats: NetStats::default(),
@@ -311,9 +328,8 @@ impl<R: RouterModel> Network<R> {
         //    head (SCARAB's source retransmit buffer has priority).
         self.retx_scratch.clear();
         self.retransmits.recv_due_into(t, &mut self.retx_scratch);
-        for &flit in &self.retx_scratch {
-            let sh = self.tiles.partition.tile_of(flit.src);
-            self.source_queues[flit.src.index()].push_front(self.pools[sh].alloc(flit));
+        for k in 0..self.retx_scratch.len() {
+            self.requeue_front(self.retx_scratch[k]);
         }
 
         // 2. New packets from the traffic model. Open-loop models tolerate
@@ -333,13 +349,17 @@ impl<R: RouterModel> Network<R> {
             self.poll_scratch.clear();
             model.poll_into(t, &mut self.poll_scratch);
             for desc in &self.poll_scratch {
+                let i = desc.src.index();
                 let sh = self.tiles.partition.tile_of(desc.src);
-                let q = &mut self.source_queues[desc.src.index()];
+                let q = &mut self.source_queues[i];
                 for flit in desc.flits() {
                     self.stats.record_offered(offered_now);
                     if !lossless && q.len() >= self.cfg.source_queue_cap {
                         self.source_overflow += 1;
                     } else {
+                        if q.is_empty() {
+                            self.heads[i] = Some(flit);
+                        }
                         q.push_back(self.pools[sh].alloc(flit));
                     }
                 }
@@ -348,6 +368,15 @@ impl<R: RouterModel> Network<R> {
 
         self.cycle_tiles(t, model);
         self.cycle += 1;
+    }
+
+    /// Put `flit` at the head of its source's queue: SCARAB and ARQ
+    /// retransmissions have priority over fresh traffic.
+    fn requeue_front(&mut self, flit: Flit) {
+        let i = flit.src.index();
+        let sh = self.tiles.partition.tile_of(flit.src);
+        self.source_queues[i].push_front(self.pools[sh].alloc(flit));
+        self.heads[i] = Some(flit);
     }
 
     /// Resilience-layer cycle prologue: publish link-fault onsets to the
@@ -367,7 +396,7 @@ impl<R: RouterModel> Network<R> {
 
         res.arm_strikes(t);
 
-        let actions = &mut self.action_scratch;
+        let mut actions = std::mem::take(&mut self.action_scratch);
         actions.clear();
         for msg in res.acks.recv_due(t) {
             let ni = &mut res.senders[msg.to.index()];
@@ -380,7 +409,7 @@ impl<R: RouterModel> Network<R> {
             }
         }
         for ni in res.senders.iter_mut() {
-            ni.poll(t, actions);
+            ni.poll(t, &mut actions);
         }
         for action in actions.drain(..) {
             match action {
@@ -389,9 +418,7 @@ impl<R: RouterModel> Network<R> {
                     if verifying {
                         self.observer.on_retransmit_queued(&flit);
                     }
-                    // The retransmit buffer has priority over fresh traffic.
-                    let sh = self.tiles.partition.tile_of(flit.src);
-                    self.source_queues[flit.src.index()].push_front(self.pools[sh].alloc(flit));
+                    self.requeue_front(flit);
                 }
                 TimeoutAction::GiveUp(flit) => {
                     self.stats.events.flits_lost += 1;
@@ -401,6 +428,7 @@ impl<R: RouterModel> Network<R> {
                 }
             }
         }
+        self.action_scratch = actions;
     }
 
     /// Router phase + link phase of one cycle: workers step disjoint tiles
@@ -426,6 +454,7 @@ impl<R: RouterModel> Network<R> {
             in_links: self.in_links.as_mut_ptr(),
             in_credits: self.in_credits.as_mut_ptr(),
             queues: self.source_queues.as_mut_ptr(),
+            heads: self.heads.as_mut_ptr(),
             pools: self.pools.as_mut_ptr(),
             reassemblers: self.reassemblers.as_mut_ptr(),
             neighbors: &self.neighbors,
@@ -458,12 +487,12 @@ impl<R: RouterModel> Network<R> {
         let ejected_in_window = window.contains(&t);
         for shard in engine.shards.iter_mut() {
             for s in shard.seam_flits.drain(..) {
-                let id = self.pools[engine.partition.tile_of(s.dst)].alloc(s.flit);
                 self.in_links[s.dst.index()][s.dir.index()]
                     .as_mut()
                     .expect("reverse link exists")
-                    .send(t, id);
+                    .send(t, s.flit);
             }
+            self.link_arrivals += std::mem::take(&mut shard.link_arrivals);
             // Canary: flush the credits withheld last cycle and withhold
             // this cycle's — one cycle stale. Each wire carries at most one
             // credit per cycle, so shifting every seam credit by a cycle
@@ -612,12 +641,7 @@ impl<R: RouterModel> Network<R> {
     /// True when nothing is in flight anywhere (drain complete).
     pub fn is_quiescent(&self) -> bool {
         self.routers.iter().all(|r| r.is_idle())
-            && self
-                .in_links
-                .iter()
-                .flatten()
-                .flatten()
-                .all(|l| l.is_empty())
+            && self.flits_on_wire() == 0
             && self.source_queues.iter().all(|q| q.is_empty())
             && self.retransmits.is_empty()
             && self.reassemblers.iter().all(|r| r.is_empty())
@@ -627,10 +651,16 @@ impl<R: RouterModel> Network<R> {
     /// Flits currently inside the network (diagnostics).
     pub fn flits_in_flight(&self) -> usize {
         let in_routers: usize = self.routers.iter().map(|r| r.occupancy()).sum();
-        // Everything outside the routers is parked in a shard pool (source
-        // queues, link delay lines) or travelling back as a by-value NACK.
-        let in_pools: usize = self.pools.iter().map(|p| p.live()).sum();
-        in_routers + in_pools + self.retransmits.len()
+        // Everything outside the routers is queued at a source (parked in
+        // a shard pool), on a wire, or travelling back as a NACK.
+        let queued: usize = self.pools.iter().map(|p| p.live()).sum();
+        in_routers + queued + self.flits_on_wire() + self.retransmits.len()
+    }
+
+    /// Flits on the link delay lines: sends minus arrivals, both counted
+    /// per shard and merged at commit — no scan of the 4·N rings.
+    fn flits_on_wire(&self) -> usize {
+        (self.stats.events.link_traversals - self.link_arrivals) as usize
     }
 
     /// Duplicate flits seen at reassembly (must be 0; exposed for tests).

@@ -9,10 +9,11 @@
 //! One tile stepped inline on the caller's thread *is* the sequential
 //! sweep: no seams, no threads, a one-way merge.
 //!
-//! * **Intra-tile** link/credit sends go straight onto the delay lines —
-//!   both endpoints belong to the worker's tile, and a send at cycle `t`
-//!   lands in a ring slot (`t + latency`, latency >= 1) that no `recv(t)`
-//!   reads, so sweep order within the cycle is immaterial.
+//! * **Intra-tile** link/credit sends go straight onto the delay lines,
+//!   the flit by value into the receiver's own ring — both endpoints
+//!   belong to the worker's tile, and a send at cycle `t` lands in a ring
+//!   slot (`t + latency`, latency >= 1) that no `recv(t)` reads, so sweep
+//!   order within the cycle is immaterial.
 //! * **Seam** sends — receiver owned by another tile — are double-buffered
 //!   in the worker's outbox ([`SeamFlit`]/[`SeamCredit`]) and flushed by
 //!   the commit phase. Each `in_links[node][port]` delay line has exactly
@@ -37,11 +38,16 @@
 //! records in emission order — exactly what a single sweep over all nodes
 //! would have produced, whatever the tile grid.
 //!
-//! Flit storage shards with the tiles: `pools[s]` holds every flit parked
-//! at a node of tile `s` (source queues, in-flight links), so workers
-//! allocate and free slab slots without synchronisation. `FlitId`s are
-//! opaque handles that never leak into results, which is why re-sharding
-//! the arena cannot perturb a single observable bit.
+//! Flit storage shards with the tiles. A flit on a wire sits in the
+//! receiving node's `in_links` element, which the receiver's tile owns;
+//! `pools[s]` holds only the flits queued at the sources of tile `s`, so
+//! workers free slab slots without synchronisation (allocation happens in
+//! the sequential prologue). The front of each source queue is mirrored by
+//! value in `heads[node]`, refreshed where the front changes and nowhere
+//! else, so the per-cycle injection offer reads one dense array.
+//! `FlitId`s are opaque handles that never leak into results, which is why
+//! neither re-sharding the arena nor taking the wires out of it can
+//! perturb a single observable bit.
 //!
 //! Diagnostics (tracing, verification, resilience) sit behind the same
 //! "is anyone listening" gates the hot path always had. The body is
@@ -127,6 +133,9 @@ pub(crate) struct TileShard {
     /// injections, ...). Kept apart from `ctx.events` so a verified run's
     /// per-node context holds exactly the router's own delta.
     pub(crate) events: EventCounts,
+    /// Flits this tile's nodes took off their inbound links; with
+    /// `events.link_traversals` (the sends) it keeps the on-wire count.
+    pub(crate) link_arrivals: u64,
     pub(crate) seam_flits: Vec<SeamFlit>,
     pub(crate) seam_credits: Vec<SeamCredit>,
     /// `DXBAR_TILE_CANARY` only: seam credits withheld from the last
@@ -235,10 +244,11 @@ pub(crate) enum ObsSub {
 /// # Safety contract
 ///
 /// Workers only dereference elements their tile owns: `routers[i]`,
-/// `queues[i]` and `pools`/`reassemblers` at the worker's own shard index
-/// for `i` in the tile, plus `in_links[j]`/`in_credits[j]` for intra-tile
-/// sends where `shard_of[j]` is the worker's tile. Tiles partition the
-/// nodes, so element accesses from different workers never alias.
+/// `queues[i]`, `heads[i]` and `pools`/`reassemblers` at the worker's own
+/// shard index for `i` in the tile, plus `in_links[j]`/`in_credits[j]` for
+/// intra-tile sends where `shard_of[j]` is the worker's tile. Tiles
+/// partition the nodes, so element accesses from different workers never
+/// alias.
 ///
 /// The resilience view ([`ResGrid`]) follows the same rule: `senders[i]`
 /// (the source NI of node `i`) and `delivered[i]` (the receiver dedup set
@@ -249,9 +259,11 @@ pub(crate) enum ObsSub {
 /// cycle prologue).
 pub(crate) struct SharedGrid<'a, R> {
     pub(crate) routers: *mut R,
-    pub(crate) in_links: *mut [Option<DelayLine<FlitId>>; NUM_LINK_PORTS],
+    pub(crate) in_links: *mut [Option<DelayLine<Flit>>; NUM_LINK_PORTS],
     pub(crate) in_credits: *mut [Option<DelayLine<u32>>; NUM_LINK_PORTS],
     pub(crate) queues: *mut VecDeque<FlitId>,
+    /// `heads[i]` mirrors the flit at the front of `queues[i]`.
+    pub(crate) heads: *mut Option<Flit>,
     pub(crate) pools: *mut FlitPool,
     pub(crate) reassemblers: *mut Reassembler,
     pub(crate) neighbors: &'a [[Option<NodeId>; NUM_LINK_PORTS]],
@@ -280,8 +292,8 @@ pub(crate) struct ResGrid<'a> {
 // borrows (`neighbors`, `shard_of`, `link_down`, `strikes`) is plain data
 // nobody writes during the parallel phase. `R: Send` makes
 // handing each router to whichever thread steps its tile sound; the other
-// pointees (delay lines, queues, pools, reassemblers, NIs, dedup sets) own
-// plain data and are `Send` unconditionally.
+// pointees (delay lines, queues, head slots, pools, reassemblers, NIs,
+// dedup sets) own plain data and are `Send` unconditionally.
 unsafe impl<R: Send> Sync for SharedGrid<'_, R> {}
 
 /// Base pointer of the shard array; each broadcast slot dereferences only
@@ -321,6 +333,7 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
     let TileShard {
         ctx: tile_ctx,
         events,
+        link_arrivals,
         seam_flits,
         seam_credits,
         canary_held: _,
@@ -375,6 +388,9 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 &mut *grid.routers.add(i),
             )
         };
+        // SAFETY: `heads` is as long as `queues`, and `heads[i]` belongs
+        // to node `i` like `queues[i]` does (SharedGrid contract).
+        let head = unsafe { &mut *grid.heads.add(i) };
         let neighbors = &grid.neighbors[i];
         let mut res = grid.res.as_ref().filter(|_| DIAG).map(|r| {
             // SAFETY: the source NI and the dedup set of node `i`, which
@@ -385,8 +401,9 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
 
         for d in LINK_DIRECTIONS {
             if let Some(line) = in_links[d.index()].as_mut() {
-                if let Some(id) = line.recv(t) {
-                    ctx.arrivals[d.index()] = Some(pool.take(id));
+                if let Some(flit) = line.recv(t) {
+                    ctx.arrivals[d.index()] = Some(flit);
+                    *link_arrivals += 1;
                 }
             }
             if let Some(line) = in_credits[d.index()].as_mut() {
@@ -395,14 +412,22 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 }
             }
         }
-        // Sequence the queue head in place before copying it into the
-        // offer, so the sequence number survives the eventual pop (a
-        // no-op for already-sequenced retransmissions).
-        if let (Some((_, ni, _)), Some(&front)) = (res.as_mut(), queue.front()) {
-            ni.sequence(pool.get_mut(front));
+        // Sequence the queue head before offering it, in the head slot
+        // and in the queue, so the sequence number survives a
+        // retransmission cutting in front of it (already-sequenced
+        // retransmissions are left alone).
+        let unsealed = head.as_mut().filter(|f| f.seq == 0);
+        if let (Some((_, ni, _)), Some(f)) = (res.as_mut(), unsealed) {
+            ni.sequence(f);
+            let front = *queue.front().expect("the head slot mirrors a queued flit");
+            *pool.get_mut(front) = *f;
         }
-        ctx.injection = queue.front().map(|&id| {
-            let mut f = *pool.get(id);
+        debug_assert_eq!(
+            *head,
+            queue.front().map(|&id| *pool.get(id)),
+            "head slot out of step with the source queue at {node} cycle {t}"
+        );
+        ctx.injection = head.map(|mut f| {
             f.injected = t;
             f
         });
@@ -484,15 +509,12 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 dir: d,
             });
             if grid.shard_of[nbr.index()] == me {
-                // The flit is about to be parked on the receiver's inbound
-                // wire, and the receiver is in this tile: same pool.
-                let id = pool.alloc(flit);
                 // SAFETY: `nbr` is in this worker's tile (checked above).
                 let lines = unsafe { &mut *grid.in_links.add(nbr.index()) };
                 lines[d.opposite().index()]
                     .as_mut()
                     .expect("reverse link exists")
-                    .send(t, id);
+                    .send(t, flit);
             } else {
                 seam_flits.push(SeamFlit {
                     dst: nbr,
@@ -530,8 +552,11 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
             let popped = queue.pop_front();
             debug_assert!(popped.is_some(), "router injected a phantom flit");
             events.injections += 1;
-            if let Some(id) = popped {
-                let flit = pool.take(id);
+            if let (Some(id), Some(flit)) = (popped, *head) {
+                // The head slot is the flit; the pool only gets its slot
+                // back, and the slot the next flit's copy.
+                pool.take(id);
+                *head = queue.front().map(|&next| *pool.get(next));
                 // Arm (or re-arm, for a retransmission) the ARQ timer at
                 // the actual network entry, so source queueing never burns
                 // the retry budget.

@@ -5,6 +5,11 @@
 //! credit return wires and look-ahead signal wires are all 1-cycle delay
 //! lines in the paper; SCARAB's NACK network uses longer, per-message
 //! latencies and is modelled separately with a timed heap.
+//!
+//! The engine's wires carry their items **by value**: `DelayLine<Flit>` is
+//! the link itself, a ring inside the receiving node's own array element
+//! that the upstream neighbour writes and the receiver reads in sweep
+//! order. No handle, no arena, nothing to chase per hop.
 
 use noc_core::types::Cycle;
 
@@ -15,57 +20,49 @@ use noc_core::types::Cycle;
 /// Cycles must be presented in non-decreasing order (the engine's clock).
 #[derive(Debug, Clone)]
 pub struct DelayLine<T> {
-    latency: u64,
     /// Ring of in-flight items indexed by delivery cycle modulo the ring
     /// period (`latency + 1`).
-    slots: Slots<T>,
+    ring: Ring<T>,
 }
+
+/// Slots of an inline ring: the longest period the engine's own wires
+/// need (flit links have period 3, credit wires period 2).
+const INLINE_SLOTS: usize = 3;
 
 /// Ring storage for a [`DelayLine`]. The engine polls every line every
-/// cycle, and its lines are all short (flit links period 3, credit wires
-/// period 2) — keeping those rings inline in the line itself removes a
-/// pointer chase per poll and lets a `Vec` of lines sit contiguously in
-/// cache. Longer latencies (tests, future topologies) fall back to the
-/// heap.
+/// cycle and all its lines are short, so their rings sit inline in the
+/// line — no pointer chase per poll, and a `Vec` of lines is one
+/// contiguous stream. Delivery stamps are kept *beside* the items, not
+/// zipped with them, so each slot is a bare `Option<T>` that can use `T`'s
+/// niche, and the stamps pack into the tail word with the period and the
+/// enum tag: a line costs `3 * size_of::<Option<T>>() + 8` bytes (176 for
+/// a flit link, 32 for a credit wire). Longer latencies (tests, future
+/// topologies) fall back to the heap.
 #[derive(Debug, Clone)]
-enum Slots<T> {
-    /// Periods up to 4 (latency <= 3).
-    Inline([Option<(Cycle, T)>; 4]),
-    Heap(Box<[Option<(Cycle, T)>]>),
+enum Ring<T> {
+    /// Periods 2 and 3 (latency 1 and 2). `stamps[i]` is the low 16 bits
+    /// of slot `i`'s delivery cycle — see [`DelayLine::recv`] for what
+    /// that leaves of the stale-item check.
+    Inline {
+        items: [Option<T>; INLINE_SLOTS],
+        stamps: [u16; INLINE_SLOTS],
+        period: u8,
+    },
+    /// Any longer period, with full delivery stamps; the period is the
+    /// slice length.
+    Heap(Box<[(Cycle, Option<T>)]>),
 }
 
-impl<T> Slots<T> {
-    #[inline]
-    fn get(&self, idx: usize) -> &Option<(Cycle, T)> {
-        match self {
-            Slots::Inline(a) => &a[idx],
-            Slots::Heap(b) => &b[idx],
-        }
-    }
+/// Slot of an inline ring for a delivery cycle. The ring modulus runs hot,
+/// so the two periods get literal divisors the compiler strength-reduces.
+#[inline]
+fn inline_index(period: u8, cycle: Cycle) -> usize {
+    (if period == 2 { cycle & 1 } else { cycle % 3 }) as usize
+}
 
-    #[inline]
-    fn get_mut(&mut self, idx: usize) -> &mut Option<(Cycle, T)> {
-        match self {
-            Slots::Inline(a) => &mut a[idx],
-            Slots::Heap(b) => &mut b[idx],
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[Option<(Cycle, T)>] {
-        match self {
-            Slots::Inline(a) => a,
-            Slots::Heap(b) => b,
-        }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [Option<(Cycle, T)>] {
-        match self {
-            Slots::Inline(a) => a,
-            Slots::Heap(b) => b,
-        }
-    }
+#[cold]
+fn overrun(deliver: Cycle) -> ! {
+    panic!("DelayLine overrun: the slot for cycle {deliver} still holds an undelivered item")
 }
 
 impl<T> DelayLine<T> {
@@ -78,33 +75,27 @@ impl<T> DelayLine<T> {
         // send (delivery t + latency) before the downstream router has
         // received this cycle's item, so latency + 1 items transiently
         // coexist.
-        let period = latency as usize + 1;
-        let slots = if period <= 4 {
-            Slots::Inline([None, None, None, None])
+        let period = usize::try_from(latency + 1).expect("DelayLine latency fits the host");
+        let ring = if period <= INLINE_SLOTS {
+            Ring::Inline {
+                items: [None, None, None],
+                stamps: [0; INLINE_SLOTS],
+                period: period as u8,
+            }
         } else {
             let mut v = Vec::with_capacity(period);
-            v.resize_with(period, || None);
-            Slots::Heap(v.into_boxed_slice())
+            v.resize_with(period, || (0, None));
+            Ring::Heap(v.into_boxed_slice())
         };
-        DelayLine { latency, slots }
+        DelayLine { ring }
     }
 
     #[inline]
     pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Slot index for a delivery cycle. The engine polls every line every
-    /// cycle, so the ring modulus runs hot; dispatching the common periods
-    /// to literal divisors lets the compiler strength-reduce the division
-    /// (flit links have period 3, credit wires period 2).
-    #[inline]
-    fn slot_index(&self, cycle: Cycle) -> usize {
-        (match self.latency + 1 {
-            2 => cycle & 1,
-            3 => cycle % 3,
-            p => cycle % p,
-        }) as usize
+        match &self.ring {
+            Ring::Inline { period, .. } => *period as u64 - 1,
+            Ring::Heap(slots) => slots.len() as u64 - 1,
+        }
     }
 
     /// Enqueue `item` at `cycle`; it becomes receivable at
@@ -113,53 +104,99 @@ impl<T> DelayLine<T> {
     /// # Panics
     /// Panics if an undelivered item already occupies the slot (i.e. the
     /// caller sent twice in one cycle, or never received a delivered item —
-    /// both are engine bugs, not network conditions).
+    /// both are engine bugs, not network conditions). The check is on
+    /// occupancy alone, so it is exact on either ring.
+    #[inline]
     pub fn send(&mut self, cycle: Cycle, item: T) {
-        let deliver = cycle + self.latency;
-        let idx = self.slot_index(deliver);
-        let slot = self.slots.get_mut(idx);
-        if let Some((existing, _)) = slot {
-            panic!(
-                "DelayLine overrun: slot for cycle {deliver} still holds item from cycle {existing}"
-            );
+        let deliver = cycle + self.latency();
+        match &mut self.ring {
+            Ring::Inline {
+                items,
+                stamps,
+                period,
+            } => {
+                let idx = inline_index(*period, deliver);
+                if items[idx].is_some() {
+                    overrun(deliver);
+                }
+                items[idx] = Some(item);
+                stamps[idx] = deliver as u16;
+            }
+            Ring::Heap(slots) => {
+                let slot = &mut slots[(deliver % slots.len() as u64) as usize];
+                if slot.1.is_some() {
+                    overrun(deliver);
+                }
+                *slot = (deliver, Some(item));
+            }
         }
-        *slot = Some((deliver, item));
+    }
+
+    /// The slot `cycle` maps to, if it holds the item due at `cycle`.
+    ///
+    /// An item nobody received at its delivery cycle is stale: it stays in
+    /// its slot (so the next send there panics) and is never handed out
+    /// late. A heap ring compares full stamps; an inline ring compares the
+    /// low 16 bits, so it would mistake a stale item for a due one only if
+    /// polled an exact multiple of 65 536 cycles late. The engine polls
+    /// every line every cycle, and the overrun panic does not look at
+    /// stamps at all.
+    #[inline]
+    fn due(&self, cycle: Cycle) -> Option<usize> {
+        match &self.ring {
+            Ring::Inline {
+                items,
+                stamps,
+                period,
+            } => {
+                let idx = inline_index(*period, cycle);
+                (stamps[idx] == cycle as u16 && items[idx].is_some()).then_some(idx)
+            }
+            Ring::Heap(slots) => {
+                let idx = (cycle % slots.len() as u64) as usize;
+                let (stamp, slot) = &slots[idx];
+                (*stamp == cycle && slot.is_some()).then_some(idx)
+            }
+        }
     }
 
     /// Take the item that becomes available at `cycle`, if any.
+    #[inline]
     pub fn recv(&mut self, cycle: Cycle) -> Option<T> {
-        let idx = self.slot_index(cycle);
-        match self.slots.get(idx) {
-            Some((deliver, _)) if *deliver == cycle => {
-                self.slots.get_mut(idx).take().map(|(_, t)| t)
-            }
-            _ => None,
+        let idx = self.due(cycle)?;
+        match &mut self.ring {
+            Ring::Inline { items, .. } => items[idx].take(),
+            Ring::Heap(slots) => slots[idx].1.take(),
         }
     }
 
     /// Peek at the item that becomes available at `cycle` without taking it.
     pub fn peek(&self, cycle: Cycle) -> Option<&T> {
-        let idx = self.slot_index(cycle);
-        match self.slots.get(idx) {
-            Some((deliver, t)) if *deliver == cycle => Some(t),
-            _ => None,
+        let idx = self.due(cycle)?;
+        match &self.ring {
+            Ring::Inline { items, .. } => items[idx].as_ref(),
+            Ring::Heap(slots) => slots[idx].1.as_ref(),
+        }
+    }
+
+    /// Number of in-flight items.
+    pub fn in_flight(&self) -> usize {
+        match &self.ring {
+            Ring::Inline { items, .. } => items.iter().flatten().count(),
+            Ring::Heap(slots) => slots.iter().filter(|(_, s)| s.is_some()).count(),
         }
     }
 
     /// Whether anything is in flight.
     pub fn is_empty(&self) -> bool {
-        self.slots.as_slice().iter().all(|s| s.is_none())
-    }
-
-    /// Number of in-flight items.
-    pub fn in_flight(&self) -> usize {
-        self.slots.as_slice().iter().filter(|s| s.is_some()).count()
+        self.in_flight() == 0
     }
 
     /// Drop everything in flight (used when a link is declared faulty).
     pub fn clear(&mut self) {
-        for s in self.slots.as_mut_slice().iter_mut() {
-            *s = None;
+        match &mut self.ring {
+            Ring::Inline { items, .. } => *items = [None, None, None],
+            Ring::Heap(slots) => slots.iter_mut().for_each(|(_, s)| *s = None),
         }
     }
 }

@@ -42,6 +42,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -55,9 +56,17 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
+/// Deepest nesting of arrays and objects the parser accepts. It descends
+/// one stack frame pair per level, and input reaches it from the network
+/// (a daemon request body of nothing but `[` must be an error, not a stack
+/// overflow); nothing this workspace writes nests deeper than a dozen.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -101,8 +110,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::msg(format!(
                 "unexpected {:?} at byte {}",
@@ -110,6 +119,20 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object, counting it against [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -269,6 +292,18 @@ mod tests {
             let v = parse(text).unwrap();
             assert_eq!(v.to_json(), text);
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        // A megabyte of unclosed brackets used to abort the process.
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        let objects = r#"{"a":"#.repeat(100_000);
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -78,6 +78,21 @@ fn meshes() -> [SimConfig; 2] {
     })
 }
 
+/// One closed-loop SPLASH FFT run to completion, serialized.
+fn closed_loop_fft(design: Design, cfg: &SimConfig, params: AppParams) -> String {
+    let mesh = Mesh::for_config(cfg);
+    let mut net = design.build(cfg, &FaultPlan::none(&mesh));
+    let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
+    json(&run(
+        &mut net,
+        &mut model,
+        RunMode::ClosedLoop {
+            max_cycles: 2_000_000,
+        },
+        &EnergyModel::default(),
+    ))
+}
+
 #[test]
 fn every_design_every_worker_count_matches_sequential() {
     let cfg = SimConfig {
@@ -142,19 +157,69 @@ fn closed_loop_splash_matches_sequential() {
     };
     for design in [Design::DXbarDor, Design::Scarab] {
         assert_worker_count_invisible(design.name(), &[2, 4], || {
-            let mesh = Mesh::new(cfg.width, cfg.height);
-            let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
-            let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
-            json(&run(
-                &mut net,
-                &mut model,
-                RunMode::ClosedLoop {
-                    max_cycles: 2_000_000,
-                },
-                &EnergyModel::default(),
-            ))
+            closed_loop_fft(design, &cfg, params)
         });
     }
+}
+
+#[test]
+fn saturated_source_queues_match_at_every_worker_count() {
+    // The router is offered a by-value copy of its source queue's head,
+    // refreshed only where the head changes. Saturation keeps every queue
+    // full, so each of those places fires constantly: SCARAB NACKs cut in
+    // at the front, the resilient NI reseals the head (`seq` + CRC) before
+    // its first offer and pushes ARQ retransmissions in front of sealed
+    // and unsealed flits alike, and a lossless closed-loop model grows the
+    // queues past their cap. Debug builds also assert head == queue front
+    // at every node every cycle (`step_tile`).
+    let cfg = SimConfig {
+        width: 16,
+        height: 16,
+        warmup_cycles: 100,
+        measure_cycles: 500,
+        drain_cycles: 100,
+        seed: 11,
+        ..SimConfig::default()
+    };
+    let mesh = Mesh::for_config(&cfg);
+
+    assert_worker_count_invisible("saturated scarab", &[2, 4], || {
+        let r = run_synthetic(Design::Scarab, &cfg, Pattern::UniformRandom, 0.9);
+        assert!(
+            r.stats.events.retransmissions > 0,
+            "no NACKed flit requeued"
+        );
+        json(&r)
+    });
+
+    let plan = ResiliencePlan::generate(&mesh, 0.0, 1, 2e-3, 50, 100, 11);
+    assert_worker_count_invisible("saturated resilient dxbar-dor", &[2, 4], || {
+        let (r, _) =
+            run_synthetic_resilient(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.9, &plan);
+        let e = &r.stats.events;
+        assert!(e.ni_retransmits > 0, "no ARQ retransmission requeued");
+        // The offered copy carries the NI's seal: a CRC reject can only
+        // come from a corruption in transit, never from a stale seal.
+        assert!(e.crc_rejects > 0 && e.crc_rejects <= e.transit_corruptions);
+        json(&r)
+    });
+
+    let params = AppParams {
+        issue_prob: 0.5,
+        locality: 0.1,
+        l2_miss_rate: 0.5,
+        txns_per_core: 12,
+        burst_len: 8,
+    };
+    let closed = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: u64::MAX / 4,
+        drain_cycles: 0,
+        ..cfg.clone()
+    };
+    assert_worker_count_invisible("lossless splash", &[2, 4], || {
+        closed_loop_fft(Design::DXbarDor, &closed, params)
+    });
 }
 
 #[test]
