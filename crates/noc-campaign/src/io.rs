@@ -3,11 +3,11 @@
 //! daemon's queue journal) goes through an [`IoPolicy`].
 //!
 //! In production the policy is [`NoFaults`] and this module is nothing but
-//! a retry loop around `write` + `rename`. Under test, `noc-chaos` installs
-//! a seeded policy that injects the fault classes a real deployment sees —
-//! transient `EIO`/`ENOSPC`, torn (short) writes, bit-flipped records,
-//! delayed claim acquisition — and the hardening here is what makes the
-//! system survive them:
+//! a retry loop around `write` + `rename` (or one appending `write`). Under
+//! test, `noc-chaos` installs a seeded policy that injects the fault
+//! classes a real deployment sees — transient `EIO`/`ENOSPC`, torn (short)
+//! writes, bit-flipped records, delayed claim acquisition — and the
+//! hardening here is what makes the system survive them:
 //!
 //! * **capped exponential backoff** — a store attempt that fails with any
 //!   I/O error is retried up to [`MAX_IO_RETRIES`] times with
@@ -24,8 +24,10 @@
 //! observation per outcome — so threading it through a call site costs a
 //! single extra argument.
 
+use std::borrow::Cow;
 use std::fmt::Debug;
-use std::io::ErrorKind;
+use std::fs::File;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,7 +37,8 @@ use std::time::Duration;
 pub enum IoOp {
     /// A result-cache entry store (`<cache>/<key>.json`).
     CacheStore,
-    /// A daemon queue-journal store (`journal.json`).
+    /// A daemon queue-journal store: one record appended to `journal.log`,
+    /// or the one compaction of that log when a daemon loads it.
     JournalStore,
     /// An advisory claim acquisition (`<cache>/locks/<key>.lock`).
     Claim,
@@ -136,16 +139,53 @@ pub fn store_atomic(
     dst: &Path,
     bytes: &[u8],
 ) -> std::io::Result<u32> {
+    with_retries(policy, op, dst, bytes, |payload| {
+        let stored = std::fs::write(tmp, payload).and_then(|()| std::fs::rename(tmp, dst));
+        if stored.is_err() {
+            let _ = std::fs::remove_file(tmp);
+        }
+        stored
+    })
+}
+
+/// Append `bytes` — one self-delimiting record — to the log `file` opened
+/// at `path`, with one `write` per attempt and [`store_atomic`]'s retry,
+/// backoff and fault semantics: an injected [`IoFault::Error`] writes
+/// nothing and is retried, a torn or bit-flipped record lands and reports
+/// success. A real write that fails part-way leaves a fragment behind and
+/// the retry appends the whole record after it, so the record's framing
+/// must let a reader skip the fragment.
+pub fn append_record(
+    policy: &dyn IoPolicy,
+    op: IoOp,
+    file: &mut File,
+    path: &Path,
+    bytes: &[u8],
+) -> std::io::Result<u32> {
+    with_retries(policy, op, path, bytes, |payload| file.write_all(payload))
+}
+
+/// The retry loop both stores share: one policy decision per attempt,
+/// `write` handed the (possibly corrupted) payload, capped backoff between
+/// failed attempts, `on_success` once.
+fn with_retries(
+    policy: &dyn IoPolicy,
+    op: IoOp,
+    path: &Path,
+    bytes: &[u8],
+    mut write: impl FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<u32> {
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        match store_attempt(policy.inject(op, dst, attempt), tmp, dst, bytes) {
+        let result =
+            faulted(policy.inject(op, path, attempt), bytes).and_then(|payload| write(&payload));
+        match result {
             Ok(()) => {
-                policy.on_success(op, dst, attempt);
+                policy.on_success(op, path, attempt);
                 return Ok(attempt);
             }
             Err(e) => {
-                let _ = std::fs::remove_file(tmp);
                 if attempt > MAX_IO_RETRIES {
                     return Err(e);
                 }
@@ -155,34 +195,27 @@ pub fn store_atomic(
     }
 }
 
-fn store_attempt(
-    fault: Option<IoFault>,
-    tmp: &Path,
-    dst: &Path,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    let mut corrupted: Vec<u8>;
-    let payload: &[u8] = match fault {
+/// What one attempt writes under `fault`: the payload, a torn or flipped
+/// copy of it, or an error.
+fn faulted(fault: Option<IoFault>, bytes: &[u8]) -> std::io::Result<Cow<'_, [u8]>> {
+    Ok(match fault {
         Some(IoFault::Error(kind)) => {
             return Err(std::io::Error::new(kind, "injected fault"));
         }
-        Some(IoFault::Truncate(n)) => &bytes[..n.min(bytes.len())],
+        Some(IoFault::Truncate(n)) => Cow::Borrowed(&bytes[..n.min(bytes.len())]),
         Some(IoFault::BitFlip(salt)) if !bytes.is_empty() => {
-            corrupted = bytes.to_vec();
+            let mut corrupted = bytes.to_vec();
             let half = corrupted.len() / 2;
             let offset = half + (salt % (corrupted.len() - half) as u64) as usize;
             corrupted[offset] ^= 1 << ((salt >> 32) % 8);
-            &corrupted
+            Cow::Owned(corrupted)
         }
-        Some(IoFault::BitFlip(_)) => bytes,
         Some(IoFault::Delay(d)) => {
             std::thread::sleep(d);
-            bytes
+            Cow::Borrowed(bytes)
         }
-        None => bytes,
-    };
-    std::fs::write(tmp, payload)?;
-    std::fs::rename(tmp, dst)
+        Some(IoFault::BitFlip(_)) | None => Cow::Borrowed(bytes),
+    })
 }
 
 #[cfg(test)]
@@ -304,6 +337,66 @@ mod tests {
                 .count(),
             1,
             "exactly one byte differs"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn append_log(dir: &Path) -> (PathBuf, File) {
+        let path = dir.join("t.log");
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .unwrap();
+        (path, file)
+    }
+
+    #[test]
+    fn appended_records_retry_errors_within_the_budget_and_give_up_beyond_it() {
+        let dir = scratch("append-retry");
+        let (path, mut file) = append_log(&dir);
+        let burst = |n: usize| vec![Some(IoFault::Error(ErrorKind::Other)); n];
+
+        let p = Scripted::new(burst(MAX_IO_RETRIES as usize));
+        let attempts = append_record(&p, IoOp::JournalStore, &mut file, &path, b"one\n")
+            .expect("the attempt after the burst lands");
+        assert_eq!(attempts, MAX_IO_RETRIES + 1);
+        assert_eq!(p.successes.load(Ordering::Relaxed), 1);
+
+        let p = Scripted::new(burst(MAX_IO_RETRIES as usize + 1));
+        let err = append_record(&p, IoOp::JournalStore, &mut file, &path, b"two\n")
+            .expect_err("every attempt fails");
+        assert_eq!(err.kind(), ErrorKind::Other);
+        assert_eq!(p.successes.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"one\n",
+            "a failed attempt writes nothing"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appended_records_land_torn_flipped_or_delayed_and_report_success() {
+        let dir = scratch("append-corrupt");
+        let (path, mut file) = append_log(&dir);
+        let p = Scripted::new(vec![
+            Some(IoFault::Truncate(3)),
+            Some(IoFault::BitFlip(0)),
+            Some(IoFault::Delay(Duration::from_millis(1))),
+            None,
+        ]);
+        for record in [&b"0123456789"[..], b"abcdefghij", b"KLMNOPQRST", b"uvwxyz"] {
+            let attempts = append_record(&p, IoOp::JournalStore, &mut file, &path, record)
+                .expect("corruption is silent at write time");
+            assert_eq!(attempts, 1);
+        }
+        assert_eq!(p.successes.load(Ordering::Relaxed), 4, "once per record");
+        // Torn to three bytes; bit 0 of byte 5 flipped ('f' -> 'g'); the
+        // delayed and the clean record whole, each after the one before.
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"012abcdegghijKLMNOPQRSTuvwxyz"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

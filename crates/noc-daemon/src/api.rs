@@ -82,7 +82,11 @@ fn route(state: &DaemonState, req: &Request) -> Response {
             _ => method_not_allowed("GET"),
         },
         ["jobs"] => match m {
-            "GET" => Response::json(200, &state.jobs_value()),
+            "GET" => Response {
+                status: 200,
+                content_type: "application/json",
+                body: state.jobs_body(),
+            },
             "POST" => submit(state, &req.body),
             _ => method_not_allowed("GET, POST"),
         },

@@ -9,8 +9,8 @@
 //! and `--addr`) and they shard every submitted campaign cooperatively:
 //! each point is simulated by exactly one worker across both processes.
 //!
-//! SIGTERM/ctrl-c (or `POST /shutdown`) drains in-flight points, journals
-//! the queue under `--state`, and exits; restarting with the same
+//! SIGTERM/ctrl-c (or `POST /shutdown`) drains in-flight points and exits;
+//! the queue is in `<state>/journal.log`, so restarting with the same
 //! `--state` resumes unfinished jobs with all completed points served
 //! from the cache.
 
@@ -22,7 +22,8 @@ const USAGE: &str = "\
 usage: noc-daemon [options]
 
   --addr HOST:PORT   listen address (default 127.0.0.1:7077; port 0 = any)
-  --state DIR        journal + endpoint-file directory (default noc-daemon-state)
+  --state DIR        directory of journal.log and the endpoint file
+                     (default noc-daemon-state)
   --cache DIR        shared result-cache directory (default <state>/cache;
                      point several daemons here to shard work)
   --drop DIR         watch DIR for dropped campaign-spec *.json files

@@ -16,9 +16,9 @@
 //!   daemon processes pointed at one cache shard a sweep with zero
 //!   duplicate computation (cooperative cache sharding, see
 //!   `noc_campaign::coop`);
-//! * the queue is journaled ([`queue::Journal`]): SIGTERM/ctrl-c drains
-//!   in-flight points and persists the queue, and a restarted daemon
-//!   resumes unfinished jobs, re-using every already-cached point;
+//! * the queue is journaled ([`queue::Journal`], an append-only log): a
+//!   restarted daemon — drained by SIGTERM/ctrl-c or killed — resumes
+//!   unfinished jobs, re-using every already-cached point;
 //! * figure text ([`figures`]) is regenerated incrementally — a finished
 //!   job marks exactly the figures to whose memoized render it added a
 //!   point.
@@ -34,7 +34,7 @@ pub mod scheduler;
 pub mod signals;
 
 use crate::figures::FigureRegistry;
-use crate::queue::{Job, JobId, JobState, Journal, Priority, Snapshot};
+use crate::queue::{drop_record, Job, JobId, JobState, Journal, Priority, Restored};
 use dxbar_noc::noc_verify::cache_namespace;
 use noc_campaign::io::IoPolicy;
 use noc_campaign::{no_faults, CacheLocks, CampaignSpec, ResultCache, CODE_VERSION};
@@ -106,11 +106,35 @@ impl Default for DaemonConfig {
 /// file, socket or log I/O. The figure registry's leaf mutex is the only
 /// lock taken while it is held.
 pub(crate) struct Inner {
+    /// Every job this daemon knows, by ascending id; none is ever removed.
     pub jobs: Vec<Job>,
     pub next_id: JobId,
     pub seq: u64,
     /// Spec-drop files already ingested (by file name).
     pub drop_seen: Vec<String>,
+    /// No job before this index is live. Jobs only ever turn terminal, so
+    /// the cursor only moves forward; [`Inner::live`] moves it.
+    first_live: usize,
+}
+
+impl Inner {
+    /// Index of job `id`.
+    pub fn find(&self, id: JobId) -> Option<usize> {
+        self.jobs.binary_search_by_key(&id, |j| j.id).ok()
+    }
+
+    /// The jobs from the first live one on: whoever looks for live jobs
+    /// walks these, not the finished ones before them.
+    pub fn live(&mut self) -> &mut [Job] {
+        while self
+            .jobs
+            .get(self.first_live)
+            .is_some_and(|j| j.state.is_terminal())
+        {
+            self.first_live += 1;
+        }
+        &mut self.jobs[self.first_live..]
+    }
 }
 
 /// Shared state of one daemon instance.
@@ -145,14 +169,19 @@ impl DaemonState {
             cfg.io_policy.clone(),
         )?;
         let locks = CacheLocks::open_with(&cfg.cache_dir, cfg.io_policy.clone())?;
-        let journal = Journal::with_policy(&cfg.state_dir, cfg.io_policy.clone());
-        let (mut jobs, next_id, seq, drop_seen) = journal.load(&cfg.code_salt);
-        // Re-number submission order for resumed jobs (journal order is
+        let (journal, restored) =
+            Journal::open(&cfg.state_dir, cfg.io_policy.clone(), &cfg.code_salt)?;
+        let Restored {
+            mut jobs,
+            next_id,
+            drop_seen,
+        } = restored;
+        // Re-number submission order for resumed jobs (id order is
         // submission order).
         for (i, j) in jobs.iter_mut().enumerate() {
             j.seq = i as u64;
         }
-        let seq = seq.max(jobs.len() as u64);
+        let seq = jobs.len() as u64;
         let resumed = jobs.iter().filter(|j| !j.state.is_terminal()).count();
         if resumed > 0 {
             eprintln!(
@@ -164,9 +193,10 @@ impl DaemonState {
         Ok(Arc::new(DaemonState {
             inner: Mutex::new(Inner {
                 jobs,
-                next_id: next_id.max(1),
+                next_id,
                 seq,
                 drop_seen,
+                first_live: 0,
             }),
             cv: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -193,19 +223,12 @@ impl DaemonState {
     }
 
     /// Start the graceful drain: workers finish their in-flight points and
-    /// exit; the queue is journaled by [`DaemonHandle::wait`].
+    /// exit; unfinished jobs stay in the journal for the next start.
     pub fn begin_drain(&self) {
         if !self.draining.swap(true, Ordering::AcqRel) {
-            eprintln!("[daemon] draining: finishing in-flight points, journaling the queue");
+            eprintln!("[daemon] draining: finishing in-flight points");
         }
         self.cv.notify_all();
-    }
-
-    /// Serialize the queue for the journal. The caller releases `inner`
-    /// and then hands the snapshot to [`Journal::commit`].
-    pub(crate) fn snapshot_locked(&self, inner: &Inner) -> Snapshot {
-        self.journal
-            .snapshot(&inner.jobs, inner.next_id, inner.seq, &inner.drop_seen)
     }
 
     /// Queue a new job. Returns the acceptance record served as the `202`
@@ -258,14 +281,14 @@ impl DaemonState {
             job.verify,
             job.source,
         );
+        let record = self.journal.record("job", job.job_record());
         inner.jobs.push(job);
-        let snapshot = self.snapshot_locked(&inner);
         drop(inner);
         // The workers start on the job while the journal is written; the
-        // submitter hears back only once the job is on disk.
+        // submitter hears back only once the job's record is appended.
         self.cv.notify_all();
         eprintln!("{queued}");
-        self.journal.commit(snapshot);
+        self.journal.append(&record);
         Ok(accepted)
     }
 
@@ -273,9 +296,10 @@ impl DaemonState {
     /// useful cache entries); everything else is dropped.
     pub fn cancel(&self, id: JobId) -> Result<Value, (u16, String)> {
         let mut inner = self.inner.lock().unwrap();
-        let Some(job) = inner.jobs.iter_mut().find(|j| j.id == id) else {
+        let Some(ji) = inner.find(id) else {
             return Err((404, format!("no job {id}")));
         };
+        let job = &mut inner.jobs[ji];
         if job.state.is_terminal() {
             return Err((409, format!("job {id} is already {}", job.state.name())));
         }
@@ -283,10 +307,10 @@ impl DaemonState {
         job.ready.clear();
         job.deferred.clear();
         let v = job_to_value(job);
-        let snapshot = self.snapshot_locked(&inner);
+        let record = self.journal.record("end", job.end_record());
         drop(inner);
         self.cv.notify_all();
-        self.journal.commit(snapshot);
+        self.journal.append(&record);
         Ok(v)
     }
 
@@ -295,8 +319,12 @@ impl DaemonState {
     pub fn health_value(&self) -> Value {
         // Counted before the lock: this reads the cache directory.
         let cached_results = self.cache_plain.len();
-        let inner = self.inner.lock().unwrap();
-        let active = inner.jobs.iter().filter(|j| !j.state.is_terminal()).count();
+        let mut inner = self.inner.lock().unwrap();
+        let active = inner
+            .live()
+            .iter()
+            .filter(|j| !j.state.is_terminal())
+            .count();
         Value::Object(vec![
             (
                 "status".into(),
@@ -338,16 +366,51 @@ impl DaemonState {
         Value::Array(inner.jobs.iter().map(job_brief).collect())
     }
 
+    /// The `GET /jobs` body: [`DaemonState::jobs_value`] pretty-printed,
+    /// put together outside the queue lock from one text per job — a
+    /// finished job's is rendered once and shared from then on.
+    pub(crate) fn jobs_body(&self) -> Vec<u8> {
+        let rows: Vec<Arc<str>> = {
+            let mut inner = self.inner.lock().unwrap();
+            inner
+                .jobs
+                .iter_mut()
+                .map(|j| match &j.list_row {
+                    Some(row) => row.clone(),
+                    None => {
+                        // An array element: one level deep. (Strings escape
+                        // their newlines, so every newline in the text is
+                        // one the printer indented.)
+                        let row: Arc<str> =
+                            job_brief(j).to_json_pretty().replace('\n', "\n  ").into();
+                        if j.state.is_terminal() {
+                            j.list_row = Some(row.clone());
+                        }
+                        row
+                    }
+                })
+                .collect()
+        };
+        let mut body = String::with_capacity(rows.iter().map(|r| r.len() + 4).sum::<usize>() + 4);
+        body.push('[');
+        for (i, row) in rows.iter().enumerate() {
+            body.push_str(if i == 0 { "\n  " } else { ",\n  " });
+            body.push_str(row);
+        }
+        body.push_str(if rows.is_empty() { "]\n" } else { "\n]\n" });
+        body.into_bytes()
+    }
+
     pub fn job_value(&self, id: JobId) -> Option<Value> {
         let inner = self.inner.lock().unwrap();
-        inner.jobs.iter().find(|j| j.id == id).map(job_to_value)
+        inner.find(id).map(|ji| job_to_value(&inner.jobs[ji]))
     }
 
     /// Rendered aggregate table of a finished job (`render_table` — byte-
     /// identical to `campaign_run`'s output for the same spec).
     pub fn job_results(&self, id: JobId) -> Result<String, (u16, String)> {
         let inner = self.inner.lock().unwrap();
-        let Some(job) = inner.jobs.iter().find(|j| j.id == id) else {
+        let Some(job) = inner.find(id).map(|ji| &inner.jobs[ji]) else {
             return Err((404, format!("no job {id}")));
         };
         if !job.state.is_terminal() {
@@ -369,7 +432,7 @@ impl DaemonState {
 
     pub fn job_manifest(&self, id: JobId) -> Result<String, (u16, String)> {
         let inner = self.inner.lock().unwrap();
-        let Some(job) = inner.jobs.iter().find(|j| j.id == id) else {
+        let Some(job) = inner.find(id).map(|ji| &inner.jobs[ji]) else {
             return Err((404, format!("no job {id}")));
         };
         if !job.state.is_terminal() {
@@ -488,17 +551,13 @@ impl DaemonHandle {
     }
 
     /// Block until the daemon is drained: workers exit after their
-    /// in-flight points (once [`DaemonState::begin_drain`] fires), then the
-    /// queue is journaled and the control plane stops.
+    /// in-flight points (once [`DaemonState::begin_drain`] fires) — every
+    /// job they finished has its record in the journal by then — and the
+    /// control plane stops.
     pub fn wait(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        let snapshot = {
-            let inner = self.state.inner.lock().unwrap();
-            self.state.snapshot_locked(&inner)
-        };
-        self.state.journal.commit(snapshot);
         http::stop_serving(self.addr, &self.http_stop);
         if let Some(h) = self.http.take() {
             let _ = h.join();
@@ -567,8 +626,9 @@ impl Daemon {
 
 /// Poll the spec-drop directory for new `*.json` campaign specs. A file is
 /// ingested once it has been quiet for at least one poll interval (so a
-/// spec still being written is not half-read), and remembered by name so a
-/// restart does not resubmit it.
+/// spec still being written is not half-read), and remembered by name — in
+/// the journal, whether it was queued or rejected — so a restart neither
+/// resubmits nor re-rejects it.
 fn drop_watcher(state: &Arc<DaemonState>, dir: &Path) {
     let poll = Duration::from_millis(state.cfg.drop_poll_ms.max(50));
     while !state.is_draining() {
@@ -604,19 +664,91 @@ fn drop_watcher(state: &Arc<DaemonState>, dir: &Path) {
                     continue;
                 }
             };
-            state.inner.lock().unwrap().drop_seen.push(fname.clone());
-            match CampaignSpec::from_json(&text) {
+            let rejected = match CampaignSpec::from_json(&text) {
                 Ok(spec) => {
                     let verify = state.cfg.verify_default;
-                    if let Err((_, e)) =
-                        state.submit(spec, None, None, verify, format!("drop:{fname}"))
-                    {
-                        eprintln!("[daemon] drop: {fname} rejected: {e}");
-                    }
+                    state
+                        .submit(spec, None, None, verify, format!("drop:{fname}"))
+                        .err()
+                        .map(|(_, e)| e)
                 }
-                Err(e) => eprintln!("[daemon] drop: {fname} is not a campaign spec: {e}"),
+                Err(e) => Some(format!("not a campaign spec: {e}")),
+            };
+            if let Some(e) = rejected {
+                eprintln!("[daemon] drop: {fname} rejected: {e}");
+                if state.is_draining() {
+                    continue; // refused, not judged: the next start takes the file
+                }
             }
+            // Queued or rejected for good, the file is done with; the
+            // record follows the job's, so a crash between the two queues
+            // the spec twice (all cache hits), never zero times.
+            let mut inner = state.inner.lock().unwrap();
+            inner.drop_seen.push(fname.clone());
+            let record = state.journal.record("drop", drop_record(&fname));
+            drop(inner);
+            state.journal.append(&record);
         }
         std::thread::sleep(poll);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::Response;
+
+    /// The `GET /jobs` body is put together from per-job texts; it must be
+    /// what the pretty printer gives for the whole array, whatever the job
+    /// count and whether a row is fresh or reused.
+    #[test]
+    fn assembled_job_list_is_the_pretty_printed_array() {
+        let dir = std::env::temp_dir().join(format!("noc-daemon-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No workers: jobs change state only where this test says so.
+        let state = DaemonState::new(DaemonConfig {
+            state_dir: dir.join("state"),
+            cache_dir: dir.join("cache"),
+            ..DaemonConfig::default()
+        })
+        .expect("state directory is writable");
+        let agree = |what: &str| {
+            assert_eq!(
+                state.jobs_body(),
+                Response::json(200, &state.jobs_value()).body,
+                "{what}"
+            );
+        };
+        let submit = || {
+            let spec = bench::specs::preset("smoke").expect("known preset");
+            state
+                .submit(spec, Some("j\n1".into()), None, false, "t".into())
+                .expect("valid spec")
+                .field("job")
+                .as_u64()
+                .expect("job id")
+        };
+        agree("no jobs");
+        let done = submit();
+        agree("one queued job");
+        {
+            let mut inner = state.inner.lock().unwrap();
+            let job = &mut inner.jobs[0];
+            job.state = JobState::Done;
+            job.resolved = job.unique;
+        }
+        agree("one done job");
+        submit();
+        let cancelled = submit();
+        state.cancel(cancelled).expect("queued job cancels");
+        // The second round reuses the terminal jobs' rows.
+        for round in ["first build", "memoised rows"] {
+            agree(round);
+            let inner = state.inner.lock().unwrap();
+            let memoised: Vec<bool> = inner.jobs.iter().map(|j| j.list_row.is_some()).collect();
+            assert_eq!(memoised, [true, false, true], "{round}");
+            assert_eq!(inner.jobs[0].id, done);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,21 +3,23 @@
 //! A **job** is one submitted campaign: its spec, its expanded points, and
 //! the scheduling state the workers drain point by point. The journal is
 //! the crash-safety half of the queue: every submission and every terminal
-//! state transition is persisted (atomic tmp + rename), so a daemon killed
-//! at any moment restarts with the same queue. Per-point progress is
-//! deliberately *not* journaled — the content-addressed result cache
-//! already records exactly which points are done, so a resumed job's
+//! state transition appends one checksummed record to `journal.log`, so a
+//! daemon killed at any moment restarts with the same queue, and what a
+//! record costs does not depend on how many came before it. Per-point
+//! progress is deliberately *not* journaled — the content-addressed result
+//! cache already records exactly which points are done, so a resumed job's
 //! completed points come back as cache hits and only the remainder
 //! simulates again.
 
 use dxbar_noc::noc_verify::cache_namespace;
-use noc_campaign::io::{no_faults, store_atomic, IoOp, IoPolicy};
-use noc_campaign::{CampaignSpec, PointFailure, PointOutcome, PointSpec};
+use noc_campaign::io::{append_record, store_atomic, IoOp, IoPolicy};
+use noc_campaign::{fnv1a64, CampaignSpec, PointFailure, PointOutcome, PointSpec};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub type JobId = u64;
@@ -159,10 +161,9 @@ pub struct Job {
     pub results_text: Option<String>,
     /// Full provenance manifest JSON (terminal jobs only; not journaled).
     pub manifest_json: Option<String>,
-    /// This job's journal record, kept from the first snapshot taken after
-    /// the job turned terminal: from then on none of the journaled fields
-    /// change, and every later snapshot would serialize them again.
-    journal_record: OnceLock<Arc<str>>,
+    /// This job's `GET /jobs` row, kept from the first listing after the
+    /// job turned terminal: from then on nothing the row shows changes.
+    pub(crate) list_row: Option<Arc<str>>,
 }
 
 fn unix_ms() -> u64 {
@@ -233,7 +234,7 @@ impl Job {
             summary: JobSummary::default(),
             results_text: None,
             manifest_json: None,
-            journal_record: OnceLock::new(),
+            list_row: None,
         })
     }
 
@@ -271,17 +272,16 @@ impl Job {
         Some(((self.unique - self.resolved) as f64 / rate) as u64)
     }
 
-    /// This job as an element of the journal's `jobs` array: pretty JSON at
-    /// the element's nesting depth. (Strings escape their newlines, so every
-    /// newline in the text is one the printer indented.)
-    fn journal_record(&self) -> Arc<str> {
+    /// Fields of this job's `job` record: what a restart needs to queue it
+    /// again, plus — once the job is terminal, which is how compaction
+    /// writes it — what its `end` record holds.
+    pub(crate) fn job_record(&self) -> Vec<(String, Value)> {
         let mut fields = vec![
             ("id".into(), Value::U64(self.id)),
             ("name".into(), Value::Str(self.name.clone())),
             ("priority".into(), Value::Str(self.priority.name().into())),
             ("verify".into(), Value::Bool(self.verify)),
             ("source".into(), Value::Str(self.source.clone())),
-            ("state".into(), Value::Str(self.state.name().into())),
             (
                 "submitted_unix_ms".into(),
                 Value::U64(self.submitted_unix_ms),
@@ -289,235 +289,257 @@ impl Job {
             ("spec".into(), self.spec.to_value()),
         ];
         if self.state.is_terminal() {
-            fields.push(("summary".into(), self.summary.to_value()));
-            if let Some(t) = &self.results_text {
-                fields.push(("results_text".into(), Value::Str(t.clone())));
-            }
+            fields.extend(self.end_fields());
         }
-        Value::Object(fields)
-            .to_json_pretty()
-            .replace('\n', "\n    ")
-            .into()
+        fields
+    }
+
+    /// Fields of this (terminal) job's `end` record.
+    pub(crate) fn end_record(&self) -> Vec<(String, Value)> {
+        let mut fields = vec![("id".into(), Value::U64(self.id))];
+        fields.extend(self.end_fields());
+        fields
+    }
+
+    /// Everything a terminal job serves that its spec does not determine.
+    fn end_fields(&self) -> Vec<(String, Value)> {
+        let mut fields = vec![
+            ("state".into(), Value::Str(self.state.name().into())),
+            ("unique_points".into(), Value::U64(self.unique as u64)),
+            ("resolved".into(), Value::U64(self.resolved as u64)),
+            ("summary".into(), self.summary.to_value()),
+        ];
+        if let Some(t) = &self.results_text {
+            fields.push(("results_text".into(), Value::Str(t.clone())));
+        }
+        fields
     }
 }
 
-/// The serializable journal: queue + terminal-job records.
+/// The queue journal: an append-only log of one-line records,
+///
+/// ```text
+/// record   = "\n" checksum " " json "\n"
+/// checksum = fnv1a64(json) as 16 hex digits
+/// json     = compact object {"op": "job" | "end" | "drop", "gen": N, ...}
+/// ```
+///
+/// `job` holds [`Job::job_record`] (written at submission), `end` holds
+/// [`Job::end_record`] (written when the job turns terminal) and `drop`
+/// holds the `file` name of an ingested spec-drop file. The leading newline
+/// ends whatever fragment a torn write left before the record, so a damaged
+/// record costs exactly itself.
 ///
 /// Writing is split in two so that no file I/O happens under the daemon's
-/// queue lock: [`Journal::snapshot`] serializes under the lock and numbers
-/// the result, [`Journal::commit`] writes it after the lock is released.
+/// queue lock: [`Journal::record`] numbers a record under the lock,
+/// [`Journal::append`] writes it after the lock is released. Records may
+/// therefore land out of order; `gen` is the order they were made in.
 pub struct Journal {
     path: PathBuf,
     policy: Arc<dyn IoPolicy>,
-    /// Generation of the next snapshot.
-    next_generation: AtomicU64,
-    /// Journal-order guard: the generation on disk. Held across the file
-    /// write and never together with the queue lock.
-    written: Mutex<u64>,
+    /// `gen` of the next record.
+    next_gen: AtomicU64,
+    /// The log, open for appending. Held across one record's write and
+    /// never together with the queue lock.
+    log: Mutex<File>,
 }
 
-/// One serialized state of the queue, numbered in the order the states
-/// were reached. The journal is the pretty JSON of `{version, next_id, seq,
-/// drop_seen, jobs: [...]}`; a snapshot holds the head's text and one text
-/// per job, so that a terminal job's is shared, not copied, while the queue
-/// lock is held.
-pub struct Snapshot {
-    generation: u64,
-    head: String,
-    jobs: Vec<Arc<str>>,
+/// What [`Journal::open`] restores: jobs by ascending id, the first unused
+/// id, and the spec-drop files already ingested.
+pub struct Restored {
+    pub jobs: Vec<Job>,
+    pub next_id: JobId,
+    pub drop_seen: Vec<String>,
 }
 
-impl Snapshot {
-    /// The journal file's content.
-    fn text(&self) -> String {
-        let head = self
-            .head
-            .strip_suffix("\n}")
-            .expect("a pretty object ends in a closing line");
-        let jobs: usize = self.jobs.iter().map(|j| j.len() + 6).sum();
-        let mut text = String::with_capacity(head.len() + jobs + 24);
-        text.push_str(head);
-        text.push_str(",\n  \"jobs\": [");
-        for (i, job) in self.jobs.iter().enumerate() {
-            text.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            text.push_str(job);
-        }
-        text.push_str(if self.jobs.is_empty() {
-            "]\n}"
-        } else {
-            "\n  ]\n}"
-        });
-        text
+fn encode(record: &Value) -> String {
+    let json = record.to_json();
+    format!("\n{:016x} {json}\n", fnv1a64(json.as_bytes()))
+}
+
+/// One log line back into its record; `None` unless the checksum holds.
+fn decode(line: &[u8]) -> Option<Value> {
+    let (sum, json) = (line.get(..16)?, line.get(17..)?);
+    let sum = u64::from_str_radix(std::str::from_utf8(sum).ok()?, 16).ok()?;
+    if line[16] != b' ' || sum != fnv1a64(json) {
+        return None;
     }
+    serde_json::parse(std::str::from_utf8(json).ok()?).ok()
 }
 
 impl Journal {
-    pub fn new(state_dir: &Path) -> Journal {
-        Journal::with_policy(state_dir, no_faults())
-    }
-
-    /// Journal with an explicit storage fault seam (chaos harnesses).
-    pub fn with_policy(state_dir: &Path, policy: Arc<dyn IoPolicy>) -> Journal {
-        Journal {
-            path: state_dir.join("journal.json"),
-            policy,
-            next_generation: AtomicU64::new(1),
-            written: Mutex::new(0),
+    /// Read `<state_dir>/journal.log`, compact it, and open it for
+    /// appending. Live jobs (queued/running at crash or shutdown) come back
+    /// `Queued` with a fresh expansion; terminal jobs come back as
+    /// summary-only records. Every line is checked on its own: one that
+    /// fails its checksum is skipped and reported, and costs nothing else.
+    /// The log is then rewritten (atomic tmp + rename) as one `job` record
+    /// per surviving job and one `drop` record per ingested file.
+    pub fn open(
+        state_dir: &Path,
+        policy: Arc<dyn IoPolicy>,
+        code_salt: &str,
+    ) -> std::io::Result<(Journal, Restored)> {
+        let path = state_dir.join("journal.log");
+        let old = state_dir.join("journal.json");
+        if old.exists() {
+            eprintln!(
+                "[daemon] warning: ignoring {} (whole-file journal of an older daemon); \
+                 resubmit its jobs, every finished point is a cache hit",
+                old.display()
+            );
         }
+        let bytes = std::fs::read(&path).unwrap_or_default();
+        let mut records = Vec::new();
+        let mut damaged = 0usize;
+        for line in bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+            match decode(line).and_then(|r| Some((r.field("gen").as_u64()?, r))) {
+                Some(numbered) => records.push(numbered),
+                None => {
+                    damaged += 1;
+                    policy.on_detected(&path);
+                }
+            }
+        }
+        if damaged > 0 {
+            eprintln!(
+                "[daemon] warning: skipped {damaged} torn or corrupt record(s) in {}",
+                path.display()
+            );
+        }
+        records.sort_by_key(|&(gen, _)| gen);
+        let mut next_gen = records.last().map_or(1, |&(gen, _)| gen + 1);
+
+        // Fold: an `end` record belongs to the `job` record of its id.
+        let mut folded: BTreeMap<JobId, (Value, Option<Value>)> = BTreeMap::new();
+        let mut drop_seen: Vec<String> = Vec::new();
+        let mut max_id = 0;
+        for (_, record) in records {
+            let id = record.field("id").as_u64();
+            max_id = max_id.max(id.unwrap_or(0));
+            let op = record.field("op").as_str().unwrap_or_default().to_string();
+            match (op.as_str(), id) {
+                ("job", Some(id)) => {
+                    folded.entry(id).or_insert((record, None));
+                }
+                ("end", Some(id)) => {
+                    if let Some((_, end)) = folded.get_mut(&id) {
+                        *end = Some(record);
+                    }
+                }
+                ("drop", _) => {
+                    if let Some(file) = record.field("file").as_str() {
+                        if !drop_seen.iter().any(|seen| seen == file) {
+                            drop_seen.push(file.to_string());
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let jobs: Vec<Job> = folded
+            .values()
+            .filter_map(|(job, end)| Self::load_job(job, end.as_ref().unwrap_or(job), code_salt))
+            .collect();
+
+        if !bytes.is_empty() {
+            let surviving = drop_seen
+                .iter()
+                .map(|file| ("drop", drop_record(file)))
+                .chain(jobs.iter().map(|job| ("job", job.job_record())));
+            let mut compact = String::new();
+            for (op, fields) in surviving {
+                compact.push_str(&encode(&numbered(op, next_gen, fields)));
+                next_gen += 1;
+            }
+            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+            // A compaction that fails leaves the log as it was read, which
+            // is as good a log; the records made from here on are numbered
+            // past both.
+            if let Err(e) = store_atomic(
+                policy.as_ref(),
+                IoOp::JournalStore,
+                &tmp,
+                &path,
+                compact.as_bytes(),
+            ) {
+                eprintln!(
+                    "[daemon] warning: failed to compact journal {} after retries: {e}",
+                    path.display()
+                );
+            }
+        }
+        let log = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)?;
+        let journal = Journal {
+            path,
+            policy,
+            next_gen: AtomicU64::new(next_gen),
+            log: Mutex::new(log),
+        };
+        let restored = Restored {
+            jobs,
+            next_id: max_id + 1,
+            drop_seen,
+        };
+        Ok((journal, restored))
     }
 
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Serialize the queue. Terminal jobs keep their summary and rendered
-    /// results; live jobs keep their spec so a restart re-expands and
-    /// resumes them (completed points return as cache hits). Call with the
-    /// queue lock held, so that generations number the states in the order
-    /// they were reached.
-    pub fn snapshot(
-        &self,
-        jobs: &[Job],
-        next_id: JobId,
-        seq: u64,
-        drop_seen: &[String],
-    ) -> Snapshot {
-        let head = Value::Object(vec![
-            ("version".into(), Value::U64(1)),
-            ("next_id".into(), Value::U64(next_id)),
-            ("seq".into(), Value::U64(seq)),
-            (
-                "drop_seen".into(),
-                Value::Array(drop_seen.iter().cloned().map(Value::Str).collect()),
-            ),
-        ])
-        .to_json_pretty();
-        let jobs = jobs
-            .iter()
-            .map(|j| {
-                if j.state.is_terminal() {
-                    j.journal_record.get_or_init(|| j.journal_record()).clone()
-                } else {
-                    j.journal_record()
-                }
-            })
-            .collect();
-        Snapshot {
-            // Relaxed: the queue lock orders the callers.
-            generation: self.next_generation.fetch_add(1, Ordering::Relaxed),
-            head,
-            jobs,
-        }
+    /// Make the record of one queue transition. Call with the queue lock
+    /// held, so that `gen` numbers the transitions in the order they
+    /// happened.
+    pub fn record(&self, op: &str, fields: Vec<(String, Value)>) -> Value {
+        // Relaxed: the queue lock orders the callers.
+        numbered(op, self.next_gen.fetch_add(1, Ordering::Relaxed), fields)
     }
 
-    /// Persist a snapshot, unless a later one already is: of two writers
-    /// that left the queue lock in one order and reached the file in the
-    /// other, the older must not win. Call without the queue lock.
-    pub fn commit(&self, snapshot: Snapshot) {
-        let mut written = self.written.lock().expect("journal writer panicked");
-        if snapshot.generation <= *written {
-            return;
-        }
-        let tmp = self
-            .path
-            .with_extension(format!("tmp.{}", std::process::id()));
+    /// Append a record to the log with one write. Call without the queue
+    /// lock.
+    pub fn append(&self, record: &Value) {
+        let line = encode(record);
+        let mut log = self.log.lock().expect("journal writer panicked");
         // Transient I/O errors (full disk being cleaned, EIO blips) are
-        // retried with capped backoff; a store that still fails is reported
-        // and the previous journal generation stays in place (atomic
-        // rename), so the queue is never left half-written.
-        match store_atomic(
+        // retried with capped backoff; a record that still fails is
+        // reported and the log stays as it was.
+        if let Err(e) = append_record(
             self.policy.as_ref(),
             IoOp::JournalStore,
-            &tmp,
+            &mut log,
             &self.path,
-            snapshot.text().as_bytes(),
+            line.as_bytes(),
         ) {
-            Ok(_) => *written = snapshot.generation,
-            Err(e) => eprintln!(
-                "[daemon] warning: failed to persist journal {} after retries: {e}",
-                self.path.display()
-            ),
-        }
-    }
-
-    /// Restore the queue. Live jobs (queued/running at crash or shutdown)
-    /// come back `Queued` with a fresh expansion; terminal jobs come back
-    /// as summary-only records. Unreadable journals are *salvaged*: every
-    /// complete job object still present in the torn file is restored, so
-    /// the daemon comes up and resumes surviving jobs even if its state
-    /// file was truncated mid-write.
-    pub fn load(&self, code_salt: &str) -> (Vec<Job>, JobId, u64, Vec<String>) {
-        let fallback = (Vec::new(), 1, 0, Vec::new());
-        let Ok(text) = std::fs::read_to_string(&self.path) else {
-            return fallback;
-        };
-        let Ok(root) = serde_json::parse(&text) else {
-            let salvaged = Self::salvage(&text, code_salt);
             eprintln!(
-                "[daemon] warning: torn or corrupt journal {}; salvaged {} job(s)",
-                self.path.display(),
-                salvaged.0.len()
+                "[daemon] warning: failed to append to journal {} after retries: {e}",
+                self.path.display()
             );
-            return salvaged;
-        };
-        let next_id = root.field("next_id").as_u64().unwrap_or(1);
-        let seq = root.field("seq").as_u64().unwrap_or(0);
-        let drop_seen: Vec<String> = root
-            .field("drop_seen")
-            .as_array()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|v| v.as_str().map(String::from))
-            .collect();
-        let mut jobs = Vec::new();
-        for jv in root.field("jobs").as_array().unwrap_or(&[]) {
-            let Some(job) = Self::load_job(jv, code_salt) else {
-                continue;
-            };
-            jobs.push(job);
         }
-        (jobs, next_id, seq, drop_seen)
     }
 
-    /// Best-effort recovery from a journal that fails to parse as a whole
-    /// (typically truncated by a crash mid-write on a filesystem without
-    /// atomic rename, or by fault injection). Scans the `"jobs"` array
-    /// region for balanced, complete JSON objects and restores every one
-    /// that still decodes; the trailing half-written element is simply not
-    /// yielded. Counters are recovered by digit scan, with `next_id`
-    /// clamped above every salvaged job id so ids never collide.
-    fn salvage(text: &str, code_salt: &str) -> (Vec<Job>, JobId, u64, Vec<String>) {
-        let mut jobs: Vec<Job> = Vec::new();
-        if let Some(start) = text.find("\"jobs\"") {
-            for candidate in scan_array_objects(&text[start..]) {
-                let Ok(jv) = serde_json::parse(candidate) else {
-                    continue;
-                };
-                if let Some(job) = Self::load_job(&jv, code_salt) {
-                    jobs.push(job);
-                }
-            }
-        }
-        let max_id = jobs.iter().map(|j| j.id).max().unwrap_or(0);
-        let next_id = scan_u64(text, "\"next_id\"").unwrap_or(0).max(max_id + 1);
-        let seq = scan_u64(text, "\"seq\"").unwrap_or(0);
-        let drop_seen = scan_string_array(text, "\"drop_seen\"");
-        (jobs, next_id, seq, drop_seen)
-    }
-
-    fn load_job(jv: &Value, code_salt: &str) -> Option<Job> {
+    /// A job from its `job` record and the record that holds its terminal
+    /// fields: its `end` record, or — for a live job, or one compaction
+    /// wrote — the `job` record itself.
+    fn load_job(jv: &Value, end: &Value, code_salt: &str) -> Option<Job> {
         let id = jv.field("id").as_u64()?;
         let name = jv.field("name").as_str()?.to_string();
         let priority = Priority::parse(jv.field("priority").as_str()?)?;
         let verify = jv.field("verify").as_bool().unwrap_or(false);
         let source = jv.field("source").as_str().unwrap_or("journal").to_string();
-        let state = JobState::parse(jv.field("state").as_str()?)?;
         let submitted = jv.field("submitted_unix_ms").as_u64().unwrap_or(0);
         let spec = CampaignSpec::from_value(jv.field("spec")).ok()?;
+        let state = match end.field("state") {
+            Value::Null => JobState::Queued,
+            state => JobState::parse(state.as_str()?)?,
+        };
         if state.is_terminal() {
             // Summary-only record; points are not re-expanded.
-            let summary = JobSummary::from_value(jv.field("summary")).unwrap_or_default();
-            let results_text = jv.field("results_text").as_str().map(String::from);
+            let summary = JobSummary::from_value(end.field("summary")).unwrap_or_default();
+            let results_text = end.field("results_text").as_str().map(String::from);
             return Some(Job {
                 id,
                 seq: 0,
@@ -531,18 +553,18 @@ impl Journal {
                 points: Vec::new(),
                 keys: Vec::new(),
                 share_from: Vec::new(),
-                unique: 0,
+                unique: end.field("unique_points").as_u64().unwrap_or(0) as usize,
                 ready: VecDeque::new(),
                 deferred: VecDeque::new(),
                 in_flight: 0,
-                resolved: 0,
+                resolved: end.field("resolved").as_u64().unwrap_or(0) as usize,
                 outcomes: Vec::new(),
                 started: None,
                 submitted_unix_ms: submitted,
                 summary,
                 results_text,
                 manifest_json: None,
-                journal_record: OnceLock::new(),
+                list_row: None,
             });
         }
         // Live job: re-expand and resume from the cache.
@@ -553,160 +575,16 @@ impl Journal {
     }
 }
 
-/// Slice out the top-level `{...}` elements of the first JSON array found
-/// in `text`. String-aware (quotes, escapes), so braces inside string
-/// values don't confuse the depth count; an unbalanced trailing object —
-/// the torn tail of a truncated file — is not yielded.
-fn scan_array_objects(text: &str) -> Vec<&str> {
-    let bytes = text.as_bytes();
-    let mut i = match text.find('[') {
-        Some(p) => p + 1,
-        None => return Vec::new(),
-    };
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escape = false;
-    let mut obj_start: Option<usize> = None;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == b'\\' {
-                escape = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-        } else {
-            match c {
-                b'"' => in_str = true,
-                b'{' => {
-                    if depth == 0 {
-                        obj_start = Some(i);
-                    }
-                    depth += 1;
-                }
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        if let Some(s) = obj_start.take() {
-                            out.push(&text[s..=i]);
-                        }
-                    }
-                }
-                b']' if depth == 0 => break,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    out
+/// Fields of the `drop` record of one ingested spec-drop file.
+pub(crate) fn drop_record(file: &str) -> Vec<(String, Value)> {
+    vec![("file".into(), Value::Str(file.into()))]
 }
 
-/// Recover `"<key>": <digits>` from possibly-torn JSON text by digit scan.
-fn scan_u64(text: &str, quoted_key: &str) -> Option<u64> {
-    let pos = text.find(quoted_key)?;
-    let rest = text[pos + quoted_key.len()..]
-        .trim_start()
-        .strip_prefix(':')?
-        .trim_start();
-    let digits: &str = &rest[..rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len())];
-    digits.parse().ok()
-}
-
-/// Recover a flat array of strings (`"<key>": ["a", "b"]`) from
-/// possibly-torn JSON text. Returns empty if the array itself is torn.
-fn scan_string_array(text: &str, quoted_key: &str) -> Vec<String> {
-    let Some(pos) = text.find(quoted_key) else {
-        return Vec::new();
-    };
-    let rest = &text[pos + quoted_key.len()..];
-    let Some(open) = rest.find('[') else {
-        return Vec::new();
-    };
-    let bytes = rest.as_bytes();
-    let mut in_str = false;
-    let mut escape = false;
-    for i in open + 1..bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == b'\\' {
-                escape = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-        } else if c == b'"' {
-            in_str = true;
-        } else if c == b']' {
-            let Ok(v) = serde_json::parse(&rest[open..=i]) else {
-                return Vec::new();
-            };
-            return v
-                .as_array()
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|s| s.as_str().map(String::from))
-                .collect();
-        }
-    }
-    Vec::new()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The journal text is put together from per-job texts; it must be what
-    /// the pretty printer gives for the whole tree, whatever the job count
-    /// and whether a record is fresh or reused.
-    #[test]
-    fn assembled_journal_is_the_pretty_printed_tree() {
-        let dir = std::env::temp_dir().join(format!("noc-journal-unit-{}", std::process::id()));
-        let journal = Journal::new(&dir);
-        let spec = || bench::specs::preset("smoke").expect("known preset");
-        let job = |id, state| {
-            let mut j = Job::new(
-                id,
-                id,
-                "j\n1".into(),
-                spec(),
-                None,
-                false,
-                "t".into(),
-                "salt",
-            )
-            .expect("valid spec");
-            j.state = state;
-            j.results_text = Some("a\tb\n  c\n".into());
-            j
-        };
-        let mut jobs = Vec::new();
-        let text = journal.snapshot(&jobs, 7, 3, &["x.json".into()]).text();
-        let tree = serde_json::parse(&text).expect("journal parses");
-        assert_eq!(tree.to_json_pretty(), text, "no jobs");
-        assert_eq!(tree.field("jobs").as_array().map(<[Value]>::len), Some(0));
-        jobs.push(job(1, JobState::Done));
-        jobs.push(job(2, JobState::Queued));
-        jobs.push(job(3, JobState::Cancelled));
-        // The second round reuses the terminal jobs' records.
-        for round in 0..2 {
-            let text = journal.snapshot(&jobs, 7, 3, &[]).text();
-            let tree = serde_json::parse(&text).expect("journal parses");
-            assert_eq!(tree.to_json_pretty(), text, "round {round}");
-            let states: Vec<_> = tree
-                .field("jobs")
-                .as_array()
-                .expect("jobs array")
-                .iter()
-                .map(|j| j.field("state").as_str().map(String::from))
-                .collect();
-            assert_eq!(states.len(), 3);
-            assert_eq!(states[1].as_deref(), Some("queued"));
-        }
-    }
+fn numbered(op: &str, gen: u64, fields: Vec<(String, Value)>) -> Value {
+    let mut record = vec![
+        ("op".into(), Value::Str(op.into())),
+        ("gen".into(), Value::U64(gen)),
+    ];
+    record.extend(fields);
+    Value::Object(record)
 }

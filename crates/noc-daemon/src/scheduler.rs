@@ -85,8 +85,8 @@ impl DaemonState {
             }
             let now = Instant::now();
             // Best runnable job: priority class first, then submission order.
-            let best = inner
-                .jobs
+            let live = inner.live();
+            let best = live
                 .iter()
                 .enumerate()
                 .filter(|(_, j)| {
@@ -96,7 +96,7 @@ impl DaemonState {
                 .min_by_key(|(_, j)| (j.priority, j.seq))
                 .map(|(i, _)| i);
             if let Some(ji) = best {
-                let job = &mut inner.jobs[ji];
+                let job = &mut live[ji];
                 if job.state == JobState::Queued {
                     job.state = JobState::Running;
                     job.started = Some(now);
@@ -124,8 +124,7 @@ impl DaemonState {
             }
             // Nothing dispatchable: sleep until the earliest deferral
             // ripens, or a submit/cancel/drain notification arrives.
-            let wait = inner
-                .jobs
+            let wait = live
                 .iter()
                 .filter(|j| j.is_runnable())
                 .flat_map(|j| j.deferred.iter().map(|&(_, at)| at))
@@ -142,7 +141,7 @@ impl DaemonState {
     /// Fold one executed (or deferred) point back into its job.
     fn finish_point(&self, task: &PointTask, res: ExecPoint) {
         let mut inner = self.inner.lock().unwrap();
-        let Some(ji) = inner.jobs.iter().position(|j| j.id == task.job) else {
+        let Some(ji) = inner.find(task.job) else {
             return;
         };
         let job = &mut inner.jobs[ji];
@@ -164,13 +163,13 @@ impl DaemonState {
         }
         let finished = (active && job.is_drained()).then(|| {
             let log = self.finalize_job(&mut inner, ji);
-            (log, self.snapshot_locked(&inner))
+            (log, self.journal.record("end", inner.jobs[ji].end_record()))
         });
         drop(inner);
         self.cv.notify_all();
-        if let Some((log, snapshot)) = finished {
+        if let Some((log, record)) = finished {
             eprint!("{log}");
-            self.journal.commit(snapshot);
+            self.journal.append(&record);
         }
     }
 

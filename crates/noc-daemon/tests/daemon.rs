@@ -287,12 +287,12 @@ fn spec_drop_directory_queues_jobs() {
     std::fs::write(drop_dir.join("tiny.json"), tiny_spec().to_json()).unwrap();
     std::thread::sleep(Duration::from_millis(120));
 
-    let handle = Daemon::start(DaemonConfig {
+    let drop_cfg = || DaemonConfig {
         drop_dir: Some(drop_dir.clone()),
         drop_poll_ms: 100,
         ..cfg(&state, &cache)
-    })
-    .expect("daemon starts");
+    };
+    let handle = Daemon::start(drop_cfg()).expect("daemon starts");
 
     // The watcher ingests the file and the job runs to completion.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
@@ -311,6 +311,32 @@ fn spec_drop_directory_queues_jobs() {
     let v = wait_for_job(handle.addr, id, Duration::from_secs(120));
     assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
     assert_eq!(v.field("source").as_str(), Some("drop:tiny.json"));
+
+    // A file that is no campaign spec is rejected — once: the journal
+    // remembers it like the one that was queued, so a restart takes up
+    // neither again.
+    std::fs::write(drop_dir.join("bad.json"), "{\"groups\": 7}").unwrap();
+    let journal = state.join("journal.log");
+    let drops_of = |file: &str| {
+        let needle = format!("\"file\":\"{file}\"");
+        let text = std::fs::read_to_string(&journal).expect("journal exists");
+        text.lines().filter(|l| l.contains(&needle)).count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while drops_of("bad.json") == 0 {
+        assert!(Instant::now() < deadline, "bad.json was never taken up");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    handle.begin_drain();
+    handle.wait();
+
+    let handle = Daemon::start(drop_cfg()).expect("daemon restarts");
+    std::thread::sleep(Duration::from_millis(500)); // several polls
+    assert_eq!(drops_of("bad.json"), 1, "rejected again after the restart");
+    assert_eq!(drops_of("tiny.json"), 1);
+    let (_, jobs) = request(handle.addr, "GET", "/jobs", None);
+    let rows = serde_json::parse(&jobs).unwrap();
+    assert_eq!(rows.as_array().unwrap().len(), 1, "queued again: {jobs}");
 
     handle.begin_drain();
     handle.wait();
@@ -505,17 +531,90 @@ fn finished_jobs_stay_served_and_the_journal_keeps_the_last_state() {
     assert_eq!(view.field("total_points").as_u64(), Some(5));
     assert_eq!(view.field("cache_hits_so_far").as_u64(), Some(5));
 
-    // Journal writes happen outside the queue lock; the file must still end
-    // on the last state, with every job done.
+    // Journal records are written outside the queue lock, in whatever order
+    // the threads reach the file; a restart must still read the last state
+    // out of them: every job done, serving what it served.
     handle.begin_drain();
     handle.wait();
-    let text = std::fs::read_to_string(state.join("journal.json")).expect("journal exists");
-    let journal = serde_json::parse(&text).expect("journal parses");
-    let jobs = journal.field("jobs").as_array().unwrap();
-    assert_eq!(jobs.len(), JOBS + 1);
-    assert!(jobs
+    let handle = Daemon::start(cfg(&state, &cache)).expect("daemon restarts");
+    let (status, jobs) = request(handle.addr, "GET", "/jobs", None);
+    assert_eq!(status, 200);
+    let rows = serde_json::parse(&jobs).unwrap();
+    let rows = rows.as_array().unwrap();
+    assert_eq!(rows.len(), JOBS + 1);
+    assert!(rows
         .iter()
-        .all(|j| j.field("state").as_str() == Some("done")));
+        .all(|r| r.field("state").as_str() == Some("done")));
+    for (route, before) in ["", "/results"].iter().zip(&first_served) {
+        let (status, after) = request(handle.addr, "GET", &format!("/jobs/{first}{route}"), None);
+        assert_eq!(status, 200);
+        assert_eq!(&after, before, "/jobs/{first}{route} across the restart");
+    }
+    handle.begin_drain();
+    handle.wait();
+
+    for d in [&state, &cache] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn journal_cost_does_not_grow_with_history() {
+    const JOBS: usize = 300;
+    let state = common::scratch("cost-state");
+    let cache = common::scratch("cost-cache");
+    let journal = state.join("journal.log");
+    // Five points: one design over five loads.
+    let mut spec = tiny_spec();
+    spec.groups[0].designs = vec![Design::DXbarDor];
+    spec.groups[0].workload = WorkloadAxis::Synthetic {
+        patterns: vec![dxbar_noc::noc_traffic::patterns::Pattern::UniformRandom],
+        loads: vec![0.1, 0.15, 0.2, 0.25, 0.3],
+    };
+    let handle = Daemon::start(cfg(&state, &cache)).expect("daemon starts");
+    let addr = handle.addr;
+
+    // (bytes, records) in the journal once it holds `records` records; a
+    // finished job's `end` record is appended after the job reads `done`.
+    let journal_at = |records: usize| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let text = std::fs::read_to_string(&journal).expect("journal exists");
+            let lines = text.lines().filter(|l| !l.is_empty()).count();
+            if lines >= records {
+                return (text.len(), lines);
+            }
+            assert!(Instant::now() < deadline, "{lines} of {records} records");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    // Job 1 simulates; every later one is five cache hits. What job n adds
+    // to the journal: its `job` and its `end` record.
+    let mut added = Vec::new();
+    for n in 1..=JOBS {
+        run_job(addr, &spec);
+        let (bytes, records) = journal_at(2 * n);
+        assert_eq!(records, 2 * n, "two records per finished job");
+        added.push(bytes);
+    }
+    let cost = |n: usize| added[n - 1] - added[n - 2];
+    // The same records, but for the digits of the id and of `gen` (two
+    // more each at job 300 than at job 3, in two records: eight bytes) and
+    // of `wall_ms`.
+    assert!(
+        cost(JOBS).abs_diff(cost(3)) <= 16,
+        "job 3 added {} bytes, job {JOBS} added {}",
+        cost(3),
+        cost(JOBS)
+    );
+
+    // Loading the log compacts it: one record per finished job.
+    handle.begin_drain();
+    handle.wait();
+    let handle = Daemon::start(cfg(&state, &cache)).expect("daemon restarts");
+    assert_eq!(journal_at(JOBS).1, JOBS);
+    handle.begin_drain();
+    handle.wait();
 
     for d in [&state, &cache] {
         let _ = std::fs::remove_dir_all(d);

@@ -1,13 +1,18 @@
-//! Journal crash-recovery: a daemon whose `journal.json` was torn by a
-//! power cut (truncated mid-write) or rotted into garbage must still come
-//! up, salvage every intact job record, and keep serving — a damaged
-//! queue journal costs at most the torn records, never the daemon.
+//! Journal crash-recovery: a daemon whose `journal.log` was torn by a power
+//! cut (a record cut short), rotted (a flipped byte) or replaced by garbage
+//! must still come up, restore every intact record, and keep serving — a
+//! damaged queue journal costs at most the damaged records, never the
+//! daemon.
 
 mod common;
 
 use common::{request, tiny_spec, wait_for_job};
-use noc_daemon::{Daemon, DaemonConfig};
-use std::path::Path;
+use noc_campaign::io::{IoFault, IoOp, IoPolicy};
+use noc_daemon::{Daemon, DaemonConfig, DaemonHandle};
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SALT: &str = "daemon-recovery-test-v1";
@@ -24,158 +29,217 @@ fn cfg(state: &Path, cache: &Path) -> DaemonConfig {
     }
 }
 
-#[test]
-fn torn_journal_salvages_intact_jobs_and_daemon_resumes() {
-    let state = common::scratch("torn-state");
-    let cache = common::scratch("torn-cache");
-    let spec = tiny_spec();
+/// Submit the tiny spec; returns the job id.
+fn submit(addr: SocketAddr) -> u64 {
+    let body = format!("{{\"spec\": {}}}", tiny_spec().to_json());
+    let (status, resp) = request(addr, "POST", "/jobs", Some(&body));
+    assert_eq!(status, 202, "{resp}");
+    serde_json::parse(&resp)
+        .unwrap()
+        .field("job")
+        .as_u64()
+        .unwrap()
+}
 
-    // Run two jobs to completion so the journal holds two terminal records
-    // (with their rendered results inline), then drain cleanly.
+fn assert_done(addr: SocketAddr, id: u64) {
+    let v = wait_for_job(addr, id, Duration::from_secs(120));
+    assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
+}
+
+/// `(id, state)` of every job `GET /jobs` lists.
+fn listed(addr: SocketAddr) -> Vec<(u64, String)> {
+    let (status, jobs) = request(addr, "GET", "/jobs", None);
+    assert_eq!(status, 200);
+    serde_json::parse(&jobs)
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|r| {
+            (
+                r.field("id").as_u64().unwrap(),
+                r.field("state").as_str().unwrap().to_string(),
+            )
+        })
+        .collect()
+}
+
+fn stop(handle: DaemonHandle) {
+    handle.begin_drain();
+    handle.wait();
+}
+
+/// A drained daemon's journal after `jobs` jobs ran to `done` one after the
+/// other: the job ids, the first job's results table, and the log's lines
+/// as `[job 1, end 1, job 2, end 2, ...]` (records of different threads may
+/// land in another order; the tests below need a known one to damage).
+struct Ran {
+    state: PathBuf,
+    cache: PathBuf,
+    ids: Vec<u64>,
+    first_table: String,
+    lines: Vec<String>,
+}
+
+fn run_to_done(tag: &str, jobs: usize) -> Ran {
+    let state = common::scratch(&format!("{tag}-state"));
+    let cache = common::scratch(&format!("{tag}-cache"));
     let handle = Daemon::start(cfg(&state, &cache)).expect("daemon starts");
-    let body = format!("{{\"spec\": {}}}", spec.to_json());
-    let mut ids = Vec::new();
-    for _ in 0..2 {
-        let (status, resp) = request(handle.addr, "POST", "/jobs", Some(&body));
-        assert_eq!(status, 202, "{resp}");
-        ids.push(
-            serde_json::parse(&resp)
-                .unwrap()
-                .field("job")
-                .as_u64()
-                .unwrap(),
-        );
-    }
-    for &id in &ids {
-        let v = wait_for_job(handle.addr, id, Duration::from_secs(120));
-        assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
-    }
-    let (_, expected_table) = request(
+    let ids: Vec<u64> = (0..jobs)
+        .map(|_| {
+            let id = submit(handle.addr);
+            assert_done(handle.addr, id);
+            id
+        })
+        .collect();
+    let (_, first_table) = request(
         handle.addr,
         "GET",
         &format!("/jobs/{}/results", ids[0]),
         None,
     );
-    handle.begin_drain();
-    handle.wait();
+    stop(handle);
 
-    // Power-cut the journal: chop the tail off mid-way through the second
-    // job's record. The journal writes its counters before the jobs array,
-    // so the head (version, next_id, seq) and the first job survive.
-    let journal = state.join("journal.json");
-    let text = std::fs::read_to_string(&journal).expect("journal exists after drain");
-    assert!(text.len() > 80, "journal unexpectedly small: {text}");
-    std::fs::write(&journal, &text[..text.len() - 80]).unwrap();
+    let text = std::fs::read_to_string(state.join("journal.log")).expect("journal exists");
+    let mut lines: Vec<String> = text
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(String::from)
+        .collect();
+    assert_eq!(lines.len(), 2 * jobs, "a job and an end record per job");
+    let key = |line: &String| {
+        let record = serde_json::parse(&line[17..]).expect("record is JSON after its checksum");
+        (
+            record.field("id").as_u64().unwrap(),
+            record.field("op").as_str() == Some("end"),
+        )
+    };
+    lines.sort_by_key(key);
+    Ran {
+        state,
+        cache,
+        ids,
+        first_table,
+        lines,
+    }
+}
 
-    // The daemon still comes up, with exactly the intact record salvaged.
-    let handle2 = Daemon::start(cfg(&state, &cache)).expect("daemon survives a torn journal");
-    let (status, jobs) = request(handle2.addr, "GET", "/jobs", None);
-    assert_eq!(status, 200);
-    let rows = serde_json::parse(&jobs).unwrap();
-    let rows = rows.as_array().unwrap();
-    assert_eq!(
-        rows.len(),
-        1,
-        "one of two records survived the tear: {jobs}"
-    );
-    assert_eq!(rows[0].field("id").as_u64(), Some(ids[0]));
-    assert_eq!(rows[0].field("state").as_str(), Some("done"));
+impl Ran {
+    /// Replace the journal by `text` and start a daemon on it.
+    fn restart_on(&self, text: &str, cfg: DaemonConfig) -> DaemonHandle {
+        std::fs::write(self.state.join("journal.log"), text).unwrap();
+        Daemon::start(cfg).expect("daemon survives a damaged journal")
+    }
 
-    // The salvaged job still serves its results, byte-identical.
-    let (status, table) = request(
-        handle2.addr,
-        "GET",
-        &format!("/jobs/{}/results", ids[0]),
-        None,
-    );
-    assert_eq!(status, 200);
-    assert_eq!(table, expected_table);
+    fn cfg(&self) -> DaemonConfig {
+        cfg(&self.state, &self.cache)
+    }
 
-    // Salvaged counters keep fresh ids clear of every surviving record:
-    // new work is accepted and completes (as a pure cache replay here).
-    let (status, resp) = request(handle2.addr, "POST", "/jobs", Some(&body));
-    assert_eq!(status, 202, "{resp}");
-    let new_id = serde_json::parse(&resp)
-        .unwrap()
-        .field("job")
-        .as_u64()
-        .unwrap();
-    assert!(
-        new_id > ids[1],
-        "fresh id {new_id} collides with torn record"
-    );
-    let v = wait_for_job(handle2.addr, new_id, Duration::from_secs(120));
+    /// The restored first job serves the table it served before.
+    fn assert_first_table(&self, addr: SocketAddr) {
+        let (status, table) = request(addr, "GET", &format!("/jobs/{}/results", self.ids[0]), None);
+        assert_eq!(status, 200);
+        assert_eq!(table, self.first_table);
+    }
+
+    /// New work gets an id past every journaled one and completes.
+    fn assert_accepts_work(&self, addr: SocketAddr) {
+        let new_id = submit(addr);
+        let last = *self.ids.last().unwrap();
+        assert!(new_id > last, "fresh id {new_id} collides with {last}");
+        assert_done(addr, new_id);
+    }
+
+    fn cleanup(self) {
+        for d in [&self.state, &self.cache] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+}
+
+/// The log's framing: every record starts and ends with a newline.
+fn framed(lines: &[String]) -> String {
+    lines.iter().map(|l| format!("\n{l}\n")).collect()
+}
+
+#[test]
+fn torn_journal_salvages_intact_jobs_and_daemon_resumes() {
+    let ran = run_to_done("torn", 2);
+
+    // Power-cut the journal mid-way through its last record, the second
+    // job's `end`: every earlier record is whole.
+    let text = framed(&ran.lines);
+    let handle = ran.restart_on(&text[..text.len() - 80], ran.cfg());
+
+    // Both jobs are back. The first is done and serves its results, byte-
+    // identical; the second lost only the record that said it had finished,
+    // so it resumes (as a pure cache replay) and finishes again.
+    let jobs = listed(handle.addr);
+    assert_eq!(jobs.len(), 2, "{jobs:?}");
+    assert_eq!(jobs[0], (ran.ids[0], "done".to_string()));
+    assert_eq!(jobs[1].0, ran.ids[1]);
+    ran.assert_first_table(handle.addr);
+    let v = wait_for_job(handle.addr, ran.ids[1], Duration::from_secs(120));
     assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
-    handle2.begin_drain();
-    handle2.wait();
+    assert_eq!(v.field("summary").field("simulated").as_u64(), Some(0));
 
-    for d in [&state, &cache] {
-        let _ = std::fs::remove_dir_all(d);
+    ran.assert_accepts_work(handle.addr);
+    stop(handle);
+    ran.cleanup();
+}
+
+/// Injects nothing; counts the records the read side reported as damaged.
+#[derive(Debug, Default)]
+struct CountDetected(AtomicUsize);
+
+impl IoPolicy for CountDetected {
+    fn inject(&self, _op: IoOp, _path: &Path, _attempt: u32) -> Option<IoFault> {
+        None
+    }
+
+    fn on_detected(&self, path: &Path) {
+        assert!(path.ends_with("journal.log"), "{}", path.display());
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[test]
 fn unfinished_job_survives_a_torn_journal_tail_and_resumes() {
-    let state = common::scratch("resume-state");
-    let cache = common::scratch("resume-cache");
-    let spec = tiny_spec();
+    let ran = run_to_done("flip", 2);
 
-    // Journal an (almost certainly) unfinished job, then drain.
-    let handle = Daemon::start(DaemonConfig {
-        workers: 1,
-        ..cfg(&state, &cache)
-    })
-    .expect("daemon starts");
-    let body = format!("{{\"spec\": {}}}", spec.to_json());
-    let (status, resp) = request(handle.addr, "POST", "/jobs", Some(&body));
-    assert_eq!(status, 202, "{resp}");
-    let id = serde_json::parse(&resp)
-        .unwrap()
-        .field("job")
-        .as_u64()
-        .unwrap();
-    handle.begin_drain();
-    handle.wait();
+    // One flipped byte in a middle line — the first job's `end` — and the
+    // second job unfinished: its `end` record never made it.
+    let mut lines = ran.lines[..3].to_vec();
+    let mut rotten = std::mem::take(&mut lines[1]).into_bytes();
+    let at = rotten.len() / 2;
+    rotten[at] ^= 0x01;
+    lines[1] = String::from_utf8(rotten).expect("a low bit of ASCII flipped");
 
-    // Tear bytes off the end of the journal — the closing brackets and the
-    // job record's tail go missing, as after a mid-write power loss. A cut
-    // this small stays inside the only job's record, so nothing survives
-    // the jobs array; the counters at the head still do.
-    let journal = state.join("journal.json");
-    let text = std::fs::read_to_string(&journal).expect("journal exists after drain");
-    std::fs::write(&journal, &text[..text.len() - 10]).unwrap();
+    let detected = Arc::new(CountDetected::default());
+    let handle = ran.restart_on(
+        &framed(&lines),
+        DaemonConfig {
+            io_policy: detected.clone(),
+            ..ran.cfg()
+        },
+    );
+    assert_eq!(
+        detected.0.load(Ordering::Relaxed),
+        1,
+        "the flipped record is reported, once"
+    );
 
-    // The daemon comes up regardless. If the record was salvageable it
-    // resumes and finishes; either way the service accepts new work.
-    let handle2 = Daemon::start(DaemonConfig {
-        workers: 1,
-        ..cfg(&state, &cache)
-    })
-    .expect("daemon survives a torn journal");
-    let (status, jobs) = request(handle2.addr, "GET", "/jobs", None);
-    assert_eq!(status, 200);
-    let survivors = serde_json::parse(&jobs).unwrap().as_array().unwrap().len();
-    if survivors == 1 {
-        let v = wait_for_job(handle2.addr, id, Duration::from_secs(120));
-        assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
+    // The flip cost that record only: the lines before and after it — both
+    // jobs' submissions — are restored, and both jobs resume and finish.
+    let ids: Vec<u64> = listed(handle.addr).iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, ran.ids);
+    for &id in &ran.ids {
+        assert_done(handle.addr, id);
     }
-
-    let (status, resp) = request(handle2.addr, "POST", "/jobs", Some(&body));
-    assert_eq!(status, 202, "daemon must accept work after salvage: {resp}");
-    let new_id = serde_json::parse(&resp)
-        .unwrap()
-        .field("job")
-        .as_u64()
-        .unwrap();
-    assert!(new_id > id, "fresh id must not collide after salvage");
-    let v = wait_for_job(handle2.addr, new_id, Duration::from_secs(120));
-    assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
-    handle2.begin_drain();
-    handle2.wait();
-
-    for d in [&state, &cache] {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    ran.assert_first_table(handle.addr);
+    ran.assert_accepts_work(handle.addr);
+    stop(handle);
+    ran.cleanup();
 }
 
 #[test]
@@ -183,31 +247,67 @@ fn garbage_journal_yields_an_empty_queue_not_a_dead_daemon() {
     let state = common::scratch("garbage-state");
     let cache = common::scratch("garbage-cache");
     std::fs::create_dir_all(&state).unwrap();
-    std::fs::write(state.join("journal.json"), "{ this is not json at all").unwrap();
+    std::fs::write(
+        state.join("journal.log"),
+        b"{ this is not\xff a journal\n\nat all",
+    )
+    .unwrap();
+    // An older daemon's whole-file journal is left alone, not read.
+    std::fs::write(state.join("journal.json"), "{ nor is this").unwrap();
 
     let handle = Daemon::start(cfg(&state, &cache)).expect("daemon survives garbage journal");
-    let (status, jobs) = request(handle.addr, "GET", "/jobs", None);
-    assert_eq!(status, 200);
-    assert_eq!(
-        serde_json::parse(&jobs).unwrap().as_array().unwrap().len(),
-        0
-    );
+    assert_eq!(listed(handle.addr), []);
 
     // And it still does real work.
-    let body = format!("{{\"spec\": {}}}", tiny_spec().to_json());
-    let (status, resp) = request(handle.addr, "POST", "/jobs", Some(&body));
-    assert_eq!(status, 202, "{resp}");
-    let id = serde_json::parse(&resp)
-        .unwrap()
-        .field("job")
-        .as_u64()
-        .unwrap();
-    let v = wait_for_job(handle.addr, id, Duration::from_secs(120));
-    assert_eq!(v.field("state").as_str(), Some("done"), "{}", v.to_json());
-    handle.begin_drain();
-    handle.wait();
+    let id = submit(handle.addr);
+    assert_done(handle.addr, id);
+    stop(handle);
+    assert_eq!(
+        std::fs::read_to_string(state.join("journal.json")).unwrap(),
+        "{ nor is this"
+    );
 
     for d in [&state, &cache] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+#[test]
+fn end_record_that_landed_before_its_job_record_folds() {
+    let ran = run_to_done("swap", 1);
+
+    // The worker's append overtook the submitter's.
+    let swapped = [ran.lines[1].clone(), ran.lines[0].clone()];
+    let handle = ran.restart_on(&framed(&swapped), ran.cfg());
+    assert_eq!(listed(handle.addr), [(ran.ids[0], "done".to_string())]);
+    ran.assert_first_table(handle.addr);
+    stop(handle);
+    ran.cleanup();
+}
+
+#[test]
+fn torn_record_followed_by_a_good_one_loses_only_the_torn_one() {
+    let ran = run_to_done("mid", 2);
+
+    // The first job's submission was cut short — no newline of its own —
+    // and the daemon lived on to append more. The next record's leading
+    // newline ends the fragment.
+    let torn = &ran.lines[0][..ran.lines[0].len() / 2];
+    let text = format!("\n{torn}{}", framed(&ran.lines[1..]));
+    let handle = ran.restart_on(&text, ran.cfg());
+
+    // The torn job is gone (its `end` has nothing to fold into); the job
+    // after it is whole.
+    assert_eq!(listed(handle.addr), [(ran.ids[1], "done".to_string())]);
+    let (status, table) = request(
+        handle.addr,
+        "GET",
+        &format!("/jobs/{}/results", ran.ids[1]),
+        None,
+    );
+    assert_eq!(status, 200);
+    assert_eq!(table, ran.first_table, "same spec, same table");
+    ran.assert_accepts_work(handle.addr);
+    stop(handle);
+    ran.cleanup();
 }
