@@ -5,10 +5,11 @@
 //! datapath — a standard assumption, since header bits feed control logic —
 //! while the 128-bit payload is covered end-to-end by a CRC-16 computed at
 //! the source NI and checked at every ejection port. We use CRC-16/CCITT-FALSE
-//! (polynomial 0x1021, init 0xFFFF). Sealing runs once per flit *creation*,
-//! which at high offered load is on the simulator's hot path, so the
-//! byte-at-a-time table form is used instead of the serial bitwise loop —
-//! same polynomial, same values, ~8x fewer dependent operations.
+//! (polynomial 0x1021, init 0xFFFF). Sealing runs once per flit a source NI
+//! *sequences* and checking once per sequenced flit ejected — per flit in a
+//! resilient run, never in a plain one — so the byte-at-a-time table form
+//! is used instead of the serial bitwise loop: same polynomial, same
+//! values, ~8x fewer dependent operations.
 
 /// Byte-indexed step table for CRC-16/CCITT-FALSE (MSB-first, poly 0x1021),
 /// built at compile time.

@@ -72,13 +72,17 @@ pub struct Flit {
     /// the flit identity so end-to-end corruption detection is testable.
     pub payload: u64,
     /// CRC-16 over `(packet, flit_index, src, dst, seq, payload)`, sealed by
-    /// the source NI. Transient link faults corrupt `payload` without
-    /// resealing, so [`Flit::crc_ok`] fails at the checker.
+    /// the source NI when it sequences the flit ([`Flit::set_seq`]) and 0 —
+    /// meaningless — on an unsequenced flit, which no checker looks at.
+    /// Transient link faults corrupt `payload` without resealing, so
+    /// [`Flit::crc_ok`] fails at the checker.
     pub crc: u16,
 }
 
 impl Flit {
-    /// Create the `flit_index`-th flit of a packet.
+    /// Create the `flit_index`-th flit of a packet: unsequenced and
+    /// unsealed, as it leaves the PE. The source NI seals it
+    /// ([`Flit::set_seq`]) only where a resilience layer will check it.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         packet: PacketId,
@@ -90,7 +94,7 @@ impl Flit {
         kind: FlitKind,
     ) -> Flit {
         debug_assert!(flit_index < packet_len, "flit index out of range");
-        let mut f = Flit {
+        Flit {
             packet,
             flit_index,
             packet_len,
@@ -106,9 +110,7 @@ impl Flit {
             seq: 0,
             payload: mix64(packet.0 ^ ((flit_index as u64) << 56)),
             crc: 0,
-        };
-        f.seal_crc();
-        f
+        }
     }
 
     /// The words covered by the payload CRC. The routing header fields enter
@@ -125,8 +127,8 @@ impl Flit {
         ]
     }
 
-    /// Recompute and store the CRC. Called by the constructor and whenever
-    /// the NI (re)assigns a sequence number.
+    /// Recompute and store the CRC. Called whenever the NI assigns a
+    /// sequence number; a fresh flit is not sealed.
     pub fn seal_crc(&mut self) {
         self.crc = crc16_words(&self.crc_words());
     }
@@ -245,15 +247,27 @@ mod tests {
     }
 
     #[test]
-    fn fresh_flit_has_valid_crc_and_no_seq() {
+    fn fresh_flit_is_unsequenced_and_unsealed() {
         let f = Flit::synthetic(PacketId(1), NodeId(0), NodeId(5), 3);
         assert_eq!(f.seq, 0);
+        assert_eq!(f.crc, 0);
+        assert!(!f.crc_ok(), "nothing sealed this flit yet");
+    }
+
+    #[test]
+    fn set_seq_seals_and_corruption_breaks_the_seal() {
+        let mut f = Flit::synthetic(PacketId(1), NodeId(0), NodeId(5), 3);
+        f.set_seq(17);
+        assert_eq!(f.seq, 17);
         assert!(f.crc_ok());
+        f.corrupt_payload(1 << 40);
+        assert!(!f.crc_ok());
     }
 
     #[test]
     fn corruption_breaks_crc_and_reseal_restores() {
         let mut f = Flit::synthetic(PacketId(2), NodeId(1), NodeId(6), 0);
+        f.set_seq(1);
         f.corrupt_payload(0x8000_0001);
         assert!(!f.crc_ok());
         f.seal_crc();
@@ -263,16 +277,9 @@ mod tests {
     #[test]
     fn corrupt_with_zero_mask_still_corrupts() {
         let mut f = Flit::synthetic(PacketId(3), NodeId(0), NodeId(1), 0);
+        f.set_seq(1);
         f.corrupt_payload(0);
         assert!(!f.crc_ok());
-    }
-
-    #[test]
-    fn set_seq_reseals() {
-        let mut f = Flit::synthetic(PacketId(4), NodeId(0), NodeId(1), 0);
-        f.set_seq(17);
-        assert_eq!(f.seq, 17);
-        assert!(f.crc_ok());
     }
 
     #[test]

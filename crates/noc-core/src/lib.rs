@@ -6,7 +6,7 @@
 //! * [`types`] — node identifiers, cardinal directions, port indices;
 //! * [`flit`] — the unit of switching ([`Flit`]) and packet descriptors;
 //! * [`queue`] — a fixed-capacity ring-buffer FIFO used for input buffers;
-//! * [`pool`] — slab arena for flits parked in engine-side queues ([`FlitId`]
+//! * [`pool`] — slab arena for flits parked in a buffer bank ([`FlitId`]
 //!   handles, free-list reuse);
 //! * [`inline`] — fixed-capacity stack vector for per-cycle router scratch;
 //! * [`rng`] — a small deterministic PRNG (SplitMix64 / xoshiro256**) so

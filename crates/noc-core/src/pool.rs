@@ -1,21 +1,19 @@
-//! Slab arena for flits waiting in the engine's source queues.
+//! Slab arena for flits parked in a buffer bank.
 //!
-//! A flit that has been generated but not yet injected waits in its
-//! node's source queue, possibly for a long time and in large numbers.
-//! [`FlitPool`] gives those flits one contiguous slab instead of whole
+//! [`FlitPool`] gives parked flits one contiguous slab instead of whole
 //! [`Flit`] values (56 bytes) in queues that grow on the general heap: a
-//! queued flit occupies one stable slot addressed by a 4-byte [`FlitId`]
+//! parked flit occupies one stable slot addressed by a 4-byte [`FlitId`]
 //! handle, the queues move only handles, and freed slots are recycled
 //! through a LIFO free-list so a warmed-up simulation stops allocating
 //! entirely — the slab's high-water mark is reached during warmup and
-//! every subsequent alloc pops the free-list. (Flits *in* the network are
-//! not here: links carry them by value, see `noc_topology::DelayLine`; the
-//! DAMQ router's shared buffer keeps a pool of its own.)
+//! every subsequent alloc pops the free-list. Its user is the DAMQ
+//! router's shared buffer (`noc_zoo::slab`). The engine keeps no flits
+//! here: links carry them by value (`noc_topology::DelayLine`) and source
+//! queues hold packets until a flit is due (`noc_sim::source_queue`).
 //!
 //! Slot reuse is deterministic (LIFO), so pool-managed runs are exactly as
-//! reproducible as value-carrying ones. Handles are engine-internal:
-//! routers receive and return full `Flit` values, and a flit's slot is
-//! freed the moment it is injected, so no handle outlives its flit.
+//! reproducible as value-carrying ones. Handles stay inside their owner:
+//! routers receive and return full `Flit` values.
 
 use crate::flit::Flit;
 

@@ -244,10 +244,10 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Record a flit created by a generator.
-    pub fn record_offered(&mut self, in_window: bool) {
+    /// Record `flits` flits created by a generator (one packet's worth).
+    pub fn record_offered(&mut self, flits: u64, in_window: bool) {
         if in_window {
-            self.offered_flits += 1;
+            self.offered_flits += flits;
         }
     }
 
@@ -514,14 +514,14 @@ mod tests {
             measured_cycles: 100,
             ..Default::default()
         };
-        for _ in 0..50 {
-            s.record_offered(true);
+        for _ in 0..10 {
+            s.record_offered(5, true);
         }
         for _ in 0..40 {
             s.record_flit_ejected(0, 3, 10, true, true);
         }
         // out-of-window records are ignored
-        s.record_offered(false);
+        s.record_offered(1, false);
         s.record_flit_ejected(0, 3, 10, false, false);
         assert!((s.offered_rate(10) - 0.05).abs() < 1e-12);
         assert!((s.accepted_rate(10) - 0.04).abs() < 1e-12);

@@ -28,7 +28,6 @@ pub fn rank_ports_inline(mesh: &Mesh, current: NodeId, dst: NodeId) -> InlineVec
     // may point away from the raw coordinate difference.
     let dx = mesh.dx(c, d);
     let dy = mesh.dy(c, d);
-    let productive = productive_ports(mesh, current, dst);
 
     // A productive direction on a mesh always has a link (the destination
     // lies inside the grid, and on a torus every direction has a link), so
@@ -59,11 +58,17 @@ pub fn rank_ports_inline(mesh: &Mesh, current: NodeId, dst: NodeId) -> InlineVec
             out.push(x_dir);
         }
     }
-    debug_assert!(out.iter().all(|p| productive.contains(p)));
+    debug_assert!({
+        let productive = productive_ports(mesh, current, dst);
+        out.iter().all(|p| productive.contains(p))
+    });
     debug_assert!(out.iter().all(|p| mesh.neighbor(current, p).is_some()));
 
+    // Which links exist follows from the coordinate already in hand; no
+    // neighbour lookup per flit.
+    let has_link = mesh.links_at(c);
     for dir in LINK_DIRECTIONS {
-        if !out.contains(&dir) && mesh.neighbor(current, dir).is_some() {
+        if has_link[dir.index()] && !out.contains(&dir) {
             out.push(dir);
         }
     }

@@ -30,6 +30,7 @@ pub mod report;
 pub mod resilience;
 pub mod router;
 pub mod runner;
+pub mod source_queue;
 pub(crate) mod tiles;
 pub mod verify;
 

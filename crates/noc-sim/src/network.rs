@@ -6,11 +6,10 @@
 //! Wires carry flits: a link is a [`DelayLine<Flit>`] ring inside the
 //! receiving node's own `in_links` element, written by the upstream
 //! neighbour and read in sweep order, so a hop touches no shared store.
-//! Only flits *waiting to enter* the network — the source queues — live in
-//! a slab [`FlitPool`] (one per tile shard), the queues holding 4-byte
-//! [`FlitId`] handles; and the one queued flit a router looks at every
-//! cycle, the queue head, is mirrored by value in the dense `heads` array
-//! so building the injection offer never chases a handle into the slab.
+//! Traffic *waiting to enter* the network is not flits yet: a node's
+//! [`SourceQueue`] holds one 24-byte range per queued packet, and the one
+//! flit a router looks at every cycle, the queue head, is built when it is
+//! first offered (in the tile that owns the node) and exists nowhere else.
 //! Together with the per-shard [`StepCtx`] and the scratch buffers below,
 //! a warmed-up run with tracing, verification and resilience disabled
 //! performs **zero heap allocations per cycle** at any tile count (pinned
@@ -36,11 +35,11 @@
 use crate::reassembly::Reassembler;
 use crate::resilience::ResilienceState;
 use crate::router::RouterModel;
+use crate::source_queue::SourceQueue;
 use crate::tiles::{step_tile, ObsSub, SharedGrid, SharedShards, TileEngine};
 use crate::verify::{NullVerifier, RunObserver};
 use crate::{CREDIT_LATENCY, LINK_LATENCY};
 use noc_core::flit::{Flit, PacketDesc};
-use noc_core::pool::{FlitId, FlitPool};
 use noc_core::stats::{EventCounts, NetStats};
 use noc_core::types::{Cycle, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_core::SimConfig;
@@ -49,7 +48,6 @@ use noc_topology::link::TimedChannel;
 use noc_topology::{DelayLine, Mesh};
 use noc_trace::{CycleSample, NullSink, TraceSink};
 use noc_traffic::generator::{DeliveredPacket, TrafficModel};
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A complete simulated network of one router design.
@@ -67,9 +65,6 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// loops look this up per flit-hop, and the table replaces a
     /// coordinate round-trip with one indexed load.
     neighbors: Vec<[Option<NodeId>; NUM_LINK_PORTS]>,
-    /// Slab arenas behind the source queues, one per tile shard: a flit
-    /// queued at node `i` lives in the pool of the tile that owns `i`.
-    pools: Vec<FlitPool>,
     /// `in_links[node][d]`: flits arriving at `node` on input port `d`
     /// (fed by the neighbour in direction `d`), by value. `None` at mesh
     /// edges.
@@ -78,25 +73,17 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// link in direction `d`.
     in_credits: Vec<[Option<DelayLine<u32>>; NUM_LINK_PORTS]>,
     /// Per-node injection queues (source side of the PE).
-    source_queues: Vec<VecDeque<FlitId>>,
-    /// `heads[node]`: a copy of the flit at the front of `node`'s source
-    /// queue — what the router is offered each cycle. Kept equal to
-    /// `source_queues[node].front()` by every place the front changes
-    /// (the push onto an empty queue in [`step`](Self::step),
-    /// [`requeue_front`](Self::requeue_front), and the NI reseal and the
-    /// pop in `step_tile`).
-    heads: Vec<Option<Flit>>,
+    source_queues: Vec<SourceQueue>,
     /// Flits taken off a link so far. Every flit put on a link counted one
     /// `events.link_traversals`, so the difference is what is on the wires
     /// now ([`flits_on_wire`](Self::flits_on_wire)).
     link_arrivals: u64,
-    /// Reassembly state, sharded like the pools (ejections happen at the
+    /// Reassembly state, one per tile shard (ejections happen at the
     /// flit's destination, so each shard's reassembler is tile-local).
     reassemblers: Vec<Reassembler>,
     /// SCARAB NACK/retransmission channel: dropped flits travel back to the
     /// source (as a NACK) and are re-enqueued at the head of its queue.
-    /// Carries flits by value — a NACK in flight belongs to no node, hence
-    /// to no shard's pool.
+    /// Carries flits by value — a NACK in flight belongs to no node.
     retransmits: TimedChannel<Flit>,
     stats: NetStats,
     cycle: Cycle,
@@ -169,15 +156,11 @@ impl<R: RouterModel> Network<R> {
             cfg: cfg.clone(),
             routers,
             neighbors,
-            pools: vec![FlitPool::new()],
             in_links,
             in_credits,
-            // Reserve the cap up front: queue growth never shows up as a
-            // mid-run allocation (the cap is small — u32 handles only).
             source_queues: (0..n)
-                .map(|_| VecDeque::with_capacity(cfg.source_queue_cap))
+                .map(|_| SourceQueue::new(cfg.source_queue_cap))
                 .collect(),
-            heads: vec![None; n],
             link_arrivals: 0,
             reassemblers: vec![Reassembler::new()],
             retransmits: TimedChannel::new(),
@@ -208,17 +191,15 @@ impl<R: RouterModel> Network<R> {
     /// knob only — it deliberately stays out of `SimConfig` and any result
     /// cache identity.
     ///
-    /// Must be called before the first [`step`](Self::step): flit storage
-    /// re-shards along tile boundaries.
+    /// Must be called before the first [`step`](Self::step): reassembly
+    /// state re-shards along tile boundaries.
     pub fn set_tile_threads(&mut self, threads: usize) {
         assert_eq!(
             self.cycle, 0,
             "tile threads must be configured before the first step"
         );
-        debug_assert!(self.pools.iter().all(|p| p.is_empty()));
         self.tiles = TileEngine::new(self.mesh.width(), self.mesh.height(), threads);
         let nt = self.tiles.partition.num_tiles();
-        self.pools = (0..nt).map(|_| FlitPool::new()).collect();
         self.reassemblers = (0..nt).map(|_| Reassembler::new()).collect();
     }
 
@@ -349,20 +330,14 @@ impl<R: RouterModel> Network<R> {
             self.poll_scratch.clear();
             model.poll_into(t, &mut self.poll_scratch);
             for desc in &self.poll_scratch {
-                let i = desc.src.index();
-                let sh = self.tiles.partition.tile_of(desc.src);
-                let q = &mut self.source_queues[i];
-                for flit in desc.flits() {
-                    self.stats.record_offered(offered_now);
-                    if !lossless && q.len() >= self.cfg.source_queue_cap {
-                        self.source_overflow += 1;
-                    } else {
-                        if q.is_empty() {
-                            self.heads[i] = Some(flit);
-                        }
-                        q.push_back(self.pools[sh].alloc(flit));
-                    }
-                }
+                let q = &mut self.source_queues[desc.src.index()];
+                let room = if lossless {
+                    usize::MAX
+                } else {
+                    self.cfg.source_queue_cap.saturating_sub(q.len())
+                };
+                self.source_overflow += q.push(desc, room) as u64;
+                self.stats.record_offered(desc.len as u64, offered_now);
             }
         }
 
@@ -373,10 +348,7 @@ impl<R: RouterModel> Network<R> {
     /// Put `flit` at the head of its source's queue: SCARAB and ARQ
     /// retransmissions have priority over fresh traffic.
     fn requeue_front(&mut self, flit: Flit) {
-        let i = flit.src.index();
-        let sh = self.tiles.partition.tile_of(flit.src);
-        self.source_queues[i].push_front(self.pools[sh].alloc(flit));
-        self.heads[i] = Some(flit);
+        self.source_queues[flit.src.index()].requeue_front(flit);
     }
 
     /// Resilience-layer cycle prologue: publish link-fault onsets to the
@@ -454,8 +426,6 @@ impl<R: RouterModel> Network<R> {
             in_links: self.in_links.as_mut_ptr(),
             in_credits: self.in_credits.as_mut_ptr(),
             queues: self.source_queues.as_mut_ptr(),
-            heads: self.heads.as_mut_ptr(),
-            pools: self.pools.as_mut_ptr(),
             reassemblers: self.reassemblers.as_mut_ptr(),
             neighbors: &self.neighbors,
             shard_of: engine.partition.shard_of(),
@@ -651,9 +621,9 @@ impl<R: RouterModel> Network<R> {
     /// Flits currently inside the network (diagnostics).
     pub fn flits_in_flight(&self) -> usize {
         let in_routers: usize = self.routers.iter().map(|r| r.occupancy()).sum();
-        // Everything outside the routers is queued at a source (parked in
-        // a shard pool), on a wire, or travelling back as a NACK.
-        let queued: usize = self.pools.iter().map(|p| p.live()).sum();
+        // Everything outside the routers is queued at a source, on a
+        // wire, or travelling back as a NACK.
+        let queued: usize = self.source_queues.iter().map(|q| q.len()).sum();
         in_routers + queued + self.flits_on_wire() + self.retransmits.len()
     }
 

@@ -40,14 +40,12 @@
 //!
 //! Flit storage shards with the tiles. A flit on a wire sits in the
 //! receiving node's `in_links` element, which the receiver's tile owns;
-//! `pools[s]` holds only the flits queued at the sources of tile `s`, so
-//! workers free slab slots without synchronisation (allocation happens in
-//! the sequential prologue). The front of each source queue is mirrored by
-//! value in `heads[node]`, refreshed where the front changes and nowhere
-//! else, so the per-cycle injection offer reads one dense array.
-//! `FlitId`s are opaque handles that never leak into results, which is why
-//! neither re-sharding the arena nor taking the wires out of it can
-//! perturb a single observable bit.
+//! traffic waiting at a source sits in that node's [`SourceQueue`] as
+//! packet ranges, which the sequential prologue appends to and the owning
+//! tile's worker turns into flits — one at a time, as each reaches the
+//! front and is offered to the router. Where a flit is built is invisible
+//! in every result, which is why neither the tiling nor the queue's
+//! representation can perturb a single observable bit.
 //!
 //! Diagnostics (tracing, verification, resilience) sit behind the same
 //! "is anyone listening" gates the hot path always had. The body is
@@ -59,16 +57,16 @@
 use crate::reassembly::{CompletedPacket, Reassembler};
 use crate::resilience::AckMsg;
 use crate::router::{RouterModel, StepCtx};
+use crate::source_queue::SourceQueue;
 use crate::verify::StepInputs;
 use noc_core::flit::Flit;
-use noc_core::pool::{FlitId, FlitPool};
 use noc_core::stats::EventCounts;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_resilience::{SenderNi, TransientEffect, TransientEvent};
 use noc_topology::{DelayLine, Mesh, TilePartition};
 use noc_trace::TraceEvent;
 use rayon::WorkerPool;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// The stepping engine every `Network` owns: the tile partition, one
 /// worker slot and one [`TileShard`] per tile.
@@ -243,9 +241,9 @@ pub(crate) enum ObsSub {
 ///
 /// # Safety contract
 ///
-/// Workers only dereference elements their tile owns: `routers[i]`,
-/// `queues[i]`, `heads[i]` and `pools`/`reassemblers` at the worker's own
-/// shard index for `i` in the tile, plus `in_links[j]`/`in_credits[j]` for
+/// Workers only dereference elements their tile owns: `routers[i]` and
+/// `queues[i]` for `i` in the tile, `reassemblers` at the worker's own
+/// shard index, plus `in_links[j]`/`in_credits[j]` for
 /// intra-tile sends where `shard_of[j]` is the worker's tile. Tiles
 /// partition the nodes, so element accesses from different workers never
 /// alias.
@@ -261,10 +259,7 @@ pub(crate) struct SharedGrid<'a, R> {
     pub(crate) routers: *mut R,
     pub(crate) in_links: *mut [Option<DelayLine<Flit>>; NUM_LINK_PORTS],
     pub(crate) in_credits: *mut [Option<DelayLine<u32>>; NUM_LINK_PORTS],
-    pub(crate) queues: *mut VecDeque<FlitId>,
-    /// `heads[i]` mirrors the flit at the front of `queues[i]`.
-    pub(crate) heads: *mut Option<Flit>,
-    pub(crate) pools: *mut FlitPool,
+    pub(crate) queues: *mut SourceQueue,
     pub(crate) reassemblers: *mut Reassembler,
     pub(crate) neighbors: &'a [[Option<NodeId>; NUM_LINK_PORTS]],
     pub(crate) shard_of: &'a [u16],
@@ -292,8 +287,8 @@ pub(crate) struct ResGrid<'a> {
 // borrows (`neighbors`, `shard_of`, `link_down`, `strikes`) is plain data
 // nobody writes during the parallel phase. `R: Send` makes
 // handing each router to whichever thread steps its tile sound; the other
-// pointees (delay lines, queues, head slots, pools, reassemblers, NIs,
-// dedup sets) own plain data and are `Send` unconditionally.
+// pointees (delay lines, queues, reassemblers, NIs, dedup sets) own plain
+// data and are `Send` unconditionally.
 unsafe impl<R: Send> Sync for SharedGrid<'_, R> {}
 
 /// Base pointer of the shard array; each broadcast slot dereferences only
@@ -355,14 +350,9 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
             obs: StepObs::default(),
         }));
     }
-    // SAFETY: `pools[me]` and `reassemblers[me]` belong to this worker's
-    // shard (SharedGrid contract).
-    let (pool, reassembler) = unsafe {
-        (
-            &mut *grid.pools.add(me as usize),
-            &mut *grid.reassemblers.add(me as usize),
-        )
-    };
+    // SAFETY: `reassemblers[me]` belongs to this worker's shard
+    // (SharedGrid contract).
+    let reassembler = unsafe { &mut *grid.reassemblers.add(me as usize) };
     for (k, &node) in nodes.iter().enumerate() {
         let i = node.index();
         debug_assert_eq!(grid.shard_of[i], me, "node outside tile");
@@ -388,9 +378,6 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 &mut *grid.routers.add(i),
             )
         };
-        // SAFETY: `heads` is as long as `queues`, and `heads[i]` belongs
-        // to node `i` like `queues[i]` does (SharedGrid contract).
-        let head = unsafe { &mut *grid.heads.add(i) };
         let neighbors = &grid.neighbors[i];
         let mut res = grid.res.as_ref().filter(|_| DIAG).map(|r| {
             // SAFETY: the source NI and the dedup set of node `i`, which
@@ -412,25 +399,16 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 }
             }
         }
-        // Sequence the queue head before offering it, in the head slot
-        // and in the queue, so the sequence number survives a
-        // retransmission cutting in front of it (already-sequenced
-        // retransmissions are left alone).
-        let unsealed = head.as_mut().filter(|f| f.seq == 0);
-        if let (Some((_, ni, _)), Some(f)) = (res.as_mut(), unsealed) {
+        // The queue builds its head flit here, the first time it is
+        // offered. The source NI sequences and seals it in place before
+        // the offer — the head is the only copy, so the sequence number
+        // survives a retransmission cutting in front of it (`sequence`
+        // leaves already-sequenced retransmissions alone).
+        let mut head = queue.head_mut();
+        if let (Some((_, ni, _)), Some(f)) = (res.as_mut(), head.as_deref_mut()) {
             ni.sequence(f);
-            let front = *queue.front().expect("the head slot mirrors a queued flit");
-            *pool.get_mut(front) = *f;
         }
-        debug_assert_eq!(
-            *head,
-            queue.front().map(|&id| *pool.get(id)),
-            "head slot out of step with the source queue at {node} cycle {t}"
-        );
-        ctx.injection = head.map(|mut f| {
-            f.injected = t;
-            f
-        });
+        ctx.injection = head.map(|f| Flit { injected: t, ..*f });
 
         // Routers may consume (take) their arrivals, so snapshot inputs
         // before stepping. Conservation inputs feed only the debug assert
@@ -549,14 +527,10 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
 
         // Injection accepted?
         if ctx.injected {
-            let popped = queue.pop_front();
+            let popped = queue.pop();
             debug_assert!(popped.is_some(), "router injected a phantom flit");
             events.injections += 1;
-            if let (Some(id), Some(flit)) = (popped, *head) {
-                // The head slot is the flit; the pool only gets its slot
-                // back, and the slot the next flit's copy.
-                pool.take(id);
-                *head = queue.front().map(|&next| *pool.get(next));
+            if let Some(flit) = popped {
                 // Arm (or re-arm, for a retransmission) the ARQ timer at
                 // the actual network entry, so source queueing never burns
                 // the retry budget.

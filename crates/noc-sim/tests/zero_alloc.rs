@@ -7,7 +7,7 @@
 //! engine's per-cycle path turns this red.
 //!
 //! The router here is a minimal deflection design written to be trivially
-//! allocation-free, so the test isolates the *engine* (pool, delay lines,
+//! allocation-free, so the test isolates the *engine* (delay lines,
 //! source queues, scratch buffers, stats). The root crate carries the same
 //! test over the real DXbar router.
 
@@ -148,7 +148,7 @@ fn steady_state_cycles_do_not_allocate() {
     });
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.1, 1, 42);
 
-    // Warmup: reach the pool/queue/stats high-water marks.
+    // Warmup: reach the queue/stats high-water marks.
     net.run_cycles(&mut model, 20_000);
 
     COUNTING.store(true, Ordering::SeqCst);

@@ -1,7 +1,7 @@
 //! 2D-mesh coordinate arithmetic (plain mesh, torus, concentrated mesh).
 
 use noc_core::config::{SimConfig, Topology};
-use noc_core::types::{Direction, NodeId, LINK_DIRECTIONS};
+use noc_core::types::{Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use serde::{Deserialize, Serialize};
 
 /// (x, y) position on the mesh; x grows East, y grows South, origin at the
@@ -174,6 +174,21 @@ impl Mesh {
         Some(self.node_at(nc))
     }
 
+    /// Which of the four links exist at coordinate `c`, in port-index order
+    /// (North, East, South, West): [`neighbor`](Self::neighbor)`.is_some()`
+    /// without building the neighbour, for per-flit callers that already
+    /// hold the coordinate.
+    #[inline]
+    pub fn links_at(&self, c: Coord) -> [bool; NUM_LINK_PORTS] {
+        let wrap = self.topology == Topology::Torus;
+        [
+            wrap || c.y > 0,
+            wrap || c.x + 1 < self.width,
+            wrap || c.y + 1 < self.height,
+            wrap || c.x > 0,
+        ]
+    }
+
     /// Minimal hop distance (Manhattan; shortest-ring on the torus).
     pub fn hop_distance(&self, a: NodeId, b: NodeId) -> u32 {
         let ca = self.coord_of(a);
@@ -340,6 +355,27 @@ mod tests {
         assert_eq!(m.link_dirs(mid).count(), 4);
         let corner = m.node_at(Coord { x: 0, y: 0 });
         assert_eq!(m.link_dirs(corner).count(), 2);
+    }
+
+    #[test]
+    fn links_at_agrees_with_neighbor_on_every_topology() {
+        for m in [
+            mesh8(),
+            Mesh::new(5, 3),
+            Mesh::torus(4, 6),
+            Mesh::cmesh(4, 4),
+        ] {
+            for n in m.nodes() {
+                let links = m.links_at(m.coord_of(n));
+                for d in LINK_DIRECTIONS {
+                    assert_eq!(
+                        links[d.index()],
+                        m.neighbor(n, d).is_some(),
+                        "{m:?} {n} {d:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
