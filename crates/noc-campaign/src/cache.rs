@@ -7,7 +7,7 @@
 //! serialized result, and the serialized [`RunResult`]:
 //!
 //! ```json
-//! { "salt": "dxbar-sim-v2", "point": { ... }, "sum": "8d3f...", "result": { ... } }
+//! { "salt": "dxbar-sim-v5", "point": { ... }, "sum": "8d3f...", "result": { ... } }
 //! ```
 //!
 //! Invalidation rules:

@@ -10,7 +10,7 @@
 //! | GET    | `/jobs`               | all jobs, brief                                |
 //! | GET    | `/jobs/<id>`          | one job: state, progress, ETA, failures        |
 //! | GET    | `/jobs/<id>/results`  | rendered aggregate table (`409` until done)    |
-//! | GET    | `/jobs/<id>/manifest` | per-point provenance manifest JSON             |
+//! | GET    | `/jobs/<id>/manifest` | per-point provenance manifest JSON (journaled) |
 //! | POST   | `/jobs/<id>/cancel`   | cancel a queued/running job                    |
 //! | GET    | `/figures`            | figure registry + dirty flags                  |
 //! | GET    | `/figures/<name>`     | rendered figure text from the cache            |
@@ -85,7 +85,8 @@ fn route(state: &DaemonState, req: &Request) -> Response {
             "GET" => Response {
                 status: 200,
                 content_type: "application/json",
-                body: state.jobs_body(),
+                body: Vec::new(),
+                shared: state.jobs_body(),
             },
             "POST" => submit(state, &req.body),
             _ => method_not_allowed("GET, POST"),
@@ -114,6 +115,7 @@ fn route(state: &DaemonState, req: &Request) -> Response {
                         status: 200,
                         content_type: "application/json",
                         body: json.into_bytes(),
+                        shared: Vec::new(),
                     },
                     Err((status, msg)) => Response::error(status, msg),
                 },

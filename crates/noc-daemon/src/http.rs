@@ -17,7 +17,7 @@
 //! too, so a peer that stops *reading* cannot pin a worker thread either.
 
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -154,6 +154,12 @@ pub struct Response {
     pub status: u16,
     pub content_type: &'static str,
     pub body: Vec<u8>,
+    /// The rest of the body, after `body`: texts the handler shares with
+    /// whoever keeps them, written from where they are. What a response
+    /// made of many of them would cost to put together — most of a
+    /// megabyte for the job list of a daemon with thousands of jobs, on
+    /// whichever thread serves the connection — is never allocated.
+    pub shared: Vec<Arc<str>>,
 }
 
 impl Response {
@@ -162,6 +168,7 @@ impl Response {
             status,
             content_type: "text/plain; charset=utf-8",
             body: body.into().into_bytes(),
+            shared: Vec::new(),
         }
     }
 
@@ -170,6 +177,7 @@ impl Response {
             status,
             content_type: "application/json",
             body: (v.to_json_pretty() + "\n").into_bytes(),
+            shared: Vec::new(),
         }
     }
 
@@ -199,19 +207,30 @@ impl Response {
     }
 
     fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        let length = self.body.len() + self.shared.iter().map(|s| s.len()).sum::<usize>();
         let head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {length}\r\nConnection: {}\r\n\r\n",
             self.status,
             Response::reason(self.status),
             self.content_type,
-            self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
-        // One write: a body sent on its own waits behind the peer's delayed
-        // ACK of the head.
-        let mut wire = head.into_bytes();
-        wire.extend_from_slice(&self.body);
-        stream.write_all(&wire)?;
+        // One gathered write (one per `IOV_MAX` parts): a body sent on its
+        // own waits behind the peer's delayed ACK of the head.
+        let mut parts: Vec<IoSlice> = [head.as_bytes(), &self.body]
+            .into_iter()
+            .chain(self.shared.iter().map(|s| s.as_bytes()))
+            .map(IoSlice::new)
+            .collect();
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match stream.write_vectored(parts) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         stream.flush()
     }
 }

@@ -29,12 +29,13 @@
 pub mod api;
 pub mod figures;
 pub mod http;
+mod log;
 pub mod queue;
 pub mod scheduler;
 pub mod signals;
 
 use crate::figures::FigureRegistry;
-use crate::queue::{drop_record, Job, JobId, JobState, Journal, Priority, Restored};
+use crate::queue::{drop_record, Job, JobId, JobState, Journal, Outputs, Priority, Restored};
 use dxbar_noc::noc_verify::cache_namespace;
 use noc_campaign::io::IoPolicy;
 use noc_campaign::{no_faults, CacheLocks, CampaignSpec, ResultCache, CODE_VERSION};
@@ -103,8 +104,8 @@ impl Default for DaemonConfig {
 
 /// Mutable daemon state behind the one mutex. Every request and every
 /// worker goes through it, so nothing that can block is done under it: no
-/// file, socket or log I/O. The figure registry's leaf mutex is the only
-/// lock taken while it is held.
+/// file, socket or log I/O. The figure registry's leaf mutex and the log's
+/// line buffer are the only locks taken while it is held.
 pub(crate) struct Inner {
     /// Every job this daemon knows, by ascending id; none is ever removed.
     pub jobs: Vec<Job>,
@@ -148,6 +149,7 @@ pub struct DaemonState {
     cache_plain: ResultCache,
     cache_verified: ResultCache,
     pub(crate) figures: FigureRegistry,
+    pub(crate) log: log::Log,
     started: Instant,
 }
 
@@ -182,12 +184,13 @@ impl DaemonState {
             j.seq = i as u64;
         }
         let seq = jobs.len() as u64;
+        let log = log::Log::start()?;
         let resumed = jobs.iter().filter(|j| !j.state.is_terminal()).count();
         if resumed > 0 {
-            eprintln!(
-                "[daemon] resuming {resumed} unfinished job(s) from {}",
+            log.lines(&format!(
+                "[daemon] resuming {resumed} unfinished job(s) from {}\n",
                 journal.path().display()
-            );
+            ));
         }
         let figures = FigureRegistry::new(cache_namespace(&cfg.code_salt, cfg.verify_default));
         Ok(Arc::new(DaemonState {
@@ -205,6 +208,7 @@ impl DaemonState {
             cache_plain,
             cache_verified,
             figures,
+            log,
             started: Instant::now(),
             cfg,
         }))
@@ -226,7 +230,8 @@ impl DaemonState {
     /// exit; unfinished jobs stay in the journal for the next start.
     pub fn begin_drain(&self) {
         if !self.draining.swap(true, Ordering::AcqRel) {
-            eprintln!("[daemon] draining: finishing in-flight points");
+            self.log
+                .lines("[daemon] draining: finishing in-flight points\n");
         }
         self.cv.notify_all();
     }
@@ -267,15 +272,18 @@ impl DaemonState {
             ("state".into(), Value::Str(job.state.name().into())),
             ("priority".into(), Value::Str(job.priority.name().into())),
             ("verify".into(), Value::Bool(job.verify)),
-            ("salt".into(), Value::Str(job.salt.clone())),
-            ("points".into(), Value::U64(job.points.len() as u64)),
+            (
+                "salt".into(),
+                Value::Str(cache_namespace(&self.cfg.code_salt, job.verify)),
+            ),
+            ("points".into(), Value::U64(job.total_points as u64)),
             ("unique_points".into(), Value::U64(job.unique as u64)),
         ]);
         let queued = format!(
-            "[daemon] job {} ({}) queued: {} points ({} unique), {}, verify={}, from {}",
+            "[daemon] job {} ({}) queued: {} points ({} unique), {}, verify={}, from {}\n",
             job.id,
             job.name,
-            job.points.len(),
+            job.total_points,
             job.unique,
             job.priority.name(),
             job.verify,
@@ -283,11 +291,12 @@ impl DaemonState {
         );
         let record = self.journal.record("job", job.job_record());
         inner.jobs.push(job);
+        // Logged before a worker can see the job, so before it is done.
+        self.log.lines(&queued);
         drop(inner);
         // The workers start on the job while the journal is written; the
         // submitter hears back only once the job's record is appended.
         self.cv.notify_all();
-        eprintln!("{queued}");
         self.journal.append(&record);
         Ok(accepted)
     }
@@ -304,13 +313,13 @@ impl DaemonState {
             return Err((409, format!("job {id} is already {}", job.state.name())));
         }
         job.state = JobState::Cancelled;
-        job.ready.clear();
-        job.deferred.clear();
-        let v = job_to_value(job);
+        let work = job.work.take();
+        let v = job_to_value(job, &self.cfg.code_salt);
         let record = self.journal.record("end", job.end_record());
         drop(inner);
+        drop(work);
         self.cv.notify_all();
-        self.journal.append(&record);
+        self.log_end(id, &record);
         Ok(v)
     }
 
@@ -366,82 +375,121 @@ impl DaemonState {
         Value::Array(inner.jobs.iter().map(job_brief).collect())
     }
 
-    /// The `GET /jobs` body: [`DaemonState::jobs_value`] pretty-printed,
-    /// put together outside the queue lock from one text per job — a
-    /// finished job's is rendered once and shared from then on.
-    pub(crate) fn jobs_body(&self) -> Vec<u8> {
-        let rows: Vec<Arc<str>> = {
-            let mut inner = self.inner.lock().unwrap();
-            inner
-                .jobs
-                .iter_mut()
-                .map(|j| match &j.list_row {
-                    Some(row) => row.clone(),
-                    None => {
-                        // An array element: one level deep. (Strings escape
-                        // their newlines, so every newline in the text is
-                        // one the printer indented.)
-                        let row: Arc<str> =
-                            job_brief(j).to_json_pretty().replace('\n', "\n  ").into();
-                        if j.state.is_terminal() {
-                            j.list_row = Some(row.clone());
-                        }
-                        row
-                    }
-                })
-                .collect()
-        };
-        let mut body = String::with_capacity(rows.iter().map(|r| r.len() + 4).sum::<usize>() + 4);
-        body.push('[');
-        for (i, row) in rows.iter().enumerate() {
-            body.push_str(if i == 0 { "\n  " } else { ",\n  " });
-            body.push_str(row);
+    /// The `GET /jobs` body, [`DaemonState::jobs_value`] pretty-printed, as
+    /// the texts it is made of: one per job, with what stands before it in
+    /// the array — a finished job's is rendered once and shared from then
+    /// on (no job is ever removed, so the first stays the first) — and the
+    /// closing bracket.
+    pub(crate) fn jobs_body(&self) -> Vec<Arc<str>> {
+        let mut inner = self.inner.lock().unwrap();
+        if inner.jobs.is_empty() {
+            return vec!["[]\n".into()];
         }
-        body.push_str(if rows.is_empty() { "]\n" } else { "\n]\n" });
-        body.into_bytes()
+        let mut body = Vec::with_capacity(inner.jobs.len() + 1);
+        for (i, j) in inner.jobs.iter_mut().enumerate() {
+            body.push(match &j.list_row {
+                Some(row) => row.clone(),
+                None => {
+                    // An array element: one level deep. (Strings escape
+                    // their newlines, so every newline in the text is one
+                    // the printer indented.)
+                    let row = job_brief(j).to_json_pretty().replace('\n', "\n  ");
+                    let row: Arc<str> =
+                        format!("{}\n  {row}", if i == 0 { '[' } else { ',' }).into();
+                    if j.state.is_terminal() {
+                        j.list_row = Some(row.clone());
+                    }
+                    row
+                }
+            });
+        }
+        body.push("\n]\n".into());
+        body
     }
 
     pub fn job_value(&self, id: JobId) -> Option<Value> {
         let inner = self.inner.lock().unwrap();
-        inner.find(id).map(|ji| job_to_value(&inner.jobs[ji]))
+        inner
+            .find(id)
+            .map(|ji| job_to_value(&inner.jobs[ji], &self.cfg.code_salt))
     }
 
     /// Rendered aggregate table of a finished job (`render_table` — byte-
     /// identical to `campaign_run`'s output for the same spec).
     pub fn job_results(&self, id: JobId) -> Result<String, (u16, String)> {
-        let inner = self.inner.lock().unwrap();
-        let Some(job) = inner.find(id).map(|ji| &inner.jobs[ji]) else {
-            return Err((404, format!("no job {id}")));
-        };
-        if !job.state.is_terminal() {
-            return Err((
-                409,
+        self.job_output(
+            id,
+            "results_text",
+            |job| {
                 format!(
                     "job {id} is {} ({}/{} unique points)",
                     job.state.name(),
                     job.resolved,
                     job.unique
-                ),
-            ));
-        }
-        job.results_text.clone().ok_or((
-            409,
-            format!("job {id} has no results ({})", job.state.name()),
-        ))
+                )
+            },
+            |state| format!("job {id} has no results ({})", state.name()),
+        )
     }
 
     pub fn job_manifest(&self, id: JobId) -> Result<String, (u16, String)> {
-        let inner = self.inner.lock().unwrap();
-        let Some(job) = inner.find(id).map(|ji| &inner.jobs[ji]) else {
-            return Err((404, format!("no job {id}")));
+        self.job_output(
+            id,
+            "manifest",
+            |job| format!("job {id} is {}", job.state.name()),
+            // A job cancelled, or finished by a daemon that journaled no
+            // manifests.
+            |_| format!("job {id}'s manifest was not retained across a restart"),
+        )
+    }
+
+    /// One output of terminal job `id`, by its name in the job's journal
+    /// record: from memory while the job holds it, from the record (read
+    /// outside the queue lock) once that is in the log. `unfinished` and
+    /// `missing` word the `409` of a job still queued or running and of one
+    /// that has no such output.
+    fn job_output(
+        &self,
+        id: JobId,
+        field: &str,
+        unfinished: impl Fn(&Job) -> String,
+        missing: impl Fn(JobState) -> String,
+    ) -> Result<String, (u16, String)> {
+        let (state, at) = {
+            let inner = self.inner.lock().unwrap();
+            let Some(job) = inner.find(id).map(|ji| &inner.jobs[ji]) else {
+                return Err((404, format!("no job {id}")));
+            };
+            if !job.state.is_terminal() {
+                return Err((409, unfinished(job)));
+            }
+            match &job.outputs {
+                Outputs::Held {
+                    results_text,
+                    manifest_json,
+                } => {
+                    let held = match field {
+                        "results_text" => results_text,
+                        _ => manifest_json,
+                    };
+                    return held.clone().ok_or_else(|| (409, missing(job.state)));
+                }
+                Outputs::Logged { at, .. } => (job.state, at.clone()),
+            }
         };
-        if !job.state.is_terminal() {
-            return Err((409, format!("job {id} is {}", job.state.name())));
-        }
-        job.manifest_json.clone().ok_or((
-            409,
-            format!("job {id}'s manifest was not retained across a restart"),
-        ))
+        let record = self
+            .journal
+            .read(id, &at)
+            .ok_or_else(|| (500, format!("job {id}'s record in the journal is damaged")))?;
+        let Value::Object(fields) = record else {
+            return Err((409, missing(state)));
+        };
+        // Moved out of the record, not copied: a manifest is kilobytes.
+        let output = fields.into_iter().find_map(|(name, v)| match v {
+            Value::Str(text) if name == field => Some(text),
+            _ => None,
+        });
+        output.ok_or_else(|| (409, missing(state)))
     }
 
     pub fn figures_value(&self) -> Value {
@@ -476,53 +524,38 @@ fn job_brief(j: &Job) -> Value {
         ("priority".into(), Value::Str(j.priority.name().into())),
         ("verify".into(), Value::Bool(j.verify)),
         ("progress".into(), Value::F64(j.progress())),
-        (
-            "points".into(),
-            Value::U64(if j.points.is_empty() {
-                j.summary.total_points as u64
-            } else {
-                j.points.len() as u64
-            }),
-        ),
+        ("points".into(), Value::U64(j.total_points as u64)),
     ])
 }
 
 /// Full job view for `GET /jobs/<id>`.
-fn job_to_value(j: &Job) -> Value {
+fn job_to_value(j: &Job, code_salt: &str) -> Value {
     let mut fields = vec![
         ("id".into(), Value::U64(j.id)),
         ("name".into(), Value::Str(j.name.clone())),
         ("state".into(), Value::Str(j.state.name().into())),
         ("priority".into(), Value::Str(j.priority.name().into())),
         ("verify".into(), Value::Bool(j.verify)),
-        ("salt".into(), Value::Str(j.salt.clone())),
+        (
+            "salt".into(),
+            Value::Str(cache_namespace(code_salt, j.verify)),
+        ),
         ("source".into(), Value::Str(j.source.clone())),
         ("submitted_unix_ms".into(), Value::U64(j.submitted_unix_ms)),
-        (
-            "total_points".into(),
-            Value::U64(if j.points.is_empty() {
-                j.summary.total_points as u64
-            } else {
-                j.points.len() as u64
-            }),
-        ),
+        ("total_points".into(), Value::U64(j.total_points as u64)),
         ("unique_points".into(), Value::U64(j.unique as u64)),
         ("resolved".into(), Value::U64(j.resolved as u64)),
         ("in_flight".into(), Value::U64(j.in_flight as u64)),
-        ("deferred".into(), Value::U64(j.deferred.len() as u64)),
+        (
+            "deferred".into(),
+            Value::U64(j.work.as_ref().map_or(0, |w| w.deferred.len()) as u64),
+        ),
         ("progress".into(), Value::F64(j.progress())),
         ("eta_ms".into(), j.eta_ms().map_or(Value::Null, Value::U64)),
-        (
-            "cache_hits_so_far".into(),
-            Value::U64(if j.outcomes.is_empty() {
-                j.summary.cache_hits as u64
-            } else {
-                j.outcomes.iter().flatten().filter(|o| o.cache_hit).count() as u64
-            }),
-        ),
+        ("cache_hits_so_far".into(), Value::U64(j.cache_hits as u64)),
         (
             "results_available".into(),
-            Value::Bool(j.results_text.is_some()),
+            Value::Bool(j.outputs.has_results()),
         ),
     ];
     if j.state.is_terminal() {
@@ -565,10 +598,11 @@ impl DaemonHandle {
         if let Some(w) = self.watcher.take() {
             let _ = w.join();
         }
-        eprintln!(
-            "[daemon] stopped (queue journaled to {})",
+        self.state.log.lines(&format!(
+            "[daemon] stopped (queue journaled to {})\n",
             self.state.journal.path().display()
-        );
+        ));
+        self.state.log.flush();
     }
 }
 
@@ -660,7 +694,10 @@ fn drop_watcher(state: &Arc<DaemonState>, dir: &Path) {
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
                 Err(e) => {
-                    eprintln!("[daemon] drop: cannot read {}: {e}", path.display());
+                    state.log.lines(&format!(
+                        "[daemon] drop: cannot read {}: {e}\n",
+                        path.display()
+                    ));
                     continue;
                 }
             };
@@ -675,7 +712,9 @@ fn drop_watcher(state: &Arc<DaemonState>, dir: &Path) {
                 Err(e) => Some(format!("not a campaign spec: {e}")),
             };
             if let Some(e) = rejected {
-                eprintln!("[daemon] drop: {fname} rejected: {e}");
+                state
+                    .log
+                    .lines(&format!("[daemon] drop: {fname} rejected: {e}\n"));
                 if state.is_draining() {
                     continue; // refused, not judged: the next start takes the file
                 }
@@ -714,7 +753,7 @@ mod tests {
         .expect("state directory is writable");
         let agree = |what: &str| {
             assert_eq!(
-                state.jobs_body(),
+                state.jobs_body().concat().into_bytes(),
                 Response::json(200, &state.jobs_value()).body,
                 "{what}"
             );
@@ -749,6 +788,98 @@ mod tests {
             assert_eq!(memoised, [true, false, true], "{round}");
             assert_eq!(inner.jobs[0].id, done);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What a finished job keeps in memory is its row: the work is gone
+    /// when it finishes, the results table and the manifest once its `end`
+    /// record is in the log, from where they are served.
+    #[test]
+    fn finished_job_shrinks_to_its_row_and_serves_from_the_log() {
+        use dxbar_noc::noc_traffic::patterns::Pattern;
+        use dxbar_noc::{Design, SimConfig};
+        use noc_campaign::{PointGroup, WorkloadAxis};
+
+        let dir = std::env::temp_dir().join(format!("noc-daemon-row-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = DaemonState::new(DaemonConfig {
+            state_dir: dir.join("state"),
+            cache_dir: dir.join("cache"),
+            ..DaemonConfig::default()
+        })
+        .expect("state directory is writable");
+        // Five points: one design over five loads, tiny windows.
+        let spec = CampaignSpec::new("five").with_group(PointGroup {
+            label: "five".into(),
+            config: SimConfig {
+                width: 4,
+                height: 4,
+                warmup_cycles: 50,
+                measure_cycles: 200,
+                drain_cycles: 100,
+                ..SimConfig::default()
+            },
+            designs: vec![Design::DXbarDor],
+            workload: WorkloadAxis::Synthetic {
+                patterns: vec![Pattern::UniformRandom],
+                loads: vec![0.1, 0.15, 0.2, 0.25, 0.3],
+            },
+            fault_fractions: vec![],
+            transient_rates: vec![],
+            link_faults: vec![],
+            seeds: vec![],
+            tag: None,
+        });
+        let id = state
+            .submit(spec, None, None, false, "t".into())
+            .expect("valid spec")
+            .field("job")
+            .as_u64()
+            .expect("job id");
+        let live_bytes = state.inner.lock().unwrap().jobs[0].heap_bytes();
+
+        // A worker finishes the job; it has appended the `end` record by
+        // the time it looks for more work and finds the daemon draining.
+        let worker = {
+            let state = state.clone();
+            std::thread::spawn(move || state.worker_loop())
+        };
+        while !state.inner.lock().unwrap().jobs[0].state.is_terminal() {
+            std::thread::yield_now();
+        }
+        state.begin_drain();
+        worker.join().expect("worker does not panic");
+
+        state.jobs_body(); // memoises the row
+        {
+            let inner = state.inner.lock().unwrap();
+            let job = &inner.jobs[0];
+            assert_eq!(job.state, JobState::Done);
+            assert!(job.work.is_none());
+            assert!(
+                matches!(
+                    job.outputs,
+                    Outputs::Logged {
+                        has_results: true,
+                        ..
+                    }
+                ),
+                "{:?}",
+                job.outputs
+            );
+            let bytes = job.heap_bytes();
+            assert!(bytes <= 1024, "a finished job holds {bytes} heap bytes");
+            assert!(
+                live_bytes > 4 * bytes,
+                "live {live_bytes}, finished {bytes}"
+            );
+            assert!(std::mem::size_of::<Job>() <= 320);
+        }
+        let table = state.job_results(id).expect("table is read back");
+        assert!(table.contains("DXbar"), "{table}");
+        let manifest = state.job_manifest(id).expect("manifest is read back");
+        let manifest = serde_json::parse(&manifest).expect("manifest is JSON");
+        assert_eq!(manifest.field("total_points").as_u64(), Some(5));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

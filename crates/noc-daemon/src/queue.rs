@@ -17,6 +17,8 @@ use noc_campaign::{fnv1a64, CampaignSpec, PointFailure, PointOutcome, PointSpec}
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -117,7 +119,8 @@ pub struct JobSummary {
     pub failures: Vec<PointFailure>,
 }
 
-/// One submitted campaign and its scheduling state.
+/// One submitted campaign: the row every view of it is served from, and —
+/// while it is live — the work the scheduler still owes it.
 #[derive(Debug)]
 pub struct Job {
     pub id: JobId,
@@ -126,44 +129,68 @@ pub struct Job {
     pub verify: bool,
     /// Where the job came from ("http", "drop:<file>", "journal").
     pub source: String,
-    pub spec: CampaignSpec,
     pub state: JobState,
     /// Submission order tiebreak within a priority class.
     pub seq: u64,
-    /// Cache salt of this job (per-job verify namespacing).
-    pub salt: String,
+    pub submitted_unix_ms: u64,
+    pub total_points: usize,
+    /// Number of unique points (the work the scheduler dispatches).
+    pub unique: usize,
+    /// Unique points resolved (simulated, cached, or failed).
+    pub resolved: usize,
+    /// Points handed to a worker that have not come back.
+    pub in_flight: usize,
+    /// Resolved points that were cache hits.
+    pub cache_hits: usize,
+    pub summary: JobSummary,
+    /// `None` once the job is terminal: a finished job is its row.
+    pub work: Option<Box<Work>>,
+    pub(crate) outputs: Outputs,
+    /// This job's `GET /jobs` row, kept from the first listing after the
+    /// job turned terminal: from then on nothing the row shows changes.
+    pub(crate) list_row: Option<Arc<str>>,
+}
 
-    // -- expansion (empty once the job is done or failed, finished here or
-    // restored from the journal) --
+/// What only a job with work left holds: the spec, its expansion, the
+/// scheduling state and the per-point outcomes.
+#[derive(Debug)]
+pub struct Work {
+    pub spec: CampaignSpec,
     pub points: Vec<PointSpec>,
     pub keys: Vec<String>,
     /// In-run dedup: duplicate point index -> index of its original.
     pub share_from: Vec<Option<usize>>,
-    /// Number of unique points (the work the scheduler dispatches).
-    pub unique: usize,
-
-    // -- scheduling --
     /// Unique point indices not yet dispatched.
     pub ready: VecDeque<usize>,
     /// Points found claimed by a sibling worker, with their retry time.
     pub deferred: VecDeque<(usize, Instant)>,
-    pub in_flight: usize,
-    /// Unique points resolved (simulated, cached, or failed).
-    pub resolved: usize,
-
-    // -- results --
-    /// Per-point outcomes while the job runs; released with the expansion.
     pub outcomes: Vec<Option<PointOutcome>>,
     pub started: Option<Instant>,
-    pub submitted_unix_ms: u64,
-    pub summary: JobSummary,
-    /// Rendered aggregate table (terminal jobs only; survives restart).
-    pub results_text: Option<String>,
-    /// Full provenance manifest JSON (terminal jobs only; not journaled).
-    pub manifest_json: Option<String>,
-    /// This job's `GET /jobs` row, kept from the first listing after the
-    /// job turned terminal: from then on nothing the row shows changes.
-    pub(crate) list_row: Option<Arc<str>>,
+}
+
+/// A terminal job's results table and manifest. The journal is written
+/// after the queue lock is released, so a job holds them until its `end`
+/// record is in the log — for good if that append failed — and serves them
+/// from the record from then on.
+#[derive(Debug)]
+pub(crate) enum Outputs {
+    Held {
+        /// Rendered aggregate table.
+        results_text: Option<String>,
+        /// Full provenance manifest JSON.
+        manifest_json: Option<String>,
+    },
+    /// Where in `journal.log` the record with both stands.
+    Logged { at: Range<u64>, has_results: bool },
+}
+
+impl Outputs {
+    pub(crate) fn has_results(&self) -> bool {
+        match self {
+            Outputs::Held { results_text, .. } => results_text.is_some(),
+            Outputs::Logged { has_results, .. } => *has_results,
+        }
+    }
 }
 
 fn unix_ms() -> u64 {
@@ -217,23 +244,28 @@ impl Job {
             priority: priority.unwrap_or_else(|| Priority::auto(unique)),
             verify,
             source,
-            spec,
             state: JobState::Queued,
-            salt,
-            points,
-            keys,
-            share_from,
-            unique,
-            ready,
-            deferred: VecDeque::new(),
-            in_flight: 0,
-            resolved: 0,
-            outcomes: vec![None; n],
-            started: None,
             submitted_unix_ms: unix_ms(),
+            total_points: n,
+            unique,
+            resolved: 0,
+            in_flight: 0,
+            cache_hits: 0,
             summary: JobSummary::default(),
-            results_text: None,
-            manifest_json: None,
+            work: Some(Box::new(Work {
+                spec,
+                points,
+                keys,
+                share_from,
+                ready,
+                deferred: VecDeque::new(),
+                outcomes: vec![None; n],
+                started: None,
+            })),
+            outputs: Outputs::Held {
+                results_text: None,
+                manifest_json: None,
+            },
             list_row: None,
         })
     }
@@ -241,15 +273,20 @@ impl Job {
     /// Whether the scheduler still owes this job work.
     pub fn is_runnable(&self) -> bool {
         matches!(self.state, JobState::Queued | JobState::Running)
-            && (!self.ready.is_empty() || !self.deferred.is_empty())
+            && self
+                .work
+                .as_ref()
+                .is_some_and(|w| !w.ready.is_empty() || !w.deferred.is_empty())
     }
 
     /// All unique work is resolved and nothing is in flight.
     pub fn is_drained(&self) -> bool {
         self.resolved >= self.unique
             && self.in_flight == 0
-            && self.ready.is_empty()
-            && self.deferred.is_empty()
+            && self
+                .work
+                .as_ref()
+                .is_none_or(|w| w.ready.is_empty() && w.deferred.is_empty())
     }
 
     /// Progress fraction over unique points.
@@ -263,7 +300,7 @@ impl Job {
 
     /// Naive elapsed-rate ETA in milliseconds (None before any progress).
     pub fn eta_ms(&self) -> Option<u64> {
-        let started = self.started?;
+        let started = self.work.as_ref()?.started?;
         if self.resolved == 0 || self.resolved >= self.unique {
             return None;
         }
@@ -272,11 +309,11 @@ impl Job {
         Some(((self.unique - self.resolved) as f64 / rate) as u64)
     }
 
-    /// Fields of this job's `job` record: what a restart needs to queue it
-    /// again, plus — once the job is terminal, which is how compaction
-    /// writes it — what its `end` record holds.
+    /// Fields of this (live) job's `job` record: what a restart needs to
+    /// queue it again.
     pub(crate) fn job_record(&self) -> Vec<(String, Value)> {
-        let mut fields = vec![
+        let work = self.work.as_ref().expect("a job is recorded while live");
+        vec![
             ("id".into(), Value::U64(self.id)),
             ("name".into(), Value::Str(self.name.clone())),
             ("priority".into(), Value::Str(self.priority.name().into())),
@@ -286,33 +323,62 @@ impl Job {
                 "submitted_unix_ms".into(),
                 Value::U64(self.submitted_unix_ms),
             ),
-            ("spec".into(), self.spec.to_value()),
-        ];
-        if self.state.is_terminal() {
-            fields.extend(self.end_fields());
-        }
-        fields
+            ("spec".into(), work.spec.to_value()),
+        ]
     }
 
-    /// Fields of this (terminal) job's `end` record.
+    /// Fields of this (terminal) job's `end` record: everything it serves
+    /// that its `job` record does not hold.
     pub(crate) fn end_record(&self) -> Vec<(String, Value)> {
-        let mut fields = vec![("id".into(), Value::U64(self.id))];
-        fields.extend(self.end_fields());
-        fields
-    }
-
-    /// Everything a terminal job serves that its spec does not determine.
-    fn end_fields(&self) -> Vec<(String, Value)> {
         let mut fields = vec![
+            ("id".into(), Value::U64(self.id)),
             ("state".into(), Value::Str(self.state.name().into())),
             ("unique_points".into(), Value::U64(self.unique as u64)),
             ("resolved".into(), Value::U64(self.resolved as u64)),
             ("summary".into(), self.summary.to_value()),
         ];
-        if let Some(t) = &self.results_text {
-            fields.push(("results_text".into(), Value::Str(t.clone())));
+        if let Outputs::Held {
+            results_text,
+            manifest_json,
+        } = &self.outputs
+        {
+            for (name, text) in [("results_text", results_text), ("manifest", manifest_json)] {
+                if let Some(text) = text {
+                    fields.push((name.into(), Value::Str(text.clone())));
+                }
+            }
         }
         fields
+    }
+
+    /// Heap bytes this job owns, counted shallowly: what a finished job
+    /// costs the daemon for as long as it runs.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let work = self.work.as_ref().map_or(0, |w| {
+            size_of::<Work>()
+                + w.points.capacity() * size_of::<PointSpec>()
+                + w.keys.capacity() * size_of::<String>()
+                + w.outcomes.capacity() * size_of::<Option<PointOutcome>>()
+        });
+        let held = match &self.outputs {
+            Outputs::Held {
+                results_text,
+                manifest_json,
+            } => [results_text, manifest_json]
+                .into_iter()
+                .flatten()
+                .map(String::capacity)
+                .sum(),
+            Outputs::Logged { .. } => 0,
+        };
+        self.name.capacity()
+            + self.source.capacity()
+            + self.summary.failures.capacity() * size_of::<PointFailure>()
+            + self.list_row.as_ref().map_or(0, |row| row.len())
+            + work
+            + held
     }
 }
 
@@ -326,14 +392,17 @@ impl Job {
 ///
 /// `job` holds [`Job::job_record`] (written at submission), `end` holds
 /// [`Job::end_record`] (written when the job turns terminal) and `drop`
-/// holds the `file` name of an ingested spec-drop file. The leading newline
-/// ends whatever fragment a torn write left before the record, so a damaged
-/// record costs exactly itself.
+/// holds the `file` name of an ingested spec-drop file; the `job` record
+/// compaction leaves of a terminal job holds the fields of both its records.
+/// The leading newline ends whatever fragment a torn write left before the
+/// record, so a damaged record costs exactly itself.
 ///
 /// Writing is split in two so that no file I/O happens under the daemon's
 /// queue lock: [`Journal::record`] numbers a record under the lock,
 /// [`Journal::append`] writes it after the lock is released. Records may
 /// therefore land out of order; `gen` is the order they were made in.
+/// [`Journal::read`] reads one job's record back, for whoever serves what
+/// a finished job no longer holds in memory.
 pub struct Journal {
     path: PathBuf,
     policy: Arc<dyn IoPolicy>,
@@ -437,36 +506,58 @@ impl Journal {
                 _ => {}
             }
         }
-        let jobs: Vec<Job> = folded
-            .values()
-            .filter_map(|(job, end)| Self::load_job(job, end.as_ref().unwrap_or(job), code_salt))
-            .collect();
 
-        if !bytes.is_empty() {
-            let surviving = drop_seen
-                .iter()
-                .map(|file| ("drop", drop_record(file)))
-                .chain(jobs.iter().map(|job| ("job", job.job_record())));
-            let mut compact = String::new();
-            for (op, fields) in surviving {
-                compact.push_str(&encode(&numbered(op, next_gen, fields)));
-                next_gen += 1;
+        // Compact: one `drop` record per ingested file, then one `job`
+        // record per surviving job — the records as they were read, not as
+        // a `Job` would write them again.
+        let mut compact = String::new();
+        let mut push = |op: &str, fields: Vec<(String, Value)>| {
+            let start = compact.len() as u64;
+            compact.push_str(&encode(&numbered(op, next_gen, fields)));
+            next_gen += 1;
+            start..compact.len() as u64
+        };
+        for file in &drop_seen {
+            push("drop", drop_record(file));
+        }
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut logged: Vec<Range<u64>> = Vec::new();
+        for (job, end) in folded.into_values() {
+            let record = fold(job, end);
+            if let Some(job) = Self::load_job(&record, code_salt) {
+                let Value::Object(fields) = record else {
+                    unreachable!("fold makes an object");
+                };
+                jobs.push(job);
+                logged.push(push("job", fields));
             }
+        }
+        if !bytes.is_empty() {
             let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            // A compaction that fails leaves the log as it was read, which
-            // is as good a log; the records made from here on are numbered
-            // past both.
-            if let Err(e) = store_atomic(
+            match store_atomic(
                 policy.as_ref(),
                 IoOp::JournalStore,
                 &tmp,
                 &path,
                 compact.as_bytes(),
             ) {
-                eprintln!(
+                // The terminal jobs are in the log: let go of what was
+                // read out of it.
+                Ok(_) => {
+                    for (job, at) in jobs.iter_mut().zip(logged) {
+                        if job.state.is_terminal() {
+                            let has_results = job.outputs.has_results();
+                            job.outputs = Outputs::Logged { at, has_results };
+                        }
+                    }
+                }
+                // A compaction that fails leaves the log as it was read,
+                // which is as good a log; the records made from here on are
+                // numbered past both.
+                Err(e) => eprintln!(
                     "[daemon] warning: failed to compact journal {} after retries: {e}",
                     path.display()
-                );
+                ),
             }
         }
         let log = std::fs::OpenOptions::new()
@@ -499,11 +590,13 @@ impl Journal {
         numbered(op, self.next_gen.fetch_add(1, Ordering::Relaxed), fields)
     }
 
-    /// Append a record to the log with one write. Call without the queue
+    /// Append a record to the log with one write and return where it
+    /// stands, `None` if it could not be written. Call without the queue
     /// lock.
-    pub fn append(&self, record: &Value) {
+    pub fn append(&self, record: &Value) -> Option<Range<u64>> {
         let line = encode(record);
         let mut log = self.log.lock().expect("journal writer panicked");
+        let start = log.seek(SeekFrom::End(0));
         // Transient I/O errors (full disk being cleaned, EIO blips) are
         // retried with capped backoff; a record that still fails is
         // reported and the log stays as it was.
@@ -518,61 +611,98 @@ impl Journal {
                 "[daemon] warning: failed to append to journal {} after retries: {e}",
                 self.path.display()
             );
+            return None;
         }
+        // An appending write leaves the position at the end of the file.
+        Some(start.ok()?..log.stream_position().ok()?)
     }
 
-    /// A job from its `job` record and the record that holds its terminal
-    /// fields: its `end` record, or — for a live job, or one compaction
-    /// wrote — the `job` record itself.
-    fn load_job(jv: &Value, end: &Value, code_salt: &str) -> Option<Job> {
-        let id = jv.field("id").as_u64()?;
-        let name = jv.field("name").as_str()?.to_string();
-        let priority = Priority::parse(jv.field("priority").as_str()?)?;
-        let verify = jv.field("verify").as_bool().unwrap_or(false);
-        let source = jv.field("source").as_str().unwrap_or("journal").to_string();
-        let submitted = jv.field("submitted_unix_ms").as_u64().unwrap_or(0);
-        let spec = CampaignSpec::from_value(jv.field("spec")).ok()?;
-        let state = match end.field("state") {
+    /// Read job `id`'s record back from where [`Journal::append`] or the
+    /// compaction put it: the last line in the range (a failed attempt's
+    /// fragment may stand before it), checked like every line at load.
+    /// `None`, and reported to the policy, if it does not hold. Call
+    /// without the queue lock.
+    pub fn read(&self, id: JobId, at: &Range<u64>) -> Option<Value> {
+        let read = || {
+            let mut bytes = vec![0u8; usize::try_from(at.end.checked_sub(at.start)?).ok()?];
+            let mut log = File::open(&self.path).ok()?;
+            log.seek(SeekFrom::Start(at.start)).ok()?;
+            log.read_exact(&mut bytes).ok()?;
+            let line = bytes.rsplit(|&b| b == b'\n').find(|l| !l.is_empty())?;
+            decode(line).filter(|record| record.field("id").as_u64() == Some(id))
+        };
+        let record = read();
+        if record.is_none() {
+            self.policy.on_detected(&self.path);
+        }
+        record
+    }
+
+    /// A job from its folded record ([`fold`]). A live job is expanded
+    /// again and resumes from the cache; a terminal one comes back as its
+    /// row, holding its outputs until the caller knows them logged.
+    fn load_job(record: &Value, code_salt: &str) -> Option<Job> {
+        let field = |name: &str| record.field(name);
+        let id = field("id").as_u64()?;
+        let name = field("name").as_str()?.to_string();
+        let priority = Priority::parse(field("priority").as_str()?)?;
+        let verify = field("verify").as_bool().unwrap_or(false);
+        let source = field("source").as_str().unwrap_or("journal").to_string();
+        let submitted_unix_ms = field("submitted_unix_ms").as_u64().unwrap_or(0);
+        let spec = CampaignSpec::from_value(field("spec")).ok()?;
+        let state = match field("state") {
             Value::Null => JobState::Queued,
             state => JobState::parse(state.as_str()?)?,
         };
-        if state.is_terminal() {
-            // Summary-only record; points are not re-expanded.
-            let summary = JobSummary::from_value(end.field("summary")).unwrap_or_default();
-            let results_text = end.field("results_text").as_str().map(String::from);
-            return Some(Job {
-                id,
-                seq: 0,
-                name,
-                priority,
-                verify,
-                source,
-                salt: cache_namespace(code_salt, verify),
-                spec,
-                state,
-                points: Vec::new(),
-                keys: Vec::new(),
-                share_from: Vec::new(),
-                unique: end.field("unique_points").as_u64().unwrap_or(0) as usize,
-                ready: VecDeque::new(),
-                deferred: VecDeque::new(),
-                in_flight: 0,
-                resolved: end.field("resolved").as_u64().unwrap_or(0) as usize,
-                outcomes: Vec::new(),
-                started: None,
-                submitted_unix_ms: submitted,
-                summary,
-                results_text,
-                manifest_json: None,
-                list_row: None,
-            });
+        if !state.is_terminal() {
+            let mut job =
+                Job::new(id, 0, name, spec, Some(priority), verify, source, code_salt).ok()?;
+            job.submitted_unix_ms = submitted_unix_ms;
+            return Some(job);
         }
-        // Live job: re-expand and resume from the cache.
-        let mut job =
-            Job::new(id, 0, name, spec, Some(priority), verify, source, code_salt).ok()?;
-        job.submitted_unix_ms = submitted;
-        Some(job)
+        let summary = JobSummary::from_value(field("summary")).unwrap_or_default();
+        let text = |name: &str| field(name).as_str().map(String::from);
+        Some(Job {
+            id,
+            seq: 0,
+            name,
+            priority,
+            verify,
+            source,
+            state,
+            submitted_unix_ms,
+            total_points: summary.total_points,
+            unique: field("unique_points").as_u64().unwrap_or(0) as usize,
+            resolved: field("resolved").as_u64().unwrap_or(0) as usize,
+            in_flight: 0,
+            cache_hits: summary.cache_hits,
+            summary,
+            work: None,
+            outputs: Outputs::Held {
+                results_text: text("results_text"),
+                manifest_json: text("manifest"),
+            },
+            list_row: None,
+        })
     }
+}
+
+/// A job's one record after compaction, less `op` and `gen`: the fields of
+/// its `job` record and, behind them, those of its `end` record if it has
+/// one.
+fn fold(job: Value, end: Option<Value>) -> Value {
+    let fields = |record: Value, skip: &'static [&'static str]| {
+        let Value::Object(fields) = record else {
+            return Vec::new();
+        };
+        fields
+            .into_iter()
+            .filter(move |(k, _)| !skip.contains(&k.as_str()))
+            .collect::<Vec<_>>()
+    };
+    let mut folded = fields(job, &["op", "gen"]);
+    folded.extend(end.map_or_else(Vec::new, |end| fields(end, &["op", "gen", "id"])));
+    Value::Object(folded)
 }
 
 /// Fields of the `drop` record of one ingested spec-drop file.

@@ -18,8 +18,9 @@
 //!   and workers exit after their in-flight point, leaving the queue to
 //!   the journal.
 
-use crate::queue::{JobId, JobState};
+use crate::queue::{JobId, JobState, Outputs};
 use crate::DaemonState;
+use dxbar_noc::noc_verify::cache_namespace;
 use noc_campaign::{
     execute_point, run_point, run_point_verified, CampaignReport, ExecPoint, PointOutcome,
     PointSpec,
@@ -91,35 +92,38 @@ impl DaemonState {
                 .enumerate()
                 .filter(|(_, j)| {
                     j.is_runnable()
-                        && (!j.ready.is_empty() || j.deferred.iter().any(|&(_, at)| at <= now))
+                        && j.work.as_ref().is_some_and(|w| {
+                            !w.ready.is_empty() || w.deferred.iter().any(|&(_, at)| at <= now)
+                        })
                 })
                 .min_by_key(|(_, j)| (j.priority, j.seq))
                 .map(|(i, _)| i);
             if let Some(ji) = best {
                 let job = &mut live[ji];
+                let work = job.work.as_mut().expect("a runnable job has work");
                 if job.state == JobState::Queued {
                     job.state = JobState::Running;
-                    job.started = Some(now);
+                    work.started = Some(now);
                 }
-                let idx = match job.ready.pop_front() {
+                let idx = match work.ready.pop_front() {
                     Some(i) => i,
                     None => {
-                        let pos = job
+                        let pos = work
                             .deferred
                             .iter()
                             .position(|&(_, at)| at <= now)
                             .expect("ripe deferred point");
-                        job.deferred.remove(pos).expect("position in range").0
+                        work.deferred.remove(pos).expect("position in range").0
                     }
                 };
                 job.in_flight += 1;
                 return Some(PointTask {
                     job: job.id,
                     idx,
-                    point: job.points[idx].clone(),
-                    key: job.keys[idx].clone(),
+                    point: work.points[idx].clone(),
+                    key: work.keys[idx].clone(),
                     verify: job.verify,
-                    retries: job.spec.retry.max_retries,
+                    retries: work.spec.retry.max_retries,
                 });
             }
             // Nothing dispatchable: sleep until the earliest deferral
@@ -127,7 +131,11 @@ impl DaemonState {
             let wait = live
                 .iter()
                 .filter(|j| j.is_runnable())
-                .flat_map(|j| j.deferred.iter().map(|&(_, at)| at))
+                .flat_map(|j| {
+                    j.work
+                        .iter()
+                        .flat_map(|w| w.deferred.iter().map(|&(_, at)| at))
+                })
                 .min()
                 .map(|at| at.saturating_duration_since(now))
                 .unwrap_or(IDLE_WAIT)
@@ -146,47 +154,65 @@ impl DaemonState {
         };
         let job = &mut inner.jobs[ji];
         job.in_flight = job.in_flight.saturating_sub(1);
-        let active = matches!(job.state, JobState::Running | JobState::Queued);
-        match res {
-            ExecPoint::Busy => {
-                if active {
-                    job.deferred
-                        .push_back((task.idx, Instant::now() + BUSY_RETRY));
-                }
-            }
-            ExecPoint::Done(outcome) => {
-                if active && job.outcomes[task.idx].is_none() {
-                    job.outcomes[task.idx] = Some(outcome);
-                    job.resolved += 1;
+        // A job cancelled while the point ran has let go of its work; the
+        // point's result is in the cache all the same.
+        if let Some(work) = job.work.as_mut() {
+            match res {
+                ExecPoint::Busy => work
+                    .deferred
+                    .push_back((task.idx, Instant::now() + BUSY_RETRY)),
+                ExecPoint::Done(outcome) => {
+                    if work.outcomes[task.idx].is_none() {
+                        job.cache_hits += usize::from(outcome.cache_hit);
+                        work.outcomes[task.idx] = Some(outcome);
+                        job.resolved += 1;
+                    }
                 }
             }
         }
-        let finished = (active && job.is_drained()).then(|| {
+        let finished = (job.work.is_some() && job.is_drained()).then(|| {
             let log = self.finalize_job(&mut inner, ji);
             (log, self.journal.record("end", inner.jobs[ji].end_record()))
         });
         drop(inner);
         self.cv.notify_all();
         if let Some((log, record)) = finished {
-            eprint!("{log}");
-            self.journal.append(&record);
+            self.log.lines(&log);
+            self.log_end(task.job, &record);
         }
+    }
+
+    /// Append a terminal job's `end` record and, once it is in the log, let
+    /// go of the outputs the record now holds. Requests for them arrive all
+    /// the while (a client polls the status and asks for the results of a
+    /// job that finished microseconds ago), so the job serves them from
+    /// memory until the append has returned — and for good if it failed.
+    pub(crate) fn log_end(&self, id: JobId, record: &serde::Value) {
+        let Some(at) = self.journal.append(record) else {
+            return;
+        };
+        let mut inner = self.inner.lock().unwrap();
+        let ji = inner.find(id).expect("no job is ever removed");
+        let job = &mut inner.jobs[ji];
+        let has_results = job.outputs.has_results();
+        let held = std::mem::replace(&mut job.outputs, Outputs::Logged { at, has_results });
+        drop(inner);
+        drop(held);
     }
 
     /// A job's last unique point resolved: fill deduplicated siblings,
     /// build the report, render results, record the summary, and mark the
     /// figures the completed keys add a point to. What the status, results
-    /// and manifest routes serve is kept; the expansion and the per-point
-    /// outcomes are released, which leaves the job in the shape the journal
-    /// restores a terminal job in. Returns the log lines, for the caller to
-    /// print once `inner` is released.
+    /// and manifest routes serve is kept; the work is released, which
+    /// leaves the job in the shape the journal restores a terminal job in.
+    /// Returns the log lines, for the caller to print once `inner` is
+    /// released.
     fn finalize_job(&self, inner: &mut crate::Inner, ji: usize) -> String {
         let job = &mut inner.jobs[ji];
-        let points = std::mem::take(&mut job.points);
-        let keys = std::mem::take(&mut job.keys);
-        let share_from = std::mem::take(&mut job.share_from);
-        let mut slots = std::mem::take(&mut job.outcomes);
-        for (i, orig) in share_from.into_iter().enumerate() {
+        let work = *job.work.take().expect("a job is finalized once");
+        let (points, keys, spec) = (work.points, work.keys, work.spec);
+        let mut slots = work.outcomes;
+        for (i, orig) in work.share_from.into_iter().enumerate() {
             if let Some(orig) = orig {
                 let source = slots[orig].clone().expect("original resolved");
                 slots[i] = Some(PointOutcome {
@@ -205,14 +231,14 @@ impl DaemonState {
             .into_iter()
             .map(|o| o.expect("all points resolved"))
             .collect();
-        let wall_ms = job
+        let wall_ms = work
             .started
             .map(|t| t.elapsed().as_millis() as u64)
             .unwrap_or(0);
         let report = CampaignReport {
-            name: job.spec.name.clone(),
-            spec_hash: job.spec.content_hash(),
-            code_salt: job.salt.clone(),
+            spec_hash: spec.content_hash(),
+            name: spec.name,
+            code_salt: cache_namespace(&self.cfg.code_salt, job.verify),
             jobs: self.cfg.workers,
             wall_ms,
             verify_enabled: job.verify,
@@ -235,8 +261,11 @@ impl DaemonState {
             .failed()
             .filter_map(|o| o.failure().cloned())
             .collect();
-        job.results_text = Some(noc_campaign::render_table(&report.aggregates()));
-        job.manifest_json = Some(report.manifest().to_json());
+        job.cache_hits = job.summary.cache_hits;
+        job.outputs = Outputs::Held {
+            results_text: Some(noc_campaign::render_table(&report.aggregates())),
+            manifest_json: Some(report.manifest().to_json()),
+        };
         job.state = if job.summary.failed > 0 {
             JobState::Failed
         } else {

@@ -7,6 +7,7 @@ mod common;
 use common::{request, request_auth, send_raw, status_of, wait_for_job, KeepAlive};
 use noc_daemon::http::{self, Response, ServeOptions};
 use noc_daemon::{Daemon, DaemonConfig};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc, Mutex};
@@ -393,6 +394,54 @@ fn stop_answers_the_request_in_flight() {
     release_tx.send(()).unwrap();
     assert_eq!(in_flight.join().unwrap(), (200, "served".to_string()));
     server.join().unwrap();
+}
+
+/// A body of the largest accepted size that is one string literal costs
+/// the request thread its bytes once — a scanner that rechecks the rest of
+/// the document at every character spends 15 s of CPU on this request —
+/// and no other connection waits for it.
+#[test]
+fn a_body_that_is_one_long_string_is_answered_at_once() {
+    let state_dir = common::scratch("longstring");
+    let cfg = DaemonConfig {
+        addr: "127.0.0.1:0".into(),
+        state_dir: state_dir.clone(),
+        cache_dir: state_dir.join("cache"),
+        workers: 1,
+        code_salt: "daemon-longstring-test-v1".into(),
+        ..DaemonConfig::default()
+    };
+    let max_body = cfg.max_body;
+    let handle = Daemon::start(cfg).expect("daemon starts");
+    let addr = handle.addr;
+
+    let frame = r#"{"name":""}"#;
+    let body = format!(r#"{{"name":"{}"}}"#, "a".repeat(max_body - frame.len()));
+    assert_eq!(body.len(), max_body);
+    let head = format!(
+        "POST /jobs HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {max_body}\r\n\r\n"
+    );
+    // All of the request but its last byte: the daemon is inside it...
+    let mut big = TcpStream::connect(addr).expect("connect to daemon");
+    big.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    big.write_all(head.as_bytes()).unwrap();
+    big.write_all(&body.as_bytes()[..max_body - 1]).unwrap();
+    // ...and serves another connection.
+    assert_eq!(request(addr, "GET", "/healthz", None).0, 200);
+
+    let sent = Instant::now();
+    big.write_all(&body.as_bytes()[max_body - 1..]).unwrap();
+    let mut response = String::new();
+    big.read_to_string(&mut response).unwrap();
+    let took = sent.elapsed();
+    // Valid JSON, but no job request.
+    assert_eq!(status_of(&response), 400, "{response}");
+    assert!(response.contains("missing"), "{response}");
+    assert!(took < Duration::from_secs(2), "answered after {took:?}");
+
+    handle.begin_drain();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 /// The request path has no timer in it: a health check costs what the

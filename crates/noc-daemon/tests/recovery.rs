@@ -8,12 +8,13 @@ mod common;
 
 use common::{request, tiny_spec, wait_for_job};
 use noc_campaign::io::{IoFault, IoOp, IoPolicy};
-use noc_daemon::{Daemon, DaemonConfig, DaemonHandle};
-use std::net::SocketAddr;
+use noc_daemon::http::{self, ServeOptions};
+use noc_daemon::{api, Daemon, DaemonConfig, DaemonHandle, DaemonState};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SALT: &str = "daemon-recovery-test-v1";
 
@@ -310,4 +311,178 @@ fn torn_record_followed_by_a_good_one_loses_only_the_torn_one() {
     ran.assert_accepts_work(handle.addr);
     stop(handle);
     ran.cleanup();
+}
+
+/// Damages the next journal append once armed; counts what the read side
+/// reported.
+#[derive(Debug)]
+struct DamageNextAppend {
+    fault: IoFault,
+    armed: AtomicBool,
+    detected: AtomicUsize,
+}
+
+impl IoPolicy for DamageNextAppend {
+    fn inject(&self, op: IoOp, _path: &Path, _attempt: u32) -> Option<IoFault> {
+        (op == IoOp::JournalStore && self.armed.swap(false, Ordering::SeqCst)).then_some(self.fault)
+    }
+
+    fn on_detected(&self, path: &Path) {
+        assert!(path.ends_with("journal.log"), "{}", path.display());
+        self.detected.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A daemon put together by hand, so that the test says when the worker
+/// runs: state, one worker thread, and the control plane on a loopback port.
+struct ByHand {
+    state: Arc<DaemonState>,
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    server: std::thread::JoinHandle<()>,
+}
+
+impl ByHand {
+    fn start(cfg: DaemonConfig) -> ByHand {
+        let state = DaemonState::new(cfg).expect("state directory is writable");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (handler, stop) = (api::handler(state.clone()), stop.clone());
+            std::thread::spawn(move || {
+                http::serve(listener, handler, stop, ServeOptions::default())
+            })
+        };
+        ByHand {
+            state,
+            addr,
+            stop,
+            server,
+        }
+    }
+
+    /// Queue the tiny spec; no worker is running yet.
+    fn submit(&self) -> u64 {
+        self.state
+            .submit(tiny_spec(), None, None, false, "test".into())
+            .expect("valid spec")
+            .field("job")
+            .as_u64()
+            .unwrap()
+    }
+
+    /// Run one worker until every queued job is done and its `end` record
+    /// is appended (a worker appends it before it looks for more work).
+    fn work_off(&self, ids: &[u64]) {
+        let state = self.state.clone();
+        let worker = std::thread::spawn(move || state.worker_loop());
+        let deadline = Instant::now() + Duration::from_secs(120);
+        for &id in ids {
+            assert_done(self.addr, id);
+            assert!(Instant::now() < deadline);
+        }
+        self.state.begin_drain();
+        worker.join().unwrap();
+    }
+
+    fn stop(self) {
+        http::stop_serving(self.addr, &self.stop);
+        self.server.join().unwrap();
+    }
+}
+
+/// A torn or rotted `end` record costs the job it belongs to its results
+/// and manifest — a clean error, reported to the policy — until a restart
+/// finds the job unfinished and replays it from the cache. It costs no
+/// other job anything.
+#[test]
+fn damaged_end_record_fails_that_jobs_outputs_cleanly_and_heals_on_restart() {
+    for (tag, fault) in [
+        ("end-torn", IoFault::Truncate(120)),
+        ("end-flip", IoFault::BitFlip(0x0000_0003_0000_0011)),
+    ] {
+        let state = common::scratch(&format!("{tag}-state"));
+        let cache = common::scratch(&format!("{tag}-cache"));
+        let policy = Arc::new(DamageNextAppend {
+            fault,
+            armed: AtomicBool::new(false),
+            detected: AtomicUsize::new(0),
+        });
+        let cfg = || DaemonConfig {
+            io_policy: policy.clone(),
+            ..cfg(&state, &cache)
+        };
+        let get =
+            |addr, id: u64, route: &str| request(addr, "GET", &format!("/jobs/{id}{route}"), None);
+
+        let daemon = ByHand::start(cfg());
+        // The intact job's records are both in the log...
+        let intact = daemon.submit();
+        daemon.work_off(&[intact]);
+        let served = ["/results", "/manifest"].map(|route| {
+            let (status, body) = get(daemon.addr, intact, route);
+            assert_eq!(status, 200, "{tag} {route}: {body}");
+            body
+        });
+        daemon.stop();
+
+        // ...and so is the other job's `job` record when the fault is armed:
+        // it hits the `end` record the worker appends.
+        let daemon = ByHand::start(cfg());
+        let damaged = daemon.submit();
+        policy.armed.store(true, Ordering::SeqCst);
+        daemon.work_off(&[damaged]);
+        assert!(
+            !policy.armed.load(Ordering::SeqCst),
+            "{tag}: fault not taken"
+        );
+
+        assert_eq!(policy.detected.load(Ordering::SeqCst), 0, "{tag}");
+        for (n, route) in ["/results", "/manifest"].into_iter().enumerate() {
+            let (status, body) = get(daemon.addr, damaged, route);
+            assert_eq!(status, 500, "{tag} {route}: {body}");
+            assert!(body.contains("damaged"), "{tag} {route}: {body}");
+            assert_eq!(policy.detected.load(Ordering::SeqCst), n + 1, "{tag}");
+        }
+        // The job itself and its neighbour are served as before.
+        let (status, view) = get(daemon.addr, damaged, "");
+        assert_eq!(status, 200);
+        assert!(view.contains("\"state\": \"done\""), "{tag}: {view}");
+        for (route, before) in ["/results", "/manifest"].into_iter().zip(&served) {
+            assert_eq!(
+                get(daemon.addr, intact, route),
+                (200, before.clone()),
+                "{tag}"
+            );
+        }
+        daemon.stop();
+
+        // A restart reads the damaged record as missing (and says so once):
+        // the job is unfinished, and finishes again out of the cache.
+        let detected = policy.detected.load(Ordering::SeqCst);
+        let daemon = ByHand::start(cfg());
+        assert_eq!(
+            policy.detected.load(Ordering::SeqCst),
+            detected + 1,
+            "{tag}"
+        );
+        daemon.work_off(&[damaged]);
+        assert_eq!(
+            get(daemon.addr, damaged, "/results"),
+            (200, served[0].clone()),
+            "{tag}"
+        );
+        assert_eq!(get(daemon.addr, damaged, "/manifest").0, 200, "{tag}");
+        assert_eq!(
+            get(daemon.addr, intact, "/manifest"),
+            (200, served[1].clone()),
+            "{tag}"
+        );
+        daemon.stop();
+
+        for d in [&state, &cache] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
 }

@@ -188,57 +188,115 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse one string literal in time linear in its length: the bytes up
+    /// to the next `"` or `\` are one run, checked as UTF-8 once and copied
+    /// as a slice. Input reaches this from the network, so a request body
+    /// that is one long literal must cost its bytes once, like any other.
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.run()?;
             match self.peek() {
                 None => return Err(Error::msg("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
+                    // A literal without escapes is one exact-size copy.
+                    if out.is_empty() {
+                        return Ok(run.to_owned());
+                    }
+                    out.push_str(run);
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::msg("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::msg("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(Error::msg(format!("bad escape {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::msg(format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    if out.capacity() == 0 {
+                        // Once, on the first escape: an escape decodes to
+                        // fewer bytes than it is written in.
+                        out.reserve(run.len() + self.raw_len());
+                    }
+                    out.push_str(run);
+                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
             }
         }
+    }
+
+    /// The bytes from `pos` up to the next `"` or `\` (or the end of the
+    /// input), consumed. Both delimiters are ASCII, so the run ends on a
+    /// character boundary.
+    fn run(&mut self) -> Result<&'a str, Error> {
+        let rest = &self.bytes[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        self.pos += len;
+        std::str::from_utf8(&rest[..len]).map_err(|e| Error::msg(format!("invalid UTF-8: {e}")))
+    }
+
+    /// Bytes from `pos` to the quote that closes the literal (or the end of
+    /// the input), escapes counted as written.
+    fn raw_len(&self) -> usize {
+        let mut i = self.pos;
+        while let Some(&b) = self.bytes.get(i) {
+            match b {
+                b'"' => break,
+                b'\\' => i += 2,
+                _ => i += 1,
+            }
+        }
+        i.min(self.bytes.len()) - self.pos
+    }
+
+    /// Decode the escape whose backslash was just consumed.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let code = self.hex4(self.pos + 1)?;
+                self.pos += 4;
+                // A high surrogate and the `\uXXXX` low surrogate right after
+                // it are one scalar; a surrogate on its own is U+FFFD.
+                let low = match (code, self.bytes.get(self.pos + 1..self.pos + 3)) {
+                    (0xD800..=0xDBFF, Some(b"\\u")) => self
+                        .hex4(self.pos + 3)
+                        .ok()
+                        .filter(|low| (0xDC00..=0xDFFF).contains(low)),
+                    _ => None,
+                };
+                let code = match low {
+                    Some(low) => {
+                        self.pos += 6;
+                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    None => code,
+                };
+                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+            }
+            other => {
+                return Err(Error::msg(format!("bad escape {other:?}")));
+            }
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The four hex digits at `at` as a code unit.
+    fn hex4(&self, at: usize) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| Error::msg("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| Error::msg("bad \\u escape"))?;
+        u32::from_str_radix(hex, 16).map_err(|_| Error::msg("bad \\u escape"))
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -328,6 +386,34 @@ mod tests {
         let v = Value::F64(2.0);
         assert_eq!(v.to_json(), "2.0");
         assert_eq!(parse("2.0").unwrap(), Value::F64(2.0));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let s = |text: &str| parse(text).map(|v| v.as_str().map(String::from));
+        // How most writers escape non-BMP text.
+        assert_eq!(s(r#""\ud83d\ude00""#).unwrap().unwrap(), "\u{1F600}");
+        assert_eq!(s(r#""a\uD83D\uDE00b""#).unwrap().unwrap(), "a\u{1F600}b");
+        // A surrogate on its own still parses, as U+FFFD.
+        assert_eq!(s(r#""\ud83d""#).unwrap().unwrap(), "\u{FFFD}");
+        assert_eq!(s(r#""\ud83dx""#).unwrap().unwrap(), "\u{FFFD}x");
+        assert_eq!(s(r#""\ud83d\u0041""#).unwrap().unwrap(), "\u{FFFD}A");
+        assert_eq!(s(r#""\ude00""#).unwrap().unwrap(), "\u{FFFD}");
+        assert_eq!(s(r#""\ude00\ud83d""#).unwrap().unwrap(), "\u{FFFD}\u{FFFD}");
+        assert_eq!(
+            s(r#""\ud83d\ud83d\ude00""#).unwrap().unwrap(),
+            "\u{FFFD}\u{1F600}"
+        );
+        // A pair split by the end of the input is an error, not a panic.
+        for cut in [
+            r#""\ud83d"#,
+            r#""\ud83d\"#,
+            r#""\ud83d\u"#,
+            r#""\ud83d\ude0"#,
+        ] {
+            assert!(s(cut).is_err(), "{cut}");
+        }
+        assert!(s(r#""\ud83d\uzzzz""#).is_err());
     }
 
     #[test]
