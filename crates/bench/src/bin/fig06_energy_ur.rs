@@ -18,6 +18,7 @@ use bench::{all_designs, emit, emit_svg, exit_on_failures, multi_seed, run_figur
 use dxbar_noc::noc_sim::report::{render_series, render_series_ci};
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let spec = bench::specs::fig06();
     let report = run_figure_campaign(&spec);
     let aggs = report.aggregates();

@@ -19,6 +19,7 @@ use dxbar_noc::{Design, RunResult};
 use noc_campaign::{Aggregate, WorkloadAxis};
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let spec = bench::specs::fig09_10();
     let WorkloadAxis::Splash { apps, .. } = spec.groups[0].workload.clone() else {
         unreachable!("fig09_10 is a SPLASH campaign");

@@ -21,6 +21,7 @@ use dxbar_noc::{Design, RunResult};
 use noc_campaign::Aggregate;
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let spec = bench::specs::fig11_12();
     let report = run_figure_campaign(&spec);
     let aggs = report.aggregates();

@@ -52,6 +52,7 @@ const METRICS: [Metric; 3] = [
 ];
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let spec = bench::specs::resilience();
     let report = run_figure_campaign(&spec);
     let aggs = report.aggregates();

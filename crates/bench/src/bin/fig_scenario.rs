@@ -48,6 +48,7 @@ fn burstiness_of(workload: &str) -> Option<f64> {
 }
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let spec = bench::specs::scenario();
     let report = run_figure_campaign(&spec);
     let aggs = report.aggregates();

@@ -34,6 +34,7 @@ const GROUP: &str = "zoo_ur";
 const XLABEL: &str = "offered load (fraction of capacity)";
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let spec = bench::specs::zoo();
     let report = run_figure_campaign(&spec);
     let aggs = report.aggregates();

@@ -45,6 +45,7 @@ fn cache_dir() -> PathBuf {
 }
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
     let cache = cache_dir();
     // The figure bins read the cache location from the environment; the
     // unified campaign below fills it so they only render.

@@ -17,6 +17,7 @@ use dxbar_noc::noc_power::table::{render_table3, table3_rows};
 use dxbar_noc::noc_traffic::splash::{MemoryParams, ProcessorParams};
 
 fn main() {
+    bench::no_args(env!("CARGO_BIN_NAME"), "DXBAR_OUT");
     let p = ProcessorParams::default();
     let mut t1 = String::new();
     t1.push_str("TABLE I — processor parameters (SPLASH-2 suite simulations)\n");

@@ -8,31 +8,8 @@
 //!     --design dxbar-dor --pattern uniform --load 0.3 --out trace_out
 //! ```
 //!
-//! Options (all optional):
-//!
-//! * `--design NAME`  — one of `flit-bless`, `scarab`, `buffered4`,
-//!   `buffered8`, `dxbar-dor`, `dxbar-wf`, `unified-dor`, `unified-wf`,
-//!   `afc`, `damq`, `minbd` (default `dxbar-dor`);
-//! * `--pattern NAME` — `uniform`, `nonuniform`, `bitrev`, `butterfly`,
-//!   `complement`, `transpose`, `shuffle`, `neighbor`, `tornado`
-//!   (default `uniform`);
-//! * `--scenario NAME` — run a named workload scenario instead of a
-//!   synthetic pattern (`mmpp_ur`, `pareto_ur`, `interfere2`,
-//!   `mixed_islands`, `torus_ur`, `cmesh_ur`, optionally parameterized as
-//!   `interfere2:2.5`); the summary gains a per-application block;
-//! * `--load F`       — offered load as a fraction of capacity (default 0.3);
-//! * `--out DIR`      — output directory (default `trace_out`);
-//! * `--events N`     — ring-buffer capacity, 0 = keep everything
-//!   (default 0);
-//! * `--stride N`     — cycles between time-series samples (default 1);
-//! * `--top N`        — slowest-packet table length (default 10);
-//! * `--tile-threads N` — tiles the simulation is stepped in (also via
-//!   `DXBAR_TILE_THREADS`): 0 and 1 step one tile inline, N > 1 steps N
-//!   tiles on N workers — traced and `--verify` runs included. The event
-//!   stream, the summary and the check counts are byte-identical at any
-//!   setting.
-//!
-//! `DXBAR_QUICK=1` shrinks the simulated windows as for the figure bins.
+//! `trace_run --help` lists the options. `DXBAR_QUICK=1` shrinks the
+//! simulated windows as for the figure bins.
 
 use bench::noc_campaign::verify_from_env;
 use bench::paper_config;
@@ -40,7 +17,8 @@ use dxbar_noc::noc_sim::diagnostics::NodeField;
 use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, to_jsonl, RecordingSink};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic_traced, run_synthetic_traced_verified, Design};
+use dxbar_noc::{run, Design, RunPlan};
+use noc_scenario::{ScenarioRun, ScenarioSpec};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::exit;
@@ -54,52 +32,41 @@ struct Options {
     events: usize,
     stride: u64,
     top: usize,
+    tile_threads: Option<usize>,
     verify: bool,
 }
 
-/// Design spellings accepted by `--design`, for unknown-name errors.
-const KNOWN_DESIGNS: &str = "flit-bless, scarab, buffered4, buffered8, dxbar-dor, \
-     dxbar-wf, unified-dor, unified-wf, afc, damq, minbd";
+const HELP: &str = "\
+trace_run — record one open-loop run as events.jsonl, chrome_trace.json and summary.txt
 
-/// Pattern spellings accepted by `--pattern`, for unknown-name errors.
-const KNOWN_PATTERNS: &str = "uniform, nonuniform, bitrev, butterfly, complement, \
-     transpose, shuffle, neighbor, tornado";
-
-fn parse_design(s: &str) -> Option<Design> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "flit-bless" | "bless" => Design::FlitBless,
-        "scarab" => Design::Scarab,
-        "buffered4" => Design::Buffered4,
-        "buffered8" => Design::Buffered8,
-        "dxbar-dor" | "dxbar" => Design::DXbarDor,
-        "dxbar-wf" => Design::DXbarWf,
-        "unified-dor" | "unified" => Design::UnifiedDor,
-        "unified-wf" => Design::UnifiedWf,
-        "afc" => Design::Afc,
-        "damq" => Design::Damq,
-        "minbd" | "min-bd" => Design::MinBd,
-        _ => return None,
-    })
-}
-
-fn parse_pattern(s: &str) -> Option<Pattern> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "uniform" | "ur" => Pattern::UniformRandom,
-        "nonuniform" | "nur" => Pattern::NonUniformRandom,
-        "bitrev" | "bit-reversal" => Pattern::BitReversal,
-        "butterfly" => Pattern::Butterfly,
-        "complement" => Pattern::Complement,
-        "transpose" => Pattern::MatrixTranspose,
-        "shuffle" => Pattern::PerfectShuffle,
-        "neighbor" => Pattern::Neighbor,
-        "tornado" => Pattern::Tornado,
-        _ => return None,
-    })
-}
+OPTIONS (all optional):
+    --design <NAME>     flit-bless | scarab | buffered4 | buffered8 | dxbar-dor |
+                        dxbar-wf | unified-dor | unified-wf | afc | damq | minbd
+                        (default: dxbar-dor)
+    --pattern <NAME>    uniform nonuniform bitrev butterfly complement transpose
+                        shuffle neighbor tornado, or the paper's abbreviations
+                        UR NUR BR BF CP MT PS NB TOR   (default: uniform)
+    --scenario <NAME>   a named workload scenario instead of a pattern (mmpp_ur,
+                        pareto_ur, interfere2, mixed_islands, torus_ur, cmesh_ur,
+                        optionally parameterized as interfere2:2.5); the summary
+                        gains a per-application block
+    --load <FRACTION>   offered load, fraction of capacity (default: 0.3)
+    --out <DIR>         output directory (default: trace_out)
+    --events <N>        ring-buffer capacity, 0 = keep everything (default: 0)
+    --stride <N>        cycles between time-series samples (default: 1)
+    --top <N>           slowest-packet table length (default: 10)
+    --tile-threads <N>  tiles the simulation is stepped in (0 and 1: one tile,
+                        inline; N: N tile workers, --verify runs included; the
+                        event stream, the summary and the check counts are
+                        byte-identical at any setting; also via DXBAR_TILE_THREADS)
+    --verify            attach the runtime-oracle suite; exits 1 on any violation
+                        (also enabled by DXBAR_VERIFY=1)
+    --help              this text
+";
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("trace_run: {msg}");
-    eprintln!("see the module docs (src/bin/trace_run.rs) for the option list");
+    eprintln!("see trace_run --help for the option list");
     exit(2)
 }
 
@@ -113,8 +80,10 @@ fn parse_args() -> Options {
         events: 0,
         stride: 1,
         top: 10,
+        tile_threads: None,
         verify: verify_from_env(),
     };
+    let mut tile_threads = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| {
@@ -122,19 +91,25 @@ fn parse_args() -> Options {
                 .unwrap_or_else(|| usage_and_exit(&format!("{flag} needs a value")))
         };
         match flag.as_str() {
+            "--help" | "-h" => {
+                print!("{HELP}");
+                exit(0);
+            }
             "--design" => {
                 let v = value("--design");
-                opts.design = parse_design(&v).unwrap_or_else(|| {
+                opts.design = Design::parse(&v).unwrap_or_else(|| {
                     usage_and_exit(&format!(
-                        "unknown design '{v}'; known designs: {KNOWN_DESIGNS}"
+                        "unknown design '{v}'; known designs: {}",
+                        Design::ALL.map(|d| d.spellings()[0]).join(", ")
                     ))
                 });
             }
             "--pattern" => {
                 let v = value("--pattern");
-                opts.pattern = parse_pattern(&v).unwrap_or_else(|| {
+                opts.pattern = Pattern::parse(&v).unwrap_or_else(|| {
                     usage_and_exit(&format!(
-                        "unknown pattern '{v}'; known patterns: {KNOWN_PATTERNS}"
+                        "unknown pattern '{v}'; known patterns: {}",
+                        Pattern::ALL.map(Pattern::long_name).join(", ")
                     ))
                 });
             }
@@ -164,21 +139,17 @@ fn parse_args() -> Options {
                     .parse()
                     .unwrap_or_else(|_| usage_and_exit(&format!("bad top count '{v}'")));
             }
-            "--tile-threads" => {
-                let v = value("--tile-threads");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit(&format!("bad tile-thread count '{v}'")));
-                std::env::set_var("DXBAR_TILE_THREADS", n.to_string());
-            }
+            "--tile-threads" => tile_threads = Some(value("--tile-threads")),
             "--verify" => opts.verify = true,
             other => usage_and_exit(&format!("unknown option '{other}'")),
         }
     }
-    if let Ok(v) = std::env::var("DXBAR_TILE_THREADS") {
-        if v.trim().parse::<usize>().is_err() {
-            usage_and_exit(&format!("bad DXBAR_TILE_THREADS '{v}'"));
-        }
+    // The worker count: the flag, else the variable; either way a count.
+    let flag = tile_threads.map(|v| ("tile-thread count", v));
+    let env = std::env::var("DXBAR_TILE_THREADS").map(|v| ("DXBAR_TILE_THREADS", v));
+    if let Some((name, v)) = flag.or(env.ok()) {
+        let bad = |_| usage_and_exit(&format!("bad {name} '{v}'"));
+        opts.tile_threads = Some(v.trim().parse().unwrap_or_else(bad));
     }
     opts
 }
@@ -190,52 +161,41 @@ fn main() {
 
     // Resolve the scenario (when given) before announcing the run, so an
     // unknown name is a usage error with the known-names listing.
-    let scenario = opts.scenario.as_ref().map(|name| {
-        noc_scenario::ScenarioSpec::resolve(name, &cfg).unwrap_or_else(|e| usage_and_exit(&e))
-    });
-    if let Some(spec) = &scenario {
+    let spec = opts
+        .scenario
+        .as_ref()
+        .map(|name| ScenarioSpec::resolve(name, &cfg).unwrap_or_else(|e| usage_and_exit(&e)));
+    if let Some(spec) = &spec {
         cfg = noc_scenario::scenario_config(&cfg, spec);
     }
+    let scenario = spec.as_ref().map(|spec| {
+        ScenarioRun::new(opts.design, &cfg, spec, opts.load).unwrap_or_else(|e| usage_and_exit(&e))
+    });
 
     eprintln!(
         "[trace_run] {} / {} @ load {:.2} on {}x{} mesh ...",
         opts.design.name(),
-        scenario
-            .as_ref()
+        spec.as_ref()
             .map(|s| format!("scenario {}", s.name))
             .unwrap_or_else(|| format!("{:?}", opts.pattern)),
         opts.load,
         cfg.width,
         cfg.height
     );
-    let (result, sink, verify_report) = match (&scenario, opts.verify) {
-        (Some(spec), true) => {
-            let (r, s, rep) = noc_scenario::run_scenario_traced_verified(
-                opts.design,
-                &cfg,
-                spec,
-                opts.load,
-                sink,
-            )
-            .unwrap_or_else(|e| usage_and_exit(&e));
-            (r, s, Some(rep))
-        }
-        (Some(spec), false) => {
-            let (r, s) =
-                noc_scenario::run_scenario_traced(opts.design, &cfg, spec, opts.load, sink)
-                    .unwrap_or_else(|e| usage_and_exit(&e));
-            (r, s, None)
-        }
-        (None, true) => {
-            let (r, s, rep) =
-                run_synthetic_traced_verified(opts.design, &cfg, opts.pattern, opts.load, sink);
-            (r, s, Some(rep))
-        }
-        (None, false) => {
-            let (r, s) = run_synthetic_traced(opts.design, &cfg, opts.pattern, opts.load, sink);
-            (r, s, None)
-        }
+    let exec = |mut plan: RunPlan<'_>| {
+        plan.tile_threads = opts.tile_threads;
+        run(plan.traced(sink).verified(opts.verify))
     };
+    let out = match scenario {
+        Some(scenario) => scenario.run_with(exec),
+        None => exec(RunPlan::synthetic(
+            opts.design,
+            &cfg,
+            opts.pattern,
+            opts.load,
+        )),
+    };
+    let (result, sink, verify_report) = (out.result, out.trace.expect("traced plan"), out.verify);
 
     std::fs::create_dir_all(&opts.out).expect("create output dir");
 

@@ -31,7 +31,6 @@ pub mod svg;
 
 use dxbar_noc::{Design, RunResult, SimConfig};
 use noc_campaign::{run_campaign, CampaignReport, CampaignSpec, ExecOptions};
-use rayon::prelude::*;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -41,6 +40,29 @@ pub use noc_campaign;
 /// The offered-load sweep of the paper ("network load varies from 0.1 to
 /// 0.9 of the network capacity").
 pub const PAPER_LOADS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+
+/// The environment variables every campaign-backed figure bin reads (see
+/// the module docs).
+pub const FIGURE_ENV: &str = "DXBAR_QUICK DXBAR_OUT DXBAR_CACHE DXBAR_SEEDS DXBAR_JOBS \
+     DXBAR_TILE_THREADS DXBAR_VERIFY";
+
+/// Argument check of the bins that take no arguments, called first thing in
+/// `main`: `--help`/`-h` prints a usage line naming the environment
+/// variables the bin reads (`env`) and exits 0; any other argument exits 2
+/// before any work is done.
+pub fn no_args(bin: &str, env: &str) {
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("usage: {bin}   (no arguments; environment: {env})");
+            std::process::exit(0);
+        }
+        Some(other) => {
+            eprintln!("{bin}: unexpected argument '{other}' ({bin} takes none; see --help)");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Whether quick (smoke-test) mode is active.
 pub fn quick_mode() -> bool {
@@ -158,16 +180,6 @@ pub fn exit_on_failures(report: &CampaignReport) {
     }
 }
 
-/// Run a grid of independent points in parallel, preserving order.
-/// Each point owns a seeded PRNG, so results are identical to a sequential
-/// run.
-pub fn par_grid<P: Sync, F: Fn(&P) -> RunResult + Sync + Send>(
-    points: &[P],
-    f: F,
-) -> Vec<RunResult> {
-    points.par_iter().map(f).collect()
-}
-
 /// The six designs of the paper's main comparison plus the two unified
 /// variants this reproduction adds.
 pub fn all_designs() -> Vec<Design> {
@@ -240,32 +252,6 @@ mod tests {
             let c = paper_config();
             assert_eq!(c.width, 8);
             assert_eq!(c.warmup_cycles, 10_000);
-        }
-    }
-
-    #[test]
-    fn par_grid_preserves_order_and_determinism() {
-        use dxbar_noc::noc_traffic::patterns::Pattern;
-        use dxbar_noc::run_synthetic;
-        let cfg = SimConfig {
-            width: 4,
-            height: 4,
-            warmup_cycles: 100,
-            measure_cycles: 300,
-            drain_cycles: 150,
-            ..SimConfig::default()
-        };
-        let loads = [0.1, 0.2, 0.3];
-        let a = par_grid(&loads, |&l| {
-            run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, l)
-        });
-        let b: Vec<RunResult> = loads
-            .iter()
-            .map(|&l| run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, l))
-            .collect();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.offered_load, y.offered_load);
-            assert_eq!(x.accepted_packets, y.accepted_packets);
         }
     }
 }

@@ -1,6 +1,7 @@
 //! CLI error paths of the bench bins: unknown preset, design, pattern and
 //! scenario names must exit 2 (usage error, distinct from the exit-1
-//! "points failed" path) and print the accepted spellings.
+//! "points failed" path) and print the accepted spellings; `--help` must
+//! answer without running anything.
 
 use std::process::Command;
 
@@ -97,6 +98,68 @@ fn trace_run_unknown_design_exits_2_and_lists_designs() {
     for name in ["flit-bless", "damq", "minbd"] {
         assert!(err.contains(name), "design {name} missing from: {err}");
     }
+}
+
+#[test]
+fn trace_run_help_lists_options_and_shares_dxbar_sims_spellings() {
+    // Arguments parse left to right, so a spelling only `dxbar-sim` used
+    // to take (`b4`, `MT`) must get past the parser for `--help` to answer.
+    for args in [
+        &["--help"][..],
+        &["--design", "b4", "--pattern", "MT", "-h"],
+    ] {
+        let out = trace_run().args(args).output().expect("spawn trace_run");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        for option in ["--design", "--scenario", "--tile-threads", "--verify"] {
+            assert!(text.contains(option), "{option} missing from: {text}");
+        }
+    }
+}
+
+#[test]
+fn argument_less_bins_answer_help_and_reject_arguments_before_any_work() {
+    let bins = [
+        env!("CARGO_BIN_EXE_fig05_throughput_ur"),
+        env!("CARGO_BIN_EXE_fig06_energy_ur"),
+        env!("CARGO_BIN_EXE_fig07_08_synthetic"),
+        env!("CARGO_BIN_EXE_fig09_10_splash"),
+        env!("CARGO_BIN_EXE_fig11_12_faults"),
+        env!("CARGO_BIN_EXE_fig_resilience"),
+        env!("CARGO_BIN_EXE_fig_zoo"),
+        env!("CARGO_BIN_EXE_fig_scenario"),
+        env!("CARGO_BIN_EXE_ablations"),
+        env!("CARGO_BIN_EXE_tables"),
+        env!("CARGO_BIN_EXE_repro_all"),
+    ];
+    // Any campaign a bin started would land here and fail the test.
+    let scratch = std::env::temp_dir().join(format!("dxbar_no_args_{}", std::process::id()));
+    for bin in bins {
+        let run = |arg: &str| {
+            Command::new(bin)
+                .arg(arg)
+                .env("DXBAR_OUT", &scratch)
+                .output()
+                .expect("spawn bin")
+        };
+        let help = run("--help");
+        assert_eq!(help.status.code(), Some(0), "{bin} --help");
+        let text = String::from_utf8_lossy(&help.stdout);
+        assert!(
+            text.starts_with("usage:") && text.contains("DXBAR_OUT"),
+            "{bin} --help printed: {text}"
+        );
+        let bogus = run("bogus");
+        assert_eq!(bogus.status.code(), Some(2), "{bin} bogus");
+        assert!(
+            String::from_utf8_lossy(&bogus.stderr).contains("unexpected argument 'bogus'"),
+            "{bin} bogus"
+        );
+    }
+    assert!(
+        !scratch.exists(),
+        "a bin did work before checking arguments"
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@ use dxbar_noc::noc_sim::noc_trace::{
     chrome_trace, from_jsonl, percentile_of_sorted, to_jsonl, RecordingSink, TraceEvent,
 };
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic_traced, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 use rayon::prelude::*;
 
 fn small_cfg() -> SimConfig {
@@ -25,7 +25,8 @@ fn small_cfg() -> SimConfig {
 fn traced_jsonl(design: Design, load: f64) -> (String, Vec<TraceEvent>, RecordingSink) {
     let cfg = small_cfg();
     let sink = RecordingSink::new(0, 1);
-    let (_result, sink) = run_synthetic_traced(design, &cfg, Pattern::UniformRandom, load, sink);
+    let plan = RunPlan::synthetic(design, &cfg, Pattern::UniformRandom, load);
+    let sink = run(plan.traced(sink)).trace.expect("traced plan");
     let events: Vec<TraceEvent> = sink.recorder.iter().cloned().collect();
     (to_jsonl(&events), events, sink)
 }

@@ -22,13 +22,10 @@ use crate::io::{no_faults, IoPolicy};
 use crate::manifest::{CampaignManifest, PointRecord, QuarantinedPoint, VerifyBlock};
 use crate::spec::{CampaignSpec, PointSpec, Workload};
 use crate::CODE_VERSION;
-use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_topology::Mesh;
-use dxbar_noc::{
-    run_splash, run_splash_verified, run_synthetic, run_synthetic_resilient,
-    run_synthetic_resilient_verified, run_synthetic_verified, run_synthetic_with_faults, RunResult,
-};
+use dxbar_noc::{run, Faults, RunPlan, RunResult};
+use noc_scenario::{ScenarioRun, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -307,155 +304,66 @@ impl CampaignReport {
     }
 }
 
-/// Seeded fault plan for a faulty point (the paper's methodology: plan
-/// seeded by the run seed, faults manifest during warmup).
-fn fault_plan(p: &PointSpec) -> FaultPlan {
-    let mesh = Mesh::for_config(&p.config);
-    FaultPlan::generate(
-        &mesh,
-        p.fault_fraction,
-        p.config.warmup_cycles / 2,
-        p.config.warmup_cycles.max(1),
-        p.config.seed,
-    )
-}
-
-/// Seeded resilience plan for a resilience point: crossbar faults at the
-/// point's fault fraction, `link_fault_count` dead channels placed so the
-/// mesh stays connected, and the transient soft-error process. Faults
-/// manifest during warmup, matching [`fault_plan`].
-fn resilience_plan(p: &PointSpec) -> ResiliencePlan {
-    let mesh = Mesh::for_config(&p.config);
-    ResiliencePlan::generate(
-        &mesh,
+/// Simulate one point with the production simulator, under the
+/// runtime-oracle suite when `verify` is set: build the plan the point
+/// describes — its workload and its seeded fault (or resilience) plan,
+/// which validation keeps off closed-loop and scenario points — run it, and
+/// apply the group's traffic tag. A violating run still returns its result;
+/// the violation count travels in [`PointVerify`] and is surfaced through
+/// the campaign manifest's `verify` block.
+pub fn simulate_point(p: &PointSpec, verify: bool) -> (RunResult, Option<PointVerify>) {
+    // The paper's methodology: plans seeded by the run seed, faults manifest
+    // during warmup. A zero fraction, count or rate generates none of its
+    // class; link faults are placed so the mesh stays connected.
+    let generated = ResiliencePlan::generate(
+        &Mesh::for_config(&p.config),
         p.fault_fraction,
         p.link_fault_count,
         p.transient_rate,
         p.config.warmup_cycles / 2,
         p.config.warmup_cycles.max(1),
         p.config.seed,
-    )
-}
-
-/// Run one point with the production simulator: dispatches on the
-/// workload, generates the seeded fault (or resilience) plan, and applies
-/// the group's traffic tag.
-pub fn run_point(p: &PointSpec) -> RunResult {
-    let mut r = match &p.workload {
-        Workload::Synthetic { pattern, load } => {
-            if p.has_resilience() {
-                let (r, reach) = run_synthetic_resilient(
-                    p.design,
-                    &p.config,
-                    *pattern,
-                    *load,
-                    &resilience_plan(p),
-                );
-                debug_assert!(
-                    reach.is_fully_connected(),
-                    "generated plan keeps mesh connected"
-                );
-                r
-            } else if p.fault_fraction > 0.0 {
-                run_synthetic_with_faults(p.design, &p.config, *pattern, *load, &fault_plan(p))
-            } else {
-                run_synthetic(p.design, &p.config, *pattern, *load)
-            }
-        }
-        Workload::Splash { app, max_cycles } => run_splash(p.design, &p.config, *app, *max_cycles),
-        Workload::Scenario { scenario, load } => {
-            let spec = noc_scenario::ScenarioSpec::resolve(scenario, &p.config)
-                .expect("campaign validation resolves scenario names");
-            noc_scenario::run_scenario(p.design, &p.config, &spec, *load)
-                .expect("campaign validation accepts scenario/design pairs")
-        }
+    );
+    let faults = if p.has_resilience() {
+        Faults::Resilience(&generated)
+    } else {
+        Faults::Crossbar(&generated.crossbar)
     };
-    if let Some(tag) = &p.tag {
-        r.traffic = tag.clone();
-    }
-    r
-}
-
-/// [`run_point`] under the runtime-oracle suite. A violating run still
-/// returns its result — the violation count travels in [`PointVerify`] and
-/// is surfaced through the campaign manifest's `verify` block.
-pub fn run_point_verified(p: &PointSpec) -> (RunResult, PointVerify) {
-    // Scenario runs flatten violations into their report rather than an
-    // error, so they bypass the Result-shaped dispatch below.
-    if let Workload::Scenario { scenario, load } = &p.workload {
-        let spec = noc_scenario::ScenarioSpec::resolve(scenario, &p.config)
-            .expect("campaign validation resolves scenario names");
-        let (mut r, report) =
-            noc_scenario::run_scenario_verified(p.design, &p.config, &spec, *load)
-                .expect("campaign validation accepts scenario/design pairs");
-        if let Some(tag) = &p.tag {
-            r.traffic = tag.clone();
-        }
-        return (
-            r,
-            PointVerify {
-                violations: report.total_violations,
-                checks: report.checks.total(),
-            },
-        );
-    }
-    let outcome = match &p.workload {
-        Workload::Synthetic { pattern, load } if p.has_resilience() => {
-            run_synthetic_resilient_verified(
-                p.design,
-                &p.config,
-                *pattern,
-                *load,
-                &resilience_plan(p),
-            )
-            .map(|(r, _reach, report)| (r, report))
-        }
+    let exec = |plan: RunPlan<'_>| run(plan.faults(faults).verified(verify));
+    let mut out = match &p.workload {
         Workload::Synthetic { pattern, load } => {
-            let plan = if p.fault_fraction > 0.0 {
-                fault_plan(p)
-            } else {
-                FaultPlan::none(&Mesh::for_config(&p.config))
-            };
-            run_synthetic_verified(p.design, &p.config, *pattern, *load, &plan)
+            exec(RunPlan::synthetic(p.design, &p.config, *pattern, *load))
         }
         Workload::Splash { app, max_cycles } => {
-            run_splash_verified(p.design, &p.config, *app, *max_cycles)
+            exec(RunPlan::splash(p.design, &p.config, *app, *max_cycles))
         }
-        Workload::Scenario { .. } => unreachable!("handled above"),
-    };
-    let (mut r, verify) = match outcome {
-        Ok((r, report)) => (
-            r,
-            PointVerify {
-                violations: 0,
-                checks: report.checks.total(),
-            },
-        ),
-        Err(e) => (
-            e.result,
-            PointVerify {
-                violations: e.report.total_violations,
-                checks: e.report.checks.total(),
-            },
-        ),
+        Workload::Scenario { scenario, load } => {
+            let spec = ScenarioSpec::resolve(scenario, &p.config)
+                .expect("campaign validation resolves scenario names");
+            ScenarioRun::new(p.design, &p.config, &spec, *load)
+                .expect("campaign validation accepts scenario/design pairs")
+                .run_with(exec)
+        }
     };
     if let Some(tag) = &p.tag {
-        r.traffic = tag.clone();
+        out.result.traffic = tag.clone();
     }
-    (r, verify)
+    let verify = out.verify.map(|report| PointVerify {
+        violations: report.total_violations,
+        checks: report.checks.total(),
+    });
+    (out.result, verify)
 }
 
-/// Run a campaign with the production runner ([`run_point`], or
-/// [`run_point_verified`] when `opts.verify` is set).
+/// [`simulate_point`] without the oracles.
+pub fn run_point(p: &PointSpec) -> RunResult {
+    simulate_point(p, false).0
+}
+
+/// Run a campaign with the production runner ([`simulate_point`], verified
+/// when `opts.verify` is set).
 pub fn run_campaign(spec: &CampaignSpec, opts: &ExecOptions) -> Result<CampaignReport, String> {
-    if opts.verify {
-        run_campaign_inner(spec, opts, &|p| {
-            let (r, v) = run_point_verified(p);
-            (r, Some(v))
-        })
-    } else {
-        run_campaign_with(spec, opts, &run_point)
-    }
+    run_campaign_inner(spec, opts, &|p| simulate_point(p, opts.verify))
 }
 
 /// Run a campaign with a custom runner (tests inject panicking or counting

@@ -177,7 +177,7 @@ pub struct PointGroup {
     pub workload: WorkloadAxis,
     /// Fault fractions (0.0..=1.0). Empty means a single fault-free run.
     /// Honoured by the DXbar designs; others ignore faults (as in the
-    /// paper's fault study). Closed-loop SPLASH points ignore it too.
+    /// paper's fault study). Synthetic workloads only.
     pub fault_fractions: Vec<f64>,
     /// Transient soft-error rates (expected events per link-cycle) for the
     /// resilience study. Empty means no transient process. Any non-zero
@@ -292,14 +292,15 @@ impl CampaignSpec {
                             })?;
                         }
                     }
-                    if g.fault_fractions.iter().any(|&f| f > 0.0) {
-                        return Err(format!(
-                            "group {:?}: scenario workloads run fault-free \
-                             (fault_fractions must be empty or zero)",
-                            g.label
-                        ));
-                    }
                 }
+            }
+            let synthetic = matches!(g.workload, WorkloadAxis::Synthetic { .. });
+            if !synthetic && g.fault_fractions.iter().any(|&f| f > 0.0) {
+                return Err(format!(
+                    "group {:?}: SPLASH and scenario workloads run fault-free \
+                     (fault_fractions must be empty or zero)",
+                    g.label
+                ));
             }
             if let Some(&f) = g.fault_fractions.iter().find(|f| !(0.0..=1.0).contains(*f)) {
                 return Err(format!(
@@ -319,7 +320,7 @@ impl CampaignSpec {
             }
             let has_resilience =
                 g.transient_rates.iter().any(|&r| r > 0.0) || g.link_faults.iter().any(|&k| k > 0);
-            if has_resilience && !matches!(g.workload, WorkloadAxis::Synthetic { .. }) {
+            if has_resilience && !synthetic {
                 return Err(format!(
                     "group {:?}: the resilience axes (transient_rates / link_faults) \
                      apply to synthetic workloads only",
@@ -781,10 +782,18 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert!(err.contains("credit"), "{err}");
 
-        // Scenario workloads reject the fault/resilience axes.
+        // Scenario workloads reject the fault/resilience axes, and so do
+        // SPLASH ones (a zero fraction is the fault-free run and passes).
         let mut s = CampaignSpec::new("scn").with_group(scenario_group());
         s.groups[0].fault_fractions = vec![0.3];
         assert!(s.validate().is_err());
+        s.groups[0].workload = WorkloadAxis::Splash {
+            apps: vec![SplashApp::Fft],
+            max_cycles: 1_000,
+        };
+        assert!(s.validate().unwrap_err().contains("fault-free"));
+        s.groups[0].fault_fractions = vec![0.0];
+        assert!(s.validate().is_ok());
         let mut s = CampaignSpec::new("scn").with_group(scenario_group());
         s.groups[0].link_faults = vec![2];
         assert!(s.validate().is_err());

@@ -22,8 +22,7 @@ use crate::queue::{JobId, JobState, Outputs};
 use crate::DaemonState;
 use dxbar_noc::noc_verify::cache_namespace;
 use noc_campaign::{
-    execute_point, run_point, run_point_verified, CampaignReport, ExecPoint, PointOutcome,
-    PointSpec,
+    execute_point, simulate_point, CampaignReport, ExecPoint, PointOutcome, PointSpec,
 };
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -51,28 +50,14 @@ impl DaemonState {
     pub fn worker_loop(&self) {
         while let Some(task) = self.next_task() {
             let cache = self.cache_for(task.verify);
-            let res = if task.verify {
-                execute_point(
-                    &task.point,
-                    &task.key,
-                    Some(cache),
-                    Some(&self.locks),
-                    task.retries,
-                    &|p| {
-                        let (r, v) = run_point_verified(p);
-                        (r, Some(v))
-                    },
-                )
-            } else {
-                execute_point(
-                    &task.point,
-                    &task.key,
-                    Some(cache),
-                    Some(&self.locks),
-                    task.retries,
-                    &|p| (run_point(p), None),
-                )
-            };
+            let res = execute_point(
+                &task.point,
+                &task.key,
+                Some(cache),
+                Some(&self.locks),
+                task.retries,
+                &|p| simulate_point(p, task.verify),
+            );
             self.finish_point(&task, res);
         }
     }

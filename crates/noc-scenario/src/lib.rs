@@ -28,9 +28,6 @@ pub mod run;
 pub mod spec;
 pub mod traffic;
 
-pub use run::{
-    build_network, run_scenario, run_scenario_traced, run_scenario_traced_verified,
-    run_scenario_verified, scenario_config,
-};
+pub use run::{run_scenario, scenario_config, ScenarioRun};
 pub use spec::{credit_free, AppSpec, Region, RouterMix, ScenarioSpec};
 pub use traffic::ScenarioTraffic;

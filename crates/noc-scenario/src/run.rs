@@ -1,18 +1,15 @@
-//! Scenario execution: build the (possibly heterogeneous) network on the
-//! scenario's topology, drive it with [`ScenarioTraffic`], and return the
-//! standard [`RunResult`] with the per-app slice filled in.
+//! Scenario execution: a [`ScenarioRun`] owns what a scenario adds to a
+//! point — the topology override, the island placement and the
+//! multi-application traffic — lends it to a [`RunPlan`], and stamps the
+//! per-app slice onto the [`RunOutput`] of running it.
 
 use crate::spec::{RouterMix, ScenarioSpec};
 use crate::traffic::ScenarioTraffic;
-use dxbar_noc::{Design, RouterKind};
+use dxbar_noc::{run, Design, RunOutput, RunPlan};
 use noc_core::SimConfig;
-use noc_faults::FaultPlan;
-use noc_power::energy::EnergyModel;
-use noc_sim::noc_trace::RecordingSink;
-use noc_sim::runner::{run, RunMode};
-use noc_sim::{Network, RunResult};
+use noc_sim::runner::RunMode;
+use noc_sim::RunResult;
 use noc_topology::Mesh;
-use noc_verify::VerifyReport;
 
 /// The base config with the scenario's topology applied.
 pub fn scenario_config(cfg: &SimConfig, spec: &ScenarioSpec) -> SimConfig {
@@ -22,144 +19,92 @@ pub fn scenario_config(cfg: &SimConfig, spec: &ScenarioSpec) -> SimConfig {
     }
 }
 
-/// Build the scenario's network for a base design: every router is `base`
-/// except where the mix places an island. `cfg` must already carry the
-/// scenario topology (see [`scenario_config`]).
-pub fn build_network(base: Design, cfg: &SimConfig, spec: &ScenarioSpec) -> Network<RouterKind> {
-    let mesh = Mesh::for_config(cfg);
-    let faults = FaultPlan::none(&mesh);
-    Network::new(cfg, &|n| {
-        let d = spec.mix.island_at(mesh.coord_of(n)).unwrap_or(base);
-        d.build_router(cfg, &faults, n)
-    })
+/// One validated scenario point: `base` design (plus the scenario's island
+/// overlay) at `offered_load` (fraction of capacity; each app scales it by
+/// its `load_scale`).
+pub struct ScenarioRun {
+    base: Design,
+    cfg: SimConfig,
+    /// Per-node designs: `base` except where the mix places an island.
+    placement: Vec<Design>,
+    /// Display name of the fabric ("Flit-Bless + DAMQ islands").
+    fabric: String,
+    model: ScenarioTraffic,
+    offered_load: f64,
 }
 
-/// Display name of the fabric ("Flit-Bless", "Flit-Bless + DAMQ islands").
-fn fabric_name(base: Design, spec: &ScenarioSpec) -> String {
-    match spec.mix {
-        RouterMix::Uniform => base.name().to_string(),
-        RouterMix::Islands { island, .. } => {
-            format!("{} + {} islands", base.name(), island.name())
-        }
+impl ScenarioRun {
+    pub fn new(
+        base: Design,
+        cfg: &SimConfig,
+        spec: &ScenarioSpec,
+        offered_load: f64,
+    ) -> Result<Self, String> {
+        spec.validate(cfg, base)?;
+        let cfg = scenario_config(cfg, spec);
+        let mesh = Mesh::for_config(&cfg);
+        let placement = mesh
+            .nodes()
+            .map(|n| spec.mix.island_at(mesh.coord_of(n)).unwrap_or(base))
+            .collect();
+        let fabric = match spec.mix {
+            RouterMix::Uniform => base.name().to_string(),
+            RouterMix::Islands { island, .. } => {
+                format!("{} + {} islands", base.name(), island.name())
+            }
+        };
+        Ok(ScenarioRun {
+            base,
+            fabric,
+            model: ScenarioTraffic::new(spec, mesh, &cfg, offered_load),
+            cfg,
+            placement,
+            offered_load,
+        })
+    }
+
+    /// Hand the point's open-loop plan, its traffic and placement borrowed
+    /// in, to `exec` — which sets the fault, observer and worker-count
+    /// fields as on any other plan and [`run`]s it — and stamp what only the
+    /// scenario knows onto the output: the fabric name, the offered load and
+    /// the per-application statistics (the global fields aggregate over all
+    /// apps as usual).
+    pub fn run_with(mut self, exec: impl FnOnce(RunPlan<'_>) -> RunOutput) -> RunOutput {
+        let mut plan = RunPlan::model(self.base, &self.cfg, &mut self.model, RunMode::OpenLoop);
+        plan.placement = Some(&self.placement);
+        let mut out = exec(plan);
+        out.result.design = self.fabric;
+        out.result.offered_load = Some(self.offered_load);
+        out.result.apps = self.model.app_stats();
+        out
     }
 }
 
-/// Run one scenario point open-loop: `base` design (plus the scenario's
-/// island overlay) at `offered_load` (fraction of capacity; each app scales
-/// it by its `load_scale`). The result's `apps` carry the per-application
-/// statistics; the global fields aggregate over all apps as usual.
+// Signature `benchmark/` calls by name; its only caller. Deleted with the
+// next benchmark-tagged PR.
 pub fn run_scenario(
     base: Design,
     cfg: &SimConfig,
     spec: &ScenarioSpec,
     offered_load: f64,
 ) -> Result<RunResult, String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let mut result = run(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    );
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok(result)
-}
-
-/// [`run_scenario`] under the runtime-oracle suite (wrap-aware route
-/// legality on torus/cmesh, per-node profiles on mixed fabrics). A
-/// violating run still returns its result — check
-/// [`VerifyReport::is_clean`] / `total_violations`.
-pub fn run_scenario_verified(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
-    offered_load: f64,
-) -> Result<(RunResult, VerifyReport), String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let (mut result, report) = match noc_verify::run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    ) {
-        Ok((r, report)) => (r, report),
-        Err(e) => (e.result, e.report),
-    };
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok((result, report))
-}
-
-/// Like [`run_scenario`] with a recording trace sink attached: returns
-/// the run result together with the recording (flit lifetimes, ring-
-/// buffered events, per-cycle series).
-pub fn run_scenario_traced(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
-    offered_load: f64,
-    sink: RecordingSink,
-) -> Result<(RunResult, RecordingSink), String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let (mut result, sink) = noc_sim::runner::run_traced(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-        sink,
-    );
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok((result, sink))
-}
-
-/// Like [`run_scenario_traced`] with the runtime-oracle suite attached as
-/// well. The report comes back unconditionally so callers keep the trace
-/// even when verification fails; check [`VerifyReport::is_clean`].
-pub fn run_scenario_traced_verified(
-    base: Design,
-    cfg: &SimConfig,
-    spec: &ScenarioSpec,
-    offered_load: f64,
-    sink: RecordingSink,
-) -> Result<(RunResult, RecordingSink, VerifyReport), String> {
-    spec.validate(cfg, base)?;
-    let cfg = scenario_config(cfg, spec);
-    let mesh = Mesh::for_config(&cfg);
-    let mut net = build_network(base, &cfg, spec);
-    let mut model = ScenarioTraffic::new(spec, mesh, &cfg, offered_load);
-    let (mut result, sink, report) = noc_verify::run_traced_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-        sink,
-    );
-    result.design = fabric_name(base, spec);
-    result.offered_load = Some(offered_load);
-    result.apps = model.app_stats();
-    Ok((result, sink, report))
+    Ok(ScenarioRun::new(base, cfg, spec, offered_load)?
+        .run_with(run)
+        .result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Run one valid scenario point of `name`, optionally verified.
+    fn scenario(base: Design, name: &str, load: f64, verify: bool) -> RunOutput {
+        let c = cfg();
+        let spec = ScenarioSpec::named(name, &c).unwrap();
+        ScenarioRun::new(base, &c, &spec, load)
+            .unwrap()
+            .run_with(|plan| run(plan.verified(verify)))
+    }
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -174,9 +119,7 @@ mod tests {
 
     #[test]
     fn interference_run_fills_per_app_stats() {
-        let c = cfg();
-        let spec = ScenarioSpec::named("interfere2", &c).unwrap();
-        let r = run_scenario(Design::DXbarDor, &c, &spec, 0.15).unwrap();
+        let r = scenario(Design::DXbarDor, "interfere2", 0.15, false).result;
         assert_eq!(r.apps.len(), 2);
         assert_eq!(r.apps[0].name, "fg");
         assert_eq!(r.apps[1].name, "bg");
@@ -197,52 +140,58 @@ mod tests {
     fn mixed_fabric_builds_heterogeneous_network() {
         let c = cfg();
         let spec = ScenarioSpec::named("mixed_islands", &c).unwrap();
-        let net = build_network(Design::FlitBless, &scenario_config(&c, &spec), &spec);
-        assert!(!net.is_homogeneous());
-        assert_eq!(net.design_name(), "Flit-Bless");
-        let mesh = Mesh::for_config(&c);
-        let mut damq = 0;
-        for n in mesh.nodes() {
-            if net.router_design_name(n) == "DAMQ" {
-                damq += 1;
-            }
-        }
-        assert!(damq > 0 && damq < 16);
-        let r = run_scenario(Design::FlitBless, &c, &spec, 0.1).unwrap();
-        assert_eq!(r.design, "Flit-Bless + DAMQ islands");
-        assert!(r.accepted_packets > 0);
+        let point = || ScenarioRun::new(Design::FlitBless, &c, &spec, 0.1).unwrap();
+        let out = point().run_with(|plan| {
+            let net = plan.build_network();
+            assert!(!net.is_homogeneous());
+            assert_eq!(net.design_name(), "Flit-Bless");
+            let damq = Mesh::for_config(&c)
+                .nodes()
+                .filter(|&n| net.router_design_name(n) == "DAMQ")
+                .count();
+            assert!(damq > 0 && damq < 16);
+            run(plan)
+        });
+        assert_eq!(out.result.design, "Flit-Bless + DAMQ islands");
+        assert!(out.result.accepted_packets > 0);
+        // The islands are in the fabric that ran: DAMQ routers buffer,
+        // Flit-Bless ones (the same plan without its placement) never do.
+        assert!(out.result.energy.buffer_pj > 0.0);
+        let bless = point().run_with(|mut plan| {
+            plan.placement = None;
+            run(plan)
+        });
+        assert_eq!(bless.result.energy.buffer_pj, 0.0);
     }
 
     #[test]
     fn credit_coupled_mix_is_rejected() {
         let c = cfg();
         let spec = ScenarioSpec::named("mixed_islands", &c).unwrap();
-        assert!(run_scenario(Design::DXbarDor, &c, &spec, 0.1)
-            .unwrap_err()
+        assert!(ScenarioRun::new(Design::DXbarDor, &c, &spec, 0.1)
+            .err()
+            .expect("rejected")
             .contains("credit"));
     }
 
     #[test]
     fn torus_and_cmesh_scenarios_run_verified_clean() {
-        let c = cfg();
         for name in ["torus_ur", "cmesh_ur"] {
-            let spec = ScenarioSpec::named(name, &c).unwrap();
-            let (r, report) = run_scenario_verified(Design::FlitBless, &c, &spec, 0.1).unwrap();
+            let out = scenario(Design::FlitBless, name, 0.1, true);
+            let report = out.verify.expect("verified plan");
             assert!(
                 report.is_clean(),
                 "{name}: {} violations",
                 report.total_violations
             );
-            assert!(r.accepted_packets > 0, "{name} delivered nothing");
+            assert!(out.result.accepted_packets > 0, "{name} delivered nothing");
         }
     }
 
     #[test]
     fn scenario_runs_are_deterministic() {
-        let c = cfg();
-        let spec = ScenarioSpec::named("interfere2", &c).unwrap();
-        let a = run_scenario(Design::FlitBless, &c, &spec, 0.2).unwrap();
-        let b = run_scenario(Design::FlitBless, &c, &spec, 0.2).unwrap();
+        let a = scenario(Design::FlitBless, "interfere2", 0.2, false).result;
+        let b = scenario(Design::FlitBless, "interfere2", 0.2, false).result;
         assert_eq!(a.accepted_packets, b.accepted_packets);
         assert_eq!(
             a.avg_packet_latency.to_bits(),

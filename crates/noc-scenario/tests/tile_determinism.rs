@@ -2,26 +2,28 @@
 //! concentrated-mesh topologies (whose wraparound / concentration links
 //! cross tile seams in ways a plain mesh never produces) and heterogeneous
 //! router mixes must be byte-identical at every tile-worker count, traced
-//! or not. The reference is one worker (one tile, stepped inline);
-//! `DXBAR_TILE_THREADS=0` is an alias of it.
-//!
-//! Worker counts are selected through the process-wide
-//! `DXBAR_TILE_THREADS` variable, so every run holds `ENV_LOCK`.
+//! or not. The reference is one worker (one tile, stepped inline); a
+//! worker count of 0 is an alias of it. Worker counts travel in the plan.
 
-use dxbar_noc::Design;
+use dxbar_noc::{run, Design, RunOutput};
 use noc_core::SimConfig;
-use noc_scenario::{run_scenario, run_scenario_traced, ScenarioSpec};
+use noc_scenario::{ScenarioRun, ScenarioSpec};
 use noc_sim::noc_trace::{to_jsonl, RecordingSink};
-use std::sync::Mutex;
 
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_tiles<R>(tiles: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
-    let r = f();
-    std::env::remove_var("DXBAR_TILE_THREADS");
-    r
+/// One scenario point at load 0.3 on `workers` tile workers, traced or not.
+fn scenario_on(
+    design: Design,
+    cfg: &SimConfig,
+    spec: &ScenarioSpec,
+    workers: usize,
+    sink: Option<RecordingSink>,
+) -> RunOutput {
+    ScenarioRun::new(design, cfg, spec, 0.3)
+        .expect("scenario runs")
+        .run_with(|mut plan| {
+            plan.trace = sink;
+            run(plan.tile_threads(workers))
+        })
 }
 
 fn cfg() -> SimConfig {
@@ -45,13 +47,13 @@ fn scenario_fabrics_match_sequential_at_every_worker_count() {
     // different RouterKinds on the two sides of a seam.
     for scenario in ["torus_ur", "cmesh_ur", "mixed_islands"] {
         let spec = ScenarioSpec::resolve(scenario, &cfg).expect("known scenario");
-        let run = || {
-            let r = run_scenario(Design::FlitBless, &cfg, &spec, 0.3).expect("scenario runs");
+        let run = |workers| {
+            let r = scenario_on(Design::FlitBless, &cfg, &spec, workers, None).result;
             serde_json::to_string(&r).expect("serialize RunResult")
         };
-        let reference = with_tiles(1, run);
+        let reference = run(1);
         for workers in [0usize, 2, 4, 8] {
-            let tiled = with_tiles(workers, run);
+            let tiled = run(workers);
             assert_eq!(
                 tiled, reference,
                 "{scenario} at {workers} tile workers diverged from one"
@@ -67,21 +69,21 @@ fn traced_scenario_matches_at_every_worker_count() {
     // node-order replay is exercised across non-adjacent shards.
     let cfg = cfg();
     let spec = ScenarioSpec::resolve("torus_ur", &cfg).expect("known scenario");
-    let run = || {
-        let (r, sink) =
-            run_scenario_traced(Design::DXbarDor, &cfg, &spec, 0.3, RecordingSink::new(0, 1))
-                .expect("scenario runs");
+    let run = |workers| {
+        let sink = Some(RecordingSink::new(0, 1));
+        let out = scenario_on(Design::DXbarDor, &cfg, &spec, workers, sink);
+        let sink = out.trace.expect("traced plan");
         (
             to_jsonl(sink.recorder.iter()),
             serde_json::to_string(&sink.series).expect("serialize samples"),
-            serde_json::to_string(&r).expect("serialize RunResult"),
+            serde_json::to_string(&out.result).expect("serialize RunResult"),
         )
     };
-    let reference = with_tiles(1, run);
+    let reference = run(1);
     assert!(!reference.0.is_empty());
     for workers in [2usize, 4, 8] {
         assert!(
-            with_tiles(workers, run) == reference,
+            run(workers) == reference,
             "traced torus_ur at {workers} tile workers diverged from one"
         );
     }

@@ -38,7 +38,7 @@ pub use network::Network;
 pub use report::{AppStats, RunResult};
 pub use resilience::{AckMsg, ResilienceState};
 pub use router::{RouterFactory, RouterModel, StepCtx};
-pub use runner::{run, run_traced, RunMode};
+pub use runner::{run, RunMode};
 pub use verify::{NullVerifier, ProbeBuf, ProbeEvent, RunObserver, StepInputs};
 
 // Downstream crates (router models, binaries) reach trace types through

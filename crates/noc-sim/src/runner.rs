@@ -5,7 +5,6 @@ use crate::network::Network;
 use crate::report::RunResult;
 use crate::router::RouterModel;
 use noc_power::energy::EnergyModel;
-use noc_trace::RecordingSink;
 use noc_traffic::generator::TrafficModel;
 
 /// How a run terminates.
@@ -47,25 +46,6 @@ pub fn run<R: RouterModel>(
     };
 
     summarize(net, model, energy, finish_cycle, completed)
-}
-
-/// Execute a run with a recording trace sink attached, then detach it and
-/// hand the recording back. Works for any [`RunMode`] — tracing is a
-/// property of the network, not of the termination policy.
-pub fn run_traced<R: RouterModel>(
-    net: &mut Network<R>,
-    model: &mut dyn TrafficModel,
-    mode: RunMode,
-    energy: &EnergyModel,
-    sink: RecordingSink,
-) -> (RunResult, RecordingSink) {
-    net.set_trace_sink(Box::new(sink));
-    let result = run(net, model, mode, energy);
-    let sink = net
-        .take_trace_sink()
-        .into_recording()
-        .expect("run_traced attached a RecordingSink");
-    (result, sink)
 }
 
 fn summarize<R: RouterModel>(

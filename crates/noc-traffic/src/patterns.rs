@@ -67,9 +67,30 @@ impl Pattern {
         }
     }
 
-    /// Parse the paper's abbreviation.
-    pub fn from_abbrev(s: &str) -> Option<Pattern> {
-        Pattern::ALL.into_iter().find(|p| p.abbrev() == s)
+    /// Spelled-out lower-case name, the long form [`parse`](Self::parse)
+    /// accepts beside the abbreviation.
+    pub fn long_name(self) -> &'static str {
+        match self {
+            Pattern::UniformRandom => "uniform",
+            Pattern::NonUniformRandom => "nonuniform",
+            Pattern::BitReversal => "bitrev",
+            Pattern::Butterfly => "butterfly",
+            Pattern::Complement => "complement",
+            Pattern::MatrixTranspose => "transpose",
+            Pattern::PerfectShuffle => "shuffle",
+            Pattern::Neighbor => "neighbor",
+            Pattern::Tornado => "tornado",
+        }
+    }
+
+    /// Parse a pattern name, case-insensitively: the paper's abbreviation,
+    /// the long name, or `bit-reversal`.
+    pub fn parse(s: &str) -> Option<Pattern> {
+        Pattern::ALL.into_iter().find(|p| {
+            s.eq_ignore_ascii_case(p.abbrev())
+                || s.eq_ignore_ascii_case(p.long_name())
+                || (*p == Pattern::BitReversal && s.eq_ignore_ascii_case("bit-reversal"))
+        })
     }
 
     /// Whether the pattern needs randomness per packet.
@@ -287,11 +308,16 @@ mod tests {
     }
 
     #[test]
-    fn abbrevs_roundtrip() {
+    fn every_spelling_parses_to_its_pattern() {
         for p in Pattern::ALL {
-            assert_eq!(Pattern::from_abbrev(p.abbrev()), Some(p));
+            for s in [p.abbrev(), p.long_name()] {
+                assert_eq!(Pattern::parse(s), Some(p));
+                assert_eq!(Pattern::parse(&s.to_ascii_lowercase()), Some(p));
+                assert_eq!(Pattern::parse(&s.to_ascii_uppercase()), Some(p));
+            }
         }
-        assert_eq!(Pattern::from_abbrev("XX"), None);
+        assert_eq!(Pattern::parse("bit-reversal"), Some(Pattern::BitReversal));
+        assert_eq!(Pattern::parse("XX"), None);
     }
 
     #[test]

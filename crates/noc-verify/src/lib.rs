@@ -7,7 +7,7 @@
 //!   [`noc_sim::RunObserver`] checking flit conservation/no-duplication,
 //!   crossbar exclusivity, route legality, FIFO capacity bounds, the
 //!   fairness-counter service guarantee, and a deadlock/livelock watchdog.
-//!   Attach via [`runner::run_verified`], or enable everywhere with the
+//!   Attach via [`runner::run_observed`], or enable everywhere with the
 //!   `DXBAR_VERIFY=1` environment variable / `--verify` bench flags.
 //! * **Micro-model-checker** ([`checker`]) — exhaustive state-space
 //!   enumeration over single-router allocator configurations (DXbar's
@@ -22,7 +22,7 @@
 //!   priority logic (silver election, single-step invariants).
 //!
 //! Violations carry structured context ([`violation::Violation`]: cycle,
-//! router, flit ids) and surface as `Err` from the verified runner.
+//! router, flit ids) and come back in the [`VerifyReport`].
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +38,7 @@ pub use checker::{CheckError, CheckerReport};
 pub use ledger::FlitLedger;
 pub use oracle::{CheckCounts, Verifier, VerifyOptions, VerifyReport};
 pub use profile::{DesignProfile, RouteRule};
-pub use runner::{run_traced_verified, run_verified, run_verified_with, VerifyError};
+pub use runner::{run_observed, VerifyError};
 pub use violation::{Violation, ViolationKind};
 
 /// Whether `DXBAR_VERIFY` asks for verified runs ("1" or "true"). The

@@ -157,7 +157,7 @@ impl VerifyReport {
 }
 
 /// The runtime oracle set. Attach with [`Network::set_observer`] (or use
-/// [`crate::runner::run_verified`]) and collect the [`VerifyReport`] with
+/// [`crate::runner::run_observed`]) and collect the [`VerifyReport`] with
 /// [`Verifier::finalize`] after the run.
 pub struct Verifier {
     design: String,

@@ -1,8 +1,5 @@
-//! Verified run orchestration: attach a [`Verifier`] to a network, execute a
-//! run, then detach it and turn any recorded violations into an `Err`.
-//!
-//! Mirrors `noc_sim::run_traced`'s attach/run/detach shape so call sites can
-//! switch between plain and verified runs without restructuring.
+//! The observer seam: attach a recording trace sink and/or a [`Verifier`]
+//! to a network, execute a run, detach them and hand their findings back.
 
 use crate::oracle::{Verifier, VerifyOptions, VerifyReport};
 use noc_power::energy::EnergyModel;
@@ -35,63 +32,39 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Execute a run with the full runtime-oracle suite attached (default
-/// [`VerifyOptions`]). Returns the run result together with the (clean)
-/// verification report, or [`VerifyError`] if any invariant was violated.
-pub fn run_verified<R: RouterModel>(
+/// [`noc_sim::run`] with the requested observers attached for its duration:
+/// `trace` records into the given sink, `verify` attaches the full
+/// runtime-oracle suite (default [`VerifyOptions`]). The two are independent
+/// network attachments; each comes back `Some` exactly when it was asked
+/// for, and the report comes back whether or not it is clean.
+pub fn run_observed<R: RouterModel>(
     net: &mut Network<R>,
     model: &mut dyn TrafficModel,
     mode: RunMode,
     energy: &EnergyModel,
-) -> Result<(RunResult, VerifyReport), Box<VerifyError>> {
-    run_verified_with(net, model, mode, energy, VerifyOptions::default())
-}
-
-/// Execute a run with both the oracle suite and a recording trace sink
-/// attached (the two are independent network attachments). Unlike
-/// [`run_verified`], the report comes back unconditionally — callers that
-/// also want the trace on a violating run check [`VerifyReport::is_clean`]
-/// themselves.
-pub fn run_traced_verified<R: RouterModel>(
-    net: &mut Network<R>,
-    model: &mut dyn TrafficModel,
-    mode: RunMode,
-    energy: &EnergyModel,
-    sink: RecordingSink,
-) -> (RunResult, RecordingSink, VerifyReport) {
-    let verifier = Verifier::for_network(net, VerifyOptions::default());
-    net.set_observer(Box::new(verifier));
-    let (result, sink) = noc_sim::runner::run_traced(net, model, mode, energy, sink);
-    let verifier = net
-        .take_observer()
-        .into_any()
-        .downcast::<Verifier>()
-        .expect("run_traced_verified attached a Verifier");
-    let report = verifier.finalize(net);
-    (result, sink, report)
-}
-
-/// [`run_verified`] with explicit [`VerifyOptions`] (watchdog horizon,
-/// violation recording cap).
-pub fn run_verified_with<R: RouterModel>(
-    net: &mut Network<R>,
-    model: &mut dyn TrafficModel,
-    mode: RunMode,
-    energy: &EnergyModel,
-    opts: VerifyOptions,
-) -> Result<(RunResult, VerifyReport), Box<VerifyError>> {
-    let verifier = Verifier::for_network(net, opts);
-    net.set_observer(Box::new(verifier));
-    let result = noc_sim::run(net, model, mode, energy);
-    let verifier = net
-        .take_observer()
-        .into_any()
-        .downcast::<Verifier>()
-        .expect("run_verified attached a Verifier");
-    let report = verifier.finalize(net);
-    if report.is_clean() {
-        Ok((result, report))
-    } else {
-        Err(Box::new(VerifyError { result, report }))
+    trace: Option<RecordingSink>,
+    verify: bool,
+) -> (RunResult, Option<RecordingSink>, Option<VerifyReport>) {
+    if verify {
+        let verifier = Verifier::for_network(net, VerifyOptions::default());
+        net.set_observer(Box::new(verifier));
     }
+    let traced = trace.is_some();
+    if let Some(sink) = trace {
+        net.set_trace_sink(Box::new(sink));
+    }
+    let result = noc_sim::run(net, model, mode, energy);
+    let trace = traced.then(|| {
+        net.take_trace_sink()
+            .into_recording()
+            .expect("run_observed attached a RecordingSink")
+    });
+    let report = verify.then(|| {
+        net.take_observer()
+            .into_any()
+            .downcast::<Verifier>()
+            .expect("run_observed attached a Verifier")
+            .finalize(net)
+    });
+    (result, trace, report)
 }

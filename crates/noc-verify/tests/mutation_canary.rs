@@ -14,7 +14,7 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_verified, Violation, ViolationKind};
+use noc_verify::{run_observed, Violation, ViolationKind};
 
 /// Which deliberate bug the rogue router injects (once per router).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,14 +211,13 @@ fn run_tiled(
     });
     net.set_tile_threads(workers);
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
-    match run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    ) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(e.report.violations),
+    let energy = EnergyModel::default();
+    let (_, _, report) = run_observed(&mut net, &mut model, RunMode::OpenLoop, &energy, None, true);
+    let report = report.expect("verified run");
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(report.violations)
     }
 }
 

@@ -17,7 +17,7 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_verified, Violation, ViolationKind};
+use noc_verify::{run_observed, Violation, ViolationKind};
 
 /// Age-priority DOR router with unlimited loser buffering (the engine-test
 /// vehicle shape). With `vanish_one` set it swallows exactly one in-transit
@@ -132,22 +132,18 @@ fn run_tiled(vanish_one: bool, workers: usize) -> Result<(), Vec<Violation>> {
     net.set_tile_threads(workers);
     net.set_resilience(ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23)));
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
-    match run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    ) {
-        Ok((_, report)) => {
-            let (transit_lost, crc_bounced, _) = report.recovery_counts;
-            assert!(
-                transit_lost + crc_bounced > 0,
-                "transient rate high enough that the oracle must see faults"
-            );
-            Ok(())
-        }
-        Err(e) => Err(e.report.violations),
+    let energy = EnergyModel::default();
+    let (_, _, report) = run_observed(&mut net, &mut model, RunMode::OpenLoop, &energy, None, true);
+    let report = report.expect("verified run");
+    if !report.is_clean() {
+        return Err(report.violations);
     }
+    let (transit_lost, crc_bounced, _) = report.recovery_counts;
+    assert!(
+        transit_lost + crc_bounced > 0,
+        "transient rate high enough that the oracle must see faults"
+    );
+    Ok(())
 }
 
 #[test]

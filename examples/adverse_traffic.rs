@@ -12,7 +12,7 @@
 //! ```
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 
 fn main() {
     let cfg = SimConfig {
@@ -40,7 +40,7 @@ fn main() {
     for pattern in Pattern::ALL {
         print!("{:<9}", pattern.abbrev());
         for d in designs {
-            let r = run_synthetic(d, &cfg, pattern, load);
+            let r = run(RunPlan::synthetic(d, &cfg, pattern, load)).result;
             print!(" {:>12.3}", r.accepted_fraction);
         }
         println!();
@@ -55,7 +55,7 @@ fn main() {
     for pattern in Pattern::ALL {
         print!("{:<9}", pattern.abbrev());
         for d in designs {
-            let r = run_synthetic(d, &cfg, pattern, load);
+            let r = run(RunPlan::synthetic(d, &cfg, pattern, load)).result;
             print!(" {:>12.2}", r.avg_packet_energy_nj);
         }
         println!();

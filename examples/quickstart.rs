@@ -9,7 +9,7 @@
 //! ```
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 
 fn main() {
     let cfg = SimConfig {
@@ -30,7 +30,8 @@ fn main() {
 
     for design in Design::ALL {
         for load in [0.1, 0.3, 0.45, 0.6] {
-            let r = run_synthetic(design, &cfg, Pattern::UniformRandom, load);
+            let plan = RunPlan::synthetic(design, &cfg, Pattern::UniformRandom, load);
+            let r = run(plan).result;
             println!(
                 "{:<17} {:>6.2} {:>10.3} {:>12.1} {:>12.2}",
                 design.name(),

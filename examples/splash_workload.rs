@@ -11,7 +11,7 @@
 //! ```
 
 use dxbar_noc::noc_traffic::splash::SplashApp;
-use dxbar_noc::{run_splash, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 
 fn main() {
     let cfg = SimConfig::default();
@@ -36,12 +36,12 @@ fn main() {
         SplashApp::Water,
         SplashApp::Radix,
     ] {
-        let base = run_splash(Design::Buffered4, &cfg, app, max_cycles);
+        let base = run(RunPlan::splash(Design::Buffered4, &cfg, app, max_cycles)).result;
         let base_time = base.finish_cycle.expect("baseline must finish") as f64;
         print!("{:<11}", app.name());
         let mut energies = Vec::new();
         for d in designs {
-            let r = run_splash(d, &cfg, app, max_cycles);
+            let r = run(RunPlan::splash(d, &cfg, app, max_cycles)).result;
             let t = r.finish_cycle.map(|c| c as f64 / base_time);
             match t {
                 Some(t) => print!(" {:>11.3}", t),

@@ -13,7 +13,7 @@
 
 use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, to_jsonl, RecordingSink, TraceEvent};
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic_traced, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 use std::fs;
 
 fn main() {
@@ -29,8 +29,9 @@ fn main() {
 
     // capacity 0 = unbounded ring (keep every event); sample every cycle.
     let sink = RecordingSink::new(0, 1);
-    let (result, sink) =
-        run_synthetic_traced(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.35, sink);
+    let plan = RunPlan::synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.35);
+    let out = run(plan.traced(sink));
+    let (result, sink) = (out.result, out.trace.expect("traced plan"));
 
     println!(
         "DXbar (DOR), uniform random @ 0.35 offered load: avg packet latency {:.1} cycles, \

@@ -14,10 +14,7 @@ use dxbar_noc::noc_faults::FaultPlan;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::SplashApp;
-use dxbar_noc::{
-    run_splash, run_splash_verified, run_synthetic_verified, run_synthetic_with_faults, Design,
-    RunResult, SimConfig,
-};
+use dxbar_noc::{run, Design, Faults, RunPlan, RunResult, SimConfig};
 
 const HELP: &str = "\
 dxbar-sim — cycle-accurate NoC simulation of the DXbar paper's designs
@@ -30,7 +27,9 @@ OPTIONS:
                         dxbar-dor | dxbar-wf | unified-dor | unified-wf |
                         afc | damq | minbd
                         (default: dxbar-dor)
-    --pattern <ABBREV>  UR NUR BR BF CP MT PS NB TOR   (default: UR)
+    --pattern <NAME>    UR NUR BR BF CP MT PS NB TOR, or spelled out:
+                        uniform nonuniform bitrev butterfly complement
+                        transpose shuffle neighbor tornado   (default: UR)
     --load <FRACTION>   offered load, fraction of capacity (default: 0.4)
     --splash <APP>      closed-loop workload instead of a pattern:
                         fft lu radiosity ocean raytrace radix water fmm barnes
@@ -38,8 +37,10 @@ OPTIONS:
     --cycles <N>        measurement window in cycles (default: 30000)
     --warmup <N>        warmup cycles (default: 10000)
     --seed <N>          PRNG seed (default: paper seed)
-    --faults <PERCENT>  fraction of routers with one broken crossbar
-                        (DXbar designs only; default: 0)
+    --faults <PERCENT>  fraction of routers with one broken crossbar, failing
+                        in the second half of warmup (from cycle 0 under
+                        --splash, which has none; DXbar designs only;
+                        default: 0)
     --tile-threads <N>  tiles the simulation is stepped in (0 and 1: one tile,
                         inline; N: N tile workers, --verify runs included;
                         results are bit-identical at any setting; also via
@@ -53,21 +54,20 @@ OPTIONS:
     --help              this text
 ";
 
-fn parse_design(s: &str) -> Option<Design> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "flit-bless" | "bless" => Design::FlitBless,
-        "scarab" => Design::Scarab,
-        "buffered4" | "b4" => Design::Buffered4,
-        "buffered8" | "b8" => Design::Buffered8,
-        "dxbar-dor" | "dxbar" => Design::DXbarDor,
-        "dxbar-wf" => Design::DXbarWf,
-        "unified-dor" | "unified" => Design::UnifiedDor,
-        "unified-wf" => Design::UnifiedWf,
-        "afc" => Design::Afc,
-        "damq" => Design::Damq,
-        "minbd" | "min-bd" => Design::MinBd,
-        _ => return None,
-    })
+/// The `--design` spellings, canonical form of each.
+fn known_designs() -> String {
+    Design::ALL.map(|d| d.spellings()[0]).join(" ")
+}
+
+fn known_patterns() -> String {
+    Pattern::ALL.map(Pattern::abbrev).join(" ")
+}
+
+fn known_apps() -> String {
+    SplashApp::ALL
+        .map(SplashApp::name)
+        .join(" ")
+        .to_ascii_lowercase()
 }
 
 fn parse_app(s: &str) -> Option<SplashApp> {
@@ -88,6 +88,7 @@ struct Args {
     load: f64,
     cfg: SimConfig,
     fault_pct: f64,
+    tile_threads: Option<usize>,
     json: bool,
     verify: bool,
 }
@@ -100,9 +101,11 @@ fn parse_args() -> Args {
         load: 0.4,
         cfg: SimConfig::default(),
         fault_pct: 0.0,
+        tile_threads: None,
         json: false,
         verify: dxbar_noc::noc_verify::verify_from_env(),
     };
+    let mut tile_threads = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -115,49 +118,33 @@ fn parse_args() -> Args {
                 std::process::exit(0);
             }
             "--list" => {
-                println!("designs : flit-bless scarab buffered4 buffered8 dxbar-dor dxbar-wf unified-dor unified-wf afc damq minbd");
-                print!("patterns:");
-                for p in Pattern::ALL {
-                    print!(" {}", p.abbrev());
-                }
-                print!("\napps    :");
-                for a in SplashApp::ALL {
-                    print!(" {}", a.name().to_ascii_lowercase());
-                }
-                println!();
+                println!("designs : {}", known_designs());
+                println!("patterns: {}", known_patterns());
+                println!("apps    : {}", known_apps());
                 std::process::exit(0);
             }
             "--design" => {
                 let v = value("--design");
-                args.design = parse_design(&v).unwrap_or_else(|| {
+                args.design = Design::parse(&v).unwrap_or_else(|| {
                     fail(&format!(
-                        "unknown design '{v}'; known designs: flit-bless scarab \
-                         buffered4 buffered8 dxbar-dor dxbar-wf unified-dor \
-                         unified-wf afc damq minbd"
+                        "unknown design '{v}'; known designs: {}",
+                        known_designs()
                     ))
                 });
             }
             "--pattern" => {
                 let v = value("--pattern");
-                args.pattern = Pattern::from_abbrev(&v.to_ascii_uppercase()).unwrap_or_else(|| {
-                    let known: Vec<&str> = Pattern::ALL.iter().map(|p| p.abbrev()).collect();
+                args.pattern = Pattern::parse(&v).unwrap_or_else(|| {
                     fail(&format!(
                         "unknown pattern '{v}'; known patterns: {}",
-                        known.join(" ")
+                        known_patterns()
                     ))
                 });
             }
             "--splash" => {
                 let v = value("--splash");
                 args.splash = Some(parse_app(&v).unwrap_or_else(|| {
-                    let known: Vec<String> = SplashApp::ALL
-                        .iter()
-                        .map(|a| a.name().to_ascii_lowercase())
-                        .collect();
-                    fail(&format!(
-                        "unknown app '{v}'; known apps: {}",
-                        known.join(" ")
-                    ))
+                    fail(&format!("unknown app '{v}'; known apps: {}", known_apps()))
                 }));
             }
             "--load" => {
@@ -201,15 +188,7 @@ fn parse_args() -> Args {
                 }
                 args.fault_pct = v / 100.0;
             }
-            "--tile-threads" => {
-                let v = value("--tile-threads");
-                let n: usize = v.parse().unwrap_or_else(|_| {
-                    fail(&format!(
-                        "bad --tile-threads '{v}' (want a worker count, e.g. 0 2 4 8)"
-                    ))
-                });
-                std::env::set_var("DXBAR_TILE_THREADS", n.to_string());
-            }
+            "--tile-threads" => tile_threads = Some(("--tile-threads", value("--tile-threads"))),
             "--json" => args.json = true,
             "--verify" => args.verify = true,
             other => fail(&format!("unknown flag '{other}'")),
@@ -218,12 +197,14 @@ fn parse_args() -> Args {
     if let Err(e) = args.cfg.validate() {
         fail(&e);
     }
-    if let Ok(v) = std::env::var("DXBAR_TILE_THREADS") {
-        if v.trim().parse::<usize>().is_err() {
+    // The worker count: the flag, else the variable; either way a count.
+    let env = std::env::var("DXBAR_TILE_THREADS").map(|v| ("DXBAR_TILE_THREADS", v));
+    if let Some((name, v)) = tile_threads.or(env.ok()) {
+        args.tile_threads = Some(v.trim().parse().unwrap_or_else(|_| {
             fail(&format!(
-                "bad DXBAR_TILE_THREADS '{v}' (want a worker count, e.g. 0 2 4 8)"
-            ));
-        }
+                "bad {name} '{v}' (want a worker count, e.g. 0 2 4 8)"
+            ))
+        }));
     }
     if args.fault_pct > 0.0 && !args.design.supports_faults() {
         fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");
@@ -271,42 +252,36 @@ fn print_human(r: &RunResult) {
 
 fn main() {
     let args = parse_args();
-    let mesh = Mesh::for_config(&args.cfg);
-    let plan = if args.fault_pct > 0.0 {
-        FaultPlan::generate(
-            &mesh,
-            args.fault_pct,
-            args.cfg.warmup_cycles / 2,
-            args.cfg.warmup_cycles.max(1),
-            args.cfg.seed,
-        )
-    } else {
-        FaultPlan::none(&mesh)
+    // A zero fraction generates the empty plan. Faults manifest in the
+    // second half of warmup; a closed-loop run has none, so there they are
+    // present from the first cycle.
+    let warmup = args.splash.map_or(args.cfg.warmup_cycles, |_| 0);
+    let crossbar = FaultPlan::generate(
+        &Mesh::for_config(&args.cfg),
+        args.fault_pct,
+        warmup / 2,
+        warmup.max(1),
+        args.cfg.seed,
+    );
+    let mut plan = match args.splash {
+        Some(app) => RunPlan::splash(args.design, &args.cfg, app, 10_000_000),
+        None => RunPlan::synthetic(args.design, &args.cfg, args.pattern, args.load),
     };
-
-    let (result, violated) = if args.verify {
-        let outcome = if let Some(app) = args.splash {
-            run_splash_verified(args.design, &args.cfg, app, 10_000_000)
-        } else {
-            run_synthetic_verified(args.design, &args.cfg, args.pattern, args.load, &plan)
-        };
-        match outcome {
-            Ok((result, report)) => {
+    plan.tile_threads = args.tile_threads;
+    let plan = plan
+        .faults(Faults::Crossbar(&crossbar))
+        .verified(args.verify);
+    let (result, violated) = match run(plan).clean() {
+        Ok(out) => {
+            if let Some(report) = out.verify {
                 eprintln!("verification: clean ({})", report.summary());
-                (result, false)
             }
-            Err(e) => {
-                eprintln!("verification FAILED: {e}");
-                (e.result, true)
-            }
+            (out.result, false)
         }
-    } else if let Some(app) = args.splash {
-        (run_splash(args.design, &args.cfg, app, 10_000_000), false)
-    } else {
-        (
-            run_synthetic_with_faults(args.design, &args.cfg, args.pattern, args.load, &plan),
-            false,
-        )
+        Err(e) => {
+            eprintln!("verification FAILED: {e}");
+            (e.result, true)
+        }
     };
 
     if args.json {

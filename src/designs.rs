@@ -9,16 +9,9 @@ use noc_core::types::NodeId;
 use noc_core::SimConfig;
 use noc_faults::FaultPlan;
 use noc_power::area::DesignKind;
-use noc_power::energy::EnergyModel;
-use noc_resilience::{ReachReport, ResiliencePlan};
 use noc_routing::Algorithm;
-use noc_sim::noc_trace::RecordingSink;
-use noc_sim::runner::{run, run_traced, RunMode};
-use noc_sim::{Network, RunResult};
+use noc_sim::Network;
 use noc_topology::Mesh;
-use noc_traffic::generator::SyntheticTraffic;
-use noc_traffic::patterns::Pattern;
-use noc_traffic::splash::{SplashApp, SplashTraffic};
 use noc_zoo::{DamqRouter, MinBdRouter};
 use serde::{Deserialize, Serialize};
 
@@ -85,6 +78,31 @@ impl Design {
             Design::Damq => "DAMQ",
             Design::MinBd => "MinBD",
         }
+    }
+
+    /// Command-line spellings, the canonical one ("dxbar-dor") first.
+    pub fn spellings(self) -> &'static [&'static str] {
+        match self {
+            Design::FlitBless => &["flit-bless", "bless"],
+            Design::Scarab => &["scarab"],
+            Design::Buffered4 => &["buffered4", "b4"],
+            Design::Buffered8 => &["buffered8", "b8"],
+            Design::DXbarDor => &["dxbar-dor", "dxbar"],
+            Design::DXbarWf => &["dxbar-wf"],
+            Design::UnifiedDor => &["unified-dor", "unified"],
+            Design::UnifiedWf => &["unified-wf"],
+            Design::Afc => &["afc"],
+            Design::Damq => &["damq"],
+            Design::MinBd => &["minbd", "min-bd"],
+        }
+    }
+
+    /// Parse any of the [`spellings`](Self::spellings), case-insensitively.
+    pub fn parse(s: &str) -> Option<Design> {
+        let is = |name: &&str| name.eq_ignore_ascii_case(s);
+        Design::ALL
+            .into_iter()
+            .find(|d| d.spellings().iter().any(is))
     }
 
     /// Area-model category of the design.
@@ -174,238 +192,11 @@ impl Design {
     }
 }
 
-/// The synthetic open-loop traffic source every facade below shares:
-/// `offered_load` (fraction of capacity) converted through the config's
-/// injection-rate model, with the config's packet length and seed.
-fn synthetic_model(
-    cfg: &SimConfig,
-    mesh: Mesh,
-    pattern: Pattern,
-    offered_load: f64,
-) -> SyntheticTraffic {
-    SyntheticTraffic::new(
-        pattern,
-        mesh,
-        cfg.injection_rate(offered_load),
-        cfg.packet_len,
-        cfg.seed,
-    )
-}
-
-/// Closed-loop window override shared by the SPLASH facades: no warmup or
-/// drain, measure until `max_cycles`.
-fn closed_loop_cfg(cfg: &SimConfig, max_cycles: u64) -> SimConfig {
-    SimConfig {
-        warmup_cycles: 0,
-        measure_cycles: max_cycles.max(1),
-        drain_cycles: 0,
-        ..cfg.clone()
-    }
-}
-
-/// Run one open-loop synthetic experiment: `pattern` at `offered_load`
-/// (fraction of network capacity).
-pub fn run_synthetic(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-) -> RunResult {
-    run_synthetic_with_faults(
-        design,
-        cfg,
-        pattern,
-        offered_load,
-        &FaultPlan::none(&Mesh::for_config(cfg)),
-    )
-}
-
-/// Like [`run_synthetic`] with a fault plan (Figs. 11/12).
-pub fn run_synthetic_with_faults(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-    faults: &FaultPlan,
-) -> RunResult {
-    let mesh = Mesh::for_config(cfg);
-    let mut net = design.build(cfg, faults);
-    let mut model = synthetic_model(cfg, mesh, pattern, offered_load);
-    let mut result = run(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    );
-    result.offered_load = Some(offered_load);
-    result
-}
-
-/// Like [`run_synthetic`] with a recording trace sink attached: returns
-/// the run result together with the recording (flit lifetimes, ring-
-/// buffered events, per-cycle series).
-pub fn run_synthetic_traced(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-    sink: RecordingSink,
-) -> (RunResult, RecordingSink) {
-    let mesh = Mesh::for_config(cfg);
-    let mut net = design.build(cfg, &FaultPlan::none(&mesh));
-    let mut model = synthetic_model(cfg, mesh, pattern, offered_load);
-    let (mut result, sink) = run_traced(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-        sink,
-    );
-    result.offered_load = Some(offered_load);
-    (result, sink)
-}
-
-/// Like [`run_synthetic_traced`] with the runtime-oracle suite attached as
-/// well. The report comes back unconditionally so callers keep the trace
-/// even when verification fails; check [`noc_verify::VerifyReport::is_clean`].
-pub fn run_synthetic_traced_verified(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-    sink: RecordingSink,
-) -> (RunResult, RecordingSink, noc_verify::VerifyReport) {
-    let mesh = Mesh::for_config(cfg);
-    let mut net = design.build(cfg, &FaultPlan::none(&mesh));
-    let mut model = synthetic_model(cfg, mesh, pattern, offered_load);
-    let (mut result, sink, report) = noc_verify::run_traced_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-        sink,
-    );
-    result.offered_load = Some(offered_load);
-    (result, sink, report)
-}
-
-/// Like [`run_synthetic_with_faults`] with the full runtime-oracle suite
-/// attached (flit conservation, crossbar exclusivity, route legality, FIFO
-/// bounds, fairness guarantee, deadlock/livelock watchdog). Returns the run
-/// result together with the clean [`noc_verify::VerifyReport`], or the
-/// structured [`noc_verify::VerifyError`] if any invariant was violated.
-pub fn run_synthetic_verified(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-    faults: &FaultPlan,
-) -> Result<(RunResult, noc_verify::VerifyReport), Box<noc_verify::VerifyError>> {
-    let mesh = Mesh::for_config(cfg);
-    let mut net = design.build(cfg, faults);
-    let mut model = synthetic_model(cfg, mesh, pattern, offered_load);
-    let (mut result, report) = noc_verify::run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    )?;
-    result.offered_load = Some(offered_load);
-    Ok((result, report))
-}
-
-/// Run one open-loop synthetic experiment under a [`ResiliencePlan`]:
-/// crossbar faults, permanent link faults, transient soft errors, and the
-/// CRC + NI-retransmission recovery protocol. Returns the [`ReachReport`]
-/// of the degraded topology alongside the run result — callers inspect it
-/// for partitioned pairs (traffic between them burns the full retry budget
-/// per packet and lands in `lost_flits`).
-pub fn run_synthetic_resilient(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-    plan: &ResiliencePlan,
-) -> (RunResult, ReachReport) {
-    let mesh = Mesh::for_config(cfg);
-    let reach = plan.reachability(&mesh);
-    let mut net = design.build(cfg, &plan.crossbar);
-    net.set_resilience(plan.clone());
-    let mut model = synthetic_model(cfg, mesh, pattern, offered_load);
-    let mut result = run(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    );
-    result.offered_load = Some(offered_load);
-    (result, reach)
-}
-
-/// Like [`run_synthetic_resilient`] with the full runtime-oracle suite
-/// attached, including the resilience oracles (every injected corruption
-/// detected or counted lost; removed flits recovered or accounted).
-#[allow(clippy::type_complexity)]
-pub fn run_synthetic_resilient_verified(
-    design: Design,
-    cfg: &SimConfig,
-    pattern: Pattern,
-    offered_load: f64,
-    plan: &ResiliencePlan,
-) -> Result<(RunResult, ReachReport, noc_verify::VerifyReport), Box<noc_verify::VerifyError>> {
-    let mesh = Mesh::for_config(cfg);
-    let reach = plan.reachability(&mesh);
-    let mut net = design.build(cfg, &plan.crossbar);
-    net.set_resilience(plan.clone());
-    let mut model = synthetic_model(cfg, mesh, pattern, offered_load);
-    let (mut result, report) = noc_verify::run_verified(
-        &mut net,
-        &mut model,
-        RunMode::OpenLoop,
-        &EnergyModel::default(),
-    )?;
-    result.offered_load = Some(offered_load);
-    Ok((result, reach, report))
-}
-
-/// Run one closed-loop SPLASH-2 workload to completion (Figs. 9/10).
-/// `max_cycles` caps runaway runs (a design that cannot finish reports
-/// `completed = false`).
-pub fn run_splash(design: Design, cfg: &SimConfig, app: SplashApp, max_cycles: u64) -> RunResult {
-    let mesh = Mesh::for_config(cfg);
-    let cfg = closed_loop_cfg(cfg, max_cycles);
-    let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
-    let mut model = SplashTraffic::new(app, mesh, cfg.seed);
-    run(
-        &mut net,
-        &mut model,
-        RunMode::ClosedLoop { max_cycles },
-        &EnergyModel::default(),
-    )
-}
-
-/// Like [`run_splash`] with the runtime-oracle suite attached.
-pub fn run_splash_verified(
-    design: Design,
-    cfg: &SimConfig,
-    app: SplashApp,
-    max_cycles: u64,
-) -> Result<(RunResult, noc_verify::VerifyReport), Box<noc_verify::VerifyError>> {
-    let mesh = Mesh::for_config(cfg);
-    let cfg = closed_loop_cfg(cfg, max_cycles);
-    let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
-    let mut model = SplashTraffic::new(app, mesh, cfg.seed);
-    noc_verify::run_verified(
-        &mut net,
-        &mut model,
-        RunMode::ClosedLoop { max_cycles },
-        &EnergyModel::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_traffic::generator::SyntheticTraffic;
+    use noc_traffic::patterns::Pattern;
 
     #[test]
     fn names_unique_and_nonempty() {
@@ -413,6 +204,18 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Design::ALL.len());
+    }
+
+    #[test]
+    fn every_spelling_parses_to_its_design() {
+        for d in Design::ALL {
+            for s in d.spellings() {
+                assert_eq!(Design::parse(s), Some(d));
+                assert_eq!(Design::parse(&s.to_ascii_uppercase()), Some(d));
+            }
+        }
+        assert_eq!(Design::parse("b8"), Some(Design::Buffered8));
+        assert_eq!(Design::parse("no-such-router"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use dxbar_noc::{Design, SimConfig, run_synthetic};
+//! use dxbar_noc::{run, Design, RunPlan, SimConfig};
 //! use dxbar_noc::noc_traffic::patterns::Pattern;
 //!
 //! let cfg = SimConfig {
@@ -20,9 +20,13 @@
 //!     ..SimConfig::default()
 //! };
 //! // Offered load = 0.3 of network capacity, uniform random traffic.
-//! let result = run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.3);
+//! let plan = RunPlan::synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.3);
+//! let result = run(plan).result;
 //! assert!(result.accepted_fraction > 0.2);
 //! ```
+//!
+//! A [`RunPlan`] also carries the faults, the trace sink, the oracle suite
+//! and the tile-worker count of a run; [`run`] is the only entry point.
 //!
 //! See `examples/` for larger scenarios and `crates/bench` for the
 //! regenerators of every table and figure in the paper.
@@ -31,15 +35,16 @@
 
 pub mod designs;
 pub mod kind;
+pub mod plan;
 
-pub use designs::{
-    run_splash, run_splash_verified, run_synthetic, run_synthetic_resilient,
-    run_synthetic_resilient_verified, run_synthetic_traced, run_synthetic_traced_verified,
-    run_synthetic_verified, run_synthetic_with_faults, Design,
-};
+pub use designs::Design;
 pub use kind::RouterKind;
 pub use noc_core::SimConfig;
 pub use noc_sim::{Network, RunResult};
+pub use plan::{
+    run, run_synthetic, run_synthetic_resilient, run_synthetic_traced, run_synthetic_verified,
+    Faults, RunOutput, RunPlan, Workload,
+};
 
 // Re-export the component crates under stable names.
 pub use dxbar;

@@ -64,6 +64,46 @@ fn faults_on_unsupported_design_is_an_error() {
 }
 
 #[test]
+fn faults_apply_to_splash_runs_and_stay_clean() {
+    let run = |extra: &[&str]| {
+        let out = dxbar_sim()
+            .args(["--design", "dxbar-dor", "--splash", "fft", "--mesh", "4x4"])
+            .args(["--json", "--verify"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "stderr: {err}");
+        assert!(err.contains("verification: clean"), "stderr: {err}");
+        out.stdout
+    };
+    let healthy = run(&[]);
+    assert_eq!(run(&["--faults", "0"]), healthy);
+    assert_ne!(
+        run(&["--faults", "100"]),
+        healthy,
+        "a broken crossbar in every router must show in a SPLASH run"
+    );
+    // ... however long the warmup the closed-loop run does not have.
+    assert_ne!(run(&["--faults", "100", "--warmup", "100000000"]), healthy);
+}
+
+#[test]
+fn long_pattern_names_match_their_abbreviations() {
+    let run = |pattern: &str| {
+        let out = dxbar_sim()
+            .args(["--pattern", pattern, "--mesh", "4x4", "--json"])
+            .args(["--warmup", "50", "--cycles", "200"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "--pattern {pattern}");
+        out.stdout
+    };
+    assert_eq!(run("transpose"), run("MT"));
+    assert_eq!(run("uniform"), run("ur"));
+}
+
+#[test]
 fn unknown_flag_fails_with_help() {
     let out = dxbar_sim().args(["--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());

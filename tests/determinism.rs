@@ -3,7 +3,7 @@
 //! that makes rayon-parallel sweeps safe).
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -18,7 +18,7 @@ fn cfg() -> SimConfig {
 
 fn fingerprint(design: Design, seed: u64) -> (u64, u64, u64, u64, u64) {
     let c = SimConfig { seed, ..cfg() };
-    let r = run_synthetic(design, &c, Pattern::UniformRandom, 0.25);
+    let r = run(RunPlan::synthetic(design, &c, Pattern::UniformRandom, 0.25)).result;
     (
         r.accepted_packets,
         r.stats.events.link_traversals,

@@ -5,7 +5,7 @@
 //! practically disabled counter.
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
 
 fn run_with_threshold(threshold: u32) -> RunResult {
     let cfg = SimConfig {
@@ -16,7 +16,8 @@ fn run_with_threshold(threshold: u32) -> RunResult {
         ..SimConfig::default()
     };
     // Past saturation: this is where starvation appears.
-    run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.6)
+    let plan = RunPlan::synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.6);
+    run(plan).result
 }
 
 #[test]

@@ -3,13 +3,26 @@
 //! must match Section III-E (DOR graceful, WF worse, power up).
 
 use dxbar_noc::noc_faults::{CrossbarId, FaultPlan};
-use dxbar_noc::noc_power::energy::EnergyModel;
-use dxbar_noc::noc_sim::runner::{run, RunMode};
+use dxbar_noc::noc_sim::runner::RunMode;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::generator::SyntheticTraffic;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::trace::{Trace, TraceReplay};
-use dxbar_noc::{run_synthetic_with_faults, Design, SimConfig};
+use dxbar_noc::{run, Design, Faults, RunPlan, RunResult, SimConfig};
+
+/// Replay a captured trace closed-loop under a crossbar fault plan.
+fn replay_to_completion(
+    design: Design,
+    cfg: &SimConfig,
+    trace: Trace,
+    faults: &FaultPlan,
+) -> RunResult {
+    let mut replay = TraceReplay::new(trace);
+    let mode = RunMode::ClosedLoop {
+        max_cycles: 200_000,
+    };
+    run(RunPlan::model(design, cfg, &mut replay, mode).faults(Faults::Crossbar(faults))).result
+}
 
 #[test]
 fn full_fault_coverage_still_delivers_everything() {
@@ -30,16 +43,7 @@ fn full_fault_coverage_still_delivers_everything() {
         let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.1, 1, 9);
         let trace = Trace::capture(&mut model, 400);
         let packets = trace.len() as u64;
-        let mut net = design.build(&cfg, &plan);
-        let mut replay = TraceReplay::new(trace);
-        let res = run(
-            &mut net,
-            &mut replay,
-            RunMode::ClosedLoop {
-                max_cycles: 200_000,
-            },
-            &EnergyModel::default(),
-        );
+        let res = replay_to_completion(design, &cfg, trace, &plan);
         assert!(res.completed, "{}: drained with 100% faults", design.name());
         assert_eq!(
             res.accepted_packets,
@@ -77,19 +81,16 @@ fn primary_only_and_secondary_only_fault_plans_deliver() {
         let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 4);
         let trace = Trace::capture(&mut model, 200);
         let packets = trace.len() as u64;
-        let mut net = Design::DXbarDor.build(&cfg, &plan);
-        let mut replay = TraceReplay::new(trace);
-        let res = run(
-            &mut net,
-            &mut replay,
-            RunMode::ClosedLoop {
-                max_cycles: 200_000,
-            },
-            &EnergyModel::default(),
-        );
+        let res = replay_to_completion(Design::DXbarDor, &cfg, trace, &plan);
         assert!(res.completed, "{target:?} faults: drained");
         assert_eq!(res.accepted_packets, packets, "{target:?} faults: loss");
     }
+}
+
+/// Uniform-random run under a crossbar fault plan.
+fn ur_with_faults(design: Design, cfg: &SimConfig, load: f64, faults: &FaultPlan) -> RunResult {
+    let plan = RunPlan::synthetic(design, cfg, Pattern::UniformRandom, load);
+    run(plan.faults(Faults::Crossbar(faults))).result
 }
 
 #[test]
@@ -111,29 +112,11 @@ fn dor_degrades_gracefully_wf_suffers_more() {
         cfg.seed,
     );
 
-    let dor_ok = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        load,
-        &healthy,
-    );
-    let dor_bad = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        load,
-        &faulty,
-    );
-    let wf_ok = run_synthetic_with_faults(
-        Design::DXbarWf,
-        &cfg,
-        Pattern::UniformRandom,
-        load,
-        &healthy,
-    );
-    let wf_bad =
-        run_synthetic_with_faults(Design::DXbarWf, &cfg, Pattern::UniformRandom, load, &faulty);
+    let at = |design, faults| ur_with_faults(design, &cfg, load, faults);
+    let dor_ok = at(Design::DXbarDor, &healthy);
+    let dor_bad = at(Design::DXbarDor, &faulty);
+    let wf_ok = at(Design::DXbarWf, &healthy);
+    let wf_bad = at(Design::DXbarWf, &faulty);
 
     let dor_drop = 1.0 - dor_bad.accepted_fraction / dor_ok.accepted_fraction;
     let wf_drop = 1.0 - wf_bad.accepted_fraction / wf_ok.accepted_fraction;
@@ -168,20 +151,9 @@ fn fault_free_plan_changes_nothing() {
         ..SimConfig::default()
     };
     let mesh = Mesh::new(cfg.width, cfg.height);
-    let a = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        0.2,
-        &FaultPlan::none(&mesh),
-    );
-    let b = run_synthetic_with_faults(
-        Design::DXbarDor,
-        &cfg,
-        Pattern::UniformRandom,
-        0.2,
-        &FaultPlan::generate(&mesh, 0.0, 0, 1, 99),
-    );
+    let a = ur_with_faults(Design::DXbarDor, &cfg, 0.2, &FaultPlan::none(&mesh));
+    let generated = FaultPlan::generate(&mesh, 0.0, 0, 1, 99);
+    let b = ur_with_faults(Design::DXbarDor, &cfg, 0.2, &generated);
     assert_eq!(a.accepted_packets, b.accepted_packets);
     assert_eq!(
         a.stats.events.link_traversals,

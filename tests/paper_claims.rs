@@ -3,7 +3,7 @@
 //! `crates/bench`).
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -15,7 +15,13 @@ fn cfg() -> SimConfig {
 }
 
 fn at(design: Design, load: f64) -> RunResult {
-    run_synthetic(design, &cfg(), Pattern::UniformRandom, load)
+    run(RunPlan::synthetic(
+        design,
+        &cfg(),
+        Pattern::UniformRandom,
+        load,
+    ))
+    .result
 }
 
 /// Saturation throughput: run well past every design's saturation point and
@@ -158,6 +164,13 @@ fn dxbar_never_deflects_or_drops() {
     assert_eq!(r.stats.events.drops, 0);
 }
 
+/// Accepted fraction of `pattern` at offered load 0.35.
+fn accepted(design: Design, c: &SimConfig, pattern: Pattern) -> f64 {
+    run(RunPlan::synthetic(design, c, pattern, 0.35))
+        .result
+        .accepted_fraction
+}
+
 #[test]
 fn wf_beats_dor_on_adaptive_friendly_patterns() {
     // Paper Fig. 7: "For BR, BT, MT, and PS, which all favor adaptive
@@ -170,8 +183,8 @@ fn wf_beats_dor_on_adaptive_friendly_patterns() {
         Pattern::PerfectShuffle,
         Pattern::Butterfly,
     ] {
-        let wf = run_synthetic(Design::DXbarWf, &c, pattern, 0.35).accepted_fraction;
-        let dor = run_synthetic(Design::DXbarDor, &c, pattern, 0.35).accepted_fraction;
+        let wf = accepted(Design::DXbarWf, &c, pattern);
+        let dor = accepted(Design::DXbarDor, &c, pattern);
         assert!(
             wf > dor,
             "{}: WF {wf:.3} should beat DOR {dor:.3}",
@@ -189,8 +202,8 @@ fn dor_wins_on_uniform_and_tornado() {
         Pattern::Tornado,
         Pattern::Complement,
     ] {
-        let wf = run_synthetic(Design::DXbarWf, &c, pattern, 0.35).accepted_fraction;
-        let dor = run_synthetic(Design::DXbarDor, &c, pattern, 0.35).accepted_fraction;
+        let wf = accepted(Design::DXbarWf, &c, pattern);
+        let dor = accepted(Design::DXbarDor, &c, pattern);
         assert!(
             dor >= wf * 0.99,
             "{}: DOR {dor:.3} should not lose to WF {wf:.3}",

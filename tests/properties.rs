@@ -174,8 +174,12 @@ proptest! {
             seed,
             ..SimConfig::default()
         };
-        let lo = dxbar_noc::run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.05);
-        let hi = dxbar_noc::run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.25);
+        let at = |load| {
+            let plan = dxbar_noc::RunPlan::synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, load);
+            dxbar_noc::run(plan).result
+        };
+        let lo = at(0.05);
+        let hi = at(0.25);
         prop_assert!(hi.energy.total_pj() > lo.energy.total_pj());
         for r in [&lo, &hi] {
             let sum = r.energy.crossbar_pj + r.energy.link_pj + r.energy.buffer_pj + r.energy.nack_pj;

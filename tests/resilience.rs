@@ -5,9 +5,7 @@
 //! hold at quiescence, and no corruption may escape detection.
 
 use dxbar_noc::noc_resilience::{ResiliencePlan, TransientSpec};
-use dxbar_noc::{
-    run_synthetic_resilient, run_synthetic_resilient_verified, Design, RunResult, SimConfig,
-};
+use dxbar_noc::{run, Design, Faults, RunOutput, RunPlan, RunResult, SimConfig};
 use noc_topology::Mesh;
 use noc_traffic::patterns::Pattern;
 
@@ -48,16 +46,33 @@ fn assert_accounting_identity(design: Design, r: &RunResult) {
     );
 }
 
+/// Uniform-random run under a resilience plan.
+fn resilient(
+    design: Design,
+    cfg: &SimConfig,
+    load: f64,
+    plan: &ResiliencePlan,
+    verify: bool,
+) -> RunOutput {
+    let run_plan = RunPlan::synthetic(design, cfg, Pattern::UniformRandom, load);
+    run(run_plan.faults(Faults::Resilience(plan)).verified(verify))
+}
+
+/// Verified run at load 0.1 that must stay connected and clean.
+fn verified_connected(design: Design, cfg: &SimConfig, plan: &ResiliencePlan) -> RunResult {
+    let out = resilient(design, cfg, 0.1, plan, true)
+        .clean()
+        .unwrap_or_else(|e| panic!("{}: {e}", design.name()));
+    assert!(out.reach.expect("resilience plan").is_fully_connected());
+    out.result
+}
+
 #[test]
 fn every_design_survives_transients_verified() {
     let cfg = resilient_cfg();
     let plan = transient_plan(1e-3, 0xC0FFEE);
     for design in Design::ALL {
-        let (result, reach, report) =
-            run_synthetic_resilient_verified(design, &cfg, Pattern::UniformRandom, 0.1, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", design.name()));
-        assert!(reach.is_fully_connected());
-        assert!(report.is_clean());
+        let result = verified_connected(design, &cfg, &plan);
         assert!(
             result.stats.events.transit_corruptions + result.stats.events.transit_losses > 0,
             "{}: the transient process never struck",
@@ -81,11 +96,7 @@ fn dead_link_with_recovery_is_verified_clean() {
     let plan = ResiliencePlan::generate(&mesh, 0.0, 1, 5e-4, 50, 100, 7);
     assert!(plan.reachability(&mesh).is_fully_connected());
     for design in [Design::DXbarWf, Design::Buffered8, Design::FlitBless] {
-        let (result, reach, report) =
-            run_synthetic_resilient_verified(design, &cfg, Pattern::UniformRandom, 0.1, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", design.name()));
-        assert!(reach.is_fully_connected());
-        assert!(report.is_clean());
+        let result = verified_connected(design, &cfg, &plan);
         assert!(result.accepted_packets > 0, "{}", design.name());
         assert_accounting_identity(design, &result);
     }
@@ -118,11 +129,10 @@ fn partitioned_plan_is_reported_not_hidden() {
         .iter()
         .all(|&(a, b)| a == NodeId(0) || b == NodeId(0)));
 
-    // The facade surfaces the same report alongside the (degraded) run.
+    // The run surfaces the same report alongside the (degraded) result.
     let cfg = resilient_cfg();
-    let (result, reach) =
-        run_synthetic_resilient(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.05, &plan);
-    assert!(!reach.is_fully_connected());
+    let RunOutput { result, reach, .. } = resilient(Design::DXbarDor, &cfg, 0.05, &plan, false);
+    assert!(!reach.expect("resilience plan").is_fully_connected());
     // Traffic to/from the cut corner burns its retry budget and is counted.
     assert!(result.lost_flits > 0);
     assert!(
@@ -137,13 +147,14 @@ fn degradation_is_monotone_in_fault_rate_for_loss() {
     // pins the Poisson process to the knob, not just to the seed.
     let cfg = resilient_cfg();
     let activity = |rate: f64| -> u64 {
-        let (r, _) = run_synthetic_resilient(
+        let r = resilient(
             Design::DXbarDor,
             &cfg,
-            Pattern::UniformRandom,
             0.2,
             &transient_plan(rate, 42),
-        );
+            false,
+        )
+        .result;
         r.stats.events.transit_corruptions + r.stats.events.transit_losses
     };
     let low = activity(1e-4);

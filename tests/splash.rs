@@ -1,12 +1,10 @@
 //! Closed-loop SPLASH-2 workload integration (scaled-down versions of the
 //! Fig. 9/10 experiments).
 
-use dxbar_noc::noc_faults::FaultPlan;
-use dxbar_noc::noc_power::energy::EnergyModel;
-use dxbar_noc::noc_sim::runner::{run, RunMode};
+use dxbar_noc::noc_sim::runner::RunMode;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
-use dxbar_noc::{Design, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
 
 fn tiny_params() -> AppParams {
     AppParams {
@@ -26,16 +24,11 @@ fn run_tiny(design: Design) -> RunResult {
         ..SimConfig::default()
     };
     let mesh = Mesh::new(cfg.width, cfg.height);
-    let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
     let mut model = SplashTraffic::with_params(SplashApp::Fft, tiny_params(), mesh, cfg.seed);
-    run(
-        &mut net,
-        &mut model,
-        RunMode::ClosedLoop {
-            max_cycles: 2_000_000,
-        },
-        &EnergyModel::default(),
-    )
+    let mode = RunMode::ClosedLoop {
+        max_cycles: 2_000_000,
+    };
+    run(RunPlan::model(design, &cfg, &mut model, mode)).result
 }
 
 #[test]
@@ -110,16 +103,11 @@ fn all_nine_apps_have_runnable_models() {
             txns_per_core: 10,
             ..app.params()
         };
-        let mut net = Design::DXbarDor.build(&cfg, &FaultPlan::none(&mesh));
         let mut model = SplashTraffic::with_params(app, params, mesh, 3);
-        let r = run(
-            &mut net,
-            &mut model,
-            RunMode::ClosedLoop {
-                max_cycles: 1_000_000,
-            },
-            &EnergyModel::default(),
-        );
+        let mode = RunMode::ClosedLoop {
+            max_cycles: 1_000_000,
+        };
+        let r = run(RunPlan::model(Design::DXbarDor, &cfg, &mut model, mode)).result;
         assert!(r.completed, "{} stalled", app.name());
     }
 }

@@ -24,7 +24,7 @@
 //! process-wide environment variable.
 
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run_synthetic, Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 
 fn dxbar_json(tiles: usize, canary: bool) -> String {
     std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
@@ -40,7 +40,8 @@ fn dxbar_json(tiles: usize, canary: bool) -> String {
         seed: 13,
         ..SimConfig::default()
     };
-    let r = run_synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.6);
+    let plan = RunPlan::synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.6);
+    let r = run(plan).result;
     std::env::remove_var("DXBAR_TILE_THREADS");
     std::env::remove_var("DXBAR_TILE_CANARY");
     serde_json::to_string(&r).expect("serialize RunResult")

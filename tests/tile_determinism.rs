@@ -14,45 +14,28 @@
 //! grid, where shard order differs from node order — a commit phase that
 //! replayed shard-major instead of node-major cannot hide there.
 //!
-//! Worker counts are selected through the process-wide
-//! `DXBAR_TILE_THREADS` variable (mirroring how users select them), so
-//! every run holds `ENV_LOCK` for its duration.
+//! Worker counts travel in the plan (`RunPlan::tile_threads`); the
+//! `DXBAR_TILE_THREADS` path users take is covered by `tests/cli.rs`,
+//! `campaign_tile_threads.rs` and `tile_canary.rs`.
 
-use dxbar_noc::noc_faults::FaultPlan;
-use dxbar_noc::noc_power::energy::EnergyModel;
 use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_sim::noc_trace::{to_jsonl, RecordingSink};
-use dxbar_noc::noc_sim::runner::{run, RunMode};
+use dxbar_noc::noc_sim::runner::RunMode;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
-use dxbar_noc::{
-    run_synthetic, run_synthetic_resilient, run_synthetic_resilient_verified, run_synthetic_traced,
-    run_synthetic_verified, Design, RunResult, SimConfig,
-};
-use std::sync::Mutex;
+use dxbar_noc::{run, Design, Faults, RunPlan, RunResult, SimConfig};
 
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run with `DXBAR_TILE_THREADS` pinned to `tiles` for the duration.
-fn with_tiles<R>(tiles: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("DXBAR_TILE_THREADS", tiles.to_string());
-    let r = f();
-    std::env::remove_var("DXBAR_TILE_THREADS");
-    r
-}
-
-/// `run()` at one worker, then at each of `workers`; every output must
-/// equal the one-worker output.
+/// `run(tiles)` at one worker, then at each of `workers`; every output
+/// must equal the one-worker output.
 fn assert_worker_count_invisible<T: PartialEq + std::fmt::Debug>(
     what: &str,
     workers: &[usize],
-    run: impl Fn() -> T,
+    run: impl Fn(usize) -> T,
 ) {
-    let reference = with_tiles(1, &run);
+    let reference = run(1);
     for &w in workers {
-        let tiled = with_tiles(w, &run);
+        let tiled = run(w);
         assert!(
             tiled == reference,
             "{what}: {w} tile workers diverged from one"
@@ -78,19 +61,25 @@ fn meshes() -> [SimConfig; 2] {
     })
 }
 
+/// `pattern` at `load`, open loop, stepped on `tiles` workers.
+fn synthetic(
+    design: Design,
+    cfg: &SimConfig,
+    pattern: Pattern,
+    load: f64,
+    tiles: usize,
+) -> RunPlan<'_> {
+    RunPlan::synthetic(design, cfg, pattern, load).tile_threads(tiles)
+}
+
 /// One closed-loop SPLASH FFT run to completion, serialized.
-fn closed_loop_fft(design: Design, cfg: &SimConfig, params: AppParams) -> String {
+fn closed_loop_fft(design: Design, cfg: &SimConfig, params: AppParams, tiles: usize) -> String {
     let mesh = Mesh::for_config(cfg);
-    let mut net = design.build(cfg, &FaultPlan::none(&mesh));
     let mut model = SplashTraffic::with_params(SplashApp::Fft, params, mesh, cfg.seed);
-    json(&run(
-        &mut net,
-        &mut model,
-        RunMode::ClosedLoop {
-            max_cycles: 2_000_000,
-        },
-        &EnergyModel::default(),
-    ))
+    let mode = RunMode::ClosedLoop {
+        max_cycles: 2_000_000,
+    };
+    json(&run(RunPlan::model(design, cfg, &mut model, mode).tile_threads(tiles)).result)
 }
 
 #[test]
@@ -106,8 +95,8 @@ fn every_design_every_worker_count_matches_sequential() {
         // Moderate load: enough traffic for deflections, drops and
         // buffering on every design without saturating the slow ones.
         // The 0 pins "0 is an alias of 1".
-        assert_worker_count_invisible(design.name(), &[0, 2, 4, 8], || {
-            json(&run_synthetic(design, cfg, Pattern::MatrixTranspose, 0.3))
+        assert_worker_count_invisible(design.name(), &[0, 2, 4, 8], |tiles| {
+            json(&run(synthetic(design, cfg, Pattern::MatrixTranspose, 0.3, tiles)).result)
         });
     }
 }
@@ -126,13 +115,17 @@ fn scarab_under_heavy_drops_matches_sequential() {
         seed: 99,
         ..SimConfig::default()
     };
-    assert_worker_count_invisible("scarab at 0.6", &[2, 4], || {
-        json(&run_synthetic(
-            Design::Scarab,
-            &cfg,
-            Pattern::UniformRandom,
-            0.6,
-        ))
+    assert_worker_count_invisible("scarab at 0.6", &[2, 4], |tiles| {
+        json(
+            &run(synthetic(
+                Design::Scarab,
+                &cfg,
+                Pattern::UniformRandom,
+                0.6,
+                tiles,
+            ))
+            .result,
+        )
     });
 }
 
@@ -156,8 +149,8 @@ fn closed_loop_splash_matches_sequential() {
         burst_len: 4,
     };
     for design in [Design::DXbarDor, Design::Scarab] {
-        assert_worker_count_invisible(design.name(), &[2, 4], || {
-            closed_loop_fft(design, &cfg, params)
+        assert_worker_count_invisible(design.name(), &[2, 4], |tiles| {
+            closed_loop_fft(design, &cfg, params, tiles)
         });
     }
 }
@@ -183,8 +176,15 @@ fn saturated_source_queues_match_at_every_worker_count() {
     };
     let mesh = Mesh::for_config(&cfg);
 
-    assert_worker_count_invisible("saturated scarab", &[2, 4], || {
-        let r = run_synthetic(Design::Scarab, &cfg, Pattern::UniformRandom, 0.9);
+    assert_worker_count_invisible("saturated scarab", &[2, 4], |tiles| {
+        let r = run(synthetic(
+            Design::Scarab,
+            &cfg,
+            Pattern::UniformRandom,
+            0.9,
+            tiles,
+        ))
+        .result;
         assert!(
             r.stats.events.retransmissions > 0,
             "no NACKed flit requeued"
@@ -193,9 +193,9 @@ fn saturated_source_queues_match_at_every_worker_count() {
     });
 
     let plan = ResiliencePlan::generate(&mesh, 0.0, 1, 2e-3, 50, 100, 11);
-    assert_worker_count_invisible("saturated resilient dxbar-dor", &[2, 4], || {
-        let (r, _) =
-            run_synthetic_resilient(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.9, &plan);
+    assert_worker_count_invisible("saturated resilient dxbar-dor", &[2, 4], |tiles| {
+        let run_plan = synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.9, tiles);
+        let r = run(run_plan.faults(Faults::Resilience(&plan))).result;
         let e = &r.stats.events;
         assert!(e.ni_retransmits > 0, "no ARQ retransmission requeued");
         // The offered copy carries the NI's seal: a CRC reject can only
@@ -217,8 +217,8 @@ fn saturated_source_queues_match_at_every_worker_count() {
         drain_cycles: 0,
         ..cfg.clone()
     };
-    assert_worker_count_invisible("lossless splash", &[2, 4], || {
-        closed_loop_fft(Design::DXbarDor, &closed, params)
+    assert_worker_count_invisible("lossless splash", &[2, 4], |tiles| {
+        closed_loop_fft(Design::DXbarDor, &closed, params, tiles)
     });
 }
 
@@ -230,19 +230,15 @@ fn traced_runs_match_at_every_worker_count() {
     for cfg in &meshes() {
         for design in [Design::DXbarDor, Design::Scarab, Design::MinBd] {
             let what = format!("traced {} {}x{}", design.name(), cfg.width, cfg.height);
-            assert_worker_count_invisible(&what, &[2, 4, 8], || {
-                let (result, sink) = run_synthetic_traced(
-                    design,
-                    cfg,
-                    Pattern::UniformRandom,
-                    0.3,
-                    RecordingSink::new(0, 1),
-                );
+            assert_worker_count_invisible(&what, &[2, 4, 8], |tiles| {
+                let plan = synthetic(design, cfg, Pattern::UniformRandom, 0.3, tiles);
+                let out = run(plan.traced(RecordingSink::new(0, 1)));
+                let sink = out.trace.expect("traced plan");
                 assert!(!sink.recorder.is_empty());
                 (
                     to_jsonl(sink.recorder.iter()),
                     serde_json::to_string(&sink.series).expect("serialize samples"),
-                    json(&result),
+                    json(&out.result),
                 )
             });
         }
@@ -254,14 +250,15 @@ fn verified_runs_match_at_every_worker_count() {
     // The oracles see every router step; their check counts are a
     // fingerprint of what they were shown, and in what quantity.
     for cfg in &meshes() {
-        let faults = FaultPlan::none(&Mesh::for_config(cfg));
         for design in Design::ALL {
             let what = format!("verified {} {}x{}", design.name(), cfg.width, cfg.height);
-            assert_worker_count_invisible(&what, &[2, 4, 8], || {
-                let (result, report) =
-                    run_synthetic_verified(design, cfg, Pattern::MatrixTranspose, 0.3, &faults)
-                        .unwrap_or_else(|e| panic!("{what}: {e}"));
-                (json(&result), report.checks, report.total_violations)
+            assert_worker_count_invisible(&what, &[2, 4, 8], |tiles| {
+                let plan = synthetic(design, cfg, Pattern::MatrixTranspose, 0.3, tiles);
+                let out = run(plan.verified(true))
+                    .clean()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let report = out.verify.expect("verified plan");
+                (json(&out.result), report.checks, report.total_violations)
             });
         }
     }
@@ -280,18 +277,21 @@ fn resilient_runs_match_at_every_worker_count() {
         let plan = ResiliencePlan::generate(&Mesh::for_config(&cfg), 0.0, 1, 1e-3, 50, 100, 7);
         for design in [Design::DXbarWf, Design::Buffered8, Design::FlitBless] {
             let what = format!("resilient {} {}x{}", design.name(), cfg.width, cfg.height);
-            assert_worker_count_invisible(&what, &[2, 4, 8], || {
-                let (plain, _) =
-                    run_synthetic_resilient(design, &cfg, Pattern::UniformRandom, 0.1, &plan);
-                let (verified, _, report) = run_synthetic_resilient_verified(
-                    design,
-                    &cfg,
-                    Pattern::UniformRandom,
-                    0.1,
-                    &plan,
-                )
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_eq!(json(&plain), json(&verified), "{what}: observer perturbed");
+            assert_worker_count_invisible(&what, &[2, 4, 8], |tiles| {
+                let resilient = |verify| {
+                    let run_plan = synthetic(design, &cfg, Pattern::UniformRandom, 0.1, tiles);
+                    run(run_plan.faults(Faults::Resilience(&plan)).verified(verify))
+                };
+                let plain = resilient(false).result;
+                let verified = resilient(true)
+                    .clean()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let report = verified.verify.expect("verified plan");
+                assert_eq!(
+                    json(&plain),
+                    json(&verified.result),
+                    "{what}: observer perturbed"
+                );
                 let e = &plain.stats.events;
                 assert!(e.crc_rejects + e.ni_retransmits > 0, "{what}: no recovery");
                 (

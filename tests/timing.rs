@@ -3,12 +3,9 @@
 //! 2 cycles/hop for the look-ahead designs (SA/ST + LT), 3 cycles/hop for
 //! the 3-stage buffered baseline — and must be exactly linear in distance.
 
-use dxbar_noc::noc_faults::FaultPlan;
-use dxbar_noc::noc_power::energy::EnergyModel;
-use dxbar_noc::noc_sim::runner::{run, RunMode};
-use dxbar_noc::noc_topology::Mesh;
+use dxbar_noc::noc_sim::runner::RunMode;
 use dxbar_noc::noc_traffic::trace::{Trace, TraceReplay};
-use dxbar_noc::{Design, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 use noc_core::flit::{FlitKind, PacketDesc, PacketId};
 use noc_core::types::NodeId;
 
@@ -21,7 +18,6 @@ fn one_packet_latency(design: Design, distance: u16) -> u64 {
         drain_cycles: 0,
         ..SimConfig::default()
     };
-    let mesh = Mesh::new(cfg.width, cfg.height);
     let trace = Trace {
         label: format!("single d={distance}"),
         packets: vec![PacketDesc {
@@ -33,14 +29,9 @@ fn one_packet_latency(design: Design, distance: u16) -> u64 {
             kind: FlitKind::Synthetic,
         }],
     };
-    let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
     let mut model = TraceReplay::new(trace);
-    let res = run(
-        &mut net,
-        &mut model,
-        RunMode::ClosedLoop { max_cycles: 10_000 },
-        &EnergyModel::default(),
-    );
+    let mode = RunMode::ClosedLoop { max_cycles: 10_000 };
+    let res = run(RunPlan::model(design, &cfg, &mut model, mode)).result;
     assert!(res.completed, "{}: single packet stuck", design.name());
     assert_eq!(res.accepted_packets, 1);
     res.stats.packet_latency.max

@@ -7,8 +7,12 @@
 //! cycles, all designs x {0.1, 0.5} load x {0 %, 50 %} faults — run by the
 //! CI verify-smoke job with `--release`.
 
-use dxbar_noc::{run_synthetic_verified, Design, SimConfig};
+use dxbar_noc::noc_resilience::{ResiliencePlan, TransientSpec};
+use dxbar_noc::noc_sim::noc_trace::RecordingSink;
+use dxbar_noc::noc_traffic::splash::SplashApp;
+use dxbar_noc::{run, Design, Faults, RunOutput, RunPlan, SimConfig};
 use noc_faults::FaultPlan;
+use noc_scenario::{ScenarioRun, ScenarioSpec};
 use noc_topology::Mesh;
 use noc_traffic::patterns::Pattern;
 
@@ -24,9 +28,10 @@ fn quick_cfg() -> SimConfig {
 }
 
 fn verify_point(design: Design, cfg: &SimConfig, load: f64, faults: &FaultPlan) {
-    match run_synthetic_verified(design, cfg, Pattern::UniformRandom, load, faults) {
-        Ok((result, report)) => {
-            assert!(report.is_clean());
+    let plan = RunPlan::synthetic(design, cfg, Pattern::UniformRandom, load);
+    match run(plan.faults(Faults::Crossbar(faults)).verified(true)).clean() {
+        Ok(RunOutput { result, verify, .. }) => {
+            let report = verify.expect("verified plan");
             assert!(
                 report.checks.cycles >= cfg.total_cycles(),
                 "{}: verifier observed {} of {} cycles",
@@ -85,29 +90,62 @@ fn dxbar_runs_clean_through_fault_transitions() {
     }
 }
 
+/// Run `plan` with a recording sink and/or the oracle suite attached.
+fn observed(plan: RunPlan<'_>, trace: bool, verify: bool) -> RunOutput {
+    let mut plan = plan.verified(verify);
+    plan.trace = trace.then(|| RecordingSink::new(0, 1));
+    let out = run(plan);
+    assert_eq!(out.trace.is_some(), trace);
+    assert_eq!(out.verify.is_some(), verify);
+    out
+}
+
+/// One kind of run, given whether to trace and whether to verify it.
+type Observed<'a> = &'a dyn Fn(bool, bool) -> RunOutput;
+
 #[test]
 fn verified_run_matches_unverified_result() {
-    // The observer must not perturb the simulation: identical statistics
-    // with and without the oracle suite attached.
+    // Observers must not perturb the simulation: for every design and
+    // every kind of run, the serialized result is byte-equal with the
+    // trace sink and the oracle suite each attached or not.
     let cfg = quick_cfg();
-    let none = FaultPlan::none(&Mesh::new(4, 4));
-    for d in [Design::DXbarDor, Design::UnifiedWf, Design::Buffered4] {
-        let plain = dxbar_noc::run_synthetic(d, &cfg, Pattern::MatrixTranspose, 0.4);
-        let (verified, _) =
-            run_synthetic_verified(d, &cfg, Pattern::MatrixTranspose, 0.4, &none).unwrap();
-        assert_eq!(
-            plain.accepted_packets,
-            verified.accepted_packets,
-            "{}",
-            d.name()
-        );
-        assert_eq!(plain.accepted_rate, verified.accepted_rate, "{}", d.name());
-        assert_eq!(
-            plain.avg_packet_latency,
-            verified.avg_packet_latency,
-            "{}",
-            d.name()
-        );
+    let transients = ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23));
+    let scenario = ScenarioSpec::resolve("interfere2", &cfg).expect("known scenario");
+    for d in Design::ALL {
+        let kinds: [(&str, Observed<'_>); 4] = [
+            ("synthetic", &|t, v| {
+                observed(
+                    RunPlan::synthetic(d, &cfg, Pattern::MatrixTranspose, 0.4),
+                    t,
+                    v,
+                )
+            }),
+            ("splash", &|t, v| {
+                observed(RunPlan::splash(d, &cfg, SplashApp::Fft, 1_000_000), t, v)
+            }),
+            ("scenario", &|t, v| {
+                ScenarioRun::new(d, &cfg, &scenario, 0.3)
+                    .expect("valid point")
+                    .run_with(|plan| observed(plan, t, v))
+            }),
+            ("resilient", &|t, v| {
+                let plan = RunPlan::synthetic(d, &cfg, Pattern::UniformRandom, 0.1);
+                observed(plan.faults(Faults::Resilience(&transients)), t, v)
+            }),
+        ];
+        for (kind, run_kind) in kinds {
+            let json = |trace, verify| {
+                serde_json::to_string(&run_kind(trace, verify).result).expect("serialize RunResult")
+            };
+            let plain = json(false, false);
+            for (trace, verify) in [(true, false), (false, true), (true, true)] {
+                assert!(
+                    json(trace, verify) == plain,
+                    "{} {kind}: trace={trace} verify={verify} perturbed the result",
+                    d.name()
+                );
+            }
+        }
     }
 }
 
