@@ -6,10 +6,7 @@
 //!
 //!   SPEC.json             campaign spec file (see EXPERIMENTS.md)
 //!   --preset NAME         use a built-in spec instead of a file
-//!                         (fig05, fig06, fig07_08, fig09_10, fig11_12,
-//!                          ablations, resilience, resilience_smoke,
-//!                          smoke, verify_smoke, zoo, zoo_smoke,
-//!                          repro_all)
+//!                         (`campaign_run --help` lists the names)
 //!   --seeds N             replace every group's seeds with N derived
 //!                         replicate seeds (mean ± 95% CI aggregation)
 //!   --cache DIR           result-cache directory (default: $DXBAR_CACHE)
@@ -37,6 +34,7 @@
 //! usage errors.
 //! ```
 
+use bench::cli::Args as Cli;
 use bench::{campaign_options, derive_seeds};
 use noc_campaign::{run_campaign, CampaignSpec};
 use std::path::PathBuf;
@@ -54,18 +52,7 @@ struct Args {
     coop: bool,
 }
 
-fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
-    eprintln!(
-        "usage: campaign_run [SPEC.json] [--preset NAME] [--seeds N] [--cache DIR] \
-         [--jobs N] [--tile-threads N] [--manifest PATH] [--emit-spec PATH] [--verify] \
-         [--coop]"
-    );
-    eprintln!("presets: {}", bench::specs::PRESETS.join(", "));
-    exit(2);
-}
-
-fn parse_args() -> Args {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         spec_file: None,
         preset: None,
@@ -77,86 +64,67 @@ fn parse_args() -> Args {
         verify: false,
         coop: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
+    let mut tile_threads = None;
+    while let Some(a) = cli.next_arg() {
         match a.as_str() {
-            "--preset" => args.preset = Some(value("--preset")),
-            "--seeds" => {
-                args.seeds = Some(
-                    value("--seeds")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--seeds needs a positive integer")),
-                )
-            }
-            "--cache" => args.cache = Some(PathBuf::from(value("--cache"))),
-            "--jobs" => {
-                args.jobs = Some(
-                    value("--jobs")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--jobs needs a positive integer")),
-                )
-            }
-            "--tile-threads" => {
-                let v = value("--tile-threads");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--tile-threads needs a non-negative integer"));
-                std::env::set_var("DXBAR_TILE_THREADS", n.to_string());
-            }
-            "--manifest" => args.manifest = Some(PathBuf::from(value("--manifest"))),
-            "--emit-spec" => args.emit_spec = Some(PathBuf::from(value("--emit-spec"))),
+            "--preset" => args.preset = Some(cli.value("--preset")),
+            "--seeds" => args.seeds = Some(cli.parsed("--seeds", "a positive integer")),
+            "--cache" => args.cache = Some(PathBuf::from(cli.value("--cache"))),
+            "--jobs" => args.jobs = Some(cli.parsed("--jobs", "a positive integer")),
+            "--tile-threads" => tile_threads = Some(cli.value("--tile-threads")),
+            "--manifest" => args.manifest = Some(PathBuf::from(cli.value("--manifest"))),
+            "--emit-spec" => args.emit_spec = Some(PathBuf::from(cli.value("--emit-spec"))),
             "--verify" => args.verify = true,
             "--coop" => args.coop = true,
-            "--help" | "-h" => usage("help requested"),
-            flag if flag.starts_with("--") => usage(&format!("unknown option {flag}")),
+            flag if flag.starts_with("--") => cli.fail(&format!("unknown option {flag}")),
             file => {
                 if args.spec_file.replace(PathBuf::from(file)).is_some() {
-                    usage("more than one spec file given");
+                    cli.fail("more than one spec file given");
                 }
             }
         }
     }
+    // The executor divides its job budget by the variable, so that is
+    // where the flag's count goes.
+    if let Some(n) = cli.tile_threads(tile_threads) {
+        std::env::set_var("DXBAR_TILE_THREADS", n.to_string());
+    }
     args
 }
 
-fn load_spec(args: &Args) -> CampaignSpec {
+fn load_spec(cli: &Cli, args: &Args) -> CampaignSpec {
     match (&args.spec_file, &args.preset) {
-        (Some(_), Some(_)) => usage("give either a spec file or --preset, not both"),
-        (None, None) => usage("need a spec file or --preset"),
+        (Some(_), Some(_)) => cli.fail("give either a spec file or --preset, not both"),
+        (None, None) => cli.fail("need a spec file or --preset"),
         (Some(file), None) => {
             let text = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| usage(&format!("cannot read {}: {e}", file.display())));
+                .unwrap_or_else(|e| cli.fail(&format!("cannot read {}: {e}", file.display())));
             CampaignSpec::from_json(&text).unwrap_or_else(|e| {
                 let e = e.to_string();
                 if let Some(hint) = bench::unknown_design_hint(&e) {
                     eprintln!("{hint}");
                 }
-                usage(&format!("bad spec {}: {e}", file.display()))
+                cli.fail(&format!("bad spec {}: {e}", file.display()))
             })
         }
-        (None, Some(name)) => {
-            bench::specs::preset(name).unwrap_or_else(|| usage(&format!("unknown preset {name:?}")))
-        }
+        (None, Some(name)) => bench::specs::preset(name)
+            .unwrap_or_else(|| cli.fail(&format!("unknown preset {name:?}"))),
     }
 }
 
 fn main() {
-    let args = parse_args();
-    if let Ok(v) = std::env::var("DXBAR_TILE_THREADS") {
-        if v.trim().parse::<usize>().is_err() {
-            usage(&format!(
-                "bad DXBAR_TILE_THREADS '{v}' (want a non-negative integer)"
-            ));
-        }
-    }
-    let mut spec = load_spec(&args);
+    let usage = format!(
+        "usage: campaign_run [SPEC.json] [--preset NAME] [--seeds N] [--cache DIR] \
+         [--jobs N] [--tile-threads N] [--manifest PATH] [--emit-spec PATH] [--verify] \
+         [--coop]\npresets: {}",
+        bench::specs::PRESETS.join(", ")
+    );
+    let mut cli = Cli::new(&usage, &usage);
+    let args = parse_args(&mut cli);
+    let mut spec = load_spec(&cli, &args);
     if let Some(n) = args.seeds {
         if n == 0 {
-            usage("--seeds must be >= 1");
+            cli.fail("--seeds must be >= 1");
         }
         let seeds = derive_seeds(n);
         for g in &mut spec.groups {
@@ -165,7 +133,7 @@ fn main() {
     }
     if let Some(path) = &args.emit_spec {
         std::fs::write(path, spec.to_json())
-            .unwrap_or_else(|e| usage(&format!("cannot write {}: {e}", path.display())));
+            .unwrap_or_else(|e| cli.fail(&format!("cannot write {}: {e}", path.display())));
         eprintln!("wrote resolved spec to {}", path.display());
         return;
     }
@@ -182,13 +150,13 @@ fn main() {
     }
     if args.coop {
         if opts.cache_dir.is_none() {
-            usage("--coop requires --cache (or DXBAR_CACHE)");
+            cli.fail("--coop requires --cache (or DXBAR_CACHE)");
         }
         opts.cooperative = true;
     }
     let report = match run_campaign(&spec, &opts) {
         Ok(r) => r,
-        Err(e) => usage(&format!("invalid campaign: {e}")),
+        Err(e) => cli.fail(&format!("invalid campaign: {e}")),
     };
 
     if let Some(path) = &args.manifest {

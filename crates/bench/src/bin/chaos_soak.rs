@@ -34,6 +34,7 @@
 //!
 //! [`SoakReport`]: noc_chaos::SoakReport
 
+use bench::cli::Args as Cli;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::{Design, SimConfig};
 use noc_campaign::{CacheLocks, CampaignSpec, Claim, PointGroup, WorkloadAxis};
@@ -52,16 +53,10 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
-    eprintln!(
-        "usage: chaos_soak [--seeds N] [--base-seed S] [--quick] [--jobs N] \
-         [--cache-root DIR] [--no-claim-kill] [--out FILE]"
-    );
-    exit(2);
-}
+const USAGE: &str = "usage: chaos_soak [--seeds N] [--base-seed S] [--quick] [--jobs N] \
+     [--cache-root DIR] [--no-claim-kill] [--out FILE]";
 
-fn parse_args() -> Args {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         seeds: 3,
         base_seed: 1,
@@ -71,46 +66,26 @@ fn parse_args() -> Args {
         claim_kill: true,
         out: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
+    while let Some(a) = cli.next_arg() {
         match a.as_str() {
-            "--seeds" => {
-                args.seeds = value("--seeds")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seeds needs a positive integer"))
-            }
-            "--base-seed" => {
-                args.base_seed = value("--base-seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--base-seed needs an integer"))
-            }
+            "--seeds" => args.seeds = cli.parsed("--seeds", "a positive integer"),
+            "--base-seed" => args.base_seed = cli.parsed("--base-seed", "an integer"),
             "--quick" => args.quick = true,
-            "--jobs" => {
-                args.jobs = value("--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--jobs needs a positive integer"))
-            }
-            "--cache-root" => args.cache_root = Some(PathBuf::from(value("--cache-root"))),
+            "--jobs" => args.jobs = cli.parsed("--jobs", "a positive integer"),
+            "--cache-root" => args.cache_root = Some(PathBuf::from(cli.value("--cache-root"))),
             "--no-claim-kill" => args.claim_kill = false,
-            "--out" => args.out = Some(PathBuf::from(value("--out"))),
+            "--out" => args.out = Some(PathBuf::from(cli.value("--out"))),
             "--hold-claim" => {
-                let cache = PathBuf::from(value("--hold-claim"));
-                let key = value("--hold-claim");
-                let ms: u64 = value("--hold-claim")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--hold-claim MS must be an integer"));
+                let cache = PathBuf::from(cli.value("--hold-claim"));
+                let key = cli.value("--hold-claim");
+                let ms = cli.parsed("--hold-claim", "CACHE KEY MS, MS an integer");
                 hold_claim(&cache, &key, ms);
             }
-            "--help" | "-h" => usage("help requested"),
-            flag => usage(&format!("unknown option {flag}")),
+            flag => cli.fail(&format!("unknown option {flag}")),
         }
     }
     if args.seeds == 0 {
-        usage("--seeds must be >= 1");
+        cli.fail("--seeds must be >= 1");
     }
     args
 }
@@ -173,7 +148,8 @@ fn spec(quick: bool) -> CampaignSpec {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut cli = Cli::new(USAGE, USAGE);
+    let args = parse_args(&mut cli);
     let cache_root = args.cache_root.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("noc-chaos-soak-{}", std::process::id()))
     });
@@ -212,10 +188,10 @@ fn main() {
     if let Some(out) = &args.out {
         if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)
-                .unwrap_or_else(|e| usage(&format!("cannot create {}: {e}", parent.display())));
+                .unwrap_or_else(|e| cli.fail(&format!("cannot create {}: {e}", parent.display())));
         }
         std::fs::write(out, &json)
-            .unwrap_or_else(|e| usage(&format!("cannot write {}: {e}", out.display())));
+            .unwrap_or_else(|e| cli.fail(&format!("cannot write {}: {e}", out.display())));
         eprintln!("wrote {}", out.display());
     }
 

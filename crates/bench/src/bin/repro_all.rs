@@ -2,10 +2,12 @@
 //!
 //! First runs the **unified campaign** — the union grid of every figure
 //! and ablation, deduplicated and simulated in parallel into a shared
-//! result cache — then invokes each figure bin, which finds all of its
-//! points already cached and only renders. A bin failure (or a failed
-//! campaign point) is reported and the remaining bins still run; the
-//! process exits nonzero if anything failed.
+//! result cache — then regenerates each of the paper's tables and figures
+//! (the `paper` rows of `bench::specs::REGISTRY`) exactly as `fig <name>`
+//! would: every one finds its points already cached and only renders. A
+//! figure that fails (a failed campaign point, a panicking renderer) is
+//! reported and the remaining ones still run; the process exits nonzero if
+//! anything failed.
 //!
 //! ```text
 //! DXBAR_OUT=results cargo run --release -p bench --bin repro_all
@@ -16,23 +18,14 @@
 //! choose the cache location (defaults to `<DXBAR_OUT>/campaign-cache`,
 //! falling back to `target/campaign-cache`), and `DXBAR_VERIFY=1` to run
 //! the entire reproduction under the runtime-oracle suite (the campaign
-//! and every figure bin then fail on any invariant violation; verified
+//! and every figure then fail on any invariant violation; verified
 //! results fill a disjoint `+verify` cache namespace).
 
-use bench::{campaign_options, run_figure_campaign};
+use bench::cli::Args;
+use bench::figures::{isolated, regenerate};
+use bench::{campaign_options, run_figure_campaign, FIGURE_ENV};
 use dxbar_noc::noc_verify::verify_from_env;
 use std::path::PathBuf;
-use std::process::Command;
-
-const BINS: [&str; 7] = [
-    "tables",
-    "fig05_throughput_ur",
-    "fig06_energy_ur",
-    "fig07_08_synthetic",
-    "fig09_10_splash",
-    "fig11_12_faults",
-    "ablations",
-];
 
 fn cache_dir() -> PathBuf {
     if let Some(dir) = std::env::var_os("DXBAR_CACHE") {
@@ -45,17 +38,16 @@ fn cache_dir() -> PathBuf {
 }
 
 fn main() {
-    bench::no_args(env!("CARGO_BIN_NAME"), bench::FIGURE_ENV);
+    let usage = format!("usage: repro_all   (no arguments; environment: {FIGURE_ENV})");
+    let mut args = Args::new(&usage, &usage);
+    if let Some(arg) = args.next_arg() {
+        args.fail(&format!("unexpected argument '{arg}'"));
+    }
     let cache = cache_dir();
-    // The figure bins read the cache location from the environment; the
-    // unified campaign below fills it so they only render.
+    // Every campaign reads the cache location from the environment; the
+    // unified campaign below fills it so the figures only render.
     std::env::set_var("DXBAR_CACHE", &cache);
     let verify = verify_from_env();
-    if verify {
-        // Make the switch explicit for the figure-bin children even if the
-        // user spelled it "true" etc.
-        std::env::set_var("DXBAR_VERIFY", "1");
-    }
     eprintln!(
         "=== unified campaign (cache: {}{}) ===",
         cache.display(),
@@ -79,18 +71,11 @@ fn main() {
         ));
     }
 
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("bin dir");
-    for bin in BINS {
-        eprintln!("=== running {bin} ===");
-        let path = dir.join(bin);
-        let status = Command::new(&path)
-            .env("DXBAR_CACHE", &cache)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {}: {e}", path.display()));
-        if !status.success() {
-            eprintln!("=== {bin} FAILED with {status} ===");
-            failures.push(format!("{bin} exited with {status}"));
+    for entry in bench::specs::REGISTRY.iter().filter(|e| e.paper) {
+        eprintln!("=== running {} ===", entry.alias);
+        if let Err(e) = isolated(|| regenerate(entry)) {
+            eprintln!("=== {} FAILED ===", entry.alias);
+            failures.push(format!("{}: {e}", entry.alias));
         }
     }
 

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `trace_run --help` lists the options. `DXBAR_QUICK=1` shrinks the
-//! simulated windows as for the figure bins.
+//! simulated windows as for `fig`.
 
+use bench::cli::Args;
 use bench::noc_campaign::verify_from_env;
 use bench::paper_config;
 use dxbar_noc::noc_sim::diagnostics::NodeField;
@@ -64,13 +65,7 @@ OPTIONS (all optional):
     --help              this text
 ";
 
-fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("trace_run: {msg}");
-    eprintln!("see trace_run --help for the option list");
-    exit(2)
-}
-
-fn parse_args() -> Options {
+fn parse_args(args: &mut Args) -> Options {
     let mut opts = Options {
         design: Design::DXbarDor,
         pattern: Pattern::UniformRandom,
@@ -84,78 +79,44 @@ fn parse_args() -> Options {
         verify: verify_from_env(),
     };
     let mut tile_threads = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage_and_exit(&format!("{flag} needs a value")))
-        };
+    while let Some(flag) = args.next_arg() {
         match flag.as_str() {
-            "--help" | "-h" => {
-                print!("{HELP}");
-                exit(0);
-            }
             "--design" => {
-                let v = value("--design");
+                let v = args.value("--design");
                 opts.design = Design::parse(&v).unwrap_or_else(|| {
-                    usage_and_exit(&format!(
+                    args.fail(&format!(
                         "unknown design '{v}'; known designs: {}",
                         Design::ALL.map(|d| d.spellings()[0]).join(", ")
                     ))
                 });
             }
             "--pattern" => {
-                let v = value("--pattern");
+                let v = args.value("--pattern");
                 opts.pattern = Pattern::parse(&v).unwrap_or_else(|| {
-                    usage_and_exit(&format!(
+                    args.fail(&format!(
                         "unknown pattern '{v}'; known patterns: {}",
                         Pattern::ALL.map(Pattern::long_name).join(", ")
                     ))
                 });
             }
-            "--scenario" => opts.scenario = Some(value("--scenario")),
-            "--load" => {
-                let v = value("--load");
-                opts.load = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit(&format!("bad load '{v}'")));
-            }
-            "--out" => opts.out = PathBuf::from(value("--out")),
-            "--events" => {
-                let v = value("--events");
-                opts.events = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit(&format!("bad event capacity '{v}'")));
-            }
-            "--stride" => {
-                let v = value("--stride");
-                opts.stride = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit(&format!("bad stride '{v}'")));
-            }
-            "--top" => {
-                let v = value("--top");
-                opts.top = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit(&format!("bad top count '{v}'")));
-            }
-            "--tile-threads" => tile_threads = Some(value("--tile-threads")),
+            "--scenario" => opts.scenario = Some(args.value("--scenario")),
+            "--load" => opts.load = args.parsed("--load", "a fraction of capacity"),
+            "--out" => opts.out = PathBuf::from(args.value("--out")),
+            "--events" => opts.events = args.parsed("--events", "an event capacity"),
+            "--stride" => opts.stride = args.parsed("--stride", "a cycle count"),
+            "--top" => opts.top = args.parsed("--top", "a table length"),
+            "--tile-threads" => tile_threads = Some(args.value("--tile-threads")),
             "--verify" => opts.verify = true,
-            other => usage_and_exit(&format!("unknown option '{other}'")),
+            other => args.fail(&format!("unknown option '{other}'")),
         }
     }
-    // The worker count: the flag, else the variable; either way a count.
-    let flag = tile_threads.map(|v| ("tile-thread count", v));
-    let env = std::env::var("DXBAR_TILE_THREADS").map(|v| ("DXBAR_TILE_THREADS", v));
-    if let Some((name, v)) = flag.or(env.ok()) {
-        let bad = |_| usage_and_exit(&format!("bad {name} '{v}'"));
-        opts.tile_threads = Some(v.trim().parse().unwrap_or_else(bad));
-    }
+    opts.tile_threads = args.tile_threads(tile_threads);
     opts
 }
 
 fn main() {
-    let opts = parse_args();
+    let mut args = Args::new(HELP.trim_end(), "see trace_run --help for the option list");
+    let opts = parse_args(&mut args);
     let mut cfg = paper_config();
     let sink = RecordingSink::new(opts.events, opts.stride);
 
@@ -164,12 +125,12 @@ fn main() {
     let spec = opts
         .scenario
         .as_ref()
-        .map(|name| ScenarioSpec::resolve(name, &cfg).unwrap_or_else(|e| usage_and_exit(&e)));
+        .map(|name| ScenarioSpec::resolve(name, &cfg).unwrap_or_else(|e| args.fail(&e)));
     if let Some(spec) = &spec {
         cfg = noc_scenario::scenario_config(&cfg, spec);
     }
     let scenario = spec.as_ref().map(|spec| {
-        ScenarioRun::new(opts.design, &cfg, spec, opts.load).unwrap_or_else(|e| usage_and_exit(&e))
+        ScenarioRun::new(opts.design, &cfg, spec, opts.load).unwrap_or_else(|e| args.fail(&e))
     });
 
     eprintln!(

@@ -1,10 +1,10 @@
 //! Shared harness for the figure/table regenerators.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section (see DESIGN.md's experiment index). Since
-//! the campaign engine landed, each figure bin is a thin spec-builder
-//! ([`specs`]) plus a renderer over the campaign's aggregates. They all
-//! honour these environment variables:
+//! Every table and figure of the paper's evaluation section (see DESIGN.md's
+//! experiment index) is a row of [`specs::REGISTRY`]: a campaign spec
+//! ([`specs`]) plus a renderer over the campaign's aggregates
+//! ([`figures`]). `fig <name>` regenerates one row, `repro_all` the
+//! paper's. They honour these environment variables:
 //!
 //! * `DXBAR_QUICK=1` — shrink the simulated windows (smoke-test mode used
 //!   in CI; the shapes survive, the absolute numbers get noisier);
@@ -26,6 +26,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
+pub mod figures;
 pub mod specs;
 pub mod svg;
 
@@ -41,28 +43,10 @@ pub use noc_campaign;
 /// 0.9 of the network capacity").
 pub const PAPER_LOADS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 
-/// The environment variables every campaign-backed figure bin reads (see
-/// the module docs).
+/// The environment variables `fig` and `repro_all` read (see the module
+/// docs).
 pub const FIGURE_ENV: &str = "DXBAR_QUICK DXBAR_OUT DXBAR_CACHE DXBAR_SEEDS DXBAR_JOBS \
      DXBAR_TILE_THREADS DXBAR_VERIFY";
-
-/// Argument check of the bins that take no arguments, called first thing in
-/// `main`: `--help`/`-h` prints a usage line naming the environment
-/// variables the bin reads (`env`) and exits 0; any other argument exits 2
-/// before any work is done.
-pub fn no_args(bin: &str, env: &str) {
-    match std::env::args().nth(1).as_deref() {
-        None => {}
-        Some("--help" | "-h") => {
-            println!("usage: {bin}   (no arguments; environment: {env})");
-            std::process::exit(0);
-        }
-        Some(other) => {
-            eprintln!("{bin}: unexpected argument '{other}' ({bin} takes none; see --help)");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Whether quick (smoke-test) mode is active.
 pub fn quick_mode() -> bool {
@@ -135,8 +119,8 @@ pub fn campaign_options() -> ExecOptions {
 /// Run one figure's campaign with the environment-derived options, write
 /// its provenance manifest into `DXBAR_OUT` (when set), and report
 /// failures on stderr. Failed points do not abort the figure — the
-/// renderer plots what completed; call [`exit_on_failures`] after emitting
-/// to propagate the error to CI.
+/// renderer plots what completed, and [`figures::regenerate`] reports the
+/// loss once everything is written.
 pub fn run_figure_campaign(spec: &CampaignSpec) -> CampaignReport {
     let report = run_campaign(spec, &campaign_options())
         .unwrap_or_else(|e| panic!("invalid campaign spec {}: {e}", spec.name));
@@ -155,35 +139,6 @@ pub fn run_figure_campaign(spec: &CampaignSpec) -> CampaignReport {
         eprintln!("[{}] verification: {} invariant violation(s)", spec.name, v);
     }
     report
-}
-
-/// Exit nonzero when a campaign lost points or (under `DXBAR_VERIFY=1`)
-/// observed invariant violations — called at the end of every figure bin so
-/// CI gates on complete, verified regeneration.
-pub fn exit_on_failures(report: &CampaignReport) {
-    let failed = report.failed_count();
-    if failed > 0 {
-        eprintln!(
-            "[{}] {failed}/{} points failed; figure is incomplete",
-            report.name,
-            report.outcomes.len()
-        );
-        std::process::exit(1);
-    }
-    let violations = report.total_violations();
-    if violations > 0 {
-        eprintln!(
-            "[{}] {violations} invariant violation(s) under verification",
-            report.name
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The six designs of the paper's main comparison plus the two unified
-/// variants this reproduction adds.
-pub fn all_designs() -> Vec<Design> {
-    Design::ALL.to_vec()
 }
 
 /// Emit a figure's rendered text to stdout and (with `DXBAR_OUT`) to disk,

@@ -1,16 +1,18 @@
-//! Campaign specs for every figure and ablation of the evaluation.
+//! Campaign specs for every figure and ablation of the evaluation, and
+//! the one table ([`REGISTRY`]) that says which of them exist.
 //!
-//! Each builder returns the declarative [`CampaignSpec`] that one figure
-//! bin renders; [`repro_all`] is the union of all of them, and
-//! [`preset`] resolves names for the `campaign_run` CLI. The specs honour
-//! `DXBAR_QUICK` (shrunk windows) and `DXBAR_SEEDS` (replicates) exactly
-//! like the bins always did, so a spec written to JSON captures the mode
+//! Each builder returns the declarative [`CampaignSpec`] that one renderer
+//! of [`crate::figures`] draws from; [`repro_all`] is the union of the
+//! paper's rows, and [`preset`] resolves names for `fig`, `campaign_run`
+//! and the daemon. The specs honour `DXBAR_QUICK` (shrunk windows) and
+//! `DXBAR_SEEDS` (replicates), so a spec written to JSON captures the mode
 //! it was built under.
 //!
 //! Two groups declaring the same experiment (fig05 and fig06 sweep the
 //! identical UR grid) still cost one simulation each: the campaign engine
 //! deduplicates by content identity, and cached results are shared.
 
+use crate::figures::{self, Render};
 use crate::{paper_config, quick_mode, replicate_seeds, splash_cap, PAPER_LOADS};
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::SplashApp;
@@ -34,10 +36,10 @@ fn ur_at(load: f64) -> WorkloadAxis {
     }
 }
 
-/// Fig. 5 — UR throughput sweep, all designs.
-pub fn fig05() -> CampaignSpec {
-    CampaignSpec::new("fig05_throughput_ur").with_group(PointGroup {
-        label: "fig05_throughput_ur".into(),
+/// The UR load sweep over all designs that Figs. 5 and 6 both plot.
+fn ur_sweep(name: &str) -> CampaignSpec {
+    CampaignSpec::new(name).with_group(PointGroup {
+        label: name.into(),
         config: paper_config(),
         designs: Design::ALL.to_vec(),
         workload: ur_loads(),
@@ -49,20 +51,15 @@ pub fn fig05() -> CampaignSpec {
     })
 }
 
+/// Fig. 5 — UR throughput sweep, all designs.
+pub fn fig05() -> CampaignSpec {
+    ur_sweep("fig05_throughput_ur")
+}
+
 /// Fig. 6 — UR energy sweep. Declares the same grid as [`fig05`]; the
 /// engine shares the simulations between the two.
 pub fn fig06() -> CampaignSpec {
-    CampaignSpec::new("fig06_energy_ur").with_group(PointGroup {
-        label: "fig06_energy_ur".into(),
-        config: paper_config(),
-        designs: Design::ALL.to_vec(),
-        workload: ur_loads(),
-        fault_fractions: vec![],
-        transient_rates: vec![],
-        link_faults: vec![],
-        seeds: replicate_seeds(),
-        tag: None,
-    })
+    ur_sweep("fig06_energy_ur")
 }
 
 /// Figs. 7/8 — all nine synthetic patterns at offered load 0.5.
@@ -543,62 +540,118 @@ pub fn scenario_smoke() -> CampaignSpec {
     })
 }
 
-/// The unified evaluation grid: every figure and ablation in one campaign.
-/// Overlapping groups (fig05/fig06) are deduplicated by the engine.
-pub fn repro_all() -> CampaignSpec {
-    CampaignSpec::merged(
-        "repro_all",
-        [
-            fig05(),
-            fig06(),
-            fig07_08(),
-            fig09_10(),
-            fig11_12(),
-            ablations(),
-        ],
-    )
+/// One row of the evaluation: a table, a figure or a bare campaign preset.
+pub struct Entry {
+    /// The canonical name, the one listings print.
+    pub name: &'static str,
+    /// The other accepted spelling — for a figure, the name its binary had,
+    /// which is still the stem of the `.txt`/`.json` it writes. Equal to
+    /// `name` where there is no second spelling.
+    pub alias: &'static str,
+    /// Builder of the campaign behind the row; `None` for `tables`, which
+    /// simulates nothing.
+    pub spec: Option<fn() -> CampaignSpec>,
+    /// What draws the row; `None` for the presets that are only campaigns
+    /// (the smoke grids and the union).
+    pub render: Option<Render>,
+    /// Whether the row is part of the paper's evaluation section: merged
+    /// into [`repro_all`] and rendered by the `repro_all` binary.
+    pub paper: bool,
 }
 
-/// Resolve a preset name for the `campaign_run` CLI.
-pub fn preset(name: &str) -> Option<CampaignSpec> {
-    match name {
-        "fig05" | "fig05_throughput_ur" => Some(fig05()),
-        "fig06" | "fig06_energy_ur" => Some(fig06()),
-        "fig07_08" | "fig07_08_synthetic" => Some(fig07_08()),
-        "fig09_10" | "fig09_10_splash" => Some(fig09_10()),
-        "fig11_12" | "fig11_12_faults" => Some(fig11_12()),
-        "ablations" => Some(ablations()),
-        "resilience" => Some(resilience()),
-        "resilience_smoke" => Some(resilience_smoke()),
-        "smoke" => Some(smoke()),
-        "verify_smoke" => Some(verify_smoke()),
-        "zoo" => Some(zoo()),
-        "zoo_smoke" => Some(zoo_smoke()),
-        "scenario" => Some(scenario()),
-        "scenario_smoke" => Some(scenario_smoke()),
-        "repro_all" | "all" => Some(repro_all()),
-        _ => None,
+const fn row(
+    name: &'static str,
+    alias: &'static str,
+    spec: Option<fn() -> CampaignSpec>,
+    render: Option<Render>,
+    paper: bool,
+) -> Entry {
+    Entry {
+        name,
+        alias,
+        spec,
+        render,
+        paper,
     }
 }
 
-/// Preset names accepted by [`preset`] (canonical spellings).
-pub const PRESETS: [&str; 15] = [
-    "fig05",
-    "fig06",
-    "fig07_08",
-    "fig09_10",
-    "fig11_12",
-    "ablations",
-    "resilience",
-    "resilience_smoke",
-    "smoke",
-    "verify_smoke",
-    "zoo",
-    "zoo_smoke",
-    "scenario",
-    "scenario_smoke",
-    "repro_all",
+/// Every table, figure and preset, in listing order. [`preset`],
+/// [`PRESETS`], [`FIGURES`], [`repro_all`] and the `fig` and `repro_all`
+/// binaries all read this table and nothing else.
+#[rustfmt::skip]
+pub const REGISTRY: [Entry; 16] = [
+    row("tables",           "tables",              None,                   Some(figures::tables),     true),
+    row("fig05",            "fig05_throughput_ur", Some(fig05),            Some(figures::fig05),      true),
+    row("fig06",            "fig06_energy_ur",     Some(fig06),            Some(figures::fig06),      true),
+    row("fig07_08",         "fig07_08_synthetic",  Some(fig07_08),         Some(figures::fig07_08),   true),
+    row("fig09_10",         "fig09_10_splash",     Some(fig09_10),         Some(figures::fig09_10),   true),
+    row("fig11_12",         "fig11_12_faults",     Some(fig11_12),         Some(figures::fig11_12),   true),
+    row("ablations",        "ablations",           Some(ablations),        Some(figures::ablations),  true),
+    row("resilience",       "fig_resilience",      Some(resilience),       Some(figures::resilience), false),
+    row("resilience_smoke", "resilience_smoke",    Some(resilience_smoke), None,                      false),
+    row("smoke",            "smoke",               Some(smoke),            None,                      false),
+    row("verify_smoke",     "verify_smoke",        Some(verify_smoke),     None,                      false),
+    row("zoo",              "fig_zoo",             Some(zoo),              Some(figures::zoo),        false),
+    row("zoo_smoke",        "zoo_smoke",           Some(zoo_smoke),        None,                      false),
+    row("scenario",         "fig_scenario",        Some(scenario),         Some(figures::scenario),   false),
+    row("scenario_smoke",   "scenario_smoke",      Some(scenario_smoke),   None,                      false),
+    row("repro_all",        "all",                 Some(repro_all),        None,                      false),
 ];
+
+/// The row `name` spells, by canonical name or alias.
+pub fn lookup(name: &str) -> Option<&'static Entry> {
+    REGISTRY.iter().find(|e| e.name == name || e.alias == name)
+}
+
+/// Whether a row is a campaign preset — and, with `rendered`, a figure too.
+const fn listed(e: &Entry, rendered: bool) -> bool {
+    e.spec.is_some() && (e.render.is_some() || !rendered)
+}
+
+const fn count(rendered: bool) -> usize {
+    let (mut i, mut n) = (0, 0);
+    while i < REGISTRY.len() {
+        n += listed(&REGISTRY[i], rendered) as usize;
+        i += 1;
+    }
+    n
+}
+
+const fn names<const N: usize>(rendered: bool) -> [&'static str; N] {
+    let mut out = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < REGISTRY.len() {
+        if listed(&REGISTRY[i], rendered) {
+            out[n] = REGISTRY[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    out
+}
+
+/// Preset names accepted by [`preset`] (canonical spellings).
+pub const PRESETS: [&str; count(false)] = names(false);
+
+/// The presets that are also figures — what the daemon serves under
+/// `/figures`.
+pub const FIGURES: [&str; count(true)] = names(true);
+
+/// Resolve a preset name for `campaign_run` and the daemon.
+pub fn preset(name: &str) -> Option<CampaignSpec> {
+    lookup(name)?.spec.map(|build| build())
+}
+
+/// The unified evaluation grid: every paper figure and ablation in one
+/// campaign. Overlapping groups (fig05/fig06) are deduplicated by the
+/// engine.
+pub fn repro_all() -> CampaignSpec {
+    let paper = REGISTRY.iter().filter(|e| e.paper);
+    CampaignSpec::merged(
+        "repro_all",
+        paper.filter_map(|e| e.spec).map(|build| build()),
+    )
+}
 
 #[cfg(test)]
 mod tests {

@@ -118,48 +118,27 @@ fn trace_run_help_lists_options_and_shares_dxbar_sims_spellings() {
 }
 
 #[test]
-fn argument_less_bins_answer_help_and_reject_arguments_before_any_work() {
-    let bins = [
-        env!("CARGO_BIN_EXE_fig05_throughput_ur"),
-        env!("CARGO_BIN_EXE_fig06_energy_ur"),
-        env!("CARGO_BIN_EXE_fig07_08_synthetic"),
-        env!("CARGO_BIN_EXE_fig09_10_splash"),
-        env!("CARGO_BIN_EXE_fig11_12_faults"),
-        env!("CARGO_BIN_EXE_fig_resilience"),
-        env!("CARGO_BIN_EXE_fig_zoo"),
-        env!("CARGO_BIN_EXE_fig_scenario"),
-        env!("CARGO_BIN_EXE_ablations"),
-        env!("CARGO_BIN_EXE_tables"),
-        env!("CARGO_BIN_EXE_repro_all"),
-    ];
-    // Any campaign a bin started would land here and fail the test.
-    let scratch = std::env::temp_dir().join(format!("dxbar_no_args_{}", std::process::id()));
-    for bin in bins {
-        let run = |arg: &str| {
-            Command::new(bin)
-                .arg(arg)
-                .env("DXBAR_OUT", &scratch)
-                .output()
-                .expect("spawn bin")
-        };
-        let help = run("--help");
-        assert_eq!(help.status.code(), Some(0), "{bin} --help");
-        let text = String::from_utf8_lossy(&help.stdout);
-        assert!(
-            text.starts_with("usage:") && text.contains("DXBAR_OUT"),
-            "{bin} --help printed: {text}"
-        );
-        let bogus = run("bogus");
-        assert_eq!(bogus.status.code(), Some(2), "{bin} bogus");
-        assert!(
-            String::from_utf8_lossy(&bogus.stderr).contains("unexpected argument 'bogus'"),
-            "{bin} bogus"
-        );
+fn campaign_run_and_chaos_soak_help_is_an_answer_not_an_error() {
+    let chaos_soak = || Command::new(env!("CARGO_BIN_EXE_chaos_soak"));
+    for flag in ["--help", "-h"] {
+        let out = campaign_run().arg(flag).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "campaign_run {flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with("usage: campaign_run"), "stdout: {text}");
+        for name in bench::specs::PRESETS {
+            assert!(text.contains(name), "preset {name} missing from: {text}");
+        }
+        assert!(out.stderr.is_empty(), "help is not an error");
+
+        let out = chaos_soak().arg(flag).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "chaos_soak {flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with("usage: chaos_soak"), "stdout: {text}");
+        for option in ["--seeds", "--cache-root", "--no-claim-kill", "--out"] {
+            assert!(text.contains(option), "{option} missing from: {text}");
+        }
+        assert!(out.stderr.is_empty(), "help is not an error");
     }
-    assert!(
-        !scratch.exists(),
-        "a bin did work before checking arguments"
-    );
 }
 
 #[test]

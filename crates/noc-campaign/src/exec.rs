@@ -698,7 +698,8 @@ pub fn execute_point(
     })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message a caught panic carried (`catch_unwind`'s `Err` payload).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -70,8 +70,9 @@ pub use agg::{render_table, Aggregate, MetricSummary};
 pub use cache::ResultCache;
 pub use coop::{CacheLocks, Claim, PointClaim};
 pub use exec::{
-    execute_point, run_campaign, run_campaign_with, run_point, simulate_point, verify_from_env,
-    CampaignReport, ExecOptions, ExecPoint, PointFailure, PointOutcome, PointStatus, PointVerify,
+    execute_point, panic_message, run_campaign, run_campaign_with, run_point, simulate_point,
+    verify_from_env, CampaignReport, ExecOptions, ExecPoint, PointFailure, PointOutcome,
+    PointStatus, PointVerify,
 };
 pub use io::{no_faults, IoFault, IoOp, IoPolicy, NoFaults};
 pub use manifest::{CampaignManifest, PointRecord, QuarantinedPoint, VerifyBlock};

@@ -15,18 +15,9 @@ use noc_campaign::{render_table, Aggregate, PointOutcome, PointSpec, PointStatus
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-/// Figures the daemon serves (preset names from `bench::specs`).
-pub const FIGURES: [&str; 9] = [
-    "fig05",
-    "fig06",
-    "fig07_08",
-    "fig09_10",
-    "fig11_12",
-    "ablations",
-    "resilience",
-    "zoo",
-    "scenario",
-];
+/// Figures the daemon serves: the presets of the bench registry that are
+/// figures too.
+pub use bench::specs::FIGURES;
 
 struct FigureEntry {
     name: &'static str,
