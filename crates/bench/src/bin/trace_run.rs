@@ -15,12 +15,14 @@ use bench::cli::Args;
 use bench::noc_campaign::verify_from_env;
 use bench::paper_config;
 use dxbar_noc::noc_sim::diagnostics::NodeField;
-use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, to_jsonl, RecordingSink};
+use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, write_jsonl, RecordingSink};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::{run, Design, RunPlan};
 use noc_scenario::{ScenarioRun, ScenarioSpec};
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -161,13 +163,15 @@ fn main() {
     std::fs::create_dir_all(&opts.out).expect("create output dir");
 
     // 1. Raw event stream.
-    let events: Vec<_> = sink.recorder.iter().cloned().collect();
     let jsonl_path = opts.out.join("events.jsonl");
-    std::fs::write(&jsonl_path, to_jsonl(&events)).expect("write events.jsonl");
+    let mut jsonl = BufWriter::new(File::create(&jsonl_path).expect("create events.jsonl"));
+    write_jsonl(&mut jsonl, sink.recorder.iter()).expect("write events.jsonl");
+    jsonl.flush().expect("write events.jsonl");
 
     // 2. Chrome trace (per-flit slices + instant events).
     let chrome_path = opts.out.join("chrome_trace.json");
-    std::fs::write(&chrome_path, chrome_trace_json(&events)).expect("write chrome_trace.json");
+    std::fs::write(&chrome_path, chrome_trace_json(sink.recorder.iter()))
+        .expect("write chrome_trace.json");
 
     // 3. Text summary.
     let mut text = String::new();
@@ -198,7 +202,7 @@ fn main() {
     let _ = writeln!(
         text,
         "events recorded: {} (of {} seen{})",
-        events.len(),
+        sink.recorder.len(),
         sink.recorder.total_seen(),
         if sink.recorder.overflowed() {
             ", ring overflowed — oldest events evicted"

@@ -11,6 +11,8 @@
 //! * [`inline`] — fixed-capacity stack vector for per-cycle router scratch;
 //! * [`rng`] — a small deterministic PRNG (SplitMix64 / xoshiro256**) so
 //!   every experiment is reproducible from a single seed;
+//! * [`hash`] — a seedless Fx-style hasher for per-flit maps keyed by
+//!   simulator-internal ids;
 //! * [`stats`] — event counters and latency accounting shared by all router
 //!   models;
 //! * [`config`] — the simulation configuration (mesh size, buffer depth,
@@ -19,6 +21,7 @@
 pub mod config;
 pub mod crc;
 pub mod flit;
+pub mod hash;
 pub mod inline;
 pub mod pool;
 pub mod queue;

@@ -513,63 +513,78 @@ impl<R: RouterModel> Network<R> {
             engine.replay(
                 |s| &mut s.steps,
                 |r| r.node,
-                |r| {
-                    observer.on_router_step(
-                        r.node,
-                        &r.obs.inputs,
-                        &r.ctx,
-                        r.obs.occ_before,
-                        r.obs.occ_after,
-                    );
-                    for sub in &r.obs.subs {
-                        match sub {
-                            ObsSub::TransitLoss(d, f) => observer.on_transit_loss(r.node, *d, f),
-                            ObsSub::TransitCorrupt(d, f) => {
-                                observer.on_transit_corrupt(r.node, *d, f)
+                |run| {
+                    for r in run {
+                        observer.on_router_step(
+                            r.node,
+                            &r.obs.inputs,
+                            &r.ctx,
+                            r.obs.occ_before,
+                            r.obs.occ_after,
+                        );
+                        for sub in &r.obs.subs {
+                            match sub {
+                                ObsSub::TransitLoss(d, f) => {
+                                    observer.on_transit_loss(r.node, *d, f)
+                                }
+                                ObsSub::TransitCorrupt(d, f) => {
+                                    observer.on_transit_corrupt(r.node, *d, f)
+                                }
+                                ObsSub::CrcReject(f) => observer.on_crc_reject(r.node, f),
                             }
-                            ObsSub::CrcReject(f) => observer.on_crc_reject(r.node, f),
                         }
+                        // The worker left the outputs in place for the
+                        // observer; hand the context back drained, as
+                        // `reset` expects.
+                        r.ctx.out_links = [None; NUM_LINK_PORTS];
+                        stats.events.merge(&r.ctx.events);
+                        r.ctx.events = EventCounts::default();
                     }
-                    // The worker left the outputs in place for the observer;
-                    // hand the context back drained, as `reset` expects.
-                    r.ctx.out_links = [None; NUM_LINK_PORTS];
-                    stats.events.merge(&r.ctx.events);
-                    r.ctx.events = EventCounts::default();
                 },
             );
         }
         if tracing {
             let sink = self.sink.as_mut();
-            engine.replay(|s| &mut s.trace, |ev| ev.node(), |ev| sink.record(ev));
+            engine.replay(|s| &mut s.trace, |ev| ev.node(), |evs| sink.record_all(evs));
         }
         if let Some(res) = self.resilience.as_mut() {
             engine.replay(
                 |s| &mut s.acks,
                 |a| a.node,
-                |a| res.acks.send(t, a.back_hops, a.msg),
+                |run| {
+                    for a in run {
+                        res.acks.send(t, a.back_hops, a.msg);
+                    }
+                },
             );
         }
         engine.replay(
             |s| &mut s.dones,
             |r| r.node,
-            |r| {
-                let in_window = window.contains(&r.flit_created);
-                stats.record_packet_done(r.done.src, r.done.created, t, in_window);
-                model.on_delivered(&DeliveredPacket {
-                    id: r.done.id,
-                    src: r.done.src,
-                    dst: r.done.dst,
-                    kind: r.done.kind,
-                    created: r.done.created,
-                    delivered: t,
-                });
+            |run| {
+                for r in run {
+                    let in_window = window.contains(&r.flit_created);
+                    stats.record_packet_done(r.done.src, r.done.created, t, in_window);
+                    model.on_delivered(&DeliveredPacket {
+                        id: r.done.id,
+                        src: r.done.src,
+                        dst: r.done.dst,
+                        kind: r.done.kind,
+                        created: r.done.created,
+                        delivered: t,
+                    });
+                }
             },
         );
         let retransmits = &mut self.retransmits;
         engine.replay(
             |s| &mut s.drops,
             |r| r.node,
-            |r| retransmits.send(t, r.nack_hops, r.flit),
+            |run| {
+                for r in run {
+                    retransmits.send(t, r.nack_hops, r.flit);
+                }
+            },
         );
         for shard in engine.shards.iter_mut() {
             shard.trace.clear();

@@ -21,11 +21,11 @@
 //! per tile and reach [`ResilienceState::acks`] in the commit phase.
 
 use crate::tiles::ResGrid;
+use noc_core::hash::FxHashSet;
 use noc_core::types::{Cycle, Direction, NodeId, NUM_LINK_PORTS};
 use noc_resilience::{LinkFault, ResiliencePlan, SenderNi, TransientEngine, TransientEvent};
 use noc_topology::link::TimedChannel;
 use noc_topology::Mesh;
-use std::collections::HashSet;
 
 /// One ACK or NACK travelling back to a source NI on the dedicated
 /// (assumed-reliable) control plane, one cycle per hop.
@@ -48,7 +48,7 @@ pub struct ResilienceState {
     pub senders: Vec<SenderNi>,
     /// `delivered[dst]`: the `(src, seq)` pairs already delivered to the PE
     /// at `dst` — receiver-side dedup, kept where the flit ejects.
-    delivered: Vec<HashSet<(u16, u32)>>,
+    delivered: Vec<FxHashSet<(u16, u32)>>,
     /// In-flight ACK/NACK messages.
     pub acks: TimedChannel<AckMsg>,
     /// Strikes armed for the current cycle, looked up by the link phase.
@@ -71,7 +71,7 @@ impl ResilienceState {
         ResilienceState {
             senders: vec![SenderNi::new(plan.retransmit); mesh.num_nodes()],
             transients,
-            delivered: vec![HashSet::new(); mesh.num_nodes()],
+            delivered: vec![FxHashSet::default(); mesh.num_nodes()],
             acks: TimedChannel::new(),
             strikes: Vec::new(),
             link_down: vec![[false; NUM_LINK_PORTS]; mesh.num_nodes()],

@@ -60,13 +60,13 @@ use crate::router::{RouterModel, StepCtx};
 use crate::source_queue::SourceQueue;
 use crate::verify::StepInputs;
 use noc_core::flit::Flit;
+use noc_core::hash::FxHashSet;
 use noc_core::stats::EventCounts;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_resilience::{SenderNi, TransientEffect, TransientEvent};
 use noc_topology::{DelayLine, Mesh, TilePartition};
 use noc_trace::TraceEvent;
 use rayon::WorkerPool;
-use std::collections::HashSet;
 
 /// The stepping engine every `Network` owns: the tile partition, one
 /// worker slot and one [`TileShard`] per tile.
@@ -94,29 +94,47 @@ impl TileEngine {
 
     /// The k-way merge: visit the records of every shard's `list` in
     /// ascending node order (see the module docs for why that is the
-    /// order one sweep over all nodes emits them in). Each list must be
-    /// node-sorted, which [`step_tile`] guarantees; lists are left intact
-    /// for the caller to clear or reuse.
+    /// order one sweep over all nodes emits them in), handed over as
+    /// maximal runs from one shard — the records of that shard below every
+    /// other shard's next node. One tile yields its whole list at once.
+    /// Each list must be node-sorted, which [`step_tile`] guarantees;
+    /// lists are left intact for the caller to clear or reuse.
     pub(crate) fn replay<T>(
         &mut self,
         list: impl Fn(&mut TileShard) -> &mut Vec<T>,
         node_of: impl Fn(&T) -> NodeId,
-        mut visit: impl FnMut(&mut T),
+        mut visit: impl FnMut(&mut [T]),
     ) {
         self.cursors.iter_mut().for_each(|c| *c = 0);
         loop {
+            // The shard with the smallest head node (the first on a tie),
+            // and the smallest head node of all the others: its run stops
+            // there.
             let mut pick: Option<(NodeId, usize)> = None;
+            let mut bound: Option<NodeId> = None;
             for (w, shard) in self.shards.iter_mut().enumerate() {
                 if let Some(rec) = list(shard).get(self.cursors[w]) {
                     let node = node_of(rec);
-                    if pick.is_none_or(|(best, _)| node < best) {
-                        pick = Some((node, w));
+                    match pick {
+                        Some((best, _)) if node >= best => {
+                            bound = Some(bound.map_or(node, |b| b.min(node)));
+                        }
+                        _ => {
+                            bound = pick.map(|(best, _)| best);
+                            pick = Some((node, w));
+                        }
                     }
                 }
             }
             let Some((_, w)) = pick else { break };
-            visit(&mut list(&mut self.shards[w])[self.cursors[w]]);
-            self.cursors[w] += 1;
+            let records = list(&mut self.shards[w]);
+            let start = self.cursors[w];
+            let end = match bound {
+                Some(b) => start + 1 + records[start + 1..].partition_point(|r| node_of(r) < b),
+                None => records.len(),
+            };
+            visit(&mut records[start..end]);
+            self.cursors[w] = end;
         }
     }
 }
@@ -277,7 +295,7 @@ pub(crate) struct SharedGrid<'a, R> {
 /// [`SharedGrid`] safety contract.
 pub(crate) struct ResGrid<'a> {
     pub(crate) senders: *mut SenderNi,
-    pub(crate) delivered: *mut HashSet<(u16, u32)>,
+    pub(crate) delivered: *mut FxHashSet<(u16, u32)>,
     pub(crate) link_down: &'a [[bool; NUM_LINK_PORTS]],
     pub(crate) strikes: &'a [TransientEvent],
 }

@@ -17,10 +17,14 @@ fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Build the trace-event tree from an event stream.
-pub fn chrome_trace(events: &[TraceEvent]) -> Value {
+/// Build the trace-event tree from an event stream (walked twice: once
+/// for the lifetimes, once for the instants).
+pub fn chrome_trace<'a, I>(events: I) -> Value
+where
+    I: IntoIterator<Item = &'a TraceEvent> + Clone,
+{
     let mut lifetimes = FlitLifetimes::new();
-    for ev in events {
+    for ev in events.clone() {
         lifetimes.observe(ev);
     }
 
@@ -89,7 +93,10 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
 }
 
 /// Render the trace-event JSON as a string ready for `chrome://tracing`.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub fn chrome_trace_json<'a, I>(events: I) -> String
+where
+    I: IntoIterator<Item = &'a TraceEvent> + Clone,
+{
     chrome_trace(events).to_json()
 }
 

@@ -8,9 +8,9 @@
 //! is tested against.
 
 use crate::event::TraceEvent;
+use noc_core::hash::FxHashMap;
 use noc_core::Cycle;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The reconstructed life of one flit, from injection to eject/drop.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,7 +41,7 @@ impl FlitLifetime {
 #[derive(Debug, Default)]
 pub struct FlitLifetimes {
     /// Flits injected but not yet ejected/dropped: (src node, inject cycle).
-    open: HashMap<(u64, u16), (u16, Cycle)>,
+    open: FxHashMap<(u64, u16), (u16, Cycle)>,
     /// Completed lifetimes, in completion order.
     done: Vec<FlitLifetime>,
     injected: u64,

@@ -27,6 +27,14 @@ pub trait TraceSink {
 
     fn record(&mut self, _ev: &TraceEvent) {}
 
+    /// Record a run of events, in order. The engine hands events over this
+    /// way, one node-ordered slice at a time.
+    fn record_all(&mut self, evs: &[TraceEvent]) {
+        for ev in evs {
+            self.record(ev);
+        }
+    }
+
     fn sample_cycle(&mut self, _s: &CycleSample<'_>) {}
 
     /// Recover the concrete [`RecordingSink`] behind a `dyn TraceSink`
@@ -80,8 +88,14 @@ impl TraceSink for RecordingSink {
     }
 
     fn record(&mut self, ev: &TraceEvent) {
-        self.lifetimes.observe(ev);
-        self.recorder.push(ev.clone());
+        self.record_all(std::slice::from_ref(ev));
+    }
+
+    fn record_all(&mut self, evs: &[TraceEvent]) {
+        for ev in evs {
+            self.lifetimes.observe(ev);
+        }
+        self.recorder.extend_from_slice(evs);
     }
 
     fn sample_cycle(&mut self, s: &CycleSample<'_>) {
@@ -140,9 +154,8 @@ impl TraceBuf {
 
     /// Move all staged events into `sink`, preserving order.
     pub fn drain_into(&mut self, sink: &mut dyn TraceSink) {
-        for ev in self.events.drain(..) {
-            sink.record(&ev);
-        }
+        sink.record_all(&self.events);
+        self.events.clear();
     }
 }
 

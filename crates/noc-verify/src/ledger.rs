@@ -8,8 +8,8 @@
 
 use crate::violation::{FlitId, Violation, ViolationKind};
 use noc_core::flit::Flit;
+use noc_core::hash::{FxHashMap, FxHashSet};
 use noc_core::types::{Cycle, NodeId};
-use std::collections::{HashMap, HashSet};
 
 /// Where a live flit was last seen.
 #[derive(Debug, Clone, Copy)]
@@ -35,24 +35,24 @@ pub struct FlitPos {
 pub struct FlitLedger {
     /// Injected but not yet ejected or dropped (position of one live
     /// instance; see `extra` for additional sanctioned instances).
-    in_flight: HashMap<FlitId, FlitPos>,
+    in_flight: FxHashMap<FlitId, FlitPos>,
     /// Additional live instances beyond the one tracked in `in_flight`
     /// (spurious-timeout retransmissions racing the original).
-    extra: HashMap<FlitId, u32>,
+    extra: FxHashMap<FlitId, u32>,
     /// Announced retransmissions whose re-injection has not yet been seen;
     /// consumes one credit per sanctioned injection.
-    sanctioned: HashMap<FlitId, u32>,
+    sanctioned: FxHashMap<FlitId, u32>,
     /// Vanished in transit or CRC-bounced: must end the run delivered or
     /// counted lost, else it leaked.
-    pending_recovery: HashSet<FlitId>,
+    pending_recovery: FxHashSet<FlitId>,
     /// Counted lost by the source NI after exhausting the retry budget.
-    lost: HashSet<FlitId>,
+    lost: FxHashSet<FlitId>,
     /// Dropped (SCARAB) and awaiting retransmission; a retransmitted copy
     /// re-enters `in_flight` via a fresh injection observation.
-    dropped: HashSet<FlitId>,
+    dropped: FxHashSet<FlitId>,
     /// Delivered at their destination. A flit may be dropped and
     /// retransmitted many times but delivered only once.
-    ejected: HashSet<FlitId>,
+    ejected: FxHashSet<FlitId>,
     injected_total: u64,
     ejected_total: u64,
     dropped_total: u64,

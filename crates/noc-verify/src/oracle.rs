@@ -28,6 +28,7 @@ use crate::ledger::FlitLedger;
 use crate::profile::{DesignProfile, RouteRule};
 use crate::violation::{FlitId, Violation, ViolationKind};
 use noc_core::flit::Flit;
+use noc_core::hash::FxHashMap;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS};
 use noc_routing::is_productive;
 use noc_sim::diagnostics::NodeField;
@@ -182,7 +183,7 @@ pub struct Verifier {
     current_cycle: Cycle,
     /// Outstanding corrupted instances per flit identity (taint): +1 per
     /// transit corruption, resolved by a CRC reject or a transit loss.
-    tainted: HashMap<FlitId, u32>,
+    tainted: FxHashMap<FlitId, u32>,
     /// Bad-CRC ejections seen this cycle that the engine has not yet
     /// confirmed rejecting; any remnant at cycle end is a silent
     /// corruption (the engine delivered a corrupt flit).
@@ -219,7 +220,7 @@ impl Verifier {
             watchdog_tripped: false,
             finalized: false,
             current_cycle: 0,
-            tainted: HashMap::new(),
+            tainted: FxHashMap::default(),
             pending_crc_rejects: Vec::new(),
         }
     }
@@ -288,21 +289,22 @@ impl Verifier {
 
     fn check_probes(&mut self, node: NodeId, ctx: &StepCtx) {
         let profile = self.profiles[node.index()];
-        // (input, slot) -> output, plus per-output winner counts.
+        let events = ctx.probe.events();
+        // Winners per output column, and the input rows granted once and
+        // more than once as bitsets over the whole `u8` row range.
         let mut out_winners: [u8; 5] = [0; 5];
-        let mut input_grants: HashMap<u8, Vec<(u8, u8)>> = HashMap::new();
-        for ev in ctx.probe.events() {
+        let mut once = [0u64; 4];
+        let mut again = [0u64; 4];
+        for ev in events {
             match *ev {
-                ProbeEvent::Grant {
-                    input,
-                    slot,
-                    output,
-                } => {
+                ProbeEvent::Grant { input, output, .. } => {
                     self.checks.grants += 1;
                     if (output as usize) < out_winners.len() {
                         out_winners[output as usize] += 1;
                     }
-                    input_grants.entry(input).or_default().push((slot, output));
+                    let (word, bit) = (usize::from(input / 64), 1u64 << (input % 64));
+                    again[word] |= once[word] & bit;
+                    once[word] |= bit;
                 }
                 ProbeEvent::FifoDepth { input, depth, cap } => {
                     self.checks.fifo_samples += 1;
@@ -354,26 +356,42 @@ impl Verifier {
                 });
             }
         }
-        for (input, grants) in input_grants {
-            if grants.len() <= 1 {
-                continue;
-            }
-            let dual_ok = profile.dual_input
-                && grants.len() == 2
-                && grants[0].0 != grants[1].0
-                && grants[0].1 != grants[1].1;
-            if !dual_ok {
-                self.push(Violation {
-                    kind: ViolationKind::Exclusivity,
-                    cycle: ctx.cycle,
-                    router: Some(node),
-                    flits: vec![],
-                    detail: format!(
-                        "{} grants for input row {input} (slots/outputs {:?})",
-                        grants.len(),
-                        grants
-                    ),
+        // One input row may win twice only through a second path: two
+        // grants on distinct slots and distinct outputs. Rows are checked
+        // in ascending order, so violations come out in a fixed order.
+        for (word, mut rows) in again.into_iter().enumerate() {
+            while rows != 0 {
+                let input = word * 64 + rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                // (slot, output) of each grant of this row, in emission order.
+                let row = events.iter().filter_map(|ev| match *ev {
+                    ProbeEvent::Grant {
+                        input: i,
+                        slot,
+                        output,
+                    } if usize::from(i) == input => Some((slot, output)),
+                    _ => None,
                 });
+                let mut first = row.clone();
+                let dual_ok = profile.dual_input
+                    && match (first.next(), first.next(), first.next()) {
+                        (Some(a), Some(b), None) => a.0 != b.0 && a.1 != b.1,
+                        _ => false,
+                    };
+                if !dual_ok {
+                    let grants: Vec<(u8, u8)> = row.collect();
+                    self.push(Violation {
+                        kind: ViolationKind::Exclusivity,
+                        cycle: ctx.cycle,
+                        router: Some(node),
+                        flits: vec![],
+                        detail: format!(
+                            "{} grants for input row {input} (slots/outputs {:?})",
+                            grants.len(),
+                            grants
+                        ),
+                    });
+                }
             }
         }
     }
@@ -829,6 +847,40 @@ mod tests {
             .violations
             .iter()
             .any(|x| x.kind == ViolationKind::Exclusivity));
+    }
+
+    #[test]
+    fn double_granted_rows_are_reported_in_ascending_row_order() {
+        let mut v = mk();
+        let mut ctx = step_ctx(1);
+        // Rows 3, 1 and 0 each win twice on one slot (illegal even with a
+        // second crossbar); row 3 is emitted first.
+        for (input, output) in [(3, 0), (1, 1), (3, 2), (0, 3), (1, 4), (0, 0)] {
+            ctx.probe.emit(|| ProbeEvent::Grant {
+                input,
+                slot: 0,
+                output,
+            });
+        }
+        let inputs = StepInputs {
+            arrivals: [None; 4],
+            injection: None,
+        };
+        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        let rows: Vec<&str> = v
+            .violations
+            .iter()
+            .filter(|x| x.detail.contains("input row"))
+            .map(|x| x.detail.as_str())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "2 grants for input row 0 (slots/outputs [(0, 3), (0, 0)])",
+                "2 grants for input row 1 (slots/outputs [(0, 1), (0, 4)])",
+                "2 grants for input row 3 (slots/outputs [(0, 0), (0, 2)])",
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! For a full CLI around the same machinery (design/pattern/load/output
 //! knobs), use `cargo run --release -p bench --bin trace_run`.
 
-use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, to_jsonl, RecordingSink, TraceEvent};
+use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, to_jsonl, RecordingSink};
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::{run, Design, RunPlan, SimConfig};
 use std::fs;
@@ -67,10 +67,9 @@ fn main() {
     }
 
     // 3. What the event stream itself looks like: replay one flit's life.
-    let events: Vec<TraceEvent> = sink.recorder.iter().cloned().collect();
     if let Some(worst) = sink.lifetimes.top_slowest(1).first() {
         println!("\nevent-by-event life of packet {}:", worst.packet);
-        for ev in events.iter().filter(|e| {
+        for ev in sink.recorder.iter().filter(|e| {
             e.packet().map(|p| p.0) == Some(worst.packet)
                 && e.flit_index() == Some(worst.flit_index)
         }) {
@@ -88,11 +87,12 @@ fn main() {
     );
 
     // 5. Exports: JSONL for ad-hoc analysis, Chrome trace for Perfetto.
-    fs::write("trace_lifetimes.jsonl", to_jsonl(&events)).expect("write jsonl");
-    fs::write("trace_lifetimes_chrome.json", chrome_trace_json(&events)).expect("write chrome");
+    let events = sink.recorder.iter();
+    fs::write("trace_lifetimes.jsonl", to_jsonl(events.clone())).expect("write jsonl");
+    fs::write("trace_lifetimes_chrome.json", chrome_trace_json(events)).expect("write chrome");
     println!(
         "\nwrote {} events to trace_lifetimes.jsonl and trace_lifetimes_chrome.json \
          (open the latter in ui.perfetto.dev)",
-        events.len()
+        sink.recorder.len()
     );
 }

@@ -15,10 +15,20 @@
 //! marks have a thin tail (EXPERIMENTS.md, "Source queues hold packets"):
 //! the saturated case warms up past it.
 //!
+//! Observers pay only for what they keep. With a `Verifier` attached the
+//! oracles check every router step without allocating; what remains is the
+//! ledger's amortised growth (its delivered-flit set only ever grows).
+//! With a `RecordingSink` attached the events land in fixed-size chunks,
+//! so a run allocates about once per chunk filled, plus the amortised
+//! growth of the lifetime population and the time series.
+//!
 //! Allocations are counted per thread (the one-tile engine steps on the
-//! caller's thread), so the two tests can run side by side.
+//! caller's thread), so the tests can run side by side.
 
-use dxbar_noc::{Design, SimConfig};
+use dxbar_noc::noc_sim::noc_trace::recorder::CHUNK;
+use dxbar_noc::noc_sim::noc_trace::RecordingSink;
+use dxbar_noc::noc_verify::{Verifier, VerifyOptions};
+use dxbar_noc::{Design, RouterKind, SimConfig};
 use noc_faults::FaultPlan;
 use noc_sim::Network;
 use noc_topology::Mesh;
@@ -64,13 +74,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Warm an 8x8 uniform-random run of `design` at `load` up to its
-/// high-water marks, then count the allocations of 1 000 more cycles.
-fn steady_state_allocs(
+/// An 8x8 uniform-random run of `design` at `load` with the observers
+/// `attach` sets up, warmed `warmup` cycles up to its high-water marks.
+fn warmed(
     design: Design,
     load: f64,
     warmup: u64,
-) -> (u64, Network<dxbar_noc::RouterKind>) {
+    attach: impl FnOnce(&mut Network<RouterKind>),
+) -> (Network<RouterKind>, SyntheticTraffic) {
     let cfg = SimConfig {
         width: 8,
         height: 8,
@@ -82,23 +93,36 @@ fn steady_state_allocs(
     let mesh = Mesh::new(8, 8);
     let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, load, 1, 42);
-
+    attach(&mut net);
     net.run_cycles(&mut model, warmup);
+    (net, model)
+}
 
+/// The allocations of 1 000 more cycles of a warmed run.
+fn allocs_of_1000_cycles(net: &mut Network<RouterKind>, model: &mut SyntheticTraffic) -> u64 {
     ALLOCS.with(|n| n.set(Some(0)));
-    net.run_cycles(&mut model, 1_000);
+    net.run_cycles(model, 1_000);
     let allocs = ALLOCS.with(|n| n.take()).expect("counting was on");
-
     assert!(
         net.stats().accepted_flits > 0,
         "run must actually move traffic"
     );
-    (allocs, net)
+    allocs
+}
+
+fn steady_state_allocs(
+    design: Design,
+    load: f64,
+    warmup: u64,
+    attach: impl FnOnce(&mut Network<RouterKind>),
+) -> (u64, Network<RouterKind>) {
+    let (mut net, mut model) = warmed(design, load, warmup, attach);
+    (allocs_of_1000_cycles(&mut net, &mut model), net)
 }
 
 #[test]
 fn dxbar_steady_state_cycles_do_not_allocate() {
-    let (allocs, _) = steady_state_allocs(Design::DXbarDor, 0.1, 20_000);
+    let (allocs, _) = steady_state_allocs(Design::DXbarDor, 0.1, 20_000, |_| {});
     assert_eq!(
         allocs, 0,
         "DXbar run allocated {allocs} times across 1000 steady-state cycles"
@@ -109,7 +133,7 @@ fn dxbar_steady_state_cycles_do_not_allocate() {
 fn scarab_saturated_source_queues_do_not_allocate() {
     // A flit offered per node per cycle: a queue is at the cap whenever
     // the router did not just take one.
-    let (allocs, net) = steady_state_allocs(Design::Scarab, 1.0, 40_000);
+    let (allocs, net) = steady_state_allocs(Design::Scarab, 1.0, 40_000, |_| {});
     let cap = net.config().source_queue_cap;
     assert!(
         net.mesh().nodes().all(|n| net.source_backlog(n) + 1 >= cap),
@@ -123,5 +147,50 @@ fn scarab_saturated_source_queues_do_not_allocate() {
     assert_eq!(
         allocs, 0,
         "saturated SCARAB run allocated {allocs} times across 1000 steady-state cycles"
+    );
+}
+
+#[test]
+fn verified_steady_state_allocates_only_for_ledger_growth() {
+    for design in [Design::DXbarDor, Design::Buffered4] {
+        let (allocs, mut net) = steady_state_allocs(design, 0.1, 3_000, |net| {
+            let verifier = Verifier::for_network(net, VerifyOptions::default());
+            net.set_observer(Box::new(verifier));
+        });
+        let report = net
+            .take_observer()
+            .into_any()
+            .downcast::<Verifier>()
+            .expect("a Verifier was attached")
+            .finalize(&net);
+        assert!(report.is_clean(), "{}", report.summary());
+        assert!(report.checks.grants > 0, "the grant oracle must have run");
+        assert!(
+            allocs <= 4,
+            "verified {} run allocated {allocs} times across 1000 steady-state cycles",
+            design.name()
+        );
+    }
+}
+
+#[test]
+fn traced_steady_state_allocates_once_per_event_chunk() {
+    let (mut net, mut model) = warmed(Design::DXbarDor, 0.1, 3_000, |net| {
+        net.set_trace_sink(Box::new(RecordingSink::new(0, 1)));
+    });
+    let seen = |net: &Network<RouterKind>| {
+        let sink = net.trace_sink().as_recording().expect("a RecordingSink");
+        sink.recorder.total_seen() as usize
+    };
+    let before = seen(&net);
+    let allocs = allocs_of_1000_cycles(&mut net, &mut model);
+    // Chunks begun in the counted window; the last warm-up chunk may have
+    // had room left.
+    let chunks = (seen(&net).div_ceil(CHUNK) - before.div_ceil(CHUNK)) as u64;
+    assert!(chunks > 1, "the window must fill chunks");
+    assert!(
+        allocs <= chunks + 4,
+        "traced run allocated {allocs} times for {chunks} event chunks \
+         across 1000 steady-state cycles"
     );
 }
