@@ -34,8 +34,8 @@
 //! usage errors.
 //! ```
 
-use bench::cli::Args as Cli;
 use bench::{campaign_options, derive_seeds};
+use dxbar_noc::cli::Args as Cli;
 use noc_campaign::{run_campaign, CampaignSpec};
 use std::path::PathBuf;
 use std::process::exit;

@@ -34,7 +34,7 @@
 //!
 //! [`SoakReport`]: noc_chaos::SoakReport
 
-use bench::cli::Args as Cli;
+use dxbar_noc::cli::Args as Cli;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::{Design, SimConfig};
 use noc_campaign::{CacheLocks, CampaignSpec, Claim, PointGroup, WorkloadAxis};

@@ -12,9 +12,9 @@
 //! Exits 1 when the figure is incomplete (failed points, or invariant
 //! violations under `DXBAR_VERIFY=1`), 2 on usage errors.
 
-use bench::cli::Args;
 use bench::figures::regenerate;
 use bench::specs::{lookup, REGISTRY};
+use dxbar_noc::cli::Args;
 
 fn main() {
     let figures = REGISTRY.iter().filter(|e| e.render.is_some());

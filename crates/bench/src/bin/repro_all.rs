@@ -21,9 +21,9 @@
 //! and every figure then fail on any invariant violation; verified
 //! results fill a disjoint `+verify` cache namespace).
 
-use bench::cli::Args;
 use bench::figures::{isolated, regenerate};
 use bench::{campaign_options, run_figure_campaign, FIGURE_ENV};
+use dxbar_noc::cli::Args;
 use dxbar_noc::noc_verify::verify_from_env;
 use std::path::PathBuf;
 

@@ -11,9 +11,9 @@
 //! `trace_run --help` lists the options. `DXBAR_QUICK=1` shrinks the
 //! simulated windows as for `fig`.
 
-use bench::cli::Args;
 use bench::noc_campaign::verify_from_env;
 use bench::paper_config;
+use dxbar_noc::cli::Args;
 use dxbar_noc::noc_sim::diagnostics::NodeField;
 use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, write_jsonl, RecordingSink};
 use dxbar_noc::noc_topology::Mesh;

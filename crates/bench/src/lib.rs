@@ -26,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cli;
 pub mod figures;
 pub mod specs;
 pub mod svg;

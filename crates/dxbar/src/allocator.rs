@@ -72,8 +72,15 @@ pub fn allocate_with_into<K: Ord + Copy>(
     grants: &mut impl Extend<Grant>,
 ) {
     assert!(outputs <= 8, "bitmask is u8");
-    assert!(inputs.len() <= 64, "granted-mask scatter array is fixed-size");
-    let out_mask: u8 = if outputs == 8 { 0xff } else { (1u8 << outputs) - 1 };
+    assert!(
+        inputs.len() <= 64,
+        "granted-mask scatter array is fixed-size"
+    );
+    let out_mask: u8 = if outputs == 8 {
+        0xff
+    } else {
+        (1u8 << outputs) - 1
+    };
 
     // Stage 1+2 (paper's first stage): each output's P:1 arbiter picks the
     // requesting input whose best flit has the highest priority. A single

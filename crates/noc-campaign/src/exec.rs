@@ -24,7 +24,7 @@ use crate::spec::{CampaignSpec, PointSpec, Workload};
 use crate::CODE_VERSION;
 use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_topology::Mesh;
-use dxbar_noc::{run, Faults, RunPlan, RunResult};
+use dxbar_noc::{run, RunPlan, RunResult};
 use noc_scenario::{ScenarioRun, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -306,8 +306,8 @@ impl CampaignReport {
 
 /// Simulate one point with the production simulator, under the
 /// runtime-oracle suite when `verify` is set: build the plan the point
-/// describes — its workload and its seeded fault (or resilience) plan,
-/// which validation keeps off closed-loop and scenario points — run it, and
+/// describes — its workload and its seeded fault plan, which validation
+/// keeps off closed-loop and scenario points — run it, and
 /// apply the group's traffic tag. A violating run still returns its result;
 /// the violation count travels in [`PointVerify`] and is surfaced through
 /// the campaign manifest's `verify` block.
@@ -324,12 +324,7 @@ pub fn simulate_point(p: &PointSpec, verify: bool) -> (RunResult, Option<PointVe
         p.config.warmup_cycles.max(1),
         p.config.seed,
     );
-    let faults = if p.has_resilience() {
-        Faults::Resilience(&generated)
-    } else {
-        Faults::Crossbar(&generated.crossbar)
-    };
-    let exec = |plan: RunPlan<'_>| run(plan.faults(faults).verified(verify));
+    let exec = |plan: RunPlan<'_>| run(plan.faults(&generated).verified(verify));
     let mut out = match &p.workload {
         Workload::Synthetic { pattern, load } => {
             exec(RunPlan::synthetic(p.design, &p.config, *pattern, *load))

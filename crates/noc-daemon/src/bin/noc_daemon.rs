@@ -14,7 +14,9 @@
 //! `--state` resumes unfinished jobs with all completed points served
 //! from the cache.
 
+use dxbar_noc::cli::Args;
 use noc_daemon::{signals, Daemon, DaemonConfig};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -47,41 +49,22 @@ fn main() {
         }
     }
     let mut cache_dir: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a {what}\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
+    let mut args = Args::new(USAGE.trim_end(), USAGE.trim_end());
+    while let Some(arg) = args.next_arg() {
         match arg.as_str() {
-            "--addr" => cfg.addr = take("HOST:PORT"),
-            "--state" => cfg.state_dir = PathBuf::from(take("directory")),
-            "--cache" => cache_dir = Some(PathBuf::from(take("directory"))),
-            "--drop" => cfg.drop_dir = Some(PathBuf::from(take("directory"))),
+            "--addr" => cfg.addr = args.value("--addr"),
+            "--state" => cfg.state_dir = PathBuf::from(args.value("--state")),
+            "--cache" => cache_dir = Some(PathBuf::from(args.value("--cache"))),
+            "--drop" => cfg.drop_dir = Some(PathBuf::from(args.value("--drop"))),
             "--workers" => {
-                cfg.workers = take("count").parse().unwrap_or_else(|_| {
-                    eprintln!("--workers needs a positive integer\n{USAGE}");
-                    std::process::exit(2);
-                })
+                cfg.workers = args
+                    .parsed::<NonZeroUsize>("--workers", "a positive integer")
+                    .get()
             }
             "--verify" => cfg.verify_default = true,
-            "--auth-token" => cfg.auth_token = Some(take("token")),
-            "--max-body" => {
-                cfg.max_body = take("byte count").parse().unwrap_or_else(|_| {
-                    eprintln!("--max-body needs a byte count\n{USAGE}");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown option {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+            "--auth-token" => cfg.auth_token = Some(args.value("--auth-token")),
+            "--max-body" => cfg.max_body = args.parsed("--max-body", "a byte count"),
+            other => args.fail(&format!("unknown option '{other}'")),
         }
     }
     cfg.cache_dir = cache_dir.unwrap_or_else(|| cfg.state_dir.join("cache"));
@@ -91,7 +74,7 @@ fn main() {
     let handle = match Daemon::start(cfg) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("noc-daemon: failed to start: {e}");
+            eprintln!("error: failed to start: {e}");
             std::process::exit(1);
         }
     };

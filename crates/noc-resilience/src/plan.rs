@@ -68,7 +68,14 @@ impl ResiliencePlan {
 
     /// Whether any fault of any class is scheduled.
     pub fn has_faults(&self) -> bool {
-        self.crossbar.count() > 0 || !self.link_faults.is_empty() || self.transient.is_some()
+        self.crossbar.count() > 0 || self.needs_recovery()
+    }
+
+    /// Whether the plan schedules faults the routers cannot absorb on
+    /// their own — link failures or transient strikes — and so needs the
+    /// CRC + NI-retransmission layer armed. Crossbar faults alone do not.
+    pub fn needs_recovery(&self) -> bool {
+        !self.link_faults.is_empty() || self.transient.is_some()
     }
 
     /// Reachability of the mesh once every scheduled link fault has

@@ -39,7 +39,7 @@ pub use report::{AppStats, RunResult};
 pub use resilience::{AckMsg, ResilienceState};
 pub use router::{RouterFactory, RouterModel, StepCtx};
 pub use runner::{run, RunMode};
-pub use verify::{NullVerifier, ProbeBuf, ProbeEvent, RunObserver, StepInputs};
+pub use verify::{FaultEvent, Interest, Observer, ProbeBuf, ProbeEvent, StepInputs, StepRecord};
 
 // Downstream crates (router models, binaries) reach trace types through
 // the engine so they agree on the version the engine was built with.

@@ -21,23 +21,29 @@
 //! A cycle is a sequential prologue (retransmissions, traffic poll,
 //! resilience timers), a sweep of [`step_tile`] over every tile of the
 //! mesh, and a sequential commit that lands everything the sweep buffered
-//! — seam sends, statistics, trace events, observer records, ACKs,
-//! completions, drops — in ascending node order. [`Network::set_tile_threads`]
-//! (or the `DXBAR_TILE_THREADS` environment variable, read at
-//! construction) picks the number of tiles: one tile is stepped inline on
-//! the caller's thread and *is* the sequential sweep; N tiles are stepped
-//! by a persistent worker pool. Every observable result — `RunResult`
-//! bytes, golden replay hashes, trace event streams, verifier check
-//! counts, resilience accounting — is **bit-identical** at any tile
-//! count. See [`crate::tiles`] for the worker half and the race-freedom
-//! argument.
+//! — seam sends, statistics, the step records the attached observers
+//! read, ACKs, completions, drops — in ascending node order.
+//! [`Network::set_tile_threads`] (or the `DXBAR_TILE_THREADS` environment
+//! variable, read at construction) picks the number of tiles: one tile is
+//! stepped inline on the caller's thread and *is* the sequential sweep; N
+//! tiles are stepped by a persistent worker pool. Every observable result
+//! — `RunResult` bytes, golden replay hashes, trace event streams,
+//! verifier check counts, resilience accounting — is **bit-identical** at
+//! any tile count. See [`crate::tiles`] for the worker half and the
+//! race-freedom argument.
+//!
+//! # One observer seam
+//!
+//! Whatever watches a run — the trace recorder, the runtime oracles — is
+//! an [`Observer`] attached with [`Network::attach`] and taken back with
+//! [`Network::detach`]; [`crate::verify`] has the hooks and their order.
 
 use crate::reassembly::Reassembler;
 use crate::resilience::ResilienceState;
 use crate::router::RouterModel;
 use crate::source_queue::SourceQueue;
-use crate::tiles::{step_tile, ObsSub, SharedGrid, SharedShards, TileEngine};
-use crate::verify::{NullVerifier, RunObserver};
+use crate::tiles::{step_tile, SharedGrid, SharedShards, TileEngine};
+use crate::verify::{Interest, Observer};
 use crate::{CREDIT_LATENCY, LINK_LATENCY};
 use noc_core::flit::{Flit, PacketDesc};
 use noc_core::stats::{EventCounts, NetStats};
@@ -46,8 +52,9 @@ use noc_core::SimConfig;
 use noc_resilience::{ResiliencePlan, TimeoutAction};
 use noc_topology::link::TimedChannel;
 use noc_topology::{DelayLine, Mesh};
-use noc_trace::{CycleSample, NullSink, TraceSink};
+use noc_trace::CycleSample;
 use noc_traffic::generator::{DeliveredPacket, TrafficModel};
+use std::any::Any;
 use std::ops::Range;
 
 /// A complete simulated network of one router design.
@@ -90,14 +97,10 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// Flits that could not be queued because the source queue was full
     /// (offered-load bookkeeping at deep saturation).
     pub source_overflow: u64,
-    /// Destination for lifecycle events and per-cycle samples. The default
-    /// [`NullSink`] reports not-recording, which keeps every router's
-    /// `TraceBuf` disabled and the hot path at one branch per site.
-    sink: Box<dyn TraceSink>,
-    /// Runtime-verification observer. The default [`NullVerifier`] reports
-    /// inactive, which keeps every router's `ProbeBuf` disabled and skips
-    /// all observer hooks.
-    observer: Box<dyn RunObserver>,
+    /// Attached observers (trace recorder, oracles). None by default,
+    /// which keeps every router's `TraceBuf` and `ProbeBuf` disabled and
+    /// the hot path at one branch per emission site.
+    observers: Vec<Box<dyn Observer>>,
     /// Resilience layer (fault injection + CRC/ARQ recovery). `None` keeps
     /// the engine byte-identical to a fault-free build.
     resilience: Option<ResilienceState>,
@@ -114,8 +117,8 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     poll_scratch: Vec<PacketDesc>,
     /// Scratch for draining the retransmission channel.
     retx_scratch: Vec<Flit>,
-    /// Scratch for the per-router occupancy snapshot — filled only when a
-    /// recording trace sink is attached.
+    /// Scratch for the per-router occupancy snapshot — filled only when an
+    /// observer is attached.
     occ_scratch: Vec<usize>,
     /// Scratch for the resilience cycle prologue.
     degraded_scratch: Vec<NodeId>,
@@ -167,8 +170,7 @@ impl<R: RouterModel> Network<R> {
             stats: NetStats::default(),
             cycle: 0,
             source_overflow: 0,
-            sink: Box::new(NullSink),
-            observer: Box::new(NullVerifier),
+            observers: Vec::new(),
             resilience: None,
             canary: std::env::var("DXBAR_TILE_CANARY").is_ok_and(|v| v.trim() == "1"),
             poll_scratch: Vec::new(),
@@ -223,37 +225,28 @@ impl<R: RouterModel> Network<R> {
         self.resilience.as_ref()
     }
 
-    /// Attach a trace sink; subsequent cycles record into it.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = sink;
+    /// Attach an observer; from the next cycle on it is fed what its
+    /// [`Interest`] asks for (see [`crate::verify`]).
+    pub fn attach<T: Observer>(&mut self, observer: T) {
+        self.observers.push(Box::new(observer));
     }
 
-    /// Detach the current trace sink (replacing it with [`NullSink`]), so
-    /// callers can recover recorded data after a run.
-    pub fn take_trace_sink(&mut self) -> Box<dyn TraceSink> {
-        std::mem::replace(&mut self.sink, Box::new(NullSink))
+    /// Detach the first attached observer of type `T` and hand it back, so
+    /// callers can collect what it saw after a run.
+    pub fn detach<T: Observer>(&mut self) -> Option<T> {
+        let i = self
+            .observers
+            .iter()
+            .position(|o| (&**o as &dyn Any).is::<T>())?;
+        let observer: Box<dyn Any> = self.observers.remove(i);
+        observer.downcast().ok().map(|o| *o)
     }
 
-    /// The attached trace sink (read-only view).
-    pub fn trace_sink(&self) -> &dyn TraceSink {
-        self.sink.as_ref()
-    }
-
-    /// Attach a runtime-verification observer; subsequent cycles report
-    /// into it (and routers stage verification probes).
-    pub fn set_observer(&mut self, observer: Box<dyn RunObserver>) {
-        self.observer = observer;
-    }
-
-    /// Detach the current observer (replacing it with [`NullVerifier`]), so
-    /// callers can recover a verifier's findings after a run.
-    pub fn take_observer(&mut self) -> Box<dyn RunObserver> {
-        std::mem::replace(&mut self.observer, Box::new(NullVerifier))
-    }
-
-    /// The attached observer (read-only view).
-    pub fn observer(&self) -> &dyn RunObserver {
-        self.observer.as_ref()
+    /// The first attached observer of type `T` (read-only view).
+    pub fn observer<T: Observer>(&self) -> Option<&T> {
+        self.observers
+            .iter()
+            .find_map(|o| (&**o as &dyn Any).downcast_ref())
     }
 
     pub fn mesh(&self) -> &Mesh {
@@ -354,7 +347,7 @@ impl<R: RouterModel> Network<R> {
     /// Resilience-layer cycle prologue: publish link-fault onsets to the
     /// degraded routers, arm this cycle's transient strikes, deliver due
     /// ACK/NACKs to the source NIs, and fire retransmission timeouts.
-    fn resilience_begin_cycle(&mut self, t: Cycle, verifying: bool) {
+    fn resilience_begin_cycle(&mut self, t: Cycle) {
         let Some(res) = self.resilience.as_mut() else {
             return;
         };
@@ -387,15 +380,15 @@ impl<R: RouterModel> Network<R> {
             match action {
                 TimeoutAction::Retransmit(flit) => {
                     self.stats.events.ni_retransmits += 1;
-                    if verifying {
-                        self.observer.on_retransmit_queued(&flit);
+                    for o in &mut self.observers {
+                        o.on_retransmit_queued(&flit);
                     }
                     self.requeue_front(flit);
                 }
                 TimeoutAction::GiveUp(flit) => {
                     self.stats.events.flits_lost += 1;
-                    if verifying {
-                        self.observer.on_flit_lost(&flit);
+                    for o in &mut self.observers {
+                        o.on_flit_lost(&flit);
                     }
                 }
             }
@@ -409,12 +402,14 @@ impl<R: RouterModel> Network<R> {
     /// single ascending-node sweep would have produced it. See
     /// [`crate::tiles`] for why the result does not depend on the tiling.
     fn cycle_tiles(&mut self, t: Cycle, model: &mut dyn TrafficModel) {
-        let tracing = self.sink.is_recording();
-        let verifying = self.observer.is_active();
-        if verifying {
-            self.observer.on_cycle_start(t);
+        let interest = Interest {
+            trace: self.observers.iter().any(|o| o.interest().trace),
+            steps: self.observers.iter().any(|o| o.interest().steps),
+        };
+        for o in &mut self.observers {
+            o.on_cycle_start(t);
         }
-        self.resilience_begin_cycle(t, verifying);
+        self.resilience_begin_cycle(t);
         let traversals_before = self.stats.events.link_traversals;
         let window = self.window();
         let engine = &mut self.tiles;
@@ -430,8 +425,7 @@ impl<R: RouterModel> Network<R> {
             neighbors: &self.neighbors,
             shard_of: engine.partition.shard_of(),
             mesh: self.mesh,
-            tracing,
-            verifying,
+            interest,
             res: self.resilience.as_mut().map(|r| r.tile_view()),
         };
         let partition = &engine.partition;
@@ -443,7 +437,7 @@ impl<R: RouterModel> Network<R> {
             // and `broadcast` returns only after every slot finished, so
             // the raw views never outlive `self`.
             let shard = unsafe { shards.shard(w) };
-            if tracing || verifying || grid.res.is_some() {
+            if interest.any() || grid.res.is_some() {
                 step_tile::<R, true>(&grid, partition.nodes(w), shard, w as u16, t);
             } else {
                 step_tile::<R, false>(&grid, partition.nodes(w), shard, w as u16, t);
@@ -500,52 +494,35 @@ impl<R: RouterModel> Network<R> {
             }
         }
 
-        // Everything else is order-sensitive — the observer's ledger and
-        // first-violation report, the trace sink's event stream, the
-        // FIFO-sequenced ACK and retransmission channels, `on_delivered`
-        // into closed-loop traffic models — and replays in ascending node
-        // order through the one k-way merge. The invariant: every
-        // per-shard list is node-sorted, and one node's records sit in one
-        // list, so the merge reproduces single-sweep order exactly.
+        // Everything else is order-sensitive — the observers (the oracles'
+        // ledger and first-violation report, the bytes of the event
+        // stream), the FIFO-sequenced ACK and retransmission channels,
+        // `on_delivered` into closed-loop traffic models — and replays in
+        // ascending node order through the one k-way merge. The invariant:
+        // every per-shard list is node-sorted, and one node's records sit
+        // in one list, so the merge reproduces single-sweep order exactly.
         let stats = &mut self.stats;
-        if verifying {
-            let observer = self.observer.as_mut();
+        if interest.any() {
+            let observers = &mut self.observers;
             engine.replay(
                 |s| &mut s.steps,
                 |r| r.node,
                 |run| {
-                    for r in run {
-                        observer.on_router_step(
-                            r.node,
-                            &r.obs.inputs,
-                            &r.ctx,
-                            r.obs.occ_before,
-                            r.obs.occ_after,
-                        );
-                        for sub in &r.obs.subs {
-                            match sub {
-                                ObsSub::TransitLoss(d, f) => {
-                                    observer.on_transit_loss(r.node, *d, f)
-                                }
-                                ObsSub::TransitCorrupt(d, f) => {
-                                    observer.on_transit_corrupt(r.node, *d, f)
-                                }
-                                ObsSub::CrcReject(f) => observer.on_crc_reject(r.node, f),
-                            }
+                    for o in observers.iter_mut() {
+                        o.on_steps(run);
+                    }
+                    if interest.steps {
+                        // Each node stepped in its own context and left the
+                        // outputs in place for the observers; hand it back
+                        // drained, as `reset` expects.
+                        for r in run {
+                            r.ctx.out_links = [None; NUM_LINK_PORTS];
+                            stats.events.merge(&r.ctx.events);
+                            r.ctx.events = EventCounts::default();
                         }
-                        // The worker left the outputs in place for the
-                        // observer; hand the context back drained, as
-                        // `reset` expects.
-                        r.ctx.out_links = [None; NUM_LINK_PORTS];
-                        stats.events.merge(&r.ctx.events);
-                        r.ctx.events = EventCounts::default();
                     }
                 },
             );
-        }
-        if tracing {
-            let sink = self.sink.as_mut();
-            engine.replay(|s| &mut s.trace, |ev| ev.node(), |evs| sink.record_all(evs));
         }
         if let Some(res) = self.resilience.as_mut() {
             engine.replay(
@@ -587,32 +564,30 @@ impl<R: RouterModel> Network<R> {
             },
         );
         for shard in engine.shards.iter_mut() {
-            shard.trace.clear();
             shard.acks.clear();
             shard.dones.clear();
             shard.drops.clear();
         }
 
-        if verifying {
-            let in_flight = self.flits_in_flight();
-            self.observer.on_cycle_end(t, in_flight);
-        }
-
-        if tracing {
+        if !self.observers.is_empty() {
             self.occ_scratch.clear();
             for r in &self.routers {
                 self.occ_scratch.push(r.occupancy());
             }
-            let backlog: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
-            let in_flight = self.flits_in_flight() as u64;
-            let link_traversals = self.stats.events.link_traversals - traversals_before;
-            self.sink.sample_cycle(&CycleSample {
+            // `flits_in_flight` from the snapshot, without a second scan.
+            let in_routers: usize = self.occ_scratch.iter().sum();
+            let backlog: usize = self.source_queues.iter().map(|q| q.len()).sum();
+            let in_flight = in_routers + backlog + self.flits_on_wire() + self.retransmits.len();
+            let sample = CycleSample {
                 cycle: t,
-                in_flight,
-                backlog,
-                link_traversals,
+                in_flight: in_flight as u64,
+                backlog: backlog as u64,
+                link_traversals: self.stats.events.link_traversals - traversals_before,
                 per_router_occupancy: &self.occ_scratch,
-            });
+            };
+            for o in &mut self.observers {
+                o.on_cycle_end(&sample);
+            }
         }
     }
 

@@ -43,13 +43,14 @@ pub struct StepCtx {
     pub dropped: Vec<Flit>,
     /// Energy-relevant events recorded by the router this cycle.
     pub events: EventCounts,
-    /// Lifecycle-event staging buffer. Disabled (and free) unless the
-    /// network has a recording trace sink attached; routers emit through
-    /// [`TraceBuf::emit`] so event construction is skipped when off.
+    /// Lifecycle-event staging buffer. Disabled (and free) unless an
+    /// attached [`Observer`](crate::verify::Observer) reads trace events;
+    /// routers emit through [`TraceBuf::emit`] so event construction is
+    /// skipped when off.
     pub trace: TraceBuf,
     /// Verification-probe staging buffer: allocator grants, FIFO depths,
-    /// fairness flips. Disabled (and free) unless the network has an
-    /// active [`RunObserver`](crate::verify::RunObserver) attached.
+    /// fairness flips. Disabled (and free) unless an attached observer
+    /// reads steps.
     pub probe: ProbeBuf,
 }
 
@@ -64,8 +65,8 @@ impl StepCtx {
 
     /// Clear the context in place for the next router step, keeping the
     /// capacity of every buffer. The engine holds one persistent `StepCtx`
-    /// per tile (per node on verified runs) and resets it per router, so
-    /// the per-cycle path allocates nothing.
+    /// per tile (per node when an observer reads steps) and resets it per
+    /// router, so the per-cycle path allocates nothing.
     pub fn reset(&mut self, cycle: Cycle) {
         self.cycle = cycle;
         // `arrivals` and `out_links` are already all-`None` here: the router
@@ -97,7 +98,7 @@ impl StepCtx {
         // `events` is NOT cleared here: the counters are pure accumulators
         // (routers only ever add), so the engine lets them run across a
         // whole tile sweep and harvests them once per cycle — per node
-        // when an observer needs per-node deltas.
+        // when each node steps in its own context.
         // trace/probe are cleared by the engine's set_enabled calls, which
         // immediately follow every reset.
     }

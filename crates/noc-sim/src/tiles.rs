@@ -25,9 +25,9 @@
 //!   plain records in the [`TileShard`] and replayed by the commit phase:
 //!   statistics ([`EjectRec`], recovery latencies, event counters), packet
 //!   completions ([`DoneRec`]), SCARAB drops ([`DropRec`]), ACK/NACK sends
-//!   ([`AckRec`]), trace events, and one [`StepRec`] per node for the
-//!   verification observer. Commutative counters replay in shard order;
-//!   everything order-sensitive replays in ascending node order through
+//!   ([`AckRec`]), and one [`StepRecord`] per node for the observers.
+//!   Commutative counters replay in shard order; everything
+//!   order-sensitive replays in ascending node order through
 //!   [`TileEngine::replay`], the one k-way merge.
 //!
 //! **Why replay order equals sweep order.** A worker visits its tile's
@@ -47,18 +47,21 @@
 //! in every result, which is why neither the tiling nor the queue's
 //! representation can perturb a single observable bit.
 //!
-//! Diagnostics (tracing, verification, resilience) sit behind the same
-//! "is anyone listening" gates the hot path always had. The body is
-//! written once and compiled twice (`step_tile::<R, DIAG>`): with nobody
-//! listening the gates are constants and fold away, which is worth ~4 %
-//! of `kernel_8x8`; with a sink, an observer or a resilience plan
-//! attached each gate is one branch.
+//! Diagnostics sit behind two facts: what the attached observers read
+//! (their [`Interest`]) and whether a resilience plan is attached. The
+//! body is written once and compiled twice (`step_tile::<R, DIAG>`): with
+//! nobody listening and no plan the gates are constants and fold away,
+//! which is worth ~4 % of `kernel_8x8`; otherwise each gate is one
+//! branch. A node whose steps are observed steps in its own record's
+//! context, which keeps its outputs for the observers; a trace-only run
+//! steps every node in the tile's context and moves each node's events
+//! into its record by swapping buffers.
 
 use crate::reassembly::{CompletedPacket, Reassembler};
 use crate::resilience::AckMsg;
 use crate::router::{RouterModel, StepCtx};
 use crate::source_queue::SourceQueue;
-use crate::verify::StepInputs;
+use crate::verify::{FaultEvent, Interest, StepInputs, StepRecord};
 use noc_core::flit::Flit;
 use noc_core::hash::FxHashSet;
 use noc_core::stats::EventCounts;
@@ -143,11 +146,12 @@ impl TileEngine {
 /// commit phase drains. All buffers keep their capacity across cycles.
 #[derive(Default)]
 pub(crate) struct TileShard {
-    /// Step context shared by every node of the tile (unverified runs).
+    /// Step context shared by every node of the tile (unless an observer
+    /// reads steps).
     pub(crate) ctx: StepCtx,
     /// Counters the engine half of the body adds (link traversals,
-    /// injections, ...). Kept apart from `ctx.events` so a verified run's
-    /// per-node context holds exactly the router's own delta.
+    /// injections, ...). Kept apart from `ctx.events` so an observed
+    /// node's own context holds exactly the router's own delta.
     pub(crate) events: EventCounts,
     /// Flits this tile's nodes took off their inbound links; with
     /// `events.link_traversals` (the sends) it keeps the on-wire count.
@@ -160,11 +164,10 @@ pub(crate) struct TileShard {
     pub(crate) ejects: Vec<EjectRec>,
     pub(crate) dones: Vec<DoneRec>,
     pub(crate) drops: Vec<DropRec>,
-    /// Trace events of the whole tile sweep (filled only when tracing).
-    pub(crate) trace: Vec<TraceEvent>,
-    /// One record per node of the tile, in tile order (filled only when
-    /// verifying; the records and their buffers are reused every cycle).
-    pub(crate) steps: Vec<StepRec>,
+    /// One record per node of the tile, in tile order (filled only while
+    /// an observer is interested; the records and their buffers are
+    /// reused every cycle).
+    pub(crate) steps: Vec<StepRecord>,
     /// ACK/NACK sends (resilient runs).
     pub(crate) acks: Vec<AckRec>,
     /// Creation cycles of deliveries that needed a retransmission,
@@ -224,36 +227,6 @@ pub(crate) struct AckRec {
     pub(crate) msg: AckMsg,
 }
 
-/// What the verification observer is told about one node's step. The
-/// router steps *in* `ctx`, so after the step it is the view
-/// `RunObserver::on_router_step` reads: outputs still in place (the engine
-/// half copies them instead of taking them), probes staged, `events` the
-/// router's own delta.
-pub(crate) struct StepRec {
-    pub(crate) node: NodeId,
-    pub(crate) ctx: StepCtx,
-    pub(crate) obs: StepObs,
-}
-
-/// The part of a [`StepRec`] the engine half writes next to the context.
-#[derive(Default)]
-pub(crate) struct StepObs {
-    pub(crate) inputs: StepInputs,
-    pub(crate) occ_before: usize,
-    pub(crate) occ_after: usize,
-    /// This node's link-phase and ejection-port reports, in the order
-    /// they happened (after `on_router_step`).
-    pub(crate) subs: Vec<ObsSub>,
-}
-
-/// One `RunObserver::on_transit_*` / `on_crc_reject` call.
-#[derive(Clone, Copy)]
-pub(crate) enum ObsSub {
-    TransitLoss(Direction, Flit),
-    TransitCorrupt(Direction, Flit),
-    CrcReject(Flit),
-}
-
 /// Raw views of the network's per-node arrays, shared across workers for
 /// the duration of one parallel phase.
 ///
@@ -282,11 +255,8 @@ pub(crate) struct SharedGrid<'a, R> {
     pub(crate) neighbors: &'a [[Option<NodeId>; NUM_LINK_PORTS]],
     pub(crate) shard_of: &'a [u16],
     pub(crate) mesh: Mesh,
-    /// A recording trace sink is attached: stage and buffer trace events.
-    pub(crate) tracing: bool,
-    /// An active observer is attached: step each node in its own
-    /// [`StepRec`] and buffer the observer's sub-events.
-    pub(crate) verifying: bool,
+    /// What the attached observers read; see [`step_tile`].
+    pub(crate) interest: Interest,
     /// The resilience layer, when a plan is attached.
     pub(crate) res: Option<ResGrid<'a>>,
 }
@@ -334,8 +304,8 @@ impl SharedShards {
 /// One worker's router phase over its tile — the per-node body of a
 /// cycle, with every effect outside the tile split off per the module
 /// docs. `nodes` is in ascending id order, so every outbox comes out
-/// node-sorted. `DIAG = false` promises that `grid` has no tracing, no
-/// verifying and no `res`, and compiles their gates out.
+/// node-sorted. `DIAG = false` promises that `grid` has no interest and
+/// no `res`, and compiles their gates out.
 pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
     grid: &SharedGrid<'_, R>,
     nodes: &[NodeId],
@@ -353,20 +323,15 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
         ejects,
         dones,
         drops,
-        trace,
         steps,
         acks,
         recoveries,
     } = shard;
-    let verifying = DIAG && grid.verifying;
-    let tracing = DIAG && grid.tracing;
-    if verifying && steps.len() != nodes.len() {
+    let tracing = DIAG && grid.interest.trace;
+    let stepping = DIAG && grid.interest.steps;
+    if (tracing || stepping) && steps.len() != nodes.len() {
         steps.clear();
-        steps.extend(nodes.iter().map(|&node| StepRec {
-            node,
-            ctx: StepCtx::default(),
-            obs: StepObs::default(),
-        }));
+        steps.extend(nodes.iter().map(|&node| StepRecord::new(node)));
     }
     // SAFETY: `reassemblers[me]` belongs to this worker's shard
     // (SharedGrid contract).
@@ -374,16 +339,26 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
     for (k, &node) in nodes.iter().enumerate() {
         let i = node.index();
         debug_assert_eq!(grid.shard_of[i], me, "node outside tile");
-        let (ctx, mut obs) = if verifying {
-            let StepRec { ctx, obs, .. } = &mut steps[k];
-            obs.subs.clear();
-            (ctx, Some(obs))
+        let (ctx, mut rec) = if stepping {
+            let StepRecord {
+                ctx,
+                inputs,
+                occupancy_before,
+                occupancy_after,
+                faults,
+                ..
+            } = &mut steps[k];
+            faults.clear();
+            (
+                ctx,
+                Some((inputs, occupancy_before, occupancy_after, faults)),
+            )
         } else {
             (&mut *tile_ctx, None)
         };
         ctx.reset(t);
         ctx.trace.set_enabled(tracing);
-        ctx.probe.set_enabled(verifying);
+        ctx.probe.set_enabled(stepping);
 
         // SAFETY: node `i` is in this worker's tile, which owns
         // `in_links[i]`, `in_credits[i]`, `queues[i]` and `routers[i]`
@@ -430,15 +405,15 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
 
         // Routers may consume (take) their arrivals, so snapshot inputs
         // before stepping. Conservation inputs feed only the debug assert
-        // below and the observer; skip the occupancy scans on the
+        // below and the observers; skip the occupancy scans on the
         // unobserved release fast path.
-        if let Some(obs) = obs.as_deref_mut() {
-            obs.inputs = StepInputs {
+        if let Some((inputs, ..)) = rec.as_mut() {
+            **inputs = StepInputs {
                 arrivals: ctx.arrivals,
                 injection: ctx.injection,
             };
         }
-        let conserving = verifying || cfg!(debug_assertions);
+        let conserving = stepping || cfg!(debug_assertions);
         let arrivals_offered = if conserving {
             ctx.arrivals.iter().flatten().count()
         } else {
@@ -447,26 +422,25 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
         let occ_before = if conserving { router.occupancy() } else { 0 };
         router.step(ctx);
         let occ_after = if conserving { router.occupancy() } else { 0 };
-        // With an active observer attached, conservation violations are
-        // its to report (structured, non-fatal); the hard assert guards
-        // unobserved runs only.
+        // With the steps observed, conservation violations are the
+        // oracles' to report (structured, non-fatal); the hard assert
+        // guards unobserved runs only.
         debug_assert!(
-            verifying
+            stepping
                 || occ_before + arrivals_offered + usize::from(ctx.injected)
                     == occ_after + ctx.flits_out(),
             "flit conservation violated at {node} cycle {t}"
         );
-        if let Some(obs) = obs.as_deref_mut() {
-            obs.occ_before = occ_before;
-            obs.occ_after = occ_after;
+        if let Some((_, before, after, _)) = rec.as_mut() {
+            (**before, **after) = (occ_before, occ_after);
         }
 
         // Outgoing flits: intra-tile straight onto the wire, seam-crossing
-        // into the outbox. A verified run leaves the outputs in `ctx` for
-        // the observer; the commit phase clears them after replaying.
+        // into the outbox. An observed step leaves the outputs in `ctx` for
+        // the observers; the commit phase clears them after replaying.
         for d in LINK_DIRECTIONS {
             let out = &mut ctx.out_links[d.index()];
-            let Some(mut flit) = (if verifying { *out } else { out.take() }) else {
+            let Some(mut flit) = (if stepping { *out } else { out.take() }) else {
                 continue;
             };
             let nbr = neighbors[d.index()]
@@ -482,16 +456,16 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 let strike = armed.map(|s| s.effect);
                 if r.link_down[i][d.index()] || strike == Some(TransientEffect::Drop) {
                     events.transit_losses += 1;
-                    if let Some(obs) = obs.as_deref_mut() {
-                        obs.subs.push(ObsSub::TransitLoss(d, flit));
+                    if let Some((.., faults)) = rec.as_mut() {
+                        faults.push(FaultEvent::TransitLoss(d, flit));
                     }
                     continue;
                 }
                 if let Some(TransientEffect::Corrupt(mask)) = strike {
                     flit.corrupt_payload(mask);
                     events.transit_corruptions += 1;
-                    if let Some(obs) = obs.as_deref_mut() {
-                        obs.subs.push(ObsSub::TransitCorrupt(d, flit));
+                    if let Some((.., faults)) = rec.as_mut() {
+                        faults.push(FaultEvent::TransitCorrupt(d, flit));
                     }
                 }
             }
@@ -588,8 +562,8 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 });
                 if nack {
                     events.crc_rejects += 1;
-                    if let Some(obs) = obs.as_deref_mut() {
-                        obs.subs.push(ObsSub::CrcReject(flit));
+                    if let Some((.., faults)) = rec.as_mut() {
+                        faults.push(FaultEvent::CrcReject(flit));
                     }
                     continue;
                 }
@@ -647,8 +621,8 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
             });
         }
 
-        if tracing {
-            trace.append(&mut ctx.trace.events);
+        if tracing && !stepping {
+            std::mem::swap(&mut tile_ctx.trace.events, &mut steps[k].ctx.trace.events);
         }
     }
 }

@@ -1,20 +1,34 @@
-//! Runtime-verification observer interface.
+//! The observer seam: one interface for everything that watches a run.
 //!
-//! Mirrors the trace-sink wiring: the [`Network`](crate::Network) owns a
-//! `Box<dyn RunObserver>` that defaults to the no-op [`NullVerifier`], and
-//! calls the hooks below from the sequential parts of a cycle — the
-//! per-node ones from the commit phase, node by node in ascending order,
-//! whatever the tile-worker count. A real verifier (the `noc-verify`
-//! crate) replaces it for verified runs; the default costs one branch per
-//! router step.
+//! A [`Network`](crate::Network) owns a list of attached [`Observer`]s
+//! (`Network::attach` / `Network::detach`) and feeds each of them the
+//! same per-cycle stream from the sequential parts of a cycle, whatever
+//! the tile-worker count:
+//!
+//! 1. [`Observer::on_cycle_start`], then the NI prologue events of
+//!    resilient runs ([`Observer::on_retransmit_queued`],
+//!    [`Observer::on_flit_lost`]);
+//! 2. one [`StepRecord`] per node, in ascending node order, handed over as
+//!    node-ordered slices ([`Observer::on_steps`]; one tile is one slice);
+//! 3. [`Observer::on_cycle_end`] with the cycle's [`CycleSample`].
+//!
+//! Each observer declares an [`Interest`] — trace events, the step itself,
+//! or both — and the engine stages the union and nothing else: with no
+//! observer attached a router's [`TraceBuf`](noc_trace::TraceBuf) and
+//! [`ProbeBuf`] stay disabled, so event and probe construction cost one
+//! branch per emission site. Two observers ship: the trace recorder
+//! ([`RecordingSink`], implemented here so `noc-trace` stays a leaf) and
+//! the runtime oracles (`noc_verify::Verifier`). Concrete observers come
+//! back from the network through `dyn Any`.
 //!
 //! Routers expose allocator-internal state (grants, FIFO depths, fairness
-//! flips) through the [`ProbeBuf`] on [`StepCtx`](crate::router::StepCtx):
-//! like the trace buffer it is disabled unless an active observer is
-//! attached, so event construction is skipped on the hot path.
+//! flips) through the [`ProbeBuf`] on [`StepCtx`]; lifecycle events go
+//! through its `trace` buffer.
 
+use crate::router::StepCtx;
 use noc_core::flit::Flit;
 use noc_core::types::{Cycle, Direction, NodeId, NUM_LINK_PORTS};
+use noc_trace::{CycleSample, RecordingSink};
 use std::any::Any;
 
 /// Allocator-internal facts a router may expose for the oracles. All fields
@@ -40,7 +54,7 @@ pub enum ProbeEvent {
 }
 
 /// Staging buffer for [`ProbeEvent`]s, carried by `StepCtx`. Disabled (and
-/// free) unless the network has an active observer attached.
+/// free) unless an attached observer reads steps.
 #[derive(Debug, Default)]
 pub struct ProbeBuf {
     enabled: bool,
@@ -90,50 +104,79 @@ impl StepInputs {
     }
 }
 
-/// Per-cycle observer of the network's execution. All hooks default to
-/// no-ops; an observer reporting `is_active() == false` is never called and
-/// disables probe staging entirely.
-pub trait RunObserver: Send {
-    /// Whether the observer wants per-cycle callbacks (and router probes).
-    fn is_active(&self) -> bool {
-        false
-    }
+/// A resilience fault that hit one node's traffic during its step, in the
+/// order it happened (after the router stepped).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultEvent {
+    /// `flit` vanished on the link leaving through `dir` — a transient
+    /// drop strike or a dead link swallowed it. The ARQ layer is expected
+    /// to recover it (retransmit) or count it lost.
+    TransitLoss(Direction, Flit),
+    /// A transient strike corrupted `flit` on the link leaving through
+    /// `dir` (payload already flipped; the CRC no longer matches).
+    TransitCorrupt(Direction, Flit),
+    /// The ejection port rejected `flit` on a CRC mismatch and NACKed the
+    /// source.
+    CrcReject(Flit),
+}
 
-    /// Called once per network cycle before any router steps.
+/// Which parts of a [`StepRecord`] an observer reads. The engine fills
+/// the union over the attached observers and nothing else.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Interest {
+    /// The node's trace events (`ctx.trace.events`).
+    pub trace: bool,
+    /// The step itself: `inputs`, the outputs left in `ctx`, the
+    /// occupancies, `ctx.probe` and `faults`.
+    pub steps: bool,
+}
+
+impl Interest {
+    /// Whether anything is to be staged.
+    pub fn any(self) -> bool {
+        self.trace || self.steps
+    }
+}
+
+/// What one node's step produced, as the observers see it.
+#[derive(Debug)]
+pub struct StepRecord {
+    pub node: NodeId,
+    /// The context as the router's step left it: `out_links`, `ejected`,
+    /// `dropped` and `injected` hold this cycle's results, `probe` the
+    /// router's probes and `trace` the node's events (router and engine
+    /// half, in emission order).
+    pub ctx: StepCtx,
+    pub inputs: StepInputs,
+    /// Flits buffered inside the router before and after the step.
+    pub occupancy_before: usize,
+    pub occupancy_after: usize,
+    pub faults: Vec<FaultEvent>,
+}
+
+impl StepRecord {
+    /// An empty record for `node`.
+    pub fn new(node: NodeId) -> StepRecord {
+        StepRecord {
+            node,
+            ctx: StepCtx::default(),
+            inputs: StepInputs::default(),
+            occupancy_before: 0,
+            occupancy_after: 0,
+            faults: Vec::new(),
+        }
+    }
+}
+
+/// A listener on a network's execution; see the module docs for the order
+/// of the hooks. Only [`interest`](Self::interest) and
+/// [`on_steps`](Self::on_steps) are required.
+pub trait Observer: Any + Send {
+    /// What this observer reads from the step records (asked every cycle).
+    fn interest(&self) -> Interest;
+
+    /// Called once per network cycle before anything else happens in it.
     fn on_cycle_start(&mut self, _cycle: Cycle) {}
-
-    /// Called once per router per cycle, in ascending node order, with
-    /// the context as the router's `step` left it: `ctx.out_links` /
-    /// `ctx.ejected` / `ctx.dropped` still hold this cycle's results,
-    /// `ctx.probe` the router's probes and `ctx.events` its own counts.
-    fn on_router_step(
-        &mut self,
-        _node: NodeId,
-        _inputs: &StepInputs,
-        _ctx: &crate::router::StepCtx,
-        _occupancy_before: usize,
-        _occupancy_after: usize,
-    ) {
-    }
-
-    /// Called once per network cycle after all routers stepped, with the
-    /// total number of flits anywhere in the network.
-    fn on_cycle_end(&mut self, _cycle: Cycle, _in_flight: usize) {}
-
-    /// A transient strike corrupted `flit` while it traversed the link
-    /// leaving `node` through port `dir` (payload already flipped; the CRC
-    /// no longer matches). Called after `on_router_step` of the same node
-    /// and cycle.
-    fn on_transit_corrupt(&mut self, _node: NodeId, _dir: Direction, _flit: &Flit) {}
-
-    /// `flit` vanished on the link leaving `node` through `dir` — a
-    /// transient drop strike or a dead link swallowed it. The ARQ layer is
-    /// expected to recover it (retransmit) or count it lost.
-    fn on_transit_loss(&mut self, _node: NodeId, _dir: Direction, _flit: &Flit) {}
-
-    /// The ejection port at `node` rejected `flit` on a CRC mismatch and
-    /// NACKed the source. Called after `on_router_step` of the same cycle.
-    fn on_crc_reject(&mut self, _node: NodeId, _flit: &Flit) {}
 
     /// The source NI re-enqueued `flit` for retransmission (timeout or
     /// NACK); its next injection is a sanctioned re-injection.
@@ -143,18 +186,30 @@ pub trait RunObserver: Send {
     /// packet lost; the flit will not be seen again.
     fn on_flit_lost(&mut self, _flit: &Flit) {}
 
-    /// Downcast support so callers can recover a concrete verifier after
-    /// [`Network::take_observer`](crate::Network::take_observer).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+    /// The next node-ordered run of this cycle's step records. Fields no
+    /// attached observer is interested in are not filled this cycle.
+    fn on_steps(&mut self, steps: &[StepRecord]);
+
+    /// Called once per network cycle after all routers stepped.
+    fn on_cycle_end(&mut self, _sample: &CycleSample<'_>) {}
 }
 
-/// The default observer: inactive, never called.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullVerifier;
+impl Observer for RecordingSink {
+    fn interest(&self) -> Interest {
+        Interest {
+            trace: true,
+            steps: false,
+        }
+    }
 
-impl RunObserver for NullVerifier {
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    fn on_steps(&mut self, steps: &[StepRecord]) {
+        for s in steps.iter().filter(|s| !s.ctx.trace.events.is_empty()) {
+            self.record(&s.ctx.trace.events);
+        }
+    }
+
+    fn on_cycle_end(&mut self, sample: &CycleSample<'_>) {
+        self.series.observe(sample);
     }
 }
 
@@ -190,12 +245,5 @@ mod tests {
         assert_eq!(buf.events().len(), 1);
         buf.set_enabled(true);
         assert!(buf.events().is_empty(), "re-enable clears staged events");
-    }
-
-    #[test]
-    fn null_verifier_is_inactive() {
-        assert!(!NullVerifier.is_active());
-        let boxed: Box<dyn RunObserver> = Box::new(NullVerifier);
-        assert!(boxed.into_any().downcast::<NullVerifier>().is_ok());
     }
 }

@@ -7,9 +7,9 @@
 //! long runs stay bounded; exporters write JSONL (one event per line) and
 //! Chrome `chrome://tracing` / Perfetto trace-event JSON.
 //!
-//! The zero-cost default is [`NullSink`]: routers emit events through
-//! [`TraceBuf`], which is disabled unless a recording sink is attached, so
-//! the untraced hot path costs one branch per emission site.
+//! Routers emit events through [`TraceBuf`], which is disabled unless a
+//! [`RecordingSink`] is attached to the network, so the untraced hot path
+//! costs one branch per emission site.
 
 #![forbid(unsafe_code)]
 
@@ -27,4 +27,4 @@ pub use jsonl::{from_jsonl, to_jsonl, write_jsonl};
 pub use lifetime::{percentile_of_sorted, FlitLifetime, FlitLifetimes, LifetimeSummary};
 pub use recorder::RingRecorder;
 pub use series::{CycleSample, SampleSeries, SeriesSet};
-pub use sink::{NullSink, RecordingSink, TraceBuf, TraceSink};
+pub use sink::{RecordingSink, TraceBuf};

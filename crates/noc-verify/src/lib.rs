@@ -4,7 +4,7 @@
 //! Two halves:
 //!
 //! * **Runtime oracles** ([`oracle::Verifier`]) — a cheap per-cycle
-//!   [`noc_sim::RunObserver`] checking flit conservation/no-duplication,
+//!   [`noc_sim::Observer`] checking flit conservation/no-duplication,
 //!   crossbar exclusivity, route legality, FIFO capacity bounds, the
 //!   fairness-counter service guarantee, and a deadlock/livelock watchdog.
 //!   Attach via [`runner::run_observed`], or enable everywhere with the

@@ -1,4 +1,4 @@
-//! The runtime verifier: a [`RunObserver`] implementing the paper-level
+//! The runtime verifier: an [`Observer`] implementing the paper-level
 //! invariant oracles.
 //!
 //! Checked every cycle, for every router, in release builds:
@@ -32,10 +32,10 @@ use noc_core::hash::FxHashMap;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS};
 use noc_routing::is_productive;
 use noc_sim::diagnostics::NodeField;
-use noc_sim::verify::{ProbeEvent, RunObserver, StepInputs};
+use noc_sim::noc_trace::CycleSample;
+use noc_sim::verify::{FaultEvent, Interest, Observer, ProbeEvent, StepRecord};
 use noc_sim::{Network, StepCtx};
 use noc_topology::Mesh;
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Tunables for the runtime oracles.
@@ -157,9 +157,10 @@ impl VerifyReport {
     }
 }
 
-/// The runtime oracle set. Attach with [`Network::set_observer`] (or use
-/// [`crate::runner::run_observed`]) and collect the [`VerifyReport`] with
-/// [`Verifier::finalize`] after the run.
+/// The runtime oracle set. Attach with [`Network::attach`] (or use
+/// [`crate::runner::run_observed`]), take it back with `Network::detach`
+/// and collect the [`VerifyReport`] with [`Verifier::finalize`] after the
+/// run.
 pub struct Verifier {
     design: String,
     /// Oracle profile per node. Homogeneous networks repeat one profile;
@@ -396,7 +397,7 @@ impl Verifier {
         }
     }
 
-    fn trip_watchdog(&mut self, cycle: Cycle, in_flight: usize) {
+    fn trip_watchdog(&mut self, cycle: Cycle, in_flight: u64) {
         self.watchdog_tripped = true;
         let kind = if self.moved_since_progress {
             ViolationKind::Livelock
@@ -499,24 +500,18 @@ impl Verifier {
     }
 }
 
-impl RunObserver for Verifier {
-    fn is_active(&self) -> bool {
-        true
-    }
-
-    fn on_cycle_start(&mut self, cycle: Cycle) {
-        self.ejected_this_cycle = false;
-        self.current_cycle = cycle;
-    }
-
-    fn on_router_step(
-        &mut self,
-        node: NodeId,
-        inputs: &StepInputs,
-        ctx: &StepCtx,
-        occupancy_before: usize,
-        occupancy_after: usize,
-    ) {
+impl Verifier {
+    /// The oracles over one node's step, then over the faults that hit its
+    /// traffic, in the order they happened.
+    fn check_step(&mut self, step: &StepRecord) {
+        let StepRecord {
+            node,
+            ref ctx,
+            ref inputs,
+            occupancy_before,
+            occupancy_after,
+            ref faults,
+        } = *step;
         self.checks.router_steps += 1;
         let cycle = ctx.cycle;
         let mut scratch = Vec::new();
@@ -629,9 +624,94 @@ impl RunObserver for Verifier {
         for v in scratch {
             self.push(v);
         }
+
+        for fault in faults {
+            match fault {
+                FaultEvent::TransitLoss(_, flit) => self.transit_loss(node, flit),
+                FaultEvent::TransitCorrupt(_, flit) => self.transit_corrupt(flit),
+                FaultEvent::CrcReject(flit) => self.crc_reject(node, flit),
+            }
+        }
     }
 
-    fn on_cycle_end(&mut self, cycle: Cycle, in_flight: usize) {
+    fn transit_corrupt(&mut self, flit: &Flit) {
+        self.checks.transit_faults += 1;
+        *self
+            .tainted
+            .entry((flit.packet.0, flit.flit_index))
+            .or_insert(0) += 1;
+    }
+
+    fn transit_loss(&mut self, node: NodeId, flit: &Flit) {
+        self.checks.transit_faults += 1;
+        let fid = (flit.packet.0, flit.flit_index);
+        // The vanished instance may have been a corrupted one; the loss
+        // resolves one taint (recovery is tracked by the ledger either way).
+        if let Some(n) = self.tainted.get_mut(&fid) {
+            *n -= 1;
+            if *n == 0 {
+                self.tainted.remove(&fid);
+            }
+        }
+        let mut scratch = Vec::new();
+        self.ledger
+            .on_transit_loss(flit, node, self.current_cycle, &mut scratch);
+        for v in scratch {
+            self.push(v);
+        }
+    }
+
+    fn crc_reject(&mut self, node: NodeId, flit: &Flit) {
+        self.checks.recovery_events += 1;
+        let fid = (flit.packet.0, flit.flit_index);
+        if let Some(i) = self
+            .pending_crc_rejects
+            .iter()
+            .position(|&(f, n)| f == fid && n == node)
+        {
+            self.pending_crc_rejects.swap_remove(i);
+        }
+        // Detection resolves the corruption taint.
+        if let Some(n) = self.tainted.get_mut(&fid) {
+            *n -= 1;
+            if *n == 0 {
+                self.tainted.remove(&fid);
+            }
+        }
+    }
+}
+
+impl Observer for Verifier {
+    fn interest(&self) -> Interest {
+        Interest {
+            trace: false,
+            steps: true,
+        }
+    }
+
+    fn on_cycle_start(&mut self, cycle: Cycle) {
+        self.ejected_this_cycle = false;
+        self.current_cycle = cycle;
+    }
+
+    fn on_retransmit_queued(&mut self, flit: &Flit) {
+        self.checks.recovery_events += 1;
+        self.ledger.on_retransmit(flit);
+    }
+
+    fn on_flit_lost(&mut self, flit: &Flit) {
+        self.checks.recovery_events += 1;
+        self.ledger.on_lost(flit);
+    }
+
+    fn on_steps(&mut self, steps: &[StepRecord]) {
+        for step in steps {
+            self.check_step(step);
+        }
+    }
+
+    fn on_cycle_end(&mut self, sample: &CycleSample<'_>) {
+        let (cycle, in_flight) = (sample.cycle, sample.in_flight);
         self.checks.cycles += 1;
         // Every bad-CRC ejection must have been matched by an engine CRC
         // reject within the cycle; a remnant means the engine delivered a
@@ -655,72 +735,13 @@ impl RunObserver for Verifier {
             self.trip_watchdog(cycle, in_flight);
         }
     }
-
-    fn on_transit_corrupt(&mut self, _node: NodeId, _dir: Direction, flit: &Flit) {
-        self.checks.transit_faults += 1;
-        *self
-            .tainted
-            .entry((flit.packet.0, flit.flit_index))
-            .or_insert(0) += 1;
-    }
-
-    fn on_transit_loss(&mut self, node: NodeId, _dir: Direction, flit: &Flit) {
-        self.checks.transit_faults += 1;
-        let fid = (flit.packet.0, flit.flit_index);
-        // The vanished instance may have been a corrupted one; the loss
-        // resolves one taint (recovery is tracked by the ledger either way).
-        if let Some(n) = self.tainted.get_mut(&fid) {
-            *n -= 1;
-            if *n == 0 {
-                self.tainted.remove(&fid);
-            }
-        }
-        let mut scratch = Vec::new();
-        self.ledger
-            .on_transit_loss(flit, node, self.current_cycle, &mut scratch);
-        for v in scratch {
-            self.push(v);
-        }
-    }
-
-    fn on_crc_reject(&mut self, node: NodeId, flit: &Flit) {
-        self.checks.recovery_events += 1;
-        let fid = (flit.packet.0, flit.flit_index);
-        if let Some(i) = self
-            .pending_crc_rejects
-            .iter()
-            .position(|&(f, n)| f == fid && n == node)
-        {
-            self.pending_crc_rejects.swap_remove(i);
-        }
-        // Detection resolves the corruption taint.
-        if let Some(n) = self.tainted.get_mut(&fid) {
-            *n -= 1;
-            if *n == 0 {
-                self.tainted.remove(&fid);
-            }
-        }
-    }
-
-    fn on_retransmit_queued(&mut self, flit: &Flit) {
-        self.checks.recovery_events += 1;
-        self.ledger.on_retransmit(flit);
-    }
-
-    fn on_flit_lost(&mut self, flit: &Flit) {
-        self.checks.recovery_events += 1;
-        self.ledger.on_lost(flit);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc_core::flit::{Flit, PacketId};
+    use noc_sim::StepInputs;
 
     fn mk() -> Verifier {
         Verifier::new("DXbar DOR", Mesh::new(4, 4), 4)
@@ -736,6 +757,36 @@ mod tests {
         ctx
     }
 
+    /// Show the verifier one node's step.
+    fn step(
+        v: &mut Verifier,
+        node: NodeId,
+        inputs: StepInputs,
+        ctx: StepCtx,
+        occupancy_before: usize,
+        occupancy_after: usize,
+    ) {
+        v.on_steps(&[StepRecord {
+            node,
+            ctx,
+            inputs,
+            occupancy_before,
+            occupancy_after,
+            faults: vec![],
+        }]);
+    }
+
+    /// End cycle `cycle` with `in_flight` flits in the network.
+    fn end(v: &mut Verifier, cycle: Cycle, in_flight: u64) {
+        v.on_cycle_end(&CycleSample {
+            cycle,
+            in_flight,
+            backlog: 0,
+            link_traversals: 0,
+            per_router_occupancy: &[],
+        });
+    }
+
     #[test]
     fn clean_forwarding_step_passes() {
         let mut v = mk();
@@ -748,7 +799,7 @@ mod tests {
             arrivals: [None; 4],
             injection: Some(f),
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert_eq!(v.total_violations, 0);
     }
 
@@ -763,7 +814,7 @@ mod tests {
             arrivals: [None; 4],
             injection: Some(f),
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert_eq!(v.total_violations, 1);
         assert_eq!(v.violations[0].kind, ViolationKind::RouteIllegal);
     }
@@ -777,7 +828,7 @@ mod tests {
             arrivals: [Some(f), None, None, None],
             injection: None,
         };
-        v.on_router_step(NodeId(1), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(1), inputs, ctx, 0, 0);
         assert!(v
             .violations
             .iter()
@@ -802,7 +853,7 @@ mod tests {
             arrivals: [None; 4],
             injection: None,
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert!(v
             .violations
             .iter()
@@ -827,7 +878,7 @@ mod tests {
             arrivals: [None; 4],
             injection: None,
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert_eq!(v.total_violations, 0, "{:?}", v.violations);
 
         // Same slot twice: always illegal.
@@ -842,7 +893,7 @@ mod tests {
             slot: 0,
             output: 2,
         });
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert!(v
             .violations
             .iter()
@@ -866,7 +917,7 @@ mod tests {
             arrivals: [None; 4],
             injection: None,
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         let rows: Vec<&str> = v
             .violations
             .iter()
@@ -896,7 +947,7 @@ mod tests {
             arrivals: [None; 4],
             injection: None,
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert!(v
             .violations
             .iter()
@@ -915,7 +966,7 @@ mod tests {
             arrivals: [None; 4],
             injection: None,
         };
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 0);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 0);
         assert_eq!(v.total_violations, 1);
         assert_eq!(v.violations[0].kind, ViolationKind::FairnessStarvation);
     }
@@ -940,11 +991,11 @@ mod tests {
             injection: Some(f),
         };
         v.on_cycle_start(0);
-        v.on_router_step(NodeId(0), &inputs, &ctx, 0, 1);
-        v.on_cycle_end(0, 1);
+        step(&mut v, NodeId(0), inputs, ctx, 0, 1);
+        end(&mut v, 0, 1);
         for t in 1..=12 {
             v.on_cycle_start(t);
-            v.on_cycle_end(t, 1);
+            end(&mut v, t, 1);
         }
         assert_eq!(v.total_violations, 1, "{:?}", v.violations);
         assert_eq!(v.violations[0].kind, ViolationKind::Deadlock);
@@ -979,10 +1030,10 @@ mod tests {
                 };
                 let mut ectx = StepCtx::new(t);
                 ectx.ejected.push(f);
-                v.on_router_step(NodeId(3), &inj, &ctx, 0, 1);
-                v.on_router_step(NodeId(3), &inputs, &ectx, 1, 0);
+                step(&mut v, NodeId(3), inj, ctx, 0, 1);
+                step(&mut v, NodeId(3), inputs, ectx, 1, 0);
             }
-            v.on_cycle_end(t, 1);
+            end(&mut v, t, 1);
         }
         assert!(
             !v.violations
@@ -1008,7 +1059,7 @@ mod tests {
             arrivals: [None; 4],
             injection: Some(f),
         };
-        v.on_router_step(NodeId(node), &inputs, &ctx, 0, 1);
+        step(v, NodeId(node), inputs, ctx, 0, 1);
     }
 
     fn eject_at(v: &mut Verifier, node: u16, f: Flit, cycle: Cycle) {
@@ -1018,7 +1069,7 @@ mod tests {
             arrivals: [None; 4],
             injection: None,
         };
-        v.on_router_step(NodeId(node), &inputs, &ctx, 1, 0);
+        step(v, NodeId(node), inputs, ctx, 1, 0);
     }
 
     #[test]
@@ -1030,7 +1081,7 @@ mod tests {
         v.on_cycle_start(0);
         inject_at(&mut v, 3, f, 0);
         eject_at(&mut v, 3, f, 0);
-        v.on_cycle_end(0, 0);
+        end(&mut v, 0, 0);
         assert_eq!(v.total_violations, 1, "{:?}", v.violations);
         assert_eq!(v.violations[0].kind, ViolationKind::SilentCorruption);
         assert!(v.violations[0].detail.contains("without a CRC reject"));
@@ -1046,9 +1097,9 @@ mod tests {
         v.on_cycle_start(0);
         inject_at(&mut v, 3, bad, 0);
         eject_at(&mut v, 3, bad, 0);
-        v.on_crc_reject(NodeId(3), &bad);
+        v.crc_reject(NodeId(3), &bad);
         v.on_retransmit_queued(&bad);
-        v.on_cycle_end(0, 0);
+        end(&mut v, 0, 0);
 
         let mut clean = flit(9, 3, 3);
         clean.set_seq(5);
@@ -1056,7 +1107,7 @@ mod tests {
         v.on_cycle_start(1);
         inject_at(&mut v, 3, clean, 1);
         eject_at(&mut v, 3, clean, 1);
-        v.on_cycle_end(1, 0);
+        end(&mut v, 1, 0);
 
         assert_eq!(v.total_violations, 0, "{:?}", v.violations);
         assert_eq!(v.checks.crc_checks, 2);
@@ -1072,14 +1123,14 @@ mod tests {
         inject_at(&mut v, 0, f, 0);
         let mut struck = f;
         struck.corrupt_payload(0b10);
-        v.on_transit_corrupt(NodeId(0), Direction::East, &struck);
+        v.transit_corrupt(&struck);
         assert_eq!(v.tainted.get(&(4, 0)), Some(&1));
         // The corrupted instance is then dropped in transit: the taint is
         // resolved by the loss, and the ledger starts tracking recovery.
-        v.on_transit_loss(NodeId(0), Direction::East, &struck);
+        v.transit_loss(NodeId(0), &struck);
         assert!(v.tainted.is_empty());
         v.on_flit_lost(&struck);
-        v.on_cycle_end(0, 0);
+        end(&mut v, 0, 0);
         assert_eq!(v.total_violations, 0, "{:?}", v.violations);
         assert_eq!(v.checks.transit_faults, 2);
         assert_eq!(v.checks.recovery_events, 1);

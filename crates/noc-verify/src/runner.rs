@@ -1,5 +1,5 @@
-//! The observer seam: attach a recording trace sink and/or a [`Verifier`]
-//! to a network, execute a run, detach them and hand their findings back.
+//! One observed run: attach a recording trace sink and/or a [`Verifier`]
+//! to a network, execute the run, detach them and hand their findings back.
 
 use crate::oracle::{Verifier, VerifyOptions, VerifyReport};
 use noc_power::energy::EnergyModel;
@@ -34,9 +34,9 @@ impl std::error::Error for VerifyError {}
 
 /// [`noc_sim::run`] with the requested observers attached for its duration:
 /// `trace` records into the given sink, `verify` attaches the full
-/// runtime-oracle suite (default [`VerifyOptions`]). The two are independent
-/// network attachments; each comes back `Some` exactly when it was asked
-/// for, and the report comes back whether or not it is clean.
+/// runtime-oracle suite (default [`VerifyOptions`]). Both are listeners on
+/// the network's one observer seam; each comes back `Some` exactly when it
+/// was asked for, and the report comes back whether or not it is clean.
 pub fn run_observed<R: RouterModel>(
     net: &mut Network<R>,
     model: &mut dyn TrafficModel,
@@ -46,25 +46,13 @@ pub fn run_observed<R: RouterModel>(
     verify: bool,
 ) -> (RunResult, Option<RecordingSink>, Option<VerifyReport>) {
     if verify {
-        let verifier = Verifier::for_network(net, VerifyOptions::default());
-        net.set_observer(Box::new(verifier));
+        net.attach(Verifier::for_network(net, VerifyOptions::default()));
     }
-    let traced = trace.is_some();
     if let Some(sink) = trace {
-        net.set_trace_sink(Box::new(sink));
+        net.attach(sink);
     }
     let result = noc_sim::run(net, model, mode, energy);
-    let trace = traced.then(|| {
-        net.take_trace_sink()
-            .into_recording()
-            .expect("run_observed attached a RecordingSink")
-    });
-    let report = verify.then(|| {
-        net.take_observer()
-            .into_any()
-            .downcast::<Verifier>()
-            .expect("run_observed attached a Verifier")
-            .finalize(net)
-    });
+    let trace = net.detach::<RecordingSink>();
+    let report = net.detach::<Verifier>().map(|v| v.finalize(net));
     (result, trace, report)
 }

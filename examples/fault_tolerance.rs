@@ -12,9 +12,10 @@
 //! ```
 
 use dxbar_noc::noc_faults::FaultPlan;
+use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
-use dxbar_noc::{run, Design, Faults, RunPlan, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, SimConfig};
 
 fn main() {
     let cfg = SimConfig {
@@ -33,15 +34,15 @@ fn main() {
     );
     for design in [Design::DXbarDor, Design::DXbarWf] {
         for percent in [0u32, 25, 50, 75, 100] {
-            let faults = FaultPlan::generate(
+            let faults = ResiliencePlan::none().with_crossbar(FaultPlan::generate(
                 &mesh,
                 percent as f64 / 100.0,
                 cfg.warmup_cycles / 2,
                 cfg.warmup_cycles,
                 cfg.seed,
-            );
+            ));
             let plan = RunPlan::synthetic(design, &cfg, Pattern::UniformRandom, load);
-            let r = run(plan.faults(Faults::Crossbar(&faults))).result;
+            let r = run(plan.faults(&faults)).result;
             println!(
                 "{:<10} {:>6}% {:>10.3} {:>12.1} {:>14.2}",
                 design.name(),

@@ -8,13 +8,15 @@
 //! dxbar-sim --list
 //! ```
 //!
-//! Argument parsing is std-only (no extra dependencies); see `--help`.
+//! Arguments parse through [`dxbar_noc::cli::Args`]; see `--help`.
 
+use dxbar_noc::cli::Args;
 use dxbar_noc::noc_faults::FaultPlan;
+use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::SplashApp;
-use dxbar_noc::{run, Design, Faults, RunPlan, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
 
 const HELP: &str = "\
 dxbar-sim — cycle-accurate NoC simulation of the DXbar paper's designs
@@ -76,12 +78,7 @@ fn parse_app(s: &str) -> Option<SplashApp> {
         .find(|a| a.name().eq_ignore_ascii_case(s))
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{HELP}");
-    std::process::exit(2)
-}
-
-struct Args {
+struct Options {
     design: Design,
     pattern: Pattern,
     splash: Option<SplashApp>,
@@ -93,8 +90,9 @@ struct Args {
     verify: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args() -> Options {
+    let mut args = Args::new(HELP, HELP);
+    let mut opts = Options {
         design: Design::DXbarDor,
         pattern: Pattern::UniformRandom,
         splash: None,
@@ -106,17 +104,8 @@ fn parse_args() -> Args {
         verify: dxbar_noc::noc_verify::verify_from_env(),
     };
     let mut tile_threads = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
+    while let Some(flag) = args.next_arg() {
         match flag.as_str() {
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
             "--list" => {
                 println!("designs : {}", known_designs());
                 println!("patterns: {}", known_patterns());
@@ -124,92 +113,67 @@ fn parse_args() -> Args {
                 std::process::exit(0);
             }
             "--design" => {
-                let v = value("--design");
-                args.design = Design::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
+                let v = args.value("--design");
+                opts.design = Design::parse(&v).unwrap_or_else(|| {
+                    args.fail(&format!(
                         "unknown design '{v}'; known designs: {}",
                         known_designs()
                     ))
                 });
             }
             "--pattern" => {
-                let v = value("--pattern");
-                args.pattern = Pattern::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
+                let v = args.value("--pattern");
+                opts.pattern = Pattern::parse(&v).unwrap_or_else(|| {
+                    args.fail(&format!(
                         "unknown pattern '{v}'; known patterns: {}",
                         known_patterns()
                     ))
                 });
             }
             "--splash" => {
-                let v = value("--splash");
-                args.splash = Some(parse_app(&v).unwrap_or_else(|| {
-                    fail(&format!("unknown app '{v}'; known apps: {}", known_apps()))
+                let v = args.value("--splash");
+                opts.splash = Some(parse_app(&v).unwrap_or_else(|| {
+                    args.fail(&format!("unknown app '{v}'; known apps: {}", known_apps()))
                 }));
             }
             "--load" => {
-                let v = value("--load");
-                args.load = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad load '{v}'")));
-                if !(0.0..=1.0).contains(&args.load) {
-                    fail("load must be in [0, 1]");
+                opts.load = args.parsed("--load", "a fraction of capacity");
+                if !(0.0..=1.0).contains(&opts.load) {
+                    args.fail("load must be in [0, 1]");
                 }
             }
             "--mesh" => {
-                let v = value("--mesh");
+                let v = args.value("--mesh");
                 let (w, h) = v
                     .split_once('x')
-                    .unwrap_or_else(|| fail(&format!("mesh must look like 8x8, got '{v}'")));
-                args.cfg.width = w.parse().unwrap_or_else(|_| fail("bad mesh width"));
-                args.cfg.height = h.parse().unwrap_or_else(|_| fail("bad mesh height"));
+                    .unwrap_or_else(|| args.fail(&format!("mesh must look like 8x8, got '{v}'")));
+                opts.cfg.width = w.parse().unwrap_or_else(|_| args.fail("bad mesh width"));
+                opts.cfg.height = h.parse().unwrap_or_else(|_| args.fail("bad mesh height"));
             }
-            "--cycles" => {
-                args.cfg.measure_cycles = value("--cycles")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --cycles"));
-            }
-            "--warmup" => {
-                args.cfg.warmup_cycles = value("--warmup")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --warmup"));
-            }
-            "--seed" => {
-                args.cfg.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --seed"));
-            }
+            "--cycles" => opts.cfg.measure_cycles = args.parsed("--cycles", "a cycle count"),
+            "--warmup" => opts.cfg.warmup_cycles = args.parsed("--warmup", "a cycle count"),
+            "--seed" => opts.cfg.seed = args.parsed("--seed", "an integer seed"),
             "--faults" => {
-                let v: f64 = value("--faults")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --faults"));
+                let v: f64 = args.parsed("--faults", "a percentage");
                 if !(0.0..=100.0).contains(&v) {
-                    fail("faults must be a percentage in [0, 100]");
+                    args.fail("faults must be a percentage in [0, 100]");
                 }
-                args.fault_pct = v / 100.0;
+                opts.fault_pct = v / 100.0;
             }
-            "--tile-threads" => tile_threads = Some(("--tile-threads", value("--tile-threads"))),
-            "--json" => args.json = true,
-            "--verify" => args.verify = true,
-            other => fail(&format!("unknown flag '{other}'")),
+            "--tile-threads" => tile_threads = Some(args.value("--tile-threads")),
+            "--json" => opts.json = true,
+            "--verify" => opts.verify = true,
+            other => args.fail(&format!("unknown option '{other}'")),
         }
     }
-    if let Err(e) = args.cfg.validate() {
-        fail(&e);
+    if let Err(e) = opts.cfg.validate() {
+        args.fail(&e);
     }
-    // The worker count: the flag, else the variable; either way a count.
-    let env = std::env::var("DXBAR_TILE_THREADS").map(|v| ("DXBAR_TILE_THREADS", v));
-    if let Some((name, v)) = tile_threads.or(env.ok()) {
-        args.tile_threads = Some(v.trim().parse().unwrap_or_else(|_| {
-            fail(&format!(
-                "bad {name} '{v}' (want a worker count, e.g. 0 2 4 8)"
-            ))
-        }));
+    opts.tile_threads = args.tile_threads(tile_threads);
+    if opts.fault_pct > 0.0 && !opts.design.supports_faults() {
+        args.fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");
     }
-    if args.fault_pct > 0.0 && !args.design.supports_faults() {
-        fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");
-    }
-    args
+    opts
 }
 
 fn print_human(r: &RunResult) {
@@ -256,21 +220,19 @@ fn main() {
     // second half of warmup; a closed-loop run has none, so there they are
     // present from the first cycle.
     let warmup = args.splash.map_or(args.cfg.warmup_cycles, |_| 0);
-    let crossbar = FaultPlan::generate(
+    let faults = ResiliencePlan::none().with_crossbar(FaultPlan::generate(
         &Mesh::for_config(&args.cfg),
         args.fault_pct,
         warmup / 2,
         warmup.max(1),
         args.cfg.seed,
-    );
+    ));
     let mut plan = match args.splash {
         Some(app) => RunPlan::splash(args.design, &args.cfg, app, 10_000_000),
         None => RunPlan::synthetic(args.design, &args.cfg, args.pattern, args.load),
     };
     plan.tile_threads = args.tile_threads;
-    let plan = plan
-        .faults(Faults::Crossbar(&crossbar))
-        .verified(args.verify);
+    let plan = plan.faults(&faults).verified(args.verify);
     let (result, violated) = match run(plan).clean() {
         Ok(out) => {
             if let Some(report) = out.verify {

@@ -27,12 +27,14 @@
 //!
 //! A [`RunPlan`] also carries the faults, the trace sink, the oracle suite
 //! and the tile-worker count of a run; [`run`] is the only entry point.
+//! [`cli::Args`] is the argument loop every binary of the workspace uses.
 //!
 //! See `examples/` for larger scenarios and `crates/bench` for the
 //! regenerators of every table and figure in the paper.
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod designs;
 pub mod kind;
 pub mod plan;
@@ -43,7 +45,7 @@ pub use noc_core::SimConfig;
 pub use noc_sim::{Network, RunResult};
 pub use plan::{
     run, run_synthetic, run_synthetic_resilient, run_synthetic_traced, run_synthetic_verified,
-    Faults, RunOutput, RunPlan, Workload,
+    RunOutput, RunPlan, Workload,
 };
 
 // Re-export the component crates under stable names.

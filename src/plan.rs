@@ -38,18 +38,6 @@ pub enum Workload<'a> {
     },
 }
 
-/// Which faults the run injects, whatever its workload.
-#[derive(Clone, Copy)]
-pub enum Faults<'a> {
-    None,
-    /// Permanent crossbar faults (Figs. 11/12). Honoured by the DXbar
-    /// variants and ignored by the others, as in the paper's fault study.
-    Crossbar(&'a FaultPlan),
-    /// Crossbar faults, permanent link faults, transient soft errors and
-    /// the CRC + NI-retransmission recovery protocol.
-    Resilience(&'a ResiliencePlan),
-}
-
 /// One experiment. Fields are public: set the ones that differ from what
 /// the constructors give (fault-free, no observers, homogeneous fabric).
 pub struct RunPlan<'a> {
@@ -59,13 +47,19 @@ pub struct RunPlan<'a> {
     /// Per-node designs (indexed by `NodeId`) for a heterogeneous fabric;
     /// `None` puts `design` everywhere.
     pub placement: Option<&'a [Design]>,
-    pub faults: Faults<'a>,
+    /// The faults the run injects, whatever its workload: permanent
+    /// crossbar faults (Figs. 11/12; honoured by the DXbar variants and
+    /// ignored by the others, as in the paper's fault study), permanent
+    /// link faults and transient soft errors. The CRC + NI-retransmission
+    /// layer is armed exactly when the plan has link or transient faults
+    /// ([`ResiliencePlan::needs_recovery`]). `None` is fault-free.
+    pub faults: Option<&'a ResiliencePlan>,
     /// Record flit lifetimes, ring-buffered events and per-cycle series.
     pub trace: Option<RecordingSink>,
     /// Attach the runtime-oracle suite (flit conservation, crossbar
     /// exclusivity, route legality, FIFO bounds, fairness guarantee,
-    /// deadlock/livelock watchdog, and the resilience oracles under a
-    /// [`Faults::Resilience`] plan).
+    /// deadlock/livelock watchdog, and the resilience oracles when the
+    /// recovery layer is armed).
     pub verify: bool,
     /// Tile workers the engine steps on; `None` leaves what
     /// `Network::new` read from `DXBAR_TILE_THREADS`.
@@ -79,7 +73,7 @@ impl<'a> RunPlan<'a> {
             cfg,
             workload,
             placement: None,
-            faults: Faults::None,
+            faults: None,
             trace: None,
             verify: false,
             tile_threads: None,
@@ -103,8 +97,8 @@ impl<'a> RunPlan<'a> {
         Self::new(design, cfg, Workload::Model { model, mode })
     }
 
-    pub fn faults(mut self, faults: Faults<'a>) -> Self {
-        self.faults = faults;
+    pub fn faults(mut self, faults: &'a ResiliencePlan) -> Self {
+        self.faults = Some(faults);
         self
     }
 
@@ -123,10 +117,15 @@ impl<'a> RunPlan<'a> {
         self
     }
 
+    /// The fault plan, if it needs the recovery layer armed.
+    fn recovery(&self) -> Option<&'a ResiliencePlan> {
+        self.faults.filter(|f| f.needs_recovery())
+    }
+
     /// The fabric [`run`] steps: `placement` (or `design` everywhere) built
-    /// with the plan's crossbar faults, the worker count set and the
-    /// resilience layer armed. A closed-loop SPLASH run has no warmup or
-    /// drain and measures up to its cycle cap.
+    /// with the plan's crossbar faults, the worker count set and, when the
+    /// faults need it, the resilience layer armed. A closed-loop SPLASH run
+    /// has no warmup or drain and measures up to its cycle cap.
     pub fn build_network(&self) -> Network<RouterKind> {
         let closed_loop;
         let cfg = match self.workload {
@@ -141,15 +140,8 @@ impl<'a> RunPlan<'a> {
             }
             _ => self.cfg,
         };
-        let fault_free;
-        let (crossbar, resilience) = match self.faults {
-            Faults::None => {
-                fault_free = FaultPlan::none(&Mesh::for_config(cfg));
-                (&fault_free, None)
-            }
-            Faults::Crossbar(faults) => (faults, None),
-            Faults::Resilience(faults) => (&faults.crossbar, Some(faults)),
-        };
+        let fault_free = FaultPlan::default();
+        let crossbar = self.faults.map_or(&fault_free, |f| &f.crossbar);
         let mut net = Network::new(cfg, &|n| {
             self.placement
                 .map_or(self.design, |p| p[n.index()])
@@ -158,7 +150,7 @@ impl<'a> RunPlan<'a> {
         if let Some(workers) = self.tile_threads {
             net.set_tile_threads(workers);
         }
-        if let Some(faults) = resilience {
+        if let Some(faults) = self.recovery() {
             net.set_resilience(faults.clone());
         }
         net
@@ -173,9 +165,9 @@ pub struct RunOutput {
     /// Comes back clean or not, so a traced run keeps its recording when
     /// verification fails; see [`RunOutput::clean`].
     pub verify: Option<VerifyReport>,
-    /// Reachability of the degraded topology under a resilience plan —
-    /// traffic between partitioned pairs burns the full retry budget per
-    /// packet and lands in `lost_flits`.
+    /// Reachability of the degraded topology when the recovery layer was
+    /// armed — traffic between partitioned pairs burns the full retry
+    /// budget per packet and lands in `lost_flits`.
     pub reach: Option<ReachReport>,
 }
 
@@ -198,10 +190,7 @@ pub fn run(plan: RunPlan<'_>) -> RunOutput {
     let cfg = plan.cfg;
     let mesh = Mesh::for_config(cfg);
     let mut net = plan.build_network();
-    let reach = match plan.faults {
-        Faults::Resilience(faults) => Some(faults.reachability(&mesh)),
-        _ => None,
-    };
+    let reach = plan.recovery().map(|f| f.reachability(&mesh));
     let (mut synthetic, mut splash);
     let (model, mode, offered_load): (&mut dyn TrafficModel, _, _) = match plan.workload {
         Workload::Synthetic { pattern, load } => {
@@ -262,8 +251,9 @@ pub fn run_synthetic_verified(
     offered_load: f64,
     faults: &FaultPlan,
 ) -> Result<(RunResult, VerifyReport), Box<VerifyError>> {
+    let faults = ResiliencePlan::none().with_crossbar(faults.clone());
     run(RunPlan::synthetic(design, cfg, pattern, offered_load)
-        .faults(Faults::Crossbar(faults))
+        .faults(&faults)
         .verified(true))
     .clean()
     .map(|out| (out.result, out.verify.expect("verified plan")))
@@ -276,8 +266,6 @@ pub fn run_synthetic_resilient(
     offered_load: f64,
     plan: &ResiliencePlan,
 ) -> (RunResult, ReachReport) {
-    let out = run(
-        RunPlan::synthetic(design, cfg, pattern, offered_load).faults(Faults::Resilience(plan))
-    );
+    let out = run(RunPlan::synthetic(design, cfg, pattern, offered_load).faults(plan));
     (out.result, out.reach.expect("resilience plan"))
 }

@@ -154,13 +154,10 @@ fn scarab_saturated_source_queues_do_not_allocate() {
 fn verified_steady_state_allocates_only_for_ledger_growth() {
     for design in [Design::DXbarDor, Design::Buffered4] {
         let (allocs, mut net) = steady_state_allocs(design, 0.1, 3_000, |net| {
-            let verifier = Verifier::for_network(net, VerifyOptions::default());
-            net.set_observer(Box::new(verifier));
+            net.attach(Verifier::for_network(net, VerifyOptions::default()));
         });
         let report = net
-            .take_observer()
-            .into_any()
-            .downcast::<Verifier>()
+            .detach::<Verifier>()
             .expect("a Verifier was attached")
             .finalize(&net);
         assert!(report.is_clean(), "{}", report.summary());
@@ -176,10 +173,10 @@ fn verified_steady_state_allocates_only_for_ledger_growth() {
 #[test]
 fn traced_steady_state_allocates_once_per_event_chunk() {
     let (mut net, mut model) = warmed(Design::DXbarDor, 0.1, 3_000, |net| {
-        net.set_trace_sink(Box::new(RecordingSink::new(0, 1)));
+        net.attach(RecordingSink::new(0, 1));
     });
     let seen = |net: &Network<RouterKind>| {
-        let sink = net.trace_sink().as_recording().expect("a RecordingSink");
+        let sink = net.observer::<RecordingSink>().expect("a RecordingSink");
         sink.recorder.total_seen() as usize
     };
     let before = seen(&net);

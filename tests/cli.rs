@@ -153,7 +153,7 @@ fn bad_tile_threads_exits_2() {
             "--tile-threads {bad:?} must be a usage error"
         );
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("bad --tile-threads"), "stderr: {err}");
+        assert!(err.contains("bad tile-thread count"), "stderr: {err}");
     }
 }
 

@@ -3,12 +3,13 @@
 //! must match Section III-E (DOR graceful, WF worse, power up).
 
 use dxbar_noc::noc_faults::{CrossbarId, FaultPlan};
+use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_sim::runner::RunMode;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::generator::SyntheticTraffic;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::trace::{Trace, TraceReplay};
-use dxbar_noc::{run, Design, Faults, RunPlan, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
 
 /// Replay a captured trace closed-loop under a crossbar fault plan.
 fn replay_to_completion(
@@ -21,7 +22,8 @@ fn replay_to_completion(
     let mode = RunMode::ClosedLoop {
         max_cycles: 200_000,
     };
-    run(RunPlan::model(design, cfg, &mut replay, mode).faults(Faults::Crossbar(faults))).result
+    let faults = ResiliencePlan::none().with_crossbar(faults.clone());
+    run(RunPlan::model(design, cfg, &mut replay, mode).faults(&faults)).result
 }
 
 #[test]
@@ -90,7 +92,7 @@ fn primary_only_and_secondary_only_fault_plans_deliver() {
 /// Uniform-random run under a crossbar fault plan.
 fn ur_with_faults(design: Design, cfg: &SimConfig, load: f64, faults: &FaultPlan) -> RunResult {
     let plan = RunPlan::synthetic(design, cfg, Pattern::UniformRandom, load);
-    run(plan.faults(Faults::Crossbar(faults))).result
+    run(plan.faults(&ResiliencePlan::none().with_crossbar(faults.clone()))).result
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! hold at quiescence, and no corruption may escape detection.
 
 use dxbar_noc::noc_resilience::{ResiliencePlan, TransientSpec};
-use dxbar_noc::{run, Design, Faults, RunOutput, RunPlan, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunOutput, RunPlan, RunResult, SimConfig};
 use noc_topology::Mesh;
 use noc_traffic::patterns::Pattern;
 
@@ -55,7 +55,7 @@ fn resilient(
     verify: bool,
 ) -> RunOutput {
     let run_plan = RunPlan::synthetic(design, cfg, Pattern::UniformRandom, load);
-    run(run_plan.faults(Faults::Resilience(plan)).verified(verify))
+    run(run_plan.faults(plan).verified(verify))
 }
 
 /// Verified run at load 0.1 that must stay connected and clean.

@@ -24,7 +24,7 @@ use dxbar_noc::noc_sim::runner::RunMode;
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
-use dxbar_noc::{run, Design, Faults, RunPlan, RunResult, SimConfig};
+use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
 
 /// `run(tiles)` at one worker, then at each of `workers`; every output
 /// must equal the one-worker output.
@@ -195,7 +195,7 @@ fn saturated_source_queues_match_at_every_worker_count() {
     let plan = ResiliencePlan::generate(&mesh, 0.0, 1, 2e-3, 50, 100, 11);
     assert_worker_count_invisible("saturated resilient dxbar-dor", &[2, 4], |tiles| {
         let run_plan = synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.9, tiles);
-        let r = run(run_plan.faults(Faults::Resilience(&plan))).result;
+        let r = run(run_plan.faults(&plan)).result;
         let e = &r.stats.events;
         assert!(e.ni_retransmits > 0, "no ARQ retransmission requeued");
         // The offered copy carries the NI's seal: a CRC reject can only
@@ -280,7 +280,7 @@ fn resilient_runs_match_at_every_worker_count() {
             assert_worker_count_invisible(&what, &[2, 4, 8], |tiles| {
                 let resilient = |verify| {
                     let run_plan = synthetic(design, &cfg, Pattern::UniformRandom, 0.1, tiles);
-                    run(run_plan.faults(Faults::Resilience(&plan)).verified(verify))
+                    run(run_plan.faults(&plan).verified(verify))
                 };
                 let plain = resilient(false).result;
                 let verified = resilient(true)

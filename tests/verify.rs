@@ -8,9 +8,9 @@
 //! CI verify-smoke job with `--release`.
 
 use dxbar_noc::noc_resilience::{ResiliencePlan, TransientSpec};
-use dxbar_noc::noc_sim::noc_trace::RecordingSink;
+use dxbar_noc::noc_sim::noc_trace::{to_jsonl, RecordingSink};
 use dxbar_noc::noc_traffic::splash::SplashApp;
-use dxbar_noc::{run, Design, Faults, RunOutput, RunPlan, SimConfig};
+use dxbar_noc::{run, Design, RunOutput, RunPlan, SimConfig};
 use noc_faults::FaultPlan;
 use noc_scenario::{ScenarioRun, ScenarioSpec};
 use noc_topology::Mesh;
@@ -29,7 +29,8 @@ fn quick_cfg() -> SimConfig {
 
 fn verify_point(design: Design, cfg: &SimConfig, load: f64, faults: &FaultPlan) {
     let plan = RunPlan::synthetic(design, cfg, Pattern::UniformRandom, load);
-    match run(plan.faults(Faults::Crossbar(faults)).verified(true)).clean() {
+    let crossbar = ResiliencePlan::none().with_crossbar(faults.clone());
+    match run(plan.faults(&crossbar).verified(true)).clean() {
         Ok(RunOutput { result, verify, .. }) => {
             let report = verify.expect("verified plan");
             assert!(
@@ -105,9 +106,10 @@ type Observed<'a> = &'a dyn Fn(bool, bool) -> RunOutput;
 
 #[test]
 fn verified_run_matches_unverified_result() {
-    // Observers must not perturb the simulation: for every design and
-    // every kind of run, the serialized result is byte-equal with the
-    // trace sink and the oracle suite each attached or not.
+    // Observers must not perturb the simulation, nor each other: for
+    // every design and every kind of run, the serialized result is
+    // byte-equal with the trace sink and the oracle suite each attached or
+    // not, and with both attached each records what it records alone.
     let cfg = quick_cfg();
     let transients = ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23));
     let scenario = ScenarioSpec::resolve("interfere2", &cfg).expect("known scenario");
@@ -130,21 +132,45 @@ fn verified_run_matches_unverified_result() {
             }),
             ("resilient", &|t, v| {
                 let plan = RunPlan::synthetic(d, &cfg, Pattern::UniformRandom, 0.1);
-                observed(plan.faults(Faults::Resilience(&transients)), t, v)
+                observed(plan.faults(&transients), t, v)
             }),
         ];
         for (kind, run_kind) in kinds {
-            let json = |trace, verify| {
-                serde_json::to_string(&run_kind(trace, verify).result).expect("serialize RunResult")
-            };
-            let plain = json(false, false);
-            for (trace, verify) in [(true, false), (false, true), (true, true)] {
+            let [plain, traced, verified, both] =
+                [(false, false), (true, false), (false, true), (true, true)]
+                    .map(|(trace, verify)| run_kind(trace, verify));
+            let json =
+                |out: &RunOutput| serde_json::to_string(&out.result).expect("serialize RunResult");
+            for (observers, out) in [("trace", &traced), ("verify", &verified), ("both", &both)] {
                 assert!(
-                    json(trace, verify) == plain,
-                    "{} {kind}: trace={trace} verify={verify} perturbed the result",
+                    json(out) == json(&plain),
+                    "{} {kind}: {observers} perturbed the result",
                     d.name()
                 );
             }
+            let recording = |out: &RunOutput| {
+                let sink = out.trace.as_ref().expect("traced plan");
+                let series = serde_json::to_string(&sink.series).expect("serialize series");
+                (
+                    to_jsonl(sink.recorder.iter()),
+                    series,
+                    sink.lifetimes.summary(),
+                )
+            };
+            assert!(
+                recording(&both) == recording(&traced),
+                "{} {kind}: the oracles perturbed the recording",
+                d.name()
+            );
+            let report = |out: &RunOutput| {
+                let r = out.verify.as_ref().expect("verified plan");
+                (r.summary(), r.checks, r.flit_counts, r.recovery_counts)
+            };
+            assert!(
+                report(&both) == report(&verified),
+                "{} {kind}: the recorder perturbed the oracles",
+                d.name()
+            );
         }
     }
 }
