@@ -9,7 +9,9 @@
 //! ```
 //!
 //! `trace_run --help` lists the options. `DXBAR_QUICK=1` shrinks the
-//! simulated windows as for `fig`.
+//! simulated windows as for `fig`. The outputs are written either way; a
+//! run whose measurement window offered flits and delivered none then
+//! prints `error: stalled: ...` and exits 1, with or without `--verify`.
 
 use bench::noc_campaign::verify_from_env;
 use bench::paper_config;
@@ -293,13 +295,18 @@ fn main() {
         chrome_path.display(),
         summary_path.display()
     );
-    if let Some(rep) = &verify_report {
-        if !rep.is_clean() {
-            eprintln!(
-                "[trace_run] verification FAILED: {} violation(s)",
-                rep.total_violations
-            );
-            exit(1);
-        }
+    let violated = verify_report.as_ref().is_some_and(|rep| !rep.is_clean());
+    if violated {
+        eprintln!(
+            "[trace_run] verification FAILED: {} violation(s)",
+            verify_report.map_or(0, |rep| rep.total_violations)
+        );
+    }
+    let stall = result.stall_reason();
+    if let Some(reason) = &stall {
+        eprintln!("error: {reason}");
+    }
+    if violated || stall.is_some() {
+        exit(1);
     }
 }

@@ -1,7 +1,7 @@
 //! CLI error paths of the bench bins: unknown preset, design, pattern and
 //! scenario names must exit 2 (usage error, distinct from the exit-1
 //! "points failed" path) and print the accepted spellings; `--help` must
-//! answer without running anything.
+//! answer without running anything; a run that delivers nothing exits 1.
 
 use std::process::Command;
 
@@ -83,6 +83,39 @@ fn trace_run_unknown_scenario_exits_2_and_lists_scenarios() {
     for name in noc_scenario::ScenarioSpec::KNOWN {
         assert!(err.contains(name), "scenario {name} missing from: {err}");
     }
+}
+
+/// Buffered-4 on the torus deadlocks (its wraparound rings close a cycle
+/// of credit dependencies): it offers traffic and delivers none. That used
+/// to print `accepted rate 0.0000` and exit 0.
+#[test]
+fn trace_run_stalled_torus_exits_1() {
+    let out_dir = std::env::temp_dir().join(format!("trace-run-stalled-{}", std::process::id()));
+    let out = trace_run()
+        .args([
+            "--design",
+            "buffered4",
+            "--scenario",
+            "torus_ur",
+            "--load",
+            "0.5",
+        ])
+        .arg("--out")
+        .arg(&out_dir)
+        .env("DXBAR_QUICK", "1")
+        .output()
+        .expect("spawn trace_run");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("accepted rate 0.0000"), "stdout: {stdout}");
+    assert_eq!(out.status.code(), Some(1), "a stalled run is a failed run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("error: stalled: 0 of ")
+                && l.ends_with(" offered flits delivered")),
+        "stderr: {err}"
+    );
 }
 
 #[test]
@@ -190,4 +223,61 @@ fn unknown_design_hint_ignores_other_errors() {
     assert!(bench::unknown_design_hint("bad json at line 3").is_none());
     let hint = bench::unknown_design_hint("unknown Design variant \"Foo\"").unwrap();
     assert!(hint.contains("Damq") && hint.contains("MinBd"));
+}
+
+/// A cache entry flipped into bytes that are not UTF-8 is a detected miss:
+/// one warning naming the entry, and the point simulates again. It used to
+/// be a silent miss.
+#[test]
+fn campaign_run_warns_once_for_a_cache_entry_that_is_not_utf8() {
+    let dir = std::env::temp_dir().join(format!("campaign-run-bit7-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("one.json");
+    std::fs::write(
+        &spec,
+        r#"{"name":"one","retry":{"max_retries":0},"groups":[{"label":"one",
+        "config":{"width":4,"height":4,"topology":"mesh","flit_bits":128,"buffer_depth":4,
+        "num_vcs":1,"fairness_threshold":4,"fault_detection_delay":5,"warmup_cycles":20,
+        "measure_cycles":100,"drain_cycles":20,"seed":1,"packet_len":1,"source_queue_cap":64},
+        "designs":["DXbarDor"],"workload":{"kind":"synthetic","patterns":["UniformRandom"],
+        "loads":[0.2]},"fault_fractions":[],"transient_rates":[],"link_faults":[],"seeds":[],
+        "tag":null}]}"#,
+    )
+    .unwrap();
+    let cache = dir.join("cache");
+    let run = || {
+        campaign_run()
+            .arg(&spec)
+            .arg("--cache")
+            .arg(&cache)
+            .arg("--manifest")
+            .arg(dir.join("m.json"))
+            .output()
+            .expect("spawn campaign_run")
+    };
+    assert!(run().status.success());
+    let entry = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("one cache entry");
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let at = bytes.len() * 3 / 4;
+    bytes[at] ^= 0x80;
+    std::fs::write(&entry, bytes).unwrap();
+
+    let out = run();
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = err.lines().filter(|l| l.contains("warning:")).collect();
+    assert_eq!(warnings.len(), 1, "stderr: {err}");
+    assert!(
+        warnings[0].contains(&*entry.to_string_lossy()),
+        "{}",
+        warnings[0]
+    );
+    let manifest = std::fs::read_to_string(dir.join("m.json")).unwrap();
+    assert!(manifest.contains(r#""cache_misses": 1,"#), "{manifest}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

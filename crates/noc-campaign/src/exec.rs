@@ -112,7 +112,8 @@ pub enum PointStatus {
     /// Simulation completed (fresh, cached, or shared with an identical
     /// sibling point).
     Done(RunResult),
-    /// Every attempt panicked; the campaign continued without this point.
+    /// Every attempt panicked, or the run stalled; the campaign continued
+    /// without this point.
     Failed(PointFailure),
 }
 
@@ -121,7 +122,8 @@ pub enum PointStatus {
 /// descriptor. Serialized into the manifest and the daemon's job status.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PointFailure {
-    /// Summary line ("panicked after N attempt(s): <last payload>").
+    /// Summary line ("panicked after N attempt(s): <last payload>", or
+    /// "stalled: 0 of N offered flits delivered").
     pub reason: String,
     /// Raw panic payload of every attempt, in order.
     pub panics: Vec<String>,
@@ -655,13 +657,22 @@ pub fn execute_point(
         attempts += 1;
         match catch_unwind(AssertUnwindSafe(|| runner(point))) {
             Ok((result, v)) => {
-                // Violating results never enter the cache: a later hit
-                // could not re-report the violations.
+                verify = v;
+                // A stalled run fails its point. It is not retried (a rerun
+                // is deterministic) and never cached, like a violating one:
+                // a later hit could not re-report what went wrong.
+                if let Some(reason) = result.stall_reason() {
+                    break PointStatus::Failed(PointFailure {
+                        reason,
+                        panics: Vec::new(),
+                        seed: point.seed,
+                        repro: point.describe(),
+                    });
+                }
                 let clean = v.is_none_or(|v| v.violations == 0);
                 if let (Some(c), true) = (cache, clean) {
                     c.store(point, &result);
                 }
-                verify = v;
                 break PointStatus::Done(result);
             }
             Err(payload) => {

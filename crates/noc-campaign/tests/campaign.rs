@@ -307,6 +307,49 @@ fn panicking_point_is_isolated_and_campaign_continues() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A run that offered flits and delivered none is a failed point: named in
+/// the manifest's quarantine list, never retried (a rerun is deterministic)
+/// and never cached, so the next campaign runs it again.
+#[test]
+fn stalled_point_fails_unretried_and_uncached() {
+    let dir = scratch("stalled");
+    let spec = {
+        let mut s = tiny_spec();
+        s.retry.max_retries = 2;
+        s
+    };
+    let stuck =
+        |p: &PointSpec| p.design == Design::FlitBless && p.seed == 1 && p.workload.x() == 0.3;
+    let calls = AtomicUsize::new(0);
+    let runner = |p: &PointSpec| {
+        let mut r = fake_result(p);
+        if stuck(p) {
+            calls.fetch_add(1, Ordering::Relaxed);
+            r.stats.offered_flits = 640;
+        }
+        r
+    };
+
+    let r = run_campaign_with(&spec, &opts_with_cache(&dir), &runner).unwrap();
+    assert_eq!(r.failed_count(), 1);
+    let failed = r.failed().next().unwrap();
+    assert!(stuck(&failed.point));
+    assert_eq!(failed.attempts, 1, "not retried");
+    assert_eq!(calls.load(Ordering::Relaxed), 1);
+    let m = r.manifest();
+    assert_eq!(m.quarantined.len(), 1);
+    assert_eq!(
+        m.quarantined[0].reason,
+        "stalled: 0 of 640 offered flits delivered"
+    );
+
+    let r = run_campaign_with(&spec, &opts_with_cache(&dir), &runner).unwrap();
+    assert_eq!(r.cache_hits(), 7, "the stalled point was never stored");
+    assert_eq!(r.failed_count(), 1);
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn retry_policy_reattempts_flaky_points() {
     let spec = {

@@ -363,6 +363,67 @@ mod tests {
         assert_eq!(s.detected, corrupted.len() as u64);
     }
 
+    /// One 4x4 point, small enough to simulate in a unit test.
+    const ONE_POINT: &str = r#"{"name":"bit7","retry":{"max_retries":0},"groups":[{
+        "label":"bit7","config":{"width":4,"height":4,"topology":"mesh","flit_bits":128,
+        "buffer_depth":4,"num_vcs":1,"fairness_threshold":4,"fault_detection_delay":5,
+        "warmup_cycles":20,"measure_cycles":100,"drain_cycles":20,"seed":1,"packet_len":1,
+        "source_queue_cap":64},"designs":["DXbarDor"],"workload":{"kind":"synthetic",
+        "patterns":["UniformRandom"],"loads":[0.2]},"fault_fractions":[],"transient_rates":[],
+        "link_faults":[],"seeds":[],"tag":null}]}"#;
+
+    /// One flip in eight sets bit 7 of an ASCII byte: the entry stops being
+    /// UTF-8. The load must still detect it, not miss it silently and leave
+    /// the injection pending.
+    #[test]
+    fn a_bit_7_flip_ends_detected() {
+        use noc_campaign::{run_campaign, CampaignSpec, ExecOptions};
+        use std::sync::Arc;
+
+        let spec = CampaignSpec::from_json(ONE_POINT).unwrap();
+        let dir = std::env::temp_dir().join(format!("noc-chaos-bit7-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = |plan: &Arc<ChaosPlan>| ExecOptions {
+            cache_dir: Some(dir.clone()),
+            jobs: Some(1),
+            io_policy: plan.clone(),
+            ..ExecOptions::default()
+        };
+        let flips_only = |seed| {
+            Arc::new(ChaosPlan::new(ChaosConfig {
+                seed,
+                eio_permille: 0,
+                enospc_permille: 0,
+                torn_permille: 0,
+                bitflip_permille: 1000,
+                ..ChaosConfig::default()
+            }))
+        };
+        let key = spec.points()[0].cache_key(&opts(&flips_only(0)).cache_salt());
+        let entry = dir.join(format!("{key}.json"));
+        let seed = (0..)
+            .find(|&seed| {
+                matches!(
+                    flips_only(seed).inject(IoOp::CacheStore, &entry, 1),
+                    Some(IoFault::BitFlip(h)) if (h >> 32) % 8 == 7
+                )
+            })
+            .unwrap();
+
+        let plan = flips_only(seed);
+        let cold = run_campaign(&spec, &opts(&plan)).unwrap();
+        assert_eq!(cold.cache_misses(), 1);
+        assert!(std::str::from_utf8(&std::fs::read(&entry).unwrap()).is_err());
+        assert_eq!(plan.summary().pending, 1);
+
+        plan.disarm();
+        let resumed = run_campaign(&spec, &opts(&plan)).unwrap();
+        assert_eq!(resumed.cache_hits(), 0, "the flipped entry is a miss");
+        let s = plan.summary();
+        assert_eq!((s.pending, s.detected), (0, 1), "{:?}", plan.unresolved());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn disarm_stops_injection_but_not_detection_accounting() {
         let plan = ChaosPlan::new(ChaosConfig {

@@ -116,6 +116,10 @@ pub(crate) struct Inner {
     /// No job before this index is live. Jobs only ever turn terminal, so
     /// the cursor only moves forward; [`Inner::live`] moves it.
     first_live: usize,
+    /// The `GET /jobs` rows of `jobs[..listed_jobs]`, every one of them
+    /// finished: rendered once, one text per listing that found new ones.
+    listed: Vec<Arc<str>>,
+    listed_jobs: usize,
 }
 
 impl Inner {
@@ -200,6 +204,8 @@ impl DaemonState {
                 seq,
                 drop_seen,
                 first_live: 0,
+                listed: Vec::new(),
+                listed_jobs: 0,
             }),
             cv: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -376,33 +382,30 @@ impl DaemonState {
     }
 
     /// The `GET /jobs` body, [`DaemonState::jobs_value`] pretty-printed, as
-    /// the texts it is made of: one per job, with what stands before it in
-    /// the array — a finished job's is rendered once and shared from then
-    /// on (no job is ever removed, so the first stays the first) — and the
-    /// closing bracket.
+    /// the texts it is made of, and the closing bracket. Every job before
+    /// the first live one is finished, and a finished job's row never
+    /// changes (no job is ever removed, so the first stays the first):
+    /// those rows are rendered once, into one text per listing that found
+    /// new ones, and shared from then on. The rows from the first live job
+    /// on are rendered fresh.
     pub(crate) fn jobs_body(&self) -> Vec<Arc<str>> {
         let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
         if inner.jobs.is_empty() {
             return vec!["[]\n".into()];
         }
-        let mut body = Vec::with_capacity(inner.jobs.len() + 1);
-        for (i, j) in inner.jobs.iter_mut().enumerate() {
-            body.push(match &j.list_row {
-                Some(row) => row.clone(),
-                None => {
-                    // An array element: one level deep. (Strings escape
-                    // their newlines, so every newline in the text is one
-                    // the printer indented.)
-                    let row = job_brief(j).to_json_pretty().replace('\n', "\n  ");
-                    let row: Arc<str> =
-                        format!("{}\n  {row}", if i == 0 { '[' } else { ',' }).into();
-                    if j.state.is_terminal() {
-                        j.list_row = Some(row.clone());
-                    }
-                    row
-                }
-            });
+        inner.live();
+        if inner.listed_jobs < inner.first_live {
+            let rows: String = (inner.listed_jobs..inner.first_live)
+                .map(|i| list_row(i, &inner.jobs[i]))
+                .collect();
+            inner.listed.push(rows.into());
+            inner.listed_jobs = inner.first_live;
         }
+        let fresh = inner.listed_jobs..inner.jobs.len();
+        let mut body = Vec::with_capacity(inner.listed.len() + fresh.len() + 1);
+        body.extend(inner.listed.iter().cloned());
+        body.extend(fresh.map(|i| Arc::from(list_row(i, &inner.jobs[i]))));
         body.push("\n]\n".into());
         body
     }
@@ -513,6 +516,14 @@ impl DaemonState {
         self.figures
             .render(name, self.cache_for(self.cfg.verify_default))
     }
+}
+
+/// Job `j`'s `GET /jobs` row at index `i`: an array element, one level
+/// deep, with what stands before it. (Strings escape their newlines, so
+/// every newline in the text is one the printer indented.)
+fn list_row(i: usize, j: &Job) -> String {
+    let row = job_brief(j).to_json_pretty().replace('\n', "\n  ");
+    format!("{}\n  {row}", if i == 0 { '[' } else { ',' })
 }
 
 /// Compact row for `GET /jobs`.
@@ -780,14 +791,25 @@ mod tests {
         submit();
         let cancelled = submit();
         state.cancel(cancelled).expect("queued job cancels");
-        // The second round reuses the terminal jobs' rows.
+        // The finished job before the live one is rendered once; the
+        // second round reuses its row.
         for round in ["first build", "memoised rows"] {
             agree(round);
             let inner = state.inner.lock().unwrap();
-            let memoised: Vec<bool> = inner.jobs.iter().map(|j| j.list_row.is_some()).collect();
-            assert_eq!(memoised, [true, false, true], "{round}");
+            assert_eq!((inner.listed_jobs, inner.listed.len()), (1, 1), "{round}");
             assert_eq!(inner.jobs[0].id, done);
         }
+        // Once nothing is live, every row is in the shared texts.
+        {
+            let mut inner = state.inner.lock().unwrap();
+            let job = &mut inner.jobs[1];
+            job.state = JobState::Done;
+            job.resolved = job.unique;
+        }
+        agree("all finished");
+        let inner = state.inner.lock().unwrap();
+        assert_eq!((inner.listed_jobs, inner.listed.len()), (3, 2));
+        drop(inner);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

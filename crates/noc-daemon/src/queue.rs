@@ -146,9 +146,6 @@ pub struct Job {
     /// `None` once the job is terminal: a finished job is its row.
     pub work: Option<Box<Work>>,
     pub(crate) outputs: Outputs,
-    /// This job's `GET /jobs` row, kept from the first listing after the
-    /// job turned terminal: from then on nothing the row shows changes.
-    pub(crate) list_row: Option<Arc<str>>,
 }
 
 /// What only a job with work left holds: the spec, its expansion, the
@@ -266,7 +263,6 @@ impl Job {
                 results_text: None,
                 manifest_json: None,
             },
-            list_row: None,
         })
     }
 
@@ -376,7 +372,6 @@ impl Job {
         self.name.capacity()
             + self.source.capacity()
             + self.summary.failures.capacity() * size_of::<PointFailure>()
-            + self.list_row.as_ref().map_or(0, |row| row.len())
             + work
             + held
     }
@@ -682,7 +677,6 @@ impl Journal {
                 results_text: text("results_text"),
                 manifest_json: text("manifest"),
             },
-            list_row: None,
         })
     }
 }

@@ -85,6 +85,24 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The measurement window offered flits and delivered none: a network
+    /// that deadlocked or livelocked, whatever its oracles say. A method,
+    /// not a field, because a result's bytes are cache entries.
+    pub fn stalled(&self) -> bool {
+        self.stats.offered_flits > 0 && self.stats.accepted_flits == 0
+    }
+
+    /// `stalled: 0 of N offered flits delivered` for a stalled run: the one
+    /// line every surface reports it with.
+    pub fn stall_reason(&self) -> Option<String> {
+        self.stalled().then(|| {
+            format!(
+                "stalled: 0 of {} offered flits delivered",
+                self.stats.offered_flits
+            )
+        })
+    }
+
     /// One compact text line for series printouts.
     pub fn summary_line(&self) -> String {
         format!(

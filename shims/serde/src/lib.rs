@@ -5,18 +5,39 @@
 //! `Deserialize` traits over a JSON-shaped [`value::Value`] data model,
 //! plus a derive macro (feature `derive`) covering named-field structs,
 //! tuple structs and unit-variant enums — exactly the shapes the simulator
-//! serializes. `serde_json` (also vendored) renders and parses the model.
+//! serializes. `serde_json` (also vendored) renders the model and wraps the
+//! [`Parser`] that lives here.
 //!
 //! The simplification relative to real serde: there is no generic
-//! `Serializer`/`Deserializer` driver, serialization always goes through
-//! the owned `Value` tree. For the report-sized payloads this workspace
+//! `Serializer`/`Deserializer` driver. Serialization always goes through
+//! the owned `Value` tree; for the report-sized payloads this workspace
 //! writes, that is plenty — and the object model preserves field order, so
 //! output is byte-deterministic.
+//!
+//! Deserialization has two entry points. [`Deserialize::from_value`]
+//! rebuilds a value from a tree. [`Deserialize::from_parser`] reads it
+//! straight from JSON text through a [`Parser`]; its default parses the
+//! value's tree and defers to `from_value`, so a hand-written impl needs
+//! only `from_value`. The derive, `String`, `Value`, `Option`, `Vec`,
+//! arrays, tuples and the unsigned integers override it and build no tree:
+//! object keys are matched as slices borrowed from the input, the first
+//! occurrence of a key wins and later ones are skipped (as [`Value::get`]
+//! resolves them), unknown keys are skipped, and a missing field reads as
+//! `from_value(&Value::Null)`. Whatever the text, a `from_parser` read to
+//! the end of it succeeds exactly when parsing the tree and calling
+//! `from_value` does, with an equal value.
+//!
+//! A parser can also *tap* what it reads ([`Tap`]): it feeds the canonical
+//! compact rendering — `Value::to_json` of the same text, byte for byte —
+//! to FNV-1a or a buffer as it goes, so a payload is checksummed in the
+//! pass that decodes it.
 
 #![forbid(unsafe_code)]
 
+pub mod parser;
 pub mod value;
 
+pub use parser::{Parser, Tap};
 pub use value::{Error, Value};
 
 #[cfg(feature = "derive")]
@@ -30,6 +51,13 @@ pub trait Serialize {
 /// Types that can be rebuilt from the [`Value`] data model.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Read one value straight from JSON text. Must succeed exactly when
+    /// `from_value` of the value's tree does, with an equal result; the
+    /// default is that by construction.
+    fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+        Self::from_value(&p.value()?)
+    }
 }
 
 macro_rules! impl_unsigned {
@@ -44,12 +72,26 @@ macro_rules! impl_unsigned {
                 let n = v
                     .as_u64()
                     .ok_or_else(|| Error::msg(format!("expected unsigned integer, got {v:?}")))?;
-                <$t>::try_from(n).map_err(|_| {
-                    Error::msg(format!("{n} out of range for {}", stringify!($t)))
-                })
+                in_range(n)
+            }
+
+            fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+                match p.unsigned() {
+                    Some(n) => in_range(n),
+                    None => Self::from_value(&p.value()?),
+                }
             }
         }
     )*};
+}
+
+fn in_range<T: TryFrom<u64>>(n: u64) -> Result<T, Error> {
+    T::try_from(n).map_err(|_| {
+        Error::msg(format!(
+            "{n} out of range for {}",
+            std::any::type_name::<T>()
+        ))
+    })
 }
 
 impl_unsigned!(u8, u16, u32, u64, usize);
@@ -135,6 +177,13 @@ impl Deserialize for String {
             .map(str::to_owned)
             .ok_or_else(|| Error::msg(format!("expected string, got {v:?}")))
     }
+
+    fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+        if p.peek() != Some(b'"') {
+            return Self::from_value(&p.value()?);
+        }
+        p.str().map(String::from)
+    }
 }
 
 // `Value` round-trips through itself (real serde_json has the same
@@ -148,6 +197,10 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+        p.value()
     }
 }
 
@@ -185,6 +238,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
             T::from_value(v).map(Some)
         }
     }
+
+    fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+        if p.peek() == Some(b'n') {
+            // `null`, or an error `value` reports.
+            return p.value().map(|_| None);
+        }
+        T::from_parser(p).map(Some)
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -200,6 +261,18 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .iter()
             .map(T::from_value)
             .collect()
+    }
+
+    fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+        if p.peek() != Some(b'[') {
+            return Self::from_value(&p.value()?);
+        }
+        p.begin_array()?;
+        let mut xs = Vec::new();
+        while p.next_element()? {
+            xs.push(T::from_parser(p)?);
+        }
+        Ok(xs)
     }
 }
 
@@ -217,11 +290,18 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 
 impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let xs: Vec<T> = Vec::from_value(v)?;
-        let got = xs.len();
-        <[T; N]>::try_from(xs)
-            .map_err(|_| Error::msg(format!("expected array of length {N}, got {got}")))
+        exactly(Vec::from_value(v)?)
     }
+
+    fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+        exactly(Vec::from_parser(p)?)
+    }
+}
+
+fn exactly<T: std::fmt::Debug, const N: usize>(xs: Vec<T>) -> Result<[T; N], Error> {
+    let got = xs.len();
+    <[T; N]>::try_from(xs)
+        .map_err(|_| Error::msg(format!("expected array of length {N}, got {got}")))
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -246,6 +326,25 @@ macro_rules! impl_tuple {
                     xs.get($idx)
                         .ok_or_else(|| Error::msg("tuple too short"))?,
                 )?,)+))
+            }
+
+            fn from_parser(p: &mut Parser<'_>) -> Result<Self, Error> {
+                if p.peek() != Some(b'[') {
+                    return Self::from_value(&p.value()?);
+                }
+                p.begin_array()?;
+                let tuple = ($({
+                    if !p.next_element()? {
+                        return Err(Error::msg("tuple too short"));
+                    }
+                    $t::from_parser(p)?
+                },)+);
+                // Elements past the tuple's arity are ignored, as the tree
+                // read ignores them.
+                while p.next_element()? {
+                    p.skip()?;
+                }
+                Ok(tuple)
             }
         }
     )*};

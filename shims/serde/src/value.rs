@@ -175,7 +175,7 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_f64(out: &mut String, x: f64) {
+pub(crate) fn write_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
         // JSON has no NaN/Infinity; mirror JavaScript's JSON.stringify.
         out.push_str("null");
@@ -190,7 +190,7 @@ fn write_f64(out: &mut String, x: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -13,6 +13,11 @@
 //!
 //! Anything else (generics, payload-carrying variants) produces a
 //! `compile_error!` pointing here; hand-write the impl instead.
+//!
+//! `Deserialize` gets both read paths: `from_value` over a tree and
+//! `from_parser`, which pulls the same shape straight from JSON text and
+//! takes the tree read only for a value of the wrong shape (so its errors,
+//! and its successes, are the tree read's).
 
 #![forbid(unsafe_code)]
 
@@ -245,32 +250,15 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match shape {
+    let (name, from_value, from_parser) = match shape {
         Shape::NamedStruct { name, fields } => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(v.field({f:?})).map_err(\
-                             |e| ::serde::Error::msg(format!(\"{name}.{f}: {{e}}\")))?"
-                    )
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                         Ok({name} {{ {} }})\n\
-                     }}\n\
-                 }}",
-                inits.join(", ")
-            )
+            let (from_value, from_parser) = named_struct(&name, &fields);
+            (name, from_value, from_parser)
         }
-        Shape::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                     Ok({name}(::serde::Deserialize::from_value(v)?))\n\
-                 }}\n\
-             }}"
+        Shape::TupleStruct { name, arity: 1 } => (
+            name.clone(),
+            format!("Ok({name}(::serde::Deserialize::from_value(v)?))"),
+            format!("Ok({name}(::serde::Deserialize::from_parser(p)?))"),
         ),
         Shape::TupleStruct { name, arity } => {
             let elems: Vec<String> = (0..arity)
@@ -281,34 +269,122 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                     )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                         let xs = v.as_array().ok_or_else(\
-                             || ::serde::Error::msg(\"{name}: expected array\"))?;\n\
-                         Ok({name}({}))\n\
-                     }}\n\
-                 }}",
+            let from_value = format!(
+                "let xs = v.as_array().ok_or_else(\
+                     || ::serde::Error::msg(\"{name}: expected array\"))?;\n\
+                 Ok({name}({}))",
                 elems.join(", ")
-            )
+            );
+            // Elements past the arity are ignored, as `xs.get` ignores them.
+            let pulled: Vec<String> = (0..arity)
+                .map(|_| {
+                    format!(
+                        "{{ if !p.next_element()? {{\
+                             return Err(::serde::Error::msg(\"{name}: tuple too short\")); }}\
+                           ::serde::Deserialize::from_parser(p)? }}"
+                    )
+                })
+                .collect();
+            let from_parser = format!(
+                "if p.peek() != Some(b'[') {{ return Self::from_value(&p.value()?); }}\n\
+                 p.begin_array()?;\n\
+                 let out = {name}({});\n\
+                 while p.next_element()? {{ p.skip()?; }}\n\
+                 Ok(out)",
+                pulled.join(", ")
+            );
+            (name, from_value, from_parser)
         }
         Shape::UnitEnum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| format!("{v:?} => Ok({name}::{v})"))
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                         let s = v.as_str().ok_or_else(\
-                             || ::serde::Error::msg(\"{name}: expected variant string\"))?;\n\
-                         match s {{ {}, other => Err(::serde::Error::msg(\
-                             format!(\"unknown {name} variant {{other:?}}\"))) }}\n\
-                     }}\n\
-                 }}",
+            let arms = format!(
+                "{}, other => Err(::serde::Error::msg(\
+                     format!(\"unknown {name} variant {{other:?}}\")))",
                 arms.join(", ")
-            )
+            );
+            let from_value = format!(
+                "let s = v.as_str().ok_or_else(\
+                     || ::serde::Error::msg(\"{name}: expected variant string\"))?;\n\
+                 match s {{ {arms} }}"
+            );
+            let from_parser = format!(
+                "if p.peek() != Some(b'\"') {{ return Self::from_value(&p.value()?); }}\n\
+                 match &*p.str()? {{ {arms} }}"
+            );
+            (name, from_value, from_parser)
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
+                 {from_value}\n\
+             }}\n\
+             fn from_parser(p: &mut ::serde::Parser<'_>) -> Result<Self, ::serde::Error> {{\n\
+                 {from_parser}\n\
+             }}\n\
+         }}"
+    )
+    .parse()
+    .unwrap()
+}
+
+/// The two read paths of a named-field struct. The tree read looks every
+/// field up with `Value::field`; the pull read walks the object's keys in
+/// text order into one slot per field, so it resolves keys the same way:
+/// the first occurrence wins and later ones are skipped, unknown keys are
+/// skipped, and a field with no key reads from `null`. A value that is not
+/// an object takes the tree read, whose `field` sees `null` everywhere.
+fn named_struct(name: &str, fields: &[String]) -> (String, String) {
+    let context =
+        |f: &str| format!("map_err(|e| ::serde::Error::msg(format!(\"{name}.{f}: {{e}}\")))");
+    let from_value: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "{f}: ::serde::Deserialize::from_value(v.field({f:?})).{}?",
+                context(f)
+            )
+        })
+        .collect();
+    let from_value = format!("Ok({name} {{ {} }})", from_value.join(", "));
+
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut slot{i} = None;\n"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{f:?} if slot{i}.is_none() => \
+                     slot{i} = Some(::serde::Deserialize::from_parser(p).{}?),\n",
+                context(f)
+            )
+        })
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{f}: match slot{i} {{ Some(x) => x, None => \
+                     ::serde::Deserialize::from_value(&::serde::Value::Null).{}? }}",
+                context(f)
+            )
+        })
+        .collect();
+    let from_parser = format!(
+        "if p.peek() != Some(b'{{') {{ return Self::from_value(&p.value()?); }}\n\
+         p.begin_object()?;\n\
+         {slots}\
+         while let Some(key) = p.next_key()? {{\n\
+             match &*key {{\n{arms}_ => p.skip()?,\n}}\n\
+         }}\n\
+         Ok({name} {{ {} }})",
+        inits.join(", ")
+    );
+    (from_value, from_parser)
 }

@@ -8,7 +8,9 @@
 //! dxbar-sim --list
 //! ```
 //!
-//! Arguments parse through [`dxbar_noc::cli::Args`]; see `--help`.
+//! Arguments parse through [`dxbar_noc::cli::Args`]; see `--help`. A run
+//! whose measurement window offered flits and delivered none prints
+//! `error: stalled: ...` and exits 1, with or without `--verify`.
 
 use dxbar_noc::cli::Args;
 use dxbar_noc::noc_faults::FaultPlan;
@@ -254,7 +256,11 @@ fn main() {
     } else {
         print_human(&result);
     }
-    if violated {
+    let stall = result.stall_reason();
+    if let Some(reason) = &stall {
+        eprintln!("error: {reason}");
+    }
+    if violated || stall.is_some() {
         std::process::exit(1);
     }
 }

@@ -151,3 +151,25 @@ fn bless_deflections_preserve_delivery() {
     );
     assert_eq!(res.accepted_packets, packets);
 }
+
+/// The negative half of the stalled check: at full offered load on the
+/// paper's 8x8 mesh every design still delivers, so none is stalled.
+#[test]
+fn no_design_stalls_on_an_8x8_mesh_at_full_load() {
+    let cfg = SimConfig {
+        warmup_cycles: 200,
+        measure_cycles: 400,
+        drain_cycles: 0,
+        ..SimConfig::default()
+    };
+    for design in Design::ALL {
+        let plan = dxbar_noc::RunPlan::synthetic(design, &cfg, Pattern::UniformRandom, 1.0);
+        let r = dxbar_noc::run(plan).result;
+        assert!(
+            r.stats.offered_flits > 0,
+            "{}: nothing offered",
+            design.name()
+        );
+        assert!(!r.stalled(), "{}: {:?}", design.name(), r.stall_reason());
+    }
+}
