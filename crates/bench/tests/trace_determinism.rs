@@ -27,7 +27,7 @@ fn traced_jsonl(design: Design, load: f64) -> (String, Vec<TraceEvent>, Recordin
     let sink = RecordingSink::new(0, 1);
     let plan = RunPlan::synthetic(design, &cfg, Pattern::UniformRandom, load);
     let sink = run(plan.traced(sink)).trace.expect("traced plan");
-    let events: Vec<TraceEvent> = sink.recorder.iter().cloned().collect();
+    let events: Vec<TraceEvent> = sink.recorder.iter().collect();
     (to_jsonl(&events), events, sink)
 }
 

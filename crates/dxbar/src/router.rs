@@ -39,7 +39,7 @@ use noc_core::types::{
     Direction, NodeId, PortSet, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS,
 };
 use noc_faults::{CrossbarId, FaultClock, RouterFault};
-use noc_routing::Algorithm;
+use noc_routing::{usable_route, Algorithm};
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
 use noc_topology::Mesh;
@@ -137,7 +137,7 @@ pub struct DXbarRouter {
     /// Dead output links, published by the engine's resilience layer.
     link_down: [bool; NUM_LINK_PORTS],
     /// Whether any entry of `link_down` is set — lets the fault-free
-    /// common case skip route pruning and credit masking entirely.
+    /// common case skip credit masking entirely.
     any_link_down: bool,
 }
 
@@ -218,11 +218,6 @@ impl DXbarRouter {
         }
     }
 
-    /// Route set with dead output links pruned — unless every productive
-    /// port is dead, in which case the original set is kept: the flit exits
-    /// into the dead link and the engine accounts the loss. An adaptive
-    /// (WF) flit reroutes within its minimal choices; a DOR flit never
-    /// reroutes — graceful degradation, not rescue.
     /// The flit a requester refers to: the arrival latch, FIFO head or
     /// injection port it occupies until granted or diverted. Candidates
     /// are resolved lazily so the sorted candidate lists carry only
@@ -233,23 +228,6 @@ impl DXbarRouter {
             Who::Incoming(i) => ctx.arrivals[i].expect("arrival latch empty"),
             Who::Buffered(i) => *self.buffers[i].front().expect("FIFO head empty"),
             Who::Injection => ctx.injection.expect("injection port empty"),
-        }
-    }
-
-    fn usable_route(&self, route: PortSet) -> PortSet {
-        if !self.any_link_down {
-            return route;
-        }
-        let mut live = route;
-        for d in LINK_DIRECTIONS {
-            if self.link_down[d.index()] {
-                live.remove(d);
-            }
-        }
-        if live.is_empty() {
-            route
-        } else {
-            live
         }
     }
 }
@@ -363,7 +341,10 @@ impl RouterModel for DXbarRouter {
         let waiter_eligible = flipped
             && ctx.probe.is_enabled()
             && waiting.iter().any(|(_, _, dst)| {
-                let route = self.usable_route(self.algorithm.route(&self.mesh, self.node, dst));
+                let route = usable_route(
+                    self.algorithm.route(&self.mesh, self.node, dst),
+                    &self.link_down,
+                );
                 best_output(route, &[false; 5], &eff_credits, |_| 0).is_some()
             });
         // Walk the winners-first order without materializing it: flipped
@@ -383,7 +364,10 @@ impl RouterModel for DXbarRouter {
         let mut diverted: InlineVec<usize, 4> = InlineVec::new(); // inputs whose arrival lost
 
         for &(who, _, dst) in first.iter().chain(second.iter()) {
-            let route = self.usable_route(self.algorithm.route(&self.mesh, self.node, dst));
+            let route = usable_route(
+                self.algorithm.route(&self.mesh, self.node, dst),
+                &self.link_down,
+            );
             // Best free, credit-backed output: the adaptive selection that
             // makes WF competitive instead of piling onto the lowest port
             // index (see `best_output`).

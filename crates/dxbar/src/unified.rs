@@ -25,10 +25,8 @@ use crate::fairness::FairnessCounter;
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
-use noc_core::types::{
-    Direction, NodeId, PortSet, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS,
-};
-use noc_routing::Algorithm;
+use noc_core::types::{Direction, NodeId, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS};
+use noc_routing::{usable_route, Algorithm};
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
 use noc_topology::Mesh;
@@ -104,7 +102,10 @@ impl UnifiedRouter {
     /// backpressure, so no credit is required, and the engine accounts
     /// the loss. Pure in (node, dst, link_down): cacheable per flit.
     fn route_bits(&self, flit: &Flit) -> u8 {
-        let route = self.usable_route(self.algorithm.route(&self.mesh, self.node, flit.dst));
+        let route = usable_route(
+            self.algorithm.route(&self.mesh, self.node, flit.dst),
+            &self.link_down,
+        );
         let mut mask = 0u8;
         for dir in ALL_DIRECTIONS {
             if route.contains(dir) {
@@ -125,20 +126,6 @@ impl UnifiedRouter {
             }
         }
         mask
-    }
-
-    fn usable_route(&self, route: PortSet) -> PortSet {
-        let mut live = route;
-        for d in LINK_DIRECTIONS {
-            if self.link_down[d.index()] {
-                live.remove(d);
-            }
-        }
-        if live.is_empty() {
-            route
-        } else {
-            live
-        }
     }
 }
 

@@ -18,9 +18,9 @@ use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
 use noc_core::types::{
-    Cycle, Direction, NodeId, PortSet, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS, NUM_PORTS,
+    Cycle, Direction, NodeId, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS, NUM_PORTS,
 };
-use noc_routing::Algorithm;
+use noc_routing::{usable_route, Algorithm};
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::ProbeEvent;
 use noc_topology::Mesh;
@@ -150,23 +150,6 @@ impl BufferedRouter {
             .map(|k| (self.rr_dvc[dir.index()] + k) % n)
             .find(|&vc| self.credits[dir.index()][vc] > 0)
     }
-
-    /// Route set with dead output links pruned, unless every productive
-    /// port is dead (DOR flits never reroute — the flit exits into the dead
-    /// link and the engine accounts the loss).
-    fn usable_route(&self, route: PortSet) -> PortSet {
-        let mut live = route;
-        for d in LINK_DIRECTIONS {
-            if self.link_down[d.index()] {
-                live.remove(d);
-            }
-        }
-        if live.is_empty() {
-            route
-        } else {
-            live
-        }
-    }
 }
 
 impl RouterModel for BufferedRouter {
@@ -252,8 +235,10 @@ impl RouterModel for BufferedRouter {
                 if head.ready > t {
                     continue;
                 }
-                let route =
-                    self.usable_route(self.algorithm.route(&self.mesh, self.node, head.flit.dst));
+                let route = usable_route(
+                    self.algorithm.route(&self.mesh, self.node, head.flit.dst),
+                    &self.link_down,
+                );
                 let mut mask = 0u8;
                 for dir in ALL_DIRECTIONS {
                     if !route.contains(dir) {

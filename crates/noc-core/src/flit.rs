@@ -50,8 +50,6 @@ pub struct Flit {
     /// Cycle the packet was created at the source PE (basis for latency and
     /// for age-based arbitration).
     pub created: Cycle,
-    /// Cycle the flit first entered the network (left the injection queue).
-    pub injected: Cycle,
     /// Message class.
     pub kind: FlitKind,
     /// Link traversals so far (statistics; also detects livelock).
@@ -101,7 +99,6 @@ impl Flit {
             src,
             dst,
             created,
-            injected: created,
             kind,
             hops: 0,
             deflections: 0,
@@ -243,7 +240,7 @@ mod tests {
         assert_eq!(f.packet_len, 1);
         assert!(f.is_tail());
         assert_eq!(f.kind, FlitKind::Synthetic);
-        assert_eq!(f.injected, 77);
+        assert_eq!(f.created, 77);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod deflection;
 pub mod dor;
 pub mod westfirst;
 
-use noc_core::types::{Direction, NodeId, PortSet};
+use noc_core::types::{Direction, NodeId, PortSet, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_topology::Mesh;
 use serde::{Deserialize, Serialize};
 
@@ -93,6 +93,28 @@ pub fn productive_ports(mesh: &Mesh, current: NodeId, dst: NodeId) -> PortSet {
     set
 }
 
+/// `route` with the dead output links of `link_down` pruned, unless every
+/// port of `route` is dead: a flit never reroutes off its legal set, so it
+/// then exits into the dead link and the engine accounts the loss. An
+/// adaptive (WF) flit reroutes within its minimal choices; a DOR flit
+/// never reroutes — graceful degradation, not rescue. Every router that
+/// honours link faults prunes with this one function, and so does the
+/// channel-dependency analysis of `noc_verify::cdg`.
+#[inline]
+pub fn usable_route(route: PortSet, link_down: &[bool; NUM_LINK_PORTS]) -> PortSet {
+    let mut live = route;
+    for d in LINK_DIRECTIONS {
+        if link_down[d.index()] {
+            live.remove(d);
+        }
+    }
+    if live.is_empty() {
+        route
+    } else {
+        live
+    }
+}
+
 /// Whether moving through `dir` from `current` reduces the distance to
 /// `dst` (ejection counts as productive exactly at the destination).
 pub fn is_productive(mesh: &Mesh, current: NodeId, dst: NodeId, dir: Direction) -> bool {
@@ -134,6 +156,19 @@ mod tests {
             productive_ports(&m, a, b),
             PortSet::single(Direction::North)
         );
+    }
+
+    #[test]
+    fn usable_route_prunes_dead_links_but_never_to_nothing() {
+        let ne = PortSet::single(Direction::North).or(PortSet::single(Direction::East));
+        let mut down = [false; NUM_LINK_PORTS];
+        assert_eq!(usable_route(ne, &down), ne);
+        down[Direction::North.index()] = true;
+        assert_eq!(usable_route(ne, &down), PortSet::single(Direction::East));
+        down[Direction::East.index()] = true;
+        assert_eq!(usable_route(ne, &down), ne, "all dead: keep the route");
+        let local = PortSet::single(Direction::Local);
+        assert_eq!(usable_route(local, &[true; NUM_LINK_PORTS]), local);
     }
 
     #[test]

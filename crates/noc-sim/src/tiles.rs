@@ -401,7 +401,7 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
         if let (Some((_, ni, _)), Some(f)) = (res.as_mut(), head.as_deref_mut()) {
             ni.sequence(f);
         }
-        ctx.injection = head.map(|f| Flit { injected: t, ..*f });
+        ctx.injection = head.copied();
 
         // Routers may consume (take) their arrivals, so snapshot inputs
         // before stepping. Conservation inputs feed only the debug assert

@@ -227,8 +227,7 @@ fn injection_offer_repeats_until_accepted() {
     assert_eq!(log0.offers.len(), 6);
     assert!(log0.offers.iter().all(|(_, f)| f.packet == PacketId(9)));
     assert_eq!(log0.offers[0].0, 2);
-    // The `injected` stamp tracks the offering cycle.
-    assert_eq!(log0.offers[3].1.injected, 5);
+    assert_eq!(log0.offers[3].0, 5);
 }
 
 #[test]

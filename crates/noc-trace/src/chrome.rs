@@ -12,20 +12,23 @@ use crate::event::TraceEvent;
 use crate::lifetime::FlitLifetimes;
 use serde::value::Value;
 use serde::Serialize;
+use std::borrow::Borrow;
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Build the trace-event tree from an event stream (walked twice: once
-/// for the lifetimes, once for the instants).
-pub fn chrome_trace<'a, I>(events: I) -> Value
+/// for the lifetimes, once for the instants). Items may be borrowed or
+/// owned, as for [`write_jsonl`](crate::write_jsonl).
+pub fn chrome_trace<I>(events: I) -> Value
 where
-    I: IntoIterator<Item = &'a TraceEvent> + Clone,
+    I: IntoIterator + Clone,
+    I::Item: Borrow<TraceEvent>,
 {
     let mut lifetimes = FlitLifetimes::new();
     for ev in events.clone() {
-        lifetimes.observe(ev);
+        lifetimes.observe(ev.borrow());
     }
 
     let mut trace_events: Vec<Value> = Vec::new();
@@ -60,6 +63,7 @@ where
     }
 
     for ev in events {
+        let ev = ev.borrow();
         let name = match ev {
             TraceEvent::Deflect { .. } => "deflect",
             TraceEvent::DivertSecondary { .. } => "divert_secondary",
@@ -93,9 +97,10 @@ where
 }
 
 /// Render the trace-event JSON as a string ready for `chrome://tracing`.
-pub fn chrome_trace_json<'a, I>(events: I) -> String
+pub fn chrome_trace_json<I>(events: I) -> String
 where
-    I: IntoIterator<Item = &'a TraceEvent> + Clone,
+    I: IntoIterator + Clone,
+    I::Item: Borrow<TraceEvent>,
 {
     chrome_trace(events).to_json()
 }

@@ -5,16 +5,19 @@
 
 use crate::event::TraceEvent;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::io::{self, Write};
 
-/// Render events as JSONL into any writer.
-pub fn write_jsonl<'a, W, I>(w: &mut W, events: I) -> io::Result<()>
+/// Render events as JSONL into any writer. Items may be borrowed (a slice)
+/// or owned (a [`RingRecorder`](crate::RingRecorder) decoding as it goes).
+pub fn write_jsonl<W, I>(w: &mut W, events: I) -> io::Result<()>
 where
     W: Write,
-    I: IntoIterator<Item = &'a TraceEvent>,
+    I: IntoIterator,
+    I::Item: Borrow<TraceEvent>,
 {
     for ev in events {
-        let line = ev.to_value().to_json();
+        let line = ev.borrow().to_value().to_json();
         w.write_all(line.as_bytes())?;
         w.write_all(b"\n")?;
     }
@@ -22,9 +25,10 @@ where
 }
 
 /// Render events as a JSONL string.
-pub fn to_jsonl<'a, I>(events: I) -> String
+pub fn to_jsonl<I>(events: I) -> String
 where
-    I: IntoIterator<Item = &'a TraceEvent>,
+    I: IntoIterator,
+    I::Item: Borrow<TraceEvent>,
 {
     let mut out = Vec::new();
     write_jsonl(&mut out, events).expect("writing to Vec cannot fail");

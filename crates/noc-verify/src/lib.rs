@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cdg;
 pub mod checker;
 pub mod ledger;
 pub mod oracle;
