@@ -40,11 +40,11 @@ use noc_core::types::{
 };
 use noc_faults::{CrossbarId, FaultClock, RouterFault};
 use noc_routing::{usable_route, Algorithm};
+use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
 use noc_topology::Mesh;
 use noc_trace::TraceEvent;
-use std::collections::VecDeque;
 
 /// Hops remaining along the dimension of `dir` from `current` to `dst` —
 /// the adaptive tie-breaker (reduce the longer leg first, as BLESS's port
@@ -119,13 +119,7 @@ pub struct DXbarRouter {
     algorithm: Algorithm,
     depth: usize,
     /// One FIFO per link input, in front of the secondary crossbar.
-    buffers: [FixedQueue<Flit>; 4],
-    /// Entry cycle of each buffered flit, parallel to `buffers` (strict
-    /// FIFO keeps them aligned) — gives exact residency for trace events.
-    /// Maintained only while tracing is enabled (`waited` falls back to 0
-    /// for flits buffered before a mid-run enable, which never happens in
-    /// practice: sinks attach before the run starts).
-    entered: [VecDeque<u64>; 4],
+    buffers: [FixedQueue<Parked>; 4],
     /// Credits toward each downstream neighbour's FIFO.
     credits: [u32; 4],
     fairness: FairnessCounter,
@@ -172,7 +166,6 @@ impl DXbarRouter {
             algorithm,
             depth,
             buffers: std::array::from_fn(|_| FixedQueue::new(depth)),
-            entered: std::array::from_fn(|_| VecDeque::new()),
             credits,
             fairness: FairnessCounter::new(fairness_threshold),
             fairness_flips: 0,
@@ -226,7 +219,7 @@ impl DXbarRouter {
     fn resolve_flit(&self, who: Who, ctx: &StepCtx) -> Flit {
         match who {
             Who::Incoming(i) => ctx.arrivals[i].expect("arrival latch empty"),
-            Who::Buffered(i) => *self.buffers[i].front().expect("FIFO head empty"),
+            Who::Buffered(i) => self.buffers[i].front().expect("FIFO head empty").flit,
             Who::Injection => ctx.injection.expect("injection port empty"),
         }
     }
@@ -292,28 +285,15 @@ impl RouterModel for DXbarRouter {
                 };
                 // Demuxes are pinned to the buffers: the router has
                 // degraded to a buffered design.
-                ctx.events.buffer_writes += 1;
-                self.buffers[d.index()]
-                    .push(f)
+                ctx.park(self.node, &mut self.buffers[d.index()], f)
                     .unwrap_or_else(|_| panic!("credit violation at {} (fault mode)", self.node));
-                if ctx.trace.is_enabled() {
-                    self.entered[d.index()].push_back(t);
-                }
-                let occupancy = self.buffers[d.index()].len() as u32;
-                ctx.trace.emit(|| TraceEvent::BufferEnter {
-                    cycle: t,
-                    node: self.node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    occupancy,
-                });
             } else if let Some(f) = &ctx.arrivals[d.index()] {
                 incoming.push((Who::Incoming(d.index()), f.age_key(), f.dst));
             }
         }
         for (i, b) in self.buffers.iter().enumerate() {
-            if let Some(f) = b.front() {
-                waiting.push((Who::Buffered(i), f.age_key(), f.dst));
+            if let Some(p) = b.front() {
+                waiting.push((Who::Buffered(i), p.flit.age_key(), p.flit.dst));
             }
         }
         if let Some(f) = &ctx.injection {
@@ -453,27 +433,16 @@ impl RouterModel for DXbarRouter {
                         }
                         Who::Buffered(i) => {
                             waiter_won = true;
-                            let popped = self.buffers[i].pop();
+                            let popped = ctx.unpark(self.node, &mut self.buffers[i]);
                             debug_assert!(popped.is_some());
-                            ctx.events.buffer_reads += 1;
                             ctx.credits_out[i] += 1;
-                            if ctx.trace.is_enabled() {
-                                let entered_at = self.entered[i].pop_front().unwrap_or(t);
-                                ctx.trace.emit(|| TraceEvent::BufferExit {
+                            if !secondary_detected {
+                                ctx.trace.emit(|| TraceEvent::DivertSecondary {
                                     cycle: t,
                                     node: self.node,
                                     packet: flit.packet,
                                     flit_index: flit.flit_index as u16,
-                                    waited: t.saturating_sub(entered_at),
                                 });
-                                if !secondary_detected {
-                                    ctx.trace.emit(|| TraceEvent::DivertSecondary {
-                                        cycle: t,
-                                        node: self.node,
-                                        packet: flit.packet,
-                                        flit_index: flit.flit_index as u16,
-                                    });
-                                }
                             }
                         }
                         Who::Injection => {
@@ -523,21 +492,8 @@ impl RouterModel for DXbarRouter {
         // de-multiplexer. Credit flow control guarantees space.
         for i in diverted.iter() {
             let f = ctx.arrivals[i].take().expect("diverted arrival present");
-            ctx.events.buffer_writes += 1;
-            self.buffers[i]
-                .push(f)
+            ctx.park(self.node, &mut self.buffers[i], f)
                 .unwrap_or_else(|_| panic!("credit violation at {}: FIFO {i} full", self.node));
-            if ctx.trace.is_enabled() {
-                self.entered[i].push_back(t);
-            }
-            let occupancy = self.buffers[i].len() as u32;
-            ctx.trace.emit(|| TraceEvent::BufferEnter {
-                cycle: t,
-                node: self.node,
-                packet: f.packet,
-                flit_index: f.flit_index as u16,
-                occupancy,
-            });
         }
         // Sanity: every arrival was either granted or buffered.
         debug_assert!(

@@ -21,12 +21,11 @@
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
-use noc_core::types::Cycle;
-use noc_core::types::{Direction, NodeId, NUM_LINK_PORTS};
-use noc_routing::deflection::{assign_port_with_faults, productive_count, rank_ports_inline};
+use noc_core::types::{NodeId, NUM_LINK_PORTS};
+use noc_routing::deflection::free_productive;
+use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_topology::Mesh;
-use noc_trace::TraceEvent;
 
 /// Operating mode of the AFC router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,14 +40,6 @@ const EWMA_ALPHA: f64 = 0.05;
 const SWITCH_UP: f64 = 1.6;
 /// Arrivals/cycle below which (with drained buffers) it turns them off.
 const SWITCH_DOWN: f64 = 0.9;
-
-/// A parked flit and its earliest service cycle (buffer write costs one
-/// cycle, as in the buffered baselines).
-#[derive(Debug, Clone, Copy)]
-struct Parked {
-    flit: Flit,
-    ready: Cycle,
-}
 
 /// The adaptive bufferless/buffered router.
 pub struct AfcRouter {
@@ -102,61 +93,6 @@ impl AfcRouter {
             _ => {}
         }
     }
-
-    /// BLESS-style allocation of `flits` (age-sorted by the caller) to free
-    /// ports, deflecting when necessary. `used` tracks taken link outputs.
-    fn deflection_assign(&self, flits: &[Flit], used: &mut [bool; 4], ctx: &mut StepCtx) {
-        for &(mut f) in flits {
-            let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-            let productive = productive_count(&self.mesh, self.node, f.dst);
-            // Prefer live ports (a dead one guarantees the flit's loss); a
-            // flit whose productive ports are all dead spins its escape
-            // direction by its own deflection count to break dead-link
-            // ping-pong; only when every free port is dead does the flit
-            // exit into one and the engine accounts the loss.
-            let (dir, deflected) = assign_port_with_faults(
-                &ranking,
-                productive,
-                used,
-                &self.link_down,
-                f.deflections as usize,
-            )
-            .expect("flit count never exceeds free ports");
-            used[dir.index()] = true;
-            if deflected {
-                f.deflections += 1;
-                ctx.events.deflections += 1;
-                let cycle = ctx.cycle;
-                let wanted = ranking[0];
-                ctx.trace.emit(|| TraceEvent::Deflect {
-                    cycle,
-                    node: self.node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    wanted,
-                    got: dir,
-                });
-            }
-            ctx.events.xbar_traversals += 1;
-            ctx.out_links[dir.index()] = Some(f);
-        }
-    }
-
-    /// Best free productive port, preferring live links; a dead productive
-    /// port is used only when no live one is free (the flit is doomed under
-    /// minimal routing — the engine accounts the loss).
-    fn pick_productive(
-        &self,
-        ranking: &[Direction],
-        productive: usize,
-        used: &[bool; 4],
-    ) -> Option<Direction> {
-        ranking[..productive]
-            .iter()
-            .find(|d| !used[d.index()] && !self.link_down[d.index()])
-            .or_else(|| ranking[..productive].iter().find(|d| !used[d.index()]))
-            .copied()
-    }
 }
 
 impl RouterModel for AfcRouter {
@@ -165,28 +101,12 @@ impl RouterModel for AfcRouter {
     }
 
     fn step(&mut self, ctx: &mut StepCtx) {
-        let mut arrivals: InlineVec<Flit, 5> =
-            ctx.arrivals.iter_mut().filter_map(|a| a.take()).collect();
-        self.update_mode(arrivals.len());
-
-        let mut used = [false; 4];
-
         // Ejection (both modes): the oldest flit for this node leaves,
         // whether it arrives on a link or waits at a FIFO head.
-        let mut ejected = false;
-        if let Some(pos) = arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.dst == self.node)
-            .min_by_key(|(_, f)| f.age_key())
-            .map(|(i, _)| i)
-        {
-            let f = arrivals.remove(pos);
-            ctx.events.xbar_traversals += 1;
-            ctx.ejected.push(f);
-            ejected = true;
-        }
+        let (mut arrivals, mut ejected) = ctx.take_arrivals(self.node);
+        self.update_mode(arrivals.len() + usize::from(ejected));
 
+        let mut used = [false; 4];
         match self.mode {
             AfcMode::Bufferless => {
                 // Pure Flit-BLESS.
@@ -199,7 +119,7 @@ impl RouterModel for AfcRouter {
                 // Unstable sort is deterministic: `age_key` is unique per
                 // coexisting flit.
                 arrivals.sort_unstable_by_key(|f| f.age_key());
-                self.deflection_assign(&arrivals, &mut used, ctx);
+                ctx.deflection_assign(&self.mesh, self.node, &self.link_down, &arrivals, &mut used);
             }
             AfcMode::Buffered => {
                 // Arrivals park in the least-full FIFO (AFC's buffers act
@@ -212,23 +132,8 @@ impl RouterModel for AfcRouter {
                         .iter_mut()
                         .min_by_key(|q| q.len())
                         .expect("four FIFOs");
-                    match q.push(Parked {
-                        flit,
-                        ready: ctx.cycle + 1,
-                    }) {
-                        Ok(()) => {
-                            ctx.events.buffer_writes += 1;
-                            let cycle = ctx.cycle;
-                            let occupancy = q.len() as u32;
-                            ctx.trace.emit(|| TraceEvent::BufferEnter {
-                                cycle,
-                                node: self.node,
-                                packet: flit.packet,
-                                flit_index: flit.flit_index as u16,
-                                occupancy,
-                            });
-                        }
-                        Err(p) => overflow.push(p.flit),
+                    if let Err(f) = ctx.park(self.node, q, flit) {
+                        overflow.push(f);
                     }
                 }
 
@@ -237,7 +142,7 @@ impl RouterModel for AfcRouter {
                 // count never exceeds the link count), before FIFO heads
                 // take the leftovers.
                 overflow.sort_unstable_by_key(|f| f.age_key());
-                self.deflection_assign(&overflow, &mut used, ctx);
+                ctx.deflection_assign(&self.mesh, self.node, &self.link_down, &overflow, &mut used);
 
                 // Ready FIFO heads compete for productive ports, oldest
                 // first (heads written this cycle wait until the next one).
@@ -255,61 +160,35 @@ impl RouterModel for AfcRouter {
                 for (i, f) in heads.iter() {
                     if f.dst == self.node {
                         if !ejected {
-                            let popped = self.buffers[i].pop().expect("head exists");
-                            ctx.events.buffer_reads += 1;
-                            ctx.events.xbar_traversals += 1;
-                            let cycle = ctx.cycle;
-                            let waited = cycle.saturating_sub(popped.ready.saturating_sub(1));
-                            ctx.trace.emit(|| TraceEvent::BufferExit {
-                                cycle,
-                                node: self.node,
-                                packet: popped.flit.packet,
-                                flit_index: popped.flit.flit_index as u16,
-                                waited,
-                            });
-                            ctx.ejected.push(popped.flit);
+                            let f = ctx.unpark(self.node, &mut self.buffers[i]);
+                            ctx.eject(f.expect("head exists"));
                             ejected = true;
                         }
                         continue;
                     }
-                    let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-                    let productive = productive_count(&self.mesh, self.node, f.dst);
-                    if let Some(dir) = self.pick_productive(&ranking, productive, &used) {
+                    let free =
+                        free_productive(&self.mesh, self.node, f.dst, &used, &self.link_down);
+                    if let Some(dir) = free {
                         used[dir.index()] = true;
-                        let popped = self.buffers[i].pop().expect("head exists");
-                        ctx.events.buffer_reads += 1;
+                        let f = ctx.unpark(self.node, &mut self.buffers[i]);
                         ctx.events.xbar_traversals += 1;
-                        let cycle = ctx.cycle;
-                        let waited = cycle.saturating_sub(popped.ready.saturating_sub(1));
-                        ctx.trace.emit(|| TraceEvent::BufferExit {
-                            cycle,
-                            node: self.node,
-                            packet: popped.flit.packet,
-                            flit_index: popped.flit.flit_index as u16,
-                            waited,
-                        });
-                        ctx.out_links[dir.index()] = Some(popped.flit);
+                        ctx.out_links[dir.index()] = Some(f.expect("head exists"));
                     }
                 }
 
                 // Injection: lowest priority, needs a free productive port.
-                if !ctx.injected {
-                    if let Some(inj) = ctx.injection {
-                        if inj.dst == self.node {
-                            if !ejected {
-                                ctx.events.xbar_traversals += 1;
-                                ctx.ejected.push(inj);
-                                ctx.injected = true;
-                            }
-                        } else {
-                            let ranking = rank_ports_inline(&self.mesh, self.node, inj.dst);
-                            let productive = productive_count(&self.mesh, self.node, inj.dst);
-                            if let Some(dir) = self.pick_productive(&ranking, productive, &used) {
-                                ctx.events.xbar_traversals += 1;
-                                ctx.out_links[dir.index()] = Some(inj);
-                                ctx.injected = true;
-                            }
+                if let Some(inj) = ctx.injection {
+                    if inj.dst == self.node {
+                        if !ejected {
+                            ctx.eject(inj);
+                            ctx.injected = true;
                         }
+                    } else if let Some(dir) =
+                        free_productive(&self.mesh, self.node, inj.dst, &used, &self.link_down)
+                    {
+                        ctx.events.xbar_traversals += 1;
+                        ctx.out_links[dir.index()] = Some(inj);
+                        ctx.injected = true;
                     }
                 }
             }

@@ -13,13 +13,9 @@
 //! Pipeline: SA/ST + LT (2 stages, same as DXbar, thanks to look-ahead
 //! routing).
 
-use noc_core::flit::Flit;
-use noc_core::inline::InlineVec;
-use noc_core::types::{Direction, NodeId, NUM_LINK_PORTS};
-use noc_routing::deflection::{assign_port_with_faults, productive_count, rank_ports_inline};
+use noc_core::types::{NodeId, NUM_LINK_PORTS};
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_topology::Mesh;
-use noc_trace::TraceEvent;
 
 /// The Flit-BLESS router. Stateless between cycles (truly bufferless).
 pub struct BlessRouter {
@@ -49,23 +45,9 @@ impl RouterModel for BlessRouter {
     }
 
     fn step(&mut self, ctx: &mut StepCtx) {
-        // Gather arrivals (at most 4; +1 injection slot below).
-        let mut flits: InlineVec<Flit, 5> =
-            ctx.arrivals.iter_mut().filter_map(|a| a.take()).collect();
-
         // Ejection: the oldest flit addressed here leaves the network; any
         // other flit for this node is deflected onward this cycle.
-        if let Some(pos) = flits
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.dst == self.node)
-            .min_by_key(|(_, f)| f.age_key())
-            .map(|(i, _)| i)
-        {
-            let f = flits.remove(pos);
-            ctx.events.xbar_traversals += 1;
-            ctx.ejected.push(f);
-        }
+        let (mut flits, _) = ctx.take_arrivals(self.node);
 
         // Injection: allowed while an input (equivalently output) slot is
         // free at this node.
@@ -84,45 +66,13 @@ impl RouterModel for BlessRouter {
         // Unstable sort is deterministic here: `age_key` is unique per
         // coexisting flit.
         flits.sort_unstable_by_key(|f| f.age_key());
-        let mut used = [false; 4];
-        for mut f in flits.iter() {
-            let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-            let productive = productive_count(&self.mesh, self.node, f.dst);
-            // Prefer live ports — deflecting onto a live link keeps the
-            // flit alive, a dead productive port guarantees its loss. A
-            // flit whose productive ports are all dead spins its escape
-            // direction (by its own deflection count) so it cannot
-            // ping-pong forever against a neighbour that routes it straight
-            // back. Only when every free port is dead does the flit exit
-            // into one (it must leave — the design is bufferless) and the
-            // engine accounts the loss.
-            let (dir, deflected) = assign_port_with_faults(
-                &ranking,
-                productive,
-                &used,
-                &self.link_down,
-                f.deflections as usize,
-            )
-            .expect("flit count never exceeds free ports");
-            used[dir.index()] = true;
-            if deflected {
-                f.deflections += 1;
-                ctx.events.deflections += 1;
-                let cycle = ctx.cycle;
-                let wanted = ranking[0];
-                ctx.trace.emit(|| TraceEvent::Deflect {
-                    cycle,
-                    node: self.node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    wanted,
-                    got: dir,
-                });
-            }
-            ctx.events.xbar_traversals += 1;
-            debug_assert!(dir != Direction::Local);
-            ctx.out_links[dir.index()] = Some(f);
-        }
+        ctx.deflection_assign(
+            &self.mesh,
+            self.node,
+            &self.link_down,
+            &flits,
+            &mut [false; 4],
+        );
     }
 
     fn is_idle(&self) -> bool {
@@ -145,7 +95,8 @@ impl RouterModel for BlessRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_core::flit::PacketId;
+    use noc_core::flit::{Flit, PacketId};
+    use noc_core::types::Direction;
     use noc_topology::Coord;
 
     fn mesh() -> Mesh {

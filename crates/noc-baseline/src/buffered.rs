@@ -14,17 +14,16 @@
 //!   resembles DXbar only at the buffering and provides for a fair
 //!   comparison by removing Head-of-Line blocking").
 
-use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
 use noc_core::types::{
-    Cycle, Direction, NodeId, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS, NUM_PORTS,
+    Direction, NodeId, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS, NUM_PORTS,
 };
 use noc_routing::{usable_route, Algorithm};
+use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::ProbeEvent;
 use noc_topology::Mesh;
-use noc_trace::TraceEvent;
 
 /// Which buffered baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,16 +50,10 @@ impl BufferedVariant {
     }
 }
 
-/// A flit waiting in a VC with its earliest switch-allocation cycle
-/// (arrival + 1: the RC stage of the 3-stage pipeline).
-#[derive(Debug, Clone, Copy)]
-struct Waiting {
-    flit: Flit,
-    ready: Cycle,
-}
-
-/// One virtual channel: a FIFO of waiting flits.
-type Vc = FixedQueue<Waiting>;
+/// One virtual channel: a FIFO of waiting flits, each ready for switch
+/// allocation the cycle after arrival (the RC stage of the 3-stage
+/// pipeline).
+type Vc = FixedQueue<Parked>;
 
 /// Inputs: 4 link ports + 1 injection port (index 4).
 const NUM_INPUTS: usize = 5;
@@ -166,43 +159,19 @@ impl RouterModel for BufferedRouter {
         for d in LINK_DIRECTIONS {
             if let Some(flit) = ctx.arrivals[d.index()].take() {
                 let vc = (flit.vc as usize).min(num_vcs - 1);
-                ctx.events.buffer_writes += 1;
-                self.vcs[d.index()][vc]
-                    .push(Waiting { flit, ready: t + 1 })
-                    .unwrap_or_else(|w| {
+                ctx.park(self.node, &mut self.vcs[d.index()][vc], flit)
+                    .unwrap_or_else(|f| {
                         panic!(
                             "credit violation: input {d} vc {vc} overflow at {} (flit {:?})",
-                            self.node, w.flit.packet
+                            self.node, f.packet
                         )
                     });
-                let occupancy = self.vcs[d.index()][vc].len() as u32;
-                ctx.trace.emit(|| TraceEvent::BufferEnter {
-                    cycle: t,
-                    node: self.node,
-                    packet: flit.packet,
-                    flit_index: flit.flit_index as u16,
-                    occupancy,
-                });
             }
         }
 
         // Injection port: accept when its VC 0 has room (the PE-side buffer).
         if let Some(flit) = ctx.injection {
-            let inj = &mut self.vcs[4][0];
-            if !inj.is_full() {
-                ctx.events.buffer_writes += 1;
-                inj.push(Waiting { flit, ready: t + 1 })
-                    .unwrap_or_else(|_| unreachable!("checked not full"));
-                ctx.injected = true;
-                let occupancy = self.vcs[4][0].len() as u32;
-                ctx.trace.emit(|| TraceEvent::BufferEnter {
-                    cycle: t,
-                    node: self.node,
-                    packet: flit.packet,
-                    flit_index: flit.flit_index as u16,
-                    occupancy,
-                });
-            }
+            ctx.injected = ctx.park(self.node, &mut self.vcs[4][0], flit).is_ok();
         }
 
         // --- Speculative separable switch allocation (the VA+SA/ST stage of
@@ -298,23 +267,14 @@ impl RouterModel for BufferedRouter {
 
         // --- Switch traversal (ST) for the winners.
         for (input, vc, dir, dvc) in grants.iter() {
-            let w = self.vcs[input][vc].pop().expect("granted head exists");
-            let mut flit = w.flit;
-            ctx.events.buffer_reads += 1;
+            let mut flit = ctx
+                .unpark(self.node, &mut self.vcs[input][vc])
+                .expect("granted head exists");
             ctx.events.xbar_traversals += 1;
             ctx.probe.emit(|| ProbeEvent::Grant {
                 input: input as u8,
                 slot: vc as u8,
                 output: dir.index() as u8,
-            });
-            // `ready` is arrival + 1, so the buffer-entry cycle is ready - 1.
-            let waited = t.saturating_sub(w.ready.saturating_sub(1));
-            ctx.trace.emit(|| TraceEvent::BufferExit {
-                cycle: t,
-                node: self.node,
-                packet: flit.packet,
-                flit_index: flit.flit_index as u16,
-                waited,
             });
             if input < 4 {
                 // Return the freed slot's credit upstream, tagged with the VC.
@@ -380,7 +340,7 @@ impl RouterModel for BufferedRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_core::flit::PacketId;
+    use noc_core::flit::{Flit, PacketId};
 
     fn mesh() -> Mesh {
         Mesh::new(4, 4)

@@ -11,10 +11,8 @@
 //!
 //! Pipeline: SA/ST + LT (2 stages, look-ahead routing), like DXbar/BLESS.
 
-use noc_core::flit::Flit;
-use noc_core::inline::InlineVec;
 use noc_core::types::{Direction, NodeId, NUM_LINK_PORTS};
-use noc_routing::deflection::{productive_count, rank_ports_inline};
+use noc_routing::deflection::free_productive;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_topology::Mesh;
 
@@ -34,23 +32,6 @@ impl ScarabRouter {
             link_down: [false; NUM_LINK_PORTS],
         }
     }
-
-    /// Best free productive port: a live one if any, else a dead one (the
-    /// flit is doomed under minimal routing anyway — sending it into the
-    /// dead link lets the engine account the loss once, rather than
-    /// drop-NACK-retransmit looping forever), else `None`.
-    fn free_productive(
-        &self,
-        ranking: &[Direction],
-        productive: usize,
-        used: &[bool; 4],
-    ) -> Option<Direction> {
-        ranking[..productive]
-            .iter()
-            .find(|d| !used[d.index()] && !self.link_down[d.index()])
-            .or_else(|| ranking[..productive].iter().find(|d| !used[d.index()]))
-            .copied()
-    }
 }
 
 impl RouterModel for ScarabRouter {
@@ -59,39 +40,22 @@ impl RouterModel for ScarabRouter {
     }
 
     fn step(&mut self, ctx: &mut StepCtx) {
-        let mut flits: InlineVec<Flit, 4> =
-            ctx.arrivals.iter_mut().filter_map(|a| a.take()).collect();
-
         // Ejection: oldest flit for this node leaves; additional flits for
         // this node lose the ejection port and are dropped + NACKed.
         // Unstable sort is deterministic: `age_key` is unique per
         // coexisting flit.
+        let (mut flits, ejected_one) = ctx.take_arrivals(self.node);
         flits.sort_unstable_by_key(|f| f.age_key());
-        let mut ejected_one = false;
-        let mut used = [false; 4];
-
-        let mut remaining: InlineVec<Flit, 4> = InlineVec::new();
-        for f in flits.iter() {
-            if f.dst == self.node {
-                if !ejected_one {
-                    ejected_one = true;
-                    ctx.events.xbar_traversals += 1;
-                    ctx.ejected.push(f);
-                } else {
-                    ctx.dropped.push(f);
-                }
-            } else {
-                remaining.push(f);
-            }
+        for f in flits.iter().filter(|f| f.dst == self.node) {
+            ctx.dropped.push(f);
         }
 
         // Minimal adaptive port allocation, oldest first: only the
         // productive prefix of the ranking is eligible — SCARAB never
         // deflects.
-        for f in remaining.iter() {
-            let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-            let productive = productive_count(&self.mesh, self.node, f.dst);
-            match self.free_productive(&ranking, productive, &used) {
+        let mut used = [false; 4];
+        for f in flits.iter().filter(|f| f.dst != self.node) {
+            match free_productive(&self.mesh, self.node, f.dst, &used, &self.link_down) {
                 Some(dir) => {
                     used[dir.index()] = true;
                     ctx.events.xbar_traversals += 1;
@@ -110,18 +74,15 @@ impl RouterModel for ScarabRouter {
         if let Some(inj) = ctx.injection {
             if inj.dst == self.node {
                 if !ejected_one {
-                    ctx.events.xbar_traversals += 1;
-                    ctx.ejected.push(inj);
+                    ctx.eject(inj);
                     ctx.injected = true;
                 }
-            } else {
-                let ranking = rank_ports_inline(&self.mesh, self.node, inj.dst);
-                let productive = productive_count(&self.mesh, self.node, inj.dst);
-                if let Some(dir) = self.free_productive(&ranking, productive, &used) {
-                    ctx.events.xbar_traversals += 1;
-                    ctx.out_links[dir.index()] = Some(inj);
-                    ctx.injected = true;
-                }
+            } else if let Some(dir) =
+                free_productive(&self.mesh, self.node, inj.dst, &used, &self.link_down)
+            {
+                ctx.events.xbar_traversals += 1;
+                ctx.out_links[dir.index()] = Some(inj);
+                ctx.injected = true;
             }
         }
     }
@@ -146,7 +107,7 @@ impl RouterModel for ScarabRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_core::flit::PacketId;
+    use noc_core::flit::{Flit, PacketId};
 
     fn mesh() -> Mesh {
         Mesh::new(4, 4)

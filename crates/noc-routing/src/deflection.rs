@@ -2,10 +2,10 @@
 //!
 //! Flit-BLESS assigns every incoming flit *some* output port each cycle:
 //! productive ports are preferred, and when none is free the flit is
-//! deflected to any free port. [`rank_ports`] produces the full preference
-//! order over the four link directions for a flit at `current` heading to
-//! `dst`; SCARAB uses only the productive prefix (it drops instead of
-//! deflecting).
+//! deflected to any free port. [`rank_ports_inline`] produces the full
+//! preference order over the four link directions for a flit at `current`
+//! heading to `dst`; [`free_productive`] uses only the productive prefix
+//! (SCARAB drops instead of deflecting, buffered AFC heads wait).
 
 use crate::productive_ports;
 use noc_core::inline::InlineVec;
@@ -75,11 +75,6 @@ pub fn rank_ports_inline(mesh: &Mesh, current: NodeId, dst: NodeId) -> InlineVec
     out
 }
 
-/// Heap-allocating convenience wrapper around [`rank_ports_inline`].
-pub fn rank_ports(mesh: &Mesh, current: NodeId, dst: NodeId) -> Vec<Direction> {
-    rank_ports_inline(mesh, current, dst).iter().collect()
-}
-
 /// Deflection port assignment under dead links: the chosen direction plus
 /// whether taking it counts as a deflection.
 ///
@@ -128,7 +123,28 @@ pub fn assign_port_with_faults(
         .map(|(rank, &d)| (d, rank >= productive))
 }
 
-/// Number of productive entries at the head of [`rank_ports`]' result.
+/// Best free productive port for a flit at `current` toward `dst`: a live
+/// one if any, else a dead one (the flit is doomed under minimal routing
+/// anyway — sending it into the dead link lets the engine account the loss
+/// once), else `None`.
+pub fn free_productive(
+    mesh: &Mesh,
+    current: NodeId,
+    dst: NodeId,
+    used: &[bool; NUM_LINK_PORTS],
+    link_down: &[bool; NUM_LINK_PORTS],
+) -> Option<Direction> {
+    let ranking = rank_ports_inline(mesh, current, dst);
+    let productive = &ranking[..productive_count(mesh, current, dst)];
+    productive
+        .iter()
+        .find(|d| !used[d.index()] && !link_down[d.index()])
+        .or_else(|| productive.iter().find(|d| !used[d.index()]))
+        .copied()
+}
+
+/// Number of productive entries at the head of [`rank_ports_inline`]'s
+/// result.
 pub fn productive_count(mesh: &Mesh, current: NodeId, dst: NodeId) -> usize {
     if current == dst {
         0
@@ -150,11 +166,11 @@ mod tests {
         let m = Mesh::new(8, 8);
         let a = m.node_at(Coord { x: 0, y: 0 });
         let far_x = m.node_at(Coord { x: 6, y: 2 });
-        let r = rank_ports(&m, a, far_x);
+        let r = rank_ports_inline(&m, a, far_x);
         assert_eq!(r[0], Direction::East);
         assert_eq!(r[1], Direction::South);
         let far_y = m.node_at(Coord { x: 2, y: 6 });
-        let r = rank_ports(&m, a, far_y);
+        let r = rank_ports_inline(&m, a, far_y);
         assert_eq!(r[0], Direction::South);
         assert_eq!(r[1], Direction::East);
     }
@@ -163,7 +179,7 @@ mod tests {
     fn corner_node_has_two_candidates() {
         let m = Mesh::new(8, 8);
         let corner = m.node_at(Coord { x: 0, y: 0 });
-        let r = rank_ports(&m, corner, m.node_at(Coord { x: 3, y: 0 }));
+        let r = rank_ports_inline(&m, corner, m.node_at(Coord { x: 3, y: 0 }));
         assert_eq!(r.len(), 2); // East + South exist at the NW corner
         assert_eq!(r[0], Direction::East);
     }
@@ -172,7 +188,7 @@ mod tests {
     fn interior_node_ranks_all_four() {
         let m = Mesh::new(8, 8);
         let mid = m.node_at(Coord { x: 4, y: 4 });
-        let r = rank_ports(&m, mid, m.node_at(Coord { x: 7, y: 7 }));
+        let r = rank_ports_inline(&m, mid, m.node_at(Coord { x: 7, y: 7 }));
         assert_eq!(r.len(), 4);
         // Non-productive deflection candidates come last.
         assert!(r[2..]
@@ -186,7 +202,7 @@ mod tests {
         // West leads the ranking even though the raw delta points East.
         let m = Mesh::torus(8, 8);
         let a = m.node_at(Coord { x: 0, y: 0 });
-        let r = rank_ports(&m, a, m.node_at(Coord { x: 7, y: 0 }));
+        let r = rank_ports_inline(&m, a, m.node_at(Coord { x: 7, y: 0 }));
         assert_eq!(r[0], Direction::West);
         assert_eq!(r.len(), 4, "every torus node has four links");
         // And the productive prefix matches the wrap-aware port set.
@@ -211,17 +227,17 @@ mod tests {
             let n = m.num_nodes() as u16;
             let (a, b) = (NodeId(s % n), NodeId(t % n));
             prop_assume!(a != b);
-            let r = rank_ports(&m, a, b);
-            let mut uniq = r.clone();
+            let r = rank_ports_inline(&m, a, b);
+            let mut uniq = r.to_vec();
             uniq.sort_by_key(|d| d.index());
             uniq.dedup();
             prop_assert_eq!(uniq.len(), r.len(), "duplicates in ranking");
-            for &d in &r {
+            for d in r.iter() {
                 prop_assert!(m.neighbor(a, d).is_some(), "ranked port without a link");
             }
             let k = productive_count(&m, a, b);
             let prod = productive_ports(&m, a, b);
-            for (i, &d) in r.iter().enumerate() {
+            for (i, d) in r.iter().enumerate() {
                 prop_assert_eq!(i < k, prod.contains(d), "productive prefix mismatch");
             }
         }

@@ -18,11 +18,13 @@
 //!   flit's first switch-allocation attempt (its RC stage);
 //! * credit wires have latency 1.
 //!
-//! Router micro-architectures live in `noc-baseline` and `dxbar`; they
-//! implement [`router::RouterModel`].
+//! Router micro-architectures live in `noc-baseline`, `dxbar` and
+//! `noc-zoo`; they implement [`router::RouterModel`] and share the
+//! deflection, ejection and buffer operations of [`datapath`].
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+pub mod datapath;
 pub mod diagnostics;
 pub mod network;
 pub mod reassembly;

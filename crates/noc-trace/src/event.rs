@@ -89,8 +89,8 @@ pub enum TraceEvent {
         flit_index: u16,
         dir: Direction,
     },
-    /// A flit was written into a router FIFO (unified buffer designs) —
-    /// either on arrival or after losing primary-crossbar arbitration.
+    /// A flit was written into a router buffer (every buffering design) —
+    /// on arrival, or after losing arbitration or a port.
     BufferEnter {
         cycle: Cycle,
         node: NodeId,

@@ -26,11 +26,11 @@ use crate::slab::{SharedSlab, LOCAL_VQ};
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::types::{Cycle, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
-use noc_routing::deflection::{assign_port_with_faults, productive_count, rank_ports_inline};
+use noc_routing::deflection::{productive_count, rank_ports_inline};
+use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
 use noc_topology::Mesh;
-use noc_trace::TraceEvent;
 
 /// The DAMQ shared-buffer router.
 pub struct DamqRouter {
@@ -92,78 +92,17 @@ impl DamqRouter {
             f.deflections += 1;
             ctx.events.deflections += 1;
         }
-        let ready = ctx.cycle + 1;
-        match self.slab.push(vq, f, ready) {
-            Ok(_slot) => {
-                ctx.events.buffer_writes += 1;
-                let cycle = ctx.cycle;
-                let occupancy = self.slab.vq_len(vq) as u32;
-                let node = self.node;
-                ctx.trace.emit(|| TraceEvent::BufferEnter {
-                    cycle,
-                    node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    occupancy,
-                });
-                Ok(())
-            }
-            Err(f) => Err(f),
-        }
+        self.slab.push(vq, f, ctx.cycle + 1)?;
+        ctx.buffer_enter(self.node, &f, self.slab.vq_len(vq));
+        Ok(())
     }
 
     /// Pop the head of `vq` (ready at `ready`), emitting buffer-read
     /// accounting.
     fn unbuffer(&mut self, vq: usize, ready: Cycle, ctx: &mut StepCtx) -> Flit {
-        let (f, _budget) = self.slab.pop(vq).expect("caller checked the head");
-        ctx.events.buffer_reads += 1;
+        let (flit, _budget) = self.slab.pop(vq).expect("caller checked the head");
         ctx.events.xbar_traversals += 1;
-        let cycle = ctx.cycle;
-        let node = self.node;
-        let waited = cycle.saturating_sub(ready.saturating_sub(1));
-        ctx.trace.emit(|| TraceEvent::BufferExit {
-            cycle,
-            node,
-            packet: f.packet,
-            flit_index: f.flit_index as u16,
-            waited,
-        });
-        f
-    }
-
-    /// AFC-style deflection assignment for arrivals the slab refused:
-    /// they must leave this cycle, whatever port is free.
-    fn deflect_overflow(&self, flits: &[Flit], used: &mut [bool; 4], ctx: &mut StepCtx) {
-        for &(mut f) in flits {
-            let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-            let productive = productive_count(&self.mesh, self.node, f.dst);
-            let (dir, deflected) = assign_port_with_faults(
-                &ranking,
-                productive,
-                used,
-                &self.link_down,
-                f.deflections as usize,
-            )
-            .expect("overflow count never exceeds free ports");
-            used[dir.index()] = true;
-            if deflected {
-                f.deflections += 1;
-                ctx.events.deflections += 1;
-                let cycle = ctx.cycle;
-                let wanted = ranking[0];
-                let node = self.node;
-                ctx.trace.emit(|| TraceEvent::Deflect {
-                    cycle,
-                    node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    wanted,
-                    got: dir,
-                });
-            }
-            ctx.events.xbar_traversals += 1;
-            ctx.out_links[dir.index()] = Some(f);
-        }
+        ctx.buffer_exit(self.node, Parked { flit, ready })
     }
 }
 
@@ -199,7 +138,7 @@ impl RouterModel for DamqRouter {
         // they have no other cycle to leave in.
         let mut used = [false; 4];
         overflow.sort_unstable_by_key(|f| f.age_key());
-        self.deflect_overflow(&overflow, &mut used, ctx);
+        ctx.deflection_assign(&self.mesh, self.node, &self.link_down, &overflow, &mut used);
 
         // Switch-traversal phase: each free output serves its queue head.
         for d in LINK_DIRECTIONS {

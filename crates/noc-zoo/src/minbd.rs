@@ -21,19 +21,11 @@ use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
 use noc_core::types::{Cycle, NodeId, NUM_LINK_PORTS};
-use noc_routing::deflection::{assign_port_with_faults, productive_count, rank_ports_inline};
+use noc_routing::deflection::rank_ports_inline;
+use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
 use noc_topology::Mesh;
-use noc_trace::TraceEvent;
-
-/// A side-buffered flit and its earliest re-injection cycle (buffer write
-/// costs one cycle, as in the buffered baselines).
-#[derive(Debug, Clone, Copy)]
-struct Parked {
-    flit: Flit,
-    ready: Cycle,
-}
 
 /// Priority key for silver election: most deflected first, oldest on
 /// ties. `age_key` is unique per coexisting flit, so the winner is
@@ -83,25 +75,6 @@ impl MinBdRouter {
     pub fn preload(&mut self, flit: Flit, ready: Cycle) -> bool {
         self.buffer.push(Parked { flit, ready }).is_ok()
     }
-
-    fn eject_into(&self, f: Flit, ctx: &mut StepCtx) {
-        ctx.events.xbar_traversals += 1;
-        ctx.ejected.push(f);
-    }
-
-    fn note_buffer_exit(&self, p: Parked, ctx: &mut StepCtx) {
-        ctx.events.buffer_reads += 1;
-        let cycle = ctx.cycle;
-        let node = self.node;
-        let waited = cycle.saturating_sub(p.ready.saturating_sub(1));
-        ctx.trace.emit(|| TraceEvent::BufferExit {
-            cycle,
-            node,
-            packet: p.flit.packet,
-            flit_index: p.flit.flit_index as u16,
-            waited,
-        });
-    }
 }
 
 impl RouterModel for MinBdRouter {
@@ -110,31 +83,17 @@ impl RouterModel for MinBdRouter {
     }
 
     fn step(&mut self, ctx: &mut StepCtx) {
-        let mut actives: InlineVec<Flit, 5> =
-            ctx.arrivals.iter_mut().filter_map(|a| a.take()).collect();
-
         // Ejection: the oldest arrival for this node leaves (one PE port);
         // if no arrival wants out, a ready side-buffer head may eject.
-        let mut ejected = false;
-        if let Some(pos) = actives
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.dst == self.node)
-            .min_by_key(|(_, f)| f.age_key())
-            .map(|(i, _)| i)
+        let (mut actives, mut ejected) = ctx.take_arrivals(self.node);
+        if !ejected
+            && self
+                .buffer
+                .front()
+                .is_some_and(|p| p.ready <= ctx.cycle && p.flit.dst == self.node)
         {
-            let f = actives.remove(pos);
-            self.eject_into(f, ctx);
-            ejected = true;
-        } else if let Some(p) = self
-            .buffer
-            .front()
-            .filter(|p| p.ready <= ctx.cycle && p.flit.dst == self.node)
-            .copied()
-        {
-            self.buffer.pop();
-            self.note_buffer_exit(p, ctx);
-            self.eject_into(p.flit, ctx);
+            let f = ctx.unpark(self.node, &mut self.buffer);
+            ctx.eject(f.expect("head exists"));
             ejected = true;
         }
 
@@ -151,10 +110,11 @@ impl RouterModel for MinBdRouter {
                 .map(|p| force || (p.ready <= ctx.cycle && p.flit.dst != self.node))
                 .unwrap_or(false);
             if head_ok {
-                let p = self.buffer.pop().expect("head exists");
-                self.note_buffer_exit(p, ctx);
-                from_buffer = Some(p.flit.age_key());
-                actives.push(p.flit);
+                let f = ctx
+                    .unpark(self.node, &mut self.buffer)
+                    .expect("head exists");
+                from_buffer = Some(f.age_key());
+                actives.push(f);
             }
         }
 
@@ -163,7 +123,7 @@ impl RouterModel for MinBdRouter {
             if let Some(inj) = ctx.injection {
                 if inj.dst == self.node {
                     if !ejected {
-                        self.eject_into(inj, ctx);
+                        ctx.eject(inj);
                         ctx.injected = true;
                     }
                 } else {
@@ -205,28 +165,10 @@ impl RouterModel for MinBdRouter {
                 .map(|(i, _)| i);
             if let Some(i) = victim {
                 let f = actives.remove(i);
-                let depth = self.buffer.len() as u32;
-                match self.buffer.push(Parked {
-                    flit: f,
-                    ready: ctx.cycle + 1,
-                }) {
-                    Ok(()) => {
-                        ctx.events.buffer_writes += 1;
-                        let cycle = ctx.cycle;
-                        let node = self.node;
-                        ctx.trace.emit(|| TraceEvent::BufferEnter {
-                            cycle,
-                            node,
-                            packet: f.packet,
-                            flit_index: f.flit_index as u16,
-                            occupancy: depth + 1,
-                        });
-                    }
-                    Err(p) => {
-                        // Unreachable (checked !is_full above), but a push
-                        // race must never lose the flit.
-                        actives.push(p.flit);
-                    }
+                if let Err(f) = ctx.park(self.node, &mut self.buffer, f) {
+                    // Unreachable (checked !is_full above), but a push
+                    // race must never lose the flit.
+                    actives.push(f);
                 }
             }
         }
@@ -242,37 +184,13 @@ impl RouterModel for MinBdRouter {
             order.push(f);
         }
 
-        let mut used = [false; 4];
-        for mut f in order.iter() {
-            let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-            let productive = productive_count(&self.mesh, self.node, f.dst);
-            let (dir, deflected) = assign_port_with_faults(
-                &ranking,
-                productive,
-                &used,
-                &self.link_down,
-                f.deflections as usize,
-            )
-            .expect("flit count never exceeds free ports");
-            used[dir.index()] = true;
-            if deflected {
-                f.deflections += 1;
-                ctx.events.deflections += 1;
-                let cycle = ctx.cycle;
-                let wanted = ranking[0];
-                let node = self.node;
-                ctx.trace.emit(|| TraceEvent::Deflect {
-                    cycle,
-                    node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    wanted,
-                    got: dir,
-                });
-            }
-            ctx.events.xbar_traversals += 1;
-            ctx.out_links[dir.index()] = Some(f);
-        }
+        ctx.deflection_assign(
+            &self.mesh,
+            self.node,
+            &self.link_down,
+            &order,
+            &mut [false; 4],
+        );
 
         if ctx.probe.is_enabled() {
             let depth = self.buffer.len() as u8;
