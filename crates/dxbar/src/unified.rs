@@ -27,6 +27,7 @@ use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
 use noc_core::types::{Direction, NodeId, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_routing::{usable_route, Algorithm};
+use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
 use noc_topology::Mesh;
@@ -42,7 +43,7 @@ pub struct UnifiedRouter {
     mesh: Mesh,
     algorithm: Algorithm,
     depth: usize,
-    buffers: Vec<FixedQueue<Flit>>,
+    buffers: Vec<FixedQueue<Parked>>,
     /// Cached `route_bits` of each buffered flit, queue-parallel to
     /// `buffers`: routing is a pure function of (node, dst, link_down),
     /// so it is computed once on arrival instead of every cycle the flit
@@ -163,7 +164,7 @@ impl RouterModel for UnifiedRouter {
                     inputs[i].slots[0] = Some((mask, self.prio(f, true)));
                 }
             }
-            if let Some(f) = self.buffers[i].front() {
+            if let Some(Parked { flit: f, .. }) = self.buffers[i].front() {
                 waiters_exist = true;
                 let bits = *self.buffer_routes[i].front().expect("route cache in sync");
                 let mask = self.gate_credits(bits);
@@ -187,7 +188,7 @@ impl RouterModel for UnifiedRouter {
             match (input, v) {
                 (4, 0) => ctx.injection,
                 (i, 0) if i < 4 => ctx.arrivals[i],
-                (i, 1) if i < 4 => self.buffers[i].front().copied(),
+                (i, 1) if i < 4 => self.buffers[i].front().map(|p| p.flit),
                 _ => None,
             }
         };
@@ -268,30 +269,26 @@ impl RouterModel for UnifiedRouter {
             });
         }
         for g in grants.iter() {
-            let (mut flit, is_incoming) = match (g.input, g.v) {
+            let mut flit = match (g.input, g.v) {
                 (4, 0) => {
-                    let f = ctx.injection.take().expect("injection grant");
                     ctx.injected = true;
                     waiter_won = true;
-                    (f, false)
+                    ctx.injection.take().expect("injection grant")
                 }
                 (i, 0) => {
-                    let f = ctx.arrivals[i].take().expect("incoming grant");
                     incoming_won = true;
                     ctx.credits_out[i] += 1; // bypass: slot never used
-                    (f, true)
+                    ctx.arrivals[i].take().expect("incoming grant")
                 }
                 (i, 1) => {
-                    let f = self.buffers[i].pop().expect("buffered grant");
                     self.buffer_routes[i].pop().expect("route cache in sync");
                     waiter_won = true;
-                    ctx.events.buffer_reads += 1;
                     ctx.credits_out[i] += 1;
-                    (f, false)
+                    ctx.unpark(self.node, &mut self.buffers[i])
+                        .expect("buffered grant")
                 }
                 _ => unreachable!("allocator produced an impossible slot"),
             };
-            let _ = is_incoming;
             ctx.events.unified_xbar_traversals += 1;
             let dir = Direction::from_index(g.output);
             match dir {
@@ -311,9 +308,7 @@ impl RouterModel for UnifiedRouter {
         for d in LINK_DIRECTIONS {
             let i = d.index();
             if let Some(f) = ctx.arrivals[i].take() {
-                ctx.events.buffer_writes += 1;
-                self.buffers[i]
-                    .push(f)
+                ctx.park(self.node, &mut self.buffers[i], f)
                     .unwrap_or_else(|_| panic!("credit violation at {}: FIFO {i} full", self.node));
                 self.buffer_routes[i]
                     .push(arrival_bits[i])
@@ -354,7 +349,10 @@ impl RouterModel for UnifiedRouter {
         // Routing depends on the fault map: rebuild the cached route bits
         // of every buffered flit (cold path — fault events only).
         for i in 0..4 {
-            let bits: Vec<u8> = self.buffers[i].iter().map(|f| self.route_bits(f)).collect();
+            let bits: Vec<u8> = self.buffers[i]
+                .iter()
+                .map(|p| self.route_bits(&p.flit))
+                .collect();
             self.buffer_routes[i].clear();
             for b in bits {
                 self.buffer_routes[i]

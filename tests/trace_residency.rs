@@ -22,11 +22,13 @@ use noc_traffic::patterns::Pattern;
 use std::collections::HashMap;
 
 /// Every design that parks flits in a buffer.
-const BUFFERING: [Design; 7] = [
+const BUFFERING: [Design; 9] = [
     Design::Buffered4,
     Design::Buffered8,
     Design::DXbarDor,
     Design::DXbarWf,
+    Design::UnifiedDor,
+    Design::UnifiedWf,
     Design::Afc,
     Design::Damq,
     Design::MinBd,
