@@ -103,7 +103,8 @@ impl RouterModel for AfcRouter {
     fn step(&mut self, ctx: &mut StepCtx) {
         // Ejection (both modes): the oldest flit for this node leaves,
         // whether it arrives on a link or waits at a FIFO head.
-        let (mut arrivals, mut ejected) = ctx.take_arrivals(self.node);
+        let mut arrivals = InlineVec::new();
+        let mut ejected = ctx.take_arrivals(self.node, &mut arrivals);
         self.update_mode(arrivals.len() + usize::from(ejected));
 
         let mut used = [false; 4];

@@ -13,6 +13,7 @@
 //! Pipeline: SA/ST + LT (2 stages, same as DXbar, thanks to look-ahead
 //! routing).
 
+use noc_core::inline::InlineVec;
 use noc_core::types::{NodeId, NUM_LINK_PORTS};
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_topology::Mesh;
@@ -47,7 +48,8 @@ impl RouterModel for BlessRouter {
     fn step(&mut self, ctx: &mut StepCtx) {
         // Ejection: the oldest flit addressed here leaves the network; any
         // other flit for this node is deflected onward this cycle.
-        let (mut flits, _) = ctx.take_arrivals(self.node);
+        let mut flits = InlineVec::new();
+        ctx.take_arrivals(self.node, &mut flits);
 
         // Injection: allowed while an input (equivalently output) slot is
         // free at this node.

@@ -11,6 +11,7 @@
 //!
 //! Pipeline: SA/ST + LT (2 stages, look-ahead routing), like DXbar/BLESS.
 
+use noc_core::inline::InlineVec;
 use noc_core::types::{Direction, NodeId, NUM_LINK_PORTS};
 use noc_routing::deflection::free_productive;
 use noc_sim::router::{RouterModel, StepCtx};
@@ -44,7 +45,8 @@ impl RouterModel for ScarabRouter {
         // this node lose the ejection port and are dropped + NACKed.
         // Unstable sort is deterministic: `age_key` is unique per
         // coexisting flit.
-        let (mut flits, ejected_one) = ctx.take_arrivals(self.node);
+        let mut flits = InlineVec::new();
+        let ejected_one = ctx.take_arrivals(self.node, &mut flits);
         flits.sort_unstable_by_key(|f| f.age_key());
         for f in flits.iter().filter(|f| f.dst == self.node) {
             ctx.dropped.push(f);

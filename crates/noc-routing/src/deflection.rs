@@ -127,6 +127,7 @@ pub fn assign_port_with_faults(
 /// one if any, else a dead one (the flit is doomed under minimal routing
 /// anyway — sending it into the dead link lets the engine account the loss
 /// once), else `None`.
+#[inline]
 pub fn free_productive(
     mesh: &Mesh,
     current: NodeId,

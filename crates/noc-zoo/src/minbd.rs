@@ -85,7 +85,8 @@ impl RouterModel for MinBdRouter {
     fn step(&mut self, ctx: &mut StepCtx) {
         // Ejection: the oldest arrival for this node leaves (one PE port);
         // if no arrival wants out, a ready side-buffer head may eject.
-        let (mut actives, mut ejected) = ctx.take_arrivals(self.node);
+        let mut actives = InlineVec::new();
+        let mut ejected = ctx.take_arrivals(self.node, &mut actives);
         if !ejected
             && self
                 .buffer
