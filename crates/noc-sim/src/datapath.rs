@@ -52,8 +52,8 @@ impl StepCtx {
     ///
     /// This and [`StepCtx::deflection_assign`] are forced inline: left to
     /// the inliner they were outlined from the router `step`s, and the
-    /// call and a by-value return made Flit-BLESS and SCARAB steps 20–45 %
-    /// slower.
+    /// call and a by-value return slowed the Flit-BLESS and SCARAB steps
+    /// by a fifth or more (EXPERIMENTS.md, "One router datapath").
     #[inline(always)]
     pub fn take_arrivals(&mut self, node: NodeId, flits: &mut InlineVec<Flit, 5>) -> bool {
         let mut oldest: Option<usize> = None;
