@@ -510,8 +510,7 @@ impl RouterModel for DXbarRouter {
         for (i, b) in self.buffers.iter().enumerate() {
             ctx.probe.emit(|| ProbeEvent::FifoDepth {
                 input: i as u8,
-                depth: b.len() as u8,
-                cap: self.depth as u8,
+                depth: b.len() as u16,
             });
         }
 

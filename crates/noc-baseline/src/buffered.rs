@@ -312,8 +312,7 @@ impl RouterModel for BufferedRouter {
                     // `input` field encodes (input port, VC) as port<<4 | vc.
                     ctx.probe.emit(|| ProbeEvent::FifoDepth {
                         input: ((input as u8) << 4) | vc as u8,
-                        depth: q.len() as u8,
-                        cap: self.depth as u8,
+                        depth: q.len() as u16,
                     });
                 }
             }

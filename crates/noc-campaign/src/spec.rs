@@ -694,6 +694,26 @@ mod tests {
         assert!(spec().validate().is_ok());
     }
 
+    #[test]
+    fn validation_bounds_the_preallocated_sizes() {
+        use noc_core::config::{MAX_BUFFER_DEPTH, MAX_SOURCE_QUEUE_CAP};
+        let with = |set: &dyn Fn(&mut SimConfig)| {
+            let mut s = spec();
+            set(&mut s.groups[0].config);
+            s.validate()
+        };
+        for depth in [0, MAX_BUFFER_DEPTH + 1, 1_000_000_000] {
+            let err = with(&|c| c.buffer_depth = depth).unwrap_err();
+            assert!(err.contains("buffer_depth must be in 1..="), "{err}");
+        }
+        for cap in [0, MAX_SOURCE_QUEUE_CAP + 1, 1_000_000_000] {
+            let err = with(&|c| c.source_queue_cap = cap).unwrap_err();
+            assert!(err.contains("source_queue_cap must be in 1..="), "{err}");
+        }
+        assert!(with(&|c| c.buffer_depth = MAX_BUFFER_DEPTH).is_ok());
+        assert!(with(&|c| c.source_queue_cap = MAX_SOURCE_QUEUE_CAP).is_ok());
+    }
+
     fn scenario_group() -> PointGroup {
         PointGroup {
             label: "scn".into(),

@@ -6,6 +6,16 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Largest [`SimConfig::buffer_depth`] a config may ask for. Routers
+/// preallocate their FIFOs, so the bound keeps a spec from aborting the
+/// process on allocation; the deepest FIFO any design builds (DAMQ's
+/// shared slab of 4 x depth slots) still fits a `u16` occupancy probe.
+pub const MAX_BUFFER_DEPTH: usize = 256;
+
+/// Largest [`SimConfig::source_queue_cap`] a config may ask for: every
+/// node preallocates its source queue.
+pub const MAX_SOURCE_QUEUE_CAP: usize = 4096;
+
 /// Fabric topology of the router grid.
 ///
 /// * `Mesh` — the paper's plain 2D mesh (links end at the edges);
@@ -184,8 +194,11 @@ impl SimConfig {
         if self.num_nodes() > u16::MAX as usize {
             return Err("too many nodes for 16-bit NodeId".into());
         }
-        if self.buffer_depth == 0 {
-            return Err("buffer_depth must be positive".into());
+        if !(1..=MAX_BUFFER_DEPTH).contains(&self.buffer_depth) {
+            return Err(format!(
+                "buffer_depth must be in 1..={MAX_BUFFER_DEPTH}, got {}",
+                self.buffer_depth
+            ));
         }
         if self.num_vcs == 0 {
             return Err("num_vcs must be positive".into());
@@ -196,8 +209,11 @@ impl SimConfig {
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be positive".into());
         }
-        if self.source_queue_cap == 0 {
-            return Err("source_queue_cap must be positive".into());
+        if !(1..=MAX_SOURCE_QUEUE_CAP).contains(&self.source_queue_cap) {
+            return Err(format!(
+                "source_queue_cap must be in 1..={MAX_SOURCE_QUEUE_CAP}, got {}",
+                self.source_queue_cap
+            ));
         }
         Ok(())
     }
@@ -259,7 +275,14 @@ mod tests {
         c.width = 8;
         c.buffer_depth = 0;
         assert!(c.validate().is_err());
+        c.buffer_depth = MAX_BUFFER_DEPTH;
+        assert!(c.validate().is_ok());
+        c.buffer_depth = MAX_BUFFER_DEPTH + 1;
+        assert!(c.validate().is_err());
         c.buffer_depth = 4;
+        c.source_queue_cap = MAX_SOURCE_QUEUE_CAP + 1;
+        assert!(c.validate().is_err());
+        c.source_queue_cap = 64;
         c.packet_len = 0;
         assert!(c.validate().is_err());
     }

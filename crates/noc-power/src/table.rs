@@ -83,8 +83,8 @@ mod tests {
     #[test]
     fn bufferless_rows_have_zero_buffer_energy() {
         let rows = table3_rows(&AreaModel::default(), &EnergyConstants::default());
-        for r in &rows {
-            if r.design == "Flit-Bless" || r.design == "SCARAB" {
+        for (d, r) in DesignKind::ALL.into_iter().zip(&rows) {
+            if matches!(d, DesignKind::FlitBless | DesignKind::Scarab) {
                 assert_eq!(r.buffer_energy_pj_per_flit, 0.0);
             } else {
                 assert!(r.buffer_energy_pj_per_flit > 0.0);

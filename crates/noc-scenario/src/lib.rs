@@ -13,7 +13,7 @@
 //!   alongside the global aggregate;
 //! * **heterogeneous router mixes** — a sparse island grid of a second
 //!   design over the point's base design ([`RouterMix`]), restricted to
-//!   the credit-free router family ([`credit_free`]);
+//!   the credit-free router family (`Design::credit_free`);
 //! * **torus and concentrated-mesh fabrics** — the scenario's
 //!   [`noc_topology::Topology`] overrides the base config, and the
 //!   wrap-aware routing/verification profiles apply automatically.
@@ -29,5 +29,5 @@ pub mod spec;
 pub mod traffic;
 
 pub use run::{run_scenario, scenario_config, ScenarioRun};
-pub use spec::{credit_free, AppSpec, Region, RouterMix, ScenarioSpec};
+pub use spec::{AppSpec, Region, RouterMix, ScenarioSpec};
 pub use traffic::ScenarioTraffic;

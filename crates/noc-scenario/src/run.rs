@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn torus_and_cmesh_scenarios_run_verified_clean() {
-        for name in ["torus_ur", "cmesh_ur"] {
+        for name in ["torus_ur", "cmesh_ur", "mixed_islands"] {
             let out = scenario(Design::FlitBless, name, 0.1, true);
             let report = out.verify.expect("verified plan");
             assert!(
@@ -185,6 +185,12 @@ mod tests {
                 report.total_violations
             );
             assert!(out.result.accepted_packets > 0, "{name} delivered nothing");
+            if name == "mixed_islands" {
+                // The DAMQ islands buffered under their own rows, not the
+                // base design's (which allows no storage at all).
+                assert!(report.checks.fifo_samples > 0);
+                assert!(out.result.energy.buffer_pj > 0.0);
+            }
         }
     }
 

@@ -92,8 +92,8 @@ pub struct AppSpec {
 /// island routers sit at coordinates where both `x % spacing` and
 /// `y % spacing` equal `spacing - 1`, so node (0,0) always carries the base
 /// design. Mixed fabrics are restricted to the credit-free router family
-/// (see [`credit_free`]): a credit-consuming design next to a neighbour
-/// that never emits credits would stall forever.
+/// ([`Design::credit_free`]): a credit-consuming design next to a
+/// neighbour that never emits credits would stall forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterMix {
     /// Every router is the campaign point's design.
@@ -143,18 +143,6 @@ impl Deserialize for RouterMix {
             ))),
         }
     }
-}
-
-/// Whether a design participates safely in a mixed fabric: the credit-free
-/// family neither reads nor depends on link credits, so any per-node
-/// assignment within it composes. Credit-consuming designs (DXbar, unified
-/// crossbar, the buffered baselines) assume every neighbour runs the same
-/// credit protocol and may only be deployed uniformly.
-pub fn credit_free(d: Design) -> bool {
-    matches!(
-        d,
-        Design::FlitBless | Design::Scarab | Design::Afc | Design::Damq | Design::MinBd
-    )
 }
 
 /// A complete workload scenario. Resolved from a name by
@@ -373,7 +361,7 @@ impl ScenarioSpec {
                 ));
             }
             for d in [base, island] {
-                if !credit_free(d) {
+                if !d.credit_free() {
                     return Err(format!(
                         "scenario {:?}: mixed fabrics require credit-free designs \
                          (Flit-Bless, SCARAB, AFC, DAMQ, MinBD); {} uses link credits",

@@ -271,8 +271,7 @@ impl<R: RouterModel> Network<R> {
 
     /// Design name of the router at one node. Homogeneous networks return
     /// [`design_name`](Self::design_name) everywhere; heterogeneous mixes
-    /// (the scenario engine's island fabrics) differ per node, and the
-    /// verifier derives its per-node oracle profiles from this.
+    /// (the scenario engine's island fabrics) differ per node.
     pub fn router_design_name(&self, node: NodeId) -> &'static str {
         self.routers[node.index()].design_name()
     }

@@ -40,8 +40,9 @@ pub enum ProbeEvent {
     /// bufferless/incoming path, slot 1 the buffered path, slot 2 the PE
     /// injection port.
     Grant { input: u8, slot: u8, output: u8 },
-    /// Occupancy of one input FIFO after this cycle's buffer writes.
-    FifoDepth { input: u8, depth: u8, cap: u8 },
+    /// Occupancy of one input FIFO after this cycle's buffer writes,
+    /// checked against the bound in the design's oracle profile.
+    FifoDepth { input: u8, depth: u16 },
     /// The fairness counter flipped priority this cycle.
     /// `eligible_waiter` reports whether, before allocation, any waiting
     /// (buffered/injection) flit had a credit-backed request — routers
@@ -223,11 +224,7 @@ mod tests {
         let mut called = false;
         buf.emit(|| {
             called = true;
-            ProbeEvent::FifoDepth {
-                input: 0,
-                depth: 1,
-                cap: 4,
-            }
+            ProbeEvent::FifoDepth { input: 0, depth: 1 }
         });
         assert!(!called);
         assert!(buf.events().is_empty());

@@ -7,6 +7,7 @@
 //!   [`noc_sim::Observer`] checking flit conservation/no-duplication,
 //!   crossbar exclusivity, route legality, FIFO capacity bounds, the
 //!   fairness-counter service guarantee, and a deadlock/livelock watchdog.
+//!   Each node is held to the [`DesignProfile`] row its caller supplies.
 //!   Attach via [`runner::run_observed`], or enable everywhere with the
 //!   `DXBAR_VERIFY=1` environment variable / `--verify` bench flags.
 //! * **Micro-model-checker** ([`checker`]) — exhaustive state-space

@@ -163,11 +163,8 @@ impl VerifyReport {
 /// run.
 pub struct Verifier {
     design: String,
-    /// Oracle profile per node. Homogeneous networks repeat one profile;
-    /// heterogeneous router mixes give each node the profile of the
-    /// design actually running there.
+    /// Oracle profile per node (homogeneous networks repeat one row).
     profiles: Vec<DesignProfile>,
-    buffer_depth: usize,
     mesh: Mesh,
     opts: VerifyOptions,
     ledger: FlitLedger,
@@ -192,23 +189,20 @@ pub struct Verifier {
 }
 
 impl Verifier {
-    /// Oracle set for `design_name` (a `RouterModel::design_name` string)
-    /// on `mesh` with per-FIFO `buffer_depth`.
-    pub fn new(design_name: &str, mesh: Mesh, buffer_depth: usize) -> Verifier {
-        Verifier::with_options(design_name, mesh, buffer_depth, VerifyOptions::default())
-    }
-
-    pub fn with_options(
-        design_name: &str,
+    /// Oracle set on `mesh` enforcing `profiles[n]` at node `n`, so a
+    /// heterogeneous fabric checks each node against its own design (a
+    /// BLESS node may deflect; its buffered-island neighbour may not).
+    /// `design` labels the report.
+    pub fn new(
+        design: impl Into<String>,
         mesh: Mesh,
-        buffer_depth: usize,
+        profiles: Vec<DesignProfile>,
         opts: VerifyOptions,
     ) -> Verifier {
-        let profile = DesignProfile::for_design(design_name, buffer_depth);
+        assert_eq!(profiles.len(), mesh.num_nodes(), "one profile per node");
         Verifier {
-            design: design_name.to_string(),
-            profiles: vec![profile; mesh.num_nodes()],
-            buffer_depth,
+            design: design.into(),
+            profiles,
             mesh,
             opts,
             ledger: FlitLedger::new(),
@@ -226,37 +220,6 @@ impl Verifier {
         }
     }
 
-    /// Oracle set matched to `net`'s actual routers: per-node profiles, so
-    /// heterogeneous fabrics enforce each node's own design rules (a BLESS
-    /// node may deflect; its buffered-island neighbour may not).
-    pub fn for_network<R: noc_sim::RouterModel>(net: &Network<R>, opts: VerifyOptions) -> Verifier {
-        let label = if net.is_homogeneous() {
-            net.design_name().to_string()
-        } else {
-            format!("{} + islands", net.design_name())
-        };
-        let mut v = Verifier::with_options(&label, *net.mesh(), net.config().buffer_depth, opts);
-        for node in v.mesh.nodes() {
-            v.set_node_profile(node, net.router_design_name(node));
-        }
-        v
-    }
-
-    /// Override one node's oracle profile by design name.
-    pub fn set_node_profile(&mut self, node: NodeId, design_name: &str) {
-        self.profiles[node.index()] = DesignProfile::for_design(design_name, self.buffer_depth);
-    }
-
-    /// The node-0 profile (homogeneous networks: the only profile).
-    pub fn profile(&self) -> &DesignProfile {
-        &self.profiles[0]
-    }
-
-    /// The oracle profile enforced at `node`.
-    pub fn node_profile(&self, node: NodeId) -> &DesignProfile {
-        &self.profiles[node.index()]
-    }
-
     fn push(&mut self, v: Violation) {
         self.total_violations += 1;
         if self.violations.len() < self.opts.max_recorded {
@@ -266,18 +229,16 @@ impl Verifier {
 
     fn check_route_hop(&mut self, node: NodeId, dir: Direction, dst: NodeId, cycle: Cycle) {
         self.checks.route_hops += 1;
-        let route = self.profiles[node.index()].route;
-        let legal = match route {
-            RouteRule::Turn(alg) => alg.route(&self.mesh, node, dst).contains(dir),
-            RouteRule::MinimalAdaptive => is_productive(&self.mesh, node, dst, dir),
-            RouteRule::Deflecting | RouteRule::Any => true,
+        let rule = match self.profiles[node.index()].route {
+            RouteRule::Turn(alg) => {
+                (!alg.route(&self.mesh, node, dst).contains(dir)).then(|| alg.name())
+            }
+            RouteRule::MinimalAdaptive => {
+                (!is_productive(&self.mesh, node, dst, dir)).then_some("minimal-adaptive")
+            }
+            RouteRule::Deflecting => None,
         };
-        if !legal {
-            let rule = match route {
-                RouteRule::Turn(alg) => alg.name(),
-                RouteRule::MinimalAdaptive => "minimal-adaptive",
-                _ => unreachable!(),
-            };
+        if let Some(rule) = rule {
             self.push(Violation {
                 kind: ViolationKind::RouteIllegal,
                 cycle,
@@ -307,20 +268,16 @@ impl Verifier {
                     again[word] |= once[word] & bit;
                     once[word] |= bit;
                 }
-                ProbeEvent::FifoDepth { input, depth, cap } => {
+                ProbeEvent::FifoDepth { input, depth } => {
                     self.checks.fifo_samples += 1;
-                    let hard_cap = profile
-                        .fifo_capacity
-                        .map_or(cap as usize, |c| c.min(cap as usize));
-                    if depth as usize > hard_cap {
+                    let cap = profile.fifo_capacity;
+                    if usize::from(depth) > cap {
                         self.push(Violation {
                             kind: ViolationKind::FifoOverflow,
                             cycle: ctx.cycle,
                             router: Some(node),
                             flits: vec![],
-                            detail: format!(
-                                "FIFO {input} holds {depth} flits, capacity {hard_cap}"
-                            ),
+                            detail: format!("FIFO {input} holds {depth} flits, capacity {cap}"),
                         });
                     }
                 }
@@ -551,16 +508,15 @@ impl Verifier {
                 ),
             });
         }
-        if let Some(cap) = self.profiles[node.index()].router_capacity {
-            if occupancy_after > cap {
-                scratch.push(Violation {
-                    kind: ViolationKind::FifoOverflow,
-                    cycle,
-                    router: Some(node),
-                    flits: vec![],
-                    detail: format!("router holds {occupancy_after} flits, capacity {cap}"),
-                });
-            }
+        let cap = self.profiles[node.index()].router_capacity;
+        if occupancy_after > cap {
+            scratch.push(Violation {
+                kind: ViolationKind::FifoOverflow,
+                cycle,
+                router: Some(node),
+                flits: vec![],
+                detail: format!("router holds {occupancy_after} flits, capacity {cap}"),
+            });
         }
 
         // Every design ejects at most one flit per cycle (single PE port).
@@ -743,8 +699,20 @@ mod tests {
     use noc_core::flit::{Flit, PacketId};
     use noc_sim::StepInputs;
 
+    /// A 4x4 mesh of DOR routers with DXbar's rules at depth 4.
+    fn with_opts(opts: VerifyOptions) -> Verifier {
+        let row = DesignProfile {
+            route: RouteRule::Turn(noc_routing::Algorithm::Dor),
+            router_capacity: 16,
+            fifo_capacity: 4,
+            dual_input: true,
+            drops_allowed: false,
+        };
+        Verifier::new("DXbar DOR", Mesh::new(4, 4), vec![row; 16], opts)
+    }
+
     fn mk() -> Verifier {
-        Verifier::new("DXbar DOR", Mesh::new(4, 4), 4)
+        with_opts(VerifyOptions::default())
     }
 
     fn flit(pid: u64, src: u16, dst: u16) -> Flit {
@@ -938,11 +906,8 @@ mod tests {
     fn fifo_overflow_is_flagged() {
         let mut v = mk();
         let mut ctx = step_ctx(1);
-        ctx.probe.emit(|| ProbeEvent::FifoDepth {
-            input: 2,
-            depth: 5,
-            cap: 4,
-        });
+        ctx.probe
+            .emit(|| ProbeEvent::FifoDepth { input: 2, depth: 5 });
         let inputs = StepInputs {
             arrivals: [None; 4],
             injection: None,
@@ -973,15 +938,10 @@ mod tests {
 
     #[test]
     fn watchdog_trips_deadlock_then_stays_quiet() {
-        let mut v = Verifier::with_options(
-            "DXbar DOR",
-            Mesh::new(4, 4),
-            4,
-            VerifyOptions {
-                watchdog_horizon: 10,
-                max_recorded: 32,
-            },
-        );
+        let mut v = with_opts(VerifyOptions {
+            watchdog_horizon: 10,
+            max_recorded: 32,
+        });
         // A flit is injected then nothing ever moves again.
         let f = flit(7, 0, 3);
         let mut ctx = step_ctx(0);
@@ -1004,15 +964,10 @@ mod tests {
 
     #[test]
     fn ejections_reset_watchdog() {
-        let mut v = Verifier::with_options(
-            "DXbar DOR",
-            Mesh::new(4, 4),
-            4,
-            VerifyOptions {
-                watchdog_horizon: 10,
-                max_recorded: 32,
-            },
-        );
+        let mut v = with_opts(VerifyOptions {
+            watchdog_horizon: 10,
+            max_recorded: 32,
+        });
         let inputs = StepInputs {
             arrivals: [None; 4],
             injection: None,

@@ -1,9 +1,10 @@
-//! Per-design verification profiles.
+//! The rules one router design promises, as the oracles read them.
 //!
-//! Each router design promises a different set of invariants: DOR/WF
-//! designs must obey their turn model, SCARAB may drop but never deflect,
-//! BLESS/AFC may deflect but never drop. The oracles look up what to
-//! enforce here, keyed by the design's report name.
+//! Each design promises a different set of invariants: DOR/WF designs must
+//! obey their turn model, SCARAB may drop but never deflect, BLESS/AFC may
+//! deflect but never drop. This crate knows no design by name: the facade's
+//! `Design::profile` states each design's row, and whoever attaches a
+//! [`crate::Verifier`] hands it one row per node.
 
 use noc_routing::Algorithm;
 
@@ -19,8 +20,6 @@ pub enum RouteRule {
     /// Hops may be unproductive (deflection routing: BLESS, AFC in
     /// bufferless mode). Only structural checks apply.
     Deflecting,
-    /// Unknown design: skip route checks.
-    Any,
 }
 
 /// What the runtime oracles enforce for one design.
@@ -28,204 +27,16 @@ pub enum RouteRule {
 pub struct DesignProfile {
     /// Route-legality rule for link outputs.
     pub route: RouteRule,
-    /// Maximum flits a router may hold (`occupancy()` bound); `None` when
-    /// the design has no published bound.
-    pub router_capacity: Option<usize>,
+    /// Maximum flits a router may hold (`occupancy()` bound).
+    pub router_capacity: usize,
+    /// Maximum flits one FIFO may hold, checked against every `FifoDepth`
+    /// probe; 0 for a design without FIFOs.
+    pub fifo_capacity: usize,
     /// Whether the crossbar may legally grant two winners from one input
-    /// row (the unified design's segmented-output dual grant).
+    /// row (DXbar's secondary crossbar, the unified design's
+    /// segmented-output dual grant).
     pub dual_input: bool,
     /// Whether the design may drop flits (SCARAB). Non-dropping designs
     /// turn any `ctx.dropped` entry into a violation.
     pub drops_allowed: bool,
-    /// Per-input secondary FIFO capacity checked against `FifoDepth`
-    /// probes; `None` disables the check.
-    pub fifo_capacity: Option<usize>,
-    /// Whether fairness-flip probes are expected and checked.
-    pub fairness_checked: bool,
-}
-
-impl DesignProfile {
-    /// Profile for a design's report name (`RouterModel::design_name`).
-    ///
-    /// `buffer_depth` is `SimConfig::buffer_depth` (per-VC / per-FIFO
-    /// slots). Unknown names get a permissive profile so third-party
-    /// router models can still run under the universal checks.
-    pub fn for_design(name: &str, buffer_depth: usize) -> DesignProfile {
-        match name {
-            "Flit-Bless" => DesignProfile {
-                route: RouteRule::Deflecting,
-                router_capacity: Some(0),
-                dual_input: false,
-                drops_allowed: false,
-                fifo_capacity: None,
-                fairness_checked: false,
-            },
-            "SCARAB" => DesignProfile {
-                route: RouteRule::MinimalAdaptive,
-                router_capacity: Some(0),
-                dual_input: false,
-                drops_allowed: true,
-                fifo_capacity: None,
-                fairness_checked: false,
-            },
-            // Buffered 4 = one VC per input; Buffered 8 = two VCs per
-            // input; each VC FIFO holds `buffer_depth` flits, 5 inputs.
-            "Buffered 4" => DesignProfile {
-                route: RouteRule::Turn(Algorithm::Dor),
-                router_capacity: Some(5 * buffer_depth),
-                dual_input: false,
-                drops_allowed: false,
-                fifo_capacity: Some(buffer_depth),
-                fairness_checked: false,
-            },
-            "Buffered 8" => DesignProfile {
-                route: RouteRule::Turn(Algorithm::Dor),
-                router_capacity: Some(5 * 2 * buffer_depth),
-                dual_input: false,
-                drops_allowed: false,
-                fifo_capacity: Some(buffer_depth),
-                fairness_checked: false,
-            },
-            "DXbar DOR" | "DXbar WF" => DesignProfile {
-                route: RouteRule::Turn(if name.ends_with("WF") {
-                    Algorithm::WestFirst
-                } else {
-                    Algorithm::Dor
-                }),
-                router_capacity: Some(4 * buffer_depth),
-                // The arrival (primary crossbar) and the buffered head
-                // (secondary crossbar) of the same input index may both
-                // win — distinct physical paths, distinct outputs.
-                dual_input: true,
-                drops_allowed: false,
-                fifo_capacity: Some(buffer_depth),
-                fairness_checked: true,
-            },
-            "Unified Xbar DOR" | "Unified Xbar WF" => DesignProfile {
-                route: RouteRule::Turn(if name.ends_with("WF") {
-                    Algorithm::WestFirst
-                } else {
-                    Algorithm::Dor
-                }),
-                router_capacity: Some(4 * buffer_depth),
-                dual_input: true,
-                drops_allowed: false,
-                fifo_capacity: Some(buffer_depth),
-                fairness_checked: true,
-            },
-            "AFC" => DesignProfile {
-                route: RouteRule::Deflecting,
-                router_capacity: Some(4 * buffer_depth),
-                dual_input: false,
-                drops_allowed: false,
-                fifo_capacity: Some(buffer_depth),
-                fairness_checked: false,
-            },
-            // DAMQ: one shared slab of 4 * depth slots; minimal-preference
-            // buffering but shared-pool exhaustion falls back to
-            // deflection, so only structural route checks apply. The
-            // FifoDepth probe reports per-VQ depth against the *slab*
-            // capacity (queues legally outgrow `buffer_depth`), so the
-            // profile leaves fifo_capacity unset.
-            "DAMQ" => DesignProfile {
-                route: RouteRule::Deflecting,
-                router_capacity: Some(4 * buffer_depth),
-                dual_input: false,
-                drops_allowed: false,
-                fifo_capacity: None,
-                fairness_checked: false,
-            },
-            // MinBD: deflection datapath plus one side buffer of
-            // `buffer_depth` slots.
-            "MinBD" => DesignProfile {
-                route: RouteRule::Deflecting,
-                router_capacity: Some(buffer_depth),
-                dual_input: false,
-                drops_allowed: false,
-                fifo_capacity: Some(buffer_depth),
-                fairness_checked: false,
-            },
-            _ => DesignProfile {
-                route: RouteRule::Any,
-                router_capacity: None,
-                dual_input: false,
-                drops_allowed: true,
-                fifo_capacity: None,
-                fairness_checked: false,
-            },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dxbar_profiles_use_matching_turn_model() {
-        let dor = DesignProfile::for_design("DXbar DOR", 4);
-        let wf = DesignProfile::for_design("DXbar WF", 4);
-        assert_eq!(dor.route, RouteRule::Turn(Algorithm::Dor));
-        assert_eq!(wf.route, RouteRule::Turn(Algorithm::WestFirst));
-        assert_eq!(dor.router_capacity, Some(16));
-        assert!(dor.dual_input);
-        assert!(dor.fairness_checked);
-    }
-
-    #[test]
-    fn unified_allows_dual_input_grants() {
-        let p = DesignProfile::for_design("Unified Xbar WF", 4);
-        assert!(p.dual_input);
-        assert_eq!(p.route, RouteRule::Turn(Algorithm::WestFirst));
-        assert_eq!(p.fifo_capacity, Some(4));
-    }
-
-    #[test]
-    fn scarab_may_drop_but_must_stay_minimal() {
-        let p = DesignProfile::for_design("SCARAB", 4);
-        assert!(p.drops_allowed);
-        assert_eq!(p.route, RouteRule::MinimalAdaptive);
-        assert_eq!(p.router_capacity, Some(0));
-    }
-
-    #[test]
-    fn bless_deflects_and_holds_nothing() {
-        let p = DesignProfile::for_design("Flit-Bless", 4);
-        assert_eq!(p.route, RouteRule::Deflecting);
-        assert_eq!(p.router_capacity, Some(0));
-        assert!(!p.drops_allowed);
-    }
-
-    #[test]
-    fn unknown_design_is_permissive() {
-        let p = DesignProfile::for_design("Mystery Router", 4);
-        assert_eq!(p.route, RouteRule::Any);
-        assert_eq!(p.router_capacity, None);
-        assert!(p.drops_allowed);
-    }
-
-    #[test]
-    fn zoo_profiles_bound_their_buffers() {
-        let damq = DesignProfile::for_design("DAMQ", 4);
-        assert_eq!(damq.route, RouteRule::Deflecting);
-        assert_eq!(damq.router_capacity, Some(16), "shared slab = 4 x depth");
-        assert!(!damq.drops_allowed);
-        let minbd = DesignProfile::for_design("MinBD", 4);
-        assert_eq!(minbd.route, RouteRule::Deflecting);
-        assert_eq!(minbd.router_capacity, Some(4), "one side buffer");
-        assert_eq!(minbd.fifo_capacity, Some(4));
-        assert!(!minbd.drops_allowed);
-    }
-
-    #[test]
-    fn buffered_capacity_scales_with_vc_count() {
-        assert_eq!(
-            DesignProfile::for_design("Buffered 4", 4).router_capacity,
-            Some(20)
-        );
-        assert_eq!(
-            DesignProfile::for_design("Buffered 8", 4).router_capacity,
-            Some(40)
-        );
-    }
 }

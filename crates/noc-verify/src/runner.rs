@@ -1,7 +1,7 @@
 //! One observed run: attach a recording trace sink and/or a [`Verifier`]
 //! to a network, execute the run, detach them and hand their findings back.
 
-use crate::oracle::{Verifier, VerifyOptions, VerifyReport};
+use crate::oracle::{Verifier, VerifyReport};
 use noc_power::energy::EnergyModel;
 use noc_sim::noc_trace::RecordingSink;
 use noc_sim::report::RunResult;
@@ -32,21 +32,21 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// [`noc_sim::run`] with the requested observers attached for its duration:
-/// `trace` records into the given sink, `verify` attaches the full
-/// runtime-oracle suite (default [`VerifyOptions`]). Both are listeners on
-/// the network's one observer seam; each comes back `Some` exactly when it
-/// was asked for, and the report comes back whether or not it is clean.
+/// [`noc_sim::run`] with the given observers attached for its duration:
+/// `trace` records into the given sink, `verify` runs the runtime-oracle
+/// suite with the rows it was built with. Both are listeners on the
+/// network's one observer seam; each comes back `Some` exactly when it was
+/// given, and the report comes back whether or not it is clean.
 pub fn run_observed<R: RouterModel>(
     net: &mut Network<R>,
     model: &mut dyn TrafficModel,
     mode: RunMode,
     energy: &EnergyModel,
     trace: Option<RecordingSink>,
-    verify: bool,
+    verify: Option<Verifier>,
 ) -> (RunResult, Option<RecordingSink>, Option<VerifyReport>) {
-    if verify {
-        net.attach(Verifier::for_network(net, VerifyOptions::default()));
+    if let Some(verifier) = verify {
+        net.attach(verifier);
     }
     if let Some(sink) = trace {
         net.attach(sink);

@@ -14,7 +14,9 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_observed, Violation, ViolationKind};
+use noc_verify::{
+    run_observed, DesignProfile, RouteRule, Verifier, VerifyOptions, Violation, ViolationKind,
+};
 
 /// Which deliberate bug the rogue router injects (once per router).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +39,8 @@ enum Bug {
     TorusLongWay,
 }
 
-/// Minimal age-priority DOR router with unlimited loser buffering —
-/// the engine-test vehicle shape — masquerading as "DXbar DOR" so the
-/// strict DXbar verification profile applies.
+/// Minimal age-priority DOR router with unlimited loser buffering — the
+/// engine-test vehicle shape — held to the strict rules of [`rules`].
 struct RogueRouter {
     node: NodeId,
     mesh: Mesh,
@@ -158,7 +159,20 @@ impl RouterModel for RogueRouter {
     }
 
     fn design_name(&self) -> &'static str {
-        "DXbar DOR"
+        "Rogue DOR"
+    }
+}
+
+/// What the oracles hold the rogue router to: the DOR turn model (on the
+/// torus, its wrap-aware form), DXbar's storage bound of 4 x depth, one
+/// grant per input row and no drops.
+fn rules(cfg: &SimConfig) -> DesignProfile {
+    DesignProfile {
+        route: RouteRule::Turn(Algorithm::Dor),
+        router_capacity: 4 * cfg.buffer_depth,
+        fifo_capacity: 0,
+        dual_input: false,
+        drops_allowed: false,
     }
 }
 
@@ -212,7 +226,16 @@ fn run_tiled(
     net.set_tile_threads(workers);
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
     let energy = EnergyModel::default();
-    let (_, _, report) = run_observed(&mut net, &mut model, RunMode::OpenLoop, &energy, None, true);
+    let rows = vec![rules(&cfg); mesh.num_nodes()];
+    let verifier = Verifier::new("Rogue DOR", mesh, rows, VerifyOptions::default());
+    let (_, _, report) = run_observed(
+        &mut net,
+        &mut model,
+        RunMode::OpenLoop,
+        &energy,
+        None,
+        Some(verifier),
+    );
     let report = report.expect("verified run");
     if report.is_clean() {
         Ok(())

@@ -17,12 +17,15 @@ use noc_sim::Network;
 use noc_topology::Mesh;
 use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
-use noc_verify::{run_observed, Violation, ViolationKind};
+use noc_verify::{
+    run_observed, DesignProfile, RouteRule, Verifier, VerifyOptions, Violation, ViolationKind,
+};
 
 /// Age-priority DOR router with unlimited loser buffering (the engine-test
 /// vehicle shape). With `vanish_one` set it swallows exactly one in-transit
 /// flit — the ARQ layer will dutifully re-deliver a copy, masking the bug
-/// from every delivery statistic.
+/// from every delivery statistic. The oracles hold it to the DOR turn model,
+/// 4 x depth flits of storage and no drops.
 struct Vehicle {
     node: NodeId,
     mesh: Mesh,
@@ -84,7 +87,7 @@ impl RouterModel for Vehicle {
     }
 
     fn design_name(&self) -> &'static str {
-        "DXbar DOR"
+        "Vehicle DOR"
     }
 }
 
@@ -133,7 +136,27 @@ fn run_tiled(vanish_one: bool, workers: usize) -> Result<(), Vec<Violation>> {
     net.set_resilience(ResiliencePlan::none().with_transients(TransientSpec::new(1e-3, 23)));
     let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, 0.05, 1, 11);
     let energy = EnergyModel::default();
-    let (_, _, report) = run_observed(&mut net, &mut model, RunMode::OpenLoop, &energy, None, true);
+    let rules = DesignProfile {
+        route: RouteRule::Turn(Algorithm::Dor),
+        router_capacity: 4 * cfg.buffer_depth,
+        fifo_capacity: 0,
+        dual_input: false,
+        drops_allowed: false,
+    };
+    let verifier = Verifier::new(
+        "Vehicle DOR",
+        mesh,
+        vec![rules; mesh.num_nodes()],
+        VerifyOptions::default(),
+    );
+    let (_, _, report) = run_observed(
+        &mut net,
+        &mut model,
+        RunMode::OpenLoop,
+        &energy,
+        None,
+        Some(verifier),
+    );
     let report = report.expect("verified run");
     if !report.is_clean() {
         return Err(report.violations);

@@ -165,13 +165,11 @@ impl RouterModel for DamqRouter {
         }
 
         if ctx.probe.is_enabled() {
-            let cap = self.slab.capacity() as u8;
             for vq in 0..crate::slab::NUM_VQS {
-                let depth = self.slab.vq_len(vq) as u8;
+                let depth = self.slab.vq_len(vq) as u16;
                 ctx.probe.emit(|| ProbeEvent::FifoDepth {
                     input: vq as u8,
                     depth,
-                    cap,
                 });
             }
         }

@@ -194,13 +194,8 @@ impl RouterModel for MinBdRouter {
         );
 
         if ctx.probe.is_enabled() {
-            let depth = self.buffer.len() as u8;
-            let cap = self.buffer.capacity() as u8;
-            ctx.probe.emit(|| ProbeEvent::FifoDepth {
-                input: 0,
-                depth,
-                cap,
-            });
+            let depth = self.buffer.len() as u16;
+            ctx.probe.emit(|| ProbeEvent::FifoDepth { input: 0, depth });
         }
     }
 

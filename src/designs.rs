@@ -12,6 +12,7 @@ use noc_power::area::DesignKind;
 use noc_routing::Algorithm;
 use noc_sim::Network;
 use noc_topology::Mesh;
+use noc_verify::{DesignProfile, RouteRule};
 use noc_zoo::{DamqRouter, MinBdRouter};
 use serde::{Deserialize, Serialize};
 
@@ -127,6 +128,49 @@ impl Design {
         matches!(self, Design::DXbarDor | Design::DXbarWf)
     }
 
+    /// What the runtime oracles hold this design to at `buffer_depth`
+    /// slots per FIFO: its route rule, how many flits a router and one
+    /// FIFO may hold, and whether it may grant one input row twice or drop.
+    pub fn profile(self, buffer_depth: usize) -> DesignProfile {
+        let d = buffer_depth;
+        let (route, router_capacity, fifo_capacity) = match self {
+            Design::FlitBless => (RouteRule::Deflecting, 0, 0),
+            // Drops instead of deflecting, so every hop is productive.
+            Design::Scarab => (RouteRule::MinimalAdaptive, 0, 0),
+            // One (Buffered 4) or two (Buffered 8) VCs on each of 5 inputs.
+            Design::Buffered4 => (RouteRule::Turn(Algorithm::Dor), 5 * d, d),
+            Design::Buffered8 => (RouteRule::Turn(Algorithm::Dor), 5 * 2 * d, d),
+            Design::DXbarDor | Design::DXbarWf | Design::UnifiedDor | Design::UnifiedWf => {
+                (RouteRule::Turn(self.algorithm()), 4 * d, d)
+            }
+            Design::Afc => (RouteRule::Deflecting, 4 * d, d),
+            // One shared slab of 4 x depth slots, any share of which one
+            // virtual queue may take; a full slab falls back to deflection.
+            Design::Damq => (RouteRule::Deflecting, 4 * d, 4 * d),
+            // A deflection datapath plus one side buffer.
+            Design::MinBd => (RouteRule::Deflecting, d, d),
+        };
+        DesignProfile {
+            route,
+            router_capacity,
+            fifo_capacity,
+            // The arrival and the buffered head of one input may both win,
+            // on distinct paths to distinct outputs (Fig. 3(d)).
+            dual_input: matches!(
+                self,
+                Design::DXbarDor | Design::DXbarWf | Design::UnifiedDor | Design::UnifiedWf
+            ),
+            drops_allowed: self == Design::Scarab,
+        }
+    }
+
+    /// Whether the design runs without link credits, so any per-node mix
+    /// of such designs composes: a credit-coupled (turn-model) design next
+    /// to a neighbour that never returns credits would stall forever.
+    pub fn credit_free(self) -> bool {
+        !matches!(self.profile(0).route, RouteRule::Turn(_))
+    }
+
     /// The routing algorithm a design variant uses (the paper evaluates
     /// DOR everywhere plus West-First on the two proposed designs).
     fn algorithm(self) -> Algorithm {
@@ -232,6 +276,52 @@ mod tests {
                 matches!(d, Design::DXbarDor | Design::DXbarWf)
             );
         }
+    }
+
+    #[test]
+    fn profile_table_at_depth_4() {
+        use RouteRule::*;
+        let dor = Turn(Algorithm::Dor);
+        let wf = Turn(Algorithm::WestFirst);
+        // (route, router capacity, FIFO capacity, dual input, drops)
+        let rows = [
+            (Design::FlitBless, Deflecting, 0, 0, false, false),
+            (Design::Scarab, MinimalAdaptive, 0, 0, false, true),
+            (Design::Buffered4, dor, 20, 4, false, false),
+            (Design::Buffered8, dor, 40, 4, false, false),
+            (Design::DXbarDor, dor, 16, 4, true, false),
+            (Design::DXbarWf, wf, 16, 4, true, false),
+            (Design::UnifiedDor, dor, 16, 4, true, false),
+            (Design::UnifiedWf, wf, 16, 4, true, false),
+            (Design::Afc, Deflecting, 16, 4, false, false),
+            (Design::Damq, Deflecting, 16, 16, false, false),
+            (Design::MinBd, Deflecting, 4, 4, false, false),
+        ];
+        assert_eq!(rows.map(|r| r.0), Design::ALL);
+        for (d, route, router_capacity, fifo_capacity, dual_input, drops_allowed) in rows {
+            let want = DesignProfile {
+                route,
+                router_capacity,
+                fifo_capacity,
+                dual_input,
+                drops_allowed,
+            };
+            assert_eq!(d.profile(4), want, "{}", d.name());
+        }
+        let credit_free: Vec<Design> = Design::ALL
+            .into_iter()
+            .filter(|d| d.credit_free())
+            .collect();
+        assert_eq!(
+            credit_free,
+            [
+                Design::FlitBless,
+                Design::Scarab,
+                Design::Afc,
+                Design::Damq,
+                Design::MinBd
+            ]
+        );
     }
 
     #[test]

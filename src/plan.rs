@@ -16,7 +16,7 @@ use noc_topology::Mesh;
 use noc_traffic::generator::{SyntheticTraffic, TrafficModel};
 use noc_traffic::patterns::Pattern;
 use noc_traffic::splash::{SplashApp, SplashTraffic};
-use noc_verify::{VerifyError, VerifyReport};
+use noc_verify::{Verifier, VerifyError, VerifyOptions, VerifyReport};
 
 /// What drives the network.
 pub enum Workload<'a> {
@@ -117,6 +117,26 @@ impl<'a> RunPlan<'a> {
         self
     }
 
+    /// The design at node `n`.
+    fn design_at(&self, n: usize) -> Design {
+        self.placement.map_or(self.design, |p| p[n])
+    }
+
+    /// The oracle suite for this plan's fabric: each node held to its own
+    /// design's [`Design::profile`], the report labelled with node 0's
+    /// design (plus `" + islands"` when the nodes differ).
+    fn verifier(&self, mesh: Mesh) -> Verifier {
+        let depth = self.cfg.buffer_depth;
+        let rows = (0..mesh.num_nodes()).map(|n| self.design_at(n).profile(depth));
+        let first = self.design_at(0);
+        let label = if (0..mesh.num_nodes()).all(|n| self.design_at(n) == first) {
+            first.name().to_string()
+        } else {
+            format!("{} + islands", first.name())
+        };
+        Verifier::new(label, mesh, rows.collect(), VerifyOptions::default())
+    }
+
     /// The fault plan, if it needs the recovery layer armed.
     fn recovery(&self) -> Option<&'a ResiliencePlan> {
         self.faults.filter(|f| f.needs_recovery())
@@ -143,9 +163,7 @@ impl<'a> RunPlan<'a> {
         let fault_free = FaultPlan::default();
         let crossbar = self.faults.map_or(&fault_free, |f| &f.crossbar);
         let mut net = Network::new(cfg, &|n| {
-            self.placement
-                .map_or(self.design, |p| p[n.index()])
-                .build_router(cfg, crossbar, n)
+            self.design_at(n.index()).build_router(cfg, crossbar, n)
         });
         if let Some(workers) = self.tile_threads {
             net.set_tile_threads(workers);
@@ -191,6 +209,7 @@ pub fn run(plan: RunPlan<'_>) -> RunOutput {
     let mesh = Mesh::for_config(cfg);
     let mut net = plan.build_network();
     let reach = plan.recovery().map(|f| f.reachability(&mesh));
+    let verifier = plan.verify.then(|| plan.verifier(mesh));
     let (mut synthetic, mut splash);
     let (model, mode, offered_load): (&mut dyn TrafficModel, _, _) = match plan.workload {
         Workload::Synthetic { pattern, load } => {
@@ -210,7 +229,7 @@ pub fn run(plan: RunPlan<'_>) -> RunOutput {
         mode,
         &EnergyModel::default(),
         plan.trace,
-        plan.verify,
+        verifier,
     );
     result.offered_load = offered_load;
     RunOutput {

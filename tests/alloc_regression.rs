@@ -154,7 +154,10 @@ fn scarab_saturated_source_queues_do_not_allocate() {
 fn verified_steady_state_allocates_only_for_ledger_growth() {
     for design in [Design::DXbarDor, Design::Buffered4] {
         let (allocs, mut net) = steady_state_allocs(design, 0.1, 3_000, |net| {
-            net.attach(Verifier::for_network(net, VerifyOptions::default()));
+            let rows = vec![design.profile(net.config().buffer_depth); net.mesh().num_nodes()];
+            let verifier =
+                Verifier::new(design.name(), *net.mesh(), rows, VerifyOptions::default());
+            net.attach(verifier);
         });
         let report = net
             .detach::<Verifier>()

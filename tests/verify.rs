@@ -79,6 +79,30 @@ fn crossbar_designs_run_clean_high_load() {
     }
 }
 
+/// FIFOs of 64 and 256 slots (DAMQ's shared slab is 4 x that) are held to
+/// their real bounds: no occupancy sample may wrap into a false overflow.
+#[test]
+fn deep_buffers_run_clean() {
+    let none = FaultPlan::none(&Mesh::new(4, 4));
+    for buffer_depth in [64, 256] {
+        let cfg = SimConfig {
+            buffer_depth,
+            warmup_cycles: 300,
+            measure_cycles: 1_200,
+            drain_cycles: 500,
+            ..quick_cfg()
+        };
+        for d in [
+            Design::Damq,
+            Design::MinBd,
+            Design::DXbarDor,
+            Design::Buffered4,
+        ] {
+            verify_point(d, &cfg, 0.4, &none);
+        }
+    }
+}
+
 #[test]
 fn dxbar_runs_clean_through_fault_transitions() {
     let cfg = quick_cfg();
