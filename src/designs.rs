@@ -133,34 +133,37 @@ impl Design {
     /// FIFO may hold, and whether it may grant one input row twice or drop.
     pub fn profile(self, buffer_depth: usize) -> DesignProfile {
         let d = buffer_depth;
-        let (route, router_capacity, fifo_capacity) = match self {
-            Design::FlitBless => (RouteRule::Deflecting, 0, 0),
-            // Drops instead of deflecting, so every hop is productive.
-            Design::Scarab => (RouteRule::MinimalAdaptive, 0, 0),
-            // One (Buffered 4) or two (Buffered 8) VCs on each of 5 inputs.
-            Design::Buffered4 => (RouteRule::Turn(Algorithm::Dor), 5 * d, d),
-            Design::Buffered8 => (RouteRule::Turn(Algorithm::Dor), 5 * 2 * d, d),
-            Design::DXbarDor | Design::DXbarWf | Design::UnifiedDor | Design::UnifiedWf => {
-                (RouteRule::Turn(self.algorithm()), 4 * d, d)
-            }
-            Design::Afc => (RouteRule::Deflecting, 4 * d, d),
-            // One shared slab of 4 x depth slots, any share of which one
-            // virtual queue may take; a full slab falls back to deflection.
-            Design::Damq => (RouteRule::Deflecting, 4 * d, 4 * d),
-            // A deflection datapath plus one side buffer.
-            Design::MinBd => (RouteRule::Deflecting, d, d),
-        };
-        DesignProfile {
+        let row = |route, router_capacity, fifo_capacity| DesignProfile {
             route,
             router_capacity,
             fifo_capacity,
+            dual_input: false,
+            drops_allowed: false,
+        };
+        match self {
+            Design::FlitBless => row(RouteRule::Deflecting, 0, 0),
+            // Drops instead of deflecting, so every hop is productive.
+            Design::Scarab => DesignProfile {
+                drops_allowed: true,
+                ..row(RouteRule::MinimalAdaptive, 0, 0)
+            },
+            // One (Buffered 4) or two (Buffered 8) VCs on each of 5 inputs.
+            Design::Buffered4 => row(RouteRule::Turn(Algorithm::Dor), 5 * d, d),
+            Design::Buffered8 => row(RouteRule::Turn(Algorithm::Dor), 5 * 2 * d, d),
             // The arrival and the buffered head of one input may both win,
             // on distinct paths to distinct outputs (Fig. 3(d)).
-            dual_input: matches!(
-                self,
-                Design::DXbarDor | Design::DXbarWf | Design::UnifiedDor | Design::UnifiedWf
-            ),
-            drops_allowed: self == Design::Scarab,
+            Design::DXbarDor | Design::DXbarWf | Design::UnifiedDor | Design::UnifiedWf => {
+                DesignProfile {
+                    dual_input: true,
+                    ..row(RouteRule::Turn(self.algorithm()), 4 * d, d)
+                }
+            }
+            Design::Afc => row(RouteRule::Deflecting, 4 * d, d),
+            // One shared slab of 4 x depth slots, any share of which one
+            // virtual queue may take; a full slab falls back to deflection.
+            Design::Damq => row(RouteRule::Deflecting, 4 * d, 4 * d),
+            // A deflection datapath plus one side buffer.
+            Design::MinBd => row(RouteRule::Deflecting, d, d),
         }
     }
 
