@@ -17,7 +17,7 @@ use bench::noc_campaign::verify_from_env;
 use bench::paper_config;
 use dxbar_noc::cli::Args;
 use dxbar_noc::noc_sim::diagnostics::NodeField;
-use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, write_jsonl, RecordingSink};
+use dxbar_noc::noc_sim::noc_trace::{chrome_trace_json, write_jsonl, RecordingSink, SLOWEST_KEPT};
 use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::{run, Design, RunPlan};
@@ -59,7 +59,7 @@ OPTIONS (all optional):
     --out <DIR>         output directory (default: trace_out)
     --events <N>        ring-buffer capacity, 0 = keep everything (default: 0)
     --stride <N>        cycles between time-series samples (default: 1)
-    --top <N>           slowest-packet table length (default: 10)
+    --top <N>           slowest-flit table length, at most 64 (default: 10)
     --tile-threads <N>  tiles the simulation is stepped in (0 and 1: one tile,
                         inline; N: N tile workers, --verify runs included; the
                         event stream, the summary and the check counts are
@@ -108,7 +108,15 @@ fn parse_args(args: &mut Args) -> Options {
             "--out" => opts.out = PathBuf::from(args.value("--out")),
             "--events" => opts.events = args.parsed("--events", "an event capacity"),
             "--stride" => opts.stride = args.parsed("--stride", "a cycle count"),
-            "--top" => opts.top = args.parsed("--top", "a table length"),
+            "--top" => {
+                opts.top = args.parsed("--top", "a table length");
+                if opts.top > SLOWEST_KEPT {
+                    args.fail(&format!(
+                        "--top {} is past the {SLOWEST_KEPT} slowest flits a run keeps",
+                        opts.top
+                    ));
+                }
+            }
             "--tile-threads" => tile_threads = Some(args.value("--tile-threads")),
             "--verify" => opts.verify = true,
             other => args.fail(&format!("unknown option '{other}'")),
@@ -136,6 +144,11 @@ fn main() {
     let scenario = spec.as_ref().map(|spec| {
         ScenarioRun::new(opts.design, &cfg, spec, opts.load).unwrap_or_else(|e| args.fail(&e))
     });
+    if scenario.is_none() {
+        if let Err(e) = opts.pattern.check(&Mesh::for_config(&cfg)) {
+            args.fail(&e);
+        }
+    }
 
     eprintln!(
         "[trace_run] {} / {} @ load {:.2} on {}x{} mesh ...",

@@ -56,6 +56,54 @@ fn unknown_design_in_spec_exits_2_and_lists_designs() {
 }
 
 #[test]
+fn bit_permutation_off_a_power_of_two_spec_exits_2() {
+    use dxbar_noc::noc_core::config::Topology;
+    let path = std::env::temp_dir().join(format!("dxbar_cli_pow2_{}.json", std::process::id()));
+    for topology in [Topology::Mesh, Topology::Torus, Topology::CMesh] {
+        for (width, height) in [(2, 3), (3, 5), (4, 6), (6, 6)] {
+            for pattern in ["BR", "BF", "CP", "PS"] {
+                let mut spec = bench::specs::smoke();
+                let g = &mut spec.groups[0];
+                g.config.width = width;
+                g.config.height = height;
+                g.config.topology = topology;
+                g.workload = noc_campaign::WorkloadAxis::Synthetic {
+                    patterns: vec![dxbar_noc::noc_traffic::patterns::Pattern::parse(pattern)
+                        .expect("a pattern")],
+                    loads: vec![0.3],
+                };
+                std::fs::write(&path, spec.to_json()).expect("write temp spec");
+                let out = campaign_run()
+                    .arg(&path)
+                    .output()
+                    .expect("spawn campaign_run");
+                let err = String::from_utf8_lossy(&out.stderr);
+                let case = format!("{pattern} on {width}x{height} {}", topology.name());
+                assert_eq!(out.status.code(), Some(2), "{case}: {err}");
+                assert!(err.contains("power-of-two"), "{case}: {err}");
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn trace_run_top_past_the_kept_list_exits_2() {
+    let top = (dxbar_noc::noc_sim::noc_trace::SLOWEST_KEPT + 1).to_string();
+    let out = trace_run()
+        .args(["--top", &top])
+        .output()
+        .expect("spawn trace_run");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--top"), "stderr: {err}");
+    let help = trace_run().arg("--help").output().expect("spawn trace_run");
+    let help = String::from_utf8_lossy(&help.stdout);
+    let kept = format!("at most {}", dxbar_noc::noc_sim::noc_trace::SLOWEST_KEPT);
+    assert!(help.contains(&kept), "help: {help}");
+}
+
+#[test]
 fn trace_run_unknown_pattern_exits_2_and_lists_patterns() {
     let out = trace_run()
         .args(["--pattern", "zigzag"])

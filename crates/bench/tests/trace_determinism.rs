@@ -67,9 +67,11 @@ fn chrome_trace_is_well_formed() {
         .get("traceEvents")
         .and_then(|t| t.as_array())
         .expect("traceEvents array");
-    // One complete slice per finished lifetime, plus instant events.
-    assert!(slices.len() >= sink.lifetimes.completed().len());
-    assert!(!sink.lifetimes.completed().is_empty());
+    // One complete slice per finished lifetime, plus instant events. The
+    // sink saw the run from cycle 0, so every terminal event closed one.
+    let finished = sink.lifetimes.ejected() + sink.lifetimes.dropped();
+    assert!(slices.len() as u64 >= finished);
+    assert!(finished > 0);
 }
 
 #[test]

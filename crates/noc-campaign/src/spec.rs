@@ -4,6 +4,7 @@
 use crate::fnv1a64;
 use dxbar_noc::Design;
 use noc_core::SimConfig;
+use noc_topology::Mesh;
 use noc_traffic::patterns::Pattern;
 use noc_traffic::splash::SplashApp;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -259,6 +260,12 @@ impl CampaignSpec {
                     }
                     if let Some(&l) = loads.iter().find(|l| !(0.0..=1.0).contains(*l)) {
                         return Err(format!("group {:?}: load {l} outside [0,1]", g.label));
+                    }
+                    // Every expanded point of the group runs on this fabric.
+                    let fabric = Mesh::for_config(&g.config);
+                    for p in patterns {
+                        p.check(&fabric)
+                            .map_err(|e| format!("group {:?}: {e}", g.label))?;
                     }
                 }
                 WorkloadAxis::Splash { apps, max_cycles } => {
@@ -712,6 +719,41 @@ mod tests {
         }
         assert!(with(&|c| c.buffer_depth = MAX_BUFFER_DEPTH).is_ok());
         assert!(with(&|c| c.source_queue_cap = MAX_SOURCE_QUEUE_CAP).is_ok());
+    }
+
+    #[test]
+    fn bit_permutations_off_a_power_of_two_fail_validation() {
+        use noc_core::config::Topology;
+        let pow2 = [
+            Pattern::BitReversal,
+            Pattern::Butterfly,
+            Pattern::Complement,
+            Pattern::PerfectShuffle,
+        ];
+        let with = |pattern, (width, height), topology| {
+            let mut s = spec();
+            let g = &mut s.groups[0];
+            g.config.width = width;
+            g.config.height = height;
+            g.config.topology = topology;
+            g.workload = WorkloadAxis::Synthetic {
+                patterns: vec![Pattern::UniformRandom, pattern],
+                loads: vec![0.3],
+            };
+            s.validate()
+        };
+        for topology in [Topology::Mesh, Topology::Torus, Topology::CMesh] {
+            for shape in [(2, 3), (3, 5), (4, 6), (6, 6)] {
+                for pattern in pow2 {
+                    let err = with(pattern, shape, topology).unwrap_err();
+                    assert!(err.contains("power-of-two"), "{err}");
+                    assert!(err.contains(pattern.abbrev()), "{err}");
+                }
+            }
+            for pattern in pow2 {
+                with(pattern, (4, 4), topology).unwrap();
+            }
+        }
     }
 
     fn scenario_group() -> PointGroup {

@@ -60,6 +60,24 @@ fn protocol_edges_return_clean_statuses_and_never_kill_the_daemon() {
         400
     );
 
+    // A spec whose pattern cannot run on its fabric fails validation, so
+    // it is refused before anything is queued.
+    let mut off_grid = common::tiny_spec();
+    off_grid.groups[0].config.width = 3;
+    off_grid.groups[0].config.height = 5;
+    off_grid.groups[0].workload = noc_campaign::WorkloadAxis::Synthetic {
+        patterns: vec![dxbar_noc::noc_traffic::patterns::Pattern::Complement],
+        loads: vec![0.3],
+    };
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/jobs",
+        Some(&format!("{{\"spec\": {}}}", off_grid.to_json())),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("power-of-two"), "{body}");
+
     // Oversized body (max_body = 4096).
     let big = format!("{{\"pad\": \"{}\"}}", "x".repeat(5000));
     assert_eq!(request(addr, "POST", "/jobs", Some(&big)).0, 413);

@@ -101,6 +101,11 @@ impl SenderNi {
         self.pending.len()
     }
 
+    /// The smallest packet id this NI may still retransmit.
+    pub fn oldest_packet(&self) -> Option<u64> {
+        self.pending.values().map(|p| p.flit.packet.0).min()
+    }
+
     /// Assign the next sequence number to an unsequenced flit and store a
     /// clean copy, parked until [`SenderNi::on_injected`]. No-op for a flit
     /// that already has a sequence number (a queued retransmission).

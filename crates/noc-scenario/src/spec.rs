@@ -329,6 +329,9 @@ impl ScenarioSpec {
                     self.name, a.name, a.load_scale
                 ));
             }
+            a.pattern
+                .check(&Mesh::with_topology(cfg.width, cfg.height, self.topology))
+                .map_err(|e| format!("scenario {:?}: app {:?}: {e}", self.name, a.name))?;
             if !a.region.fits(&grid) {
                 return Err(format!(
                     "scenario {:?}: app {:?} region exceeds the {}x{} router grid",
@@ -364,8 +367,9 @@ impl ScenarioSpec {
                 if !d.credit_free() {
                     return Err(format!(
                         "scenario {:?}: mixed fabrics require credit-free designs \
-                         (Flit-Bless, SCARAB, AFC, DAMQ, MinBD); {} uses link credits",
+                         ({}); {} uses link credits",
                         self.name,
+                        credit_free_names(),
                         d.name()
                     ));
                 }
@@ -373,6 +377,16 @@ impl ScenarioSpec {
         }
         Ok(())
     }
+}
+
+/// The credit-free designs, as the mixed-fabric error lists them.
+fn credit_free_names() -> String {
+    let names: Vec<&str> = Design::ALL
+        .iter()
+        .filter(|d| d.credit_free())
+        .map(|d| d.name())
+        .collect();
+    names.join(", ")
 }
 
 #[cfg(test)]
@@ -477,6 +491,43 @@ mod tests {
             .validate(&cfg, Design::DXbarDor)
             .unwrap_err()
             .contains("grid"));
+    }
+
+    #[test]
+    fn mixed_fabric_error_names_exactly_the_credit_free_rows() {
+        let cfg = cfg8();
+        let s = ScenarioSpec::named("mixed_islands", &cfg).unwrap();
+        let err = s.validate(&cfg, Design::DXbarDor).unwrap_err();
+        let listed = err
+            .split_once('(')
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map(|(names, _)| names)
+            .expect("the message lists the designs in parentheses");
+        let expected: Vec<&str> = Design::ALL
+            .iter()
+            .filter(|d| d.credit_free())
+            .map(|d| d.name())
+            .collect();
+        assert_eq!(listed.split(", ").collect::<Vec<_>>(), expected);
+        assert_eq!(
+            expected,
+            ["Flit-Bless", "SCARAB", "AFC", "DAMQ", "MinBD"],
+            "the credit-free set of the design table"
+        );
+    }
+
+    #[test]
+    fn bit_permutation_apps_need_a_power_of_two_fabric() {
+        let cfg = SimConfig {
+            width: 3,
+            height: 5,
+            ..SimConfig::default()
+        };
+        let mut s = ScenarioSpec::named("mmpp_ur", &cfg).unwrap();
+        s.validate(&cfg, Design::DXbarDor).unwrap();
+        s.apps[0].pattern = Pattern::Complement;
+        let err = s.validate(&cfg, Design::DXbarDor).unwrap_err();
+        assert!(err.contains("power-of-two"), "{err}");
     }
 
     #[test]

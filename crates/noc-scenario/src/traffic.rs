@@ -144,6 +144,10 @@ impl TrafficModel for ScenarioTraffic {
         self.scratch = scratch;
     }
 
+    fn ascending_ids(&self) -> bool {
+        true
+    }
+
     fn on_delivered(&mut self, d: &DeliveredPacket) {
         if !self.in_window(d.created) {
             return;

@@ -97,6 +97,10 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// Flits that could not be queued because the source queue was full
     /// (offered-load bookkeeping at deep saturation).
     pub source_overflow: u64,
+    /// One past the largest packet id polled so far, while every poll has
+    /// come from a model that promises ascending ids and kept the promise;
+    /// `None` once one did not. Bounds the retirement floor.
+    next_fresh_id: Option<u64>,
     /// Attached observers (trace recorder, oracles). None by default,
     /// which keeps every router's `TraceBuf` and `ProbeBuf` disabled and
     /// the hot path at one branch per emission site.
@@ -170,6 +174,7 @@ impl<R: RouterModel> Network<R> {
             stats: NetStats::default(),
             cycle: 0,
             source_overflow: 0,
+            next_fresh_id: Some(0),
             observers: Vec::new(),
             resilience: None,
             canary: std::env::var("DXBAR_TILE_CANARY").is_ok_and(|v| v.trim() == "1"),
@@ -319,9 +324,14 @@ impl<R: RouterModel> Network<R> {
         if self.cfg.drain_cycles == 0 || t < window.end {
             let offered_now = window.contains(&t);
             let lossless = model.lossless();
+            let ascending = model.ascending_ids();
             self.poll_scratch.clear();
             model.poll_into(t, &mut self.poll_scratch);
             for desc in &self.poll_scratch {
+                self.next_fresh_id = self
+                    .next_fresh_id
+                    .filter(|&next| ascending && desc.id.0 >= next)
+                    .map(|_| desc.id.0 + 1);
                 let q = &mut self.source_queues[desc.src.index()];
                 let room = if lossless {
                     usize::MAX
@@ -583,11 +593,35 @@ impl<R: RouterModel> Network<R> {
                 backlog: backlog as u64,
                 link_traversals: self.stats.events.link_traversals - traversals_before,
                 per_router_occupancy: &self.occ_scratch,
+                // Only the oracles' ledger retires ids, and it reads steps.
+                retire_floor: if interest.steps {
+                    self.retire_floor()
+                } else {
+                    0
+                },
             };
             for o in &mut self.observers {
                 o.on_cycle_end(&sample);
             }
         }
+    }
+
+    /// The smallest packet id any source may still inject, first time or
+    /// again ([`CycleSample::retire_floor`]): queued anywhere in a source
+    /// queue, travelling back as a SCARAB NACK, or held in an NI
+    /// retransmission window — and never above the next fresh id. 0 while
+    /// the traffic model's ids are not known to ascend.
+    fn retire_floor(&self) -> u64 {
+        let Some(fresh) = self.next_fresh_id else {
+            return 0;
+        };
+        let queued = self.source_queues.iter().filter_map(|q| q.oldest_packet());
+        let nacked = self.retransmits.items().map(|f| f.packet.0);
+        let windows = self
+            .resilience
+            .iter()
+            .flat_map(|r| r.senders.iter().filter_map(|ni| ni.oldest_packet()));
+        queued.chain(nacked).chain(windows).fold(fresh, u64::min)
     }
 
     /// Run `n` cycles.

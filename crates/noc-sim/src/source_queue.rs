@@ -72,6 +72,14 @@ impl SourceQueue {
         self.len == 0
     }
 
+    /// The smallest packet id waiting here. Ranges queue in arrival order,
+    /// so with ascending packet ids the front range holds their smallest.
+    pub fn oldest_packet(&self) -> Option<u64> {
+        let built = self.head.iter().chain(&self.requeued).map(|f| f.packet.0);
+        let unbuilt = self.packets.front().map(|r| r.packet.0);
+        built.chain(unbuilt).min()
+    }
+
     /// Queue the first `room` flits of `desc` (all of them when `room`
     /// allows) behind everything already waiting, and return how many did
     /// not fit. No flit is built.

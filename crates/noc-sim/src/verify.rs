@@ -54,6 +54,11 @@ pub enum ProbeEvent {
     },
 }
 
+/// More [`ProbeEvent`]s than any router stages in one step: a grant per
+/// crossbar output (two crossbars at most), a depth per input FIFO and
+/// one fairness flip.
+const PROBES_PER_STEP: usize = 32;
+
 /// Staging buffer for [`ProbeEvent`]s, carried by `StepCtx`. Disabled (and
 /// free) unless an attached observer reads steps.
 #[derive(Debug, Default)]
@@ -158,9 +163,13 @@ pub struct StepRecord {
 impl StepRecord {
     /// An empty record for `node`.
     pub fn new(node: NodeId) -> StepRecord {
+        let mut ctx = StepCtx::default();
+        // Room for any one step's probes up front, so a node's first busy
+        // cycle deep into a run does not allocate.
+        ctx.probe.events.reserve(PROBES_PER_STEP);
         StepRecord {
             node,
-            ctx: StepCtx::default(),
+            ctx,
             inputs: StepInputs::default(),
             occupancy_before: 0,
             occupancy_after: 0,

@@ -292,6 +292,11 @@ impl<T> TimedChannel<T> {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
+
+    /// Every item still in the channel, in no particular order.
+    pub fn items(&self) -> impl Iterator<Item = &T> {
+        self.heap.iter().map(|e| &e.item)
+    }
 }
 
 #[cfg(test)]

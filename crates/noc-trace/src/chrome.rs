@@ -19,20 +19,19 @@ fn obj(pairs: Vec<(&str, Value)>) -> Value {
 }
 
 /// Build the trace-event tree from an event stream (walked twice: once
-/// for the lifetimes, once for the instants). Items may be borrowed or
-/// owned, as for [`write_jsonl`](crate::write_jsonl).
+/// for the lifetimes, in completion order, once for the instants). Items
+/// may be borrowed or owned, as for [`write_jsonl`](crate::write_jsonl).
 pub fn chrome_trace<I>(events: I) -> Value
 where
     I: IntoIterator + Clone,
     I::Item: Borrow<TraceEvent>,
 {
     let mut lifetimes = FlitLifetimes::new();
-    for ev in events.clone() {
-        lifetimes.observe(ev.borrow());
-    }
-
     let mut trace_events: Vec<Value> = Vec::new();
-    for lt in lifetimes.completed() {
+    for ev in events.clone() {
+        let Some(lt) = lifetimes.observe(ev.borrow()) else {
+            continue;
+        };
         let name = if lt.dropped {
             format!("pkt{}.{} (dropped)", lt.packet, lt.flit_index)
         } else {

@@ -24,7 +24,9 @@ pub mod sink;
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use event::{TraceEvent, TraceEventKind};
 pub use jsonl::{from_jsonl, to_jsonl, write_jsonl};
-pub use lifetime::{percentile_of_sorted, FlitLifetime, FlitLifetimes, LifetimeSummary};
+pub use lifetime::{
+    percentile_of_sorted, FlitLifetime, FlitLifetimes, LifetimeSummary, SLOWEST_KEPT,
+};
 pub use recorder::RingRecorder;
 pub use series::{CycleSample, SampleSeries, SeriesSet};
 pub use sink::{RecordingSink, TraceBuf};

@@ -16,6 +16,14 @@ pub struct CycleSample<'a> {
     pub link_traversals: u64,
     /// Buffer occupancy per router, indexed by node id.
     pub per_router_occupancy: &'a [usize],
+    /// No source can inject a packet with a smaller id after this cycle,
+    /// first time or again: the smallest id still held at a source-queue
+    /// head or further back, in an NI retransmission window or as a SCARAB
+    /// retransmission, and never above the traffic model's next fresh id.
+    /// 0 (retire nothing) when the model does not promise ascending ids,
+    /// and when no attached observer reads step records (the one reader,
+    /// the oracles' ledger, does).
+    pub retire_floor: u64,
 }
 
 /// A named, strided time series of f64 samples.
@@ -150,6 +158,7 @@ mod tests {
                 backlog: 2,
                 link_traversals: 3,
                 per_router_occupancy: &occ,
+                retire_floor: 0,
             });
         }
         // Sampled on cycles 0, 4, 8.
@@ -169,6 +178,7 @@ mod tests {
             backlog: 0,
             link_traversals: 2,
             per_router_occupancy: &[0, 4],
+            retire_floor: 0,
         });
         let json = serde_json::to_string(&set).unwrap();
         let back: SeriesSet = serde_json::from_str(&json).unwrap();

@@ -321,6 +321,10 @@ impl TrafficModel for BurstyTraffic {
         }
     }
 
+    fn ascending_ids(&self) -> bool {
+        true
+    }
+
     fn label(&self) -> String {
         self.label.clone()
     }

@@ -60,6 +60,15 @@ pub trait TrafficModel {
         false
     }
 
+    /// Whether every packet this model creates has a larger id than all
+    /// it created before (one counter per model). The engine then retires
+    /// delivered ids its observers no longer need, and checks the promise
+    /// where it polls: a model that breaks it, or never makes it, retires
+    /// nothing.
+    fn ascending_ids(&self) -> bool {
+        false
+    }
+
     /// Human-readable label for reports.
     fn label(&self) -> String;
 }
@@ -137,6 +146,10 @@ impl TrafficModel for SyntheticTraffic {
                 self.next_seq += 1;
             }
         }
+    }
+
+    fn ascending_ids(&self) -> bool {
+        true
     }
 
     fn label(&self) -> String {

@@ -108,6 +108,24 @@ impl Pattern {
                 | Pattern::PerfectShuffle
         )
     }
+
+    /// Whether the pattern can run on `mesh`: the bit-permutation patterns
+    /// need a power-of-two terminal count. Every entry path asks this
+    /// before it builds a network, so [`BoundPattern::new`] never meets a
+    /// pattern it cannot bind.
+    pub fn check(self, mesh: &Mesh) -> Result<(), String> {
+        let n = mesh.num_terminals();
+        if self.needs_pow2() && !n.is_power_of_two() {
+            return Err(format!(
+                "pattern {} needs a power-of-two terminal count; the {}x{} {} has {n}",
+                self.abbrev(),
+                mesh.width(),
+                mesh.height(),
+                mesh.topology().name()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A pattern bound to a mesh, with NUR's hot-spot group materialized.
@@ -141,6 +159,8 @@ impl BoundPattern {
     pub fn new(pattern: Pattern, mesh: Mesh, seed: u64) -> BoundPattern {
         let tmesh = Mesh::new(mesh.terminal_width(), mesh.terminal_height());
         let n = tmesh.num_nodes();
+        // Unreachable from a validated plan: `Pattern::check` rejects the
+        // shape first on every entry path.
         if pattern.needs_pow2() {
             assert!(
                 n.is_power_of_two(),

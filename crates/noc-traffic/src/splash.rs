@@ -576,6 +576,10 @@ impl TrafficModel for SplashTraffic {
                 .all(|c| c.to_issue == 0 && c.outstanding == 0)
     }
 
+    fn ascending_ids(&self) -> bool {
+        true
+    }
+
     fn lossless(&self) -> bool {
         true // every request/reply must eventually deliver or cores stall
     }

@@ -55,12 +55,19 @@ impl Trace {
 pub struct TraceReplay {
     trace: Trace,
     next: usize,
+    /// Whether the trace's packet ids strictly ascend.
+    ascending: bool,
 }
 
 impl TraceReplay {
     pub fn new(trace: Trace) -> TraceReplay {
         assert!(trace.is_sorted(), "trace must be sorted by creation cycle");
-        TraceReplay { trace, next: 0 }
+        let ascending = trace.packets.windows(2).all(|w| w[0].id < w[1].id);
+        TraceReplay {
+            trace,
+            next: 0,
+            ascending,
+        }
     }
 
     /// Packets not yet replayed.
@@ -90,6 +97,10 @@ impl TrafficModel for TraceReplay {
 
     fn lossless(&self) -> bool {
         true // replays are finite; closed-loop runs count on full delivery
+    }
+
+    fn ascending_ids(&self) -> bool {
+        self.ascending
     }
 
     fn label(&self) -> String {

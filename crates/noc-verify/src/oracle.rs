@@ -28,7 +28,6 @@ use crate::ledger::FlitLedger;
 use crate::profile::{DesignProfile, RouteRule};
 use crate::violation::{FlitId, Violation, ViolationKind};
 use noc_core::flit::Flit;
-use noc_core::hash::FxHashMap;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS};
 use noc_routing::is_productive;
 use noc_sim::diagnostics::NodeField;
@@ -179,9 +178,6 @@ pub struct Verifier {
     finalized: bool,
     // Resilience oracles.
     current_cycle: Cycle,
-    /// Outstanding corrupted instances per flit identity (taint): +1 per
-    /// transit corruption, resolved by a CRC reject or a transit loss.
-    tainted: FxHashMap<FlitId, u32>,
     /// Bad-CRC ejections seen this cycle that the engine has not yet
     /// confirmed rejecting; any remnant at cycle end is a silent
     /// corruption (the engine delivered a corrupt flit).
@@ -215,9 +211,13 @@ impl Verifier {
             watchdog_tripped: false,
             finalized: false,
             current_cycle: 0,
-            tainted: FxHashMap::default(),
             pending_crc_rejects: Vec::new(),
         }
+    }
+
+    /// The flit ledger (retention and totals, for tests and reports).
+    pub fn ledger(&self) -> &FlitLedger {
+        &self.ledger
     }
 
     fn push(&mut self, v: Violation) {
@@ -428,14 +428,8 @@ impl Verifier {
             // or transit loss) or its flit resolved as delivered-clean-copy
             // or counted lost. Outstanding taint on an unresolved flit means
             // the corruption silently vanished from the books.
-            let mut escaped: Vec<FlitId> = self
-                .tainted
-                .iter()
-                .filter(|&(fid, &n)| n > 0 && !self.ledger.resolved(*fid))
-                .map(|(fid, _)| *fid)
-                .collect();
+            let escaped = self.ledger.escaped_corruptions();
             if !escaped.is_empty() {
-                escaped.sort_unstable();
                 self.push(Violation {
                     kind: ViolationKind::SilentCorruption,
                     cycle,
@@ -592,23 +586,11 @@ impl Verifier {
 
     fn transit_corrupt(&mut self, flit: &Flit) {
         self.checks.transit_faults += 1;
-        *self
-            .tainted
-            .entry((flit.packet.0, flit.flit_index))
-            .or_insert(0) += 1;
+        self.ledger.on_transit_corrupt(flit);
     }
 
     fn transit_loss(&mut self, node: NodeId, flit: &Flit) {
         self.checks.transit_faults += 1;
-        let fid = (flit.packet.0, flit.flit_index);
-        // The vanished instance may have been a corrupted one; the loss
-        // resolves one taint (recovery is tracked by the ledger either way).
-        if let Some(n) = self.tainted.get_mut(&fid) {
-            *n -= 1;
-            if *n == 0 {
-                self.tainted.remove(&fid);
-            }
-        }
         let mut scratch = Vec::new();
         self.ledger
             .on_transit_loss(flit, node, self.current_cycle, &mut scratch);
@@ -628,12 +610,7 @@ impl Verifier {
             self.pending_crc_rejects.swap_remove(i);
         }
         // Detection resolves the corruption taint.
-        if let Some(n) = self.tainted.get_mut(&fid) {
-            *n -= 1;
-            if *n == 0 {
-                self.tainted.remove(&fid);
-            }
-        }
+        self.ledger.on_crc_reject(flit);
     }
 }
 
@@ -690,6 +667,7 @@ impl Observer for Verifier {
         {
             self.trip_watchdog(cycle, in_flight);
         }
+        self.ledger.retire_below(sample.retire_floor);
     }
 }
 
@@ -752,6 +730,7 @@ mod tests {
             backlog: 0,
             link_traversals: 0,
             per_router_occupancy: &[],
+            retire_floor: 0,
         });
     }
 
@@ -1079,11 +1058,11 @@ mod tests {
         let mut struck = f;
         struck.corrupt_payload(0b10);
         v.transit_corrupt(&struck);
-        assert_eq!(v.tainted.get(&(4, 0)), Some(&1));
+        assert_eq!(v.ledger.taint((4, 0)), 1);
         // The corrupted instance is then dropped in transit: the taint is
         // resolved by the loss, and the ledger starts tracking recovery.
         v.transit_loss(NodeId(0), &struck);
-        assert!(v.tainted.is_empty());
+        assert_eq!(v.ledger.taint((4, 0)), 0);
         v.on_flit_lost(&struck);
         end(&mut v, 0, 0);
         assert_eq!(v.total_violations, 0, "{:?}", v.violations);

@@ -171,6 +171,11 @@ fn parse_args() -> Options {
     if let Err(e) = opts.cfg.validate() {
         args.fail(&e);
     }
+    if opts.splash.is_none() {
+        if let Err(e) = opts.pattern.check(&Mesh::for_config(&opts.cfg)) {
+            args.fail(&e);
+        }
+    }
     opts.tile_threads = args.tile_threads(tile_threads);
     if opts.fault_pct > 0.0 && !opts.design.supports_faults() {
         args.fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");

@@ -16,11 +16,12 @@
 //! the saturated case warms up past it.
 //!
 //! Observers pay only for what they keep. With a `Verifier` attached the
-//! oracles check every router step without allocating; what remains is the
-//! ledger's amortised growth (its delivered-flit set only ever grows).
-//! With a `RecordingSink` attached the events land in fixed-size chunks,
-//! so a run allocates about once per chunk filled, plus the amortised
-//! growth of the lifetime population and the time series.
+//! oracles check every router step without allocating, and the ledger
+//! keeps delivered flags only for packets a source still holds, in storage
+//! that stops growing once warmed up. With a `RecordingSink` attached the
+//! events land in fixed-size chunks, so a run allocates about once per
+//! chunk filled, plus the amortised growth of the latency table and the
+//! time series.
 //!
 //! Allocations are counted per thread (the one-tile engine steps on the
 //! caller's thread), so the tests can run side by side.
@@ -151,9 +152,11 @@ fn scarab_saturated_source_queues_do_not_allocate() {
 }
 
 #[test]
-fn verified_steady_state_allocates_only_for_ledger_growth() {
+fn verified_steady_state_cycles_do_not_allocate() {
     for design in [Design::DXbarDor, Design::Buffered4] {
-        let (allocs, mut net) = steady_state_allocs(design, 0.1, 3_000, |net| {
+        // Warmed as long as the unobserved DXbar run, past the engine's
+        // own high-water marks (latency histogram, per-tile record lists).
+        let (allocs, mut net) = steady_state_allocs(design, 0.1, 20_000, |net| {
             let rows = vec![design.profile(net.config().buffer_depth); net.mesh().num_nodes()];
             let verifier =
                 Verifier::new(design.name(), *net.mesh(), rows, VerifyOptions::default());
@@ -165,8 +168,9 @@ fn verified_steady_state_allocates_only_for_ledger_growth() {
             .finalize(&net);
         assert!(report.is_clean(), "{}", report.summary());
         assert!(report.checks.grants > 0, "the grant oracle must have run");
-        assert!(
-            allocs <= 4,
+        assert_eq!(
+            allocs,
+            0,
             "verified {} run allocated {allocs} times across 1000 steady-state cycles",
             design.name()
         );

@@ -111,6 +111,23 @@ fn unknown_flag_fails_with_help() {
 }
 
 #[test]
+fn bit_permutation_off_a_power_of_two_exits_2() {
+    // Bit-reversal, butterfly, complement and shuffle need a power-of-two
+    // terminal count: a usage error before any network is built.
+    for mesh in ["2x3", "3x5", "4x6", "6x6"] {
+        for pattern in ["BR", "BF", "CP", "PS"] {
+            let out = dxbar_sim()
+                .args(["--mesh", mesh, "--pattern", pattern])
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{pattern} on {mesh}: {err}");
+            assert!(err.contains("power-of-two"), "{pattern} on {mesh}: {err}");
+        }
+    }
+}
+
+#[test]
 fn unknown_pattern_exits_2_and_lists_patterns() {
     let out = dxbar_sim()
         .args(["--pattern", "ZZZ"])

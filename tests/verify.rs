@@ -10,10 +10,12 @@
 use dxbar_noc::noc_resilience::{ResiliencePlan, TransientSpec};
 use dxbar_noc::noc_sim::noc_trace::{to_jsonl, RecordingSink};
 use dxbar_noc::noc_traffic::splash::SplashApp;
+use dxbar_noc::noc_verify::{Verifier, VerifyOptions};
 use dxbar_noc::{run, Design, RunOutput, RunPlan, SimConfig};
 use noc_faults::FaultPlan;
 use noc_scenario::{ScenarioRun, ScenarioSpec};
 use noc_topology::Mesh;
+use noc_traffic::generator::SyntheticTraffic;
 use noc_traffic::patterns::Pattern;
 
 fn quick_cfg() -> SimConfig {
@@ -116,6 +118,62 @@ fn dxbar_runs_clean_through_fault_transitions() {
 }
 
 /// Run `plan` with a recording sink and/or the oracle suite attached.
+/// The ledger's retained ids after 10^4 and after 10^5 cycles of a verified
+/// 4x4 run at load 0.3, and the most flits the network ever held.
+fn ledger_retention(design: Design, packet_len: u8) -> (usize, usize, usize) {
+    let cfg = SimConfig {
+        width: 4,
+        height: 4,
+        warmup_cycles: 0,
+        measure_cycles: u64::MAX / 2,
+        drain_cycles: 0,
+        packet_len,
+        ..SimConfig::default()
+    };
+    let mesh = Mesh::for_config(&cfg);
+    let mut net = design.build(&cfg, &FaultPlan::none(&mesh));
+    let rows = vec![design.profile(cfg.buffer_depth); mesh.num_nodes()];
+    net.attach(Verifier::new(
+        design.name(),
+        mesh,
+        rows,
+        VerifyOptions::default(),
+    ));
+    let rate = cfg.injection_rate(0.3);
+    let mut model = SyntheticTraffic::new(Pattern::UniformRandom, mesh, rate, packet_len, 7);
+    let retained = |net: &dxbar_noc::Network<_>| {
+        let v: &Verifier = net.observer().expect("a Verifier");
+        v.ledger().retained_ids()
+    };
+    let (mut peak, mut at_1e4) = (0, 0);
+    for cycle in 1..=100_000u64 {
+        net.step(&mut model);
+        peak = peak.max(net.flits_in_flight());
+        if cycle == 10_000 {
+            at_1e4 = retained(&net);
+        }
+    }
+    let at_1e5 = retained(&net);
+    let report = net.detach::<Verifier>().expect("a Verifier").finalize(&net);
+    assert!(report.is_clean(), "{}", report.summary());
+    (at_1e4, at_1e5, peak)
+}
+
+#[test]
+fn ledger_retention_does_not_grow_with_run_length() {
+    // SCARAB drops flits and sends them back to their source; four-flit
+    // packets keep a packet's delivered mask live while its tail queues.
+    for (design, packet_len) in [(Design::DXbarDor, 1), (Design::Scarab, 4)] {
+        let (at_1e4, at_1e5, peak) = ledger_retention(design, packet_len);
+        assert!(
+            at_1e5 <= at_1e4 + peak,
+            "{}: {at_1e5} ids retained at 10^5 cycles, {at_1e4} at 10^4, \
+             peak in flight {peak}",
+            design.name()
+        );
+    }
+}
+
 fn observed(plan: RunPlan<'_>, trace: bool, verify: bool) -> RunOutput {
     let mut plan = plan.verified(verify);
     plan.trace = trace.then(|| RecordingSink::new(0, 1));
