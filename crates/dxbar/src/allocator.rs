@@ -40,31 +40,25 @@ pub struct Grant {
 /// Run the separable output-first allocation with the default first-fit
 /// output choice (lowest set bit) in the V:1 arbiters.
 pub fn allocate<K: Ord + Copy>(inputs: &[InputRequests<K>], outputs: usize) -> Vec<Grant> {
-    allocate_with(inputs, outputs, |_, _, usable| {
-        usable.trailing_zeros() as usize
-    })
-}
-
-/// Run the separable output-first allocation for `P` inputs and `outputs`
-/// output ports. Returns grants in input order.
-///
-/// `choose(input, v, usable)` selects which of the `usable` granted outputs
-/// (a non-zero bitmask) the V:1 arbiter hands to flit `v` of `input` —
-/// routers use this hook for congestion-aware adaptive preference; the
-/// returned index must be a set bit of `usable`.
-pub fn allocate_with<K: Ord + Copy>(
-    inputs: &[InputRequests<K>],
-    outputs: usize,
-    choose: impl Fn(usize, usize, u8) -> usize,
-) -> Vec<Grant> {
     let mut grants = Vec::new();
-    allocate_with_into(inputs, outputs, choose, &mut grants);
+    allocate_with_into(
+        inputs,
+        outputs,
+        |_, _, usable| usable.trailing_zeros() as usize,
+        &mut grants,
+    );
     grants
 }
 
-/// [`allocate_with`], appending grants into a caller-owned sink instead of
-/// allocating — the routers pass a stack-backed `InlineVec` so the per-cycle
-/// allocation path stays heap-free.
+/// Run the separable output-first allocation for `P` inputs and `outputs`
+/// output ports, appending grants in input order into a caller-owned sink
+/// (the router passes a stack-backed `InlineVec`, so the per-cycle
+/// allocation path stays heap-free).
+///
+/// `choose(input, v, usable)` selects which of the `usable` granted outputs
+/// (a non-zero bitmask) the V:1 arbiter hands to flit `v` of `input` —
+/// the router uses this hook for congestion-aware adaptive preference; the
+/// returned index must be a set bit of `usable`.
 pub fn allocate_with_into<K: Ord + Copy>(
     inputs: &[InputRequests<K>],
     outputs: usize,

@@ -1,15 +1,15 @@
-//! Property-based stress of a single DXbar / unified router: arbitrary
-//! arrival, credit-return and injection sequences must never violate the
-//! physical invariants of the micro-architecture:
+//! Property-based stress of a single dual-input router under both
+//! allocators: arbitrary arrival, credit-return and injection sequences
+//! must never violate the physical invariants of the micro-architecture:
 //!
 //! * flit conservation (nothing created or destroyed inside the router);
 //! * at most one flit per output port per cycle (the output MUXes);
 //! * buffer occupancy never exceeds the FIFO depth (credit discipline);
 //! * every emitted flit leaves through a port that is productive for it
-//!   (DXbar never deflects);
+//!   (the router never deflects);
 //! * credits returned never exceed flits accepted.
 
-use dxbar::{DXbarRouter, UnifiedRouter};
+use dxbar::{Allocator, DualCrossbar, DualInputRouter};
 use noc_core::flit::{Flit, PacketId};
 use noc_core::types::{NodeId, LINK_DIRECTIONS};
 use noc_core::Rng;
@@ -19,6 +19,20 @@ use noc_topology::Mesh;
 use proptest::prelude::*;
 
 const DEPTH: usize = 4;
+
+/// A router of `allocator` at `node` with the paper's FIFO depth and
+/// fairness threshold.
+fn router(node: NodeId, mesh: Mesh, alg: Algorithm, allocator: Allocator) -> DualInputRouter {
+    DualInputRouter::new(node, mesh, alg, DEPTH, 4, allocator)
+}
+
+fn greedy() -> Allocator {
+    Allocator::Greedy(DualCrossbar::new(None, 5))
+}
+
+fn separable() -> Allocator {
+    Allocator::Separable { swaps: 0 }
+}
 
 /// Upstream-side credit ledger: how many flits we may legally send per
 /// input without overflowing the router's FIFOs.
@@ -135,7 +149,7 @@ fn drive_router<R: RouterModel>(
             );
         }
 
-        // 5. DXbar never drops.
+        // 5. The router never drops.
         assert!(ctx.dropped.is_empty());
     }
 }
@@ -153,7 +167,7 @@ proptest! {
         let mesh = Mesh::new(4, 4);
         let node = NodeId(node_idx);
         let alg = if wf { Algorithm::WestFirst } else { Algorithm::Dor };
-        let mut r = DXbarRouter::healthy(node, mesh, alg, DEPTH, 4);
+        let mut r = router(node, mesh, alg, greedy());
         drive_router(&mut r, &mesh, node, seed, 400, arrival_prob);
     }
 
@@ -167,7 +181,7 @@ proptest! {
         let mesh = Mesh::new(4, 4);
         let node = NodeId(node_idx);
         let alg = if wf { Algorithm::WestFirst } else { Algorithm::Dor };
-        let mut r = UnifiedRouter::new(node, mesh, alg, DEPTH, 4);
+        let mut r = router(node, mesh, alg, separable());
         drive_router(&mut r, &mesh, node, seed, 400, arrival_prob);
     }
 
@@ -187,7 +201,7 @@ proptest! {
             target: if primary { CrossbarId::Primary } else { CrossbarId::Secondary },
             onset,
         };
-        let mut r = DXbarRouter::new(node, mesh, Algorithm::Dor, DEPTH, 4, Some(fault), 5);
+        let mut r = router(node, mesh, Algorithm::Dor, Allocator::Greedy(DualCrossbar::new(Some(fault), 5)));
         drive_router(&mut r, &mesh, node, seed, 400, 0.4);
     }
 }
@@ -202,10 +216,10 @@ proptest! {
 fn regression_corner_node_low_load() {
     let mesh = Mesh::new(4, 4);
     let node = NodeId(0);
-    let mut r = DXbarRouter::healthy(node, mesh, Algorithm::Dor, DEPTH, 4);
-    drive_router(&mut r, &mesh, node, 0, 400, 0.1);
-    let mut u = UnifiedRouter::new(node, mesh, Algorithm::Dor, DEPTH, 4);
-    drive_router(&mut u, &mesh, node, 0, 400, 0.1);
+    for allocator in [greedy(), separable()] {
+        let mut r = router(node, mesh, Algorithm::Dor, allocator);
+        drive_router(&mut r, &mesh, node, 0, 400, 0.1);
+    }
 }
 
 #[test]
@@ -214,7 +228,7 @@ fn long_stress_run_dxbar() {
     let mesh = Mesh::new(4, 4);
     let node = NodeId(5);
     for alg in [Algorithm::Dor, Algorithm::WestFirst] {
-        let mut r = DXbarRouter::healthy(node, mesh, alg, DEPTH, 4);
+        let mut r = router(node, mesh, alg, greedy());
         drive_router(&mut r, &mesh, node, 0xC0FFEE, 20_000, 0.6);
     }
 }

@@ -703,7 +703,7 @@ mod tests {
 
     #[test]
     fn validation_bounds_the_preallocated_sizes() {
-        use noc_core::config::{MAX_BUFFER_DEPTH, MAX_SOURCE_QUEUE_CAP};
+        use noc_core::config::{MAX_BUFFER_DEPTH, MAX_PACKET_LEN, MAX_SOURCE_QUEUE_CAP};
         let with = |set: &dyn Fn(&mut SimConfig)| {
             let mut s = spec();
             set(&mut s.groups[0].config);
@@ -717,8 +717,13 @@ mod tests {
             let err = with(&|c| c.source_queue_cap = cap).unwrap_err();
             assert!(err.contains("source_queue_cap must be in 1..="), "{err}");
         }
+        for len in [0, MAX_PACKET_LEN + 1, 100] {
+            let err = with(&|c| c.packet_len = len as u8).unwrap_err();
+            assert!(err.contains("packet_len must be in 1..="), "{err}");
+        }
         assert!(with(&|c| c.buffer_depth = MAX_BUFFER_DEPTH).is_ok());
         assert!(with(&|c| c.source_queue_cap = MAX_SOURCE_QUEUE_CAP).is_ok());
+        assert!(with(&|c| c.packet_len = MAX_PACKET_LEN as u8).is_ok());
     }
 
     #[test]

@@ -12,6 +12,10 @@ use serde::{Deserialize, Serialize};
 /// shared slab of 4 x depth slots) still fits a `u16` occupancy probe.
 pub const MAX_BUFFER_DEPTH: usize = 256;
 
+/// Largest [`SimConfig::packet_len`] a config may ask for: the ejection
+/// side reassembles a packet in a 64-bit mask of received flits.
+pub const MAX_PACKET_LEN: usize = 64;
+
 /// Largest [`SimConfig::source_queue_cap`] a config may ask for: every
 /// node preallocates its source queue.
 pub const MAX_SOURCE_QUEUE_CAP: usize = 4096;
@@ -203,8 +207,11 @@ impl SimConfig {
         if self.num_vcs == 0 {
             return Err("num_vcs must be positive".into());
         }
-        if self.packet_len == 0 {
-            return Err("packet_len must be positive".into());
+        if !(1..=MAX_PACKET_LEN).contains(&usize::from(self.packet_len)) {
+            return Err(format!(
+                "packet_len must be in 1..={MAX_PACKET_LEN}, got {}",
+                self.packet_len
+            ));
         }
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be positive".into());
@@ -284,6 +291,10 @@ mod tests {
         assert!(c.validate().is_err());
         c.source_queue_cap = 64;
         c.packet_len = 0;
+        assert!(c.validate().is_err());
+        c.packet_len = MAX_PACKET_LEN as u8;
+        assert!(c.validate().is_ok());
+        c.packet_len = MAX_PACKET_LEN as u8 + 1;
         assert!(c.validate().is_err());
     }
 

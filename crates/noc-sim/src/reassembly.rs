@@ -7,6 +7,7 @@
 //! which would indicate a router bug) and reports completion when the last
 //! flit lands.
 
+use noc_core::config::MAX_PACKET_LEN;
 use noc_core::flit::{Flit, FlitKind, PacketId};
 use noc_core::types::{Cycle, NodeId};
 use std::collections::HashMap;
@@ -19,8 +20,8 @@ struct Entry {
     kind: FlitKind,
     created: Cycle,
     len: u8,
-    /// Bitmask of flit indices received (packets are <= 8 flits here;
-    /// enforced at insert).
+    /// Bitmask of flit indices received (packets are at most
+    /// `MAX_PACKET_LEN` = 64 flits, which `SimConfig::validate` enforces).
     received: u64,
     count: u8,
 }
@@ -57,7 +58,7 @@ impl Reassembler {
     /// builds duplicates are counted and dropped.
     pub fn accept(&mut self, flit: &Flit, now: Cycle) -> Option<CompletedPacket> {
         assert!(
-            flit.packet_len as usize <= 64,
+            flit.packet_len as usize <= MAX_PACKET_LEN,
             "packet too long for bitmask"
         );
         // Single-flit packets (request/ACK traffic — the common case at the

@@ -3,7 +3,7 @@
 //! West-First routing) plus the AFC extension.
 
 use crate::kind::RouterKind;
-use dxbar::{DXbarRouter, UnifiedRouter};
+use dxbar::{Allocator, DualCrossbar, DualInputRouter};
 use noc_baseline::{AfcRouter, BlessRouter, BufferedRouter, BufferedVariant, ScarabRouter};
 use noc_core::types::NodeId;
 use noc_core::SimConfig;
@@ -205,22 +205,27 @@ impl Design {
                 Algorithm::Dor,
                 depth,
             )),
-            Design::DXbarDor | Design::DXbarWf => RouterKind::DXbar(DXbarRouter::new(
-                node,
-                mesh,
-                self.algorithm(),
-                depth,
-                cfg.fairness_threshold,
-                faults.fault_at(node),
-                cfg.fault_detection_delay,
-            )),
-            Design::UnifiedDor | Design::UnifiedWf => RouterKind::Unified(UnifiedRouter::new(
-                node,
-                mesh,
-                self.algorithm(),
-                depth,
-                cfg.fairness_threshold,
-            )),
+            Design::DXbarDor | Design::DXbarWf | Design::UnifiedDor | Design::UnifiedWf => {
+                // The dual crossbar allocates greedily and carries the
+                // fault model; the unified crossbar runs the separable
+                // allocator and holds no fault.
+                let allocator = if self.supports_faults() {
+                    Allocator::Greedy(DualCrossbar::new(
+                        faults.fault_at(node),
+                        cfg.fault_detection_delay,
+                    ))
+                } else {
+                    Allocator::Separable { swaps: 0 }
+                };
+                RouterKind::DualInput(DualInputRouter::new(
+                    node,
+                    mesh,
+                    self.algorithm(),
+                    depth,
+                    cfg.fairness_threshold,
+                    allocator,
+                ))
+            }
             Design::Afc => RouterKind::Afc(AfcRouter::new(node, mesh, depth)),
             Design::Damq => RouterKind::Damq(DamqRouter::new(node, mesh, depth)),
             Design::MinBd => RouterKind::MinBd(MinBdRouter::new(node, mesh, depth)),

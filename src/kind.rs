@@ -10,7 +10,7 @@
 //! External router implementations keep using the boxed form; the trait
 //! object remains the engine's default type parameter.
 
-use dxbar::{DXbarRouter, UnifiedRouter};
+use dxbar::DualInputRouter;
 use noc_baseline::{AfcRouter, BlessRouter, BufferedRouter, ScarabRouter};
 use noc_core::types::{NodeId, NUM_LINK_PORTS};
 use noc_sim::router::{RouterModel, StepCtx};
@@ -19,8 +19,7 @@ use noc_zoo::{DamqRouter, MinBdRouter};
 /// One of the evaluated router micro-architectures, dispatched statically.
 #[allow(clippy::large_enum_variant)]
 pub enum RouterKind {
-    DXbar(DXbarRouter),
-    Unified(UnifiedRouter),
+    DualInput(DualInputRouter),
     Buffered(BufferedRouter),
     Bless(BlessRouter),
     Scarab(ScarabRouter),
@@ -32,8 +31,7 @@ pub enum RouterKind {
 macro_rules! dispatch {
     ($self:ident, $r:ident => $body:expr) => {
         match $self {
-            RouterKind::DXbar($r) => $body,
-            RouterKind::Unified($r) => $body,
+            RouterKind::DualInput($r) => $body,
             RouterKind::Buffered($r) => $body,
             RouterKind::Bless($r) => $body,
             RouterKind::Scarab($r) => $body,
@@ -96,6 +94,14 @@ mod tests {
             let net = d.build(&cfg, &FaultPlan::none(&mesh));
             assert_eq!(net.design_name(), d.name(), "{d:?}");
         }
+    }
+
+    #[test]
+    fn one_dual_input_router_is_no_larger_than_the_dual_crossbar_was() {
+        // 408 B was the dual-crossbar router alone, before the unified
+        // crossbar shared its type.
+        let size = std::mem::size_of::<RouterKind>();
+        assert!(size <= 408, "RouterKind is {size} B");
     }
 
     #[test]
