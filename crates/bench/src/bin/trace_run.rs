@@ -129,23 +129,22 @@ fn parse_args(args: &mut Args) -> Options {
 fn main() {
     let mut args = Args::new(HELP.trim_end(), "see trace_run --help for the option list");
     let opts = parse_args(&mut args);
-    let mut cfg = paper_config();
+    let cfg = paper_config();
     let sink = RecordingSink::new(opts.events, opts.stride);
 
-    // Resolve the scenario (when given) before announcing the run, so an
-    // unknown name is a usage error with the known-names listing.
+    // Resolve the scenario (when given) and validate the plan before
+    // announcing the run, so an unknown name (listing the known ones) or a
+    // load outside [0, 1] is a usage error.
     let spec = opts
         .scenario
         .as_ref()
         .map(|name| ScenarioSpec::resolve(name, &cfg).unwrap_or_else(|e| args.fail(&e)));
-    if let Some(spec) = &spec {
-        cfg = noc_scenario::scenario_config(&cfg, spec);
-    }
     let scenario = spec.as_ref().map(|spec| {
         ScenarioRun::new(opts.design, &cfg, spec, opts.load).unwrap_or_else(|e| args.fail(&e))
     });
+    let synthetic = RunPlan::synthetic(opts.design, &cfg, opts.pattern, opts.load);
     if scenario.is_none() {
-        if let Err(e) = opts.pattern.check(&Mesh::for_config(&cfg)) {
+        if let Err(e) = synthetic.validate() {
             args.fail(&e);
         }
     }
@@ -166,12 +165,7 @@ fn main() {
     };
     let out = match scenario {
         Some(scenario) => scenario.run_with(exec),
-        None => exec(RunPlan::synthetic(
-            opts.design,
-            &cfg,
-            opts.pattern,
-            opts.load,
-        )),
+        None => exec(synthetic),
     };
     let (result, sink, verify_report) = (out.result, out.trace.expect("traced plan"), out.verify);
 

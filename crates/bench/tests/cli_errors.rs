@@ -133,6 +133,46 @@ fn trace_run_unknown_scenario_exits_2_and_lists_scenarios() {
     }
 }
 
+/// An offered load outside [0, 1] is a usage error on both workloads: it
+/// used to panic in the traffic generator (exit 101), and a scenario ran
+/// with its load silently clamped.
+#[test]
+fn trace_run_load_outside_the_unit_interval_exits_2() {
+    for args in [
+        &["--load", "5"][..],
+        &["--load", "-0.5"],
+        &["--load", "nan"],
+        &["--scenario", "interfere2", "--load", "5"],
+    ] {
+        let out = trace_run().args(args).output().expect("spawn trace_run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {err}");
+        assert!(errors[0].contains("load"), "{args:?}: {err}");
+    }
+}
+
+/// A non-finite scenario parameter names no scenario: it used to run (an
+/// average latency of 235 cycles for `pareto_ur:nan`).
+#[test]
+fn trace_run_non_finite_scenario_parameter_exits_2() {
+    for name in [
+        "mmpp_ur:nan",
+        "mmpp_ur:inf",
+        "pareto_ur:nan",
+        "interfere2:nan",
+    ] {
+        let out = trace_run()
+            .args(["--scenario", name])
+            .output()
+            .expect("spawn trace_run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.contains("unknown scenario"), "{name}: {err}");
+    }
+}
+
 /// Buffered-4 on the torus deadlocks (its wraparound rings close a cycle
 /// of credit dependencies): it offers traffic and delivers none. That used
 /// to print `accepted rate 0.0000` and exit 0.

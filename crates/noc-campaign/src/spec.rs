@@ -2,9 +2,9 @@
 //! fully-resolved experiment points.
 
 use crate::fnv1a64;
-use dxbar_noc::Design;
+use dxbar_noc::{Design, RunPlan};
 use noc_core::SimConfig;
-use noc_topology::Mesh;
+use noc_scenario::{ScenarioRun, ScenarioSpec};
 use noc_traffic::patterns::Pattern;
 use noc_traffic::splash::SplashApp;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -116,6 +116,24 @@ impl Workload {
             Workload::Scenario { scenario, load } => format!("scn:{scenario}@{load:.2}"),
         }
     }
+
+    /// [`RunPlan::validate`] on the plan this workload runs as for `design`
+    /// on `cfg`. A scenario resolves its name and builds its
+    /// [`ScenarioRun`], which validates the plan it lends out.
+    fn validate(&self, design: Design, cfg: &SimConfig) -> Result<(), String> {
+        match self {
+            Workload::Synthetic { pattern, load } => {
+                RunPlan::synthetic(design, cfg, *pattern, *load).validate()
+            }
+            Workload::Splash { app, max_cycles } => {
+                RunPlan::splash(design, cfg, *app, *max_cycles).validate()
+            }
+            Workload::Scenario { scenario, load } => {
+                let spec = ScenarioSpec::resolve(scenario, cfg)?;
+                ScenarioRun::new(design, cfg, &spec, *load).map(drop)
+            }
+        }
+    }
 }
 
 impl Serialize for Workload {
@@ -197,6 +215,39 @@ pub struct PointGroup {
     pub tag: Option<String>,
 }
 
+impl PointGroup {
+    /// The group's workload axis, expanded: patterns × loads, apps, or
+    /// scenarios × loads. Empty when any of the axis's lists is.
+    fn workloads(&self) -> Vec<Workload> {
+        match &self.workload {
+            WorkloadAxis::Synthetic { patterns, loads } => patterns
+                .iter()
+                .flat_map(|&pattern| {
+                    loads
+                        .iter()
+                        .map(move |&load| Workload::Synthetic { pattern, load })
+                })
+                .collect(),
+            WorkloadAxis::Splash { apps, max_cycles } => apps
+                .iter()
+                .map(|&app| Workload::Splash {
+                    app,
+                    max_cycles: *max_cycles,
+                })
+                .collect(),
+            WorkloadAxis::Scenario { scenarios, loads } => scenarios
+                .iter()
+                .flat_map(|name| {
+                    loads.iter().map(move |&load| Workload::Scenario {
+                        scenario: name.clone(),
+                        load,
+                    })
+                })
+                .collect(),
+        }
+    }
+}
+
 /// How often the executor re-attempts a panicking point before recording
 /// it as failed.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -241,64 +292,27 @@ impl CampaignSpec {
         out
     }
 
-    /// Check the spec for internal consistency; returns the first problem.
+    /// Check the spec; returns the first problem. The spec's own rules are
+    /// about its axes: none may be empty, fault fractions lie in [0, 1],
+    /// transient rates are finite and non-negative, and only synthetic
+    /// workloads take the fault and resilience axes. Every design ×
+    /// workload of a group is then one plan, held to [`RunPlan::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.groups.is_empty() {
             return Err(format!("campaign {:?} has no point groups", self.name));
         }
         for g in &self.groups {
-            g.config
-                .validate()
-                .map_err(|e| format!("group {:?}: {e}", g.label))?;
             if g.designs.is_empty() {
                 return Err(format!("group {:?} has no designs", g.label));
             }
-            match &g.workload {
-                WorkloadAxis::Synthetic { patterns, loads } => {
-                    if patterns.is_empty() || loads.is_empty() {
-                        return Err(format!("group {:?} has an empty synthetic axis", g.label));
-                    }
-                    if let Some(&l) = loads.iter().find(|l| !(0.0..=1.0).contains(*l)) {
-                        return Err(format!("group {:?}: load {l} outside [0,1]", g.label));
-                    }
-                    // Every expanded point of the group runs on this fabric.
-                    let fabric = Mesh::for_config(&g.config);
-                    for p in patterns {
-                        p.check(&fabric)
-                            .map_err(|e| format!("group {:?}: {e}", g.label))?;
-                    }
-                }
-                WorkloadAxis::Splash { apps, max_cycles } => {
-                    if apps.is_empty() {
-                        return Err(format!("group {:?} has no SPLASH apps", g.label));
-                    }
-                    if *max_cycles == 0 {
-                        return Err(format!("group {:?}: max_cycles must be > 0", g.label));
-                    }
-                }
-                WorkloadAxis::Scenario { scenarios, loads } => {
-                    if scenarios.is_empty() || loads.is_empty() {
-                        return Err(format!("group {:?} has an empty scenario axis", g.label));
-                    }
-                    if let Some(&l) = loads.iter().find(|l| !(0.0..=1.0).contains(*l)) {
-                        return Err(format!("group {:?}: load {l} outside [0,1]", g.label));
-                    }
-                    for name in scenarios {
-                        let spec = noc_scenario::ScenarioSpec::resolve(name, &g.config)
-                            .map_err(|e| format!("group {:?}: {e}", g.label))?;
-                        // Catch design/scenario incompatibilities (e.g. a
-                        // credit-coupled base under a router-island mix) at
-                        // spec time rather than mid-campaign.
-                        for &d in &g.designs {
-                            spec.validate(&g.config, d).map_err(|e| {
-                                format!(
-                                    "group {:?}: scenario {name:?} with design {}: {e}",
-                                    g.label,
-                                    d.name()
-                                )
-                            })?;
-                        }
-                    }
+            let workloads = g.workloads();
+            if workloads.is_empty() {
+                return Err(format!("group {:?} has an empty workload axis", g.label));
+            }
+            for &design in &g.designs {
+                for w in &workloads {
+                    w.validate(design, &g.config)
+                        .map_err(|e| format!("group {:?}: {e}", g.label))?;
                 }
             }
             let synthetic = matches!(g.workload, WorkloadAxis::Synthetic { .. });
@@ -344,57 +358,16 @@ impl CampaignSpec {
     pub fn points(&self) -> Vec<PointSpec> {
         let mut out = Vec::new();
         for g in &self.groups {
-            let fractions: &[f64] = if g.fault_fractions.is_empty() {
-                &[0.0]
-            } else {
-                &g.fault_fractions
-            };
-            let transient_rates: &[f64] = if g.transient_rates.is_empty() {
-                &[0.0]
-            } else {
-                &g.transient_rates
-            };
-            let link_faults: &[usize] = if g.link_faults.is_empty() {
-                &[0]
-            } else {
-                &g.link_faults
-            };
-            let seeds: Vec<u64> = if g.seeds.is_empty() {
-                vec![g.config.seed]
-            } else {
-                g.seeds.clone()
-            };
-            let workloads: Vec<Workload> = match &g.workload {
-                WorkloadAxis::Synthetic { patterns, loads } => patterns
-                    .iter()
-                    .flat_map(|&pattern| {
-                        loads
-                            .iter()
-                            .map(move |&load| Workload::Synthetic { pattern, load })
-                    })
-                    .collect(),
-                WorkloadAxis::Splash { apps, max_cycles } => apps
-                    .iter()
-                    .map(|&app| Workload::Splash {
-                        app,
-                        max_cycles: *max_cycles,
-                    })
-                    .collect(),
-                WorkloadAxis::Scenario { scenarios, loads } => scenarios
-                    .iter()
-                    .flat_map(|name| {
-                        loads.iter().map(move |&load| Workload::Scenario {
-                            scenario: name.clone(),
-                            load,
-                        })
-                    })
-                    .collect(),
-            };
+            let fractions = or_one(&g.fault_fractions, 0.0);
+            let transient_rates = or_one(&g.transient_rates, 0.0);
+            let link_faults = or_one(&g.link_faults, 0);
+            let seeds = or_one(&g.seeds, g.config.seed);
+            let workloads = g.workloads();
             for &design in &g.designs {
                 for w in &workloads {
-                    for &fault_fraction in fractions {
-                        for &transient_rate in transient_rates {
-                            for &link_fault_count in link_faults {
+                    for &fault_fraction in &fractions {
+                        for &transient_rate in &transient_rates {
+                            for &link_fault_count in &link_faults {
                                 for &seed in &seeds {
                                     out.push(PointSpec {
                                         group: g.label.clone(),
@@ -432,6 +405,15 @@ impl CampaignSpec {
 
     pub fn from_json(s: &str) -> Result<CampaignSpec, String> {
         serde_json::from_str::<CampaignSpec>(s).map_err(|e| e.to_string())
+    }
+}
+
+/// `axis`, or the one value `default` where the axis is empty.
+fn or_one<T: Copy>(axis: &[T], default: T) -> Vec<T> {
+    if axis.is_empty() {
+        vec![default]
+    } else {
+        axis.to_vec()
     }
 }
 
@@ -720,6 +702,10 @@ mod tests {
         for len in [0, MAX_PACKET_LEN + 1, 100] {
             let err = with(&|c| c.packet_len = len as u8).unwrap_err();
             assert!(err.contains("packet_len must be in 1..="), "{err}");
+        }
+        for (warmup, measure) in [(u64::MAX, 200), (50, u64::MAX)] {
+            let err = with(&|c| (c.warmup_cycles, c.measure_cycles) = (warmup, measure));
+            assert!(err.unwrap_err().contains("must fit in u64"));
         }
         assert!(with(&|c| c.buffer_depth = MAX_BUFFER_DEPTH).is_ok());
         assert!(with(&|c| c.source_queue_cap = MAX_SOURCE_QUEUE_CAP).is_ok());

@@ -181,9 +181,16 @@ impl SimConfig {
         offered_load * self.capacity_per_node() / self.packet_len.max(1) as f64
     }
 
-    /// Total simulated cycles.
+    /// Total simulated cycles; `None` past `u64::MAX`, which `validate`
+    /// rejects.
+    fn checked_total_cycles(&self) -> Option<u64> {
+        let warmup_and_measure = self.warmup_cycles.checked_add(self.measure_cycles);
+        warmup_and_measure?.checked_add(self.drain_cycles)
+    }
+
+    /// Total simulated cycles of a validated config.
     pub fn total_cycles(&self) -> u64 {
-        self.warmup_cycles + self.measure_cycles + self.drain_cycles
+        self.checked_total_cycles().expect("validated cycle window")
     }
 
     /// Validate internal consistency; returns a description of the first
@@ -215,6 +222,9 @@ impl SimConfig {
         }
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be positive".into());
+        }
+        if self.checked_total_cycles().is_none() {
+            return Err("warmup + measure + drain cycles must fit in u64".into());
         }
         if !(1..=MAX_SOURCE_QUEUE_CAP).contains(&self.source_queue_cap) {
             return Err(format!(
@@ -295,6 +305,17 @@ mod tests {
         c.packet_len = MAX_PACKET_LEN as u8;
         assert!(c.validate().is_ok());
         c.packet_len = MAX_PACKET_LEN as u8 + 1;
+        assert!(c.validate().is_err());
+        c.packet_len = 1;
+        c.warmup_cycles = u64::MAX;
+        assert!(c.validate().unwrap_err().contains("must fit in u64"));
+        c.warmup_cycles = 10;
+        c.measure_cycles = u64::MAX;
+        assert!(c.validate().is_err());
+        c.measure_cycles = u64::MAX - 10 - c.drain_cycles;
+        assert!(c.validate().is_ok());
+        assert_eq!(c.total_cycles(), u64::MAX);
+        c.drain_cycles += 1;
         assert!(c.validate().is_err());
     }
 

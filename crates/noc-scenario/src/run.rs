@@ -1,11 +1,11 @@
 //! Scenario execution: a [`ScenarioRun`] owns what a scenario adds to a
 //! point — the topology override, the island placement and the
 //! multi-application traffic — lends it to a [`RunPlan`], and stamps the
-//! per-app slice onto the [`RunOutput`] of running it.
+//! fabric name and per-app slice onto the [`RunOutput`] of running it.
 
 use crate::spec::{RouterMix, ScenarioSpec};
 use crate::traffic::ScenarioTraffic;
-use dxbar_noc::{run, Design, RunOutput, RunPlan};
+use dxbar_noc::{run, Design, RunOutput, RunPlan, Workload};
 use noc_core::SimConfig;
 use noc_sim::runner::RunMode;
 use noc_sim::RunResult;
@@ -34,47 +34,58 @@ pub struct ScenarioRun {
 }
 
 impl ScenarioRun {
+    /// The point, once [`RunPlan::validate`] admits the plan it lends out
+    /// (checked first: the placement and model are built after it).
     pub fn new(
         base: Design,
         cfg: &SimConfig,
         spec: &ScenarioSpec,
         offered_load: f64,
     ) -> Result<Self, String> {
+        let mut point = ScenarioRun {
+            base,
+            cfg: scenario_config(cfg, spec),
+            placement: Vec::new(),
+            fabric: match spec.mix {
+                RouterMix::Uniform => base.name().to_string(),
+                RouterMix::Islands { island, .. } => {
+                    format!("{} + {} islands", base.name(), island.name())
+                }
+            },
+            model: ScenarioTraffic::default(),
+            offered_load,
+        };
+        point.plan().validate()?;
         spec.validate(cfg, base)?;
-        let cfg = scenario_config(cfg, spec);
-        let mesh = Mesh::for_config(&cfg);
-        let placement = mesh
+        let mesh = Mesh::for_config(&point.cfg);
+        point.placement = mesh
             .nodes()
             .map(|n| spec.mix.island_at(mesh.coord_of(n)).unwrap_or(base))
             .collect();
-        let fabric = match spec.mix {
-            RouterMix::Uniform => base.name().to_string(),
-            RouterMix::Islands { island, .. } => {
-                format!("{} + {} islands", base.name(), island.name())
-            }
-        };
-        Ok(ScenarioRun {
-            base,
-            fabric,
-            model: ScenarioTraffic::new(spec, mesh, &cfg, offered_load),
-            cfg,
-            placement,
-            offered_load,
-        })
+        point.model = ScenarioTraffic::new(spec, mesh, &point.cfg, offered_load);
+        Ok(point)
     }
 
-    /// Hand the point's open-loop plan, its traffic and placement borrowed
-    /// in, to `exec` — which sets the fault, observer and worker-count
-    /// fields as on any other plan and [`run`]s it — and stamp what only the
-    /// scenario knows onto the output: the fabric name, the offered load and
+    /// The point's open-loop plan, its traffic and placement borrowed in.
+    fn plan(&mut self) -> RunPlan<'_> {
+        let workload = Workload::Model {
+            model: &mut self.model,
+            mode: RunMode::OpenLoop,
+            load: Some(self.offered_load),
+        };
+        let mut plan = RunPlan::new(self.base, &self.cfg, workload);
+        plan.placement = Some(&self.placement);
+        plan
+    }
+
+    /// Hand the point's plan to `exec` — which sets the fault, observer and
+    /// worker-count fields as on any other plan and [`run`]s it — and stamp
+    /// what only the scenario knows onto the output: the fabric name and
     /// the per-application statistics (the global fields aggregate over all
     /// apps as usual).
     pub fn run_with(mut self, exec: impl FnOnce(RunPlan<'_>) -> RunOutput) -> RunOutput {
-        let mut plan = RunPlan::model(self.base, &self.cfg, &mut self.model, RunMode::OpenLoop);
-        plan.placement = Some(&self.placement);
-        let mut out = exec(plan);
+        let mut out = exec(self.plan());
         out.result.design = self.fabric;
-        out.result.offered_load = Some(self.offered_load);
         out.result.apps = self.model.app_stats();
         out
     }

@@ -29,16 +29,6 @@ pub struct Region {
 }
 
 impl Region {
-    /// The whole router grid of `mesh`.
-    pub fn all(mesh: &Mesh) -> Region {
-        Region {
-            x0: 0,
-            y0: 0,
-            width: mesh.width(),
-            height: mesh.height(),
-        }
-    }
-
     pub fn contains(&self, c: Coord) -> bool {
         (self.x0..self.x0 + self.width).contains(&c.x)
             && (self.y0..self.y0 + self.height).contains(&c.y)
@@ -192,16 +182,21 @@ impl ScenarioSpec {
     ];
 
     /// Resolve a scenario name against a base configuration. The optional
-    /// `:<param>` suffix tunes the scenario's burstiness knob. Region
-    /// geometry adapts to the configured router grid; everything else is
-    /// fixed by the name, so one name always denotes one experiment.
+    /// `:<param>` suffix tunes the scenario's burstiness knob: a finite
+    /// number, clamped as its [`BurstSource`] documents. Region geometry
+    /// adapts to the configured router grid; everything else is fixed by the
+    /// name, so one name always denotes one experiment.
     pub fn named(name: &str, cfg: &SimConfig) -> Option<ScenarioSpec> {
         let (kind, param) = match name.split_once(':') {
-            Some((k, p)) => (k, Some(p.parse::<f64>().ok()?)),
+            Some((k, p)) => (k, Some(p.parse::<f64>().ok().filter(|p| p.is_finite())?)),
             None => (name, None),
         };
-        let grid = Mesh::new(cfg.width, cfg.height);
-        let all = Region::all(&grid);
+        let all = Region {
+            x0: 0,
+            y0: 0,
+            width: cfg.width,
+            height: cfg.height,
+        };
         let canon = |kind: &str, p: Option<f64>| match p {
             Some(p) => format!("{kind}:{p:.3}"),
             None => kind.to_string(),
@@ -239,18 +234,12 @@ impl ScenarioSpec {
                 // the whole fabric, so the background's bursts congest the
                 // foreground's paths — the per-app stats quantify by how
                 // much.
-                let lw = grid.width() / 2;
-                let left = Region {
-                    x0: 0,
-                    y0: 0,
-                    width: lw,
-                    height: grid.height(),
-                };
+                let lw = cfg.width / 2;
+                let left = Region { width: lw, ..all };
                 let right = Region {
                     x0: lw,
-                    y0: 0,
-                    width: grid.width() - lw,
-                    height: grid.height(),
+                    width: cfg.width - lw,
+                    ..all
                 };
                 Some(ScenarioSpec {
                     name: canon(kind, param),
@@ -432,6 +421,25 @@ mod tests {
         assert_eq!(p.apps[0].source, BurstSource::ParetoOnOff { duty: 0.5 });
         assert!(ScenarioSpec::named("mmpp_ur:abc", &cfg).is_none());
         assert!(ScenarioSpec::named("torus_ur:2.0", &cfg).is_none());
+    }
+
+    #[test]
+    fn non_finite_parameters_do_not_resolve() {
+        let cfg = cfg8();
+        for name in [
+            "mmpp_ur:nan",
+            "mmpp_ur:inf",
+            "pareto_ur:nan",
+            "pareto_ur:-inf",
+            "interfere2:nan",
+        ] {
+            assert!(ScenarioSpec::named(name, &cfg).is_none(), "{name}");
+            let err = ScenarioSpec::resolve(name, &cfg).unwrap_err();
+            assert!(err.contains("known scenarios"), "{name}: {err}");
+        }
+        // Finite values keep their documented clamping.
+        let s = ScenarioSpec::named("mmpp_ur:99", &cfg).unwrap();
+        assert_eq!(s.apps[0].source, BurstSource::Mmpp2 { burstiness: 99.0 });
     }
 
     #[test]

@@ -25,7 +25,8 @@ struct AppAccum {
 /// attributed back to the owning app by source node (regions are disjoint,
 /// so the owner is unique), restricted to packets *created* in the
 /// measurement window — the same filter the global statistics use.
-#[derive(Debug, Clone)]
+/// `Default` is the model of no applications.
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioTraffic {
     apps: Vec<BurstyTraffic>,
     app_names: Vec<String>,

@@ -132,6 +132,8 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
 impl<R: RouterModel> Network<R> {
     /// Build a network: one router per node from `factory`.
     pub fn new(cfg: &SimConfig, factory: &dyn Fn(NodeId) -> R) -> Network<R> {
+        // Unreachable from a validated plan: `RunPlan::validate` runs
+        // `SimConfig::validate` first.
         cfg.validate().expect("invalid SimConfig");
         let mesh = Mesh::for_config(cfg);
         let n = mesh.num_nodes();

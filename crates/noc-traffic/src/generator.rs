@@ -99,6 +99,8 @@ impl SyntheticTraffic {
         packet_len: u8,
         seed: u64,
     ) -> SyntheticTraffic {
+        // Unreachable from a validated plan: `RunPlan::validate` bounds the
+        // load to [0, 1] and `SimConfig::validate` the packet length to >= 1.
         assert!((0.0..=1.0).contains(&injection_prob));
         assert!(packet_len >= 1);
         let rngs = (0..mesh.num_nodes())

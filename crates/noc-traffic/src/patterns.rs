@@ -110,9 +110,10 @@ impl Pattern {
     }
 
     /// Whether the pattern can run on `mesh`: the bit-permutation patterns
-    /// need a power-of-two terminal count. Every entry path asks this
-    /// before it builds a network, so [`BoundPattern::new`] never meets a
-    /// pattern it cannot bind.
+    /// need a power-of-two terminal count. `RunPlan::validate` asks this of
+    /// a synthetic workload and `ScenarioSpec::validate` of each app, before
+    /// any network is built, so [`BoundPattern::new`] never meets a pattern
+    /// it cannot bind.
     pub fn check(self, mesh: &Mesh) -> Result<(), String> {
         let n = mesh.num_terminals();
         if self.needs_pow2() && !n.is_power_of_two() {
@@ -159,8 +160,9 @@ impl BoundPattern {
     pub fn new(pattern: Pattern, mesh: Mesh, seed: u64) -> BoundPattern {
         let tmesh = Mesh::new(mesh.terminal_width(), mesh.terminal_height());
         let n = tmesh.num_nodes();
-        // Unreachable from a validated plan: `Pattern::check` rejects the
-        // shape first on every entry path.
+        // Unreachable from a validated plan: `RunPlan::validate` holds a
+        // synthetic pattern to `Pattern::check` on the plan's fabric (and
+        // `ScenarioSpec::validate` each app's).
         if pattern.needs_pow2() {
             assert!(
                 n.is_power_of_two(),

@@ -92,7 +92,7 @@ struct Options {
     verify: bool,
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> (Args, Options) {
     let mut args = Args::new(HELP, HELP);
     let mut opts = Options {
         design: Design::DXbarDor,
@@ -138,12 +138,7 @@ fn parse_args() -> Options {
                     args.fail(&format!("unknown app '{v}'; known apps: {}", known_apps()))
                 }));
             }
-            "--load" => {
-                opts.load = args.parsed("--load", "a fraction of capacity");
-                if !(0.0..=1.0).contains(&opts.load) {
-                    args.fail("load must be in [0, 1]");
-                }
-            }
+            "--load" => opts.load = args.parsed("--load", "a fraction of capacity"),
             "--mesh" => {
                 let v = args.value("--mesh");
                 let (w, h) = v
@@ -168,19 +163,11 @@ fn parse_args() -> Options {
             other => args.fail(&format!("unknown option '{other}'")),
         }
     }
-    if let Err(e) = opts.cfg.validate() {
-        args.fail(&e);
-    }
-    if opts.splash.is_none() {
-        if let Err(e) = opts.pattern.check(&Mesh::for_config(&opts.cfg)) {
-            args.fail(&e);
-        }
-    }
     opts.tile_threads = args.tile_threads(tile_threads);
     if opts.fault_pct > 0.0 && !opts.design.supports_faults() {
         args.fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");
     }
-    opts
+    (args, opts)
 }
 
 fn print_human(r: &RunResult) {
@@ -222,24 +209,27 @@ fn print_human(r: &RunResult) {
 }
 
 fn main() {
-    let args = parse_args();
+    let (args, opts) = parse_args();
+    let mut plan = match opts.splash {
+        Some(app) => RunPlan::splash(opts.design, &opts.cfg, app, 10_000_000),
+        None => RunPlan::synthetic(opts.design, &opts.cfg, opts.pattern, opts.load),
+    };
+    if let Err(e) = plan.validate() {
+        args.fail(&e);
+    }
+    plan.tile_threads = opts.tile_threads;
     // A zero fraction generates the empty plan. Faults manifest in the
     // second half of warmup; a closed-loop run has none, so there they are
     // present from the first cycle.
-    let warmup = args.splash.map_or(args.cfg.warmup_cycles, |_| 0);
+    let warmup = opts.splash.map_or(opts.cfg.warmup_cycles, |_| 0);
     let faults = ResiliencePlan::none().with_crossbar(FaultPlan::generate(
-        &Mesh::for_config(&args.cfg),
-        args.fault_pct,
+        &Mesh::for_config(&opts.cfg),
+        opts.fault_pct,
         warmup / 2,
         warmup.max(1),
-        args.cfg.seed,
+        opts.cfg.seed,
     ));
-    let mut plan = match args.splash {
-        Some(app) => RunPlan::splash(args.design, &args.cfg, app, 10_000_000),
-        None => RunPlan::synthetic(args.design, &args.cfg, args.pattern, args.load),
-    };
-    plan.tile_threads = args.tile_threads;
-    let plan = plan.faults(&faults).verified(args.verify);
+    let plan = plan.faults(&faults).verified(opts.verify);
     let (result, violated) = match run(plan).clean() {
         Ok(out) => {
             if let Some(report) = out.verify {
@@ -253,7 +243,7 @@ fn main() {
         }
     };
 
-    if args.json {
+    if opts.json {
         println!(
             "{}",
             serde_json::to_string_pretty(&result).expect("serialize result")

@@ -31,10 +31,13 @@ pub enum Workload<'a> {
     /// A caller-owned traffic model and the termination policy it needs.
     /// Borrowed, so the caller can read the model's own statistics back;
     /// `'static` (models own their state) keeps the plan covariant, so code
-    /// handed a plan can add its own borrows to it.
+    /// handed a plan can add its own borrows to it. `load` is the offered
+    /// load an open-loop model was built for: validated like a synthetic
+    /// load and reported as the result's `offered_load`.
     Model {
         model: &'a mut (dyn TrafficModel + 'static),
         mode: RunMode,
+        load: Option<f64>,
     },
 }
 
@@ -67,7 +70,7 @@ pub struct RunPlan<'a> {
 }
 
 impl<'a> RunPlan<'a> {
-    fn new(design: Design, cfg: &'a SimConfig, workload: Workload<'a>) -> RunPlan<'a> {
+    pub fn new(design: Design, cfg: &'a SimConfig, workload: Workload<'a>) -> RunPlan<'a> {
         RunPlan {
             design,
             cfg,
@@ -94,7 +97,8 @@ impl<'a> RunPlan<'a> {
         model: &'a mut (dyn TrafficModel + 'static),
         mode: RunMode,
     ) -> Self {
-        Self::new(design, cfg, Workload::Model { model, mode })
+        let load = None;
+        Self::new(design, cfg, Workload::Model { model, mode, load })
     }
 
     pub fn faults(mut self, faults: &'a ResiliencePlan) -> Self {
@@ -115,6 +119,22 @@ impl<'a> RunPlan<'a> {
     pub fn tile_threads(mut self, workers: usize) -> Self {
         self.tile_threads = Some(workers);
         self
+    }
+
+    /// The first problem with the plan: its config's field rules, then an
+    /// open-loop load in [0, 1], a synthetic pattern the fabric can bind and
+    /// a SPLASH cap above 0. Every entry path asks this before [`run`].
+    pub fn validate(&self) -> Result<(), String> {
+        self.cfg.validate()?;
+        match self.workload {
+            Workload::Synthetic { load, .. }
+            | Workload::Model {
+                load: Some(load), ..
+            } if !(0.0..=1.0).contains(&load) => Err(format!("load must be in [0, 1], got {load}")),
+            Workload::Synthetic { pattern, .. } => pattern.check(&Mesh::for_config(self.cfg)),
+            Workload::Splash { max_cycles: 0, .. } => Err("SPLASH max_cycles must be > 0".into()),
+            _ => Ok(()),
+        }
     }
 
     /// The design at node `n`.
@@ -221,7 +241,7 @@ pub fn run(plan: RunPlan<'_>) -> RunOutput {
             splash = SplashTraffic::new(app, mesh, cfg.seed);
             (&mut splash, RunMode::ClosedLoop { max_cycles }, None)
         }
-        Workload::Model { model, mode } => (model, mode, None),
+        Workload::Model { model, mode, load } => (model, mode, load),
     };
     let (mut result, trace, verify) = noc_verify::run_observed(
         &mut net,

@@ -128,6 +128,22 @@ fn bit_permutation_off_a_power_of_two_exits_2() {
 }
 
 #[test]
+fn cycle_window_past_u64_exits_2() {
+    // The warmup + measure + drain sum used to wrap: a run that simulated
+    // nothing, or about 200 cycles reported as 2^64 - 1.
+    let max = u64::MAX.to_string();
+    for flag in ["--warmup", "--cycles"] {
+        let out = dxbar_sim()
+            .args(["--mesh", "2x2", "--cycles", "100", flag, &max])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {max}: {err}");
+        assert!(err.contains("must fit in u64"), "{flag} {max}: {err}");
+    }
+}
+
+#[test]
 fn unknown_pattern_exits_2_and_lists_patterns() {
     let out = dxbar_sim()
         .args(["--pattern", "ZZZ"])
