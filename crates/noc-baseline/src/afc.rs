@@ -21,7 +21,7 @@
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
-use noc_core::types::{NodeId, NUM_LINK_PORTS};
+use noc_core::types::{NodeId, PortSet, NUM_LINK_PORTS};
 use noc_routing::deflection::free_productive;
 use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
@@ -107,7 +107,7 @@ impl RouterModel for AfcRouter {
         let mut ejected = ctx.take_arrivals(self.node, &mut arrivals);
         self.update_mode(arrivals.len() + usize::from(ejected));
 
-        let mut used = [false; 4];
+        let mut used = PortSet::EMPTY;
         match self.mode {
             AfcMode::Bufferless => {
                 // Pure Flit-BLESS.
@@ -126,6 +126,7 @@ impl RouterModel for AfcRouter {
                 // Arrivals park in the least-full FIFO (AFC's buffers act
                 // as a local pool); a full pool falls back to deflection
                 // for that arrival.
+                // At most one overflow per arrival, four in all.
                 let mut overflow: InlineVec<Flit, 4> = InlineVec::new();
                 for flit in arrivals.iter() {
                     let q = self
@@ -167,10 +168,9 @@ impl RouterModel for AfcRouter {
                         }
                         continue;
                     }
-                    let free =
-                        free_productive(&self.mesh, self.node, f.dst, &used, &self.link_down);
+                    let free = free_productive(&self.mesh, self.node, f.dst, used, &self.link_down);
                     if let Some(dir) = free {
-                        used[dir.index()] = true;
+                        used.insert(dir);
                         let f = ctx.unpark(self.node, &mut self.buffers[i]);
                         ctx.events.xbar_traversals += 1;
                         ctx.out_links[dir.index()] = Some(f.expect("head exists"));
@@ -185,7 +185,7 @@ impl RouterModel for AfcRouter {
                             ctx.injected = true;
                         }
                     } else if let Some(dir) =
-                        free_productive(&self.mesh, self.node, inj.dst, &used, &self.link_down)
+                        free_productive(&self.mesh, self.node, inj.dst, used, &self.link_down)
                     {
                         ctx.events.xbar_traversals += 1;
                         ctx.out_links[dir.index()] = Some(inj);

@@ -14,7 +14,7 @@
 //! routing).
 
 use noc_core::inline::InlineVec;
-use noc_core::types::{NodeId, NUM_LINK_PORTS};
+use noc_core::types::{NodeId, PortSet, NUM_LINK_PORTS};
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_topology::Mesh;
 
@@ -73,7 +73,7 @@ impl RouterModel for BlessRouter {
             self.node,
             &self.link_down,
             &flits,
-            &mut [false; 4],
+            &mut PortSet::default(),
         );
     }
 

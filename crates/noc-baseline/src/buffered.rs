@@ -14,11 +14,9 @@
 //!   resembles DXbar only at the buffering and provides for a fair
 //!   comparison by removing Head-of-Line blocking").
 
-use noc_core::inline::InlineVec;
+use noc_core::arbiter::VcAllocator;
 use noc_core::queue::FixedQueue;
-use noc_core::types::{
-    Direction, NodeId, ALL_DIRECTIONS, LINK_DIRECTIONS, NUM_LINK_PORTS, NUM_PORTS,
-};
+use noc_core::types::{Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_routing::{usable_route, Algorithm};
 use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
@@ -69,12 +67,8 @@ pub struct BufferedRouter {
     vcs: Vec<Vec<Vc>>,
     /// Credits for each downstream VC: `credits[out_dir][vc]`.
     credits: [[u32; 2]; 4],
-    /// Round-robin VC-nomination pointer per input.
-    rr_vc: [usize; NUM_INPUTS],
-    /// Round-robin grant pointer per output port.
-    rr_out: [usize; NUM_PORTS],
-    /// Round-robin downstream-VC assignment pointer per output direction.
-    rr_dvc: [usize; 4],
+    /// The switch allocator's rotating-priority pointers.
+    alloc: VcAllocator,
     /// Dead output links, published by the engine's resilience layer.
     link_down: [bool; NUM_LINK_PORTS],
 }
@@ -107,9 +101,7 @@ impl BufferedRouter {
             depth,
             vcs,
             credits,
-            rr_vc: [0; NUM_INPUTS],
-            rr_out: [0; NUM_PORTS],
-            rr_dvc: [0; 4],
+            alloc: VcAllocator::new(num_vcs),
             link_down: [false; NUM_LINK_PORTS],
         }
     }
@@ -127,22 +119,6 @@ impl BufferedRouter {
     fn decode_credit(raw: u32) -> (usize, u32) {
         ((raw >> 8) as usize, raw & 0xFF)
     }
-
-    /// Pick a downstream VC by round-robin among VCs with credits (simple
-    /// routers assign VCs blindly rather than by occupancy); `None` if all
-    /// are out of credit.
-    fn pick_downstream_vc(&self, dir: Direction) -> Option<usize> {
-        // A dead link cannot backpressure: nothing sent into it occupies a
-        // downstream slot, so no credit is required (the engine swallows
-        // and accounts the flit).
-        if self.link_down[dir.index()] {
-            return Some(0);
-        }
-        let n = self.num_vcs();
-        (0..n)
-            .map(|k| (self.rr_dvc[dir.index()] + k) % n)
-            .find(|&vc| self.credits[dir.index()][vc] > 0)
-    }
 }
 
 impl RouterModel for BufferedRouter {
@@ -159,6 +135,9 @@ impl RouterModel for BufferedRouter {
         for d in LINK_DIRECTIONS {
             if let Some(flit) = ctx.arrivals[d.index()].take() {
                 let vc = (flit.vc as usize).min(num_vcs - 1);
+                // Unreachable while both ends keep the credit protocol: the
+                // upstream router sends on a VC only with a credit for it,
+                // and each credit stands for one free slot of this FIFO.
                 ctx.park(self.node, &mut self.vcs[d.index()][vc], flit)
                     .unwrap_or_else(|f| {
                         panic!(
@@ -176,120 +155,74 @@ impl RouterModel for BufferedRouter {
 
         // --- Speculative separable switch allocation (the VA+SA/ST stage of
         // the 3-stage pipeline). Realistic hardware structure, with its
-        // realistic throughput loss:
+        // realistic throughput loss (`VcAllocator` has the three stages):
         //
-        // 1. each input port nominates ONE ready VC (round-robin among VCs
-        //    whose head has at least one credit-backed route);
+        // 1. each input port nominates ONE ready VC (round-robin), before
+        //    credit state is consulted — that is what "speculative VA+SA"
+        //    buys the 3-stage pipeline, and what it costs: a nominee whose
+        //    credit-backed route is empty wastes its input's cycle;
         // 2. each output port's P:1 arbiter independently grants one
         //    nominating input (rotating priority);
         // 3. a nominee granted several outputs uses one; the other grants
         //    are wasted for this cycle, exactly as in a single-iteration
-        //    separable allocator.
-        let mut grants: InlineVec<(usize, usize, Direction, Option<usize>), NUM_INPUTS> =
-            InlineVec::new();
-
-        // Stage 1: nominations. The nomination is *speculative*: the
-        // round-robin pointer picks a ready VC before credit state is
-        // consulted (that is what "speculative VA+SA" buys the 3-stage
-        // pipeline, and what it costs — a blocked nominee wastes its
-        // input's cycle).
-        let mut nominee: [Option<(usize, u8)>; NUM_INPUTS] = [None; NUM_INPUTS]; // (vc, request mask)
-        #[allow(clippy::needless_range_loop)] // rotating-pointer iteration
-        for input in 0..NUM_INPUTS {
-            for k in 0..num_vcs {
-                let vc = (self.rr_vc[input] + k) % num_vcs;
-                let Some(head) = self.vcs[input][vc].front() else {
-                    continue;
-                };
-                if head.ready > t {
-                    continue;
-                }
-                let route = usable_route(
-                    self.algorithm.route(&self.mesh, self.node, head.flit.dst),
-                    &self.link_down,
-                );
-                let mut mask = 0u8;
-                for dir in ALL_DIRECTIONS {
-                    if !route.contains(dir) {
-                        continue;
-                    }
-                    if dir == Direction::Local || self.pick_downstream_vc(dir).is_some() {
-                        mask |= 1 << dir.index();
-                    }
-                }
-                // Speculation commits to this VC even if its request mask
-                // turns out empty (no credits): the input idles this cycle,
-                // and the pointer moves on so the other VC gets the next
-                // nomination.
-                nominee[input] = Some((vc, mask));
-                if mask == 0 {
-                    self.rr_vc[input] = (vc + 1) % num_vcs;
-                }
-                break;
-            }
-        }
-
-        // Stage 2: independent output arbiters (rotating priority).
-        let mut out_winner: [Option<usize>; NUM_PORTS] = [None; NUM_PORTS];
-        #[allow(clippy::needless_range_loop)] // rotating-pointer iteration
-        for o in 0..NUM_PORTS {
-            for k in 0..NUM_INPUTS {
-                let input = (self.rr_out[o] + k) % NUM_INPUTS;
-                if let Some((_, mask)) = nominee[input] {
-                    if mask & (1 << o) != 0 {
-                        out_winner[o] = Some(input);
-                        self.rr_out[o] = (input + 1) % NUM_INPUTS;
-                        break;
-                    }
+        //    separable allocator. Downstream VCs are assigned round-robin
+        //    among those with credits (simple routers assign VCs blindly
+        //    rather than by occupancy).
+        let mut ready = [0u8; NUM_INPUTS];
+        for (bits, vcs) in ready.iter_mut().zip(&self.vcs) {
+            for (vc, q) in vcs.iter().enumerate() {
+                if q.front().is_some_and(|head| head.ready <= t) {
+                    *bits |= 1 << vc;
                 }
             }
         }
-
-        // Stage 3: each granted nominee takes its first granted output.
-        #[allow(clippy::needless_range_loop)]
-        for input in 0..NUM_INPUTS {
-            let Some((vc, _)) = nominee[input] else {
-                continue;
-            };
-            let taken = ALL_DIRECTIONS
-                .into_iter()
-                .find(|d| out_winner[d.index()] == Some(input));
-            if let Some(dir) = taken {
-                let dvc = if dir == Direction::Local {
-                    None
-                } else {
-                    Some(self.pick_downstream_vc(dir).expect("nominated with credit"))
-                };
-                grants.push((input, vc, dir, dvc));
-                self.rr_vc[input] = (vc + 1) % num_vcs;
+        let mut credited = [0u8; NUM_LINK_PORTS];
+        let mut dead = 0u8;
+        for d in LINK_DIRECTIONS {
+            let i = d.index();
+            for (vc, &c) in self.credits[i].iter().enumerate().take(num_vcs) {
+                credited[i] |= u8::from(c > 0) << vc;
             }
+            // A dead link cannot backpressure: nothing sent into it
+            // occupies a downstream slot, so no credit is required (the
+            // engine swallows and accounts the flit).
+            dead |= u8::from(self.link_down[i]) << i;
         }
+        let (mesh, node, algorithm, link_down) =
+            (&self.mesh, self.node, self.algorithm, &self.link_down);
+        let vcs = &self.vcs;
+        let grants = self.alloc.allocate(&ready, &credited, dead, |input, vc| {
+            // Only ready heads are nominated.
+            let dst = vcs[input][vc].front().map_or(node, |head| head.flit.dst);
+            usable_route(algorithm.route(mesh, node, dst), link_down).0
+        });
 
         // --- Switch traversal (ST) for the winners.
-        for (input, vc, dir, dvc) in grants.iter() {
+        for g in grants.iter() {
+            let (input, vc) = (g.input as usize, g.vc as usize);
+            // A grant goes only to a nominated VC, and only a VC with a
+            // ready head is nominated.
             let mut flit = ctx
                 .unpark(self.node, &mut self.vcs[input][vc])
                 .expect("granted head exists");
             ctx.events.xbar_traversals += 1;
             ctx.probe.emit(|| ProbeEvent::Grant {
-                input: input as u8,
-                slot: vc as u8,
-                output: dir.index() as u8,
+                input: g.input,
+                slot: g.vc,
+                output: g.output,
             });
             if input < 4 {
                 // Return the freed slot's credit upstream, tagged with the VC.
                 debug_assert_eq!(ctx.credits_out[input], 0, "one grant per input");
                 ctx.credits_out[input] = Self::encode_credit(vc);
             }
-            match dir {
+            match Direction::from_index(g.output as usize) {
                 Direction::Local => ctx.ejected.push(flit),
                 d => {
-                    let dvc = dvc.expect("link grants carry a VC");
                     if !self.link_down[d.index()] {
-                        self.credits[d.index()][dvc] -= 1;
-                        self.rr_dvc[d.index()] = (dvc + 1) % self.num_vcs();
+                        self.credits[d.index()][g.out_vc as usize] -= 1;
                     }
-                    flit.vc = dvc as u8;
+                    flit.vc = g.out_vc;
                     ctx.out_links[d.index()] = Some(flit);
                 }
             }

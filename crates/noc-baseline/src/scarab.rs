@@ -12,7 +12,7 @@
 //! Pipeline: SA/ST + LT (2 stages, look-ahead routing), like DXbar/BLESS.
 
 use noc_core::inline::InlineVec;
-use noc_core::types::{Direction, NodeId, NUM_LINK_PORTS};
+use noc_core::types::{Direction, NodeId, PortSet, NUM_LINK_PORTS};
 use noc_routing::deflection::free_productive;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_topology::Mesh;
@@ -55,11 +55,11 @@ impl RouterModel for ScarabRouter {
         // Minimal adaptive port allocation, oldest first: only the
         // productive prefix of the ranking is eligible — SCARAB never
         // deflects.
-        let mut used = [false; 4];
+        let mut used = PortSet::EMPTY;
         for f in flits.iter().filter(|f| f.dst != self.node) {
-            match free_productive(&self.mesh, self.node, f.dst, &used, &self.link_down) {
+            match free_productive(&self.mesh, self.node, f.dst, used, &self.link_down) {
                 Some(dir) => {
-                    used[dir.index()] = true;
+                    used.insert(dir);
                     ctx.events.xbar_traversals += 1;
                     debug_assert!(dir != Direction::Local);
                     ctx.out_links[dir.index()] = Some(f);
@@ -80,7 +80,7 @@ impl RouterModel for ScarabRouter {
                     ctx.injected = true;
                 }
             } else if let Some(dir) =
-                free_productive(&self.mesh, self.node, inj.dst, &used, &self.link_down)
+                free_productive(&self.mesh, self.node, inj.dst, used, &self.link_down)
             {
                 ctx.events.xbar_traversals += 1;
                 ctx.out_links[dir.index()] = Some(inj);

@@ -4,6 +4,8 @@
 //! simulation engine. It provides:
 //!
 //! * [`types`] — node identifiers, cardinal directions, port indices;
+//! * [`arbiter`] — rotating-priority arbitration over request bit vectors
+//!   and the buffered baselines' separable VC allocator built from it;
 //! * [`flit`] — the unit of switching ([`Flit`]) and packet descriptors;
 //! * [`queue`] — a fixed-capacity ring-buffer FIFO used for input buffers;
 //! * [`pool`] — slab arena for flits parked in a buffer bank ([`FlitId`]
@@ -18,6 +20,7 @@
 //! * [`config`] — the simulation configuration (mesh size, buffer depth,
 //!   pipeline latencies, warmup/measurement windows).
 
+pub mod arbiter;
 pub mod config;
 pub mod crc;
 pub mod flit;

@@ -12,20 +12,22 @@
 //! * [`StepCtx::deflection_assign`] — give every flit of an ordered slice
 //!   a free output link, deflecting the ones that lose their productive
 //!   ports;
+//! * [`StepCtx::deflect`] — one deflection's counter and `Deflect` event,
+//!   also for a router that misroutes a flit outside that assignment;
 //! * [`StepCtx::buffer_enter`] / [`StepCtx::buffer_exit`] — the buffer
 //!   write and read, with their counters, events and residency (`waited`);
 //!   [`StepCtx::park`] / [`StepCtx::unpark`] do both for a FIFO;
 //! * [`Parked`] — the FIFO element: a flit and the cycle it may leave.
 //!
 //! Routers never build `BufferEnter`, `BufferExit` or `Deflect` events
-//! themselves, nor call `assign_port_with_faults`.
+//! themselves, count deflections, nor call `assign_port_with_faults`.
 
 use crate::router::StepCtx;
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
-use noc_core::types::{Cycle, Direction, NodeId, NUM_LINK_PORTS};
-use noc_routing::deflection::{assign_port_with_faults, productive_count, rank_ports_inline};
+use noc_core::types::{Cycle, Direction, NodeId, PortSet, NUM_LINK_PORTS};
+use noc_routing::deflection::{assign_port_with_faults, PortRanking};
 use noc_topology::Mesh;
 use noc_trace::TraceEvent;
 
@@ -48,7 +50,9 @@ impl StepCtx {
 
     /// Move every link arrival into `flits`. The oldest one addressed to
     /// `node` ejects instead (one PE port per cycle); returns whether it
-    /// did, i.e. whether the PE port is now taken.
+    /// did, i.e. whether the PE port is now taken. One arrival per link
+    /// fills at most four of the five slots, which leaves a caller room
+    /// for its injection.
     ///
     /// This and [`StepCtx::deflection_assign`] are forced inline: left to
     /// the inliner they were outlined from the router `step`s, and the
@@ -87,38 +91,43 @@ impl StepCtx {
         node: NodeId,
         link_down: &[bool; NUM_LINK_PORTS],
         flits: &[Flit],
-        used: &mut [bool; NUM_LINK_PORTS],
+        used: &mut PortSet,
     ) {
         for &(mut f) in flits {
-            let ranking = rank_ports_inline(mesh, node, f.dst);
-            let productive = productive_count(mesh, node, f.dst);
-            let (dir, deflected) = assign_port_with_faults(
-                &ranking,
-                productive,
-                used,
-                link_down,
-                f.deflections as usize,
-            )
-            .expect("flit count never exceeds free ports");
-            used[dir.index()] = true;
+            let ranking = PortRanking::new(mesh, node, f.dst);
+            // Every caller hands over at most as many flits as the node
+            // has links left free (an input per link, and injection or a
+            // buffered flit only into a free slot), so a ranked port is
+            // always free here.
+            let (dir, deflected) =
+                assign_port_with_faults(ranking, *used, link_down, f.deflections as usize)
+                    .expect("flit count never exceeds free ports");
+            used.insert(dir);
             if deflected {
-                f.deflections += 1;
-                self.events.deflections += 1;
-                let cycle = self.cycle;
-                let wanted = ranking[0];
-                self.trace.emit(|| TraceEvent::Deflect {
-                    cycle,
-                    node,
-                    packet: f.packet,
-                    flit_index: f.flit_index as u16,
-                    wanted,
-                    got: dir,
-                });
+                self.deflect(node, &mut f, ranking.first(), dir);
             }
             self.events.xbar_traversals += 1;
             debug_assert!(dir != Direction::Local);
             self.out_links[dir.index()] = Some(f);
         }
+    }
+
+    /// Account one deflection of `flit` at `node`: it wanted `wanted` and
+    /// is sent to (or queued for) `got` instead.
+    #[inline]
+    pub fn deflect(&mut self, node: NodeId, flit: &mut Flit, wanted: Direction, got: Direction) {
+        flit.deflections += 1;
+        self.events.deflections += 1;
+        let cycle = self.cycle;
+        let (packet, flit_index) = (flit.packet, flit.flit_index as u16);
+        self.trace.emit(|| TraceEvent::Deflect {
+            cycle,
+            node,
+            packet,
+            flit_index,
+            wanted,
+            got,
+        });
     }
 
     /// Account `flit`'s write into a buffer that now holds `occupancy`

@@ -29,6 +29,7 @@
 use dxbar::allocator::{allocate, Grant, InputRequests};
 use dxbar::best_output;
 use dxbar::conflict_free::{resolve, RowSelection};
+use noc_core::arbiter::{rotating_pick, VcAllocator};
 use noc_core::types::PortSet;
 use rayon::prelude::*;
 use std::fmt;
@@ -738,6 +739,305 @@ pub fn check_unified_wide_exhaustive() -> Result<CheckerReport, CheckError> {
     merge_reports(chunks)
 }
 
+// ---------------------------------------------------------------------------
+// Buffered-4/8 separable VC allocation (`noc_core::arbiter`)
+// ---------------------------------------------------------------------------
+
+/// A rotating-priority arbiter over `n` requesters as a modulo scan from
+/// `ptr`: the reference [`rotating_pick`] must equal.
+pub fn reference_rotating_pick(requests: u8, ptr: usize, n: usize) -> Option<usize> {
+    (0..n)
+        .map(|k| (ptr + k) % n)
+        .find(|&i| requests & (1 << i) != 0)
+}
+
+/// [`rotating_pick`] equals the modulo scan for every request vector of 1
+/// to 5 requesters under every pointer.
+pub fn check_rotating_pick_exhaustive() -> Result<CheckerReport, CheckError> {
+    let mut rep = CheckerReport {
+        max_rounds: 1,
+        ..Default::default()
+    };
+    for n in 1..=5usize {
+        for requests in 0..(1u8 << n) {
+            for ptr in 0..n {
+                let got = rotating_pick(requests, ptr as u8).map(usize::from);
+                let want = reference_rotating_pick(requests, ptr, n);
+                if got != want {
+                    return Err(CheckError {
+                        config: format!("rotating pick of {requests:05b} from {ptr} in {n}"),
+                        reason: format!("picked {got:?}, the modulo scan {want:?}"),
+                    });
+                }
+                rep.configs += 1;
+                rep.grants += u64::from(got.is_some());
+            }
+        }
+    }
+    Ok(rep)
+}
+
+/// One router-cycle of the buffered baselines' switch allocation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BufferedCase {
+    /// VCs per input (1 = Buffered-4, 2 = Buffered-8).
+    pub num_vcs: usize,
+    /// `heads[input][vc]`: the usable route mask of a head that may leave
+    /// this cycle, `None` for an empty VC or a head not yet ready.
+    pub heads: [[Option<u8>; 2]; 5],
+    /// Credits per link output and downstream VC.
+    pub credits: [[u32; 2]; 4],
+    /// Dead link outputs.
+    pub down: [bool; 4],
+    /// VC-nomination pointer per input.
+    pub rr_vc: [usize; 5],
+    /// Grant pointer per output.
+    pub rr_out: [usize; 5],
+    /// Downstream-VC pointer per link output.
+    pub rr_dvc: [usize; 4],
+}
+
+/// A buffered grant: input, VC, output, downstream VC (links only).
+pub type BufferedGrant = (usize, usize, usize, Option<usize>);
+
+/// The buffered router's downstream-VC pick as a modulo scan.
+fn reference_downstream_vc(case: &BufferedCase, dir: usize) -> Option<usize> {
+    if case.down[dir] {
+        return Some(0);
+    }
+    let n = case.num_vcs;
+    (0..n)
+        .map(|k| (case.rr_dvc[dir] + k) % n)
+        .find(|&vc| case.credits[dir][vc] > 0)
+}
+
+/// Reference copy of the Buffered-4/8 allocation as scans with modulo
+/// pointers: nominations, output arbiters, the lowest granted output, the
+/// downstream-VC pick and every pointer update. Advances `case`'s pointers.
+pub fn reference_buffered_allocate(case: &mut BufferedCase) -> Vec<BufferedGrant> {
+    let n = case.num_vcs;
+    // Stage 1: speculative nominations.
+    let mut nominee: [Option<(usize, u8)>; 5] = [None; 5];
+    #[allow(clippy::needless_range_loop)] // rotating-pointer iteration
+    for input in 0..5 {
+        for k in 0..n {
+            let vc = (case.rr_vc[input] + k) % n;
+            let Some(route) = case.heads[input][vc] else {
+                continue;
+            };
+            let mut mask = 0u8;
+            for dir in 0..5 {
+                if route & (1 << dir) != 0
+                    && (dir == 4 || reference_downstream_vc(case, dir).is_some())
+                {
+                    mask |= 1 << dir;
+                }
+            }
+            nominee[input] = Some((vc, mask));
+            if mask == 0 {
+                case.rr_vc[input] = (vc + 1) % n;
+            }
+            break;
+        }
+    }
+    // Stage 2: output arbiters.
+    let mut out_winner = [None; 5];
+    for (o, winner) in out_winner.iter_mut().enumerate() {
+        for k in 0..5 {
+            let input = (case.rr_out[o] + k) % 5;
+            if nominee[input].is_some_and(|(_, mask)| mask & (1 << o) != 0) {
+                *winner = Some(input);
+                case.rr_out[o] = (input + 1) % 5;
+                break;
+            }
+        }
+    }
+    // Stage 3: each granted nominee takes its first granted output.
+    let mut grants = Vec::new();
+    for (input, nominee) in nominee.iter().enumerate() {
+        let Some((vc, _)) = *nominee else {
+            continue;
+        };
+        if let Some(dir) = (0..5).find(|&d| out_winner[d] == Some(input)) {
+            let dvc = if dir == 4 {
+                None
+            } else {
+                reference_downstream_vc(case, dir)
+            };
+            grants.push((input, vc, dir, dvc));
+            case.rr_vc[input] = (vc + 1) % n;
+        }
+    }
+    // Switch traversal: a live link moves its downstream-VC pointer.
+    for &(_, _, dir, dvc) in &grants {
+        if let Some(dvc) = dvc.filter(|_| !case.down[dir]) {
+            case.rr_dvc[dir] = (dvc + 1) % n;
+        }
+    }
+    grants
+}
+
+/// Check one case: [`VcAllocator::allocate`] makes the reference's grants
+/// and leaves the reference's pointers. Returns the number of grants.
+pub fn check_buffered_case(case: &BufferedCase) -> Result<u64, CheckError> {
+    let n = case.num_vcs;
+    let mut alloc = VcAllocator::with_pointers(
+        n,
+        case.rr_vc.map(|x| x as u8),
+        case.rr_out.map(|x| x as u8),
+        case.rr_dvc.map(|x| x as u8),
+    );
+    let mut ready = [0u8; 5];
+    for (bits, heads) in ready.iter_mut().zip(&case.heads) {
+        for (vc, head) in heads.iter().enumerate().take(n) {
+            *bits |= u8::from(head.is_some()) << vc;
+        }
+    }
+    let mut credited = [0u8; 4];
+    let mut dead = 0u8;
+    for (d, bits) in credited.iter_mut().enumerate() {
+        for vc in 0..n {
+            *bits |= u8::from(case.credits[d][vc] > 0) << vc;
+        }
+        dead |= u8::from(case.down[d]) << d;
+    }
+    let grants: Vec<BufferedGrant> = alloc
+        .allocate(&ready, &credited, dead, |i, vc| {
+            case.heads[i][vc].unwrap_or(0)
+        })
+        .iter()
+        .map(|g| {
+            let output = g.output as usize;
+            let dvc = (output < 4).then_some(g.out_vc as usize);
+            (g.input as usize, g.vc as usize, output, dvc)
+        })
+        .collect();
+    let mut reference = case.clone();
+    let want = reference_buffered_allocate(&mut reference);
+    let err = |reason: String| CheckError {
+        config: format!("{case:?}"),
+        reason,
+    };
+    if grants != want {
+        return Err(err(format!("grants {grants:?}, reference {want:?}")));
+    }
+    let pointers = alloc.pointers();
+    let expected = (
+        reference.rr_vc.map(|p| p as u8),
+        reference.rr_out.map(|p| p as u8),
+        reference.rr_dvc.map(|p| p as u8),
+    );
+    if pointers != expected {
+        return Err(err(format!(
+            "pointers {pointers:?}, reference {expected:?}"
+        )));
+    }
+    Ok(grants.len() as u64)
+}
+
+/// SplitMix64: a fixed, seedless stream of credit, dead-link and pointer
+/// states for the buffered enumeration.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Exhaust every assignment of `alphabet` to the `5 × num_vcs` VC heads.
+/// Each head configuration runs under `passes` states of the other axes —
+/// per link output a credit pattern over its VCs or a dead link, and every
+/// pointer — drawn from a fixed hash of its index, so each state of those
+/// axes recurs throughout the space.
+pub fn check_buffered_space(
+    num_vcs: usize,
+    alphabet: &[Option<u8>],
+    passes: u64,
+) -> Result<CheckerReport, CheckError> {
+    let slots = 5 * num_vcs as u32;
+    let radix = alphabet.len() as u64;
+    let total = radix.pow(slots);
+    let chunk = radix.pow(slots - 1);
+    let chunks: Vec<Result<CheckerReport, CheckError>> = (0..radix)
+        .collect::<Vec<_>>()
+        .par_iter()
+        .map(|&first| {
+            let mut rep = CheckerReport {
+                max_rounds: 1,
+                ..Default::default()
+            };
+            for index in first * chunk..(first + 1) * chunk {
+                let mut heads = [[None; 2]; 5];
+                let mut rest = index;
+                for slot in 0..slots as usize {
+                    heads[slot / num_vcs][slot % num_vcs] = alphabet[(rest % radix) as usize];
+                    rest /= radix;
+                }
+                for pass in 0..passes {
+                    let mut h = mix(index * passes + pass);
+                    let mut draw = |n: u64| {
+                        let v = h % n;
+                        h /= n;
+                        v as usize
+                    };
+                    let mut case = BufferedCase {
+                        num_vcs,
+                        heads,
+                        credits: [[0; 2]; 4],
+                        down: [false; 4],
+                        rr_vc: [0; 5],
+                        rr_out: [0; 5],
+                        rr_dvc: [0; 4],
+                    };
+                    for d in 0..4 {
+                        // A credit pattern over the VCs, or (one state in
+                        // `1 + 2^num_vcs`) a dead link.
+                        let state = draw(1 + (1 << num_vcs));
+                        case.down[d] = state == 1 << num_vcs;
+                        for vc in 0..num_vcs {
+                            case.credits[d][vc] = ((state >> vc) & 1) as u32;
+                        }
+                        case.rr_dvc[d] = draw(num_vcs as u64);
+                    }
+                    for i in 0..5 {
+                        case.rr_vc[i] = draw(num_vcs as u64);
+                        case.rr_out[i] = draw(5);
+                    }
+                    rep.grants += check_buffered_case(&case)?;
+                    rep.configs += 1;
+                }
+            }
+            Ok(rep)
+        })
+        .collect();
+    let rep = merge_reports(chunks)?;
+    debug_assert_eq!(rep.configs, total * passes);
+    Ok(rep)
+}
+
+/// Buffered-4 head states: empty or not ready, or ready with any mask of
+/// the turn-model alphabet.
+pub fn buffered4_alphabet() -> Vec<Option<u8>> {
+    std::iter::once(None)
+        .chain(turn_model_alphabet().into_iter().map(Some))
+        .collect()
+}
+
+/// Buffered-8 head states for the quick sweep: empty, ejection, one link,
+/// two links.
+pub const BUFFERED8_QUICK: [Option<u8>; 4] = [None, Some(0b1_0000), Some(0b0_0010), Some(0b0_0110)];
+
+/// Buffered-8 head states for the full sweep: the quick four plus the
+/// credit-starved empty mask and the other diagonal.
+pub const BUFFERED8_FULL: [Option<u8>; 6] = [
+    None,
+    Some(0),
+    Some(0b1_0000),
+    Some(0b0_0010),
+    Some(0b0_0110),
+    Some(0b0_1001),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,6 +1187,69 @@ mod tests {
     fn unified_wide_full_alphabet() {
         let rep = check_unified_wide_exhaustive().unwrap();
         assert_eq!(rep.configs, 17u64.pow(5));
+    }
+
+    #[test]
+    fn rotating_pick_equals_the_modulo_scan() {
+        let rep = check_rotating_pick_exhaustive().unwrap();
+        assert_eq!(rep.configs, (1..=5u64).map(|n| n << n).sum::<u64>());
+    }
+
+    #[test]
+    fn buffered4_turn_model_space() {
+        let rep = check_buffered_space(1, &buffered4_alphabet(), 1).unwrap();
+        assert_eq!(rep.configs, 18u64.pow(5));
+        assert!(rep.grants > 0);
+    }
+
+    #[test]
+    fn buffered8_quick_space() {
+        let rep = check_buffered_space(2, &BUFFERED8_QUICK, 1).unwrap();
+        assert_eq!(rep.configs, 4u64.pow(10));
+        assert!(rep.grants > 0);
+    }
+
+    #[test]
+    #[ignore = "18^5 x 16 states; run with --release (CI verify-smoke does)"]
+    fn buffered4_turn_model_space_many_states() {
+        let rep = check_buffered_space(1, &buffered4_alphabet(), 16).unwrap();
+        assert_eq!(rep.configs, 18u64.pow(5) * 16);
+    }
+
+    #[test]
+    #[ignore = "6^10 head configurations; run with --release (CI verify-smoke does)"]
+    fn buffered8_full_space() {
+        let rep = check_buffered_space(2, &BUFFERED8_FULL, 1).unwrap();
+        assert_eq!(rep.configs, 6u64.pow(10));
+    }
+
+    #[test]
+    fn buffered_reference_alternates_two_contenders() {
+        // Inputs 0 and 1 want East; the output pointer alternates them.
+        let mut case = BufferedCase {
+            num_vcs: 1,
+            heads: [
+                [Some(0b0_0010), None],
+                [Some(0b0_0010), None],
+                [None; 2],
+                [None; 2],
+                [None; 2],
+            ],
+            credits: [[1, 0]; 4],
+            down: [false; 4],
+            rr_vc: [0; 5],
+            rr_out: [0; 5],
+            rr_dvc: [0; 4],
+        };
+        assert_eq!(check_buffered_case(&case), Ok(1));
+        assert_eq!(
+            reference_buffered_allocate(&mut case),
+            vec![(0, 0, 1, Some(0))]
+        );
+        assert_eq!(
+            reference_buffered_allocate(&mut case),
+            vec![(1, 0, 1, Some(0))]
+        );
     }
 
     // ------------------------------------------------------------------

@@ -25,8 +25,8 @@
 use crate::slab::{SharedSlab, LOCAL_VQ};
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
-use noc_core::types::{Cycle, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
-use noc_routing::deflection::{productive_count, rank_ports_inline};
+use noc_core::types::{Cycle, Direction, NodeId, PortSet, LINK_DIRECTIONS, NUM_LINK_PORTS};
+use noc_routing::deflection::PortRanking;
 use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
@@ -60,37 +60,32 @@ impl DamqRouter {
 
     /// Virtual queue for a flit: the ejection queue at its destination,
     /// otherwise the preferred productive output steered away from dead
-    /// links. `true` when the choice is non-minimal (every productive
-    /// link is dead) — the flit pays a deflection.
-    fn route_vq(&self, f: &Flit) -> (usize, bool) {
+    /// links. `Some(wanted)` when the choice is non-minimal (every
+    /// productive link is dead; `wanted` is the preferred one) — the flit
+    /// pays a deflection.
+    fn route_vq(&self, f: &Flit) -> (usize, Option<Direction>) {
         if f.dst == self.node {
-            return (LOCAL_VQ, false);
+            return (LOCAL_VQ, None);
         }
-        let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-        let productive = productive_count(&self.mesh, self.node, f.dst);
-        if let Some(d) = ranking[..productive]
-            .iter()
-            .find(|d| !self.link_down[d.index()])
-        {
-            return (d.index(), false);
+        let ranking = PortRanking::new(&self.mesh, self.node, f.dst);
+        let productive = ranking.productive();
+        let live = |k: &usize| !self.link_down[ranking.get(*k).index()];
+        if let Some(k) = (0..productive).find(live) {
+            return (ranking.get(k).index(), None);
         }
-        if let Some(d) = ranking.as_slice()[productive..]
-            .iter()
-            .find(|d| !self.link_down[d.index()])
-        {
-            return (d.index(), true);
+        if let Some(k) = (productive..ranking.len()).find(live) {
+            return (ranking.get(k).index(), Some(ranking.first()));
         }
         // Every link with a queue is dead: the flit exits into a dead
         // productive link and the NI layer recovers the loss.
-        (ranking[0].index(), false)
+        (ranking.first().index(), None)
     }
 
     /// Park one flit in the slab, or hand it back on refusal.
     fn buffer(&mut self, mut f: Flit, ctx: &mut StepCtx) -> Result<(), Flit> {
         let (vq, misroute) = self.route_vq(&f);
-        if misroute {
-            f.deflections += 1;
-            ctx.events.deflections += 1;
+        if let Some(wanted) = misroute {
+            ctx.deflect(self.node, &mut f, wanted, Direction::from_index(vq));
         }
         self.slab.push(vq, f, ctx.cycle + 1)?;
         ctx.buffer_enter(self.node, &f, self.slab.vq_len(vq));
@@ -118,6 +113,7 @@ impl RouterModel for DamqRouter {
         let mut arrivals: InlineVec<Flit, 4> =
             ctx.arrivals.iter_mut().filter_map(|a| a.take()).collect();
         arrivals.sort_unstable_by_key(|f| f.age_key());
+        // At most one overflow per arrival, four in all.
         let mut overflow: InlineVec<Flit, 4> = InlineVec::new();
         for f in arrivals.iter() {
             if let Err(f) = self.buffer(f, ctx) {
@@ -136,13 +132,13 @@ impl RouterModel for DamqRouter {
 
         // Overflow arrivals leave now, before the queue heads, because
         // they have no other cycle to leave in.
-        let mut used = [false; 4];
+        let mut used = PortSet::EMPTY;
         overflow.sort_unstable_by_key(|f| f.age_key());
         ctx.deflection_assign(&self.mesh, self.node, &self.link_down, &overflow, &mut used);
 
         // Switch-traversal phase: each free output serves its queue head.
         for d in LINK_DIRECTIONS {
-            if used[d.index()] {
+            if used.contains(d) {
                 continue;
             }
             let ready = match self.slab.front(d.index()) {
@@ -196,7 +192,7 @@ impl RouterModel for DamqRouter {
 mod tests {
     use super::*;
     use noc_core::flit::PacketId;
-    use noc_core::types::Direction;
+    use noc_trace::TraceEvent;
 
     fn mesh() -> Mesh {
         Mesh::new(4, 4)
@@ -324,7 +320,43 @@ mod tests {
         let f = flit(7, 0);
         let (vq, misroute) = r.route_vq(&f);
         assert_ne!(vq, Direction::East.index());
-        assert!(misroute, "non-minimal choice counts as a deflection");
+        assert_eq!(
+            misroute,
+            Some(Direction::East),
+            "non-minimal choice counts as a deflection"
+        );
+    }
+
+    #[test]
+    fn misroutes_past_dead_links_are_traced_deflections() {
+        // Node 5 = (1,1) -> node 10 = (2,2): East and South are productive;
+        // both dead, so every such flit misroutes into a live queue.
+        let mut r = router();
+        let mut down = [false; NUM_LINK_PORTS];
+        down[Direction::East.index()] = true;
+        down[Direction::South.index()] = true;
+        r.set_faulty_links(down);
+        let mut ctx = StepCtx::new(0);
+        ctx.trace.set_enabled(true);
+        ctx.arrivals[Direction::West.index()] = Some(flit(10, 0));
+        ctx.arrivals[Direction::North.index()] = Some(flit(10, 1));
+        ctx.injection = Some(flit(10, 2));
+        r.step(&mut ctx);
+        assert!(ctx.injected);
+        assert_eq!(ctx.events.deflections, 3);
+        let deflects: Vec<_> = ctx
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Deflect { wanted, got, .. } => Some((wanted, got)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(deflects.len() as u64, ctx.events.deflections);
+        assert!(deflects
+            .iter()
+            .all(|&(wanted, got)| wanted == Direction::East && got == Direction::North));
     }
 
     #[test]

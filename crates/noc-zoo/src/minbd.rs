@@ -20,8 +20,8 @@
 use noc_core::flit::Flit;
 use noc_core::inline::InlineVec;
 use noc_core::queue::FixedQueue;
-use noc_core::types::{Cycle, NodeId, NUM_LINK_PORTS};
-use noc_routing::deflection::rank_ports_inline;
+use noc_core::types::{Cycle, Direction, NodeId, PortSet, NUM_LINK_PORTS};
+use noc_routing::deflection::PortRanking;
 use noc_sim::datapath::Parked;
 use noc_sim::router::{RouterModel, StepCtx};
 use noc_sim::verify::ProbeEvent;
@@ -148,21 +148,27 @@ impl RouterModel for MinBdRouter {
         // silver flit, never the flit that just left the buffer) instead
         // of letting it deflect. At most one buffer write per cycle.
         if !self.buffer.is_full() && actives.len() >= 2 {
-            let mut wanted = [0u8; NUM_LINK_PORTS];
-            for f in actives.iter() {
-                let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-                wanted[ranking[0].index()] += 1;
+            // Each flit's preferred port, ranked once; `contested` holds
+            // the ports two or more flits prefer.
+            let preferred: InlineVec<Direction, 5> = actives
+                .iter()
+                .map(|f| PortRanking::new(&self.mesh, self.node, f.dst).first())
+                .collect();
+            let (mut wanted, mut contested) = (PortSet::EMPTY, PortSet::EMPTY);
+            for d in preferred.iter() {
+                if wanted.contains(d) {
+                    contested.insert(d);
+                }
+                wanted.insert(d);
             }
             let victim = actives
                 .iter()
+                .zip(preferred.iter())
                 .enumerate()
-                .filter(|(_, f)| {
-                    let ranking = rank_ports_inline(&self.mesh, self.node, f.dst);
-                    wanted[ranking[0].index()] >= 2
-                })
-                .filter(|(_, f)| f.age_key() != silver_id)
-                .filter(|(_, f)| from_buffer != Some(f.age_key()))
-                .max_by_key(|(_, f)| f.age_key())
+                .filter(|(_, (_, d))| contested.contains(*d))
+                .filter(|(_, (f, _))| f.age_key() != silver_id)
+                .filter(|(_, (f, _))| from_buffer != Some(f.age_key()))
+                .max_by_key(|(_, (f, _))| f.age_key())
                 .map(|(i, _)| i);
             if let Some(i) = victim {
                 let f = actives.remove(i);
@@ -176,6 +182,9 @@ impl RouterModel for MinBdRouter {
 
         // Port assignment: silver first (best productive port), the rest
         // oldest first, deflecting when beaten.
+        // `actives` never exceeds its five slots: four arrivals at most,
+        // and the buffer head and the injection each enter only while
+        // fewer flits than links are active.
         let mut order: InlineVec<Flit, 5> = InlineVec::new();
         if let Some(pos) = actives.iter().position(|f| f.age_key() == silver_id) {
             order.push(actives.remove(pos));
@@ -190,7 +199,7 @@ impl RouterModel for MinBdRouter {
             self.node,
             &self.link_down,
             &order,
-            &mut [false; 4],
+            &mut PortSet::default(),
         );
 
         if ctx.probe.is_enabled() {
