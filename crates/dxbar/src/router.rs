@@ -22,7 +22,7 @@
 //! study to the dual crossbar ("we limit our studies to understand the
 //! effect of failure of one crossbar within the router").
 
-use crate::allocator::{allocate_with_into, Grant, InputRequests};
+use crate::allocator::{round, Grants};
 use crate::conflict_free::{resolve, RowSelection};
 use crate::crossbar::{ConnectError, Crossbar};
 use crate::fairness::FairnessCounter;
@@ -92,10 +92,6 @@ pub fn best_output(
 /// Sort key for age-ordered arbitration (see `Flit::age_key`).
 type AgeKey = (u64, u64, u8);
 
-/// Separable arbitration priority: class (1 = prioritized class) then
-/// age (older = larger key via `Reverse`). Larger keys win.
-type Prio = (u8, Reverse<AgeKey>);
-
 /// A requester's slot, as the `Grant` probe names it: the bufferless
 /// incoming flit `I` of an input row, its buffered flit `I'`, or the PE
 /// injection port (input 4).
@@ -114,6 +110,14 @@ struct Request {
     dst: NodeId,
     /// Route bits over the five outputs, less the outputs without credit.
     mask: u8,
+}
+
+impl Request {
+    /// The requester's slot in its row of the unified crossbar: `I'` for a
+    /// FIFO head, `I` for an arrival and for the injection port (row 4).
+    fn row_slot(&self) -> usize {
+        usize::from(self.slot == BUFFERED)
+    }
 }
 
 /// The dual crossbar's state: its two crossbars and its fault.
@@ -163,10 +167,10 @@ impl DualCrossbar {
     /// output, traverses the crossbar its path leads through and is
     /// committed at once. Returns whether an undetected fault wasted an
     /// allocation.
-    fn allocate<'a>(
+    fn allocate(
         &mut self,
         ctx: &mut StepCtx,
-        order: impl Iterator<Item = &'a Request>,
+        order: &[Request],
         credits: &[u32; 4],
         secondary_live: bool,
         leg: impl Fn(NodeId, Direction) -> u32,
@@ -246,27 +250,18 @@ pub enum Allocator {
     Separable { swaps: u64 },
 }
 
-/// The unified crossbar's allocation over this cycle's requests. Returns
-/// the number of conflict-free swaps.
+/// The unified crossbar's allocation over this cycle's requesters, in
+/// priority order: two rounds of the separable allocator, then the
+/// conflict-free swap. Returns the number of swaps.
 fn separable(
-    requests: impl Iterator<Item = Request>,
-    flipped: bool,
+    order: &[Request],
     credits: &[u32; 4],
     leg: impl Fn(NodeId, Direction) -> u32,
-    grants: &mut InlineVec<Grant, 10>,
+    grants: &mut Grants,
 ) -> u64 {
-    let mut inputs = [InputRequests::<Prio>::default(); 5];
-    let mut dst = [[NodeId(0); 2]; 5];
-    for r in requests.filter(|r| r.mask != 0) {
-        // The injection port requests from slot `I` of row 4.
-        let v = if r.input == 4 { INCOMING } else { r.slot };
-        let class = u8::from((r.slot == INCOMING) != flipped);
-        inputs[r.input].slots[v] = Some((r.mask, (class, Reverse(r.age))));
-        dst[r.input][v] = r.dst;
-    }
     // The V:1 arbiters pick among granted outputs by ejection first, then
     // most credits, then the longer remaining dimension.
-    let choose = |input: usize, v: usize, usable: u8| {
+    let choose = |k: usize, usable: u8| {
         let local = Direction::Local.index();
         if usable & (1 << local) != 0 {
             return local;
@@ -274,32 +269,26 @@ fn separable(
         (0..5)
             .filter(|&o| usable & (1 << o) != 0)
             .max_by_key(|&o| {
-                let leg = leg(dst[input][v], Direction::from_index(o));
+                let leg = leg(order[k].dst, Direction::from_index(o));
                 (credits[o], leg, Reverse(o))
             })
             .expect("usable mask is non-empty")
     };
-    allocate_with_into(&inputs, 5, choose, grants);
-
-    // Second allocation iteration: the output-first stage can concentrate
-    // several output grants on one input port, stranding other
-    // requesters. Re-run the allocator over the flits and outputs left
-    // unmatched (standard multi-iteration separable allocation).
-    let used: u8 = grants.iter().fold(0, |m, g| m | (1 << g.output));
-    for g in grants.iter() {
-        inputs[g.input].slots[g.v] = None;
-    }
-    for slot in inputs.iter_mut().flat_map(|req| &mut req.slots) {
-        *slot = slot.and_then(|(mask, k)| (mask & !used != 0).then_some((mask & !used, k)));
-    }
-    allocate_with_into(&inputs, 5, choose, grants);
+    // The output-first stage can concentrate several output grants on one
+    // row, stranding other requesters: a second round hands the outputs
+    // left idle to the requesters left unmatched (standard multi-iteration
+    // separable allocation).
+    let list = order.iter().map(|r| (r.input, r.mask));
+    let (mut used, mut served) = (0, 0);
+    round(list.clone(), &mut used, &mut served, &choose, grants);
+    round(list, &mut used, &mut served, &choose, grants);
 
     // Conflict-free allocator: rows with two grants run the detection +
     // swap logic (the outputs themselves are already legal; the swap only
     // changes which entry point drives which column).
     let mut rows = [[None::<usize>; 2]; 5];
     for g in grants.iter() {
-        rows[g.input][g.v] = Some(g.output);
+        rows[g.input][order[g.requester].row_slot()] = Some(g.output);
     }
     rows.iter()
         .filter_map(|&[bufferless, buffered]| {
@@ -428,10 +417,10 @@ impl RouterModel for DualInputRouter {
             Allocator::Separable { .. } => (false, false),
         };
 
-        // Requesters. Capacities are architectural: at most 4 arrivals,
-        // 4 FIFO heads + 1 injection.
-        let mut incoming: InlineVec<Request, 4> = InlineVec::new();
-        let mut waiting: InlineVec<Request, 5> = InlineVec::new();
+        // Requesters: the arrivals, then the waiters (FIFO heads, the
+        // injection port). Capacities are architectural: at most 4
+        // arrivals, 4 FIFO heads + 1 injection.
+        let mut requests: InlineVec<Request, 9> = InlineVec::new();
         let request = |input, slot, flit: &Flit, route: u8| Request {
             input,
             slot,
@@ -443,20 +432,35 @@ impl RouterModel for DualInputRouter {
             if primary_down {
                 self.park_arrival(ctx, i);
             } else if let Some(f) = &ctx.arrivals[i] {
-                incoming.push(request(i, INCOMING, f, self.route(f.dst)));
+                requests.push(request(i, INCOMING, f, self.route(f.dst)));
             }
+        }
+        let arrivals = requests.len();
+        for i in 0..NUM_LINK_PORTS {
             if let Some(p) = self.buffers[i].front() {
                 if self.head_route[i] == 0 {
                     self.head_route[i] = self.route(p.flit.dst);
                 }
-                waiting.push(request(i, BUFFERED, &p.flit, self.head_route[i]));
+                requests.push(request(i, BUFFERED, &p.flit, self.head_route[i]));
             }
         }
         if let Some(f) = &ctx.injection {
-            waiting.push(request(4, INJECTION, f, self.route(f.dst)));
+            requests.push(request(4, INJECTION, f, self.route(f.dst)));
         }
-        let waiters_exist = !waiting.is_empty();
+        let waiters_exist = requests.len() > arrivals;
         let flipped = self.fairness.flipped();
+
+        // The priority order both allocators walk: incoming class first
+        // (waiters first on a flipped cycle), oldest first within a class.
+        // Unstable sort is deterministic here: `age_key` is unique across
+        // coexisting flits.
+        let (incoming, waiting) = requests.split_at_mut(arrivals);
+        incoming.sort_unstable_by_key(|r| r.age);
+        waiting.sort_unstable_by_key(|r| r.age);
+        if flipped {
+            requests.rotate_left(arrivals);
+        }
+        let order = &requests[..];
 
         // The grant commit, shared by both allocators: flit `slot` of
         // `input` leaves through `output`.
@@ -524,36 +528,30 @@ impl RouterModel for DualInputRouter {
                         epoch,
                     });
                 }
-                // Oldest-first within each class. Unstable sort is
-                // deterministic here: `age_key` is unique across
-                // coexisting flits. Flipped cycles serve waiters first.
-                incoming.sort_unstable_by_key(|r| r.age);
-                waiting.sort_unstable_by_key(|r| r.age);
-                let (first, second) = if flipped {
-                    (&waiting[..], &incoming[..])
-                } else {
-                    (&incoming[..], &waiting[..])
-                };
-                let order = first.iter().chain(second);
                 x.allocate(ctx, order, &eff_credits, secondary_live, leg, &mut commit)
             }
             Allocator::Separable { swaps } => {
-                // At most one grant per output and allocation round. The
-                // output preference reads the raw credits.
-                let mut grants: InlineVec<Grant, 10> = InlineVec::new();
-                let order = incoming.iter().chain(waiting.iter());
-                *swaps += separable(order, flipped, &credits, leg, &mut grants);
+                // The output preference reads the raw credits.
+                let mut grants = Grants::new();
+                *swaps += separable(order, &credits, leg, &mut grants);
                 ctx.events.unified_xbar_traversals += grants.len() as u64;
                 for g in grants.iter() {
-                    commit(ctx, g.input, g.v, g.output);
+                    commit(ctx, g.input, order[g.requester].row_slot(), g.output);
                 }
                 false
             }
         };
 
-        // Incoming losers are steered into their FIFO, in requester order.
-        for r in incoming.iter() {
-            self.park_arrival(ctx, r.input);
+        // Incoming losers are steered into their FIFO: in age order under
+        // `Greedy`, in port order under `Separable`.
+        if let Allocator::Greedy(_) = self.allocator {
+            for r in order.iter().filter(|r| r.slot == INCOMING) {
+                self.park_arrival(ctx, r.input);
+            }
+        } else {
+            for i in 0..NUM_LINK_PORTS {
+                self.park_arrival(ctx, i);
+            }
         }
         debug_assert!(
             ctx.arrivals.iter().all(|a| a.is_none()),
@@ -564,7 +562,7 @@ impl RouterModel for DualInputRouter {
             // Could any waiter be served this cycle? A wasted
             // undetected-fault cycle clears it (legal non-service).
             ctx.probe.emit(|| ProbeEvent::FairnessFlip {
-                eligible_waiter: !wasted && waiting.iter().any(|r| r.mask != 0),
+                eligible_waiter: !wasted && order.iter().any(|r| r.slot != INCOMING && r.mask != 0),
                 waiter_won,
             });
         }

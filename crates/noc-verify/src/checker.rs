@@ -24,14 +24,18 @@
 //! **dual-input** separable allocator with two serial V:1 arbiters plus the
 //! conflict-free swap (full dual-slot mask space for competing input pairs
 //! under every priority ordering, full serial-arbiter space for a single
-//! row, and wide 5-input sweeps).
+//! row, and wide 5-input sweeps). The separable allocator that runs is the
+//! router's own [`dxbar::allocator::round`], over the ordered requester
+//! list a keyed request matrix stands for; both of the router's rounds are
+//! checked against the reference model.
 
-use dxbar::allocator::{allocate, Grant, InputRequests};
+use dxbar::allocator::{round, Grants};
 use dxbar::best_output;
 use dxbar::conflict_free::{resolve, RowSelection};
 use noc_core::arbiter::{rotating_pick, VcAllocator};
 use noc_core::types::PortSet;
 use rayon::prelude::*;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// A configuration for which an allocator property failed.
@@ -271,11 +275,92 @@ fn merge_reports(
 // Unified separable allocator (two serial V:1 arbiters + conflict-free swap)
 // ---------------------------------------------------------------------------
 
+/// Requests of one input row: `slots[v]` is the request mask over outputs
+/// (bit `o` = output `o`) and priority key of the `v`-th flit (slot 0 =
+/// bufferless incoming `I`, slot 1 = buffered `I'`); larger keys win.
+/// `None` = no flit in slot `v`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InputRequests<K> {
+    pub slots: [Option<(u8, K)>; 2],
+}
+
+/// One granted connection: flit slot `v` of input `input` to `output`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grant {
+    pub input: usize,
+    pub v: usize,
+    pub output: usize,
+}
+
+/// The rounds of the router's separable allocation over one keyed request
+/// matrix, with the first-fit (lowest set bit) V:1 output choice.
+pub struct Rounds {
+    /// The requesters as the router lists them: `(input, slot, mask)` by
+    /// key descending, then input, then slot — the keyed arbiters'
+    /// tie-breaks (lowest input, slot `I`).
+    list: Vec<(usize, usize, u8)>,
+    used: u8,
+    served: u16,
+}
+
+impl Rounds {
+    pub fn new(inputs: &[InputRequests<u32>]) -> Rounds {
+        let mut keyed: Vec<(u32, usize, usize, u8)> = Vec::new();
+        for (p, req) in inputs.iter().enumerate() {
+            for (v, slot) in req.slots.iter().enumerate() {
+                if let Some((mask, k)) = *slot {
+                    keyed.push((k, p, v, mask));
+                }
+            }
+        }
+        keyed.sort_unstable_by_key(|&(k, p, v, _)| (Reverse(k), p, v));
+        Rounds {
+            list: keyed
+                .into_iter()
+                .map(|(_, p, v, mask)| (p, v, mask))
+                .collect(),
+            used: 0,
+            served: 0,
+        }
+    }
+
+    /// Run the next round; its grants in the router's commit order.
+    pub fn next_round(&mut self) -> Vec<Grant> {
+        let mut grants = Grants::new();
+        round(
+            self.list.iter().map(|&(input, _, mask)| (input, mask)),
+            &mut self.used,
+            &mut self.served,
+            |_, usable| usable.trailing_zeros() as usize,
+            &mut grants,
+        );
+        grants
+            .iter()
+            .map(|g| Grant {
+                input: g.input,
+                v: self.list[g.requester].1,
+                output: g.output,
+            })
+            .collect()
+    }
+
+    /// An unserved requester's slot and the free outputs it still asks
+    /// for, if any.
+    fn unserved_demand(&self) -> Option<(usize, usize, u8)> {
+        self.list
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| self.served & 1 << k == 0)
+            .map(|(_, &(p, v, mask))| (p, v, mask & !self.used))
+            .find(|&(_, _, free)| free != 0)
+    }
+}
+
 /// Independent reference model of the separable output-first allocator with
 /// the default lowest-set-bit V:1 output choice. Deliberately written with
-/// explicit stage tables (not iterator chains) so a bug in
-/// [`dxbar::allocator::allocate`] cannot be replicated here by shared code;
-/// the differential test pins every arbiter tie-break.
+/// explicit stage tables over the keyed matrix (not the router's ordered
+/// list) so a bug in [`dxbar::allocator::round`] cannot be replicated here
+/// by shared code; the differential test pins every arbiter tie-break.
 pub fn reference_allocate(inputs: &[InputRequests<u32>], outputs: usize) -> Vec<Grant> {
     // Stage 1: each output's P:1 arbiter picks the requesting input whose
     // best flit carries the highest key; ties go to the lowest input index.
@@ -441,54 +526,45 @@ pub fn check_swap_logic(inputs: &[InputRequests<u32>], grants: &[Grant]) -> Resu
     Ok(())
 }
 
-/// Iterate the allocator to its fixpoint and assert work conservation:
-/// when no further grant is possible, no free output may have an unserved
-/// requester. Returns the number of rounds needed.
+/// Iterate the router's rounds to their fixpoint and assert work
+/// conservation: when no further grant is possible, no free output may have
+/// an unserved requester. Returns the number of rounds needed.
 pub fn saturate(inputs: &[InputRequests<u32>]) -> Result<u32, CheckError> {
-    let err = |reason: String| CheckError {
-        config: render_inputs(inputs),
-        reason,
-    };
-    let mut residual = inputs.to_vec();
-    let mut free: u8 = 0b1_1111;
-    let mut rounds = 0u32;
-    loop {
-        let grants = allocate(&residual, 5);
-        if grants.is_empty() {
-            for (p, req) in residual.iter().enumerate() {
-                for (v, slot) in req.slots.iter().enumerate() {
-                    if let Some((mask, _)) = slot {
-                        if mask & free != 0 {
-                            return Err(err(format!(
-                                "work conservation: slot ({p}, {v}) still requests \
-                                 free outputs {:#07b} after {rounds} round(s)",
-                                mask & free
-                            )));
-                        }
-                    }
-                }
-            }
-            return Ok(rounds);
-        }
-        rounds += 1;
-        if rounds > 8 {
-            return Err(err("allocator failed to reach a fixpoint".into()));
-        }
-        for g in &grants {
-            free &= !(1 << g.output);
-            residual[g.input].slots[g.v] = None;
-        }
-        for req in residual.iter_mut() {
-            for slot in req.slots.iter_mut() {
-                if let Some((mask, _)) = slot {
-                    *mask &= free;
-                    if *mask == 0 {
-                        *slot = None;
-                    }
-                }
-            }
+    let mut rounds = Rounds::new(inputs);
+    let mut n = 0u32;
+    while !rounds.next_round().is_empty() {
+        n += 1;
+        if n > 8 {
+            return Err(CheckError {
+                config: render_inputs(inputs),
+                reason: "allocator failed to reach a fixpoint".into(),
+            });
         }
     }
+    match rounds.unserved_demand() {
+        Some((p, v, free)) => Err(CheckError {
+            config: render_inputs(inputs),
+            reason: format!(
+                "work conservation: slot ({p}, {v}) still requests \
+                 free outputs {free:#07b} after {n} round(s)"
+            ),
+        }),
+        None => Ok(n),
+    }
+}
+
+/// What a round leaves of `inputs`: the slots `grants` did not serve, their
+/// masks less the outputs `grants` used (a slot left with none is empty).
+pub fn residual(inputs: &[InputRequests<u32>], grants: &[Grant]) -> Vec<InputRequests<u32>> {
+    let used = grants.iter().fold(0u8, |m, g| m | 1 << g.output);
+    let mut residual = inputs.to_vec();
+    for g in grants {
+        residual[g.input].slots[g.v] = None;
+    }
+    for slot in residual.iter_mut().flat_map(|r| &mut r.slots) {
+        *slot = slot.and_then(|(mask, k)| (mask & !used != 0).then_some((mask & !used, k)));
+    }
+    residual
 }
 
 fn render_inputs(inputs: &[InputRequests<u32>]) -> String {
@@ -509,28 +585,33 @@ fn render_inputs(inputs: &[InputRequests<u32>]) -> String {
     format!("unified requests {}", rows.join(" "))
 }
 
-/// Full check of one unified request matrix: structural legality,
-/// differential against the reference model, swap-logic correctness, and
-/// fixpoint work conservation. Returns (grants, rounds).
+/// Full check of one unified request matrix: structural legality, the
+/// router's two rounds each against the reference model (round 2 against
+/// the reference applied again to what round 1 left), swap-logic
+/// correctness, and fixpoint work conservation. Returns (round-1 grants,
+/// rounds).
 pub fn check_unified_matrix(inputs: &[InputRequests<u32>]) -> Result<(u64, u32), CheckError> {
-    let grants = allocate(inputs, 5);
-    check_grant_structure(inputs, &grants)?;
-
-    let mut reference = reference_allocate(inputs, 5);
-    let mut actual = grants.clone();
-    let key = |g: &Grant| (g.input, g.v, g.output);
-    reference.sort_unstable_by_key(key);
-    actual.sort_unstable_by_key(key);
-    if reference != actual {
-        return Err(CheckError {
-            config: render_inputs(inputs),
-            reason: format!("differs from reference model: {actual:?} vs {reference:?}"),
-        });
+    let mut rounds = Rounds::new(inputs);
+    let first = rounds.next_round();
+    let second = rounds.next_round();
+    let both: Vec<Grant> = first.iter().chain(&second).copied().collect();
+    check_grant_structure(inputs, &both)?;
+    for (round, actual, reference) in [
+        (1, &first, reference_allocate(inputs, 5)),
+        (2, &second, reference_allocate(&residual(inputs, &first), 5)),
+    ] {
+        if *actual != reference {
+            return Err(CheckError {
+                config: render_inputs(inputs),
+                reason: format!(
+                    "round {round} differs from reference model: {actual:?} vs {reference:?}"
+                ),
+            });
+        }
     }
-
-    check_swap_logic(inputs, &grants)?;
+    check_swap_logic(inputs, &both)?;
     let rounds = saturate(inputs)?;
-    Ok((grants.len() as u64, rounds.max(1)))
+    Ok((first.len() as u64, rounds.max(1)))
 }
 
 fn slot(mask: u8, key: u32) -> Option<(u8, u32)> {
@@ -1256,10 +1337,10 @@ mod tests {
     // Mutation canaries: deliberately broken allocators must be caught.
     // ------------------------------------------------------------------
 
-    /// `allocate` with the serial-arbiter comparison flipped: the second
-    /// V:1 arbiter forgets to mask the first winner's output.
+    /// The router's round with the serial-arbiter comparison flipped: the
+    /// second V:1 arbiter forgets to mask the first winner's output.
     fn mutant_unmasked_second(inputs: &[InputRequests<u32>]) -> Vec<Grant> {
-        let mut grants = allocate(inputs, 5);
+        let mut grants = Rounds::new(inputs).next_round();
         // Re-introduce the bug after the fact: retarget every second grant
         // of a row onto the first grant's output when the flit requested
         // it — exactly what the missing `& !(1 << o1)` mask would allow.
@@ -1361,7 +1442,7 @@ mod tests {
         let inputs = vec![InputRequests {
             slots: [slot(0b10000, 9), slot(0b00100, 5)],
         }];
-        let grants = allocate(&inputs, 5);
+        let grants = Rounds::new(&inputs).next_round();
         check_swap_logic(&inputs, &grants).unwrap();
     }
 }
