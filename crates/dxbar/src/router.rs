@@ -126,8 +126,6 @@ pub struct DualCrossbar {
     primary: Crossbar,
     secondary: Crossbar,
     fault: Option<FaultClock>,
-    /// Lifetime count of fairness flips (trace epoch).
-    fairness_flips: u64,
 }
 
 impl DualCrossbar {
@@ -146,7 +144,6 @@ impl DualCrossbar {
             primary,
             secondary,
             fault: fault.map(|f| FaultClock::new(f, detection_delay)),
-            fairness_flips: 0,
         }
     }
 
@@ -313,6 +310,8 @@ pub struct DualInputRouter {
     /// Credits toward each downstream neighbour's FIFO.
     credits: [u32; 4],
     fairness: FairnessCounter,
+    /// Lifetime count of fairness flips (trace epoch).
+    fairness_flips: u64,
     /// Dead output links, published by the engine's resilience layer.
     link_down: [bool; NUM_LINK_PORTS],
     /// Route bits of each FIFO's head, 0 until computed: a route is pure
@@ -348,6 +347,7 @@ impl DualInputRouter {
                 None => 0,
             }),
             fairness: FairnessCounter::new(fairness_threshold),
+            fairness_flips: 0,
             link_down: [false; NUM_LINK_PORTS],
             head_route: [0; 4],
             allocator,
@@ -449,6 +449,15 @@ impl RouterModel for DualInputRouter {
         }
         let waiters_exist = requests.len() > arrivals;
         let flipped = self.fairness.flipped();
+        if flipped {
+            self.fairness_flips += 1;
+            let (node, epoch) = (self.node, self.fairness_flips);
+            ctx.trace.emit(|| TraceEvent::FairnessFlip {
+                cycle: t,
+                node,
+                epoch,
+            });
+        }
 
         // The priority order both allocators walk: incoming class first
         // (waiters first on a flipped cycle), oldest first within a class.
@@ -519,15 +528,6 @@ impl RouterModel for DualInputRouter {
         let leg = |dst, dir| remaining_leg(&mesh, node, dst, dir);
         let wasted = match &mut self.allocator {
             Allocator::Greedy(x) => {
-                if flipped {
-                    x.fairness_flips += 1;
-                    let epoch = x.fairness_flips;
-                    ctx.trace.emit(|| TraceEvent::FairnessFlip {
-                        cycle: t,
-                        node,
-                        epoch,
-                    });
-                }
                 x.allocate(ctx, order, &eff_credits, secondary_live, leg, &mut commit)
             }
             Allocator::Separable { swaps } => {
@@ -542,16 +542,9 @@ impl RouterModel for DualInputRouter {
             }
         };
 
-        // Incoming losers are steered into their FIFO: in age order under
-        // `Greedy`, in port order under `Separable`.
-        if let Allocator::Greedy(_) = self.allocator {
-            for r in order.iter().filter(|r| r.slot == INCOMING) {
-                self.park_arrival(ctx, r.input);
-            }
-        } else {
-            for i in 0..NUM_LINK_PORTS {
-                self.park_arrival(ctx, i);
-            }
+        // Incoming losers are steered into their FIFO, oldest first.
+        for r in order.iter().filter(|r| r.slot == INCOMING) {
+            self.park_arrival(ctx, r.input);
         }
         debug_assert!(
             ctx.arrivals.iter().all(|a| a.is_none()),

@@ -89,8 +89,8 @@ const GOLDEN: &[(&str, u64, u64, usize)] = &[
     ("Buffered 8", 0x906ce60e1eae1bdd, 0xfbc5d47e0253a16c, 192126),
     ("DXbar DOR", 0x656f6a70413992e0, 0x499b18039ebc2d18, 79617),
     ("DXbar WF", 0x71af031713c90bb3, 0xe0b7a1a5372fc7c6, 80733),
-    ("Unified Xbar DOR", 0xc19a3f91b858bf2f, 0x183ad7cb3140e031, 76330),
-    ("Unified Xbar WF", 0x5f4a4c66a761b6b9, 0x9f84b739dfb04d51, 77326),
+    ("Unified Xbar DOR", 0xeb79a11c036bf5c7, 0x2bb0ed827626c7b4, 76663),
+    ("Unified Xbar WF", 0x39c190f002287363, 0x4067e482735e8859, 77512),
     ("AFC", 0x573ba4c39d1067c5, 0xb20425860d1fcdad, 143227),
     ("DAMQ", 0xdc8a874b1a340ea5, 0xb4ee369b492177de, 191115),
     ("MinBD", 0x5d040796cafa017d, 0x37147b25ecebb4c2, 104018),
