@@ -81,9 +81,14 @@ impl DamqRouter {
         (ranking.first().index(), None)
     }
 
-    /// Park one flit in the slab, or hand it back on refusal.
-    fn buffer(&mut self, mut f: Flit, ctx: &mut StepCtx) -> Result<(), Flit> {
-        let (vq, misroute) = self.route_vq(&f);
+    /// Park one flit in the slab on its `route_vq`, or hand it back on
+    /// refusal.
+    fn buffer(
+        &mut self,
+        mut f: Flit,
+        (vq, misroute): (usize, Option<Direction>),
+        ctx: &mut StepCtx,
+    ) -> Result<(), Flit> {
         if let Some(wanted) = misroute {
             ctx.deflect(self.node, &mut f, wanted, Direction::from_index(vq));
         }
@@ -116,7 +121,7 @@ impl RouterModel for DamqRouter {
         // At most one overflow per arrival, four in all.
         let mut overflow: InlineVec<Flit, 4> = InlineVec::new();
         for f in arrivals.iter() {
-            if let Err(f) = self.buffer(f, ctx) {
+            if let Err(f) = self.buffer(f, self.route_vq(&f), ctx) {
                 overflow.push(f);
             }
         }
@@ -124,8 +129,8 @@ impl RouterModel for DamqRouter {
         // Injection enters the slab too (lowest write priority). A refusal
         // leaves the flit in the source queue — injections never deflect.
         if let Some(inj) = ctx.injection {
-            let (vq, _) = self.route_vq(&inj);
-            if self.slab.can_accept(vq) && self.buffer(inj, ctx).is_ok() {
+            let route = self.route_vq(&inj);
+            if self.slab.can_accept(route.0) && self.buffer(inj, route, ctx).is_ok() {
                 ctx.injected = true;
             }
         }
