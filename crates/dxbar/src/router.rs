@@ -4,12 +4,14 @@
 //! Common to both (Fig. 1, DESIGN.md §4.2): a 4-deep FIFO behind each link
 //! input catches arbitration losers; each output carries one flit per
 //! cycle; one input may send an incoming and a buffered flit to two
-//! outputs in one cycle (Fig. 3(d)). Incoming flits out-prioritize waiters
-//! (FIFO heads, the injection port) except on a fairness flip. Credit flow
-//! control on the FIFOs guarantees a loser can always be buffered: an
-//! incoming flit that bypasses returns its credit at once, a buffered flit
-//! when it leaves. The [`Allocator`] is the design; DESIGN.md §4.3 names
-//! the one decision on which its two arms differ under West-First routing.
+//! outputs in one cycle (Fig. 3(d)). Each cycle the requesters form one
+//! priority-ordered list: incoming flits first, waiters (FIFO heads, the
+//! injection port) first on a fairness flip, oldest first within a class.
+//! Credit flow control on the FIFOs guarantees a loser can always be
+//! buffered: an incoming flit that bypasses returns its credit at once, a
+//! buffered flit when it leaves. The [`Allocator`] is the design: both arms
+//! walk the same list, and DESIGN.md §4.3 names the one decision on which
+//! they differ under West-First routing.
 //!
 //! Fault tolerance (Section II-C) is the dual crossbar's, so only the
 //! `Greedy` arm can hold a fault: a permanent fault kills one crossbar.
@@ -229,21 +231,21 @@ impl DualCrossbar {
 /// How a dual-input router allocates its outputs: the one thing the dual
 /// crossbar and the unified crossbar do differently. The arm also decides
 /// which crossbar energy counter a traversal lands in, whether the router
-/// can hold a fault, and which trace events it emits. Held inline, like
-/// `RouterKind`'s variants: a box would cost a pointer chase per step.
+/// can hold a fault, and whether it emits `DivertSecondary`. Held inline,
+/// like `RouterKind`'s variants: a box would cost a pointer chase per step.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Allocator {
     /// The dual crossbar (Section II-A): a bufferless primary 4x5 crossbar
     /// for incoming flits, a secondary 5x5 one for the FIFO heads and the
-    /// injection port. Requesters, incoming class first and oldest first,
-    /// each take their best free output in turn.
+    /// injection port. Requesters, in list order, each take their best free
+    /// output in turn.
     Greedy(DualCrossbar),
     /// The unified crossbar (Section II-B): one 5x5 matrix segmented by
     /// transmission gates. Two rounds of the separable output-first
-    /// allocator ([`crate::allocator`]), then the conflict-free swap
-    /// ([`crate::conflict_free`]), whose count (Fig. 4(c) events) this
-    /// holds.
+    /// allocator ([`crate::allocator`]) over the same list, then the
+    /// conflict-free swap ([`crate::conflict_free`]), whose count (Fig.
+    /// 4(c) events) this holds.
     Separable { swaps: u64 },
 }
 

@@ -596,7 +596,7 @@ pub fn check_unified_matrix(inputs: &[InputRequests<u32>]) -> Result<(u64, u32),
     let second = rounds.next_round();
     let both: Vec<Grant> = first.iter().chain(&second).copied().collect();
     check_grant_structure(inputs, &both)?;
-    for (round, actual, reference) in [
+    for (n, actual, reference) in [
         (1, &first, reference_allocate(inputs, 5)),
         (2, &second, reference_allocate(&residual(inputs, &first), 5)),
     ] {
@@ -604,7 +604,7 @@ pub fn check_unified_matrix(inputs: &[InputRequests<u32>]) -> Result<(u64, u32),
             return Err(CheckError {
                 config: render_inputs(inputs),
                 reason: format!(
-                    "round {round} differs from reference model: {actual:?} vs {reference:?}"
+                    "round {n} differs from reference model: {actual:?} vs {reference:?}"
                 ),
             });
         }
