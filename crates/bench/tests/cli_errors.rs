@@ -1,7 +1,11 @@
 //! CLI error paths of the bench bins: unknown preset, design, pattern and
 //! scenario names must exit 2 (usage error, distinct from the exit-1
 //! "points failed" path) and print the accepted spellings; `--help` must
-//! answer without running anything; a run that delivers nothing exits 1.
+//! answer without running anything; a plan `RunPlan::validate` rejects
+//! exits 2.
+
+#[path = "../../../tests/rejected/mod.rs"]
+mod rejected;
 
 use std::process::Command;
 
@@ -173,12 +177,12 @@ fn trace_run_non_finite_scenario_parameter_exits_2() {
     }
 }
 
-/// Buffered-4 on the torus deadlocks (its wraparound rings close a cycle
-/// of credit dependencies): it offers traffic and delivers none. That used
-/// to print `accepted rate 0.0000` and exit 0.
+/// Buffered-4 on the torus would deadlock (its wraparound rings close a
+/// cycle of credit dependencies): it used to offer traffic, deliver none
+/// and exit 1 as a stalled run. Validation now names the cycle and refuses
+/// the plan before it runs.
 #[test]
-fn trace_run_stalled_torus_exits_1() {
-    let out_dir = std::env::temp_dir().join(format!("trace-run-stalled-{}", std::process::id()));
+fn trace_run_turn_row_on_a_torus_exits_2_naming_the_cycle() {
     let out = trace_run()
         .args([
             "--design",
@@ -188,22 +192,47 @@ fn trace_run_stalled_torus_exits_1() {
             "--load",
             "0.5",
         ])
-        .arg("--out")
-        .arg(&out_dir)
         .env("DXBAR_QUICK", "1")
         .output()
         .expect("spawn trace_run");
-    let _ = std::fs::remove_dir_all(&out_dir);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("accepted rate 0.0000"), "stdout: {stdout}");
-    assert_eq!(out.status.code(), Some(1), "a stalled run is a failed run");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    assert!(out.stdout.is_empty(), "nothing ran");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.lines()
-            .any(|l| l.starts_with("error: stalled: 0 of ")
-                && l.ends_with(" offered flits delivered")),
+    assert_eq!(
+        err.lines().next(),
+        Some(
+            "error: Buffered 4 routes DOR over credit-coupled links, which can deadlock on a \
+             torus: channel-dependency cycle (0,0)N → (0,7)N → (0,6)N → (0,5)N → (0,4)N → \
+             (0,3)N → (0,2)N → (0,1)N"
+        ),
         "stderr: {err}"
     );
+}
+
+#[test]
+fn rejected_plans_exit_2_from_campaign_run_and_trace_run() {
+    let path = std::env::temp_dir().join(format!("dxbar_rejected_{}.json", std::process::id()));
+    let mut traced = 0;
+    for row in rejected::TABLE {
+        std::fs::write(&path, row.spec_json()).expect("write temp spec");
+        let out = campaign_run()
+            .arg(&path)
+            .output()
+            .expect("spawn campaign_run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{}: {err}", row.cli);
+        assert!(err.contains(row.error), "{}: {err}", row.cli);
+        let Some(args) = row.trace_run_args() else {
+            continue;
+        };
+        let out = trace_run().args(&args).output().expect("spawn trace_run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(row.error), "{args:?}: {err}");
+        traced += 1;
+    }
+    std::fs::remove_file(&path).ok();
+    assert_eq!(traced, 3, "trace_run expresses the three scenario rows");
 }
 
 #[test]

@@ -20,12 +20,9 @@ use crate::cache::ResultCache;
 use crate::coop::{CacheLocks, Claim, PointClaim};
 use crate::io::{no_faults, IoPolicy};
 use crate::manifest::{CampaignManifest, PointRecord, QuarantinedPoint, VerifyBlock};
-use crate::spec::{CampaignSpec, PointSpec, Workload};
+use crate::spec::{CampaignSpec, PointSpec};
 use crate::CODE_VERSION;
-use dxbar_noc::noc_resilience::ResiliencePlan;
-use dxbar_noc::noc_topology::Mesh;
-use dxbar_noc::{run, RunPlan, RunResult};
-use noc_scenario::{ScenarioRun, ScenarioSpec};
+use dxbar_noc::{run, RunResult};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -307,41 +304,17 @@ impl CampaignReport {
 }
 
 /// Simulate one point with the production simulator, under the
-/// runtime-oracle suite when `verify` is set: build the plan the point
-/// describes — its workload and its seeded fault plan, which validation
-/// keeps off closed-loop and scenario points — run it, and
-/// apply the group's traffic tag. A violating run still returns its result;
+/// runtime-oracle suite when `verify` is set: run the plan the point
+/// builds (the one campaign validation admitted) and apply the group's
+/// traffic tag. A violating run still returns its result;
 /// the violation count travels in [`PointVerify`] and is surfaced through
 /// the campaign manifest's `verify` block.
 pub fn simulate_point(p: &PointSpec, verify: bool) -> (RunResult, Option<PointVerify>) {
-    // The paper's methodology: plans seeded by the run seed, faults manifest
-    // during warmup. A zero fraction, count or rate generates none of its
-    // class; link faults are placed so the mesh stays connected.
-    let generated = ResiliencePlan::generate(
-        &Mesh::for_config(&p.config),
-        p.fault_fraction,
-        p.link_fault_count,
-        p.transient_rate,
-        p.config.warmup_cycles / 2,
-        p.config.warmup_cycles.max(1),
-        p.config.seed,
-    );
-    let exec = |plan: RunPlan<'_>| run(plan.faults(&generated).verified(verify));
-    let mut out = match &p.workload {
-        Workload::Synthetic { pattern, load } => {
-            exec(RunPlan::synthetic(p.design, &p.config, *pattern, *load))
-        }
-        Workload::Splash { app, max_cycles } => {
-            exec(RunPlan::splash(p.design, &p.config, *app, *max_cycles))
-        }
-        Workload::Scenario { scenario, load } => {
-            let spec = ScenarioSpec::resolve(scenario, &p.config)
-                .expect("campaign validation resolves scenario names");
-            ScenarioRun::new(p.design, &p.config, &spec, *load)
-                .expect("campaign validation accepts scenario/design pairs")
-                .run_with(exec)
-        }
-    };
+    let mut point = p.build().expect("campaign validation builds every point");
+    let mut out = run(point.plan().verified(verify));
+    if let Some(scenario) = point.scenario {
+        scenario.stamp(&mut out);
+    }
     if let Some(tag) = &p.tag {
         out.result.traffic = tag.clone();
     }

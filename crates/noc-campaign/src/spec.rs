@@ -2,6 +2,8 @@
 //! fully-resolved experiment points.
 
 use crate::fnv1a64;
+use dxbar_noc::noc_resilience::ResiliencePlan;
+use dxbar_noc::noc_topology::Mesh;
 use dxbar_noc::{Design, RunPlan};
 use noc_core::SimConfig;
 use noc_scenario::{ScenarioRun, ScenarioSpec};
@@ -116,24 +118,6 @@ impl Workload {
             Workload::Scenario { scenario, load } => format!("scn:{scenario}@{load:.2}"),
         }
     }
-
-    /// [`RunPlan::validate`] on the plan this workload runs as for `design`
-    /// on `cfg`. A scenario resolves its name and builds its
-    /// [`ScenarioRun`], which validates the plan it lends out.
-    fn validate(&self, design: Design, cfg: &SimConfig) -> Result<(), String> {
-        match self {
-            Workload::Synthetic { pattern, load } => {
-                RunPlan::synthetic(design, cfg, *pattern, *load).validate()
-            }
-            Workload::Splash { app, max_cycles } => {
-                RunPlan::splash(design, cfg, *app, *max_cycles).validate()
-            }
-            Workload::Scenario { scenario, load } => {
-                let spec = ScenarioSpec::resolve(scenario, cfg)?;
-                ScenarioRun::new(design, cfg, &spec, *load).map(drop)
-            }
-        }
-    }
 }
 
 impl Serialize for Workload {
@@ -195,8 +179,9 @@ pub struct PointGroup {
     /// Workload axis (synthetic sweep or SPLASH apps).
     pub workload: WorkloadAxis,
     /// Fault fractions (0.0..=1.0). Empty means a single fault-free run.
-    /// Honoured by the DXbar designs; others ignore faults (as in the
-    /// paper's fault study). Synthetic workloads only.
+    /// Only the DXbar designs model crossbar faults (as in the paper's
+    /// fault study): a fraction that faults a router of any other design is
+    /// a validation error. Synthetic workloads only.
     pub fault_fractions: Vec<f64>,
     /// Transient soft-error rates (expected events per link-cycle) for the
     /// resilience study. Empty means no transient process. Any non-zero
@@ -205,8 +190,8 @@ pub struct PointGroup {
     /// Synthetic workloads only.
     pub transient_rates: Vec<f64>,
     /// Permanent link-fault counts (failed physical channels, placed so the
-    /// mesh provably stays connected). Empty means none. Synthetic
-    /// workloads only.
+    /// mesh provably stays connected; a count the mesh cannot take that way
+    /// is a validation error). Empty means none. Synthetic workloads only.
     pub link_faults: Vec<usize>,
     /// Replicate seeds. Empty means one replicate at `config.seed`.
     pub seeds: Vec<u64>,
@@ -295,8 +280,9 @@ impl CampaignSpec {
     /// Check the spec; returns the first problem. The spec's own rules are
     /// about its axes: none may be empty, fault fractions lie in [0, 1],
     /// transient rates are finite and non-negative, and only synthetic
-    /// workloads take the fault and resilience axes. Every design ×
-    /// workload of a group is then one plan, held to [`RunPlan::validate`].
+    /// workloads take the fault and resilience axes. Every point is then
+    /// built — its generated faults, and its scenario point — and the plan
+    /// it runs held to [`RunPlan::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.groups.is_empty() {
             return Err(format!("campaign {:?} has no point groups", self.name));
@@ -305,15 +291,8 @@ impl CampaignSpec {
             if g.designs.is_empty() {
                 return Err(format!("group {:?} has no designs", g.label));
             }
-            let workloads = g.workloads();
-            if workloads.is_empty() {
+            if g.workloads().is_empty() {
                 return Err(format!("group {:?} has an empty workload axis", g.label));
-            }
-            for &design in &g.designs {
-                for w in &workloads {
-                    w.validate(design, &g.config)
-                        .map_err(|e| format!("group {:?}: {e}", g.label))?;
-                }
             }
             let synthetic = matches!(g.workload, WorkloadAxis::Synthetic { .. });
             if !synthetic && g.fault_fractions.iter().any(|&f| f > 0.0) {
@@ -348,6 +327,11 @@ impl CampaignSpec {
                     g.label
                 ));
             }
+        }
+        for p in self.points() {
+            p.build()
+                .and_then(|mut point| point.plan().validate())
+                .map_err(|e| format!("group {:?}: {e}", p.group))?;
         }
         Ok(())
     }
@@ -492,6 +476,66 @@ impl PointSpec {
     }
 }
 
+/// What a point runs beyond its spec: its seeded faults and, for a scenario
+/// workload, the scenario point that lends the plan traffic and placement.
+pub(crate) struct PointRun<'p> {
+    point: &'p PointSpec,
+    faults: ResiliencePlan,
+    pub(crate) scenario: Option<ScenarioRun>,
+}
+
+impl PointSpec {
+    /// Build what the point runs, as the paper does: faults seeded by the
+    /// run seed manifest during warmup; a zero fraction, count or rate
+    /// generates none of its class. `Err` for a link-fault count the mesh
+    /// cannot take connected, or a scenario that does not resolve or build.
+    pub(crate) fn build(&self) -> Result<PointRun<'_>, String> {
+        let cfg = &self.config;
+        // The generators place faults on the fabric the config describes.
+        cfg.validate()?;
+        let faults = ResiliencePlan::try_generate(
+            &Mesh::for_config(cfg),
+            self.fault_fraction,
+            self.link_fault_count,
+            self.transient_rate,
+            cfg.warmup_cycles / 2,
+            cfg.warmup_cycles.max(1),
+            cfg.seed,
+        )?;
+        let scenario = match &self.workload {
+            Workload::Scenario { scenario, load } => {
+                let spec = ScenarioSpec::resolve(scenario, cfg)?;
+                Some(ScenarioRun::new(self.design, cfg, &spec, *load)?)
+            }
+            _ => None,
+        };
+        Ok(PointRun {
+            point: self,
+            faults,
+            scenario,
+        })
+    }
+}
+
+impl PointRun<'_> {
+    /// The complete plan the point runs: its workload, a scenario's traffic
+    /// and placement, and its faults.
+    pub(crate) fn plan(&mut self) -> RunPlan<'_> {
+        let p = self.point;
+        let plan = match (&p.workload, &mut self.scenario) {
+            (_, Some(scenario)) => scenario.plan(),
+            (&Workload::Synthetic { pattern, load }, None) => {
+                RunPlan::synthetic(p.design, &p.config, pattern, load)
+            }
+            (&Workload::Splash { app, max_cycles }, None) => {
+                RunPlan::splash(p.design, &p.config, app, max_cycles)
+            }
+            (Workload::Scenario { .. }, None) => unreachable!("build() lends every scenario"),
+        };
+        plan.faults(&self.faults)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,7 +556,7 @@ mod tests {
         CampaignSpec::new("t").with_group(PointGroup {
             label: "g".into(),
             config: tiny_cfg(),
-            designs: vec![Design::DXbarDor, Design::FlitBless],
+            designs: vec![Design::DXbarDor, Design::DXbarWf],
             workload: WorkloadAxis::Synthetic {
                 patterns: vec![Pattern::UniformRandom],
                 loads: vec![0.1, 0.2, 0.3],
@@ -684,6 +728,29 @@ mod tests {
     }
 
     #[test]
+    fn every_point_plan_is_validated_with_its_faults() {
+        // Crossbar faults on a design without a fault model.
+        let mut s = spec();
+        s.groups[0].designs.push(Design::FlitBless);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("only meaningful for dxbar"), "{err}");
+        assert!(err.ends_with("not Flit-Bless"), "{err}");
+        // A fraction that faults no router of the 4x4 mesh is fault-free.
+        s.groups[0].fault_fractions = vec![0.0, 0.01];
+        s.validate().unwrap();
+
+        // Link-fault counts the 4x4 mesh (24 channels) cannot take while
+        // staying connected: an error, not a panic in every point.
+        let mut s = spec();
+        s.groups[0].link_faults = vec![2, 500];
+        let err = s.validate().unwrap_err();
+        assert_eq!(err, "group \"g\": cannot fail 500 of 24 channels");
+        s.groups[0].link_faults = vec![24];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("could not place 24 link faults"), "{err}");
+    }
+
+    #[test]
     fn validation_bounds_the_preallocated_sizes() {
         use noc_core::config::{MAX_BUFFER_DEPTH, MAX_PACKET_LEN, MAX_SOURCE_QUEUE_CAP};
         let with = |set: &dyn Fn(&mut SimConfig)| {
@@ -724,6 +791,10 @@ mod tests {
         let with = |pattern, (width, height), topology| {
             let mut s = spec();
             let g = &mut s.groups[0];
+            // Fault-free deflection designs: a turn-model row on a torus
+            // can fail on its channel-dependency cycle first.
+            g.designs = vec![Design::FlitBless, Design::MinBd];
+            g.fault_fractions.clear();
             g.config.width = width;
             g.config.height = height;
             g.config.topology = topology;

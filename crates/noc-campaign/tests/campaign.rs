@@ -456,7 +456,7 @@ fn verified_campaign_reports_clean_manifest_block() {
     let spec = CampaignSpec::new("verified").with_group(PointGroup {
         label: "verified".into(),
         config: tiny_cfg(),
-        designs: vec![Design::DXbarDor, Design::UnifiedWf],
+        designs: vec![Design::DXbarDor, Design::DXbarWf],
         workload: WorkloadAxis::Synthetic {
             patterns: vec![Pattern::UniformRandom],
             loads: vec![0.2],
@@ -471,6 +471,13 @@ fn verified_campaign_reports_clean_manifest_block() {
         verify: true,
         ..opts_with_cache(&dir)
     };
+    // The unified crossbar has no fault model: crossbar faults on it are
+    // rejected, not run as a silent no-op.
+    let mut unified = spec.clone();
+    unified.groups[0].designs[1] = Design::UnifiedWf;
+    let err = run_campaign(&unified, &opts).unwrap_err();
+    assert!(err.contains("only meaningful for dxbar"), "{err}");
+    assert!(err.ends_with("not Unified Xbar WF"), "{err}");
 
     let r = run_campaign(&spec, &opts).unwrap();
     assert_eq!(r.failed_count(), 0);

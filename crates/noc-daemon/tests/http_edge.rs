@@ -3,6 +3,8 @@
 //! check proves the accept loop survived everything).
 
 mod common;
+#[path = "../../../tests/rejected/mod.rs"]
+mod rejected;
 
 use common::{request, request_auth, send_raw, status_of, wait_for_job, KeepAlive};
 use noc_daemon::http::{self, Response, ServeOptions};
@@ -77,6 +79,14 @@ fn protocol_edges_return_clean_statuses_and_never_kill_the_daemon() {
     );
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("power-of-two"), "{body}");
+
+    // So is every plan of the table the CLIs refuse with exit 2.
+    for row in rejected::TABLE {
+        let body = format!("{{\"spec\": {}}}", row.spec_json());
+        let (status, body) = request(addr, "POST", "/jobs", Some(&body));
+        assert_eq!(status, 400, "{}: {body}", row.cli);
+        assert!(body.contains(row.error), "{}: {body}", row.cli);
+    }
 
     // Oversized body (max_body = 4096).
     let big = format!("{{\"pad\": \"{}\"}}", "x".repeat(5000));

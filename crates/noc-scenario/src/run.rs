@@ -35,17 +35,23 @@ pub struct ScenarioRun {
 
 impl ScenarioRun {
     /// The point, once [`RunPlan::validate`] admits the plan it lends out
-    /// (checked first: the placement and model are built after it).
+    /// with its placement set (checked before the traffic model is built).
     pub fn new(
         base: Design,
         cfg: &SimConfig,
         spec: &ScenarioSpec,
         offered_load: f64,
     ) -> Result<Self, String> {
+        let cfg = scenario_config(cfg, spec);
+        cfg.validate()?;
+        spec.validate(&cfg)?;
+        let mesh = Mesh::for_config(&cfg);
         let mut point = ScenarioRun {
             base,
-            cfg: scenario_config(cfg, spec),
-            placement: Vec::new(),
+            placement: mesh
+                .nodes()
+                .map(|n| spec.mix.island_at(mesh.coord_of(n)).unwrap_or(base))
+                .collect(),
             fabric: match spec.mix {
                 RouterMix::Uniform => base.name().to_string(),
                 RouterMix::Islands { island, .. } => {
@@ -54,20 +60,16 @@ impl ScenarioRun {
             },
             model: ScenarioTraffic::default(),
             offered_load,
+            cfg,
         };
         point.plan().validate()?;
-        spec.validate(cfg, base)?;
-        let mesh = Mesh::for_config(&point.cfg);
-        point.placement = mesh
-            .nodes()
-            .map(|n| spec.mix.island_at(mesh.coord_of(n)).unwrap_or(base))
-            .collect();
         point.model = ScenarioTraffic::new(spec, mesh, &point.cfg, offered_load);
         Ok(point)
     }
 
-    /// The point's open-loop plan, its traffic and placement borrowed in.
-    fn plan(&mut self) -> RunPlan<'_> {
+    /// The point's open-loop plan, its traffic and placement borrowed in;
+    /// set its fault, observer and worker-count fields as on any other plan.
+    pub fn plan(&mut self) -> RunPlan<'_> {
         let workload = Workload::Model {
             model: &mut self.model,
             mode: RunMode::OpenLoop,
@@ -78,15 +80,19 @@ impl ScenarioRun {
         plan
     }
 
-    /// Hand the point's plan to `exec` — which sets the fault, observer and
-    /// worker-count fields as on any other plan and [`run`]s it — and stamp
-    /// what only the scenario knows onto the output: the fabric name and
-    /// the per-application statistics (the global fields aggregate over all
-    /// apps as usual).
-    pub fn run_with(mut self, exec: impl FnOnce(RunPlan<'_>) -> RunOutput) -> RunOutput {
-        let mut out = exec(self.plan());
+    /// Stamp what only the scenario knows onto the output of its plan: the
+    /// fabric name and the per-application statistics (the global fields
+    /// aggregate over all apps as usual).
+    pub fn stamp(self, out: &mut RunOutput) {
         out.result.design = self.fabric;
         out.result.apps = self.model.app_stats();
+    }
+
+    /// [`plan`](Self::plan), handed to `exec` — which [`run`]s it — then
+    /// [`stamp`](Self::stamp)ed.
+    pub fn run_with(mut self, exec: impl FnOnce(RunPlan<'_>) -> RunOutput) -> RunOutput {
+        let mut out = exec(self.plan());
+        self.stamp(&mut out);
         out
     }
 }
@@ -176,13 +182,41 @@ mod tests {
     }
 
     #[test]
-    fn credit_coupled_mix_is_rejected() {
+    fn credit_coupled_mix_is_rejected_naming_the_credit_free_rows() {
         let c = cfg();
-        let spec = ScenarioSpec::named("mixed_islands", &c).unwrap();
-        assert!(ScenarioRun::new(Design::DXbarDor, &c, &spec, 0.1)
+        let mut spec = ScenarioSpec::named("mixed_islands", &c).unwrap();
+        // A credit-consuming base under islands is rejected...
+        let err = ScenarioRun::new(Design::DXbarDor, &c, &spec, 0.1)
             .err()
-            .expect("rejected")
-            .contains("credit"));
+            .expect("rejected");
+        assert!(err.ends_with("; DXbar DOR uses link credits"), "{err}");
+        let listed = err
+            .split_once('(')
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map(|(names, _)| names)
+            .expect("the message lists the designs in parentheses");
+        assert_eq!(
+            listed.split(", ").collect::<Vec<_>>(),
+            ["Flit-Bless", "SCARAB", "AFC", "DAMQ", "MinBD"],
+            "the credit-free set of the design table"
+        );
+        // ... and so is a credit-consuming island.
+        spec.mix = RouterMix::Islands {
+            island: Design::Buffered4,
+            spacing: 3,
+        };
+        let err = ScenarioRun::new(Design::FlitBless, &c, &spec, 0.1)
+            .err()
+            .expect("rejected");
+        assert!(err.ends_with("; Buffered 4 uses link credits"), "{err}");
+        // A grid too small to hold an island is one design: it runs.
+        let small = SimConfig {
+            width: 2,
+            height: 2,
+            ..c
+        };
+        let spec = ScenarioSpec::named("mixed_islands", &small).unwrap();
+        assert!(ScenarioRun::new(Design::DXbarDor, &small, &spec, 0.1).is_ok());
     }
 
     #[test]

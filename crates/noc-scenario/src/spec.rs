@@ -17,10 +17,9 @@ use noc_core::SimConfig;
 use noc_topology::{Coord, Mesh, Topology};
 use noc_traffic::patterns::Pattern;
 use noc_traffic::BurstSource;
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// A rectangular region of routers, in router-grid coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     pub x0: u16,
     pub y0: u16,
@@ -39,10 +38,6 @@ impl Region {
         mesh.nodes()
             .filter(|&n| self.contains(mesh.coord_of(n)))
             .collect()
-    }
-
-    pub fn num_nodes(&self) -> usize {
-        self.width as usize * self.height as usize
     }
 
     fn fits(&self, mesh: &Mesh) -> bool {
@@ -64,7 +59,7 @@ impl Region {
 /// pattern through one burstiness process. Destinations span the whole
 /// fabric (that is what makes disjoint regions *interfere*: their traffic
 /// shares links under DOR even though their sources do not overlap).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Short name used in per-app reports ("fg", "bg", ...).
     pub name: String,
@@ -81,9 +76,9 @@ pub struct AppSpec {
 /// a sparse grid of a second design on top of the point's base design —
 /// island routers sit at coordinates where both `x % spacing` and
 /// `y % spacing` equal `spacing - 1`, so node (0,0) always carries the base
-/// design. Mixed fabrics are restricted to the credit-free router family
-/// ([`Design::credit_free`]): a credit-consuming design next to a
-/// neighbour that never emits credits would stall forever.
+/// design. `RunPlan::validate` restricts mixed fabrics to the credit-free
+/// router family: a credit-consuming design next to a neighbour that never
+/// emits credits would stall forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterMix {
     /// Every router is the campaign point's design.
@@ -104,37 +99,6 @@ impl RouterMix {
     }
 }
 
-// Payload-carrying enum: the vendored serde derive covers unit enums only.
-impl Serialize for RouterMix {
-    fn to_value(&self) -> Value {
-        match self {
-            RouterMix::Uniform => {
-                Value::Object(vec![("kind".into(), Value::Str("uniform".into()))])
-            }
-            RouterMix::Islands { island, spacing } => Value::Object(vec![
-                ("kind".into(), Value::Str("islands".into())),
-                ("island".into(), island.to_value()),
-                ("spacing".into(), spacing.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for RouterMix {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.field("kind").as_str() {
-            Some("uniform") => Ok(RouterMix::Uniform),
-            Some("islands") => Ok(RouterMix::Islands {
-                island: Design::from_value(v.field("island"))?,
-                spacing: u16::from_value(v.field("spacing"))?,
-            }),
-            other => Err(Error::msg(format!(
-                "RouterMix.kind must be \"uniform\" or \"islands\", got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// A complete workload scenario. Resolved from a name by
 /// [`ScenarioSpec::named`]; the name is the campaign cache identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,28 +109,6 @@ pub struct ScenarioSpec {
     pub topology: Topology,
     pub mix: RouterMix,
     pub apps: Vec<AppSpec>,
-}
-
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.to_value()),
-            ("topology".into(), self.topology.to_value()),
-            ("mix".into(), self.mix.to_value()),
-            ("apps".into(), self.apps.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(ScenarioSpec {
-            name: String::from_value(v.field("name"))?,
-            topology: Topology::from_value(v.field("topology"))?,
-            mix: RouterMix::from_value(v.field("mix"))?,
-            apps: Vec::from_value(v.field("apps"))?,
-        })
-    }
 }
 
 impl ScenarioSpec {
@@ -298,9 +240,10 @@ impl ScenarioSpec {
         })
     }
 
-    /// Check the spec against a base configuration and a base design;
-    /// returns the first problem.
-    pub fn validate(&self, cfg: &SimConfig, base: Design) -> Result<(), String> {
+    /// Check the spec's own shape against a base configuration; returns the
+    /// first problem. What the fabric's designs must be is a plan rule
+    /// (`RunPlan::validate`).
+    pub fn validate(&self, cfg: &SimConfig) -> Result<(), String> {
         let grid = Mesh::new(cfg.width, cfg.height);
         if self.apps.is_empty() {
             return Err(format!("scenario {:?} has no applications", self.name));
@@ -345,37 +288,16 @@ impl ScenarioSpec {
                 }
             }
         }
-        if let RouterMix::Islands { island, spacing } = self.mix {
+        if let RouterMix::Islands { spacing, .. } = self.mix {
             if spacing < 2 {
                 return Err(format!(
                     "scenario {:?}: island spacing must be >= 2",
                     self.name
                 ));
             }
-            for d in [base, island] {
-                if !d.credit_free() {
-                    return Err(format!(
-                        "scenario {:?}: mixed fabrics require credit-free designs \
-                         ({}); {} uses link credits",
-                        self.name,
-                        credit_free_names(),
-                        d.name()
-                    ));
-                }
-            }
         }
         Ok(())
     }
-}
-
-/// The credit-free designs, as the mixed-fabric error lists them.
-fn credit_free_names() -> String {
-    let names: Vec<&str> = Design::ALL
-        .iter()
-        .filter(|d| d.credit_free())
-        .map(|d| d.name())
-        .collect();
-    names.join(", ")
 }
 
 #[cfg(test)]
@@ -396,12 +318,7 @@ mod tests {
         for known in ScenarioSpec::KNOWN {
             let bare = known.split(['[', ':']).next().unwrap();
             let s = ScenarioSpec::resolve(bare, &cfg).unwrap();
-            let base = if matches!(s.mix, RouterMix::Islands { .. }) {
-                Design::FlitBless
-            } else {
-                Design::DXbarDor
-            };
-            s.validate(&cfg, base).unwrap();
+            s.validate(&cfg).unwrap();
             assert!(!s.apps.is_empty());
         }
         assert!(ScenarioSpec::named("nope", &cfg).is_none());
@@ -470,58 +387,23 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_credit_coupled_mixes_and_overlaps() {
+    fn validation_rejects_overlaps_oversized_regions_and_dense_islands() {
         let cfg = cfg8();
-        let mut s = ScenarioSpec::named("mixed_islands", &cfg).unwrap();
-        s.validate(&cfg, Design::FlitBless).unwrap();
-        // A credit-consuming base under islands is rejected...
-        assert!(s
-            .validate(&cfg, Design::DXbarDor)
-            .unwrap_err()
-            .contains("credit"));
-        // ... and so is a credit-consuming island.
-        s.mix = RouterMix::Islands {
-            island: Design::Buffered4,
-            spacing: 3,
-        };
-        assert!(s.validate(&cfg, Design::FlitBless).is_err());
-
         let mut s = ScenarioSpec::named("interfere2", &cfg).unwrap();
         s.apps[1].region = s.apps[0].region;
-        assert!(s
-            .validate(&cfg, Design::DXbarDor)
-            .unwrap_err()
-            .contains("overlap"));
+        assert!(s.validate(&cfg).unwrap_err().contains("overlap"));
 
         let mut s = ScenarioSpec::named("mmpp_ur", &cfg).unwrap();
         s.apps[0].region.width = 99;
-        assert!(s
-            .validate(&cfg, Design::DXbarDor)
-            .unwrap_err()
-            .contains("grid"));
-    }
+        assert!(s.validate(&cfg).unwrap_err().contains("grid"));
 
-    #[test]
-    fn mixed_fabric_error_names_exactly_the_credit_free_rows() {
-        let cfg = cfg8();
-        let s = ScenarioSpec::named("mixed_islands", &cfg).unwrap();
-        let err = s.validate(&cfg, Design::DXbarDor).unwrap_err();
-        let listed = err
-            .split_once('(')
-            .and_then(|(_, rest)| rest.split_once(')'))
-            .map(|(names, _)| names)
-            .expect("the message lists the designs in parentheses");
-        let expected: Vec<&str> = Design::ALL
-            .iter()
-            .filter(|d| d.credit_free())
-            .map(|d| d.name())
-            .collect();
-        assert_eq!(listed.split(", ").collect::<Vec<_>>(), expected);
-        assert_eq!(
-            expected,
-            ["Flit-Bless", "SCARAB", "AFC", "DAMQ", "MinBD"],
-            "the credit-free set of the design table"
-        );
+        let mut s = ScenarioSpec::named("mixed_islands", &cfg).unwrap();
+        s.validate(&cfg).unwrap();
+        s.mix = RouterMix::Islands {
+            island: Design::Damq,
+            spacing: 1,
+        };
+        assert!(s.validate(&cfg).unwrap_err().contains("spacing"));
     }
 
     #[test]
@@ -532,20 +414,9 @@ mod tests {
             ..SimConfig::default()
         };
         let mut s = ScenarioSpec::named("mmpp_ur", &cfg).unwrap();
-        s.validate(&cfg, Design::DXbarDor).unwrap();
+        s.validate(&cfg).unwrap();
         s.apps[0].pattern = Pattern::Complement;
-        let err = s.validate(&cfg, Design::DXbarDor).unwrap_err();
+        let err = s.validate(&cfg).unwrap_err();
         assert!(err.contains("power-of-two"), "{err}");
-    }
-
-    #[test]
-    fn spec_serde_roundtrip() {
-        let cfg = cfg8();
-        for name in ["interfere2", "mixed_islands", "torus_ur"] {
-            let s = ScenarioSpec::named(name, &cfg).unwrap();
-            let v = Serialize::to_value(&s);
-            let back = ScenarioSpec::from_value(&v).unwrap();
-            assert_eq!(back, s);
-        }
     }
 }

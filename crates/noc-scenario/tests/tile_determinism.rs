@@ -71,7 +71,7 @@ fn traced_scenario_matches_at_every_worker_count() {
     let spec = ScenarioSpec::resolve("torus_ur", &cfg).expect("known scenario");
     let run = |workers| {
         let sink = Some(RecordingSink::new(0, 1));
-        let out = scenario_on(Design::DXbarDor, &cfg, &spec, workers, sink);
+        let out = scenario_on(Design::Damq, &cfg, &spec, workers, sink);
         let sink = out.trace.expect("traced plan");
         (
             to_jsonl(sink.recorder.iter()),

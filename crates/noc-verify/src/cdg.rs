@@ -161,6 +161,16 @@ pub fn analyse(
     }
 }
 
+/// `cycle` as router coordinates and output ports in dependency order:
+/// `(0,2)E → (1,2)E → … → (7,2)E`.
+pub fn describe(mesh: &Mesh, cycle: &[Channel]) -> String {
+    let at = |c: &Channel| {
+        let xy = mesh.coord_of(c.node);
+        format!("({},{}){}", xy.x, xy.y, c.dir)
+    };
+    cycle.iter().map(at).collect::<Vec<_>>().join(" → ")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

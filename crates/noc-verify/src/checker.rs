@@ -24,7 +24,7 @@
 //! **dual-input** separable allocator with two serial V:1 arbiters plus the
 //! conflict-free swap (full dual-slot mask space for competing input pairs
 //! under every priority ordering, full serial-arbiter space for a single
-//! row, and wide 5-input sweeps). The separable allocator that runs is the
+//! row, and wide 5-input sweeps under rotated row priorities). The separable allocator that runs is the
 //! router's own [`dxbar::allocator::round`], over the ordered requester
 //! list a keyed request matrix stands for; both of the router's rounds are
 //! checked against the reference model.
@@ -738,36 +738,42 @@ pub fn check_unified_pair_orders() -> Result<CheckerReport, CheckError> {
 
 /// Wide sweep: all five input rows active with bufferless flits over a
 /// reduced mask alphabet (empty, singletons, three two-port masks) under
-/// descending priorities — 9^5 configurations of full-router competition.
+/// every rotation of descending row priorities — row `first` highest, then
+/// `first + 1`, ... — 5 x 9^5 configurations of full-router competition. A
+/// rotated order lists the rows out of index order, so a round that commits
+/// its grants in list order instead of row order fails here.
 pub fn check_unified_wide_sweep() -> Result<CheckerReport, CheckError> {
     let alpha: [u8; 9] = [0, 1, 2, 4, 8, 16, 0b00011, 0b00101, 0b11000];
     let mut rep = CheckerReport::default();
-    for &a in &alpha {
-        for &b in &alpha {
-            for &c in &alpha {
-                for &d in &alpha {
-                    for &e in &alpha {
-                        let inputs = vec![
-                            InputRequests {
-                                slots: [slot(a, 5), None],
-                            },
-                            InputRequests {
-                                slots: [slot(b, 4), None],
-                            },
-                            InputRequests {
-                                slots: [slot(c, 3), None],
-                            },
-                            InputRequests {
-                                slots: [slot(d, 2), None],
-                            },
-                            InputRequests {
-                                slots: [slot(e, 1), None],
-                            },
-                        ];
-                        let (g, r) = check_unified_matrix(&inputs)?;
-                        rep.configs += 1;
-                        rep.grants += g;
-                        rep.max_rounds = rep.max_rounds.max(r);
+    for first in 0..5 {
+        let key = |row: usize| 5 - ((row + 5 - first) % 5) as u32;
+        for &a in &alpha {
+            for &b in &alpha {
+                for &c in &alpha {
+                    for &d in &alpha {
+                        for &e in &alpha {
+                            let inputs = vec![
+                                InputRequests {
+                                    slots: [slot(a, key(0)), None],
+                                },
+                                InputRequests {
+                                    slots: [slot(b, key(1)), None],
+                                },
+                                InputRequests {
+                                    slots: [slot(c, key(2)), None],
+                                },
+                                InputRequests {
+                                    slots: [slot(d, key(3)), None],
+                                },
+                                InputRequests {
+                                    slots: [slot(e, key(4)), None],
+                                },
+                            ];
+                            let (g, r) = check_unified_matrix(&inputs)?;
+                            rep.configs += 1;
+                            rep.grants += g;
+                            rep.max_rounds = rep.max_rounds.max(r);
+                        }
                     }
                 }
             }
@@ -1253,7 +1259,7 @@ mod tests {
     #[test]
     fn unified_wide_sweep_competes_all_rows() {
         let rep = check_unified_wide_sweep().unwrap();
-        assert_eq!(rep.configs, 9u64.pow(5));
+        assert_eq!(rep.configs, 5 * 9u64.pow(5));
     }
 
     #[test]

@@ -164,9 +164,6 @@ fn parse_args() -> (Args, Options) {
         }
     }
     opts.tile_threads = args.tile_threads(tile_threads);
-    if opts.fault_pct > 0.0 && !opts.design.supports_faults() {
-        args.fail("--faults is only meaningful for dxbar-dor / dxbar-wf (as in the paper)");
-    }
     (args, opts)
 }
 
@@ -214,10 +211,11 @@ fn main() {
         Some(app) => RunPlan::splash(opts.design, &opts.cfg, app, 10_000_000),
         None => RunPlan::synthetic(opts.design, &opts.cfg, opts.pattern, opts.load),
     };
-    if let Err(e) = plan.validate() {
+    plan.tile_threads = opts.tile_threads;
+    // The fault generator places faults on the fabric the config describes.
+    if let Err(e) = opts.cfg.validate() {
         args.fail(&e);
     }
-    plan.tile_threads = opts.tile_threads;
     // A zero fraction generates the empty plan. Faults manifest in the
     // second half of warmup; a closed-loop run has none, so there they are
     // present from the first cycle.
@@ -230,6 +228,9 @@ fn main() {
         opts.cfg.seed,
     ));
     let plan = plan.faults(&faults).verified(opts.verify);
+    if let Err(e) = plan.validate() {
+        args.fail(&e);
+    }
     let (result, violated) = match run(plan).clean() {
         Ok(out) => {
             if let Some(report) = out.verify {

@@ -232,9 +232,9 @@ impl Design {
         }
     }
 
-    /// Build a network of this design. `faults` is honoured by the DXbar
-    /// variants and ignored by the others (which the paper's fault study
-    /// does not cover).
+    /// Build a network of this design with the crossbar faults the DXbar
+    /// variants model (the paper's fault study covers no other design, and
+    /// `RunPlan::validate` rejects a faulty plan on one).
     ///
     /// The returned network dispatches its routers statically (see
     /// [`RouterKind`]); it accepts the same traffic models, observers and

@@ -5,6 +5,8 @@
 
 use crate::designs::Design;
 use crate::kind::RouterKind;
+use noc_core::config::Topology;
+use noc_core::types::NUM_LINK_PORTS;
 use noc_core::SimConfig;
 use noc_faults::FaultPlan;
 use noc_power::energy::EnergyModel;
@@ -16,7 +18,7 @@ use noc_topology::Mesh;
 use noc_traffic::generator::{SyntheticTraffic, TrafficModel};
 use noc_traffic::patterns::Pattern;
 use noc_traffic::splash::{SplashApp, SplashTraffic};
-use noc_verify::{Verifier, VerifyError, VerifyOptions, VerifyReport};
+use noc_verify::{cdg, RouteRule, Verifier, VerifyError, VerifyOptions, VerifyReport};
 
 /// What drives the network.
 pub enum Workload<'a> {
@@ -51,10 +53,10 @@ pub struct RunPlan<'a> {
     /// `None` puts `design` everywhere.
     pub placement: Option<&'a [Design]>,
     /// The faults the run injects, whatever its workload: permanent
-    /// crossbar faults (Figs. 11/12; honoured by the DXbar variants and
-    /// ignored by the others, as in the paper's fault study), permanent
-    /// link faults and transient soft errors. The CRC + NI-retransmission
-    /// layer is armed exactly when the plan has link or transient faults
+    /// crossbar faults (Figs. 11/12; only the DXbar variants model them, as
+    /// in the paper's fault study), permanent link faults and transient
+    /// soft errors. The CRC + NI-retransmission layer is armed exactly when
+    /// the plan has link or transient faults
     /// ([`ResiliencePlan::needs_recovery`]). `None` is fault-free.
     pub faults: Option<&'a ResiliencePlan>,
     /// Record flit lifetimes, ring-buffered events and per-cycle series.
@@ -121,9 +123,12 @@ impl<'a> RunPlan<'a> {
         self
     }
 
-    /// The first problem with the plan: its config's field rules, then an
-    /// open-loop load in [0, 1], a synthetic pattern the fabric can bind and
-    /// a SPLASH cap above 0. Every entry path asks this before [`run`].
+    /// The first problem with the plan: its config's field rules, an
+    /// open-loop load in [0, 1], a synthetic pattern the fabric can bind, a
+    /// SPLASH cap above 0; then, over every node's design, crossbar faults
+    /// only where it models them, a mixed fabric only of credit-free
+    /// designs, and no turn-model row whose channel dependencies close a
+    /// cycle. Every entry path asks this of the plan it runs, before [`run`].
     pub fn validate(&self) -> Result<(), String> {
         self.cfg.validate()?;
         match self.workload {
@@ -134,12 +139,54 @@ impl<'a> RunPlan<'a> {
             Workload::Synthetic { pattern, .. } => pattern.check(&Mesh::for_config(self.cfg)),
             Workload::Splash { max_cycles: 0, .. } => Err("SPLASH max_cycles must be > 0".into()),
             _ => Ok(()),
+        }?;
+        let fabric = self.placement.unwrap_or(std::slice::from_ref(&self.design));
+        let faulty = self.faults.is_some_and(|f| f.crossbar.count() > 0);
+        let mixed = self.mixed();
+        // DOR and WF are acyclic on every mesh by the turn model; only
+        // wraparound links can close a cycle.
+        let torus = (self.cfg.topology == Topology::Torus).then(|| Mesh::for_config(self.cfg));
+        for &d in Design::ALL.iter().filter(|d| fabric.contains(d)) {
+            let name = d.name();
+            if faulty && !d.supports_faults() {
+                return Err(format!(
+                    "crossbar faults are only meaningful for dxbar-dor / dxbar-wf \
+                     (as in the paper), not {name}"
+                ));
+            }
+            // A credit-coupled router next to one that never returns
+            // credits would stall forever.
+            if mixed && !d.credit_free() {
+                let free = Design::ALL.iter().filter(|d| d.credit_free());
+                let free = free.map(|d| d.name()).collect::<Vec<_>>().join(", ");
+                return Err(format!(
+                    "mixed fabrics require credit-free designs ({free}); {name} uses link credits"
+                ));
+            }
+            let route = d.profile(self.cfg.buffer_depth).route;
+            if let (RouteRule::Turn(alg), Some(mesh)) = (route, &torus) {
+                let healthy = vec![[false; NUM_LINK_PORTS]; mesh.num_nodes()];
+                cdg::analyse(alg, mesh, &healthy).map_err(|cycle| {
+                    format!(
+                        "{name} routes {} over credit-coupled links, which can deadlock \
+                         on a torus: channel-dependency cycle {}",
+                        alg.name(),
+                        cdg::describe(mesh, &cycle)
+                    )
+                })?;
+            }
         }
+        Ok(())
     }
 
     /// The design at node `n`.
     fn design_at(&self, n: usize) -> Design {
         self.placement.map_or(self.design, |p| p[n])
+    }
+
+    /// Whether the nodes' designs differ.
+    fn mixed(&self) -> bool {
+        self.placement.is_some_and(|p| p.iter().any(|&d| d != p[0]))
     }
 
     /// The oracle suite for this plan's fabric: each node held to its own
@@ -148,11 +195,11 @@ impl<'a> RunPlan<'a> {
     fn verifier(&self, mesh: Mesh) -> Verifier {
         let depth = self.cfg.buffer_depth;
         let rows = (0..mesh.num_nodes()).map(|n| self.design_at(n).profile(depth));
-        let first = self.design_at(0);
-        let label = if (0..mesh.num_nodes()).all(|n| self.design_at(n) == first) {
-            first.name().to_string()
+        let first = self.design_at(0).name();
+        let label = if self.mixed() {
+            format!("{first} + islands")
         } else {
-            format!("{} + islands", first.name())
+            first.to_string()
         };
         Verifier::new(label, mesh, rows.collect(), VerifyOptions::default())
     }

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `dxbar-sim` command-line interface.
 
+mod rejected;
+
 use std::process::Command;
 
 fn dxbar_sim() -> Command {
@@ -58,9 +60,25 @@ fn faults_on_unsupported_design_is_an_error() {
         .args(["--design", "bless", "--faults", "50"])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("only meaningful for dxbar"), "stderr: {err}");
+}
+
+#[test]
+fn rejected_plans_exit_2() {
+    let mut expressed = 0;
+    for row in rejected::TABLE {
+        let Some(args) = row.dxbar_sim_args() else {
+            continue;
+        };
+        let out = dxbar_sim().args(&args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(row.error), "{args:?}: {err}");
+        expressed += 1;
+    }
+    assert_eq!(expressed, 1, "dxbar-sim expresses the crossbar-fault row");
 }
 
 #[test]

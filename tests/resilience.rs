@@ -93,7 +93,7 @@ fn dead_link_with_recovery_is_verified_clean() {
     let mesh = Mesh::new(cfg.width, cfg.height);
     // One dead channel + a mild transient process: the composed plan the
     // resilience_smoke campaign uses.
-    let plan = ResiliencePlan::generate(&mesh, 0.0, 1, 5e-4, 50, 100, 7);
+    let plan = ResiliencePlan::try_generate(&mesh, 0.0, 1, 5e-4, 50, 100, 7).unwrap();
     assert!(plan.reachability(&mesh).is_fully_connected());
     for design in [Design::DXbarWf, Design::Buffered8, Design::FlitBless] {
         let result = verified_connected(design, &cfg, &plan);

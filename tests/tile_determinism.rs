@@ -192,7 +192,7 @@ fn saturated_source_queues_match_at_every_worker_count() {
         json(&r)
     });
 
-    let plan = ResiliencePlan::generate(&mesh, 0.0, 1, 2e-3, 50, 100, 11);
+    let plan = ResiliencePlan::try_generate(&mesh, 0.0, 1, 2e-3, 50, 100, 11).unwrap();
     assert_worker_count_invisible("saturated resilient dxbar-dor", &[2, 4], |tiles| {
         let run_plan = synthetic(Design::DXbarDor, &cfg, Pattern::UniformRandom, 0.9, tiles);
         let r = run(run_plan.faults(&plan)).result;
@@ -274,7 +274,8 @@ fn resilient_runs_match_at_every_worker_count() {
             drain_cycles: 1_500,
             ..cfg.clone()
         };
-        let plan = ResiliencePlan::generate(&Mesh::for_config(&cfg), 0.0, 1, 1e-3, 50, 100, 7);
+        let plan = ResiliencePlan::try_generate(&Mesh::for_config(&cfg), 0.0, 1, 1e-3, 50, 100, 7)
+            .unwrap();
         for design in [Design::DXbarWf, Design::Buffered8, Design::FlitBless] {
             let what = format!("resilient {} {}x{}", design.name(), cfg.width, cfg.height);
             assert_worker_count_invisible(&what, &[2, 4, 8], |tiles| {
