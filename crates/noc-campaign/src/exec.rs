@@ -310,7 +310,7 @@ impl CampaignReport {
 /// the violation count travels in [`PointVerify`] and is surfaced through
 /// the campaign manifest's `verify` block.
 pub fn simulate_point(p: &PointSpec, verify: bool) -> (RunResult, Option<PointVerify>) {
-    let mut point = p.build().expect("campaign validation builds every point");
+    let mut point = p.build(true).expect("a validated point builds");
     let mut out = run(point.plan().verified(verify));
     if let Some(scenario) = point.scenario {
         scenario.stamp(&mut out);

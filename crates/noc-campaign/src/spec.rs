@@ -329,7 +329,7 @@ impl CampaignSpec {
             }
         }
         for p in self.points() {
-            p.build()
+            p.build(false)
                 .and_then(|mut point| point.plan().validate())
                 .map_err(|e| format!("group {:?}: {e}", p.group))?;
         }
@@ -487,9 +487,11 @@ pub(crate) struct PointRun<'p> {
 impl PointSpec {
     /// Build what the point runs, as the paper does: faults seeded by the
     /// run seed manifest during warmup; a zero fraction, count or rate
-    /// generates none of its class. `Err` for a link-fault count the mesh
-    /// cannot take connected, or a scenario that does not resolve or build.
-    pub(crate) fn build(&self) -> Result<PointRun<'_>, String> {
+    /// generates none of its class. `traffic` builds a scenario's traffic
+    /// model, which a point that is only validated does without. `Err` for
+    /// a link-fault count the mesh cannot take connected, or a scenario
+    /// that does not resolve or is not admitted.
+    pub(crate) fn build(&self, traffic: bool) -> Result<PointRun<'_>, String> {
         let cfg = &self.config;
         // The generators place faults on the fabric the config describes.
         cfg.validate()?;
@@ -505,7 +507,12 @@ impl PointSpec {
         let scenario = match &self.workload {
             Workload::Scenario { scenario, load } => {
                 let spec = ScenarioSpec::resolve(scenario, cfg)?;
-                Some(ScenarioRun::new(self.design, cfg, &spec, *load)?)
+                let point = ScenarioRun::admit(self.design, cfg, &spec, *load)?;
+                Some(if traffic {
+                    point.with_traffic(&spec)
+                } else {
+                    point
+                })
             }
             _ => None,
         };

@@ -35,8 +35,20 @@ pub struct ScenarioRun {
 
 impl ScenarioRun {
     /// The point, once [`RunPlan::validate`] admits the plan it lends out
-    /// with its placement set (checked before the traffic model is built).
+    /// with its placement set: [`admit`](Self::admit), then
+    /// [`with_traffic`](Self::with_traffic).
     pub fn new(
+        base: Design,
+        cfg: &SimConfig,
+        spec: &ScenarioSpec,
+        offered_load: f64,
+    ) -> Result<Self, String> {
+        Ok(Self::admit(base, cfg, spec, offered_load)?.with_traffic(spec))
+    }
+
+    /// The point with its placement but no traffic yet: enough to validate
+    /// its plan, which is all a caller that only checks the point needs.
+    pub fn admit(
         base: Design,
         cfg: &SimConfig,
         spec: &ScenarioSpec,
@@ -63,8 +75,15 @@ impl ScenarioRun {
             cfg,
         };
         point.plan().validate()?;
-        point.model = ScenarioTraffic::new(spec, mesh, &point.cfg, offered_load);
         Ok(point)
+    }
+
+    /// Build the traffic model of `spec`, the spec the point was admitted
+    /// with, so that its plan runs.
+    pub fn with_traffic(mut self, spec: &ScenarioSpec) -> Self {
+        let mesh = Mesh::for_config(&self.cfg);
+        self.model = ScenarioTraffic::new(spec, mesh, &self.cfg, self.offered_load);
+        self
     }
 
     /// The point's open-loop plan, its traffic and placement borrowed in;

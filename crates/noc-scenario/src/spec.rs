@@ -17,9 +17,10 @@ use noc_core::SimConfig;
 use noc_topology::{Coord, Mesh, Topology};
 use noc_traffic::patterns::Pattern;
 use noc_traffic::BurstSource;
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// A rectangular region of routers, in router-grid coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Region {
     pub x0: u16,
     pub y0: u16,
@@ -38,6 +39,10 @@ impl Region {
         mesh.nodes()
             .filter(|&n| self.contains(mesh.coord_of(n)))
             .collect()
+    }
+
+    pub fn num_nodes(&self) -> usize {
+        self.width as usize * self.height as usize
     }
 
     fn fits(&self, mesh: &Mesh) -> bool {
@@ -59,7 +64,7 @@ impl Region {
 /// pattern through one burstiness process. Destinations span the whole
 /// fabric (that is what makes disjoint regions *interfere*: their traffic
 /// shares links under DOR even though their sources do not overlap).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppSpec {
     /// Short name used in per-app reports ("fg", "bg", ...).
     pub name: String,
@@ -99,6 +104,37 @@ impl RouterMix {
     }
 }
 
+// Payload-carrying enum: the vendored serde derive covers unit enums only.
+impl Serialize for RouterMix {
+    fn to_value(&self) -> Value {
+        match self {
+            RouterMix::Uniform => {
+                Value::Object(vec![("kind".into(), Value::Str("uniform".into()))])
+            }
+            RouterMix::Islands { island, spacing } => Value::Object(vec![
+                ("kind".into(), Value::Str("islands".into())),
+                ("island".into(), island.to_value()),
+                ("spacing".into(), spacing.to_value()),
+            ]),
+        }
+    }
+}
+
+impl Deserialize for RouterMix {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v.field("kind").as_str() {
+            Some("uniform") => Ok(RouterMix::Uniform),
+            Some("islands") => Ok(RouterMix::Islands {
+                island: Design::from_value(v.field("island"))?,
+                spacing: u16::from_value(v.field("spacing"))?,
+            }),
+            other => Err(Error::msg(format!(
+                "RouterMix.kind must be \"uniform\" or \"islands\", got {other:?}"
+            ))),
+        }
+    }
+}
+
 /// A complete workload scenario. Resolved from a name by
 /// [`ScenarioSpec::named`]; the name is the campaign cache identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +145,28 @@ pub struct ScenarioSpec {
     pub topology: Topology,
     pub mix: RouterMix,
     pub apps: Vec<AppSpec>,
+}
+
+impl Serialize for ScenarioSpec {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".into(), self.name.to_value()),
+            ("topology".into(), self.topology.to_value()),
+            ("mix".into(), self.mix.to_value()),
+            ("apps".into(), self.apps.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ScenarioSpec {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(ScenarioSpec {
+            name: String::from_value(v.field("name"))?,
+            topology: Topology::from_value(v.field("topology"))?,
+            mix: RouterMix::from_value(v.field("mix"))?,
+            apps: Vec::from_value(v.field("apps"))?,
+        })
+    }
 }
 
 impl ScenarioSpec {
@@ -418,5 +476,16 @@ mod tests {
         s.apps[0].pattern = Pattern::Complement;
         let err = s.validate(&cfg).unwrap_err();
         assert!(err.contains("power-of-two"), "{err}");
+    }
+
+    #[test]
+    fn spec_serde_roundtrip() {
+        let cfg = cfg8();
+        for name in ["interfere2", "mixed_islands", "torus_ur"] {
+            let s = ScenarioSpec::named(name, &cfg).unwrap();
+            let v = Serialize::to_value(&s);
+            let back = ScenarioSpec::from_value(&v).unwrap();
+            assert_eq!(back, s);
+        }
     }
 }

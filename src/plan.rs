@@ -125,27 +125,36 @@ impl<'a> RunPlan<'a> {
 
     /// The first problem with the plan: its config's field rules, an
     /// open-loop load in [0, 1], a synthetic pattern the fabric can bind, a
-    /// SPLASH cap above 0; then, over every node's design, crossbar faults
-    /// only where it models them, a mixed fabric only of credit-free
-    /// designs, and no turn-model row whose channel dependencies close a
-    /// cycle. Every entry path asks this of the plan it runs, before [`run`].
+    /// SPLASH cap above 0, a placement of one design per node; then, over
+    /// every node's design, crossbar faults only where it models them, a
+    /// mixed fabric only of credit-free designs, and no turn-model row whose
+    /// channel dependencies close a cycle. Every entry path asks this of the
+    /// plan it runs, before [`run`].
     pub fn validate(&self) -> Result<(), String> {
         self.cfg.validate()?;
+        let mesh = Mesh::for_config(self.cfg);
         match self.workload {
             Workload::Synthetic { load, .. }
             | Workload::Model {
                 load: Some(load), ..
             } if !(0.0..=1.0).contains(&load) => Err(format!("load must be in [0, 1], got {load}")),
-            Workload::Synthetic { pattern, .. } => pattern.check(&Mesh::for_config(self.cfg)),
+            Workload::Synthetic { pattern, .. } => pattern.check(&mesh),
             Workload::Splash { max_cycles: 0, .. } => Err("SPLASH max_cycles must be > 0".into()),
             _ => Ok(()),
         }?;
+        let nodes = mesh.num_nodes();
+        if let Some(p) = self.placement.filter(|p| p.len() != nodes) {
+            return Err(format!(
+                "placement names {} designs for {nodes} nodes",
+                p.len()
+            ));
+        }
         let fabric = self.placement.unwrap_or(std::slice::from_ref(&self.design));
         let faulty = self.faults.is_some_and(|f| f.crossbar.count() > 0);
         let mixed = self.mixed();
         // DOR and WF are acyclic on every mesh by the turn model; only
         // wraparound links can close a cycle.
-        let torus = (self.cfg.topology == Topology::Torus).then(|| Mesh::for_config(self.cfg));
+        let torus = (self.cfg.topology == Topology::Torus).then_some(mesh);
         for &d in Design::ALL.iter().filter(|d| fabric.contains(d)) {
             let name = d.name();
             if faulty && !d.supports_faults() {

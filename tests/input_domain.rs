@@ -4,7 +4,8 @@
 //! topology and loads inside and outside [0, 1]; SPLASH runs on the same
 //! fabrics. The designs take turns down the table; a turn-model row on a
 //! torus is rejected for its channel-dependency cycle. The fabric rules
-//! (crossbar faults, mixed placements) cross every design.
+//! (crossbar faults, mixed placements) cross every design, and a placement
+//! names one design per node.
 
 use dxbar_noc::noc_core::config::Topology;
 use dxbar_noc::noc_resilience::ResiliencePlan;
@@ -170,4 +171,27 @@ fn fabric_rules_cross_every_design() {
             }
         }
     }
+}
+
+#[test]
+fn a_placement_names_one_design_per_node() {
+    let cfg = SimConfig {
+        width: 4,
+        height: 4,
+        warmup_cycles: 20,
+        measure_cycles: 50,
+        drain_cycles: 20,
+        ..SimConfig::default()
+    };
+    for len in [3, 15, 17] {
+        let placement = vec![Design::FlitBless; len];
+        let mut plan = RunPlan::synthetic(Design::FlitBless, &cfg, Pattern::UniformRandom, 0.3);
+        plan.placement = Some(&placement);
+        let err = rejected_or_runs(plan).unwrap_err();
+        assert_eq!(err, format!("placement names {len} designs for 16 nodes"));
+    }
+    let placement = [Design::FlitBless; 16];
+    let mut plan = RunPlan::synthetic(Design::FlitBless, &cfg, Pattern::UniformRandom, 0.3);
+    plan.placement = Some(&placement);
+    rejected_or_runs(plan).unwrap();
 }
