@@ -1,15 +1,15 @@
 //! Slab arena for flits parked in a buffer bank.
 //!
 //! [`FlitPool`] gives parked flits one contiguous slab instead of whole
-//! [`Flit`] values (56 bytes) in queues that grow on the general heap: a
+//! [`Flit`] values (48 bytes) in queues that grow on the general heap: a
 //! parked flit occupies one stable slot addressed by a 4-byte [`FlitId`]
 //! handle, the queues move only handles, and freed slots are recycled
 //! through a LIFO free-list so a warmed-up simulation stops allocating
 //! entirely — the slab's high-water mark is reached during warmup and
 //! every subsequent alloc pops the free-list. Its user is the DAMQ
 //! router's shared buffer (`noc_zoo::slab`). The engine keeps no flits
-//! here: links carry them by value (`noc_topology::DelayLine`) and source
-//! queues hold packets until a flit is due (`noc_sim::source_queue`).
+//! here: links carry them by value in cycle planes (`noc-sim/src/wires.rs`) and
+//! source queues hold packets until a flit is due (`noc_sim::source_queue`).
 //!
 //! Slot reuse is deterministic (LIFO), so pool-managed runs are exactly as
 //! reproducible as value-carrying ones. Handles stay inside their owner:

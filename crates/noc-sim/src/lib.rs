@@ -7,8 +7,9 @@
 //!    offer) in a [`router::StepCtx`], performs its switch allocation and
 //!    traversal, and fills in the outputs.
 //! 2. **Link phase** — the engine moves granted flits onto fixed-latency
-//!    delay lines, returns credits upstream, ejects/reassembles packets,
-//!    and handles SCARAB-style drop/NACK/retransmission bookkeeping.
+//!    wires (cycle planes, `wires.rs`), returns credits upstream,
+//!    ejects/reassembles packets, and handles SCARAB-style
+//!    drop/NACK/retransmission bookkeeping.
 //!
 //! Timing model (matches the paper's pipelines):
 //! * data links have latency 2: a flit switched (ST) in cycle `t` spends
@@ -35,6 +36,7 @@ pub mod runner;
 pub mod source_queue;
 pub(crate) mod tiles;
 pub mod verify;
+pub(crate) mod wires;
 
 pub use network::Network;
 pub use report::{AppStats, RunResult};

@@ -3,9 +3,10 @@
 //!
 //! # Hot-path storage
 //!
-//! Wires carry flits: a link is a [`DelayLine<Flit>`] ring inside the
-//! receiving node's own `in_links` element, written by the upstream
-//! neighbour and read in sweep order, so a hop touches no shared store.
+//! Wires carry flits by value in cycle planes ([`Wires`]): a node takes
+//! its four inbound links as one `[Option<Flit>; 4]` from this cycle's
+//! receive plane and its credits as one `[u32; 4]`, and a hop is one store
+//! into the neighbour's slot of the send plane — no per-wire ring to poll.
 //! Traffic *waiting to enter* the network is not flits yet: a node's
 //! [`SourceQueue`] holds one 24-byte range per queued packet, and the one
 //! flit a router looks at every cycle, the queue head, is built when it is
@@ -44,6 +45,7 @@ use crate::router::RouterModel;
 use crate::source_queue::SourceQueue;
 use crate::tiles::{step_tile, SharedGrid, SharedShards, TileEngine};
 use crate::verify::{Interest, Observer};
+use crate::wires::Wires;
 use crate::{CREDIT_LATENCY, LINK_LATENCY};
 use noc_core::flit::{Flit, PacketDesc};
 use noc_core::stats::{EventCounts, NetStats};
@@ -51,7 +53,7 @@ use noc_core::types::{Cycle, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_core::SimConfig;
 use noc_resilience::{ResiliencePlan, TimeoutAction};
 use noc_topology::link::TimedChannel;
-use noc_topology::{DelayLine, Mesh};
+use noc_topology::Mesh;
 use noc_trace::CycleSample;
 use noc_traffic::generator::{DeliveredPacket, TrafficModel};
 use std::any::Any;
@@ -72,13 +74,12 @@ pub struct Network<R: RouterModel = Box<dyn RouterModel>> {
     /// loops look this up per flit-hop, and the table replaces a
     /// coordinate round-trip with one indexed load.
     neighbors: Vec<[Option<NodeId>; NUM_LINK_PORTS]>,
-    /// `in_links[node][d]`: flits arriving at `node` on input port `d`
-    /// (fed by the neighbour in direction `d`), by value. `None` at mesh
-    /// edges.
-    in_links: Vec<[Option<DelayLine<Flit>>; NUM_LINK_PORTS]>,
-    /// `in_credits[node][d]`: credits returning to `node` for its *output*
-    /// link in direction `d`.
-    in_credits: Vec<[Option<DelayLine<u32>>; NUM_LINK_PORTS]>,
+    /// Flits arriving at each node's input port `d` (fed by the neighbour
+    /// in direction `d`), by value.
+    links: Wires<Option<Flit>>,
+    /// Credits returning to each node for its *output* link in direction
+    /// `d`; 0 is none.
+    credits: Wires<u32>,
     /// Per-node injection queues (source side of the PE).
     source_queues: Vec<SourceQueue>,
     /// Flits taken off a link so far. Every flit put on a link counted one
@@ -141,32 +142,18 @@ impl<R: RouterModel> Network<R> {
         for (i, r) in routers.iter().enumerate() {
             assert_eq!(r.node(), NodeId(i as u16), "factory returned wrong node id");
         }
-        let mut in_links = Vec::with_capacity(n);
-        let mut in_credits = Vec::with_capacity(n);
-        let mut neighbors = Vec::with_capacity(n);
-        for node in mesh.nodes() {
-            let mut links: [Option<DelayLine<Flit>>; NUM_LINK_PORTS] = [None, None, None, None];
-            let mut credits: [Option<DelayLine<u32>>; NUM_LINK_PORTS] = [None, None, None, None];
-            let mut nbrs: [Option<NodeId>; NUM_LINK_PORTS] = [None; NUM_LINK_PORTS];
-            for d in LINK_DIRECTIONS {
-                if let Some(nbr) = mesh.neighbor(node, d) {
-                    links[d.index()] = Some(DelayLine::new(LINK_LATENCY));
-                    credits[d.index()] = Some(DelayLine::new(CREDIT_LATENCY));
-                    nbrs[d.index()] = Some(nbr);
-                }
-            }
-            in_links.push(links);
-            in_credits.push(credits);
-            neighbors.push(nbrs);
-        }
+        let neighbors = mesh
+            .nodes()
+            .map(|node| LINK_DIRECTIONS.map(|d| mesh.neighbor(node, d)))
+            .collect();
         let mut net = Network {
             tiles: TileEngine::new(mesh.width(), mesh.height(), 1),
             mesh,
             cfg: cfg.clone(),
             routers,
             neighbors,
-            in_links,
-            in_credits,
+            links: Wires::new(LINK_LATENCY, n),
+            credits: Wires::new(CREDIT_LATENCY, n),
             source_queues: (0..n)
                 .map(|_| SourceQueue::new(cfg.source_queue_cap))
                 .collect(),
@@ -429,8 +416,8 @@ impl<R: RouterModel> Network<R> {
         // 0), synchronised by the broadcast barrier.
         let grid = SharedGrid {
             routers: self.routers.as_mut_ptr(),
-            in_links: self.in_links.as_mut_ptr(),
-            in_credits: self.in_credits.as_mut_ptr(),
+            links: self.links.planes(t),
+            credits: self.credits.planes(t),
             queues: self.source_queues.as_mut_ptr(),
             reassemblers: self.reassemblers.as_mut_ptr(),
             neighbors: &self.neighbors,
@@ -455,33 +442,27 @@ impl<R: RouterModel> Network<R> {
             }
         });
 
-        // Commit phase, sequential. Seam sends first: every delay line has
-        // exactly one writer per cycle and a send at `t` lands in a slot no
-        // `recv(t)` read, so flushing after the sweep leaves the channels
-        // in the state an unseamed sweep would.
+        // Commit phase, sequential. Seam sends first: every wire has
+        // exactly one writer per cycle and a send at `t` lands in the send
+        // plane, which no read of cycle `t` looks at, so flushing after the
+        // sweep leaves the planes in the state an unseamed sweep would.
         let ejected_in_window = window.contains(&t);
         for shard in engine.shards.iter_mut() {
             for s in shard.seam_flits.drain(..) {
-                self.in_links[s.dst.index()][s.dir.index()]
-                    .as_mut()
-                    .expect("reverse link exists")
-                    .send(t, s.flit);
+                self.links.send(t, s.dst.index(), s.dir.index(), s.item);
             }
             self.link_arrivals += std::mem::take(&mut shard.link_arrivals);
             // Canary: flush the credits withheld last cycle and withhold
             // this cycle's — one cycle stale. Each wire carries at most one
             // credit per cycle, so shifting every seam credit by a cycle
-            // keeps the one-send-per-wire-per-cycle invariant (no DelayLine
+            // keeps the one-send-per-wire-per-cycle invariant (no wire
             // overrun) while skewing upstream flow control: the seeded
             // double-buffer flush bug the equivalence suite must catch.
             if self.canary {
                 std::mem::swap(&mut shard.seam_credits, &mut shard.canary_held);
             }
             for c in shard.seam_credits.drain(..) {
-                self.in_credits[c.dst.index()][c.dir.index()]
-                    .as_mut()
-                    .expect("reverse credit wire exists")
-                    .send(t, c.credits);
+                self.credits.send(t, c.dst.index(), c.dir.index(), c.item);
             }
             // Event counters, ejection statistics and recovery latencies
             // are sums, min/max and bucket increments — commutative, so
@@ -652,8 +633,8 @@ impl<R: RouterModel> Network<R> {
         in_routers + queued + self.flits_on_wire() + self.retransmits.len()
     }
 
-    /// Flits on the link delay lines: sends minus arrivals, both counted
-    /// per shard and merged at commit — no scan of the 4·N rings.
+    /// Flits on the links: sends minus arrivals, both counted per shard
+    /// and merged at commit — no scan of the link planes.
     fn flits_on_wire(&self) -> usize {
         (self.stats.events.link_traversals - self.link_arrivals) as usize
     }

@@ -9,18 +9,18 @@
 //! One tile stepped inline on the caller's thread *is* the sequential
 //! sweep: no seams, no threads, a one-way merge.
 //!
-//! * **Intra-tile** link/credit sends go straight onto the delay lines,
-//!   the flit by value into the receiver's own ring — both endpoints
-//!   belong to the worker's tile, and a send at cycle `t` lands in a ring
-//!   slot (`t + latency`, latency >= 1) that no `recv(t)` reads, so sweep
-//!   order within the cycle is immaterial.
+//! * **Intra-tile** link/credit sends go straight onto the wires, the
+//!   flit by value into the receiver's slot of the send plane — both
+//!   endpoints belong to the worker's tile, and the send plane of cycle
+//!   `t` is not its receive plane (see [`crate::wires`]), so sweep order
+//!   within the cycle is immaterial.
 //! * **Seam** sends — receiver owned by another tile — are double-buffered
-//!   in the worker's outbox ([`SeamFlit`]/[`SeamCredit`]) and flushed by
-//!   the commit phase. Each `in_links[node][port]` delay line has exactly
-//!   one writer (the upstream neighbour), so a channel is either
-//!   worker-written or commit-written, never both; and because the flush
-//!   still happens at cycle `t`, the post-cycle channel state does not
-//!   depend on where the seams are.
+//!   in the worker's outbox ([`Seam`] records) and flushed by
+//!   the commit phase into the same plane. Each wire has exactly one
+//!   writer (the upstream neighbour), so a slot is either worker-written
+//!   or commit-written, never both; and because the flush still happens at
+//!   cycle `t`, the post-cycle planes do not depend on where the seams
+//!   are.
 //! * **Everything that lands in network-global state** is buffered as
 //!   plain records in the [`TileShard`] and replayed by the commit phase:
 //!   statistics ([`EjectRec`], recovery latencies, event counters), packet
@@ -39,7 +39,7 @@
 //! would have produced, whatever the tile grid.
 //!
 //! Flit storage shards with the tiles. A flit on a wire sits in the
-//! receiving node's `in_links` element, which the receiver's tile owns;
+//! receiving node's slot of a link plane, which the receiver's tile owns;
 //! traffic waiting at a source sits in that node's [`SourceQueue`] as
 //! packet ranges, which the sequential prologue appends to and the owning
 //! tile's worker turns into flits — one at a time, as each reaches the
@@ -62,12 +62,13 @@ use crate::resilience::AckMsg;
 use crate::router::{RouterModel, StepCtx};
 use crate::source_queue::SourceQueue;
 use crate::verify::{FaultEvent, Interest, StepInputs, StepRecord};
+use crate::wires::Planes;
 use noc_core::flit::Flit;
 use noc_core::hash::FxHashSet;
 use noc_core::stats::EventCounts;
 use noc_core::types::{Cycle, Direction, NodeId, LINK_DIRECTIONS, NUM_LINK_PORTS};
 use noc_resilience::{SenderNi, TransientEffect, TransientEvent};
-use noc_topology::{DelayLine, Mesh, TilePartition};
+use noc_topology::{Mesh, TilePartition};
 use noc_trace::TraceEvent;
 use rayon::WorkerPool;
 
@@ -156,11 +157,11 @@ pub(crate) struct TileShard {
     /// Flits this tile's nodes took off their inbound links; with
     /// `events.link_traversals` (the sends) it keeps the on-wire count.
     pub(crate) link_arrivals: u64,
-    pub(crate) seam_flits: Vec<SeamFlit>,
-    pub(crate) seam_credits: Vec<SeamCredit>,
+    pub(crate) seam_flits: Vec<Seam<Option<Flit>>>,
+    pub(crate) seam_credits: Vec<Seam<u32>>,
     /// `DXBAR_TILE_CANARY` only: seam credits withheld from the last
     /// flush, released one cycle stale. Empty in healthy runs.
-    pub(crate) canary_held: Vec<SeamCredit>,
+    pub(crate) canary_held: Vec<Seam<u32>>,
     pub(crate) ejects: Vec<EjectRec>,
     pub(crate) dones: Vec<DoneRec>,
     pub(crate) drops: Vec<DropRec>,
@@ -175,20 +176,13 @@ pub(crate) struct TileShard {
     pub(crate) recoveries: Vec<Cycle>,
 }
 
-/// A flit crossing a tile seam: deliver to `dst`'s input port `dir`.
+/// A flit or a credit return crossing a tile seam: `item` for `dst`'s
+/// input port `dir`.
 #[derive(Clone, Copy)]
-pub(crate) struct SeamFlit {
+pub(crate) struct Seam<T> {
     pub(crate) dst: NodeId,
     pub(crate) dir: Direction,
-    pub(crate) flit: Flit,
-}
-
-/// A credit return crossing a tile seam.
-#[derive(Clone, Copy)]
-pub(crate) struct SeamCredit {
-    pub(crate) dst: NodeId,
-    pub(crate) dir: Direction,
-    pub(crate) credits: u32,
+    pub(crate) item: T,
 }
 
 /// A flit ejection, replayed into `NetStats::record_flit_ejected`.
@@ -234,10 +228,12 @@ pub(crate) struct AckRec {
 ///
 /// Workers only dereference elements their tile owns: `routers[i]` and
 /// `queues[i]` for `i` in the tile, `reassemblers` at the worker's own
-/// shard index, plus `in_links[j]`/`in_credits[j]` for
-/// intra-tile sends where `shard_of[j]` is the worker's tile. Tiles
-/// partition the nodes, so element accesses from different workers never
-/// alias.
+/// shard index, and the wire slots of tile nodes — node `i`'s receive
+/// slots of `links`/`credits`, plus node `j`'s send slots for intra-tile
+/// sends where `shard_of[j]` is the worker's tile. Tiles partition the
+/// nodes, so element accesses from different workers never alias; and
+/// within a cycle the receive and send planes differ, so one node's two
+/// slots never alias either.
 ///
 /// The resilience view ([`ResGrid`]) follows the same rule: `senders[i]`
 /// (the source NI of node `i`) and `delivered[i]` (the receiver dedup set
@@ -248,8 +244,9 @@ pub(crate) struct AckRec {
 /// cycle prologue).
 pub(crate) struct SharedGrid<'a, R> {
     pub(crate) routers: *mut R,
-    pub(crate) in_links: *mut [Option<DelayLine<Flit>>; NUM_LINK_PORTS],
-    pub(crate) in_credits: *mut [Option<DelayLine<u32>>; NUM_LINK_PORTS],
+    /// This cycle's link and credit planes.
+    pub(crate) links: Planes<Option<Flit>>,
+    pub(crate) credits: Planes<u32>,
     pub(crate) queues: *mut SourceQueue,
     pub(crate) reassemblers: *mut Reassembler,
     pub(crate) neighbors: &'a [[Option<NodeId>; NUM_LINK_PORTS]],
@@ -275,7 +272,7 @@ pub(crate) struct ResGrid<'a> {
 // borrows (`neighbors`, `shard_of`, `link_down`, `strikes`) is plain data
 // nobody writes during the parallel phase. `R: Send` makes
 // handing each router to whichever thread steps its tile sound; the other
-// pointees (delay lines, queues, reassemblers, NIs, dedup sets) own plain
+// pointees (wire slots, queues, reassemblers, NIs, dedup sets) own plain
 // data and are `Send` unconditionally.
 unsafe impl<R: Send> Sync for SharedGrid<'_, R> {}
 
@@ -360,13 +357,14 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
         ctx.trace.set_enabled(tracing);
         ctx.probe.set_enabled(stepping);
 
-        // SAFETY: node `i` is in this worker's tile, which owns
-        // `in_links[i]`, `in_credits[i]`, `queues[i]` and `routers[i]`
-        // (SharedGrid contract).
-        let (in_links, in_credits, queue, router) = unsafe {
+        // SAFETY: node `i` is in this worker's tile, which owns its
+        // receive slots in both planes, `queues[i]` and `routers[i]`
+        // (SharedGrid contract); no send of this cycle writes a receive
+        // plane, so taking the slots races with nothing.
+        let (arrivals, credits_in, queue, router) = unsafe {
             (
-                &mut *grid.in_links.add(i),
-                &mut *grid.in_credits.add(i),
+                grid.links.take(i),
+                grid.credits.take(i),
                 &mut *grid.queues.add(i),
                 &mut *grid.routers.add(i),
             )
@@ -379,19 +377,9 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
             (r, ni, seen)
         });
 
-        for d in LINK_DIRECTIONS {
-            if let Some(line) = in_links[d.index()].as_mut() {
-                if let Some(flit) = line.recv(t) {
-                    ctx.arrivals[d.index()] = Some(flit);
-                    *link_arrivals += 1;
-                }
-            }
-            if let Some(line) = in_credits[d.index()].as_mut() {
-                if let Some(c) = line.recv(t) {
-                    ctx.credits_in[d.index()] = c;
-                }
-            }
-        }
+        ctx.arrivals = arrivals;
+        ctx.credits_in = credits_in;
+        *link_arrivals += arrivals.iter().flatten().count() as u64;
         // The queue builds its head flit here, the first time it is
         // offered. The source NI sequences and seals it in place before
         // the offer — the head is the only copy, so the sequence number
@@ -478,42 +466,30 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
                 flit_index: flit.flit_index as u16,
                 dir: d,
             });
-            if grid.shard_of[nbr.index()] == me {
-                // SAFETY: `nbr` is in this worker's tile (checked above).
-                let lines = unsafe { &mut *grid.in_links.add(nbr.index()) };
-                lines[d.opposite().index()]
-                    .as_mut()
-                    .expect("reverse link exists")
-                    .send(t, flit);
-            } else {
-                seam_flits.push(SeamFlit {
-                    dst: nbr,
-                    dir: d.opposite(),
-                    flit,
-                });
-            }
+            send(
+                grid.shard_of,
+                me,
+                grid.links,
+                seam_flits,
+                nbr,
+                d.opposite(),
+                Some(flit),
+            );
         }
 
         // Credits upstream, same split.
         for d in LINK_DIRECTIONS {
             let c = ctx.credits_out[d.index()];
-            if c > 0 {
-                if let Some(upstream) = neighbors[d.index()] {
-                    if grid.shard_of[upstream.index()] == me {
-                        // SAFETY: `upstream` is in this worker's tile.
-                        let wires = unsafe { &mut *grid.in_credits.add(upstream.index()) };
-                        wires[d.opposite().index()]
-                            .as_mut()
-                            .expect("reverse credit wire exists")
-                            .send(t, c);
-                    } else {
-                        seam_credits.push(SeamCredit {
-                            dst: upstream,
-                            dir: d.opposite(),
-                            credits: c,
-                        });
-                    }
-                }
+            if let Some(upstream) = neighbors[d.index()].filter(|_| c > 0) {
+                send(
+                    grid.shard_of,
+                    me,
+                    grid.credits,
+                    seam_credits,
+                    upstream,
+                    d.opposite(),
+                    c,
+                );
             }
         }
 
@@ -624,5 +600,33 @@ pub(crate) fn step_tile<R: RouterModel, const DIAG: bool>(
         if tracing && !stepping {
             std::mem::swap(&mut tile_ctx.trace.events, &mut steps[k].ctx.trace.events);
         }
+    }
+}
+
+/// Put `item` on the wire into `dst`'s input `port`: straight into the
+/// send plane when tile `me` owns `dst`, else into the tile's outbox,
+/// which the commit phase flushes into the same plane.
+#[inline]
+fn send<T: Copy + Default + PartialEq>(
+    shard_of: &[u16],
+    me: u16,
+    plane: Planes<T>,
+    outbox: &mut Vec<Seam<T>>,
+    dst: NodeId,
+    port: Direction,
+    item: T,
+) {
+    if shard_of[dst.index()] == me {
+        // SAFETY: `dst` is a mesh node in this worker's tile (checked
+        // above), which owns its send slots (SharedGrid contract); the
+        // send plane is not the receive plane this cycle's sweep reads,
+        // and the wires stay borrowed for the whole sweep.
+        unsafe { plane.put(dst.index(), port.index(), item) };
+    } else {
+        outbox.push(Seam {
+            dst,
+            dir: port,
+            item,
+        });
     }
 }

@@ -6,10 +6,10 @@
 //! lines in the paper; SCARAB's NACK network uses longer, per-message
 //! latencies and is modelled separately with a timed heap.
 //!
-//! The engine's wires carry their items **by value**: `DelayLine<Flit>` is
-//! the link itself, a ring inside the receiving node's own array element
-//! that the upstream neighbour writes and the receiver reads in sweep
-//! order. No handle, no arena, nothing to chase per hop.
+//! The simulation engine keeps its own wires as cycle planes
+//! (`noc-sim/src/wires.rs`), which need neither a ring per wire nor delivery
+//! stamps; `DelayLine` is the general channel and the reference those
+//! planes are tested against.
 
 use noc_core::types::Cycle;
 
@@ -25,19 +25,17 @@ pub struct DelayLine<T> {
     ring: Ring<T>,
 }
 
-/// Slots of an inline ring: the longest period the engine's own wires
-/// need (flit links have period 3, credit wires period 2).
+/// Slots of an inline ring: periods 2 and 3 (latency 1 and 2, the
+/// paper's credit and flit wires).
 const INLINE_SLOTS: usize = 3;
 
-/// Ring storage for a [`DelayLine`]. The engine polls every line every
-/// cycle and all its lines are short, so their rings sit inline in the
-/// line — no pointer chase per poll, and a `Vec` of lines is one
-/// contiguous stream. Delivery stamps are kept *beside* the items, not
-/// zipped with them, so each slot is a bare `Option<T>` that can use `T`'s
-/// niche, and the stamps pack into the tail word with the period and the
-/// enum tag: a line costs `3 * size_of::<Option<T>>() + 8` bytes (176 for
-/// a flit link, 32 for a credit wire). Longer latencies (tests, future
-/// topologies) fall back to the heap.
+/// Ring storage for a [`DelayLine`]. Short lines keep their ring inline
+/// — no pointer chase per poll, and a `Vec` of lines is one contiguous
+/// stream. Delivery stamps are kept *beside* the items, not zipped with
+/// them, so each slot is a bare `Option<T>` that can use `T`'s niche, and
+/// the stamps pack into the tail word with the period and the enum tag: a
+/// line costs `3 * size_of::<Option<T>>() + 8` bytes (152 for a flit
+/// line, 32 for a credit line). Longer latencies fall back to the heap.
 #[derive(Debug, Clone)]
 enum Ring<T> {
     /// Periods 2 and 3 (latency 1 and 2). `stamps[i]` is the low 16 bits
@@ -138,9 +136,8 @@ impl<T> DelayLine<T> {
     /// its slot (so the next send there panics) and is never handed out
     /// late. A heap ring compares full stamps; an inline ring compares the
     /// low 16 bits, so it would mistake a stale item for a due one only if
-    /// polled an exact multiple of 65 536 cycles late. The engine polls
-    /// every line every cycle, and the overrun panic does not look at
-    /// stamps at all.
+    /// polled an exact multiple of 65 536 cycles late; the overrun panic
+    /// does not look at stamps at all.
     #[inline]
     fn due(&self, cycle: Cycle) -> Option<usize> {
         match &self.ring {

@@ -77,15 +77,16 @@ proptest! {
     }
 }
 
-/// The wires are the largest per-node arrays the engine streams every
-/// cycle; growing them costs mesh-size scaling long before it fails
-/// anything else.
+/// The inline ring keeps a short line in its owner's array element; this
+/// pins its size for four flit lines and four credit lines (608 + 128
+/// bytes today). The engine's own wires are cycle planes, not delay
+/// lines; the tests of `noc-sim/src/wires.rs` pin those.
 #[test]
-fn per_node_wires_stay_within_832_bytes() {
+fn four_flit_and_four_credit_lines_stay_within_832_bytes() {
     let links = std::mem::size_of::<[Option<DelayLine<Flit>>; 4]>();
     let credits = std::mem::size_of::<[Option<DelayLine<u32>>; 4]>();
     assert!(
         links + credits <= 832,
-        "per-node wires grew: {links} B of flit links + {credits} B of credit wires"
+        "delay lines grew: {links} B of flit lines + {credits} B of credit lines"
     );
 }

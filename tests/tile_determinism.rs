@@ -21,7 +21,7 @@
 use dxbar_noc::noc_resilience::ResiliencePlan;
 use dxbar_noc::noc_sim::noc_trace::{to_jsonl, RecordingSink};
 use dxbar_noc::noc_sim::runner::RunMode;
-use dxbar_noc::noc_topology::Mesh;
+use dxbar_noc::noc_topology::{Mesh, TilePartition};
 use dxbar_noc::noc_traffic::patterns::Pattern;
 use dxbar_noc::noc_traffic::splash::{AppParams, SplashApp, SplashTraffic};
 use dxbar_noc::{run, Design, RunPlan, RunResult, SimConfig};
@@ -127,6 +127,44 @@ fn scarab_under_heavy_drops_matches_sequential() {
             .result,
         )
     });
+}
+
+#[test]
+fn one_column_tiles_match_sequential() {
+    // A 5x2 mesh cut four ways is four column bands, three of them one
+    // column wide: every east and west link and credit wire of such a
+    // tile crosses a seam, so nearly every send waits in an outbox and
+    // reaches its wire plane in the commit's flush. Buffered-8 returns a
+    // credit per forwarded flit; SCARAB drops and retransmits.
+    let cfg = SimConfig {
+        width: 5,
+        height: 2,
+        warmup_cycles: 200,
+        measure_cycles: 1500,
+        drain_cycles: 500,
+        seed: 13,
+        ..SimConfig::default()
+    };
+    let partition = TilePartition::new(cfg.width, cfg.height, 4);
+    assert_eq!(partition.grid(), (4, 1));
+    let one_column = (0..4).filter(|&t| partition.nodes(t).len() == 2);
+    assert_eq!(one_column.count(), 3);
+    for (design, load) in [(Design::Buffered8, 0.5), (Design::Scarab, 0.7)] {
+        assert_worker_count_invisible(design.name(), &[4], |tiles| {
+            let r = run(synthetic(design, &cfg, Pattern::UniformRandom, load, tiles)).result;
+            let e = &r.stats.events;
+            assert!(
+                e.link_traversals > 10_000,
+                "{}: too little traffic",
+                design.name()
+            );
+            assert!(
+                design != Design::Scarab || e.drops > 0,
+                "scarab never dropped"
+            );
+            json(&r)
+        });
+    }
 }
 
 #[test]
